@@ -66,12 +66,13 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
         config.k, config.n, c, alpha=config.alpha, l=config.l,
         f_bound=max(1.0, f.coeff_bound()),
     )
-    seed = tune_epsilon(seed, f, config.m, tol_lin=config.tol_lin)
+    seed, first_step = tune_epsilon(seed, f, config.m, tol_lin=config.tol_lin)
     w, report = newton_loop(
         seed, f, config.m,
         tol_newton=config.tol_newton,
         max_iter=config.max_iter,
         tol_lin=config.tol_lin,
+        first_step=first_step,
     )
     final_seed = seed.with_eps(report.eps_history[-1])
     solution = None

@@ -9,6 +9,7 @@ grid indices, shortest-roundtrip floats) is frozen for golden tests.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,10 +49,6 @@ class ScalarGrid:
     @property
     def h(self) -> float:
         return 2.0 / (self.m - 1)
-
-    @property
-    def dirichlet_mask(self) -> np.ndarray:
-        return boundary_mask(self.n, self.m)
 
     @property
     def interior_mask(self) -> np.ndarray:
@@ -175,40 +172,42 @@ def _holder_offsets(n: int, radius: int = 8) -> tuple[tuple[int, ...], ...]:
     return tuple(offsets)
 
 
-def holder_quotient(values: np.ndarray, h: float, alpha: float,
-                    mask: np.ndarray | None = None, radius: int = 8) -> float:
+def holder_quotient(stack: np.ndarray, h: float, alpha: float,
+                    radius: int = 8) -> float:
     """max |f(x)-f(z)| / |x-z|^alpha over grid pairs within radius*h.
 
-    When ``mask`` is given, only pairs with both endpoints inside it count.
+    ``stack`` has shape (c,) + grid shape: c fields on the same grid, and the
+    result is the largest quotient among them.  Each offset takes one pass
+    over the whole stack, into one reused difference buffer.
     """
-    n = values.ndim
-    m = values.shape[0]
+    n = stack.ndim - 1
+    shape = stack.shape[1:]
+    buf = np.empty(stack.size)
     best = 0.0
     for off in _holder_offsets(n, radius):
-        src = tuple(
-            slice(max(0, -o), m - max(0, o)) for o in off
+        if any(abs(o) >= s for o, s in zip(off, shape)):
+            continue
+        src = (slice(None),) + tuple(
+            slice(max(0, -o), s - max(0, o)) for o, s in zip(off, shape)
         )
-        dst = tuple(
-            slice(max(0, o), m + min(0, o)) for o in off
+        dst = (slice(None),) + tuple(
+            slice(max(0, o), s + min(0, o)) for o, s in zip(off, shape)
         )
-        diff = np.abs(values[dst] - values[src])
-        if mask is not None:
-            pair_ok = mask[dst] & mask[src]
-            if not pair_ok.any():
-                continue
-            diff = diff[pair_ok]
+        hi, lo = stack[dst], stack[src]
+        diff = buf[:hi.size].reshape(hi.shape)
+        np.subtract(hi, lo, out=diff)
         dist = h * float(np.sqrt(sum(o * o for o in off)))
-        q = float(diff.max()) / dist**alpha
+        q = max(float(diff.max()), -float(diff.min())) / dist**alpha
         if q > best:
             best = q
     return best
 
 
-def calpha_surrogate(values: np.ndarray, h: float, alpha: float,
-                     mask: np.ndarray | None = None) -> float:
-    """Sup norm plus Hoelder quotient, the discrete stand-in for a C^alpha norm."""
-    vals = values if mask is None else values[mask]
-    return float(np.max(np.abs(vals))) + holder_quotient(values, h, alpha, mask)
+def calpha_surrogate(values: np.ndarray, h: float, alpha: float) -> float:
+    """Sup norm plus Hoelder quotient over the interior points (pairs with both
+    ends off the boundary), the discrete stand-in for a C^alpha norm."""
+    inner = values[(slice(1, -1),) * values.ndim]
+    return float(np.max(np.abs(inner))) + holder_quotient(inner[None], h, alpha)
 
 
 def c2alpha_surrogate(grid: ScalarGrid, alpha: float) -> float:
@@ -223,28 +222,20 @@ def c2alpha_surrogate(grid: ScalarGrid, alpha: float) -> float:
         float(np.max(np.abs(grad))),
         float(np.max(np.abs(hess))),
     )
-    quot = 0.0
-    n = grid.n
-    for a in range(n):
-        for b in range(a, n):
-            quot = max(quot, holder_quotient(hess[..., a, b], grid.h, alpha))
-    return sup + quot
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    a, b = np.triu_indices(grid.n)
+    components = np.moveaxis(hess[..., a, b], -1, 0)
+    return sup + holder_quotient(components, grid.h, alpha)
 
 
 def write_grid_csv(path, values: np.ndarray, axes: list[np.ndarray]) -> None:
     """Write grid values with per-axis coordinate arrays; format is frozen."""
     n = values.ndim
-    header = ",".join(f"x{i + 1}" for i in range(n)) + ",value"
-    lines = [header]
-    for idx in np.ndindex(*values.shape):
-        coords = ",".join(_fmt(axes[d][idx[d]]) for d in range(n))
-        lines.append(f"{coords},{_fmt(values[idx])}")
+    header = ",".join(f"x{i + 1}" for i in range(n)) + ",value\n"
+    columns = [[repr(float(v)) + "," for v in ax] for ax in axes]
+    prefixes = map("".join, itertools.product(*columns))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        fh.writelines(map("{}{!r}\n".format, prefixes, values.ravel().tolist()))
 
 
 def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray]:

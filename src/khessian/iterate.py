@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EllipticityError, TuningError
+from .errors import DomainError, EllipticityError, TuningError
 from .grids import ScalarGrid, c2alpha_surrogate, calpha_surrogate, grid_coords, hessian_of
 from .pde import assemble_linearized, eval_G, solve_dirichlet_info, sk_of_matrix
 from .seeds import SeedQuadratic
@@ -128,39 +128,78 @@ def _interior_sup(grid: ScalarGrid) -> float:
     return float(np.max(np.abs(grid.values[grid.interior_mask])))
 
 
+@dataclass
+class FirstStep:
+    """Iteration 0 of the Newton loop as the accepted tuning trial computed it.
+
+    The trial runs at the accepted eps from w = 0 with the loop's tol_lin, so
+    its residual, linear solve and norm surrogates are exactly the ones
+    iteration 0 would recompute.  It carries no matrix: the trial accepted
+    every dominance margin, so iteration 0 needs only ``min_margin``.
+    """
+
+    eps: float
+    tol_lin: float
+    g_grid: ScalarGrid
+    g_holder: float
+    rho: ScalarGrid
+    lin_residual: float
+    rho_c2alpha: float
+    min_margin: float
+
+
 def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10,
-                 eps_start: float = 0.5, eps_min: float = 1e-4) -> SeedQuadratic:
+                 eps_start: float = 0.5, eps_min: float = 1e-4
+                 ) -> tuple[SeedQuadratic, FirstStep | None]:
     """Halve eps from eps_start until the initial residual is provably small.
 
     Acceptance needs (a) C_hat * ||g0||_holder <= 1/4, where C_hat is the
     ratio of the correction norm to the residual norm observed in one trial
     linear solve, and (b) every dominance margin at w = 0 above half the
-    seed's deleted-variable row.  A residual that is zero to roundoff accepts
-    immediately.
+    seed's deleted-variable row.  Since C_hat = c2alpha(rho) / ||g0||_holder,
+    test (a) is c2alpha(rho) <= 1/4 up to rounding; ``bound`` is still formed
+    as the product, and ||g0||_holder is a diagnostic, computed once and handed
+    on to iteration 0.  A residual that is zero to roundoff accepts
+    immediately.  A candidate whose (u, p) arguments leave the right-hand
+    side's box is rejected.
+
+    Returns the accepted seed and the trial as iteration 0 of ``newton_loop``
+    (None when the residual was already at the roundoff floor).
     """
     diagnostics = []
     eps = eps_start
     while eps >= eps_min:
         candidate = seed.with_eps(eps)
         w0 = ScalarGrid.zeros(seed.n, m)
-        g_grid = eval_G(w0, candidate, f)
+        try:
+            g_grid = eval_G(w0, candidate, f)
+        except DomainError as err:
+            diagnostics.append({"eps": eps, "error": str(err)})
+            eps *= 0.5
+            continue
         g_inf = _interior_sup(g_grid)
         if g_inf <= 10.0 * residual_floor(candidate, m):
-            return candidate
+            return candidate, None
         sys = assemble_linearized(w0, candidate, f, g_values=-g_grid.values)
         thresh = 0.5 * sigma_km1_row(candidate.tau, candidate.k)
         margins_ok = bool(np.all(sys.margins > thresh[None, :]))
-        g_norm = calpha_surrogate(g_grid.values, w0.h, candidate.alpha,
-                                  mask=w0.interior_mask)
-        rho, _ = solve_dirichlet_info(sys, tol_lin)
-        c_hat = c2alpha_surrogate(rho, candidate.alpha) / g_norm
+        g_norm = calpha_surrogate(g_grid.values, w0.h, candidate.alpha)
+        rho, lin_res = solve_dirichlet_info(sys, tol_lin)
+        min_margin = sys.min_margin
+        del sys  # free the matrix before the next candidate assembles its own
+        rho_norm = c2alpha_surrogate(rho, candidate.alpha)
+        c_hat = rho_norm / g_norm
         bound = c_hat * g_norm
         diagnostics.append(
             {"eps": eps, "g_holder": g_norm, "c_hat": c_hat,
              "bound": bound, "margins_ok": margins_ok}
         )
         if bound <= 0.25 and margins_ok:
-            return candidate
+            return candidate, FirstStep(
+                eps=eps, tol_lin=tol_lin, g_grid=g_grid, g_holder=g_norm,
+                rho=rho, lin_residual=lin_res, rho_c2alpha=rho_norm,
+                min_margin=min_margin,
+            )
         eps *= 0.5
     raise TuningError(
         f"no admissible eps above {eps_min}", diagnostics=diagnostics
@@ -169,12 +208,21 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10,
 
 def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 max_iter: int = 12, tol_lin: float = 1e-10,
-                max_retunes: int = 3) -> tuple[ScalarGrid, IterationReport]:
+                max_retunes: int = 3, first_step: FirstStep | None = None
+                ) -> tuple[ScalarGrid, IterationReport]:
     """Run the correction scheme from w = 0 until the residual is small.
 
-    Returns the final iterate together with the full per-iteration report;
-    the caller decides what to do with non-converged statuses.
+    ``first_step``, the accepted trial from ``tune_epsilon`` at the same eps
+    and tol_lin, stands in for iteration 0 of the first attempt.  Returns the
+    final iterate together with the full per-iteration report; the caller
+    decides what to do with non-converged statuses.
     """
+    if first_step is not None and (
+            (first_step.eps, first_step.tol_lin) != (seed.eps, tol_lin)):
+        raise ValueError(
+            f"first step was computed at eps={first_step.eps}, "
+            f"tol_lin={first_step.tol_lin}, not eps={seed.eps}, tol_lin={tol_lin}"
+        )
     eps_history = [seed.eps]
     aborted: list[dict] = []
     retunes = 0
@@ -189,11 +237,20 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
         retune_reason = None
 
         for it in range(max_iter + 1):
-            g_grid = eval_G(w, seed, f)
+            step, first_step = first_step, None
+            if step is not None:
+                g_grid, g_holder = step.g_grid, step.g_holder
+            else:
+                g_grid = eval_G(w, seed, f)
+                g_holder = calpha_surrogate(g_grid.values, w.h, seed.alpha)
             g_inf = _interior_sup(g_grid)
-            g_holder = calpha_surrogate(g_grid.values, w.h, seed.alpha,
-                                        mask=w.interior_mask)
-            w_norm = c2alpha_surrogate(w, seed.alpha) if it else 0.0
+            # w_1 = 0 + rho_0, so its surrogate is iteration 0's rho_c2alpha
+            if it == 0:
+                w_norm = 0.0
+            elif it == 1:
+                w_norm = records[0].rho_c2alpha
+            else:
+                w_norm = c2alpha_surrogate(w, seed.alpha)
             if records:
                 prev = records[-1].g_inf
                 if prev > 0.0:
@@ -217,22 +274,28 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
             if w_norm > 1.0:
                 retune_reason = f"iterate norm surrogate {w_norm:.3f} > 1"
                 break
-            try:
-                sys = assemble_linearized(w, seed, f, g_values=-g_grid.values)
-            except EllipticityError as err:
-                retune_reason = f"ellipticity failure: {err}"
-                break
-            if np.any(sys.margins < thresh[None, :]):
-                worst = float(np.min(sys.margins - thresh[None, :]))
-                retune_reason = (
-                    f"dominance margin dropped {worst:.3e} below half the "
-                    "seed row"
-                )
-                break
-            rho, lin_res = solve_dirichlet_info(sys, tol_lin)
+            if step is not None:
+                rho, lin_res = step.rho, step.lin_residual
+                record.rho_c2alpha = step.rho_c2alpha
+                record.min_margin = step.min_margin
+            else:
+                try:
+                    sys = assemble_linearized(w, seed, f, g_values=-g_grid.values)
+                except EllipticityError as err:
+                    retune_reason = f"ellipticity failure: {err}"
+                    break
+                if np.any(sys.margins < thresh[None, :]):
+                    worst = float(np.min(sys.margins - thresh[None, :]))
+                    retune_reason = (
+                        f"dominance margin dropped {worst:.3e} below half the "
+                        "seed row"
+                    )
+                    break
+                rho, lin_res = solve_dirichlet_info(sys, tol_lin)
+                record.min_margin = sys.min_margin
+                del sys  # likewise before the next iteration's assembly
+                record.rho_c2alpha = c2alpha_surrogate(rho, seed.alpha)
             record.rho_inf = float(np.max(np.abs(rho.values)))
-            record.rho_c2alpha = c2alpha_surrogate(rho, seed.alpha)
-            record.min_margin = sys.min_margin
             record.lin_residual = lin_res
             records.append(record)
             w = ScalarGrid(w.n, w.m, w.values + rho.values)

@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's evaluation routes: subset enumeration
 for minor sums, explicit zeroing for deleted variables, dense assembly for
-the stencil operator.  Enumeration is kept to n <= 12.
+the stencil operator, all-pairs enumeration for Hoelder quotients and
+per-cell formatting for grid CSVs.  Enumeration is kept to n <= 12.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -63,6 +65,43 @@ def dense_stencil_matrix(sys) -> np.ndarray:
     """Densify the assembled sparse operator (small systems only)."""
     assert sys.size <= 5000
     return sys.matrix.toarray()
+
+
+def brute_holder_quotient(values, h: float, alpha: float, radius: int = 8,
+                          mask=None) -> float:
+    """max |f(x)-f(z)| / |x-z|^alpha over every ordered pair of grid points
+    with 0 < |x-z| <= radius*h, optionally only pairs with both ends in mask.
+
+    Enumerates pairs point by point instead of sweeping offsets; distances
+    are formed in Python floats the way the library forms them.
+    """
+    values = np.asarray(values, dtype=float)
+    assert values.size <= 1000, "all-pairs oracle capped at 1000 points"
+    idx = np.array(list(np.ndindex(*values.shape)))
+    flat = values.ravel()
+    keep_pt = np.ones(flat.size, bool) if mask is None else np.asarray(mask).ravel()
+    denom = np.array([(h * math.sqrt(d2)) ** alpha for d2 in range(radius * radius + 1)])
+    best = 0.0
+    for a in np.nonzero(keep_pt)[0]:
+        sq = ((idx - idx[a]) ** 2).sum(axis=1)
+        pair = keep_pt & (sq > 0) & (sq <= radius * radius)
+        if pair.any():
+            q = np.abs(flat[pair] - flat[a]) / denom[sq[pair]]
+            best = max(best, float(q.max()))
+    return best
+
+
+def write_grid_csv_per_cell(path, values, axes) -> None:
+    """Grid CSV written one cell at a time: header x1..xn,value, rows in
+    lexicographic index order, every float as repr(float(.))."""
+    n = values.ndim
+    lines = [",".join(f"x{i + 1}" for i in range(n)) + ",value"]
+    for idx in np.ndindex(*values.shape):
+        cells = [repr(float(axes[d][idx[d]])) for d in range(n)]
+        cells.append(repr(float(values[idx])))
+        lines.append(",".join(cells))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def manufactured_field(n: int, m: int, beta: float):

@@ -1,7 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
-from khessian.grids import ScalarGrid, boundary_mask, grid_coords
+from khessian.cli import run_solve
+from khessian.config import ProblemConfig
+from khessian.grids import ScalarGrid, boundary_mask, c2alpha_surrogate, grid_coords
 from khessian.iterate import (
     STATUS_CONVERGED,
     assemble_solution,
@@ -11,6 +15,7 @@ from khessian.iterate import (
     tune_epsilon,
 )
 from khessian.pde import sk_of_matrix
+from khessian.presets import PRESETS
 from khessian.rhs import RhsSpec, RhsTerm
 from khessian.seeds import seed_for_negative, seed_for_positive, seed_for_zero
 from oracles import manufactured_field, tabulated_rhs_from_hessian
@@ -20,24 +25,33 @@ class TestTuneEpsilon:
     def test_matching_constant_accepts_first_eps(self):
         seed = seed_for_positive(2, 3, 3.0, l="full")
         f = RhsSpec.constant(3, 3.0)
-        tuned = tune_epsilon(seed, f, 9)
+        tuned, first_step = tune_epsilon(seed, f, 9)
         assert tuned.eps == 0.5
+        assert first_step is None  # accepted on the roundoff floor
 
     def test_acceptance_is_monotone(self):
         # whenever some eps passes the residual bound, half of it passes too
         seed = seed_for_zero(2, 3, 0.5)
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
-        tuned = tune_epsilon(seed, f, 9)
+        tuned, _ = tune_epsilon(seed, f, 9)
         assert tuned.eps <= 0.5
-        halved = tune_epsilon(seed.with_eps(tuned.eps), f, 9,
-                              eps_start=tuned.eps / 2)
+        halved, _ = tune_epsilon(seed.with_eps(tuned.eps), f, 9,
+                                 eps_start=tuned.eps / 2)
         assert halved.eps == tuned.eps / 2
 
     def test_eps_prime_recomputed(self):
         seed = seed_for_zero(2, 3, 0.5)
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0))])
-        tuned = tune_epsilon(seed, f, 9)
+        tuned, _ = tune_epsilon(seed, f, 9)
         assert tuned.eps_prime == pytest.approx(tuned.eps**0.5)
+
+    def test_box_violation_rejects_candidate(self, tmp_path):
+        # at n = 4 the c < 0 seed leaves the rhs box at eps = 0.5 (|p| = 1.02)
+        doc = copy.deepcopy(PRESETS["fzero-linear"])
+        doc.update(n=4, k=2, rhs="const-neg-one", grid={"m": 9})
+        art = run_solve(ProblemConfig.from_dict(doc), out_dir=str(tmp_path))
+        assert art.report.converged
+        assert art.report.eps_history == [0.25]
 
 
 class TestNewtonLoop:
@@ -91,6 +105,24 @@ class TestNewtonLoop:
         f = tabulated_rhs_from_hessian(seed, hess, 0.5)
         _, report = newton_loop(seed, f, m)
         assert all(r.w_c2alpha <= 1.0 for r in report.iterations)
+
+    def test_first_step_handoff_changes_nothing(self):
+        seed = seed_for_zero(2, 3, 0.5)
+        f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
+        m = 9
+        tuned, first_step = tune_epsilon(seed, f, m)
+        assert first_step is not None
+        w_a, rep_a = newton_loop(tuned, f, m, first_step=first_step)
+        w_b, rep_b = newton_loop(tuned, f, m)
+        assert rep_a.to_dict() == rep_b.to_dict()
+        assert np.array_equal(w_a.values, w_b.values)
+        assert len(rep_a.iterations) >= 2
+        assert rep_a.iterations[1].w_c2alpha == rep_a.iterations[0].rho_c2alpha
+        # w_1 = 0 + rho_0 has exactly the surrogate of rho_0
+        w1 = ScalarGrid(3, m, ScalarGrid.zeros(3, m).values + first_step.rho.values)
+        assert c2alpha_surrogate(w1, tuned.alpha) == first_step.rho_c2alpha
+        with pytest.raises(ValueError):
+            newton_loop(tuned.with_eps(tuned.eps / 2), f, m, first_step=first_step)
 
     def test_floor_estimate_scales_like_inverse_h_squared(self):
         seed = seed_for_zero(2, 3, 0.5)

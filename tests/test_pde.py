@@ -5,8 +5,11 @@ from khessian.errors import DomainError, EllipticityError
 from khessian.grids import (
     ScalarGrid,
     boundary_mask,
+    c2alpha_surrogate,
+    calpha_surrogate,
     grid_coords,
     hessian_of,
+    holder_quotient,
     read_grid_csv,
     write_grid_csv,
 )
@@ -21,7 +24,13 @@ from khessian.pde import (
 from khessian.rhs import RhsSpec, RhsTerm, TabulatedRhs
 from khessian.seeds import seed_for_positive, seed_for_zero
 from khessian.symfun import elem_sym, sigma_km1_row
-from oracles import brute_sk_matrix, fd_sk_gradient, manufactured_field
+from oracles import (
+    brute_holder_quotient,
+    brute_sk_matrix,
+    fd_sk_gradient,
+    manufactured_field,
+    write_grid_csv_per_cell,
+)
 
 
 def random_symmetric(rng, n):
@@ -322,8 +331,6 @@ class TestEllipticityPersistence:
         m = 9
         x = grid_coords(3, m)
         bump = np.prod(np.cos(np.pi * x / 2), axis=-1)
-        from khessian.grids import c2alpha_surrogate
-
         w = ScalarGrid(3, m, bump)
         w = ScalarGrid(3, m, 0.9 * bump / c2alpha_surrogate(w, 0.5))
         thresh = 0.5 * sigma_km1_row(seed.tau, 2)
@@ -365,6 +372,56 @@ class TestOrderOfAccuracy:
         assert 3.0 < ratio < 5.0
 
 
+def _surrogate_fields(kind, n, m, count, rng):
+    """Noise peaks at nearest neighbours; a ramp along x1 under small noise
+    peaks at the longest offsets, so both ends of the offset set are hit."""
+    fields = rng.normal(size=(count,) + (m,) * n)
+    if kind == "ramp":
+        fields *= 1e-3
+        fields[-1] += grid_coords(n, m)[..., 0]
+    return fields
+
+
+class TestNormSurrogates:
+    # the stacked offset sweep must agree with all-pairs enumeration exactly
+    @pytest.mark.parametrize("kind", ["noise", "ramp"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_quotient_matches_all_pairs(self, n, kind):
+        rng = np.random.default_rng(20 + n)
+        m = 9
+        stack = _surrogate_fields(kind, n, m, 3, rng)
+        h = 2.0 / (m - 1)
+        expect = max(brute_holder_quotient(v, h, 0.5) for v in stack)
+        assert holder_quotient(stack, h, 0.5) == expect
+        assert holder_quotient(stack[:1], h, 0.5) == brute_holder_quotient(stack[0], h, 0.5)
+
+    @pytest.mark.parametrize("kind", ["noise", "ramp"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_c2alpha_matches_all_pairs(self, n, kind):
+        rng = np.random.default_rng(30 + n)
+        m = 9
+        # a cubic in x1 has a Hessian entry that ramps along x1
+        w = ScalarGrid(n, m, _surrogate_fields(kind, n, m, 1, rng)[0] ** 3)
+        hess, grad = hessian_of(w)
+        sup = max(float(np.max(np.abs(w.values))), float(np.max(np.abs(grad))),
+                  float(np.max(np.abs(hess))))
+        quot = max(brute_holder_quotient(hess[..., a, b], w.h, 0.5)
+                   for a in range(n) for b in range(a, n))
+        assert c2alpha_surrogate(w, 0.5) == sup + quot
+
+    @pytest.mark.parametrize("kind", ["noise", "ramp"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_calpha_interior_slab_matches_masked(self, n, kind):
+        rng = np.random.default_rng(40 + n)
+        m = 9
+        values = _surrogate_fields(kind, n, m, 1, rng)[0]
+        h = 2.0 / (m - 1)
+        inner = ~boundary_mask(n, m)
+        expect = (float(np.max(np.abs(values[inner])))
+                  + brute_holder_quotient(values, h, 0.5, mask=inner))
+        assert calpha_surrogate(values, h, 0.5) == expect
+
+
 class TestGridIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -386,3 +443,14 @@ class TestGridIO:
         assert lines[0] == "x1,x2,value"
         assert lines[1] == "-1.0,-1.0,0.0"
         assert lines[2] == "-1.0,-0.75,1.0"  # last index varies fastest
+
+    def test_matches_per_cell_writer(self, tmp_path):
+        rng = np.random.default_rng(16)
+        values = rng.normal(size=(9, 9, 9)) * 10.0 ** rng.integers(-20, 20, size=(9, 9, 9))
+        values[0, 0, :3] = [-0.0, 0.0, 1e-300]
+        axes = [0.25 * np.linspace(-1, 1, 9)] * 3
+        write_grid_csv(tmp_path / "a.csv", values, axes)
+        write_grid_csv_per_cell(tmp_path / "b.csv", values, axes)
+        text = (tmp_path / "a.csv").read_bytes()
+        assert text == (tmp_path / "b.csv").read_bytes()
+        assert b"\n-0.25,-0.25,-0.25,-0.0\n" in text
