@@ -11,34 +11,8 @@ import time
 
 import numpy as np
 
-from khessian import grids, iterate, pde, rhs, seeds
-
-
-def manufactured_field(n: int, m: int, beta: float):
-    """Target iterate beta * prod cos(pi x_i / 2) and its analytic Hessian."""
-    x = grids.grid_coords(n, m)
-    c = np.cos(np.pi * x / 2)
-    s = np.sin(np.pi * x / 2)
-    w = beta * np.prod(c, axis=-1)
-    hess = np.zeros(w.shape + (n, n))
-    for i in range(n):
-        hess[..., i, i] = -((np.pi / 2) ** 2) * w
-        for j in range(i + 1, n):
-            rest = np.ones(w.shape)
-            for l in range(n):
-                if l not in (i, j):
-                    rest = rest * c[..., l]
-            hij = beta * (np.pi / 2) ** 2 * s[..., i] * s[..., j] * rest
-            hess[..., i, j] = hij
-            hess[..., j, i] = hij
-    return w, hess
-
-
-def tabulated_rhs(seed, hess_analytic, alpha: float) -> rhs.TabulatedRhs:
-    r = seed.eps_prime * hess_analytic
-    idx = np.arange(seed.n)
-    r[..., idx, idx] += seed.tau
-    return rhs.TabulatedRhs(values=pde.sk_of_matrix(r, seed.k), alpha=alpha)
+from khessian import iterate, seeds
+from khessian.rhs import manufactured_field, tabulated_rhs_from_hessian
 
 
 def main() -> int:
@@ -48,7 +22,7 @@ def main() -> int:
     for m in (9, 17, 33):
         t0 = time.time()
         w_star, hess = manufactured_field(n, m, beta)
-        f = tabulated_rhs(seed, hess, alpha)
+        f = tabulated_rhs_from_hessian(seed, hess, alpha)
         w, report = iterate.newton_loop(seed, f, m)
         err = float(np.max(np.abs(w.values - w_star)))
         errors[m] = err

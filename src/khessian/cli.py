@@ -20,6 +20,7 @@ import numpy as np
 from .config import ProblemConfig
 from .cone import Region, classify_boundary
 from .errors import (
+    CapacityError,
     ConstructionError,
     DomainError,
     EllipticityError,
@@ -168,7 +169,8 @@ def _cmd_solve(args) -> int:
         return 2
     try:
         artifacts = run_solve(config, out_dir=args.output)
-    except (TuningError, SolverError, EllipticityError, DomainError) as err:
+    except (TuningError, SolverError, EllipticityError, DomainError,
+            ConstructionError, CapacityError) as err:
         _note(f"solver failed: {err}")
         target = args.output if args.output is not None else config.out_dir
         os.makedirs(target, exist_ok=True)

@@ -3,10 +3,45 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .rhs import RhsSpec
+
+
+_KEYS = {
+    "": {"n", "k", "alpha", "rhs", "grid", "solver", "l", "output"},
+    "grid": {"m"},
+    "solver": {"tol_lin", "tol_newton", "max_iter"},
+    "output": {"directory", "emit_plots_csv"},
+}
+
+
+def _section(doc, name: str) -> dict:
+    """Section ``name`` of doc ("" for doc itself), checked for unknown keys."""
+    part = doc.get(name, {}) if name else doc
+    where = f"section {name!r}" if name else "the configuration"
+    if not isinstance(part, dict):
+        raise DomainError(f"{where} must be a JSON object, got {part!r}")
+    unknown = sorted(set(part) - _KEYS[name])
+    if unknown:
+        raise DomainError(f"unknown key {unknown[0]!r} in {where}")
+    return part
+
+
+def _typed(key: str, value, kind: type):
+    """value, if it is a ``kind``; a bool is not taken for an int."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise DomainError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _finite(key: str, value) -> float:
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (real and math.isfinite(value)):
+        raise DomainError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -22,7 +57,6 @@ class ProblemConfig:
     l: int | str | None = None
     out_dir: str = "out"
     emit_plots_csv: bool = False
-    rng_seed: int = 0
 
     def validate(self) -> None:
         if not 2 <= self.k <= self.n - 1:
@@ -33,13 +67,12 @@ class ProblemConfig:
             raise DomainError("tolerances must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
-        if self.m < 9 or self.m % 2 == 0:
-            raise DomainError(f"m must be odd and >= 9, got {self.m}")
         from .grids import _validate_shape
 
         _validate_shape(self.n, self.m)
         if self.l is not None and self.l != "full":
-            if not isinstance(self.l, int) or not 1 <= self.l <= self.n - self.k + 1:
+            if (not isinstance(self.l, int) or isinstance(self.l, bool)
+                    or not 1 <= self.l <= self.n - self.k + 1):
                 raise DomainError(f"invalid convexity level request l={self.l!r}")
 
     def build_rhs(self) -> RhsSpec:
@@ -54,22 +87,24 @@ class ProblemConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProblemConfig":
-        grid = doc.get("grid", {})
-        solver = doc.get("solver", {})
-        output = doc.get("output", {})
+        """Build and validate a configuration.  Unknown keys, values of the
+        wrong type (a bool or a float where an integer is due) and non-finite
+        floats are rejected with a DomainError that names the key."""
+        _section(doc, "")
+        grid, solver, output = (_section(doc, name) for name in ("grid", "solver", "output"))
         cfg = cls(
-            n=int(doc["n"]),
-            k=int(doc["k"]),
-            alpha=float(doc.get("alpha", 0.5)),
+            n=_typed("n", doc["n"], int),
+            k=_typed("k", doc["k"], int),
+            alpha=_finite("alpha", doc.get("alpha", 0.5)),
             rhs=doc.get("rhs", {}),
-            m=int(grid.get("m", 17)),
-            tol_lin=float(solver.get("tol_lin", 1e-10)),
-            tol_newton=float(solver.get("tol_newton", 1e-9)),
-            max_iter=int(solver.get("max_iter", 12)),
+            m=_typed("grid.m", grid.get("m", 17), int),
+            tol_lin=_finite("solver.tol_lin", solver.get("tol_lin", 1e-10)),
+            tol_newton=_finite("solver.tol_newton", solver.get("tol_newton", 1e-9)),
+            max_iter=_typed("solver.max_iter", solver.get("max_iter", 12), int),
             l=doc.get("l"),
-            out_dir=str(output.get("directory", "out")),
-            emit_plots_csv=bool(output.get("emit_plots_csv", False)),
-            rng_seed=int(doc.get("rng_seed", 0)),
+            out_dir=_typed("output.directory", output.get("directory", "out"), str),
+            emit_plots_csv=_typed("output.emit_plots_csv",
+                                  output.get("emit_plots_csv", False), bool),
         )
         cfg.validate()
         return cfg
@@ -91,7 +126,6 @@ class ProblemConfig:
                 "directory": self.out_dir,
                 "emit_plots_csv": self.emit_plots_csv,
             },
-            "rng_seed": self.rng_seed,
         }
 
     @classmethod

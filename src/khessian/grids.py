@@ -1,10 +1,13 @@
 """Regular grids on the cube [-1,1]^n: differences, norm surrogates, file I/O.
 
-Second derivatives use centered stencils at interior points and one-sided
-second-order stencils on the boundary faces; mixed derivatives are tensor
-products of first-difference operators, so the discrete Hessian is symmetric
-exactly.  The CSV format (header ``x1,...,xn,value``, rows lexicographic in
-grid indices, shortest-roundtrip floats) is frozen for golden tests.
+Differences are slice stencils, O(m^n) per axis.  First derivatives are
+``np.gradient`` with ``edge_order=2``: centered in the interior, one-sided
+second order on the boundary faces.  Pure second derivatives use the matching
+centered and one-sided second-difference stencils; mixed derivatives are
+first differences of first differences, so the discrete Hessian is symmetric
+exactly.  The caps on n and on points per axis (``_M_CAP``) are memory caps.
+The CSV format (header ``x1,...,xn,value``, rows lexicographic in grid
+indices, shortest-roundtrip floats) is frozen for golden tests.
 """
 
 from __future__ import annotations
@@ -88,52 +91,28 @@ def grid_coords(n: int, m: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def d1_matrix(m: int) -> np.ndarray:
-    """First derivative: centered interior, one-sided second order on faces."""
-    h = 2.0 / (m - 1)
-    d = np.zeros((m, m))
-    for i in range(1, m - 1):
-        d[i, i - 1] = -0.5 / h
-        d[i, i + 1] = 0.5 / h
-    d[0, 0], d[0, 1], d[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    d[-1, -1], d[-1, -2], d[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
-    d.setflags(write=False)
-    return d
-
-
-@lru_cache(maxsize=32)
-def d2_matrix(m: int) -> np.ndarray:
-    """Second derivative: centered interior, one-sided second order on faces."""
-    h = 2.0 / (m - 1)
-    d = np.zeros((m, m))
-    for i in range(1, m - 1):
-        d[i, i - 1] = 1.0 / h**2
-        d[i, i] = -2.0 / h**2
-        d[i, i + 1] = 1.0 / h**2
-    d[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
-    d[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
-    d.setflags(write=False)
-    return d
-
-
-def apply_along_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, arr, axes=([1], [axis]))
+def _second_difference(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Second difference along one axis: centered in the interior, one-sided
+    second order (2, -5, 4, -1) / h^2 on the two faces."""
+    f = np.moveaxis(values, axis, 0)
+    out = np.empty(f.shape)
+    out[1:-1] = f[:-2] - 2.0 * f[1:-1] + f[2:]
+    out[0] = 2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]
+    out[-1] = 2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]
+    out /= h * h
     return np.moveaxis(out, 0, axis)
 
 
 def hessian_of(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
     """Discrete Hessian (shape grid + (n,n)) and gradient (grid + (n,))."""
-    n, m, w = grid.n, grid.m, grid.values
-    d1 = d1_matrix(m)
-    d2 = d2_matrix(m)
-    firsts = [apply_along_axis(d1, w, a) for a in range(n)]
+    n, h, w = grid.n, grid.h, grid.values
+    firsts = np.gradient(w, h, edge_order=2)
     grad = np.stack(firsts, axis=-1)
-    hess = np.zeros(w.shape + (n, n))
+    hess = np.empty(w.shape + (n, n))
     for a in range(n):
-        hess[..., a, a] = apply_along_axis(d2, w, a)
+        hess[..., a, a] = _second_difference(w, h, a)
         for b in range(a + 1, n):
-            cross = apply_along_axis(d1, firsts[a], b)
+            cross = np.gradient(firsts[a], h, axis=b, edge_order=2)
             hess[..., a, b] = cross
             hess[..., b, a] = cross
     return hess, grad

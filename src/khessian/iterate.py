@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, EllipticityError, TuningError
 from .grids import ScalarGrid, c2alpha_surrogate, calpha_surrogate, grid_coords, hessian_of
-from .pde import assemble_linearized, eval_G, solve_dirichlet_info, sk_of_matrix
+from .pde import assemble_linearized, eval_G, minor_sums, solve_dirichlet_info
 from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
 
@@ -361,9 +361,7 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
     eps, epsp = seed.eps, seed.eps_prime
     psi = 0.5 * np.sum(seed.tau * x**2, axis=-1)
     u = eps**4 * (psi + epsp * w_norm)
-    hess_u = epsp * hess_w
-    idx = np.arange(n)
-    hess_u[..., idx, idx] += seed.tau
+    hess_u = seed.perturbed_hessian(hess_w)
     axes = [eps**2 * np.linspace(-1.0, 1.0, m) for _ in range(n)]
     return PhysicalSolution(
         u_values=u,
@@ -387,11 +385,7 @@ def certify_convexity(hessian: np.ndarray, k: int, interior_mask: np.ndarray,
     """
     if j_max is None:
         j_max = k + 1
-    flags: dict[int, bool] = {}
-    mins: dict[int, float] = {}
-    inner = hessian[interior_mask]
-    for j in range(1, j_max + 1):
-        vals = sk_of_matrix(inner, j)
-        mins[j] = float(np.min(vals))
-        flags[j] = bool(mins[j] >= -tol)
+    sums, _ = minor_sums(hessian[interior_mask], j_max)
+    mins = {j: float(np.min(vals)) for j, vals in enumerate(sums, start=1)}
+    flags = {j: bool(v >= -tol) for j, v in mins.items()}
     return ConvexityCertificate(flags=flags, min_values=mins, tol=tol)

@@ -14,12 +14,15 @@ with the same stencils used by ``eval_G``'s differences, records the per-row
 diagonal-dominance margins of the coefficient matrix, and eliminates the
 homogeneous Dirichlet boundary.  ``solve_dirichlet`` is a diagonally
 preconditioned BiCGSTAB with a dense fallback for small systems.
+
+Minor sums S_j and the derivative dS_k/dr come from one route, Reilly's
+Newton-tensor recursion (``minor_sums``), for any matrix order: S_k is the
+last level and dS_k/dr the transposed tensor T_{k-1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,75 +59,44 @@ class LinearSystem:
         return float(self.margins.min())
 
 
-def _det(a: np.ndarray) -> np.ndarray:
-    """Determinant of (..., j, j) arrays, j <= 4, by direct expansion."""
-    j = a.shape[-1]
-    if j == 0:
-        return np.ones(a.shape[:-2])
-    if j == 1:
-        return a[..., 0, 0]
-    if j == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    if j == 3:
-        return (
-            a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
-            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
-            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
-        )
-    if j == 4:
-        out = np.zeros(a.shape[:-2])
-        rows = [1, 2, 3]
-        for col in range(4):
-            cols = [c for c in range(4) if c != col]
-            minor = a[..., rows, :][..., :, cols]
-            sign = 1.0 if col % 2 == 0 else -1.0
-            out = out + sign * a[..., 0, col] * _det(minor)
-        return out
-    raise DomainError(f"determinant expansion limited to order 4, got {j}")
+def minor_sums(r: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Minor sums [S_1(r), ..., S_k(r)] and the Newton tensor T_{k-1}(r).
 
-
-def _check_matrix(r: np.ndarray, k: int) -> int:
+    Reilly's recursion, batched over leading axes: T_0 = I,
+    S_j = tr(r T_{j-1}) / j and T_j = S_j I - r T_{j-1}.  T_{k-1} is the
+    transposed derivative of S_k in the entries of r.  Each update forms one
+    product and shifts its diagonal in place, so at most three (..., n, n)
+    arrays are alive at once.
+    """
     r = np.asarray(r, dtype=float)
     if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
         raise DomainError("expected a (..., n, n) array")
     n = r.shape[-1]
-    if n > 4:
-        raise DomainError(f"matrix order capped at 4, got {n}")
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return n
+    idx = np.arange(n)
+    sums = [np.trace(r, axis1=-2, axis2=-1)]
+    if k == 1:
+        return sums, np.broadcast_to(np.eye(n), r.shape).copy()
+    t = -r  # T_1 without the product r T_0
+    for j in range(2, k + 1):
+        if j > 2:
+            t = r @ t
+            np.negative(t, out=t)
+        t[..., idx, idx] += sums[-1][..., None]
+        sums.append(np.einsum("...ij,...ji->...", r, t) / j)
+    return sums, t
 
 
 def sk_of_matrix(r: np.ndarray, k: int) -> np.ndarray:
     """Sum of the k-by-k principal minors of r (batched over leading axes)."""
-    r = np.asarray(r, dtype=float)
-    n = _check_matrix(r, k)
-    out = np.zeros(r.shape[:-2])
-    for subset in combinations(range(n), k):
-        sub = r[..., subset, :][..., :, subset]
-        out = out + _det(sub)
-    return out
+    return minor_sums(r, k)[0][-1]
 
 
 def sk_gradient(r: np.ndarray, k: int) -> np.ndarray:
-    """Entrywise derivative of sk_of_matrix, treating r_ij as independent.
-
-    Each k-subset containing positions (i, j) contributes the cofactor of
-    that position within the corresponding principal minor.
-    """
-    r = np.asarray(r, dtype=float)
-    n = _check_matrix(r, k)
-    grad = np.zeros(r.shape)
-    for subset in combinations(range(n), k):
-        sub = r[..., subset, :][..., :, subset]
-        for a in range(k):
-            rows = [x for x in range(k) if x != a]
-            for b in range(k):
-                cols = [x for x in range(k) if x != b]
-                minor = sub[..., rows, :][..., :, cols]
-                sign = 1.0 if (a + b) % 2 == 0 else -1.0
-                grad[..., subset[a], subset[b]] += sign * _det(minor)
-    return grad
+    """Entrywise derivative of sk_of_matrix, treating r_ij as independent:
+    the transposed Newton tensor T_{k-1}(r)."""
+    return np.swapaxes(minor_sums(r, k)[1], -1, -2)
 
 
 def _physical_args(w: ScalarGrid, seed: SeedQuadratic, grad: np.ndarray):
@@ -154,10 +126,7 @@ def _check_box(f, u: np.ndarray, p: np.ndarray, interior: np.ndarray) -> None:
 def rescaled_hessian(w: ScalarGrid, seed: SeedQuadratic) -> tuple[np.ndarray, np.ndarray]:
     """r(w) = diag(tau) + eps' * D^2 w per grid point, plus the gradient of w."""
     hess, grad = hessian_of(w)
-    r = seed.eps_prime * hess
-    idx = np.arange(w.n)
-    r[..., idx, idx] += seed.tau
-    return r, grad
+    return seed.perturbed_hessian(hess), grad
 
 
 def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> ScalarGrid:

@@ -39,7 +39,6 @@ PRESETS: dict[str, dict] = {
         "solver": {"tol_lin": 1e-10, "tol_newton": 1e-9, "max_iter": 12},
         "l": None,
         "output": {"directory": "out/fzero-linear", "emit_plots_csv": False},
-        "rng_seed": 0,
     },
     # f constant negative: level-1 seed, not 2-convex, converges immediately.
     "fconst-neg": {
@@ -51,7 +50,6 @@ PRESETS: dict[str, dict] = {
         "solver": {"tol_lin": 1e-10, "tol_newton": 1e-9, "max_iter": 12},
         "l": None,
         "output": {"directory": "out/fconst-neg", "emit_plots_csv": False},
-        "rng_seed": 0,
     },
     # f identically equal to the seed's minor sum (zero here): the initial
     # residual vanishes and the loop converges at iteration 0.
@@ -64,7 +62,6 @@ PRESETS: dict[str, dict] = {
         "solver": {"tol_lin": 1e-10, "tol_newton": 1e-9, "max_iter": 12},
         "l": None,
         "output": {"directory": "out/fconst-match", "emit_plots_csv": False},
-        "rng_seed": 0,
     },
     # f constant positive with the fully convex equal-entry seed.
     "fconst-pos": {
@@ -76,7 +73,6 @@ PRESETS: dict[str, dict] = {
         "solver": {"tol_lin": 1e-10, "tol_newton": 1e-9, "max_iter": 12},
         "l": "full",
         "output": {"directory": "out/fconst-pos", "emit_plots_csv": False},
-        "rng_seed": 0,
     },
 }
 

@@ -1,9 +1,10 @@
 """Polynomial right-hand sides f(y, u, p) with exact derivatives.
 
 Total degree in y is capped at 4 and joint degree in (u, p) at 2, which keeps
-every first and second partial in (u, p) available in closed form.  A grid-
-tabulated variant is provided for manufactured-solution work, where f is a
-pure function of position known only at the grid points.
+every first partial in (u, p) available in closed form.  A grid-tabulated
+variant is provided for manufactured-solution work, where f is a pure function
+of position known only at the grid points, together with the manufactured
+target field and the right-hand side it solves exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .grids import grid_coords
 
 
 @dataclass(frozen=True)
@@ -101,15 +103,7 @@ class RhsSpec:
     # -- evaluation ------------------------------------------------------------
 
     def value(self, y: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.asarray(u).shape)
-        for t in self.terms:
-            out = out + (
-                t.coeff
-                * _monomial(y, t.y_pow)
-                * np.asarray(u) ** t.u_pow
-                * _monomial(p, t.p_pow)
-            )
-        return out
+        return self._eval_terms(self.terms, y, u, p)
 
     def _du_terms(self) -> list[RhsTerm]:
         return [
@@ -146,21 +140,6 @@ class RhsSpec:
     def dp(self, y, u, p) -> np.ndarray:
         cols = [self._eval_terms(self._dpi_terms(i), y, u, p) for i in range(self.n)]
         return np.stack(cols, axis=-1)
-
-    def duu(self, y, u, p) -> np.ndarray:
-        sub = RhsSpec(self.n, self._du_terms(), self.alpha, self.box)
-        return sub.du(y, u, p)
-
-    def dup(self, y, u, p) -> np.ndarray:
-        sub = RhsSpec(self.n, self._du_terms(), self.alpha, self.box)
-        return sub.dp(y, u, p)
-
-    def dpp(self, y, u, p) -> np.ndarray:
-        rows = []
-        for i in range(self.n):
-            sub = RhsSpec(self.n, self._dpi_terms(i), self.alpha, self.box)
-            rows.append(sub.dp(y, u, p))
-        return np.stack(rows, axis=-1)
 
     def value_at_origin(self) -> float:
         zero = np.zeros(self.n)
@@ -200,3 +179,31 @@ class TabulatedRhs:
 
     def coeff_bound(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+
+def manufactured_field(n: int, m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Target iterate beta * prod cos(pi x_i / 2), which vanishes on the cube
+    boundary, and its analytic Hessian (grid + (n, n))."""
+    x = grid_coords(n, m)
+    c = np.cos(np.pi * x / 2)
+    s = np.sin(np.pi * x / 2)
+    w = beta * np.prod(c, axis=-1)
+    hess = np.zeros(w.shape + (n, n))
+    for i in range(n):
+        hess[..., i, i] = -((np.pi / 2) ** 2) * w
+        for j in range(i + 1, n):
+            rest = np.prod(np.delete(c, [i, j], axis=-1), axis=-1)
+            hess[..., i, j] = hess[..., j, i] = (
+                beta * (np.pi / 2) ** 2 * s[..., i] * s[..., j] * rest)
+    return w, hess
+
+
+def tabulated_rhs_from_hessian(seed, hess: np.ndarray, alpha: float) -> TabulatedRhs:
+    """Right-hand side that makes the iterate with Hessian ``hess`` an exact
+    solution of the continuum problem, so the discrete residual reflects
+    truncation only."""
+    # imported here: a module-level import loads scipy under config, slowing start-up
+    from .pde import sk_of_matrix
+
+    return TabulatedRhs(values=sk_of_matrix(seed.perturbed_hessian(hess), seed.k),
+                        alpha=alpha)

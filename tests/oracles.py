@@ -1,9 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's evaluation routes: subset enumeration
-for minor sums, explicit zeroing for deleted variables, dense assembly for
-the stencil operator, all-pairs enumeration for Hoelder quotients and
-per-cell formatting for grid CSVs.  Enumeration is kept to n <= 12.
+for minor sums, explicit zeroing for deleted variables, all-pairs enumeration
+for Hoelder quotients and per-cell formatting for grid CSVs.  Enumeration is
+kept to n <= 12.
 """
 
 import math
@@ -61,12 +61,6 @@ def fd_sk_gradient(r, k: int, step: float = 1e-5) -> np.ndarray:
     return out
 
 
-def dense_stencil_matrix(sys) -> np.ndarray:
-    """Densify the assembled sparse operator (small systems only)."""
-    assert sys.size <= 5000
-    return sys.matrix.toarray()
-
-
 def brute_holder_quotient(values, h: float, alpha: float, radius: int = 8,
                           mask=None) -> float:
     """max |f(x)-f(z)| / |x-z|^alpha over every ordered pair of grid points
@@ -102,38 +96,3 @@ def write_grid_csv_per_cell(path, values, axes) -> None:
         lines.append(",".join(cells))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def manufactured_field(n: int, m: int, beta: float):
-    """Product-of-cosines target that vanishes on the cube boundary, with its
-    analytic Hessian."""
-    from khessian.grids import grid_coords
-
-    x = grid_coords(n, m)
-    c = np.cos(np.pi * x / 2)
-    s = np.sin(np.pi * x / 2)
-    w = beta * np.prod(c, axis=-1)
-    hess = np.zeros(w.shape + (n, n))
-    for i in range(n):
-        hess[..., i, i] = -((np.pi / 2) ** 2) * w
-        for j in range(i + 1, n):
-            rest = np.ones(w.shape)
-            for l in range(n):
-                if l not in (i, j):
-                    rest = rest * c[..., l]
-            hij = beta * (np.pi / 2) ** 2 * s[..., i] * s[..., j] * rest
-            hess[..., i, j] = hij
-            hess[..., j, i] = hij
-    return w, hess
-
-
-def tabulated_rhs_from_hessian(seed, hess, alpha: float):
-    """Right-hand side that makes the prescribed field an exact solution of
-    the continuum problem (discrete residual then reflects truncation only)."""
-    from khessian.pde import sk_of_matrix
-    from khessian.rhs import TabulatedRhs
-
-    r = seed.eps_prime * hess
-    idx = np.arange(seed.n)
-    r[..., idx, idx] += seed.tau
-    return TabulatedRhs(values=sk_of_matrix(r, seed.k), alpha=alpha)

@@ -13,6 +13,7 @@ from khessian.cli import run_solve
 from khessian.iterate import newton_loop
 from khessian.pde import sk_gradient
 from khessian.presets import preset_config
+from khessian.rhs import manufactured_field, tabulated_rhs_from_hessian
 from khessian.seeds import p2_example, sample_p2_points, seed_for_zero
 from khessian.symfun import sigma_all, sigma_km1_row
 from khessian.verify import (
@@ -20,7 +21,7 @@ from khessian.verify import (
     garding_inequality_sweep,
     identities_sweep,
 )
-from oracles import fd_sk_gradient, manufactured_field, tabulated_rhs_from_hessian
+from oracles import fd_sk_gradient
 
 
 def report(num: int, ok: bool, detail: str) -> None:

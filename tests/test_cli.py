@@ -129,6 +129,43 @@ class TestSolveCommand:
     def test_unknown_preset_exit_two(self):
         assert main(["solve", "--preset", "nope"]) == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(solvr=d.pop("solver")), "unknown key 'solvr' in the configuration"),
+        (lambda d: d["grid"].update(mm=17), "unknown key 'mm' in section 'grid'"),
+        (lambda d: d.update(n=3.7), "n must be of type int"),
+        (lambda d: d.update(k=True), "k must be of type int"),
+        (lambda d: d["grid"].update(m=9.9), "grid.m must be of type int"),
+        (lambda d: d["solver"].update(max_iter=2.5), "solver.max_iter must be of type int"),
+        (lambda d: d["solver"].update(tol_newton=float("nan")),
+         "solver.tol_newton must be a finite number"),
+        (lambda d: d.update(alpha=float("inf")), "alpha must be a finite number"),
+        (lambda d: d.update(l=True), "invalid convexity level request l=True"),
+        (lambda d: d["output"].update(emit_plots_csv="yes"),
+         "output.emit_plots_csv must be of type bool"),
+    ], ids=["solvr", "grid-key", "n-float", "k-bool", "m-float", "max-iter-float",
+            "tol-nan", "alpha-inf", "l-bool", "emit-str"])
+    def test_strict_config_exit_two(self, tmp_path, capsys, edit, message):
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc["output"]["directory"] = str(tmp_path / "run")
+        edit(doc)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_construction_failure_exit_four(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc["rhs"] = {"terms": [{"coeff": 1e-300}]}
+        doc["output"]["directory"] = str(tmp_path / "run")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path)]) == 4
+        assert "positive seed has class 0" in capsys.readouterr().err
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["status"] == "Failed"
+        assert report["config"]["rhs"] == doc["rhs"]
+
     def test_plots_csv_emitted(self, tmp_path):
         doc = json.loads(json.dumps(PRESETS["fconst-match"]))
         doc["output"]["emit_plots_csv"] = True

@@ -16,9 +16,8 @@ from khessian.iterate import (
 )
 from khessian.pde import sk_of_matrix
 from khessian.presets import PRESETS
-from khessian.rhs import RhsSpec, RhsTerm
+from khessian.rhs import RhsSpec, RhsTerm, manufactured_field, tabulated_rhs_from_hessian
 from khessian.seeds import seed_for_negative, seed_for_positive, seed_for_zero
-from oracles import manufactured_field, tabulated_rhs_from_hessian
 
 
 class TestTuneEpsilon:

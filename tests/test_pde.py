@@ -16,19 +16,19 @@ from khessian.grids import (
 from khessian.pde import (
     assemble_linearized,
     eval_G,
+    minor_sums,
     sk_gradient,
     sk_of_matrix,
     solve_dirichlet,
     solve_dirichlet_info,
 )
-from khessian.rhs import RhsSpec, RhsTerm, TabulatedRhs
+from khessian.rhs import RhsSpec, RhsTerm, TabulatedRhs, manufactured_field
 from khessian.seeds import seed_for_positive, seed_for_zero
-from khessian.symfun import elem_sym, sigma_km1_row
+from khessian.symfun import elem_sym, sigma_all, sigma_km1_row
 from oracles import (
     brute_holder_quotient,
     brute_sk_matrix,
     fd_sk_gradient,
-    manufactured_field,
     write_grid_csv_per_cell,
 )
 
@@ -100,16 +100,26 @@ class TestMinorSums:
 
     def test_matches_determinant_oracle(self):
         rng = np.random.default_rng(3)
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5, 6):
             for k in range(1, n + 1):
                 r = random_symmetric(rng, n)
                 assert sk_of_matrix(r, k) == pytest.approx(
                     brute_sk_matrix(r, k), rel=1e-12, abs=1e-12
                 )
 
-    def test_order_cap(self):
-        with pytest.raises(DomainError):
-            sk_of_matrix(np.eye(5), 2)
+    def test_diagonal_matches_symfun_levels_and_rows(self):
+        # ties the Newton tensor at diag(lam) to the algebra layer
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 4, 5, 6):
+            lam = rng.uniform(-2, 2, size=n)
+            for k in range(1, n + 1):
+                sums, tensor = minor_sums(np.diag(lam), k)
+                np.testing.assert_allclose(
+                    sums, sigma_all(lam, k)[1:], rtol=1e-12, atol=1e-14
+                )
+                np.testing.assert_allclose(
+                    tensor, np.diag(sigma_km1_row(lam, k)), rtol=1e-12, atol=1e-14
+                )
 
 
 class TestMinorGradient:
@@ -123,15 +133,24 @@ class TestMinorGradient:
     def test_identity_k2(self):
         assert np.allclose(sk_gradient(np.eye(3), 2), 2.0 * np.eye(3))
 
+    def test_batched_shape(self):
+        rng = np.random.default_rng(6)
+        r = np.stack([random_symmetric(rng, 3) for _ in range(10)]).reshape(2, 5, 3, 3)
+        for k in (1, 2, 3):
+            grad = sk_gradient(r, k)
+            assert grad.shape == r.shape
+            np.testing.assert_allclose(grad[1, 3], sk_gradient(r[1, 3], k), rtol=1e-14)
+
     def test_finite_difference_match(self):
         rng = np.random.default_rng(4)
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5, 6):
             for k in range(1, n + 1):
-                r = random_symmetric(rng, n)
-                grad = sk_gradient(r, k)
-                fd = fd_sk_gradient(r, k)
-                scale = max(1.0, np.max(np.abs(grad)))
-                assert np.max(np.abs(grad - fd)) / scale < 1e-7
+                # a nonsymmetric matrix pins which index of the tensor is which
+                for r in (random_symmetric(rng, n), rng.normal(size=(n, n))):
+                    grad = sk_gradient(r, k)
+                    fd = fd_sk_gradient(r, k)
+                    scale = max(1.0, np.max(np.abs(grad)))
+                    assert np.max(np.abs(grad - fd)) / scale < 1e-7
 
 
 class TestEvalG:
