@@ -10,7 +10,7 @@ from .iterate import (
     newton_loop,
     tune_epsilon,
 )
-from .pde import LinearSystem, assemble_linearized, eval_G, sk_gradient, sk_of_matrix, solve_dirichlet
+from .pde import LinearSystem, assemble_linearized, eval_G, sk_gradient, sk_of_matrix
 from .rhs import RhsSpec, RhsTerm, TabulatedRhs
 from .seeds import (
     SeedQuadratic,
@@ -54,6 +54,5 @@ __all__ = [
     "sigma_km1_row",
     "sk_gradient",
     "sk_of_matrix",
-    "solve_dirichlet",
     "tune_epsilon",
 ]

@@ -200,13 +200,7 @@ def _cmd_verify(args) -> int:
     all_ok = True
     results = {}
     for name in names:
-        fn = SUITES[name]
-        kwargs = {"seed": args.seed}
-        if name == "p2-ellipticity":
-            kwargs["count"] = args.samples
-        else:
-            kwargs["samples"] = args.samples
-        res = fn(**kwargs)
+        res = SUITES[name](samples=args.samples, seed=args.seed)
         results[name] = res.to_dict()
         _note(
             f"{name}: checked {res.checked}, excluded {res.excluded}, "

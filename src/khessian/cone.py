@@ -220,11 +220,7 @@ def garding_inequality_check(lam, mu, k: int, tol: float = 1e-10):
         raise DomainError("lam and mu must have matching shapes")
     if not np.all(in_gamma_k(lam, k)) or not np.all(in_gamma_k(mu, k)):
         raise DomainError("both arguments must lie in the open cone")
-    lhs = np.sum(sigma_km1_row(lam, k) * mu, axis=-1)
-    sk_lam = np.asarray(elem_sym(lam, k))
-    sk_mu = np.asarray(elem_sym(mu, k))
-    rhs = k * sk_lam ** ((k - 1) / k) * sk_mu ** (1.0 / k)
-    ok = lhs >= rhs - tol
+    ok = np.asarray(garding_slack(lam, mu, k)) >= -tol
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .rhs import RhsSpec
+from .rhs import RhsSpec, RhsTerm
 
 
 _KEYS = {
@@ -15,19 +15,24 @@ _KEYS = {
     "grid": {"m"},
     "solver": {"tol_lin", "tol_newton", "max_iter"},
     "output": {"directory", "emit_plots_csv"},
+    "rhs": {"terms", "box"},
+    "rhs.terms": {"coeff", "y", "u", "p"},
 }
 
 
-def _section(doc, name: str) -> dict:
-    """Section ``name`` of doc ("" for doc itself), checked for unknown keys."""
-    part = doc.get(name, {}) if name else doc
-    where = f"section {name!r}" if name else "the configuration"
+def _object(part, where: str, keys: set) -> dict:
+    """part, if it is a JSON object with no key outside ``keys``."""
     if not isinstance(part, dict):
         raise DomainError(f"{where} must be a JSON object, got {part!r}")
-    unknown = sorted(set(part) - _KEYS[name])
+    unknown = sorted(set(part) - keys)
     if unknown:
         raise DomainError(f"unknown key {unknown[0]!r} in {where}")
     return part
+
+
+def _section(doc, name: str) -> dict:
+    """Section ``name`` of doc, checked for unknown keys."""
+    return _object(doc.get(name, {}), f"section {name!r}", _KEYS[name])
 
 
 def _typed(key: str, value, kind: type):
@@ -42,6 +47,29 @@ def _finite(key: str, value) -> float:
     if not (real and math.isfinite(value)):
         raise DomainError(f"{key} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _power(key: str, value) -> int:
+    if _typed(key, value, int) < 0:
+        raise DomainError(f"{key} must be nonnegative, got {value!r}")
+    return value
+
+
+def _powers(key: str, value) -> tuple[int, ...]:
+    return tuple(_power(f"{key}[{j}]", e) for j, e in enumerate(_typed(key, value, list)))
+
+
+def _rhs_term(where: str, doc) -> RhsTerm:
+    """One inline right-hand-side term {"coeff", "y", "u", "p"}."""
+    term = _object(doc, where, _KEYS["rhs.terms"])
+    if "coeff" not in term:
+        raise DomainError(f"{where}.coeff is required")
+    return RhsTerm(
+        coeff=_finite(f"{where}.coeff", term["coeff"]),
+        y_pow=_powers(f"{where}.y", term.get("y", [])),
+        u_pow=_power(f"{where}.u", term.get("u", 0)),
+        p_pow=_powers(f"{where}.p", term.get("p", [])),
+    )
 
 
 @dataclass
@@ -74,23 +102,33 @@ class ProblemConfig:
             if (not isinstance(self.l, int) or isinstance(self.l, bool)
                     or not 1 <= self.l <= self.n - self.k + 1):
                 raise DomainError(f"invalid convexity level request l={self.l!r}")
+        self.build_rhs()
 
     def build_rhs(self) -> RhsSpec:
+        """The right-hand side: a named one, or an inline section
+        {"terms": [{"coeff", "y", "u", "p"}, ...], "box"} checked key by key."""
         from .presets import named_rhs
 
         if isinstance(self.rhs, str):
-            spec = named_rhs(self.rhs, self.n, self.alpha)
-        else:
-            spec = RhsSpec.from_dict(self.n, self.rhs)
-            spec.alpha = self.alpha
-        return spec
+            return named_rhs(self.rhs, self.n, self.alpha)
+        section = _object(self.rhs, "section 'rhs'", _KEYS["rhs"])
+        terms = _typed("rhs.terms", section.get("terms", []), list)
+        terms = [_rhs_term(f"rhs.terms[{i}]", t) for i, t in enumerate(terms)]
+        box = _finite("rhs.box", section.get("box", 1.0))
+        if box <= 0.0:
+            raise DomainError(f"rhs.box must be positive, got {box!r}")
+        try:
+            return RhsSpec(n=self.n, terms=terms, alpha=self.alpha, box=box)
+        except DomainError as err:
+            raise DomainError(f"rhs.terms: {err}") from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProblemConfig":
-        """Build and validate a configuration.  Unknown keys, values of the
-        wrong type (a bool or a float where an integer is due) and non-finite
-        floats are rejected with a DomainError that names the key."""
-        _section(doc, "")
+        """Build and validate a configuration, right-hand side included.
+        Unknown keys, values of the wrong type (a bool or a float where an
+        integer is due) and non-finite floats are rejected with a DomainError
+        that names the key."""
+        _object(doc, "the configuration", _KEYS[""])
         grid, solver, output = (_section(doc, name) for name in ("grid", "solver", "output"))
         cfg = cls(
             n=_typed("n", doc["n"], int),

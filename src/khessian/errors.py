@@ -24,11 +24,11 @@ class EllipticityError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The linear solver stagnated; carries the residual history."""
+    """The linear solver stagnated; carries the number of Krylov steps taken."""
 
-    def __init__(self, message, history=None):
+    def __init__(self, message, steps=None):
         super().__init__(message)
-        self.history = list(history) if history is not None else []
+        self.steps = steps
 
 
 class TuningError(RuntimeError):

@@ -61,9 +61,6 @@ class ScalarGrid:
     def zeros(cls, n: int, m: int) -> "ScalarGrid":
         return cls(n=n, m=m, values=np.zeros((m,) * n))
 
-    def copy(self) -> "ScalarGrid":
-        return ScalarGrid(self.n, self.m, self.values.copy())
-
 
 @lru_cache(maxsize=16)
 def boundary_mask(n: int, m: int) -> np.ndarray:

@@ -48,15 +48,15 @@ class RhsSpec:
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"need 0 < alpha < 1, got {self.alpha}")
         norm_terms = []
-        for t in self.terms:
+        for i, t in enumerate(self.terms):
             y_pow = tuple(t.y_pow) + (0,) * (self.n - len(t.y_pow))
             p_pow = tuple(t.p_pow) + (0,) * (self.n - len(t.p_pow))
             if len(y_pow) != self.n or len(p_pow) != self.n:
-                raise DomainError("term exponent tuples longer than n")
+                raise DomainError(f"term {i}: exponent tuples longer than n")
             if sum(y_pow) > 4:
-                raise DomainError("total degree in y exceeds 4")
+                raise DomainError(f"term {i}: total degree in y exceeds 4")
             if t.u_pow + sum(p_pow) > 2:
-                raise DomainError("joint degree in (u, p) exceeds 2")
+                raise DomainError(f"term {i}: joint degree in (u, p) exceeds 2")
             norm_terms.append(RhsTerm(float(t.coeff), y_pow, t.u_pow, p_pow))
         self.terms = norm_terms
 
@@ -66,39 +66,6 @@ class RhsSpec:
     def constant(cls, n: int, value: float, alpha: float = 0.5) -> "RhsSpec":
         terms = [] if value == 0.0 else [RhsTerm(value, (0,) * n)]
         return cls(n=n, terms=terms, alpha=alpha)
-
-    @classmethod
-    def from_dict(cls, n: int, doc: dict) -> "RhsSpec":
-        terms = [
-            RhsTerm(
-                coeff=float(t["coeff"]),
-                y_pow=tuple(t.get("y", [0] * n)),
-                u_pow=int(t.get("u", 0)),
-                p_pow=tuple(t.get("p", [0] * n)),
-            )
-            for t in doc.get("terms", [])
-        ]
-        return cls(
-            n=n,
-            terms=terms,
-            alpha=float(doc.get("alpha", 0.5)),
-            box=float(doc.get("box", 1.0)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "coeff": t.coeff,
-                    "y": list(t.y_pow),
-                    "u": t.u_pow,
-                    "p": list(t.p_pow),
-                }
-                for t in self.terms
-            ],
-            "alpha": self.alpha,
-            "box": self.box,
-        }
 
     # -- evaluation ------------------------------------------------------------
 

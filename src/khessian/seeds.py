@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConstructionError, DomainError
 from .symfun import as_spectrum, binom, elem_sym, sigma_all, sigma_km1_row
@@ -282,36 +281,25 @@ def sample_p2_points(k: int, n: int, count: int, rng: np.random.Generator,
     """Random boundary points with sigma_k = 0 and sigma_{k+1} < 0.
 
     Each sample perturbs the canonical example by a positive vector and then
-    rescales the sign-carrying pair (the M and -1/M positions) by the root of
-    the resulting quadratic in the scale factor, restoring sigma_k = 0.
+    rescales the sign-carrying pair (the M and -1/M positions) by s, the
+    positive root of sigma_k = A s^2 + B s + C with A = lam_a lam_b
+    sigma_{k-2}(R), B = (lam_a + lam_b) sigma_{k-1}(R), C = sigma_k(R), where R
+    is lam without the pair.  While the -1/M entry stays negative, A < 0 <= C
+    and that root is unique; it is taken in cancellation-free form.
     """
     if not 2 <= k < n:
         raise DomainError(f"need 2 <= k < n, got k={k}, n={n}")
-    base = p2_example(k, n)
-    out = np.empty((count, n))
+    lam = p2_example(k, n) + rng.uniform(0.0, scale, size=(count, n))
     pair = [k - 1, k]
-    for i in range(count):
-        lam = base + rng.uniform(0.0, scale, size=n)
-
-        def sigma_k_scaled(s: float) -> float:
-            probe = lam.copy()
-            probe[pair] *= s
-            return elem_sym(probe, k)
-
-        lo, hi = 1.0, 1.0
-        for _ in range(60):
-            if sigma_k_scaled(hi) < 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise ConstructionError("no negative bracket for the pair scaling")
-        for _ in range(60):
-            if sigma_k_scaled(lo) > 0.0:
-                break
-            lo *= 0.5
-        else:
-            raise ConstructionError("no positive bracket for the pair scaling")
-        s_star = brentq(sigma_k_scaled, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        lam[pair] *= s_star
-        out[i] = lam
-    return out
+    rest = lam.copy()
+    rest[:, pair] = 0.0
+    sig = sigma_all(rest, k)
+    a = lam[:, k - 1] * lam[:, k] * sig[:, k - 2]
+    b = (lam[:, k - 1] + lam[:, k]) * sig[:, k - 1]
+    c = sig[:, k]
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    s_star = np.maximum(q / a, c / q)
+    if not np.all((a < 0.0) & np.isfinite(s_star) & (s_star > 0.0)):
+        raise ConstructionError("no positive root for the pair scaling")
+    lam[:, pair] *= s_star[:, None]
+    return lam

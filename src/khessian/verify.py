@@ -9,6 +9,7 @@ suite both run these.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -87,8 +88,6 @@ def cone_equivalence_sweep(samples: int = 10000, seed: int = 7,
         sig = sigma_all(lam, k)
         near = np.any(np.abs(sig[:, 1:]) <= tol, axis=1)
         # Deleted-variable quantities sit on their own hypersurfaces.
-        from itertools import combinations
-
         for l in range(1, k):
             for idx in combinations(range(n), l):
                 vals = elem_sym_deleted(lam, k - l, idx)
@@ -192,12 +191,12 @@ def identities_sweep(samples: int = 1000, seed: int = 17,
     return result
 
 
-def p2_ellipticity_sweep(count: int = 1000, seed: int = 23,
+def p2_ellipticity_sweep(samples: int = 1000, seed: int = 23,
                          configs=P2_CONFIGS) -> SweepResult:
     """Constructed sign-changing boundary points keep a positive row."""
     rng = np.random.default_rng(seed)
     result = SweepResult(name="p2-ellipticity", checked=0, failures=0)
-    per = max(1, count // len(configs))
+    per = max(1, samples // len(configs))
     for k, n in configs:
         pts = sample_p2_points(k, n, per, rng)
         rows = sigma_km1_row(pts, k)

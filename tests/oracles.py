@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's evaluation routes: subset enumeration
 for minor sums, explicit zeroing for deleted variables, all-pairs enumeration
-for Hoelder quotients and per-cell formatting for grid CSVs.  Enumeration is
+for Hoelder quotients, entry-by-entry stencil placement for the linearized
+operator and per-cell formatting for grid CSVs.  Enumeration is
 kept to n <= 12.
 """
 
@@ -83,6 +84,46 @@ def brute_holder_quotient(values, h: float, alpha: float, radius: int = 8,
             q = np.abs(flat[pair] - flat[a]) / denom[sq[pair]]
             best = max(best, float(q.max()))
     return best
+
+
+def stencil_matrix(coeff, a_first, a_zero, h: float) -> np.ndarray:
+    """Dense linearized operator, placed one stencil entry at a time.
+
+    ``coeff`` (grid + (n, n)), ``a_first`` (grid + (n,)) and ``a_zero`` (grid)
+    are coefficient fields on the full grid.  Unknowns are the interior points
+    in index order; neighbours on the boundary are dropped (zero Dirichlet
+    data).  Entries are formed with the library's arithmetic, so the match is
+    exact.
+    """
+    shape = np.shape(a_zero)
+    n, m = len(shape), shape[0]
+    inner = [pt for pt in np.ndindex(*shape) if all(0 < v < m - 1 for v in pt)]
+    unknown = {pt: q for q, pt in enumerate(inner)}
+    out = np.zeros((len(inner), len(inner)))
+    for q, pt in enumerate(inner):
+        c = coeff[pt]
+        entries = {}
+        trace = 0.0
+        for a in range(n):
+            trace += c[a, a]
+        entries[(0,) * n] = -2.0 / h**2 * trace + a_zero[pt]
+        for a in range(n):
+            for sign in (1, -1):
+                off = [0] * n
+                off[a] = sign
+                entries[tuple(off)] = c[a, a] / h**2 + sign * (a_first[pt][a] / (2.0 * h))
+        for a in range(n):
+            for b in range(a + 1, n):
+                for sa in (1, -1):
+                    for sb in (1, -1):
+                        off = [0] * n
+                        off[a], off[b] = sa, sb
+                        entries[tuple(off)] = sa * sb * (c[a, b] / (2.0 * h**2))
+        for off, value in entries.items():
+            col = unknown.get(tuple(v + o for v, o in zip(pt, off)))
+            if col is not None:
+                out[q, col] = value
+    return out
 
 
 def write_grid_csv_per_cell(path, values, axes) -> None:

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,8 +94,6 @@ class TestConfig:
             named_rhs("no-such-rhs", 3, 0.5)
 
     def test_preset_files_match_builtins(self):
-        import pathlib
-
         root = pathlib.Path(__file__).resolve().parents[1] / "presets"
         for name, doc in PRESETS.items():
             on_disk = json.loads((root / f"{name}.json").read_text())
@@ -142,8 +143,15 @@ class TestSolveCommand:
         (lambda d: d.update(l=True), "invalid convexity level request l=True"),
         (lambda d: d["output"].update(emit_plots_csv="yes"),
          "output.emit_plots_csv must be of type bool"),
+        (lambda d: d.update(rhs={"terms": [{"coeff": "abc"}]}),
+         "rhs.terms[0].coeff must be a finite number"),
+        (lambda d: d.update(rhs=5), "section 'rhs' must be a JSON object, got 5"),
+        (lambda d: d.update(rhs={"terms": [{"coeff": 1.0, "y": [5, 0, 0]}]}),
+         "rhs.terms: term 0: total degree in y exceeds 4"),
+        (lambda d: d.update(rhs={"termz": []}), "unknown key 'termz' in section 'rhs'"),
     ], ids=["solvr", "grid-key", "n-float", "k-bool", "m-float", "max-iter-float",
-            "tol-nan", "alpha-inf", "l-bool", "emit-str"])
+            "tol-nan", "alpha-inf", "l-bool", "emit-str", "rhs-coeff-str", "rhs-int",
+            "rhs-y-degree", "rhs-key"])
     def test_strict_config_exit_two(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
         doc["output"]["directory"] = str(tmp_path / "run")
@@ -165,6 +173,20 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["status"] == "Failed"
         assert report["config"]["rhs"] == doc["rhs"]
+
+    def test_solver_failure_exit_four(self, tmp_path, capsys):
+        # a linear tolerance below roundoff cannot be met
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc["grid"]["m"] = 9
+        doc["solver"]["tol_lin"] = 1e-300
+        doc["output"]["directory"] = str(tmp_path / "run")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path)]) == 4
+        assert "Krylov iteration stalled" in capsys.readouterr().err
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["status"] == "Failed"
+        assert report["error"].endswith(" steps")
 
     def test_plots_csv_emitted(self, tmp_path):
         doc = json.loads(json.dumps(PRESETS["fconst-match"]))
@@ -188,3 +210,12 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "cone-equivalence",
                      "--samples", "500", "--seed", "3"])
         assert code == 0
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    import khessian
+
+    src = str(pathlib.Path(khessian.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import khessian.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0

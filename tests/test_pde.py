@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from khessian.errors import DomainError, EllipticityError
+from khessian.errors import DomainError, EllipticityError, SolverError
 from khessian.grids import (
     ScalarGrid,
     boundary_mask,
@@ -14,21 +14,23 @@ from khessian.grids import (
     write_grid_csv,
 )
 from khessian.pde import (
+    _physical_args,
     assemble_linearized,
     eval_G,
     minor_sums,
+    rescaled_hessian,
     sk_gradient,
     sk_of_matrix,
-    solve_dirichlet,
     solve_dirichlet_info,
 )
 from khessian.rhs import RhsSpec, RhsTerm, TabulatedRhs, manufactured_field
-from khessian.seeds import seed_for_positive, seed_for_zero
+from khessian.seeds import SeedQuadratic, seed_for_positive, seed_for_zero
 from khessian.symfun import elem_sym, sigma_all, sigma_km1_row
 from oracles import (
     brute_holder_quotient,
     brute_sk_matrix,
     fd_sk_gradient,
+    stencil_matrix,
     write_grid_csv_per_cell,
 )
 
@@ -221,10 +223,8 @@ class TestAssemble:
         got = sys.matrix @ rho_int
 
         # hand-assembled oracle: loop the stencil pointwise
-        from khessian.pde import rescaled_hessian, sk_gradient as grad_fn
-
         r, grad_w = rescaled_hessian(w, seed)
-        coeff = grad_fn(r, 2)
+        coeff = sk_gradient(r, 2)
         y = seed.eps**2 * x
         u = seed.eps**4 * (0.5 * np.sum(seed.tau * x**2, axis=-1)
                            + seed.eps_prime * w.values)
@@ -263,6 +263,33 @@ class TestAssemble:
         expect_int = expect.reshape(-1)[sys.interior_flat]
         assert np.max(np.abs(got - expect_int)) < 1e-10 * max(1.0, np.max(np.abs(expect_int)))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_stencil_oracle_exactly(self, n):
+        # banded layout against entry-by-entry placement, with a varying
+        # iterate and first- and zeroth-order terms that depend on (u, p)
+        rng = np.random.default_rng(50 + n)
+        m = 9
+        if n == 2:
+            seed = SeedQuadratic(tau=np.array([1.0, 0.5]), k=2, n=2, c=0.5, alpha=0.5,
+                                 eps=0.25, eps_prime=0.5, convexity_class=2)
+        else:
+            seed = seed_for_zero(n - 1, n, 0.5)
+        zero, e1, e2 = (0,) * n, np.eye(n, dtype=int)[0], np.eye(n, dtype=int)[1]
+        f = RhsSpec(n=n, terms=[RhsTerm(0.5, e1, 1), RhsTerm(0.1, zero, 2),
+                                RhsTerm(-0.3, zero, 0, e2), RhsTerm(0.2, zero, 0, 2 * e1)])
+        x = grid_coords(n, m)
+        w = ScalarGrid(n, m, 0.02 * np.prod(np.cos(np.pi * x / 2), axis=-1)
+                       + 1e-4 * rng.normal(size=(m,) * n))
+        sys = assemble_linearized(w, seed, f)
+        r, grad = rescaled_hessian(w, seed)
+        y, u, p = _physical_args(w, seed, grad)
+        a_first = -seed.eps**2 * f.dp(y, u, p)
+        a_zero = -seed.eps**4 * f.du(y, u, p)
+        assert np.all(a_first[..., 0] != 0.0) and np.all(a_zero != 0.0)
+        expect = stencil_matrix(sk_gradient(r, seed.k), a_first, a_zero, w.h)
+        assert np.array_equal(sys.matrix.toarray(), expect)
+        assert np.array_equal(sys.rhs, -eval_G(w, seed, f).values[~boundary_mask(n, m)])
+
     def test_jacobian_consistency_order(self):
         seed = seed_for_zero(2, 3, 0.5)
         f = RhsSpec(
@@ -296,8 +323,17 @@ class TestAssemble:
         w = ScalarGrid(3, 9, 40.0 * rng.normal(size=(9, 9, 9)))
         f = RhsSpec.constant(3, 0.0)
         f.box = None  # disable the argument guard to reach assembly
-        with pytest.raises(EllipticityError):
+        with pytest.raises(EllipticityError) as info:
             assemble_linearized(w, seed, f)
+        # the worst row over the interior, located on the full grid
+        coeff = sk_gradient(rescaled_hessian(w, seed)[0], 2)
+        diag = np.diagonal(coeff, axis1=-2, axis2=-1)
+        margins = diag - (np.sum(np.abs(coeff), axis=-1) - np.abs(diag))
+        margins[boundary_mask(3, 9)] = np.inf
+        point = np.unravel_index(np.argmin(margins.min(axis=-1)), margins.shape[:-1])
+        assert info.value.point == tuple(int(v) for v in point)
+        assert info.value.index == int(np.argmin(margins[point]))
+        assert info.value.margin == pytest.approx(float(margins.min()), rel=1e-12)
 
 
 class TestSolve:
@@ -311,7 +347,7 @@ class TestSolve:
 
     def test_zero_rhs_gives_zero(self):
         sys = self._system()
-        rho = solve_dirichlet(sys)
+        rho = solve_dirichlet_info(sys)[0]
         assert np.max(np.abs(rho.values)) == 0.0
 
     def test_matches_dense_oracle(self):
@@ -324,19 +360,38 @@ class TestSolve:
         assert np.max(np.abs(got - dense)) < 1e-8
         assert res <= 1e-10
 
+    def test_tiny_rhs_converges(self):
+        # late Newton corrections have ||b|| ~ 1e-11; scipy's breakdown tests
+        # are absolute, so the solve only converges on a unit right-hand side
+        rng = np.random.default_rng(17)
+        sys = self._system()
+        b = rng.normal(size=sys.size)
+        sys.rhs = 1e-11 * b / np.linalg.norm(b)
+        rho, res = solve_dirichlet_info(sys, 1e-10)
+        assert res <= 1e-10
+        assert np.max(np.abs(rho.values)) > 0.0
+
+    def test_step_limit_raises_with_steps(self):
+        rng = np.random.default_rng(18)
+        sys = self._system()
+        sys.rhs = rng.normal(size=sys.size)
+        with pytest.raises(SolverError, match="after 1 steps") as info:
+            solve_dirichlet_info(sys, 1e-10, max_iter=1)
+        assert info.value.steps == 1
+
     def test_discrete_maximum_principle(self):
         # pure second-order equal-coefficient operator, nonpositive data
         rng = np.random.default_rng(13)
         sys = self._system()
         sys.rhs = -np.abs(rng.normal(size=sys.size))
-        rho = solve_dirichlet(sys)
+        rho = solve_dirichlet_info(sys)[0]
         assert np.min(rho.values) >= -1e-12
 
     def test_boundary_stays_zero(self):
         rng = np.random.default_rng(14)
         sys = self._system()
         sys.rhs = rng.normal(size=sys.size)
-        rho = solve_dirichlet(sys)
+        rho = solve_dirichlet_info(sys)[0]
         assert np.max(np.abs(rho.values[boundary_mask(3, 9)])) == 0.0
 
 
@@ -385,7 +440,7 @@ class TestOrderOfAccuracy:
             g = -6.0 * (np.pi / 2) ** 2 * rho_star
             sys = assemble_linearized(ScalarGrid.zeros(3, m), seed, f)
             sys.rhs = g.reshape(-1)[sys.interior_flat]
-            rho = solve_dirichlet(sys, 1e-12)
+            rho = solve_dirichlet_info(sys, 1e-12)[0]
             errs[m] = float(np.max(np.abs(rho.values - rho_star)))
         ratio = errs[9] / errs[17]
         assert 3.0 < ratio < 5.0
