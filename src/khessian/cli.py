@@ -27,7 +27,7 @@ from .errors import (
     SolverError,
     TuningError,
 )
-from .grids import write_grid_csv, write_sidecar
+from .grids import write_grid_csv, write_json
 from .iterate import (
     IterationReport,
     PhysicalSolution,
@@ -63,10 +63,7 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
     config.validate()
     f = config.build_rhs()
     c = f.value_at_origin()
-    seed = seed_for_constant(
-        config.k, config.n, c, alpha=config.alpha, l=config.l,
-        f_bound=max(1.0, f.coeff_bound()),
-    )
+    seed = seed_for_constant(config.k, config.n, c, alpha=config.alpha, l=config.l)
     seed, first_step = tune_epsilon(seed, f, config.m, tol_lin=config.tol_lin)
     w, report = newton_loop(
         seed, f, config.m,
@@ -93,23 +90,15 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
 def _write_outputs(target: str, config: ProblemConfig, seed, w: ScalarGrid,
                    report: IterationReport, solution) -> None:
     x_axes = [axis_coords(config.m)] * config.n
+    sidecar = {"n": config.n, "m": config.m, "seed": seed.to_dict()}
     write_grid_csv(os.path.join(target, "w.csv"), w.values, x_axes)
-    write_sidecar(
-        os.path.join(target, "w.json"), config.n, config.m, w.h, seed.to_dict()
-    )
+    write_json(os.path.join(target, "w.json"), sidecar | {"h": w.h})
     if solution is not None:
         write_grid_csv(os.path.join(target, "u.csv"), solution.u_values,
                        solution.axes)
-        write_sidecar(
-            os.path.join(target, "u.json"), config.n, config.m,
-            solution.h_physical, seed.to_dict(),
-        )
-    doc = report.to_dict()
-    doc["config"] = config.to_dict()
-    with open(os.path.join(target, "report.json"), "w", encoding="ascii",
-              newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        write_json(os.path.join(target, "u.json"), sidecar | {"h": solution.h_physical})
+    write_json(os.path.join(target, "report.json"),
+               report.to_dict() | {"config": config.to_dict()})
     if config.emit_plots_csv:
         lines = ["iteration,g_inf,g_holder,rho_inf,min_margin"]
         for rec in report.iterations:
@@ -139,11 +128,8 @@ def _cmd_cone_classify(args) -> int:
 
 
 def _cmd_seed(args) -> int:
-    l = args.l
-    if l is not None and l != "full":
-        l = int(l)
     try:
-        seed = seed_for_constant(args.k, args.n, args.c, alpha=args.alpha, l=l)
+        seed = seed_for_constant(args.k, args.n, args.c, alpha=args.alpha, l=args.l)
     except (DomainError, ConstructionError) as err:
         _note(f"seed construction failed: {err}")
         return 3
@@ -174,19 +160,10 @@ def _cmd_solve(args) -> int:
         _note(f"solver failed: {err}")
         target = args.output if args.output is not None else config.out_dir
         os.makedirs(target, exist_ok=True)
-        doc = {
-            "status": "Failed",
-            "error": str(err),
-            "config": config.to_dict(),
-        }
-        with open(os.path.join(target, "report.json"), "w", encoding="ascii",
-                  newline="\n") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(os.path.join(target, "report.json"),
+                   {"status": "Failed", "error": str(err), "config": config.to_dict()})
         return 4
-    doc = artifacts.report.to_dict()
-    doc["config"] = config.to_dict()
-    _emit(doc)
+    _emit(artifacts.report.to_dict() | {"config": config.to_dict()})
     _note(
         f"status {artifacts.report.status} after "
         f"{len(artifacts.report.iterations)} iterations; wrote "
@@ -211,6 +188,21 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _convexity_level(text: str) -> int | str:
+    if text == "full":
+        return text
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"expected 'full' or a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="khessian",
@@ -232,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed_p.add_argument("--k", type=int, required=True)
     seed_p.add_argument("--n", type=int, required=True)
     seed_p.add_argument("--c", type=float, required=True)
-    seed_p.add_argument("--l", default=None,
+    seed_p.add_argument("--l", type=_convexity_level, default=None,
                         help="target convexity offset for c > 0, or 'full'")
     seed_p.add_argument("--alpha", type=float, default=0.5)
     seed_p.set_defaults(func=_cmd_seed)
@@ -248,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="run randomized property sweeps")
     verify_p.add_argument("--suite", default="all",
                           choices=["all", *SUITES])
-    verify_p.add_argument("--samples", type=int, default=10000)
+    verify_p.add_argument("--samples", type=_positive_int, default=10000)
     verify_p.add_argument("--seed", type=int, default=7)
     verify_p.set_defaults(func=_cmd_verify)
     return parser

@@ -30,6 +30,8 @@ DEFAULT_TOL = 1e-9
 
 _TILDE_GUARD = 1_000_000
 
+_S_SAMPLES = 17  # shifts s sampled by the hyperbolicity consistency check
+
 
 class Region(str, Enum):
     INTERIOR = "Interior"
@@ -88,7 +90,7 @@ def in_gamma_k(lam, k: int, tol: float = 0.0):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def in_garding_cone_sampled(lam, k: int, s_grid: int = 17):
+def in_garding_cone_sampled(lam, k: int):
     """Hyperbolicity-cone membership: sigma_k(s*e + lam) > 0 for all s >= 0.
 
     The exact decision uses the coefficient expansion in s: every coefficient
@@ -100,8 +102,6 @@ def in_garding_cone_sampled(lam, k: int, s_grid: int = 17):
     n = arr.shape[-1]
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if s_grid < 2:
-        raise DomainError("s_grid must be at least 2")
     sig = _sigma_all_raw(arr, k)
     coeff_ok = np.all(sig[..., :k] >= 0.0, axis=-1) & (sig[..., k] > 0.0)
 
@@ -109,7 +109,7 @@ def in_garding_cone_sampled(lam, k: int, s_grid: int = 17):
     # sampled s (the converse direction cannot be sampled).
     s_max = 1.0 + arr.shape[-1] * max(1.0, float(np.max(np.abs(arr))))
     samples = np.concatenate(
-        [[0.0], np.geomspace(1e-6 * s_max, s_max, s_grid - 1)]
+        [[0.0], np.geomspace(1e-6 * s_max, s_max, _S_SAMPLES - 1)]
     )
     poly = np.zeros(arr.shape[:-1] + (samples.size,))
     for j in range(k + 1):
@@ -236,7 +236,7 @@ def garding_slack(lam, mu, k: int):
     return float(out) if out.ndim == 0 else out
 
 
-def descending_order_facts(lam, k: int, tol: float = DEFAULT_TOL) -> OrderFacts:
+def descending_order_facts(lam, k: int) -> OrderFacts:
     """Positivity count and row monotonicity for a descending-ordered vector.
 
     For vectors in the open cone the count of strictly positive entries is at

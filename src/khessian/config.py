@@ -170,6 +170,3 @@ class ProblemConfig:
     def from_json_file(cls, path) -> "ProblemConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DomainError
 
 _M_CAP = {2: 257, 3: 65, 4: 33}
+_HOLDER_RADIUS = 8  # Hoelder quotients compare points at most this many steps apart
 
 
 def _validate_shape(n: int, m: int) -> None:
@@ -116,12 +117,13 @@ def hessian_of(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _holder_offsets(n: int, radius: int = 8) -> tuple[tuple[int, ...], ...]:
-    """Half of the integer offsets with Euclidean norm in (0, radius].
+def _holder_offsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """Half of the integer offsets with Euclidean norm in (0, _HOLDER_RADIUS].
 
     For n = 4 the set is thinned to axis and diagonal directions to keep the
     pair sweep affordable.
     """
+    radius = _HOLDER_RADIUS
     offsets = []
     if n <= 3:
         rng = range(-radius, radius + 1)
@@ -148,9 +150,8 @@ def _holder_offsets(n: int, radius: int = 8) -> tuple[tuple[int, ...], ...]:
     return tuple(offsets)
 
 
-def holder_quotient(stack: np.ndarray, h: float, alpha: float,
-                    radius: int = 8) -> float:
-    """max |f(x)-f(z)| / |x-z|^alpha over grid pairs within radius*h.
+def holder_quotient(stack: np.ndarray, h: float, alpha: float) -> float:
+    """max |f(x)-f(z)| / |x-z|^alpha over grid pairs within _HOLDER_RADIUS*h.
 
     ``stack`` has shape (c,) + grid shape: c fields on the same grid, and the
     result is the largest quotient among them.  Each offset takes one pass
@@ -160,7 +161,7 @@ def holder_quotient(stack: np.ndarray, h: float, alpha: float,
     shape = stack.shape[1:]
     buf = np.empty(stack.size)
     best = 0.0
-    for off in _holder_offsets(n, radius):
+    for off in _holder_offsets(n):
         if any(abs(o) >= s for o, s in zip(off, shape)):
             continue
         src = (slice(None),) + tuple(
@@ -225,8 +226,9 @@ def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return coords, values
 
 
-def write_sidecar(path, n: int, m: int, h: float, seed_info: dict) -> None:
-    doc = {"n": n, "m": m, "h": h, "seed": seed_info}
+def write_json(path, doc: dict) -> None:
+    """Write doc as ASCII JSON with sorted keys, two-space indent and a
+    final newline; the format of every JSON file a solve writes."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")

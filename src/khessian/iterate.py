@@ -1,6 +1,9 @@
 """Newton-type iteration on the rescaled problem, with epsilon tuning.
 
-The scheme starts from w = 0, repeatedly solves the linearized homogeneous
+This module alone decides eps and runs the Newton step.  ``tune_epsilon``
+halves eps from 1/2 until one step from w = 0 gives a correction with
+c2alpha(rho) <= 1/4, and hands that step to ``newton_loop`` as its
+iteration 0.  The loop repeatedly solves the linearized homogeneous
 Dirichlet problem for the correction, and stops when the sup norm of the
 residual falls below the Newton tolerance (or below ten times the estimated
 roundoff floor of the residual evaluation).  The residual is expected to
@@ -12,7 +15,7 @@ ball, eps is halved and the loop restarts (at most three times).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,29 +30,24 @@ STATUS_RETUNED = "EpsilonRetuned"
 STATUS_ELLIPTICITY_LOST = "EllipticityLost"
 STATUS_MAX_ITER = "MaxIter"
 
+EPS_MIN = 1e-4  # smallest eps tune_epsilon tries
+MAX_RETUNES = 3  # eps halvings newton_loop may make after a refused step
+CONVEXITY_TOL = 1e-9  # slack of the j-convexity flags
+
 
 @dataclass
 class IterationRecord:
     iteration: int
     g_inf: float
-    g_holder: float
     w_c2alpha: float
+    g_holder: float | None = None
     rho_inf: float | None = None
     rho_c2alpha: float | None = None
     min_margin: float | None = None
     lin_residual: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "g_inf": self.g_inf,
-            "g_holder": self.g_holder,
-            "w_c2alpha": self.w_c2alpha,
-            "rho_inf": self.rho_inf,
-            "rho_c2alpha": self.rho_c2alpha,
-            "min_margin": self.min_margin,
-            "lin_residual": self.lin_residual,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -69,17 +67,7 @@ class IterationReport:
         return self.status == STATUS_CONVERGED
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "stop_reason": self.stop_reason,
-            "iterations": [r.to_dict() for r in self.iterations],
-            "eps_history": self.eps_history,
-            "floor_estimate": self.floor_estimate,
-            "quadratic_ratios": self.quadratic_ratios,
-            "aborted_attempts": self.aborted_attempts,
-            "seed": self.seed,
-            "convexity": self.convexity,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -130,85 +118,86 @@ def _interior_sup(grid: ScalarGrid) -> float:
 
 @dataclass
 class FirstStep:
-    """Iteration 0 of the Newton loop as the accepted tuning trial computed it.
-
-    The trial runs at the accepted eps from w = 0 with the loop's tol_lin, so
-    its residual, linear solve and norm surrogates are exactly the ones
-    iteration 0 would recompute.  It carries no matrix: the trial accepted
-    every dominance margin, so iteration 0 needs only ``min_margin``.
-    """
+    """Iteration 0 of the Newton loop as the accepted tuning trial computed it:
+    its record and its correction, tagged with the eps and tol_lin they were
+    made at.  The trial runs the loop's own step from w = 0, so the loop takes
+    both as they are instead of recomputing them."""
 
     eps: float
     tol_lin: float
-    g_grid: ScalarGrid
-    g_holder: float
+    record: IterationRecord
     rho: ScalarGrid
-    lin_residual: float
-    rho_c2alpha: float
-    min_margin: float
+
+
+def _newton_step(w: ScalarGrid, g_grid: ScalarGrid, seed: SeedQuadratic, f,
+                 tol_lin: float, record: IterationRecord
+                 ) -> tuple[ScalarGrid | None, str | None]:
+    """One linearized solve at w for the residual ``g_grid``.
+
+    Fills the record's ``rho_inf``, ``rho_c2alpha``, ``min_margin`` and
+    ``lin_residual`` and returns ``(rho, None)``.  Returns ``(None, reason)``
+    without solving when the coefficient matrix loses diagonal dominance or a
+    dominance margin drops below half the seed's deleted-variable row.
+    """
+    try:
+        sys = assemble_linearized(w, seed, f, g_values=-g_grid.values)
+    except EllipticityError as err:
+        return None, f"ellipticity failure: {err}"
+    gap = sys.margins - 0.5 * sigma_km1_row(seed.tau, seed.k)
+    if np.any(gap < 0.0):
+        return None, (f"dominance margin dropped {float(np.min(gap)):.3e} below "
+                      "half the seed row")
+    rho, record.lin_residual = solve_dirichlet_info(sys, tol_lin)
+    record.min_margin = sys.min_margin
+    del sys  # free the matrix before the next assembly
+    record.rho_inf = float(np.max(np.abs(rho.values)))
+    record.rho_c2alpha = c2alpha_surrogate(rho, seed.alpha)
+    return rho, None
 
 
 def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10,
-                 eps_start: float = 0.5, eps_min: float = 1e-4
-                 ) -> tuple[SeedQuadratic, FirstStep | None]:
-    """Halve eps from eps_start until the initial residual is provably small.
+                 eps_start: float = 0.5) -> tuple[SeedQuadratic, FirstStep | None]:
+    """Halve eps from eps_start until the first Newton correction is small.
 
-    Acceptance needs (a) C_hat * ||g0||_holder <= 1/4, where C_hat is the
-    ratio of the correction norm to the residual norm observed in one trial
-    linear solve, and (b) every dominance margin at w = 0 above half the
-    seed's deleted-variable row.  Since C_hat = c2alpha(rho) / ||g0||_holder,
-    test (a) is c2alpha(rho) <= 1/4 up to rounding; ``bound`` is still formed
-    as the product, and ||g0||_holder is a diagnostic, computed once and handed
-    on to iteration 0.  A residual that is zero to roundoff accepts
-    immediately.  A candidate whose (u, p) arguments leave the right-hand
-    side's box is rejected.
+    Each candidate runs the Newton loop's own step from w = 0 and is accepted
+    when the correction satisfies c2alpha(rho) <= 1/4.  At w = 0 the Hessian
+    is diag(tau) exactly, so every dominance margin is the seed row
+    sigma_{k-1,i}(tau) up to rounding and the step's margin test cannot
+    refuse the candidate.  A residual that is zero to roundoff accepts
+    immediately; a candidate whose (u, p) arguments leave the right-hand
+    side's box is rejected.  ||g0||_holder is a diagnostic, measured for the
+    accepted candidate only.
 
     Returns the accepted seed and the trial as iteration 0 of ``newton_loop``
     (None when the residual was already at the roundoff floor).
     """
     diagnostics = []
+    w0 = ScalarGrid.zeros(seed.n, m)
     eps = eps_start
-    while eps >= eps_min:
+    while eps >= EPS_MIN:
         candidate = seed.with_eps(eps)
-        w0 = ScalarGrid.zeros(seed.n, m)
         try:
             g_grid = eval_G(w0, candidate, f)
         except DomainError as err:
             diagnostics.append({"eps": eps, "error": str(err)})
             eps *= 0.5
             continue
-        g_inf = _interior_sup(g_grid)
-        if g_inf <= 10.0 * residual_floor(candidate, m):
+        record = IterationRecord(iteration=0, g_inf=_interior_sup(g_grid), w_c2alpha=0.0)
+        if record.g_inf <= 10.0 * residual_floor(candidate, m):
             return candidate, None
-        sys = assemble_linearized(w0, candidate, f, g_values=-g_grid.values)
-        thresh = 0.5 * sigma_km1_row(candidate.tau, candidate.k)
-        margins_ok = bool(np.all(sys.margins > thresh[None, :]))
-        g_norm = calpha_surrogate(g_grid.values, w0.h, candidate.alpha)
-        rho, lin_res = solve_dirichlet_info(sys, tol_lin)
-        min_margin = sys.min_margin
-        del sys  # free the matrix before the next candidate assembles its own
-        rho_norm = c2alpha_surrogate(rho, candidate.alpha)
-        c_hat = rho_norm / g_norm
-        bound = c_hat * g_norm
-        diagnostics.append(
-            {"eps": eps, "g_holder": g_norm, "c_hat": c_hat,
-             "bound": bound, "margins_ok": margins_ok}
-        )
-        if bound <= 0.25 and margins_ok:
-            return candidate, FirstStep(
-                eps=eps, tol_lin=tol_lin, g_grid=g_grid, g_holder=g_norm,
-                rho=rho, lin_residual=lin_res, rho_c2alpha=rho_norm,
-                min_margin=min_margin,
-            )
+        rho, refused = _newton_step(w0, g_grid, candidate, f, tol_lin, record)
+        diagnostics.append({"eps": eps, "rho_c2alpha": record.rho_c2alpha,
+                            "refused": refused})
+        if refused is None and record.rho_c2alpha <= 0.25:
+            record.g_holder = calpha_surrogate(g_grid.values, w0.h, candidate.alpha)
+            return candidate, FirstStep(eps=eps, tol_lin=tol_lin, record=record, rho=rho)
         eps *= 0.5
-    raise TuningError(
-        f"no admissible eps above {eps_min}", diagnostics=diagnostics
-    )
+    raise TuningError(f"no admissible eps above {EPS_MIN}", diagnostics=diagnostics)
 
 
 def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 max_iter: int = 12, tol_lin: float = 1e-10,
-                max_retunes: int = 3, first_step: FirstStep | None = None
+                first_step: FirstStep | None = None
                 ) -> tuple[ScalarGrid, IterationReport]:
     """Run the correction scheme from w = 0 until the residual is small.
 
@@ -225,25 +214,21 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
         )
     eps_history = [seed.eps]
     aborted: list[dict] = []
-    retunes = 0
 
     while True:
         w = ScalarGrid.zeros(seed.n, m)
-        thresh = 0.5 * sigma_km1_row(seed.tau, seed.k)
         records: list[IterationRecord] = []
         ratios: list[float] = []
-        status = STATUS_MAX_ITER
-        reason = "max_iter"
-        retune_reason = None
+        status = reason = None
 
         for it in range(max_iter + 1):
             step, first_step = first_step, None
-            if step is not None:
-                g_grid, g_holder = step.g_grid, step.g_holder
-            else:
+            if step is None:
                 g_grid = eval_G(w, seed, f)
+                g_inf = _interior_sup(g_grid)
                 g_holder = calpha_surrogate(g_grid.values, w.h, seed.alpha)
-            g_inf = _interior_sup(g_grid)
+            else:
+                g_inf, g_holder = step.record.g_inf, step.record.g_holder
             # w_1 = 0 + rho_0, so its surrogate is iteration 0's rho_c2alpha
             if it == 0:
                 w_norm = 0.0
@@ -256,86 +241,47 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 if prev > 0.0:
                     ratios.append(g_inf / prev**2)
             record = IterationRecord(
-                iteration=it, g_inf=g_inf, g_holder=g_holder, w_c2alpha=w_norm
+                iteration=it, g_inf=g_inf, w_c2alpha=w_norm, g_holder=g_holder
             )
-            floor = residual_floor(seed, m, max(1.0, w_norm))
             if g_inf <= tol_newton:
-                records.append(record)
                 status, reason = STATUS_CONVERGED, "residual_tolerance"
-                break
-            if g_inf <= 10.0 * floor:
-                records.append(record)
+            elif g_inf <= 10.0 * residual_floor(seed, m, max(1.0, w_norm)):
                 status, reason = STATUS_CONVERGED, "residual_floor"
-                break
-            if it == max_iter:
-                records.append(record)
+            elif it == max_iter:
                 status, reason = STATUS_MAX_ITER, "max_iter"
+            if status is not None:
+                records.append(record)
                 break
             if w_norm > 1.0:
-                retune_reason = f"iterate norm surrogate {w_norm:.3f} > 1"
+                reason = f"iterate norm surrogate {w_norm:.3f} > 1"
                 break
             if step is not None:
-                rho, lin_res = step.rho, step.lin_residual
-                record.rho_c2alpha = step.rho_c2alpha
-                record.min_margin = step.min_margin
+                record, rho = step.record, step.rho
             else:
-                try:
-                    sys = assemble_linearized(w, seed, f, g_values=-g_grid.values)
-                except EllipticityError as err:
-                    retune_reason = f"ellipticity failure: {err}"
+                rho, reason = _newton_step(w, g_grid, seed, f, tol_lin, record)
+                if reason is not None:
                     break
-                if np.any(sys.margins < thresh[None, :]):
-                    worst = float(np.min(sys.margins - thresh[None, :]))
-                    retune_reason = (
-                        f"dominance margin dropped {worst:.3e} below half the "
-                        "seed row"
-                    )
-                    break
-                rho, lin_res = solve_dirichlet_info(sys, tol_lin)
-                record.min_margin = sys.min_margin
-                del sys  # likewise before the next iteration's assembly
-                record.rho_c2alpha = c2alpha_surrogate(rho, seed.alpha)
-            record.rho_inf = float(np.max(np.abs(rho.values)))
-            record.lin_residual = lin_res
             records.append(record)
             w = ScalarGrid(w.n, w.m, w.values + rho.values)
 
-        if retune_reason is None:
-            report = IterationReport(
-                status=status,
-                stop_reason=reason,
-                iterations=records,
-                eps_history=eps_history,
-                floor_estimate=residual_floor(seed, m),
-                quadratic_ratios=ratios,
-                aborted_attempts=aborted,
-                seed=seed.to_dict(),
-            )
-            return w, report
-
-        aborted.append(
-            {
-                "status": STATUS_RETUNED,
-                "reason": retune_reason,
-                "eps": seed.eps,
-                "iterations": [r.to_dict() for r in records],
-            }
+        if status is None:
+            aborted.append({"status": STATUS_RETUNED, "reason": reason, "eps": seed.eps,
+                            "iterations": [r.to_dict() for r in records]})
+            if len(aborted) <= MAX_RETUNES:
+                seed = seed.with_eps(seed.eps * 0.5)
+                eps_history.append(seed.eps)
+                continue
+            status = STATUS_ELLIPTICITY_LOST
+        return w, IterationReport(
+            status=status,
+            stop_reason=reason,
+            iterations=records,
+            eps_history=eps_history,
+            floor_estimate=residual_floor(seed, m),
+            quadratic_ratios=ratios,
+            aborted_attempts=aborted,
+            seed=seed.to_dict(),
         )
-        if retunes >= max_retunes:
-            report = IterationReport(
-                status=STATUS_ELLIPTICITY_LOST,
-                stop_reason=retune_reason,
-                iterations=records,
-                eps_history=eps_history,
-                floor_estimate=residual_floor(seed, m),
-                quadratic_ratios=ratios,
-                aborted_attempts=aborted,
-                seed=seed.to_dict(),
-            )
-            return w, report
-        retunes += 1
-        seed = seed.with_eps(seed.eps * 0.5)
-        eps_history.append(seed.eps)
 
 
 def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
@@ -376,16 +322,14 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
     )
 
 
-def certify_convexity(hessian: np.ndarray, k: int, interior_mask: np.ndarray,
-                      tol: float = 1e-9, j_max: int | None = None) -> ConvexityCertificate:
-    """Flag j-convexity of the assembled solution for j = 1..j_max.
+def certify_convexity(hessian: np.ndarray, k: int,
+                      interior_mask: np.ndarray) -> ConvexityCertificate:
+    """Flag j-convexity of the assembled solution for j = 1..k+1.
 
     The flag for level j is set when the j-th minor sum of the discrete
-    Hessian stays above -tol at every interior point.
+    Hessian stays above -CONVEXITY_TOL at every interior point.
     """
-    if j_max is None:
-        j_max = k + 1
-    sums, _ = minor_sums(hessian[interior_mask], j_max)
+    sums, _ = minor_sums(hessian[interior_mask], k + 1)
     mins = {j: float(np.min(vals)) for j, vals in enumerate(sums, start=1)}
-    flags = {j: bool(v >= -tol) for j, v in mins.items()}
-    return ConvexityCertificate(flags=flags, min_values=mins, tol=tol)
+    flags = {j: bool(v >= -CONVEXITY_TOL) for j, v in mins.items()}
+    return ConvexityCertificate(flags=flags, min_values=mins, tol=CONVEXITY_TOL)

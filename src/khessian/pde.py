@@ -221,7 +221,9 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
 
     The right-hand side is scaled to unit norm first: scipy's breakdown tests
     are absolute (eps^2), and late Newton corrections have norms near 1e-11.
-    ``max_iter`` defaults to ten times the number of unknowns.
+    ``max_iter`` defaults to ten times the number of unknowns.  A residual
+    above tol_lin raises SolverError, whose message says whether BiCGSTAB
+    broke down or reached its step limit.
     """
     if sys.margins.size and sys.margins.min() <= 0.0:
         raise EllipticityError("system carries nonpositive dominance margins")
@@ -236,14 +238,16 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
         nonlocal steps
         steps += 1
 
-    x, _ = spla.bicgstab(sys.matrix, b / bnorm, rtol=0.1 * tol_lin, atol=0.0,
-                         maxiter=max_iter, M=sp.diags(1.0 / sys.matrix.diagonal()),
-                         callback=_count)
+    x, info = spla.bicgstab(sys.matrix, b / bnorm, rtol=0.1 * tol_lin, atol=0.0,
+                            maxiter=max_iter, M=sp.diags(1.0 / sys.matrix.diagonal()),
+                            callback=_count)
     x *= bnorm
     res = float(np.linalg.norm(sys.matrix @ x - b)) / bnorm
     if res > tol_lin:
+        why = (f"breakdown, info {info}" if info < 0 else "step limit reached"
+               if info > 0 else "only the recurred residual met the tolerance")
         raise SolverError(
-            f"Krylov iteration stalled at relative residual {res:.3e} "
+            f"Krylov iteration stalled ({why}) at relative residual {res:.3e} "
             f"after {steps} steps",
             steps=steps,
         )

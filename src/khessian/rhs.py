@@ -112,10 +112,6 @@ class RhsSpec:
         zero = np.zeros(self.n)
         return float(self.value(zero, np.asarray(0.0), zero))
 
-    def coeff_bound(self) -> float:
-        """Crude bound for the size of f and its (u,p)-derivatives on the box."""
-        return float(sum(abs(t.coeff) for t in self.terms))
-
 
 @dataclass
 class TabulatedRhs:
@@ -143,9 +139,6 @@ class TabulatedRhs:
     def value_at_origin(self) -> float:
         center = tuple(s // 2 for s in self.values.shape)
         return float(self.values[center])
-
-    def coeff_bound(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def manufactured_field(n: int, m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,10 @@ of the rescaled unknown.  Constructions are provided for c = 0 (a boundary
 point of the level-k cone with sigma_{k+1} < 0), c > 0 (either the
 fully-convex equal-entry seed or a seed exactly (k+l-1)-convex), and c < 0
 (a level-(k-1) interior seed that is not k-convex).
+
+Seeds do not see the right-hand side: a seed's eps is a fixed function of
+alpha, and the solve pipeline replaces it with the eps that
+``iterate.tune_epsilon`` accepts.
 """
 
 from __future__ import annotations
@@ -138,21 +142,19 @@ def certify_seed(seed: SeedQuadratic, tol: float = SEED_TOL) -> SeedCertificate:
     )
 
 
-def _provisional_epsilon(alpha: float, f_bound: float, eps_min: float = 1e-4) -> float:
-    """Largest dyadic eps with (eps^(2*alpha)/eps') * max(1, f_bound) <= 1/4.
+def _provisional_epsilon(alpha: float, eps_min: float = 1e-4) -> float:
+    """Largest dyadic eps with eps^(2*alpha) / eps' <= 1/4.
 
-    This is the a-priori bound on the initial residual; the solve pipeline
-    re-tunes empirically and may halve further.
+    The seed's eps as ``khessian seed`` reports it.  It does not depend on f:
+    the solve pipeline tunes eps itself (``iterate.tune_epsilon``) and does
+    not read this value.
     """
-    bound = max(1.0, float(f_bound))
     eps = 0.5
     while eps >= eps_min:
-        if eps ** (2 * alpha) / eps_prime_for(eps, alpha) * bound <= 0.25:
+        if eps ** (2 * alpha) / eps_prime_for(eps, alpha) <= 0.25:
             return eps
         eps *= 0.5
-    raise DomainError(
-        f"no admissible eps above {eps_min} for alpha={alpha}, f_bound={f_bound}"
-    )
+    raise DomainError(f"no admissible eps above {eps_min} for alpha={alpha}")
 
 
 def _finalize(tau: np.ndarray, k: int, n: int, c: float, alpha: float,
@@ -171,12 +173,12 @@ def _finalize(tau: np.ndarray, k: int, n: int, c: float, alpha: float,
     )
 
 
-def seed_for_zero(k: int, n: int, alpha: float, f_bound: float = 1.0) -> SeedQuadratic:
+def seed_for_zero(k: int, n: int, alpha: float) -> SeedQuadratic:
     """Seed for c = 0: the canonical boundary point, exactly (k-1)-convex."""
     if not 2 <= k <= n - 1:
         raise DomainError(f"need 2 <= k <= n-1, got k={k}, n={n}")
     tau = p2_example(k, n)
-    eps = _provisional_epsilon(alpha, f_bound)
+    eps = _provisional_epsilon(alpha)
     seed = _finalize(tau, k, n, 0.0, alpha, eps)
     if seed.convexity_class != k - 1:
         raise ConstructionError("zero seed is not exactly (k-1)-convex")
@@ -204,8 +206,7 @@ def _negative_level_core(k: int, n: int) -> np.ndarray:
     raise ConstructionError("no admissible tail shift found in 200 halvings")
 
 
-def seed_for_negative(k: int, n: int, c: float, alpha: float = 0.5,
-                      f_bound: float = 1.0) -> SeedQuadratic:
+def seed_for_negative(k: int, n: int, c: float, alpha: float = 0.5) -> SeedQuadratic:
     """Seed for c < 0: level-(k-1) interior, not k-convex, nondecreasing row."""
     if c >= 0.0:
         raise DomainError(f"need c < 0, got {c}")
@@ -214,7 +215,7 @@ def seed_for_negative(k: int, n: int, c: float, alpha: float = 0.5,
     lam = _negative_level_core(k, n)
     s = (c / elem_sym(lam, k)) ** (1.0 / k)
     tau = s * lam
-    eps = _provisional_epsilon(alpha, f_bound)
+    eps = _provisional_epsilon(alpha)
     seed = _finalize(tau, k, n, c, alpha, eps)
     row = sigma_km1_row(tau, k)
     if not np.all(np.diff(row) >= -1e-12 * max(1.0, float(np.max(np.abs(row))))):
@@ -223,7 +224,7 @@ def seed_for_negative(k: int, n: int, c: float, alpha: float = 0.5,
 
 
 def seed_for_positive(k: int, n: int, c: float, l: int | str | None = 1,
-                      alpha: float = 0.5, f_bound: float = 1.0) -> SeedQuadratic:
+                      alpha: float = 0.5) -> SeedQuadratic:
     """Seed for c > 0.
 
     ``l = "full"`` (or n-k+1) gives the equal-entry, fully convex seed.  For
@@ -241,7 +242,7 @@ def seed_for_positive(k: int, n: int, c: float, l: int | str | None = 1,
         l = 1
     if l == "full" or l == n - k + 1:
         tau = np.full(n, (c / binom(n, k)) ** (1.0 / k))
-        eps = _provisional_epsilon(alpha, f_bound)
+        eps = _provisional_epsilon(alpha)
         return _finalize(tau, k, n, c, alpha, eps)
     if not isinstance(l, int) or not 1 <= l <= n - k:
         raise DomainError(f"need 1 <= l <= n-k or 'full', got l={l!r}")
@@ -254,7 +255,7 @@ def seed_for_positive(k: int, n: int, c: float, l: int | str | None = 1,
         lam[-1] = -0.5 / (n - 1)
     s = (c / elem_sym(lam, k)) ** (1.0 / k)
     tau = s * lam
-    eps = _provisional_epsilon(alpha, f_bound)
+    eps = _provisional_epsilon(alpha)
     seed = _finalize(tau, k, n, c, alpha, eps)
     if seed.convexity_class != k + l - 1:
         raise ConstructionError(
@@ -266,14 +267,13 @@ def seed_for_positive(k: int, n: int, c: float, l: int | str | None = 1,
 
 
 def seed_for_constant(k: int, n: int, c: float, alpha: float = 0.5,
-                      l: int | str | None = None,
-                      f_bound: float = 1.0) -> SeedQuadratic:
+                      l: int | str | None = None) -> SeedQuadratic:
     """Dispatch on the sign of c; used by the solve pipeline."""
     if c == 0.0:
-        return seed_for_zero(k, n, alpha, f_bound)
+        return seed_for_zero(k, n, alpha)
     if c > 0.0:
-        return seed_for_positive(k, n, c, l if l is not None else 1, alpha, f_bound)
-    return seed_for_negative(k, n, c, alpha, f_bound)
+        return seed_for_positive(k, n, c, l if l is not None else 1, alpha)
+    return seed_for_negative(k, n, c, alpha)
 
 
 def sample_p2_points(k: int, n: int, count: int, rng: np.random.Generator,

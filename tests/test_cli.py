@@ -55,6 +55,17 @@ class TestSeedCommand:
     def test_empty_boundary_exit_three(self):
         assert main(["seed", "--k", "2", "--n", "2", "--c", "0"]) == 3
 
+    @pytest.mark.parametrize("level", ["abc", "0", "-1", "1.5"])
+    def test_bad_level_exit_two(self, capsys, level):
+        with pytest.raises(SystemExit) as info:
+            main(["seed", "--k", "2", "--n", "4", "--c", "1", "--l", level])
+        assert info.value.code == 2
+        assert f"expected 'full' or a positive integer, got '{level}'" in capsys.readouterr().err
+
+    def test_level_accepted(self, capsys):
+        assert main(["seed", "--k", "2", "--n", "4", "--c", "1", "--l", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["certificate"]["convexity_class"] == 3
+
     def test_deterministic(self, capsys):
         main(["seed", "--k", "3", "--n", "5", "--c", "-2"])
         first = capsys.readouterr().out
@@ -187,6 +198,24 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["status"] == "Failed"
         assert report["error"].endswith(" steps")
+        assert "(breakdown, info -1" in report["error"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(alpha=0.25),
+        lambda d: d.update(rhs={"terms": [{"coeff": 30.0}]}),
+    ], ids=["alpha-quarter", "const-30"])
+    def test_large_or_rough_constant_converges(self, tmp_path, edit):
+        # eps is tuned from 1/2 whatever the size of f; no provisional eps
+        # sized from f stands in the way
+        doc = json.loads(json.dumps(PRESETS["fconst-pos"]))
+        doc["output"]["directory"] = str(tmp_path / "run")
+        edit(doc)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["status"] == "Converged"
+        assert (tmp_path / "run" / "u.csv").exists()
 
     def test_plots_csv_emitted(self, tmp_path):
         doc = json.loads(json.dumps(PRESETS["fconst-match"]))
@@ -205,6 +234,15 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["identities"]["passed"] is True
+
+    @pytest.mark.parametrize("samples", ["-3", "0", "ten"])
+    def test_bad_samples_exit_two(self, capsys, samples):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--suite", "maclaurin", "--samples", samples])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"expected a positive integer, got '{samples}'" in captured.err
+        assert captured.out == ""
 
     def test_cone_equivalence_small(self, capsys):
         code = main(["verify", "--suite", "cone-equivalence",

@@ -5,7 +5,13 @@ import pytest
 
 from khessian.cli import run_solve
 from khessian.config import ProblemConfig
-from khessian.grids import ScalarGrid, boundary_mask, c2alpha_surrogate, grid_coords
+from khessian.grids import (
+    ScalarGrid,
+    boundary_mask,
+    c2alpha_surrogate,
+    calpha_surrogate,
+    grid_coords,
+)
 from khessian.iterate import (
     STATUS_CONVERGED,
     assemble_solution,
@@ -14,7 +20,7 @@ from khessian.iterate import (
     residual_floor,
     tune_epsilon,
 )
-from khessian.pde import sk_of_matrix
+from khessian.pde import assemble_linearized, eval_G, sk_of_matrix, solve_dirichlet_info
 from khessian.presets import PRESETS
 from khessian.rhs import RhsSpec, RhsTerm, manufactured_field, tabulated_rhs_from_hessian
 from khessian.seeds import seed_for_negative, seed_for_positive, seed_for_zero
@@ -119,9 +125,31 @@ class TestNewtonLoop:
         assert rep_a.iterations[1].w_c2alpha == rep_a.iterations[0].rho_c2alpha
         # w_1 = 0 + rho_0 has exactly the surrogate of rho_0
         w1 = ScalarGrid(3, m, ScalarGrid.zeros(3, m).values + first_step.rho.values)
-        assert c2alpha_surrogate(w1, tuned.alpha) == first_step.rho_c2alpha
+        assert c2alpha_surrogate(w1, tuned.alpha) == first_step.record.rho_c2alpha
         with pytest.raises(ValueError):
             newton_loop(tuned.with_eps(tuned.eps / 2), f, m, first_step=first_step)
+
+    def test_handed_step_matches_a_fresh_step(self):
+        # iteration 0 from tuning is exactly eval / assemble / solve at its eps
+        seed = seed_for_zero(2, 3, 0.5)
+        f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
+        m = 9
+        tuned, first_step = tune_epsilon(seed, f, m)
+        assert (first_step.eps, first_step.tol_lin) == (tuned.eps, 1e-10)
+        w0 = ScalarGrid.zeros(3, m)
+        g = eval_G(w0, tuned, f)
+        sys = assemble_linearized(w0, tuned, f)
+        rho, lin_res = solve_dirichlet_info(sys, 1e-10)
+        rec = first_step.record
+        assert rec.iteration == 0 and rec.w_c2alpha == 0.0
+        assert rec.g_inf == float(np.max(np.abs(g.values[g.interior_mask])))
+        assert rec.g_holder == calpha_surrogate(g.values, w0.h, tuned.alpha)
+        assert rec.rho_c2alpha == c2alpha_surrogate(rho, tuned.alpha)
+        assert rec.rho_inf == float(np.max(np.abs(rho.values)))
+        assert rec.min_margin == sys.min_margin
+        assert rec.lin_residual == lin_res
+        assert np.array_equal(first_step.rho.values, rho.values)
+        assert rec.rho_c2alpha <= 0.25
 
     def test_floor_estimate_scales_like_inverse_h_squared(self):
         seed = seed_for_zero(2, 3, 0.5)
@@ -194,5 +222,5 @@ class TestCertify:
     def test_equal_entry_all_flags(self):
         seed = seed_for_positive(2, 3, 3.0, l="full")
         sol = assemble_solution(ScalarGrid.zeros(3, 9), seed)
-        cert = certify_convexity(sol.hessian, 2, ~boundary_mask(3, 9), j_max=3)
+        cert = certify_convexity(sol.hessian, 2, ~boundary_mask(3, 9))
         assert all(cert.flags[j] for j in (1, 2, 3))

@@ -24,7 +24,7 @@ from khessian.pde import (
     solve_dirichlet_info,
 )
 from khessian.rhs import RhsSpec, RhsTerm, TabulatedRhs, manufactured_field
-from khessian.seeds import SeedQuadratic, seed_for_positive, seed_for_zero
+from khessian.seeds import SeedQuadratic, seed_for_constant, seed_for_positive, seed_for_zero
 from khessian.symfun import elem_sym, sigma_all, sigma_km1_row
 from oracles import (
     brute_holder_quotient,
@@ -210,6 +210,23 @@ class TestAssemble:
         diag = sys.matrix.diagonal()
         assert np.allclose(diag, -2.0 / h**2 * row.sum())
 
+    @pytest.mark.parametrize("k, n, c, l", [
+        (2, 3, 0.0, None), (2, 3, 3.0, "full"), (2, 3, -1.0, None),
+        (2, 4, 1.0, 1), (3, 4, 0.0, None), (3, 4, -2.0, None),
+    ])
+    def test_margins_at_zero_are_the_seed_row(self, k, n, c, l):
+        # r = diag(tau) at w = 0, so every margin is the seed row (to the
+        # rounding of the Newton recursion) and clears half of it at any eps
+        seed = seed_for_constant(k, n, c, l=l)
+        f = RhsSpec(n=n, terms=[RhsTerm(0.5, (1,) + (0,) * (n - 1), 1)])
+        row = sigma_km1_row(seed.tau, k)
+        for eps in (0.5, 0.0625):
+            sys = assemble_linearized(ScalarGrid.zeros(n, 9), seed.with_eps(eps), f,
+                                      g_values=np.zeros((9,) * n))
+            assert np.all(sys.margins == sys.margins[0])
+            assert np.allclose(sys.margins[0], row, rtol=1e-14, atol=0.0)
+            assert np.all(sys.margins > 0.5 * row)
+
     def test_operator_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
         seed = seed_for_zero(2, 3, 0.5)
@@ -378,6 +395,7 @@ class TestSolve:
         with pytest.raises(SolverError, match="after 1 steps") as info:
             solve_dirichlet_info(sys, 1e-10, max_iter=1)
         assert info.value.steps == 1
+        assert "(step limit reached)" in str(info.value)
 
     def test_discrete_maximum_principle(self):
         # pure second-order equal-coefficient operator, nonpositive data
