@@ -4,6 +4,7 @@
 Prescribes a smooth target iterate, tabulates the matching right-hand side
 from its analytic Hessian, and reports the sup-norm error of the recovered
 iterate across grid resolutions together with the observed convergence order.
+Exits 1 when any resolution does not converge.
 """
 
 import sys
@@ -19,6 +20,7 @@ def main() -> int:
     n, k, alpha, beta = 3, 2, 0.5, 0.05
     seed = seeds.seed_for_zero(k, n, alpha)
     errors = {}
+    converged = True
     for m in (9, 17, 33):
         t0 = time.time()
         w_star, hess = manufactured_field(n, m, beta)
@@ -26,6 +28,7 @@ def main() -> int:
         w, report = iterate.newton_loop(seed, f, m)
         err = float(np.max(np.abs(w.values - w_star)))
         errors[m] = err
+        converged &= report.converged
         print(
             f"m={m:3d}  status={report.status:10s} iters={len(report.iterations)} "
             f"err={err:.4e}  ({time.time() - t0:.1f}s)"
@@ -34,7 +37,7 @@ def main() -> int:
     for lo, hi in zip(ms, ms[1:]):
         order = np.log2(errors[lo] / errors[hi])
         print(f"observed order {lo} -> {hi}: {order:.2f}")
-    return 0
+    return 0 if converged else 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
@@ -66,15 +66,6 @@ class ConeVerdict:
         if self.ellipticity_row is not None:
             out["ellipticity_row"] = self.ellipticity_row
         return out
-
-
-@dataclass
-class OrderFacts:
-    """Facts about a descending-ordered vector in (the closure of) the cone."""
-
-    p: int
-    row_sorted: bool
-    row: list[float] = field(default_factory=list)
 
 
 def in_gamma_k(lam, k: int, tol: float = 0.0):
@@ -208,22 +199,6 @@ def classify_boundary(lam, k: int, tol: float = DEFAULT_TOL) -> ConeVerdict:
     )
 
 
-def garding_inequality_check(lam, mu, k: int, tol: float = 1e-10):
-    """Check (grad sigma_k(lam), mu) >= k * sigma_k(lam)^((k-1)/k) * sigma_k(mu)^(1/k).
-
-    Both arguments must lie in the open level-k cone.  Equality holds (up to
-    roundoff) when mu == lam, by homogeneity.
-    """
-    lam = as_spectrum(lam)
-    mu = as_spectrum(mu)
-    if lam.shape != mu.shape:
-        raise DomainError("lam and mu must have matching shapes")
-    if not np.all(in_gamma_k(lam, k)) or not np.all(in_gamma_k(mu, k)):
-        raise DomainError("both arguments must lie in the open cone")
-    ok = np.asarray(garding_slack(lam, mu, k)) >= -tol
-    return bool(ok) if ok.ndim == 0 else ok
-
-
 def garding_slack(lam, mu, k: int):
     """Signed slack of the cone inequality (positive means it holds)."""
     lam = as_spectrum(lam)
@@ -234,22 +209,3 @@ def garding_slack(lam, mu, k: int):
     rhs = k * sk_lam ** ((k - 1) / k) * sk_mu ** (1.0 / k)
     out = np.asarray(lhs - rhs)
     return float(out) if out.ndim == 0 else out
-
-
-def descending_order_facts(lam, k: int) -> OrderFacts:
-    """Positivity count and row monotonicity for a descending-ordered vector.
-
-    For vectors in the open cone the count of strictly positive entries is at
-    least k and the deleted-variable row is nondecreasing; both facts are
-    returned for the caller to assert.
-    """
-    arr = as_spectrum(lam)
-    if arr.ndim != 1:
-        raise DomainError("descending_order_facts takes a single vector")
-    if np.any(np.diff(arr) > 0.0):
-        raise DomainError("input must be sorted in descending order")
-    row = sigma_km1_row(arr, k)
-    scale = max(1.0, float(np.max(np.abs(row))))
-    row_sorted = bool(np.all(np.diff(row) >= -1e-12 * scale))
-    p = int(np.sum(arr > 0.0))
-    return OrderFacts(p=p, row_sorted=row_sorted, row=[float(v) for v in row])

@@ -1,11 +1,13 @@
-"""Regular grids on the cube [-1,1]^n: differences, norm surrogates, file I/O.
+"""Regular grids on the cube [-1,1]^n: differences, norm surrogates, file output.
 
 Differences are slice stencils, O(m^n) per axis.  First derivatives are
 ``np.gradient`` with ``edge_order=2``: centered in the interior, one-sided
 second order on the boundary faces.  Pure second derivatives use the matching
 centered and one-sided second-difference stencils; mixed derivatives are
 first differences of first differences, so the discrete Hessian is symmetric
-exactly.  The caps on n and on points per axis (``_M_CAP``) are memory caps.
+exactly.  Hoelder quotients compare points along the axis and full-diagonal
+directions only, at most ``_HOLDER_RADIUS`` steps apart, for every n.  The
+caps on n and on points per axis (``_M_CAP``) are memory caps.
 The CSV format (header ``x1,...,xn,value``, rows lexicographic in grid
 indices, shortest-roundtrip floats) is frozen for golden tests.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -118,40 +121,24 @@ def hessian_of(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _holder_offsets(n: int) -> tuple[tuple[int, ...], ...]:
-    """Half of the integer offsets with Euclidean norm in (0, _HOLDER_RADIUS].
+    """Steps along the axis directions e_a and the full diagonals
+    (1, +-1, ..., +-1), as far as Euclidean norm _HOLDER_RADIUS.
 
-    For n = 4 the set is thinned to axis and diagonal directions to keep the
-    pair sweep affordable.
+    Only one of each pair of opposite offsets is listed: a pair of points
+    gives the same quotient either way round.
     """
-    radius = _HOLDER_RADIUS
+    axes = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+    diagonals = [(1,) + s for s in itertools.product((1, -1), repeat=n - 1)]
     offsets = []
-    if n <= 3:
-        rng = range(-radius, radius + 1)
-        grids = np.meshgrid(*[list(rng)] * n, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        norms = np.sqrt((pts**2).sum(axis=1))
-        keep = (norms > 0) & (norms <= radius)
-        pts = pts[keep]
-        for p in pts:
-            first = next((v for v in p if v != 0), 0)
-            if first > 0:
-                offsets.append(tuple(int(v) for v in p))
-    else:
-        for axis in range(n):
-            for step in range(1, radius + 1):
-                o = [0] * n
-                o[axis] = step
-                offsets.append(tuple(o))
-        stop = int(radius / np.sqrt(n))
-        for signs in np.ndindex(*([2] * (n - 1))):
-            for step in range(1, stop + 1):
-                o = [step] + [step * (1 if s else -1) for s in signs]
-                offsets.append(tuple(o))
+    for u in axes + diagonals:
+        steps = math.isqrt(_HOLDER_RADIUS**2 // sum(v * v for v in u))
+        offsets += [tuple(step * v for v in u) for step in range(1, steps + 1)]
     return tuple(offsets)
 
 
 def holder_quotient(stack: np.ndarray, h: float, alpha: float) -> float:
-    """max |f(x)-f(z)| / |x-z|^alpha over grid pairs within _HOLDER_RADIUS*h.
+    """max |f(x)-f(z)| / |x-z|^alpha over grid pairs x - z along an axis or a
+    full diagonal, with |x-z| <= _HOLDER_RADIUS*h (see ``_holder_offsets``).
 
     ``stack`` has shape (c,) + grid shape: c fields on the same grid, and the
     result is the largest quotient among them.  Each offset takes one pass
@@ -191,7 +178,8 @@ def c2alpha_surrogate(grid: ScalarGrid, alpha: float) -> float:
     """Discrete stand-in for a C^{2,alpha} norm.
 
     Max of |w|, |Dw|, |D^2 w| over the grid plus the largest Hoelder quotient
-    among the second-derivative components (pairs within 8h).
+    among the second-derivative components (``holder_quotient``: pairs along
+    axis and full-diagonal directions within 8h).
     """
     hess, grad = hessian_of(grid)
     sup = max(
@@ -213,17 +201,6 @@ def write_grid_csv(path, values: np.ndarray, axes: list[np.ndarray]) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header)
         fh.writelines(map("{}{!r}\n".format, prefixes, values.ravel().tolist()))
-
-
-def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back a grid CSV; returns (coords rows, values)."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        n = len(header) - 1
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    coords = np.array([[float(v) for v in r[:n]] for r in rows])
-    values = np.array([float(r[n]) for r in rows])
-    return coords, values
 
 
 def write_json(path, doc: dict) -> None:

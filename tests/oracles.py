@@ -1,16 +1,24 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent brute-force oracles used to pin expected values, and the
+test-only helpers that check library output.
 
-These deliberately avoid the library's evaluation routes: subset enumeration
-for minor sums, explicit zeroing for deleted variables, all-pairs enumeration
-for Hoelder quotients, entry-by-entry stencil placement for the linearized
-operator and per-cell formatting for grid CSVs.  Enumeration is
-kept to n <= 12.
+The oracles deliberately avoid the library's evaluation routes: subset
+enumeration for minor sums, explicit zeroing for deleted variables,
+point-by-point pair enumeration along axis and full-diagonal directions for
+Hoelder quotients, entry-by-entry stencil placement for the linearized
+operator and per-cell formatting for grid CSVs.  Enumeration is kept to
+n <= 12.  The helpers (the cone inequality check, the descending-order facts
+and the grid CSV reader) are built on the library and used only by tests.
 """
 
 import math
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
+
+from khessian.cone import garding_slack, in_gamma_k
+from khessian.errors import DomainError
+from khessian.symfun import as_spectrum, sigma_km1_row
 
 
 def brute_sigma(lam, k: int) -> float:
@@ -65,21 +73,28 @@ def fd_sk_gradient(r, k: int, step: float = 1e-5) -> np.ndarray:
 def brute_holder_quotient(values, h: float, alpha: float, radius: int = 8,
                           mask=None) -> float:
     """max |f(x)-f(z)| / |x-z|^alpha over every ordered pair of grid points
-    with 0 < |x-z| <= radius*h, optionally only pairs with both ends in mask.
+    whose index difference lies along an axis or a full diagonal (all nonzero
+    |d_i| equal, with 1 or n of them nonzero) and has 0 < |x-z| <= radius*h,
+    optionally only pairs with both ends in mask.
 
-    Enumerates pairs point by point instead of sweeping offsets; distances
-    are formed in Python floats the way the library forms them.
+    Enumerates pairs point by point and tests each difference, instead of
+    sweeping an offset list; distances are formed in Python floats the way
+    the library forms them.
     """
     values = np.asarray(values, dtype=float)
-    assert values.size <= 1000, "all-pairs oracle capped at 1000 points"
+    assert values.size <= 1000, "pair-enumeration oracle capped at 1000 points"
     idx = np.array(list(np.ndindex(*values.shape)))
+    n = values.ndim
     flat = values.ravel()
     keep_pt = np.ones(flat.size, bool) if mask is None else np.asarray(mask).ravel()
     denom = np.array([(h * math.sqrt(d2)) ** alpha for d2 in range(radius * radius + 1)])
     best = 0.0
     for a in np.nonzero(keep_pt)[0]:
-        sq = ((idx - idx[a]) ** 2).sum(axis=1)
-        pair = keep_pt & (sq > 0) & (sq <= radius * radius)
+        d = np.abs(idx - idx[a])
+        nonzero = (d > 0).sum(axis=1)
+        along = (nonzero == 1) | ((nonzero == n) & (d.min(axis=1) == d.max(axis=1)))
+        sq = (d**2).sum(axis=1)
+        pair = keep_pt & along & (sq > 0) & (sq <= radius * radius)
         if pair.any():
             q = np.abs(flat[pair] - flat[a]) / denom[sq[pair]]
             best = max(best, float(q.max()))
@@ -137,3 +152,58 @@ def write_grid_csv_per_cell(path, values, axes) -> None:
         lines.append(",".join(cells))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def garding_inequality_check(lam, mu, k: int, tol: float = 1e-10):
+    """Check (grad sigma_k(lam), mu) >= k * sigma_k(lam)^((k-1)/k) * sigma_k(mu)^(1/k).
+
+    Both arguments must lie in the open level-k cone.  Equality holds (up to
+    roundoff) when mu == lam, by homogeneity.
+    """
+    lam = as_spectrum(lam)
+    mu = as_spectrum(mu)
+    if lam.shape != mu.shape:
+        raise DomainError("lam and mu must have matching shapes")
+    if not np.all(in_gamma_k(lam, k)) or not np.all(in_gamma_k(mu, k)):
+        raise DomainError("both arguments must lie in the open cone")
+    ok = np.asarray(garding_slack(lam, mu, k)) >= -tol
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+@dataclass
+class OrderFacts:
+    """Facts about a descending-ordered vector in (the closure of) the cone."""
+
+    p: int
+    row_sorted: bool
+    row: list[float] = field(default_factory=list)
+
+
+def descending_order_facts(lam, k: int) -> OrderFacts:
+    """Positivity count and row monotonicity for a descending-ordered vector.
+
+    For vectors in the open cone the count of strictly positive entries is at
+    least k and the deleted-variable row is nondecreasing; both facts are
+    returned for the caller to assert.
+    """
+    arr = as_spectrum(lam)
+    if arr.ndim != 1:
+        raise DomainError("descending_order_facts takes a single vector")
+    if np.any(np.diff(arr) > 0.0):
+        raise DomainError("input must be sorted in descending order")
+    row = sigma_km1_row(arr, k)
+    scale = max(1.0, float(np.max(np.abs(row))))
+    row_sorted = bool(np.all(np.diff(row) >= -1e-12 * scale))
+    p = int(np.sum(arr > 0.0))
+    return OrderFacts(p=p, row_sorted=row_sorted, row=[float(v) for v in row])
+
+
+def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read back a grid CSV; returns (coords rows, values)."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip().split(",")
+        n = len(header) - 1
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    coords = np.array([[float(v) for v in r[:n]] for r in rows])
+    values = np.array([float(r[n]) for r in rows])
+    return coords, values

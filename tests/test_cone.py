@@ -9,8 +9,6 @@ from hypothesis.extra.numpy import arrays
 from khessian.cone import (
     Region,
     classify_boundary,
-    descending_order_facts,
-    garding_inequality_check,
     garding_slack,
     in_gamma_k,
     in_gamma_tilde,
@@ -19,6 +17,7 @@ from khessian.cone import (
 from khessian.errors import CapacityError, DomainError
 from khessian.seeds import p2_example, sample_p2_points
 from khessian.symfun import elem_sym, sigma_all, sigma_km1_row
+from oracles import descending_order_facts, garding_inequality_check
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 

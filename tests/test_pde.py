@@ -10,7 +10,6 @@ from khessian.grids import (
     grid_coords,
     hessian_of,
     holder_quotient,
-    read_grid_csv,
     write_grid_csv,
 )
 from khessian.pde import (
@@ -30,6 +29,7 @@ from oracles import (
     brute_holder_quotient,
     brute_sk_matrix,
     fd_sk_gradient,
+    read_grid_csv,
     stencil_matrix,
     write_grid_csv_per_cell,
 )
@@ -466,26 +466,41 @@ class TestOrderOfAccuracy:
 
 def _surrogate_fields(kind, n, m, count, rng):
     """Noise peaks at nearest neighbours; a ramp along x1 under small noise
-    peaks at the longest offsets, so both ends of the offset set are hit."""
+    peaks at the longest offsets, so both ends of the offset set are hit.  A
+    tilt along (1, -1, ..., -1) peaks at the longest diagonal offset of that
+    sign pattern."""
     fields = rng.normal(size=(count,) + (m,) * n)
-    if kind == "ramp":
+    if kind != "noise":
         fields *= 1e-3
-        fields[-1] += grid_coords(n, m)[..., 0]
+        x = grid_coords(n, m)
+        fields[-1] += x[..., 0] if kind == "ramp" else x[..., 0] - x[..., 1:].sum(axis=-1)
     return fields
 
 
 class TestNormSurrogates:
-    # the stacked offset sweep must agree with all-pairs enumeration exactly
-    @pytest.mark.parametrize("kind", ["noise", "ramp"])
-    @pytest.mark.parametrize("n", [2, 3])
+    # the stacked offset sweep must agree with pair-by-pair enumeration exactly
+    @pytest.mark.parametrize("kind", ["noise", "ramp", "tilt"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_stacked_quotient_matches_all_pairs(self, n, kind):
         rng = np.random.default_rng(20 + n)
-        m = 9
+        m = 9 if n < 4 else 5  # the oracle enumerates at most 1000 points
         stack = _surrogate_fields(kind, n, m, 3, rng)
         h = 2.0 / (m - 1)
         expect = max(brute_holder_quotient(v, h, 0.5) for v in stack)
         assert holder_quotient(stack, h, 0.5) == expect
         assert holder_quotient(stack[:1], h, 0.5) == brute_holder_quotient(stack[0], h, 0.5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_quotient_skips_off_direction_pairs(self, n):
+        # the spikes differ by 2 at index offset (1, 2, 0, ...), which lies
+        # along no axis or full diagonal; the largest quotient left is a
+        # spike against a zero neighbour one step away
+        m = 9
+        h = 2.0 / (m - 1)
+        v = np.zeros((m,) * n)
+        v[(4,) * n] = 1.0
+        v[(5, 6) + (4,) * (n - 2)] = -1.0
+        assert holder_quotient(v[None], h, 0.5) == 1.0 / h**0.5
 
     @pytest.mark.parametrize("kind", ["noise", "ramp"])
     @pytest.mark.parametrize("n", [2, 3])
