@@ -2,9 +2,10 @@
 
 Machine-readable JSON goes to stdout; human summaries go to stderr.  Exit
 codes: classify returns 0 for any cone/boundary verdict, 1 for Outside, 2 for
-argument errors; seed returns 3 on construction failure; solve returns 0 only
-when the iteration converged (2 for config errors, 4 for solver failures,
-with the report still written); verify returns 1 when any property fails.
+argument errors; seed returns 2 for an out-of-range ``--l`` and 3 on
+construction failure; solve returns 0 only when the iteration converged (2
+for config errors, 4 for solver failures, with the report still written);
+verify returns 1 when any property fails.
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
     f = config.build_rhs()
     c = f.value_at_origin()
     seed = seed_for_constant(config.k, config.n, c, alpha=config.alpha, l=config.l)
-    seed, first_step = tune_epsilon(seed, f, config.m, tol_lin=config.tol_lin)
+    seed = tune_epsilon(seed, f, config.m, tol_lin=config.tol_lin)
     w, report = newton_loop(
         seed, f, config.m,
         tol_newton=config.tol_newton,
         max_iter=config.max_iter,
         tol_lin=config.tol_lin,
-        first_step=first_step,
     )
     final_seed = seed.with_eps(report.eps_history[-1])
     solution = None
@@ -128,6 +128,11 @@ def _cmd_cone_classify(args) -> int:
 
 
 def _cmd_seed(args) -> int:
+    top = args.n - args.k + 1  # l = top is the fully convex seed; k >= n has none
+    if args.c > 0.0 and isinstance(args.l, int) and 1 < top < args.l:
+        _note(f"--l must be in 1..{top} or 'full' for n={args.n}, k={args.k}, "
+              f"got {args.l}")
+        return 2
     try:
         seed = seed_for_constant(args.k, args.n, args.c, alpha=args.alpha, l=args.l)
     except (DomainError, ConstructionError) as err:

@@ -2,8 +2,8 @@
 
 This module alone decides eps and runs the Newton step.  ``tune_epsilon``
 halves eps from 1/2 until one step from w = 0 gives a correction with
-c2alpha(rho) <= 1/4, and hands that step to ``newton_loop`` as its
-iteration 0.  The loop repeatedly solves the linearized homogeneous
+c2alpha(rho) <= 1/4; ``newton_loop`` then starts from w = 0 at that
+eps.  The loop repeatedly solves the linearized homogeneous
 Dirichlet problem for the correction, and stops when the sup norm of the
 residual falls below the Newton tolerance (or below ten times the estimated
 roundoff floor of the residual evaluation).  The residual is expected to
@@ -116,19 +116,6 @@ def _interior_sup(grid: ScalarGrid) -> float:
     return float(np.max(np.abs(grid.values[grid.interior_mask])))
 
 
-@dataclass
-class FirstStep:
-    """Iteration 0 of the Newton loop as the accepted tuning trial computed it:
-    its record and its correction, tagged with the eps and tol_lin they were
-    made at.  The trial runs the loop's own step from w = 0, so the loop takes
-    both as they are instead of recomputing them."""
-
-    eps: float
-    tol_lin: float
-    record: IterationRecord
-    rho: ScalarGrid
-
-
 def _newton_step(w: ScalarGrid, g_grid: ScalarGrid, seed: SeedQuadratic, f,
                  tol_lin: float, record: IterationRecord
                  ) -> tuple[ScalarGrid | None, str | None]:
@@ -149,14 +136,14 @@ def _newton_step(w: ScalarGrid, g_grid: ScalarGrid, seed: SeedQuadratic, f,
                       "half the seed row")
     rho, record.lin_residual = solve_dirichlet_info(sys, tol_lin)
     record.min_margin = sys.min_margin
-    del sys  # free the matrix before the next assembly
+    del sys  # free the coefficient fields before the next assembly
     record.rho_inf = float(np.max(np.abs(rho.values)))
     record.rho_c2alpha = c2alpha_surrogate(rho, seed.alpha)
     return rho, None
 
 
 def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10,
-                 eps_start: float = 0.5) -> tuple[SeedQuadratic, FirstStep | None]:
+                 eps_start: float = 0.5) -> SeedQuadratic:
     """Halve eps from eps_start until the first Newton correction is small.
 
     Each candidate runs the Newton loop's own step from w = 0 and is accepted
@@ -165,11 +152,7 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10,
     sigma_{k-1,i}(tau) up to rounding and the step's margin test cannot
     refuse the candidate.  A residual that is zero to roundoff accepts
     immediately; a candidate whose (u, p) arguments leave the right-hand
-    side's box is rejected.  ||g0||_holder is a diagnostic, measured for the
-    accepted candidate only.
-
-    Returns the accepted seed and the trial as iteration 0 of ``newton_loop``
-    (None when the residual was already at the roundoff floor).
+    side's box is rejected.  Returns the accepted seed.
     """
     diagnostics = []
     w0 = ScalarGrid.zeros(seed.n, m)
@@ -184,34 +167,24 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10,
             continue
         record = IterationRecord(iteration=0, g_inf=_interior_sup(g_grid), w_c2alpha=0.0)
         if record.g_inf <= 10.0 * residual_floor(candidate, m):
-            return candidate, None
-        rho, refused = _newton_step(w0, g_grid, candidate, f, tol_lin, record)
+            return candidate
+        _, refused = _newton_step(w0, g_grid, candidate, f, tol_lin, record)
         diagnostics.append({"eps": eps, "rho_c2alpha": record.rho_c2alpha,
                             "refused": refused})
         if refused is None and record.rho_c2alpha <= 0.25:
-            record.g_holder = calpha_surrogate(g_grid.values, w0.h, candidate.alpha)
-            return candidate, FirstStep(eps=eps, tol_lin=tol_lin, record=record, rho=rho)
+            return candidate
         eps *= 0.5
     raise TuningError(f"no admissible eps above {EPS_MIN}", diagnostics=diagnostics)
 
 
 def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
-                max_iter: int = 12, tol_lin: float = 1e-10,
-                first_step: FirstStep | None = None
+                max_iter: int = 12, tol_lin: float = 1e-10
                 ) -> tuple[ScalarGrid, IterationReport]:
     """Run the correction scheme from w = 0 until the residual is small.
 
-    ``first_step``, the accepted trial from ``tune_epsilon`` at the same eps
-    and tol_lin, stands in for iteration 0 of the first attempt.  Returns the
-    final iterate together with the full per-iteration report; the caller
-    decides what to do with non-converged statuses.
+    Returns the final iterate together with the full per-iteration report;
+    the caller decides what to do with non-converged statuses.
     """
-    if first_step is not None and (
-            (first_step.eps, first_step.tol_lin) != (seed.eps, tol_lin)):
-        raise ValueError(
-            f"first step was computed at eps={first_step.eps}, "
-            f"tol_lin={first_step.tol_lin}, not eps={seed.eps}, tol_lin={tol_lin}"
-        )
     eps_history = [seed.eps]
     aborted: list[dict] = []
 
@@ -222,13 +195,9 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
         status = reason = None
 
         for it in range(max_iter + 1):
-            step, first_step = first_step, None
-            if step is None:
-                g_grid = eval_G(w, seed, f)
-                g_inf = _interior_sup(g_grid)
-                g_holder = calpha_surrogate(g_grid.values, w.h, seed.alpha)
-            else:
-                g_inf, g_holder = step.record.g_inf, step.record.g_holder
+            g_grid = eval_G(w, seed, f)
+            g_inf = _interior_sup(g_grid)
+            g_holder = calpha_surrogate(g_grid.values, w.h, seed.alpha)
             # w_1 = 0 + rho_0, so its surrogate is iteration 0's rho_c2alpha
             if it == 0:
                 w_norm = 0.0
@@ -255,12 +224,9 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
             if w_norm > 1.0:
                 reason = f"iterate norm surrogate {w_norm:.3f} > 1"
                 break
-            if step is not None:
-                record, rho = step.record, step.rho
-            else:
-                rho, reason = _newton_step(w, g_grid, seed, f, tol_lin, record)
-                if reason is not None:
-                    break
+            rho, reason = _newton_step(w, g_grid, seed, f, tol_lin, record)
+            if reason is not None:
+                break
             records.append(record)
             w = ScalarGrid(w.n, w.m, w.values + rho.values)
 

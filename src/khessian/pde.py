@@ -6,14 +6,17 @@
 
 with the physical arguments y = eps^2 x, u = eps^4 psi(x) + eps' eps^4 w,
 (Du)_i = eps^2 tau_i x_i + eps' eps^2 (Dw)_i.  ``assemble_linearized`` builds
-the sparse operator
+the linearized operator
 
     sum_ij dS_k/dr_ij d_i d_j  -  eps^2 sum_i (df/dp_i) d_i  -  eps^4 (df/du)
 
-with the same stencils used by ``eval_G``'s differences, records the per-row
-diagonal-dominance margins of the coefficient matrix, and eliminates the
-homogeneous Dirichlet boundary.  ``solve_dirichlet_info`` solves it with
-scipy's BiCGSTAB under a Jacobi preconditioner.
+as one coefficient field per stencil offset, with the same stencils used by
+``eval_G``'s differences, and records the per-row diagonal-dominance margins
+of the coefficient matrix.  The operator is applied on the grid, never
+assembled.  ``solve_dirichlet_info`` solves the homogeneous Dirichlet problem
+with scipy's BiCGSTAB, preconditioned by the exact inverse of the seed's
+constant-coefficient operator sum_i sigma_{k-1,i}(tau) d_i^2, which a sine
+transform along each axis diagonalizes.
 
 Minor sums S_j and the derivative dS_k/dr come from one route, Reilly's
 Newton-tensor recursion (``minor_sums``), for any matrix order: S_k is the
@@ -25,24 +28,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# Not `import scipy.sparse.linalg`: that form loads scipy.sparse, and with it
+# numpy.f2py's regex tables, one import level deeper, which measured about 8%
+# slower for a fresh `import khessian.cli` under CPython 3.11.
+from scipy.sparse import linalg as spla
 
 from .errors import DomainError, EllipticityError, SolverError
 from .grids import ScalarGrid, grid_coords, hessian_of
 from .seeds import SeedQuadratic
+from .symfun import sigma_km1_row
 
 
 @dataclass
 class LinearSystem:
-    """Sparse linearized operator over the interior points, plus monitors.
+    """Linearized operator over the interior points, its preconditioner and
+    monitors.
 
+    ``matrix`` applies the operator to the interior values in lexicographic
+    order, and ``seed_inverse`` applies the exact inverse of the seed's
+    operator sum_i sigma_{k-1,i}(tau) d_i^2; both are scipy LinearOperators.
     ``margins[q, i]`` is the diagonal-dominance margin of coefficient row i of
     the n-by-n second-order coefficient matrix at interior point q; positivity
     of every entry certifies uniform ellipticity of the discrete operator.
     """
 
-    matrix: sp.csr_matrix
+    matrix: spla.LinearOperator
+    seed_inverse: spla.LinearOperator
     rhs: np.ndarray
     n: int
     m: int
@@ -142,11 +153,12 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> ScalarGrid:
 
 def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
                         g_values: np.ndarray | None = None) -> LinearSystem:
-    """Sparse linearization at w with right-hand side -G(w).
+    """Linearization at w with right-hand side -G(w).
 
-    The unknowns are the interior points in lexicographic order, so each
-    stencil offset o is one matrix diagonal, shifted by sum_a o_a (m-2)^(n-1-a);
-    band entries whose neighbour lies on the Dirichlet boundary are zero.
+    The unknowns are the interior points in lexicographic order.  The operator
+    keeps one coefficient field per stencil offset and applies it as the sum,
+    over offsets, of the field times the zero-padded input shifted by the
+    offset, so neighbours on the Dirichlet boundary drop out.
 
     Raises EllipticityError when a dominance margin of the second-order
     coefficient matrix is nonpositive at some interior point (the usual cause
@@ -176,48 +188,65 @@ def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
             margin=float(margins[flat_bad, axis]),
         )
 
-    strides = (m - 2) ** np.arange(n - 1, -1, -1)
-    bands: list[np.ndarray] = []
-    shifts: list[int] = []
-
-    def _band(offset: np.ndarray, values: np.ndarray) -> None:
-        # values is a fresh slab array; its boundary-facing layers are zeroed in place
-        for a in np.flatnonzero(offset):
-            values[(slice(None),) * a + (-1 if offset[a] > 0 else 0,)] = 0.0
-        shift = int(offset @ strides)
-        bands.append(np.roll(values.reshape(-1), shift))
-        shifts.append(shift)
-
     unit = np.eye(n, dtype=int)
-    _band(np.zeros(n, dtype=int), -2.0 / h**2 * np.sum(diag, axis=-1) + a_zero)
+    stencil = [(np.zeros(n, dtype=int), -2.0 / h**2 * np.sum(diag, axis=-1) + a_zero)]
     for a in range(n):
         second = coeff[..., a, a] / h**2
         first = a_first[..., a] / (2.0 * h)
-        for sign in (+1, -1):
-            _band(sign * unit[a], second + sign * first)
+        stencil += [(unit[a], second + first), (-unit[a], second - first)]
     for a in range(n):
         for b in range(a + 1, n):
             mixed = coeff[..., a, b] / (2.0 * h**2)
-            for sa in (+1, -1):
-                for sb in (+1, -1):
-                    _band(sa * unit[a] + sb * unit[b], sa * sb * mixed)
-    size = margins.shape[0]
-    matrix = sp.dia_matrix((np.array(bands), shifts), shape=(size, size)).tocsr()
+            anti = -mixed
+            stencil += [(unit[a] + unit[b], mixed), (-unit[a] - unit[b], mixed),
+                        (unit[a] - unit[b], anti), (unit[b] - unit[a], anti)]
+    padded = np.zeros((m,) * n)  # its boundary layer is the zero Dirichlet data
+    inner = padded[slab]
+    shifted = [(padded[tuple(slice(1 + o, m - 1 + o) for o in offset)], field)
+               for offset, field in stencil]
+
+    def _apply(v: np.ndarray) -> np.ndarray:
+        inner[...] = v.reshape(inner.shape)
+        return sum(field * view for view, field in shifted).reshape(-1)
+
+    matrix = spla.LinearOperator((inner.size,) * 2, matvec=_apply, dtype=float)
+    matrix.nnz = len(stencil) * inner.size  # stencil coefficients; perfbench/spans.py reads it
 
     if g_values is None:
         g_values = -eval_G(w, seed, f).values
     rhs = np.asarray(g_values)[slab].reshape(-1)
 
     return LinearSystem(
-        matrix=matrix, rhs=rhs, n=n, m=m,
+        matrix=matrix, seed_inverse=_seed_inverse(seed, m), rhs=rhs, n=n, m=m,
         interior_flat=np.flatnonzero(w.interior_mask), margins=margins,
     )
 
 
+def _seed_inverse(seed: SeedQuadratic, m: int) -> spla.LinearOperator:
+    """Exact inverse of the seed's operator sum_a sigma_{k-1,a}(tau) d_a^2,
+    discretized by three-point differences with zero Dirichlet data.
+
+    A DST-I along each axis diagonalizes it: mode j of an axis has the
+    eigenvalue (2 cos(pi j / (m-1)) - 2) / h^2.
+    """
+    from scipy.fft import dstn, idstn  # imported here to keep `import khessian` light
+
+    n, h = seed.n, 2.0 / (m - 1)
+    mu = (2.0 * np.cos(np.pi * np.arange(1, m - 1) / (m - 1)) - 2.0) / h**2
+    row = sigma_km1_row(seed.tau, seed.k)
+    eig = sum(row[a] * mu.reshape((-1,) + (1,) * (n - 1 - a)) for a in range(n))
+
+    def _apply(v: np.ndarray) -> np.ndarray:
+        return idstn(dstn(v.reshape(eig.shape), type=1) / eig, type=1).reshape(-1)
+
+    return spla.LinearOperator((eig.size,) * 2, matvec=_apply, dtype=float)
+
+
 def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
                          max_iter: int | None = None) -> tuple[ScalarGrid, float]:
-    """Solve the interior system by Jacobi-preconditioned BiCGSTAB; returns the
-    grid solution (zero on the boundary) and the achieved relative residual.
+    """Solve the interior system by BiCGSTAB, preconditioned by the seed
+    operator's inverse; returns the grid solution (zero on the boundary) and
+    the achieved relative residual.
 
     The right-hand side is scaled to unit norm first: scipy's breakdown tests
     are absolute (eps^2), and late Newton corrections have norms near 1e-11.
@@ -239,8 +268,7 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
         steps += 1
 
     x, info = spla.bicgstab(sys.matrix, b / bnorm, rtol=0.1 * tol_lin, atol=0.0,
-                            maxiter=max_iter, M=sp.diags(1.0 / sys.matrix.diagonal()),
-                            callback=_count)
+                            maxiter=max_iter, M=sys.seed_inverse, callback=_count)
     x *= bnorm
     res = float(np.linalg.norm(sys.matrix @ x - b)) / bnorm
     if res > tol_lin:

@@ -143,18 +143,18 @@ def certify_seed(seed: SeedQuadratic, tol: float = SEED_TOL) -> SeedCertificate:
 
 
 def _provisional_epsilon(alpha: float, eps_min: float = 1e-4) -> float:
-    """Largest dyadic eps with eps^(2*alpha) / eps' <= 1/4.
+    """Largest dyadic eps with eps^(2*alpha) / eps' <= 1/4, or the smallest
+    dyadic eps >= eps_min when none meets that bound (alpha < 2/13 or
+    1/2 < alpha < 15/26).
 
     The seed's eps as ``khessian seed`` reports it.  It does not depend on f:
     the solve pipeline tunes eps itself (``iterate.tune_epsilon``) and does
     not read this value.
     """
     eps = 0.5
-    while eps >= eps_min:
-        if eps ** (2 * alpha) / eps_prime_for(eps, alpha) <= 0.25:
-            return eps
+    while eps ** (2 * alpha) / eps_prime_for(eps, alpha) > 0.25 and eps / 2 >= eps_min:
         eps *= 0.5
-    raise DomainError(f"no admissible eps above {eps_min} for alpha={alpha}")
+    return eps
 
 
 def _finalize(tau: np.ndarray, k: int, n: int, c: float, alpha: float,

@@ -62,6 +62,12 @@ class TestSeedCommand:
         assert info.value.code == 2
         assert f"expected 'full' or a positive integer, got '{level}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", ["4", "5"])
+    def test_level_out_of_range_exit_two(self, capsys, level):
+        assert main(["seed", "--k", "2", "--n", "4", "--c", "1", "--l", level]) == 2
+        err = capsys.readouterr().err
+        assert f"--l must be in 1..3 or 'full' for n=4, k=2, got {level}" in err
+
     def test_level_accepted(self, capsys):
         assert main(["seed", "--k", "2", "--n", "4", "--c", "1", "--l", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["certificate"]["convexity_class"] == 3
@@ -217,6 +223,20 @@ class TestSolveCommand:
         assert report["status"] == "Converged"
         assert (tmp_path / "run" / "u.csv").exists()
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.55])
+    def test_alpha_without_provisional_eps_converges(self, tmp_path, alpha):
+        # no dyadic eps >= 1e-4 has eps^(2 alpha) / eps' <= 1/4 at these
+        # alpha; the seed takes the smallest candidate and tuning decides
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc.update(alpha=alpha)
+        doc["grid"]["m"] = 9
+        doc["output"]["directory"] = str(tmp_path / "run")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["status"] == "Converged"
+
     def test_plots_csv_emitted(self, tmp_path):
         doc = json.loads(json.dumps(PRESETS["fconst-match"]))
         doc["output"]["emit_plots_csv"] = True
@@ -251,9 +271,10 @@ class TestVerifyCommand:
 
 
 def test_cli_import_leaves_out_scipy_optimize():
+    # neither scipy.optimize nor scipy.fft is loaded by importing the CLI
     import khessian
 
     src = str(pathlib.Path(khessian.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import khessian.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
+            "sys.exit(any(m in sys.modules for m in ('scipy.optimize', 'scipy.fft')))")
     assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0

@@ -5,13 +5,7 @@ import pytest
 
 from khessian.cli import run_solve
 from khessian.config import ProblemConfig
-from khessian.grids import (
-    ScalarGrid,
-    boundary_mask,
-    c2alpha_surrogate,
-    calpha_surrogate,
-    grid_coords,
-)
+from khessian.grids import ScalarGrid, boundary_mask, grid_coords
 from khessian.iterate import (
     STATUS_CONVERGED,
     assemble_solution,
@@ -20,34 +14,37 @@ from khessian.iterate import (
     residual_floor,
     tune_epsilon,
 )
-from khessian.pde import assemble_linearized, eval_G, sk_of_matrix, solve_dirichlet_info
+from khessian.pde import sk_of_matrix
 from khessian.presets import PRESETS
 from khessian.rhs import RhsSpec, RhsTerm, manufactured_field, tabulated_rhs_from_hessian
 from khessian.seeds import seed_for_negative, seed_for_positive, seed_for_zero
 
 
 class TestTuneEpsilon:
-    def test_matching_constant_accepts_first_eps(self):
+    def test_matching_constant_accepts_first_eps(self, monkeypatch):
         seed = seed_for_positive(2, 3, 3.0, l="full")
         f = RhsSpec.constant(3, 3.0)
-        tuned, first_step = tune_epsilon(seed, f, 9)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a residual on the roundoff floor needs no step")
+
+        monkeypatch.setattr("khessian.iterate.assemble_linearized", no_step)
+        tuned = tune_epsilon(seed, f, 9)
         assert tuned.eps == 0.5
-        assert first_step is None  # accepted on the roundoff floor
 
     def test_acceptance_is_monotone(self):
         # whenever some eps passes the residual bound, half of it passes too
         seed = seed_for_zero(2, 3, 0.5)
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
-        tuned, _ = tune_epsilon(seed, f, 9)
+        tuned = tune_epsilon(seed, f, 9)
         assert tuned.eps <= 0.5
-        halved, _ = tune_epsilon(seed.with_eps(tuned.eps), f, 9,
-                                 eps_start=tuned.eps / 2)
+        halved = tune_epsilon(seed.with_eps(tuned.eps), f, 9, eps_start=tuned.eps / 2)
         assert halved.eps == tuned.eps / 2
 
     def test_eps_prime_recomputed(self):
         seed = seed_for_zero(2, 3, 0.5)
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0))])
-        tuned, _ = tune_epsilon(seed, f, 9)
+        tuned = tune_epsilon(seed, f, 9)
         assert tuned.eps_prime == pytest.approx(tuned.eps**0.5)
 
     def test_box_violation_rejects_candidate(self, tmp_path):
@@ -110,46 +107,8 @@ class TestNewtonLoop:
         f = tabulated_rhs_from_hessian(seed, hess, 0.5)
         _, report = newton_loop(seed, f, m)
         assert all(r.w_c2alpha <= 1.0 for r in report.iterations)
-
-    def test_first_step_handoff_changes_nothing(self):
-        seed = seed_for_zero(2, 3, 0.5)
-        f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
-        m = 9
-        tuned, first_step = tune_epsilon(seed, f, m)
-        assert first_step is not None
-        w_a, rep_a = newton_loop(tuned, f, m, first_step=first_step)
-        w_b, rep_b = newton_loop(tuned, f, m)
-        assert rep_a.to_dict() == rep_b.to_dict()
-        assert np.array_equal(w_a.values, w_b.values)
-        assert len(rep_a.iterations) >= 2
-        assert rep_a.iterations[1].w_c2alpha == rep_a.iterations[0].rho_c2alpha
-        # w_1 = 0 + rho_0 has exactly the surrogate of rho_0
-        w1 = ScalarGrid(3, m, ScalarGrid.zeros(3, m).values + first_step.rho.values)
-        assert c2alpha_surrogate(w1, tuned.alpha) == first_step.record.rho_c2alpha
-        with pytest.raises(ValueError):
-            newton_loop(tuned.with_eps(tuned.eps / 2), f, m, first_step=first_step)
-
-    def test_handed_step_matches_a_fresh_step(self):
-        # iteration 0 from tuning is exactly eval / assemble / solve at its eps
-        seed = seed_for_zero(2, 3, 0.5)
-        f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
-        m = 9
-        tuned, first_step = tune_epsilon(seed, f, m)
-        assert (first_step.eps, first_step.tol_lin) == (tuned.eps, 1e-10)
-        w0 = ScalarGrid.zeros(3, m)
-        g = eval_G(w0, tuned, f)
-        sys = assemble_linearized(w0, tuned, f)
-        rho, lin_res = solve_dirichlet_info(sys, 1e-10)
-        rec = first_step.record
-        assert rec.iteration == 0 and rec.w_c2alpha == 0.0
-        assert rec.g_inf == float(np.max(np.abs(g.values[g.interior_mask])))
-        assert rec.g_holder == calpha_surrogate(g.values, w0.h, tuned.alpha)
-        assert rec.rho_c2alpha == c2alpha_surrogate(rho, tuned.alpha)
-        assert rec.rho_inf == float(np.max(np.abs(rho.values)))
-        assert rec.min_margin == sys.min_margin
-        assert rec.lin_residual == lin_res
-        assert np.array_equal(first_step.rho.values, rho.values)
-        assert rec.rho_c2alpha <= 0.25
+        # w_1 = 0 + rho_0, so the loop reuses iteration 0's surrogate
+        assert report.iterations[1].w_c2alpha == report.iterations[0].rho_c2alpha
 
     def test_floor_estimate_scales_like_inverse_h_squared(self):
         seed = seed_for_zero(2, 3, 0.5)

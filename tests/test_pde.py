@@ -197,6 +197,24 @@ class TestEvalG:
             eval_G(big, seed, f)
 
 
+def _noisy_problem(n, m=9):
+    """A varying, noisy iterate and first- and zeroth-order terms that depend
+    on (u, p): (seed, f, w)."""
+    rng = np.random.default_rng(50 + n)
+    if n == 2:
+        seed = SeedQuadratic(tau=np.array([1.0, 0.5]), k=2, n=2, c=0.5, alpha=0.5,
+                             eps=0.25, eps_prime=0.5, convexity_class=2)
+    else:
+        seed = seed_for_zero(n - 1, n, 0.5)
+    zero, e1, e2 = (0,) * n, np.eye(n, dtype=int)[0], np.eye(n, dtype=int)[1]
+    f = RhsSpec(n=n, terms=[RhsTerm(0.5, e1, 1), RhsTerm(0.1, zero, 2),
+                            RhsTerm(-0.3, zero, 0, e2), RhsTerm(0.2, zero, 0, 2 * e1)])
+    x = grid_coords(n, m)
+    w = ScalarGrid(n, m, 0.02 * np.prod(np.cos(np.pi * x / 2), axis=-1)
+                   + 1e-4 * rng.normal(size=(m,) * n))
+    return seed, f, w
+
+
 class TestAssemble:
     def test_constant_coefficients_at_zero(self):
         seed = seed_for_zero(2, 3, 0.5)
@@ -207,7 +225,7 @@ class TestAssemble:
         assert np.allclose(sys.margins, row[None, :])
         # center entries: -2/h^2 * sum of the row
         h = 2.0 / (m - 1)
-        diag = sys.matrix.diagonal()
+        diag = np.diagonal(sys.matrix @ np.eye(sys.size))
         assert np.allclose(diag, -2.0 / h**2 * row.sum())
 
     @pytest.mark.parametrize("k, n, c, l", [
@@ -282,21 +300,9 @@ class TestAssemble:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_stencil_oracle_exactly(self, n):
-        # banded layout against entry-by-entry placement, with a varying
-        # iterate and first- and zeroth-order terms that depend on (u, p)
-        rng = np.random.default_rng(50 + n)
-        m = 9
-        if n == 2:
-            seed = SeedQuadratic(tau=np.array([1.0, 0.5]), k=2, n=2, c=0.5, alpha=0.5,
-                                 eps=0.25, eps_prime=0.5, convexity_class=2)
-        else:
-            seed = seed_for_zero(n - 1, n, 0.5)
-        zero, e1, e2 = (0,) * n, np.eye(n, dtype=int)[0], np.eye(n, dtype=int)[1]
-        f = RhsSpec(n=n, terms=[RhsTerm(0.5, e1, 1), RhsTerm(0.1, zero, 2),
-                                RhsTerm(-0.3, zero, 0, e2), RhsTerm(0.2, zero, 0, 2 * e1)])
-        x = grid_coords(n, m)
-        w = ScalarGrid(n, m, 0.02 * np.prod(np.cos(np.pi * x / 2), axis=-1)
-                       + 1e-4 * rng.normal(size=(m,) * n))
+        # the applied stencil against entry-by-entry placement
+        seed, f, w = _noisy_problem(n)
+        m = w.m
         sys = assemble_linearized(w, seed, f)
         r, grad = rescaled_hessian(w, seed)
         y, u, p = _physical_args(w, seed, grad)
@@ -304,7 +310,7 @@ class TestAssemble:
         a_zero = -seed.eps**4 * f.du(y, u, p)
         assert np.all(a_first[..., 0] != 0.0) and np.all(a_zero != 0.0)
         expect = stencil_matrix(sk_gradient(r, seed.k), a_first, a_zero, w.h)
-        assert np.array_equal(sys.matrix.toarray(), expect)
+        assert np.array_equal(sys.matrix @ np.eye(sys.size), expect)
         assert np.array_equal(sys.rhs, -eval_G(w, seed, f).values[~boundary_mask(n, m)])
 
     def test_jacobian_consistency_order(self):
@@ -372,7 +378,7 @@ class TestSolve:
         sys = self._system(rhs_values=None)
         sys.rhs = rng.normal(size=sys.size)
         rho, res = solve_dirichlet_info(sys, 1e-10)
-        dense = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+        dense = np.linalg.solve(sys.matrix @ np.eye(sys.size), sys.rhs)
         got = rho.values.reshape(-1)[sys.interior_flat]
         assert np.max(np.abs(got - dense)) < 1e-8
         assert res <= 1e-10
@@ -388,10 +394,30 @@ class TestSolve:
         assert res <= 1e-10
         assert np.max(np.abs(rho.values)) > 0.0
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_seed_inverse_undoes_the_operator_at_zero(self, n):
+        # at w = 0 with f = f(y) the operator is the seed's; its row entries
+        # differ, so an inverse with swapped axes would not undo it
+        seed = seed_for_zero(2, n, 0.5)
+        assert len(set(sigma_km1_row(seed.tau, 2))) == n
+        f = RhsSpec(n=n, terms=[RhsTerm(1.0, (1, 2) + (0,) * (n - 2))])
+        sys = assemble_linearized(ScalarGrid.zeros(n, 9), seed, f)
+        v = np.random.default_rng(60 + n).normal(size=sys.size)
+        back = sys.seed_inverse @ (sys.matrix @ v)
+        assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_noisy_iterate_solves_in_five_steps(self, n):
+        seed, f, w = _noisy_problem(n)
+        sys = assemble_linearized(w, seed, f)
+        rho, res = solve_dirichlet_info(sys, 1e-10, max_iter=5)
+        assert res <= 1e-10
+        got = sys.matrix @ rho.values.reshape(-1)[sys.interior_flat]
+        assert np.linalg.norm(got - sys.rhs) <= 1e-10 * np.linalg.norm(sys.rhs)
+
     def test_step_limit_raises_with_steps(self):
-        rng = np.random.default_rng(18)
-        sys = self._system()
-        sys.rhs = rng.normal(size=sys.size)
+        seed, f, w = _noisy_problem(3)
+        sys = assemble_linearized(w, seed, f)
         with pytest.raises(SolverError, match="after 1 steps") as info:
             solve_dirichlet_info(sys, 1e-10, max_iter=1)
         assert info.value.steps == 1
