@@ -24,7 +24,7 @@ def main() -> int:
     for m in (9, 17, 33):
         t0 = time.time()
         w_star, hess = manufactured_field(n, m, beta)
-        f = tabulated_rhs_from_hessian(seed, hess, alpha)
+        f = tabulated_rhs_from_hessian(seed, hess)
         w, report = iterate.newton_loop(seed, f, m)
         err = float(np.max(np.abs(w.values - w_star)))
         errors[m] = err

@@ -31,7 +31,6 @@ from .errors import (
 from .grids import write_grid_csv, write_json
 from .iterate import (
     IterationReport,
-    PhysicalSolution,
     assemble_solution,
     certify_convexity,
     newton_loop,
@@ -54,8 +53,6 @@ def _note(message: str) -> None:
 @dataclass
 class SolveArtifacts:
     report: IterationReport
-    solution: PhysicalSolution | None
-    w: ScalarGrid
     out_dir: str
 
 
@@ -84,7 +81,7 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
     target = out_dir if out_dir is not None else config.out_dir
     os.makedirs(target, exist_ok=True)
     _write_outputs(target, config, final_seed, w, report, solution)
-    return SolveArtifacts(report=report, solution=solution, w=w, out_dir=target)
+    return SolveArtifacts(report=report, out_dir=target)
 
 
 def _write_outputs(target: str, config: ProblemConfig, seed, w: ScalarGrid,

@@ -110,7 +110,7 @@ class ProblemConfig:
         from .presets import named_rhs
 
         if isinstance(self.rhs, str):
-            return named_rhs(self.rhs, self.n, self.alpha)
+            return named_rhs(self.rhs, self.n)
         section = _object(self.rhs, "section 'rhs'", _KEYS["rhs"])
         terms = _typed("rhs.terms", section.get("terms", []), list)
         terms = [_rhs_term(f"rhs.terms[{i}]", t) for i, t in enumerate(terms)]
@@ -118,7 +118,7 @@ class ProblemConfig:
         if box <= 0.0:
             raise DomainError(f"rhs.box must be positive, got {box!r}")
         try:
-            return RhsSpec(n=self.n, terms=terms, alpha=self.alpha, box=box)
+            return RhsSpec(n=self.n, terms=terms, box=box)
         except DomainError as err:
             raise DomainError(f"rhs.terms: {err}") from None
 

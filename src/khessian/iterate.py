@@ -9,8 +9,9 @@ residual falls below the Newton tolerance (or below ten times the estimated
 roundoff floor of the residual evaluation).  The residual is expected to
 decay quadratically; the ratio ||g_{m+1}|| / ||g_m||^2 is recorded as a
 diagnostic.  When diagonal dominance of the coefficient matrix drops below
-half its seed-level value, or the iterate's norm surrogate leaves the unit
-ball, eps is halved and the loop restarts (at most three times).
+half its seed-level value, the linear solve fails, or the iterate's norm
+surrogate leaves the unit ball, eps is halved and the loop restarts (at most
+three times).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EllipticityError, TuningError
+from .errors import DomainError, EllipticityError, SolverError, TuningError
 from .grids import ScalarGrid, c2alpha_surrogate, calpha_surrogate, grid_coords, hessian_of
 from .pde import assemble_linearized, eval_G, minor_sums, solve_dirichlet_info
 from .seeds import SeedQuadratic
@@ -78,12 +79,9 @@ class PhysicalSolution:
     u_values: np.ndarray
     hessian: np.ndarray
     axes: list[np.ndarray]
-    n: int
-    m: int
     h_physical: float
     affine_offset: float
     affine_gradient: list[float]
-    seed: SeedQuadratic
 
 
 @dataclass
@@ -123,8 +121,9 @@ def _newton_step(w: ScalarGrid, g_grid: ScalarGrid, seed: SeedQuadratic, f,
 
     Fills the record's ``rho_inf``, ``rho_c2alpha``, ``min_margin`` and
     ``lin_residual`` and returns ``(rho, None)``.  Returns ``(None, reason)``
-    without solving when the coefficient matrix loses diagonal dominance or a
-    dominance margin drops below half the seed's deleted-variable row.
+    when the coefficient matrix loses diagonal dominance, a dominance margin
+    drops below half the seed's deleted-variable row, or the linear solve
+    fails (breaks down or reaches its step limit).
     """
     try:
         sys = assemble_linearized(w, seed, f, g_values=-g_grid.values)
@@ -134,7 +133,10 @@ def _newton_step(w: ScalarGrid, g_grid: ScalarGrid, seed: SeedQuadratic, f,
     if np.any(gap < 0.0):
         return None, (f"dominance margin dropped {float(np.min(gap)):.3e} below "
                       "half the seed row")
-    rho, record.lin_residual = solve_dirichlet_info(sys, tol_lin)
+    try:
+        rho, record.lin_residual = solve_dirichlet_info(sys, tol_lin)
+    except SolverError as err:
+        return None, f"linear solve failed: {err}"
     record.min_margin = sys.min_margin
     del sys  # free the coefficient fields before the next assembly
     record.rho_inf = float(np.max(np.abs(rho.values)))
@@ -152,7 +154,9 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10,
     sigma_{k-1,i}(tau) up to rounding and the step's margin test cannot
     refuse the candidate.  A residual that is zero to roundoff accepts
     immediately; a candidate whose (u, p) arguments leave the right-hand
-    side's box is rejected.  Returns the accepted seed.
+    side's box, or whose step is refused (a failed linear solve), is
+    rejected.  Returns the accepted seed; the TuningError raised when no
+    candidate is accepted names the last candidate's rejection.
     """
     diagnostics = []
     w0 = ScalarGrid.zeros(seed.n, m)
@@ -174,7 +178,13 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10,
         if refused is None and record.rho_c2alpha <= 0.25:
             return candidate
         eps *= 0.5
-    raise TuningError(f"no admissible eps above {EPS_MIN}", diagnostics=diagnostics)
+    message = f"no admissible eps above {EPS_MIN}"
+    if diagnostics:
+        last = diagnostics[-1]
+        why = (last.get("error") or last["refused"]
+               or f"c2alpha(rho) {last['rho_c2alpha']:.3g} > 0.25")
+        message += f"; eps {last['eps']:.3g} refused: {why}"
+    raise TuningError(message, diagnostics=diagnostics)
 
 
 def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
@@ -279,12 +289,9 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
         u_values=u,
         hessian=hess_u,
         axes=axes,
-        n=n,
-        m=m,
         h_physical=eps**2 * 2.0 / (m - 1),
         affine_offset=w0,
         affine_gradient=[float(v) for v in g0],
-        seed=seed,
     )
 
 

@@ -38,6 +38,10 @@ from .grids import ScalarGrid, grid_coords, hessian_of
 from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
 
+# BiCGSTAB step limit: converged solves took at most 23 steps (fzero-linear
+# 0-3), so a solve that reaches it has diverged and its eps is rejected.
+MAX_KRYLOV_STEPS = 200
+
 
 @dataclass
 class LinearSystem:
@@ -243,16 +247,16 @@ def _seed_inverse(seed: SeedQuadratic, m: int) -> spla.LinearOperator:
 
 
 def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
-                         max_iter: int | None = None) -> tuple[ScalarGrid, float]:
+                         max_iter: int = MAX_KRYLOV_STEPS) -> tuple[ScalarGrid, float]:
     """Solve the interior system by BiCGSTAB, preconditioned by the seed
     operator's inverse; returns the grid solution (zero on the boundary) and
     the achieved relative residual.
 
     The right-hand side is scaled to unit norm first: scipy's breakdown tests
     are absolute (eps^2), and late Newton corrections have norms near 1e-11.
-    ``max_iter`` defaults to ten times the number of unknowns.  A residual
-    above tol_lin raises SolverError, whose message says whether BiCGSTAB
-    broke down or reached its step limit.
+    ``max_iter`` caps the BiCGSTAB steps.  A residual above tol_lin raises
+    SolverError, whose message says whether BiCGSTAB broke down or reached
+    its step limit.
     """
     if sys.margins.size and sys.margins.min() <= 0.0:
         raise EllipticityError("system carries nonpositive dominance margins")

@@ -11,19 +11,19 @@ from .errors import DomainError
 from .rhs import RhsSpec, RhsTerm
 
 
-def named_rhs(name: str, n: int, alpha: float) -> RhsSpec:
+def named_rhs(name: str, n: int) -> RhsSpec:
     if name == "zero":
-        return RhsSpec.constant(n, 0.0, alpha)
+        return RhsSpec.constant(n, 0.0)
     if name == "const-neg-one":
-        return RhsSpec.constant(n, -1.0, alpha)
+        return RhsSpec.constant(n, -1.0)
     if name == "const-three":
-        return RhsSpec.constant(n, 3.0, alpha)
+        return RhsSpec.constant(n, 3.0)
     if name == "linear-y1-plus-y2":
         terms = [
             RhsTerm(1.0, (1,) + (0,) * (n - 1)),
             RhsTerm(1.0, (0, 1) + (0,) * (n - 2)),
         ]
-        return RhsSpec(n=n, terms=terms, alpha=alpha)
+        return RhsSpec(n=n, terms=terms)
     raise DomainError(f"unknown rhs preset {name!r}")
 
 

@@ -41,12 +41,9 @@ class RhsSpec:
 
     n: int
     terms: list[RhsTerm] = field(default_factory=list)
-    alpha: float = 0.5
     box: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"need 0 < alpha < 1, got {self.alpha}")
         norm_terms = []
         for i, t in enumerate(self.terms):
             y_pow = tuple(t.y_pow) + (0,) * (self.n - len(t.y_pow))
@@ -63,9 +60,9 @@ class RhsSpec:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def constant(cls, n: int, value: float, alpha: float = 0.5) -> "RhsSpec":
+    def constant(cls, n: int, value: float) -> "RhsSpec":
         terms = [] if value == 0.0 else [RhsTerm(value, (0,) * n)]
-        return cls(n=n, terms=terms, alpha=alpha)
+        return cls(n=n, terms=terms)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -119,12 +116,11 @@ class TabulatedRhs:
 
     Used to manufacture problems whose exact solution is prescribed; ignores
     the (y, u, p) arguments and returns the stored grid values, so it may only
-    be evaluated on the full grid it was built for.
+    be evaluated on the full grid it was built for.  It declares no box, so
+    ``eval_G`` makes no box check for it.
     """
 
     values: np.ndarray
-    alpha: float = 0.5
-    box: float | None = None
 
     def value(self, y, u, p) -> np.ndarray:
         return self.values
@@ -158,12 +154,11 @@ def manufactured_field(n: int, m: int, beta: float) -> tuple[np.ndarray, np.ndar
     return w, hess
 
 
-def tabulated_rhs_from_hessian(seed, hess: np.ndarray, alpha: float) -> TabulatedRhs:
+def tabulated_rhs_from_hessian(seed, hess: np.ndarray) -> TabulatedRhs:
     """Right-hand side that makes the iterate with Hessian ``hess`` an exact
     solution of the continuum problem, so the discrete residual reflects
     truncation only."""
     # imported here: a module-level import loads scipy under config, slowing start-up
     from .pde import sk_of_matrix
 
-    return TabulatedRhs(values=sk_of_matrix(seed.perturbed_hessian(hess), seed.k),
-                        alpha=alpha)
+    return TabulatedRhs(values=sk_of_matrix(seed.perturbed_hessian(hess), seed.k))

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .symfun import as_spectrum, binom, elem_sym, sigma_all, sigma_km1_row
 
-SEED_TOL = 1e-9
+SEED_TOL = 1e-9  # slack of the convexity classification
+P2_SCALE = 0.1  # width of the positive perturbation in sample_p2_points
 
 
 @dataclass
@@ -112,29 +113,30 @@ def p2_example(k: int, n: int) -> np.ndarray:
     return lam
 
 
-def convexity_split(tau, tol: float = SEED_TOL) -> tuple[int, int | None]:
-    """(largest m with sigma_1..sigma_m > tol, smallest m with sigma_m < -tol)."""
+def convexity_split(tau) -> tuple[int, int | None]:
+    """(largest m with sigma_1..sigma_m > SEED_TOL, smallest m with
+    sigma_m < -SEED_TOL)."""
     arr = as_spectrum(tau)
     n = arr.shape[-1]
     sig = sigma_all(arr, n)
     cls = 0
     for j in range(1, n + 1):
-        if sig[j] > tol:
+        if sig[j] > SEED_TOL:
             cls = j
         else:
             break
     not_class = None
     for j in range(1, n + 1):
-        if sig[j] < -tol:
+        if sig[j] < -SEED_TOL:
             not_class = j
             break
     return cls, not_class
 
 
-def certify_seed(seed: SeedQuadratic, tol: float = SEED_TOL) -> SeedCertificate:
+def certify_seed(seed: SeedQuadratic) -> SeedCertificate:
     """Ellipticity margin and convexity classification of a constructed seed."""
     row = sigma_km1_row(seed.tau, seed.k)
-    cls, not_class = convexity_split(seed.tau, tol)
+    cls, not_class = convexity_split(seed.tau)
     return SeedCertificate(
         ellipticity_margin=float(np.min(row)),
         convexity_class=cls,
@@ -223,16 +225,16 @@ def seed_for_negative(k: int, n: int, c: float, alpha: float = 0.5) -> SeedQuadr
     return seed
 
 
-def seed_for_positive(k: int, n: int, c: float, l: int | str | None = 1,
+def seed_for_positive(k: int, n: int, c: float, l: int | str | None = None,
                       alpha: float = 0.5) -> SeedQuadratic:
     """Seed for c > 0.
 
-    ``l = "full"`` (or n-k+1) gives the equal-entry, fully convex seed.  For
-    1 <= l <= n-k the seed is exactly (k+l-1)-convex with sigma_{k+l} < 0: the
-    negative-c core construction is run at level k+l (for k+l = n a direct
-    almost-equal-entry vector is used, since the core construction needs a
-    nonempty sign-changing boundary one level down) and rescaled so that
-    sigma_k matches c.
+    ``l = None`` means l = 1, and ``l = "full"`` (or n-k+1) gives the
+    equal-entry, fully convex seed.  For 1 <= l <= n-k the seed is exactly
+    (k+l-1)-convex with sigma_{k+l} < 0: the negative-c core construction is
+    run at level k+l (for k+l = n a direct almost-equal-entry vector is used,
+    since the core construction needs a nonempty sign-changing boundary one
+    level down) and rescaled so that sigma_k matches c.
     """
     if c <= 0.0:
         raise DomainError(f"need c > 0, got {c}")
@@ -272,12 +274,12 @@ def seed_for_constant(k: int, n: int, c: float, alpha: float = 0.5,
     if c == 0.0:
         return seed_for_zero(k, n, alpha)
     if c > 0.0:
-        return seed_for_positive(k, n, c, l if l is not None else 1, alpha)
+        return seed_for_positive(k, n, c, l, alpha)
     return seed_for_negative(k, n, c, alpha)
 
 
-def sample_p2_points(k: int, n: int, count: int, rng: np.random.Generator,
-                     scale: float = 0.1) -> np.ndarray:
+def sample_p2_points(k: int, n: int, count: int,
+                     rng: np.random.Generator) -> np.ndarray:
     """Random boundary points with sigma_k = 0 and sigma_{k+1} < 0.
 
     Each sample perturbs the canonical example by a positive vector and then
@@ -289,7 +291,7 @@ def sample_p2_points(k: int, n: int, count: int, rng: np.random.Generator,
     """
     if not 2 <= k < n:
         raise DomainError(f"need 2 <= k < n, got k={k}, n={n}")
-    lam = p2_example(k, n) + rng.uniform(0.0, scale, size=(count, n))
+    lam = p2_example(k, n) + rng.uniform(0.0, P2_SCALE, size=(count, n))
     pair = [k - 1, k]
     rest = lam.copy()
     rest[:, pair] = 0.0

@@ -1,9 +1,9 @@
 """Randomized property sweeps over the algebra and cone modules.
 
 Each sweep draws reproducible samples from a seeded generator, checks one
-family of identities or memberships, and returns a summary with the first few
-counterexamples (if any).  The CLI ``verify`` command and the acceptance test
-suite both run these.
+family of identities or memberships on whole batches, and returns a summary
+with the first few counterexamples (if any).  The CLI ``verify`` command and
+the acceptance test suite both run these.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ P2_CONFIGS = ((2, 3), (2, 4), (3, 4), (3, 5))
 
 REL_TOL = 1e-12
 ABS_FLOOR = 1e-14
+EQUIV_TOL = 1e-9  # samples this close to a defining hypersurface are excluded
+GARDING_TOL = 1e-10  # slack allowed in the Garding inequality and its equality case
+N_MAX = 8  # largest dimension the identities sweep draws
+COUNTEREXAMPLES = 5  # counterexamples a sweep keeps
 
 
 @dataclass
@@ -68,30 +72,26 @@ def _close(a, b, scale=0.0) -> np.ndarray:
     return np.abs(a - b) <= np.maximum(REL_TOL * bound, ABS_FLOOR)
 
 
-def _record_failures(result: SweepResult, ok: np.ndarray, samples: np.ndarray,
-                     limit: int = 5) -> None:
+def _record_failures(result: SweepResult, ok: np.ndarray, samples: np.ndarray) -> None:
     bad = np.flatnonzero(~ok)
     result.failures += bad.size
-    for i in bad[:limit]:
-        if len(result.counterexamples) < limit:
-            result.counterexamples.append([float(v) for v in np.atleast_2d(samples)[i]])
+    for i in bad[:COUNTEREXAMPLES - len(result.counterexamples)]:
+        result.counterexamples.append([float(v) for v in np.atleast_2d(samples)[i]])
 
 
-def cone_equivalence_sweep(samples: int = 10000, seed: int = 7,
-                           tol: float = 1e-9,
-                           configs=EQUIV_CONFIGS) -> SweepResult:
+def cone_equivalence_sweep(samples: int = 10000, seed: int = 7) -> SweepResult:
     """The three membership definitions agree away from their hypersurfaces."""
     rng = np.random.default_rng(seed)
     result = SweepResult(name="cone-equivalence", checked=0, failures=0)
-    for n, k in configs:
+    for n, k in EQUIV_CONFIGS:
         lam = rng.uniform(-3.0, 3.0, size=(samples, n))
         sig = sigma_all(lam, k)
-        near = np.any(np.abs(sig[:, 1:]) <= tol, axis=1)
+        near = np.any(np.abs(sig[:, 1:]) <= EQUIV_TOL, axis=1)
         # Deleted-variable quantities sit on their own hypersurfaces.
         for l in range(1, k):
             for idx in combinations(range(n), l):
                 vals = elem_sym_deleted(lam, k - l, idx)
-                near |= np.abs(vals) <= tol
+                near |= np.abs(vals) <= EQUIV_TOL
         keep = ~near
         result.excluded += int(near.sum())
         lam_kept = lam[keep]
@@ -116,31 +116,28 @@ def _sample_in_cone(n: int, k: int, count: int,
     return out[:count]
 
 
-def garding_inequality_sweep(samples: int = 10000, seed: int = 11,
-                             tol: float = 1e-10,
-                             configs=GARDING_CONFIGS) -> SweepResult:
+def garding_inequality_sweep(samples: int = 10000, seed: int = 11) -> SweepResult:
     """Cone inequality on random interior pairs, plus the equality case."""
     rng = np.random.default_rng(seed)
     result = SweepResult(name="garding-inequality", checked=0, failures=0)
-    for n, k in configs:
+    for n, k in GARDING_CONFIGS:
         lam = _sample_in_cone(n, k, samples, rng)
         mu = _sample_in_cone(n, k, samples, rng)
         slack = garding_slack(lam, mu, k)
-        ok = slack >= -tol
+        ok = slack >= -GARDING_TOL
         result.checked += samples
         _record_failures(result, ok, lam)
-        eq = np.abs(garding_slack(lam, lam, k)) <= tol
+        eq = np.abs(garding_slack(lam, lam, k)) <= GARDING_TOL
         result.checked += samples
         _record_failures(result, eq, lam)
     return result
 
 
-def maclaurin_sweep(samples: int = 10000, seed: int = 13,
-                    configs=EQUIV_CONFIGS) -> SweepResult:
+def maclaurin_sweep(samples: int = 10000, seed: int = 13) -> SweepResult:
     """Normalized means are nonincreasing in the order, inside the cone."""
     rng = np.random.default_rng(seed)
     result = SweepResult(name="maclaurin", checked=0, failures=0)
-    for n, k in configs:
+    for n, k in EQUIV_CONFIGS:
         lam = _sample_in_cone(n, k, samples, rng)
         sig = sigma_all(lam, k)
         means = np.stack(
@@ -148,56 +145,52 @@ def maclaurin_sweep(samples: int = 10000, seed: int = 13,
             axis=1,
         )
         scale = np.maximum(1.0, np.abs(means[:, :-1]))
-        ok = np.all(
-            np.diff(means, axis=1) <= REL_TOL * scale, axis=1
-        ) if k > 1 else np.ones(samples, dtype=bool)
+        ok = np.all(np.diff(means, axis=1) <= REL_TOL * scale, axis=1)
         result.checked += samples
         _record_failures(result, ok, lam)
     return result
 
 
-def identities_sweep(samples: int = 1000, seed: int = 17,
-                     n_max: int = 8) -> SweepResult:
-    """Recursion, row-sum, shift, and homogeneity identities at 1e-12."""
+def identities_sweep(samples: int = 1000, seed: int = 17) -> SweepResult:
+    """Recursion, row-sum, shift, and homogeneity identities at 1e-12.
+
+    Each sample draws its dimension n in 2..N_MAX and then its entries; the
+    samples are checked in one batch per n.
+    """
     rng = np.random.default_rng(seed)
-    result = SweepResult(name="identities", checked=0, failures=0)
-    for _ in range(samples):
-        n = int(rng.integers(2, n_max + 1))
-        lam = rng.uniform(-3.0, 3.0, size=n)
+    draws = [rng.uniform(-3.0, 3.0, size=rng.integers(2, N_MAX + 1))
+             for _ in range(samples)]
+    result = SweepResult(name="identities", checked=samples, failures=0)
+    for n in sorted({lam.size for lam in draws}):
+        lam = np.array([v for v in draws if v.size == n])
         mag = np.abs(lam)
-        ok = True
+        ok = np.ones(lam.shape[0], dtype=bool)
         for k in range(1, n + 1):
             sk = elem_sym(lam, k)
             sk_mag = elem_sym(mag, k)
             # recursion through every deleted index
             for i in range(n):
-                lhs = lam[i] * elem_sym_deleted(lam, k - 1, (i,)) + (
+                lhs = lam[:, i] * elem_sym_deleted(lam, k - 1, (i,)) + (
                     elem_sym_deleted(lam, k, (i,)) if k <= n - 1 else 0.0
                 )
-                ok &= bool(_close(sk, lhs, scale=sk_mag))
+                ok &= _close(sk, lhs, scale=sk_mag)
             row = sigma_km1_row(lam, k)
-            ok &= bool(_close(row.sum(), (n - k + 1) * elem_sym(lam, k - 1),
-                              scale=(n - k + 1) * elem_sym(mag, k - 1)))
-            ok &= bool(_close(float(row @ lam), k * sk, scale=k * sk_mag))
+            ok &= _close(row.sum(axis=-1), (n - k + 1) * elem_sym(lam, k - 1),
+                         scale=(n - k + 1) * elem_sym(mag, k - 1))
+            ok &= _close(np.sum(row * lam, axis=-1), k * sk, scale=k * sk_mag)
             for eps in (-1.0, -0.1, 0.1, 1.0):
-                ok &= bool(_close(shift_expand(lam, k, eps),
-                                  elem_sym(lam + eps, k),
-                                  scale=elem_sym(mag + abs(eps), k)))
-        result.checked += 1
-        if not ok:
-            result.failures += 1
-            if len(result.counterexamples) < 5:
-                result.counterexamples.append([float(v) for v in lam])
+                ok &= _close(shift_expand(lam, k, eps), elem_sym(lam + eps, k),
+                             scale=elem_sym(mag + abs(eps), k))
+        _record_failures(result, ok, lam)
     return result
 
 
-def p2_ellipticity_sweep(samples: int = 1000, seed: int = 23,
-                         configs=P2_CONFIGS) -> SweepResult:
+def p2_ellipticity_sweep(samples: int = 1000, seed: int = 23) -> SweepResult:
     """Constructed sign-changing boundary points keep a positive row."""
     rng = np.random.default_rng(seed)
     result = SweepResult(name="p2-ellipticity", checked=0, failures=0)
-    per = max(1, samples // len(configs))
-    for k, n in configs:
+    per = max(1, samples // len(P2_CONFIGS))
+    for k, n in P2_CONFIGS:
         pts = sample_p2_points(k, n, per, rng)
         rows = sigma_km1_row(pts, k)
         ok = np.min(rows, axis=1) > 0.0

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from khessian import verify
 from khessian.cli import main, run_solve
 from khessian.config import ProblemConfig
 from khessian.errors import DomainError
@@ -108,7 +109,7 @@ class TestConfig:
 
     def test_named_rhs_unknown(self):
         with pytest.raises(DomainError):
-            named_rhs("no-such-rhs", 3, 0.5)
+            named_rhs("no-such-rhs", 3)
 
     def test_preset_files_match_builtins(self):
         root = pathlib.Path(__file__).resolve().parents[1] / "presets"
@@ -206,6 +207,21 @@ class TestSolveCommand:
         assert report["error"].endswith(" steps")
         assert "(breakdown, info -1" in report["error"]
 
+    def test_failed_linear_solve_rejects_eps(self, tmp_path):
+        # the seed-preconditioned solve diverges at eps = 1/2; tuning rejects
+        # that candidate and halves eps instead of failing the solve
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc["rhs"] = {"terms": [{"coeff": 1.0, "y": [1, 0, 0]},
+                                {"coeff": 600.0, "p": [2, 0, 0]}]}
+        doc["grid"]["m"] = 9
+        doc["output"]["directory"] = str(tmp_path / "run")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["status"] == "Converged"
+        assert report["eps_history"] == [0.0625]
+
     @pytest.mark.parametrize("edit", [
         lambda d: d.update(alpha=0.25),
         lambda d: d.update(rhs={"terms": [{"coeff": 30.0}]}),
@@ -263,6 +279,15 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert f"expected a positive integer, got '{samples}'" in captured.err
         assert captured.out == ""
+
+    def test_identities_failures_recorded(self, monkeypatch):
+        # every sample fails once shift_expand is off by 1e-6
+        shift_expand = verify.shift_expand
+        monkeypatch.setattr(verify, "shift_expand",
+                            lambda lam, k, eps: shift_expand(lam, k, eps) + 1e-6)
+        res = verify.identities_sweep(samples=50, seed=3)
+        assert (res.checked, res.failures) == (50, 50)
+        assert len(res.counterexamples) == 5
 
     def test_cone_equivalence_small(self, capsys):
         code = main(["verify", "--suite", "cone-equivalence",

@@ -7,7 +7,9 @@ from khessian.cli import run_solve
 from khessian.config import ProblemConfig
 from khessian.grids import ScalarGrid, boundary_mask, grid_coords
 from khessian.iterate import (
+    MAX_RETUNES,
     STATUS_CONVERGED,
+    STATUS_ELLIPTICITY_LOST,
     assemble_solution,
     certify_convexity,
     newton_loop,
@@ -69,7 +71,7 @@ class TestNewtonLoop:
         seed = seed_for_zero(2, 3, 0.5)
         m = 17
         w_star, hess = manufactured_field(3, m, 0.05)
-        f = tabulated_rhs_from_hessian(seed, hess, 0.5)
+        f = tabulated_rhs_from_hessian(seed, hess)
         w, report = newton_loop(seed, f, m)
         assert report.status == STATUS_CONVERGED
         assert len(report.iterations) <= 7
@@ -80,7 +82,7 @@ class TestNewtonLoop:
         seed = seed_for_zero(2, 3, 0.5)
         m = 17
         _, hess = manufactured_field(3, m, 0.05)
-        f = tabulated_rhs_from_hessian(seed, hess, 0.5)
+        f = tabulated_rhs_from_hessian(seed, hess)
         _, report = newton_loop(seed, f, m)
         g = [r.g_inf for r in report.iterations]
         assert all(b < a for a, b in zip(g[1:], g[2:]))
@@ -89,7 +91,7 @@ class TestNewtonLoop:
         seed = seed_for_zero(2, 3, 0.5)
         m = 17
         _, hess = manufactured_field(3, m, 0.05)
-        f = tabulated_rhs_from_hessian(seed, hess, 0.5)
+        f = tabulated_rhs_from_hessian(seed, hess)
         _, report = newton_loop(seed, f, m)
         floor = 10.0 * report.floor_estimate
         usable = [
@@ -104,11 +106,29 @@ class TestNewtonLoop:
         seed = seed_for_zero(2, 3, 0.5)
         m = 17
         _, hess = manufactured_field(3, m, 0.05)
-        f = tabulated_rhs_from_hessian(seed, hess, 0.5)
+        f = tabulated_rhs_from_hessian(seed, hess)
         _, report = newton_loop(seed, f, m)
         assert all(r.w_c2alpha <= 1.0 for r in report.iterations)
         # w_1 = 0 + rho_0, so the loop reuses iteration 0's surrogate
         assert report.iterations[1].w_c2alpha == report.iterations[0].rho_c2alpha
+
+    def test_retune_after_large_iterate_converges(self):
+        seed = seed_for_zero(2, 3, 0.5).with_eps(0.5)
+        f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
+        _, report = newton_loop(seed, f, 9)
+        assert report.status == STATUS_CONVERGED
+        assert report.eps_history == [0.5, 0.25]
+        assert len(report.aborted_attempts) == 1
+        assert report.aborted_attempts[0]["reason"].startswith("iterate norm surrogate")
+
+    def test_retunes_stop_after_max_retunes(self):
+        seed = seed_for_zero(2, 3, 0.5).with_eps(0.5)
+        f = RhsSpec(n=3, terms=[RhsTerm(6000.0, (2, 0, 0)), RhsTerm(-6000.0, (0, 2, 0))],
+                    box=1e3)
+        _, report = newton_loop(seed, f, 9)
+        assert report.status == STATUS_ELLIPTICITY_LOST
+        assert report.eps_history == [0.5, 0.25, 0.125, 0.0625]
+        assert len(report.aborted_attempts) == MAX_RETUNES + 1
 
     def test_floor_estimate_scales_like_inverse_h_squared(self):
         seed = seed_for_zero(2, 3, 0.5)
@@ -154,7 +174,7 @@ class TestAssembleSolution:
         seed = seed_for_zero(2, 3, 0.5)
         m = 17
         _, hess = manufactured_field(3, m, 0.05)
-        f = tabulated_rhs_from_hessian(seed, hess, 0.5)
+        f = tabulated_rhs_from_hessian(seed, hess)
         w, report = newton_loop(seed, f, m)
         sol = assemble_solution(w, seed)
         inner = ~boundary_mask(3, m)

@@ -184,7 +184,7 @@ class TestEvalG:
         hess, _ = hessian_of(grid)
         r = seed.eps_prime * hess
         r[..., np.arange(3), np.arange(3)] += seed.tau
-        f = TabulatedRhs(values=sk_of_matrix(r, 2), alpha=0.5)
+        f = TabulatedRhs(values=sk_of_matrix(r, 2))
         g = eval_G(grid, seed, f)
         assert np.max(np.abs(g.values)) < 1e-10
 
