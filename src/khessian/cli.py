@@ -4,8 +4,8 @@ Machine-readable JSON goes to stdout; human summaries go to stderr.  Exit
 codes: classify returns 0 for any cone/boundary verdict, 1 for Outside, 2 for
 argument errors; seed returns 2 for an out-of-range ``--l`` and 3 on
 construction failure; solve returns 0 only when the iteration converged (2
-for config errors, 4 for solver failures, with the report still written);
-verify returns 1 when any property fails.
+for config errors, 4 for solver failures, with a report that keeps the
+error's type and data); verify returns 1 when any property fails.
 """
 
 from __future__ import annotations
@@ -146,6 +146,20 @@ def _cmd_seed(args) -> int:
     return 0
 
 
+def _error_fields(err: Exception) -> dict:
+    """The failure report's record of a solver error: its type and the
+    structured data it carries."""
+    fields = {"error_type": type(err).__name__}
+    if isinstance(err, TuningError):
+        fields["diagnostics"] = err.diagnostics
+    elif isinstance(err, SolverError):
+        fields["steps"] = err.steps
+    elif isinstance(err, EllipticityError):
+        fields |= {"point": None if err.point is None else list(err.point),
+                   "index": err.index, "margin": err.margin}
+    return fields
+
+
 def _cmd_solve(args) -> int:
     try:
         if args.preset:
@@ -163,7 +177,8 @@ def _cmd_solve(args) -> int:
         target = args.output if args.output is not None else config.out_dir
         os.makedirs(target, exist_ok=True)
         write_json(os.path.join(target, "report.json"),
-                   {"status": "Failed", "error": str(err), "config": config.to_dict()})
+                   {"status": "Failed", "error": str(err), "config": config.to_dict()}
+                   | _error_fields(err))
         return 4
     _emit(artifacts.report.to_dict() | {"config": config.to_dict()})
     _note(

@@ -5,11 +5,15 @@ Differences are slice stencils, O(m^n) per axis.  First derivatives are
 second order on the boundary faces.  Pure second derivatives use the matching
 centered and one-sided second-difference stencils; mixed derivatives are
 first differences of first differences, so the discrete Hessian is symmetric
-exactly.  Hoelder quotients compare points along the axis and full-diagonal
-directions only, at most ``_HOLDER_RADIUS`` steps apart, for every n.  The
-caps on n and on points per axis (``_M_CAP``) are memory caps.
-The CSV format (header ``x1,...,xn,value``, rows lexicographic in grid
-indices, shortest-roundtrip floats) is frozen for golden tests.
+exactly.  ``second_differences`` stacks the n(n+1)/2 distinct components
+component-major, (c,) + grid shape: the C^{2,alpha} surrogate reads that
+stack, and ``symmetric_matrix`` scatters it into grid + (n, n) matrices where
+a caller needs them.  Hoelder quotients compare points along the axis and
+full-diagonal directions only, at most ``_HOLDER_RADIUS`` steps apart, for
+every n, one field at a time.  The caps on n and on points per axis
+(``_M_CAP``) are memory caps.  The CSV format (header ``x1,...,xn,value``,
+rows lexicographic in grid indices, shortest-roundtrip floats) is frozen for
+golden tests.
 """
 
 from __future__ import annotations
@@ -92,31 +96,56 @@ def grid_coords(n: int, m: int) -> np.ndarray:
     return out
 
 
-def _second_difference(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second difference along one axis: centered in the interior, one-sided
-    second order (2, -5, 4, -1) / h^2 on the two faces."""
+def _second_difference(values: np.ndarray, h: float, axis: int, out: np.ndarray) -> None:
+    """Second difference along one axis into ``out``: centered in the interior,
+    one-sided second order (2, -5, 4, -1) / h^2 on the two faces."""
     f = np.moveaxis(values, axis, 0)
-    out = np.empty(f.shape)
-    out[1:-1] = f[:-2] - 2.0 * f[1:-1] + f[2:]
-    out[0] = 2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]
-    out[-1] = 2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]
-    out /= h * h
-    return np.moveaxis(out, 0, axis)
+    d = np.moveaxis(out, axis, 0)
+    d[1:-1] = f[:-2] - 2.0 * f[1:-1] + f[2:]
+    d[0] = 2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]
+    d[-1] = 2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]
+    d /= h * h
+
+
+def second_differences(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The n(n+1)/2 distinct second differences, stacked component-major with
+    shape (c,) + grid shape in ``np.triu_indices(n)`` order, and the gradient
+    (grid + (n,))."""
+    n, h, w = grid.n, grid.h, grid.values
+    firsts = np.gradient(w, h, edge_order=2)
+    second = np.empty((n * (n + 1) // 2,) + w.shape)
+    for c, (a, b) in enumerate(zip(*np.triu_indices(n))):
+        if a == b:
+            _second_difference(w, h, a, second[c])
+        else:
+            second[c] = np.gradient(firsts[a], h, axis=b, edge_order=2)
+    return second, np.stack(firsts, axis=-1)
+
+
+def symmetric_matrix(second: np.ndarray, n: int, scale: float = 1.0,
+                     diagonal: np.ndarray | None = None) -> np.ndarray:
+    """Per point, ``scale`` times the symmetric (n, n) matrix whose upper
+    triangle a ``second_differences`` stack holds, plus ``diag(diagonal)``
+    when given: shape grid + (n, n).
+
+    The matrices are filled component-major, where every write is
+    contiguous, and transposed to grid + (n, n) in one copy.
+    """
+    full = np.empty((n, n) + second.shape[1:])
+    for c, (a, b) in enumerate(zip(*np.triu_indices(n))):
+        np.multiply(second[c], scale, out=full[a, b])
+        if a != b:
+            full[b, a] = full[a, b]
+        elif diagonal is not None:
+            full[a, a] += diagonal[a]
+    return np.ascontiguousarray(np.moveaxis(full, (0, 1), (-2, -1)))
 
 
 def hessian_of(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete Hessian (shape grid + (n,n)) and gradient (grid + (n,))."""
-    n, h, w = grid.n, grid.h, grid.values
-    firsts = np.gradient(w, h, edge_order=2)
-    grad = np.stack(firsts, axis=-1)
-    hess = np.empty(w.shape + (n, n))
-    for a in range(n):
-        hess[..., a, a] = _second_difference(w, h, a)
-        for b in range(a + 1, n):
-            cross = np.gradient(firsts[a], h, axis=b, edge_order=2)
-            hess[..., a, b] = cross
-            hess[..., b, a] = cross
-    return hess, grad
+    """Discrete Hessian (shape grid + (n,n)) and gradient (grid + (n,)): the
+    ``second_differences`` stack scattered by ``symmetric_matrix``."""
+    second, grad = second_differences(grid)
+    return symmetric_matrix(second, grid.n), grad
 
 
 @lru_cache(maxsize=8)
@@ -141,29 +170,29 @@ def holder_quotient(stack: np.ndarray, h: float, alpha: float) -> float:
     full diagonal, with |x-z| <= _HOLDER_RADIUS*h (see ``_holder_offsets``).
 
     ``stack`` has shape (c,) + grid shape: c fields on the same grid, and the
-    result is the largest quotient among them.  Each offset takes one pass
-    over the whole stack, into one reused difference buffer.
+    result is the largest quotient among them.  Each field takes one pass per
+    offset, into one reused field-sized difference buffer.
     """
     n = stack.ndim - 1
     shape = stack.shape[1:]
-    buf = np.empty(stack.size)
-    best = 0.0
+    pairs = []
     for off in _holder_offsets(n):
         if any(abs(o) >= s for o, s in zip(off, shape)):
             continue
-        src = (slice(None),) + tuple(
-            slice(max(0, -o), s - max(0, o)) for o, s in zip(off, shape)
-        )
-        dst = (slice(None),) + tuple(
-            slice(max(0, o), s + min(0, o)) for o, s in zip(off, shape)
-        )
-        hi, lo = stack[dst], stack[src]
-        diff = buf[:hi.size].reshape(hi.shape)
-        np.subtract(hi, lo, out=diff)
+        src = tuple(slice(max(0, -o), s - max(0, o)) for o, s in zip(off, shape))
+        dst = tuple(slice(max(0, o), s + min(0, o)) for o, s in zip(off, shape))
         dist = h * float(np.sqrt(sum(o * o for o in off)))
-        q = max(float(diff.max()), -float(diff.min())) / dist**alpha
-        if q > best:
-            best = q
+        pairs.append((dst, src, dist**alpha))
+    buf = np.empty(math.prod(shape))
+    best = 0.0
+    for field in stack:
+        for dst, src, scale in pairs:
+            hi, lo = field[dst], field[src]
+            diff = buf[:hi.size].reshape(hi.shape)
+            np.subtract(hi, lo, out=diff)
+            q = max(float(diff.max()), -float(diff.min())) / scale
+            if q > best:
+                best = q
     return best
 
 
@@ -174,22 +203,22 @@ def calpha_surrogate(values: np.ndarray, h: float, alpha: float) -> float:
     return float(np.max(np.abs(inner))) + holder_quotient(inner[None], h, alpha)
 
 
-def c2alpha_surrogate(grid: ScalarGrid, alpha: float) -> float:
+def c2alpha_surrogate(grid: ScalarGrid, alpha: float,
+                      derivs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """Discrete stand-in for a C^{2,alpha} norm.
 
     Max of |w|, |Dw|, |D^2 w| over the grid plus the largest Hoelder quotient
     among the second-derivative components (``holder_quotient``: pairs along
-    axis and full-diagonal directions within 8h).
+    axis and full-diagonal directions within 8h).  ``derivs`` is the grid's
+    ``second_differences`` when the caller already has them.
     """
-    hess, grad = hessian_of(grid)
+    second, grad = second_differences(grid) if derivs is None else derivs
     sup = max(
         float(np.max(np.abs(grid.values))),
         float(np.max(np.abs(grad))),
-        float(np.max(np.abs(hess))),
+        float(np.max(np.abs(second))),
     )
-    a, b = np.triu_indices(grid.n)
-    components = np.moveaxis(hess[..., a, b], -1, 0)
-    return sup + holder_quotient(components, grid.h, alpha)
+    return sup + holder_quotient(second, grid.h, alpha)
 
 
 def write_grid_csv(path, values: np.ndarray, axes: list[np.ndarray]) -> None:

@@ -12,6 +12,12 @@ diagnostic.  When diagonal dominance of the coefficient matrix drops below
 half its seed-level value, the linear solve fails, or the iterate's norm
 surrogate leaves the unit ball, eps is halved and the loop restarts (at most
 three times).
+
+Each iterate is evaluated once: the ``Residual`` that ``eval_G`` returns
+carries the Hessian, the Newton tensor and the physical arguments, the step
+assembles the linearization from them, and the iterate's C^{2,alpha}
+surrogate reads the same Hessian.  A residual's pointwise data is freed as
+soon as its step is assembled or the loop stops.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, EllipticityError, SolverError, TuningError
 from .grids import ScalarGrid, c2alpha_surrogate, calpha_surrogate, grid_coords, hessian_of
-from .pde import assemble_linearized, eval_G, minor_sums, solve_dirichlet_info
+from .pde import Residual, assemble_linearized, eval_G, minor_sums, solve_dirichlet_info
 from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
 
@@ -114,7 +120,7 @@ def _interior_sup(grid: ScalarGrid) -> float:
     return float(np.max(np.abs(grid.values[grid.interior_mask])))
 
 
-def _newton_step(w: ScalarGrid, g_grid: ScalarGrid, seed: SeedQuadratic, f,
+def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
                  tol_lin: float, record: IterationRecord
                  ) -> tuple[ScalarGrid | None, str | None]:
     """One linearized solve at w for the residual ``g_grid``.
@@ -126,9 +132,11 @@ def _newton_step(w: ScalarGrid, g_grid: ScalarGrid, seed: SeedQuadratic, f,
     fails (breaks down or reaches its step limit).
     """
     try:
-        sys = assemble_linearized(w, seed, f, g_values=-g_grid.values)
+        sys = assemble_linearized(w, seed, f, g_grid)
     except EllipticityError as err:
         return None, f"ellipticity failure: {err}"
+    finally:
+        g_grid.drop_pointwise()  # free them before the solve
     gap = sys.margins - 0.5 * sigma_km1_row(seed.tau, seed.k)
     if np.any(gap < 0.0):
         return None, (f"dominance margin dropped {float(np.min(gap)):.3e} below "
@@ -214,7 +222,7 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
             elif it == 1:
                 w_norm = records[0].rho_c2alpha
             else:
-                w_norm = c2alpha_surrogate(w, seed.alpha)
+                w_norm = c2alpha_surrogate(w, seed.alpha, (g_grid.second, g_grid.grad))
             if records:
                 prev = records[-1].g_inf
                 if prev > 0.0:
@@ -239,6 +247,7 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 break
             records.append(record)
             w = ScalarGrid(w.n, w.m, w.values + rho.values)
+        del g_grid  # free a stopped iterate's pointwise data before a retune
 
         if status is None:
             aborted.append({"status": STATUS_RETUNED, "reason": reason, "eps": seed.eps,
@@ -275,9 +284,8 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
     x = grid_coords(n, m)
     w_norm = w.values - w0 - x @ g0
 
-    normalized = ScalarGrid(n, m, w_norm)
-    _, grad_check = hessian_of(normalized)
-    if abs(w_norm[center]) > 1e-8 or float(np.max(np.abs(grad_check[center]))) > 1e-8:
+    grad_check = np.gradient(w_norm, w.h, edge_order=2)
+    if abs(w_norm[center]) > 1e-8 or max(abs(float(d[center])) for d in grad_check) > 1e-8:
         raise AssertionError("affine normalization failed to vanish at the origin")
 
     eps, epsp = seed.eps, seed.eps_prime

@@ -21,26 +21,34 @@ transform along each axis diagonalizes.
 Minor sums S_j and the derivative dS_k/dr come from one route, Reilly's
 Newton-tensor recursion (``minor_sums``), for any matrix order: S_k is the
 last level and dS_k/dr the transposed tensor T_{k-1}.
+
+Each iterate is evaluated once.  ``eval_G`` takes w's second differences,
+r = diag(tau) + eps' D^2 w, one recursion (S_k for G, T_{k-1} for the
+coefficients) and (y, u, p), and returns them with G as a ``Residual``;
+``assemble_linearized`` reads them from there.  scipy's sparse layer is
+imported on the first assembly, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-# Not `import scipy.sparse.linalg`: that form loads scipy.sparse, and with it
-# numpy.f2py's regex tables, one import level deeper, which measured about 8%
-# slower for a fresh `import khessian.cli` under CPython 3.11.
-from scipy.sparse import linalg as spla
 
 from .errors import DomainError, EllipticityError, SolverError
-from .grids import ScalarGrid, grid_coords, hessian_of
+from .grids import ScalarGrid, grid_coords, second_differences, symmetric_matrix
 from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 # BiCGSTAB step limit: converged solves took at most 23 steps (fzero-linear
 # 0-3), so a solve that reaches it has diverged and its eps is rejected.
 MAX_KRYLOV_STEPS = 200
+# Matrices per block of minor_sums' products: 4096 (4, 4) blocks take 512 kB.
+_PRODUCT_BLOCK = 4096
 
 
 @dataclass
@@ -56,8 +64,8 @@ class LinearSystem:
     of every entry certifies uniform ellipticity of the discrete operator.
     """
 
-    matrix: spla.LinearOperator
-    seed_inverse: spla.LinearOperator
+    matrix: LinearOperator
+    seed_inverse: LinearOperator
     rhs: np.ndarray
     n: int
     m: int
@@ -78,9 +86,9 @@ def minor_sums(r: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
 
     Reilly's recursion, batched over leading axes: T_0 = I,
     S_j = tr(r T_{j-1}) / j and T_j = S_j I - r T_{j-1}.  T_{k-1} is the
-    transposed derivative of S_k in the entries of r.  Each update forms one
-    product and shifts its diagonal in place, so at most three (..., n, n)
-    arrays are alive at once.
+    transposed derivative of S_k in the entries of r.  Each update forms the
+    product block by block, overwriting T_{j-1}, and shifts its diagonal in
+    place, so r and T are the only (..., n, n) arrays alive.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
@@ -93,10 +101,14 @@ def minor_sums(r: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
     if k == 1:
         return sums, np.broadcast_to(np.eye(n), r.shape).copy()
     t = -r  # T_1 without the product r T_0
+    flat_r, flat_t = r.reshape(-1, n, n), t.reshape(-1, n, n)  # flat_t is a view of t
+    block = np.empty((min(_PRODUCT_BLOCK, len(flat_t)), n, n))
     for j in range(2, k + 1):
-        if j > 2:
-            t = r @ t
-            np.negative(t, out=t)
+        if j > 2:  # T <- -r T, a block of matrices at a time
+            for lo in range(0, len(flat_t), _PRODUCT_BLOCK):
+                part = flat_t[lo:lo + _PRODUCT_BLOCK]
+                np.matmul(flat_r[lo:lo + _PRODUCT_BLOCK], part, out=block[:len(part)])
+                np.negative(block[:len(part)], out=part)
         t[..., idx, idx] += sums[-1][..., None]
         sums.append(np.einsum("...ij,...ji->...", r, t) / j)
     return sums, t
@@ -139,27 +151,52 @@ def _check_box(f, u: np.ndarray, p: np.ndarray, interior: np.ndarray) -> None:
 
 def rescaled_hessian(w: ScalarGrid, seed: SeedQuadratic) -> tuple[np.ndarray, np.ndarray]:
     """r(w) = diag(tau) + eps' * D^2 w per grid point, plus the gradient of w."""
-    hess, grad = hessian_of(w)
-    return seed.perturbed_hessian(hess), grad
+    second, grad = second_differences(w)
+    return symmetric_matrix(second, seed.n, seed.eps_prime, seed.tau), grad
 
 
-def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> ScalarGrid:
-    """Rescaled residual operator on interior points (boundary entries zero)."""
-    r, grad = rescaled_hessian(w, seed)
-    sk = sk_of_matrix(r, seed.k)
+@dataclass
+class Residual(ScalarGrid):
+    """G(w) on the grid (``values``, zero on the boundary) and the pointwise
+    data of w it was computed from: ``second`` and ``grad`` as returned by
+    ``second_differences(w)``, the Newton tensor T_{k-1}(r(w)) (``tensor``,
+    the transposed dS_k/dr) and the physical arguments (y, u, p)."""
+
+    second: np.ndarray | None
+    grad: np.ndarray | None
+    tensor: np.ndarray | None
+    y: np.ndarray | None
+    u: np.ndarray | None
+    p: np.ndarray | None
+
+    def drop_pointwise(self) -> None:
+        """Free the pointwise data, keeping the residual values."""
+        self.second = self.grad = self.tensor = self.y = self.u = self.p = None
+
+
+def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
+    """Rescaled residual operator on interior points (boundary entries zero).
+
+    One Newton-tensor recursion gives both S_k(r), for G, and T_{k-1}(r),
+    which the result keeps for ``assemble_linearized``.
+    """
+    second, grad = second_differences(w)
+    sums, tensor = minor_sums(symmetric_matrix(second, seed.n, seed.eps_prime, seed.tau),
+                              seed.k)
     y, u, p = _physical_args(w, seed, grad)
     interior = w.interior_mask
     _check_box(f, u, p, interior)
-    g = (sk - f.value(y, u, p)) / seed.eps_prime
+    g = (sums[-1] - f.value(y, u, p)) / seed.eps_prime
     g = np.where(interior, g, 0.0)
-    return ScalarGrid(w.n, w.m, g)
+    return Residual(w.n, w.m, g, second, grad, tensor, y, u, p)
 
 
 def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
-                        g_values: np.ndarray | None = None) -> LinearSystem:
+                        g: Residual | None = None) -> LinearSystem:
     """Linearization at w with right-hand side -G(w).
 
-    The unknowns are the interior points in lexicographic order.  The operator
+    ``g`` is ``eval_G(w, seed, f)``, evaluated here when not given.  The
+    unknowns are the interior points in lexicographic order.  The operator
     keeps one coefficient field per stencil offset and applies it as the sum,
     over offsets, of the field times the zero-padded input shifted by the
     offset, so neighbours on the Dirichlet boundary drop out.
@@ -168,14 +205,16 @@ def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
     coefficient matrix is nonpositive at some interior point (the usual cause
     is an eps too large for the current iterate).
     """
+    from scipy.sparse.linalg import LinearOperator
+
+    if g is None:
+        g = eval_G(w, seed, f)
     n, m = w.n, w.m
     h = w.h
-    r, grad = rescaled_hessian(w, seed)
-    y, u, p = _physical_args(w, seed, grad)
     slab = (slice(1, -1),) * n
-    coeff = sk_gradient(r, seed.k)[slab]
-    a_first = -seed.eps**2 * f.dp(y, u, p)[slab]
-    a_zero = -seed.eps**4 * f.du(y, u, p)[slab]
+    coeff = np.swapaxes(g.tensor, -1, -2)[slab]
+    a_first = -seed.eps**2 * f.dp(g.y, g.u, g.p)[slab]
+    a_zero = -seed.eps**4 * f.du(g.y, g.u, g.p)[slab]
     idx = np.arange(n)
 
     diag = coeff[..., idx, idx]
@@ -213,12 +252,9 @@ def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
         inner[...] = v.reshape(inner.shape)
         return sum(field * view for view, field in shifted).reshape(-1)
 
-    matrix = spla.LinearOperator((inner.size,) * 2, matvec=_apply, dtype=float)
+    matrix = LinearOperator((inner.size,) * 2, matvec=_apply, dtype=float)
     matrix.nnz = len(stencil) * inner.size  # stencil coefficients; perfbench/spans.py reads it
-
-    if g_values is None:
-        g_values = -eval_G(w, seed, f).values
-    rhs = np.asarray(g_values)[slab].reshape(-1)
+    rhs = -g.values[slab].reshape(-1)
 
     return LinearSystem(
         matrix=matrix, seed_inverse=_seed_inverse(seed, m), rhs=rhs, n=n, m=m,
@@ -226,7 +262,7 @@ def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
     )
 
 
-def _seed_inverse(seed: SeedQuadratic, m: int) -> spla.LinearOperator:
+def _seed_inverse(seed: SeedQuadratic, m: int) -> LinearOperator:
     """Exact inverse of the seed's operator sum_a sigma_{k-1,a}(tau) d_a^2,
     discretized by three-point differences with zero Dirichlet data.
 
@@ -234,6 +270,7 @@ def _seed_inverse(seed: SeedQuadratic, m: int) -> spla.LinearOperator:
     eigenvalue (2 cos(pi j / (m-1)) - 2) / h^2.
     """
     from scipy.fft import dstn, idstn  # imported here to keep `import khessian` light
+    from scipy.sparse.linalg import LinearOperator
 
     n, h = seed.n, 2.0 / (m - 1)
     mu = (2.0 * np.cos(np.pi * np.arange(1, m - 1) / (m - 1)) - 2.0) / h**2
@@ -243,7 +280,7 @@ def _seed_inverse(seed: SeedQuadratic, m: int) -> spla.LinearOperator:
     def _apply(v: np.ndarray) -> np.ndarray:
         return idstn(dstn(v.reshape(eig.shape), type=1) / eig, type=1).reshape(-1)
 
-    return spla.LinearOperator((eig.size,) * 2, matvec=_apply, dtype=float)
+    return LinearOperator((eig.size,) * 2, matvec=_apply, dtype=float)
 
 
 def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
@@ -258,6 +295,8 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
     SolverError, whose message says whether BiCGSTAB broke down or reached
     its step limit.
     """
+    from scipy.sparse.linalg import bicgstab
+
     if sys.margins.size and sys.margins.min() <= 0.0:
         raise EllipticityError("system carries nonpositive dominance margins")
     b = sys.rhs
@@ -271,8 +310,8 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
         nonlocal steps
         steps += 1
 
-    x, info = spla.bicgstab(sys.matrix, b / bnorm, rtol=0.1 * tol_lin, atol=0.0,
-                            maxiter=max_iter, M=sys.seed_inverse, callback=_count)
+    x, info = bicgstab(sys.matrix, b / bnorm, rtol=0.1 * tol_lin, atol=0.0,
+                       maxiter=max_iter, M=sys.seed_inverse, callback=_count)
     x *= bnorm
     res = float(np.linalg.norm(sys.matrix @ x - b)) / bnorm
     if res > tol_lin:

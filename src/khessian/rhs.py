@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import grid_coords
+from .pde import sk_of_matrix
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,4 @@ def tabulated_rhs_from_hessian(seed, hess: np.ndarray) -> TabulatedRhs:
     """Right-hand side that makes the iterate with Hessian ``hess`` an exact
     solution of the continuum problem, so the discrete residual reflects
     truncation only."""
-    # imported here: a module-level import loads scipy under config, slowing start-up
-    from .pde import sk_of_matrix
-
     return TabulatedRhs(values=sk_of_matrix(seed.perturbed_hessian(hess), seed.k))

@@ -9,7 +9,7 @@ import pytest
 from khessian import verify
 from khessian.cli import main, run_solve
 from khessian.config import ProblemConfig
-from khessian.errors import DomainError
+from khessian.errors import DomainError, EllipticityError, SolverError
 from khessian.presets import PRESETS, named_rhs, preset_config
 from khessian.rhs import RhsSpec
 
@@ -207,6 +207,59 @@ class TestSolveCommand:
         assert report["error"].endswith(" steps")
         assert "(breakdown, info -1" in report["error"]
 
+    def test_tuning_failure_report_keeps_diagnostics(self, tmp_path):
+        # with a box of 1e-12, (u, p) leave it at every eps down to 1e-4
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc["rhs"] = {"terms": [{"coeff": 1.0, "y": [1, 0, 0]}], "box": 1e-12}
+        doc["grid"]["m"] = 9
+        doc["output"]["directory"] = str(tmp_path / "run")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path)]) == 4
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["status"] == "Failed"
+        assert report["error_type"] == "TuningError"
+        assert report["error"].startswith("no admissible eps above 0.0001")
+        diagnostics = report["diagnostics"]
+        assert [d["eps"] for d in diagnostics] == [0.5 * 0.5**i for i in range(13)]
+        assert all(d["error"].startswith("(u, p) arguments leave the declared box")
+                   for d in diagnostics)
+
+    def test_krylov_stall_report_keeps_diagnostics(self, tmp_path):
+        # every candidate's linear solve stalls; tuning records each refusal
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc["grid"]["m"] = 9
+        doc["solver"]["tol_lin"] = 1e-300
+        doc["output"]["directory"] = str(tmp_path / "run")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path)]) == 4
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["error_type"] == "TuningError"
+        diagnostics = report["diagnostics"]
+        assert len(diagnostics) == 13
+        for d in diagnostics:
+            assert d["refused"].startswith("linear solve failed: Krylov iteration stalled")
+            assert d["rho_c2alpha"] is None
+        assert report["error"].endswith(diagnostics[-1]["refused"])
+
+    @pytest.mark.parametrize("err, fields", [
+        (SolverError("stalled", steps=7), {"error_type": "SolverError", "steps": 7}),
+        (EllipticityError("lost", point=(1, 2, 3), index=2, margin=-0.25),
+         {"error_type": "EllipticityError", "point": [1, 2, 3], "index": 2,
+          "margin": -0.25}),
+    ], ids=["solver", "ellipticity"])
+    def test_failure_report_keeps_error_data(self, tmp_path, monkeypatch, err, fields):
+        def fail(config, out_dir=None):
+            raise err
+
+        monkeypatch.setattr("khessian.cli.run_solve", fail)
+        assert main(["solve", "--preset", "fzero-linear",
+                     "--output", str(tmp_path / "run")]) == 4
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report == {"status": "Failed", "error": str(err),
+                          "config": preset_config("fzero-linear").to_dict()} | fields
+
     def test_failed_linear_solve_rejects_eps(self, tmp_path):
         # the seed-preconditioned solve diverges at eps = 1/2; tuning rejects
         # that candidate and halves eps instead of failing the solve
@@ -293,6 +346,16 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "cone-equivalence",
                      "--samples", "500", "--seed", "3"])
         assert code == 0
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    # the linear layer imports scipy.sparse.linalg when it first assembles
+    import khessian
+
+    src = str(pathlib.Path(khessian.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import khessian.cli; "
+            "sys.exit('scipy.sparse' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -130,6 +130,47 @@ class TestNewtonLoop:
         assert report.eps_history == [0.5, 0.25, 0.125, 0.0625]
         assert len(report.aborted_attempts) == MAX_RETUNES + 1
 
+    def test_each_iterate_evaluated_once(self, monkeypatch):
+        # G, its linearization and the iterate's C^{2,alpha} surrogate share
+        # one Hessian and one minor-sum recursion per evaluated iterate
+        import khessian.grids as grids
+        import khessian.iterate as iterate
+        import khessian.pde as pde
+
+        eval_G, minor_sums, build = pde.eval_G, pde.minor_sums, grids.second_differences
+        evaluated, recursions, builds, depth = [], [], [], [0]
+
+        def counted_eval_G(w, *args):
+            evaluated.append(w)
+            depth[0] += 1
+            try:
+                return eval_G(w, *args)
+            finally:
+                depth[0] -= 1
+
+        def counted_minor_sums(*args):
+            recursions.append(args)
+            return minor_sums(*args)
+
+        def counted_build(grid):
+            builds.append((grid, depth[0] > 0))
+            return build(grid)
+
+        monkeypatch.setattr(iterate, "eval_G", counted_eval_G)
+        monkeypatch.setattr(pde, "minor_sums", counted_minor_sums)
+        monkeypatch.setattr(pde, "second_differences", counted_build)
+        monkeypatch.setattr(grids, "second_differences", counted_build)
+        f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
+        seed = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
+        _, report = newton_loop(seed, f, 9)
+        # iteration 2 reads w's surrogate from its evaluation
+        assert report.converged and len(report.iterations) == 3
+        assert len(recursions) == len(evaluated) > 3
+        assert sum(inside for _, inside in builds) == len(evaluated)
+        # the other Hessians are of corrections, never of an evaluated iterate
+        outside = {id(grid) for grid, inside in builds if not inside}
+        assert outside and not outside & {id(w) for w in evaluated}
+
     def test_floor_estimate_scales_like_inverse_h_squared(self):
         seed = seed_for_zero(2, 3, 0.5)
         assert residual_floor(seed, 17) / residual_floor(seed, 9) == pytest.approx(4.0)
