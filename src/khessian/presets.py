@@ -38,7 +38,7 @@ PRESETS: dict[str, dict] = {
         "grid": {"m": 17},
         "solver": {"tol_lin": 1e-10, "tol_newton": 1e-9, "max_iter": 12},
         "l": None,
-        "output": {"directory": "out/fzero-linear", "emit_plots_csv": False},
+        "output": {"directory": "out/fzero-linear"},
     },
     # f constant negative: level-1 seed, not 2-convex, converges immediately.
     "fconst-neg": {
@@ -49,7 +49,7 @@ PRESETS: dict[str, dict] = {
         "grid": {"m": 17},
         "solver": {"tol_lin": 1e-10, "tol_newton": 1e-9, "max_iter": 12},
         "l": None,
-        "output": {"directory": "out/fconst-neg", "emit_plots_csv": False},
+        "output": {"directory": "out/fconst-neg"},
     },
     # f identically equal to the seed's minor sum (zero here): the initial
     # residual vanishes and the loop converges at iteration 0.
@@ -61,7 +61,7 @@ PRESETS: dict[str, dict] = {
         "grid": {"m": 17},
         "solver": {"tol_lin": 1e-10, "tol_newton": 1e-9, "max_iter": 12},
         "l": None,
-        "output": {"directory": "out/fconst-match", "emit_plots_csv": False},
+        "output": {"directory": "out/fconst-match"},
     },
     # f constant positive with the fully convex equal-entry seed.
     "fconst-pos": {
@@ -72,7 +72,7 @@ PRESETS: dict[str, dict] = {
         "grid": {"m": 17},
         "solver": {"tol_lin": 1e-10, "tol_newton": 1e-9, "max_iter": 12},
         "l": "full",
-        "output": {"directory": "out/fconst-pos", "emit_plots_csv": False},
+        "output": {"directory": "out/fconst-pos"},
     },
 }
 

@@ -8,9 +8,9 @@ point of the level-k cone with sigma_{k+1} < 0), c > 0 (either the
 fully-convex equal-entry seed or a seed exactly (k+l-1)-convex), and c < 0
 (a level-(k-1) interior seed that is not k-convex).
 
-Seeds do not see the right-hand side: a seed's eps is a fixed function of
-alpha, and the solve pipeline replaces it with the eps that
-``iterate.tune_epsilon`` accepts.
+Seeds do not see the right-hand side: every seed carries eps = 1/2, the
+first candidate of ``iterate.tune_epsilon``, which halves it until the first
+Newton correction is small.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .symfun import as_spectrum, binom, elem_sym, sigma_all, sigma_km1_row
 
 SEED_TOL = 1e-9  # slack of the convexity classification
 P2_SCALE = 0.1  # width of the positive perturbation in sample_p2_points
+START_EPS = 0.5  # a seed's eps: the first candidate of iterate.tune_epsilon
 
 
 @dataclass
@@ -144,23 +145,7 @@ def certify_seed(seed: SeedQuadratic) -> SeedCertificate:
     )
 
 
-def _provisional_epsilon(alpha: float, eps_min: float = 1e-4) -> float:
-    """Largest dyadic eps with eps^(2*alpha) / eps' <= 1/4, or the smallest
-    dyadic eps >= eps_min when none meets that bound (alpha < 2/13 or
-    1/2 < alpha < 15/26).
-
-    The seed's eps as ``khessian seed`` reports it.  It does not depend on f:
-    the solve pipeline tunes eps itself (``iterate.tune_epsilon``) and does
-    not read this value.
-    """
-    eps = 0.5
-    while eps ** (2 * alpha) / eps_prime_for(eps, alpha) > 0.25 and eps / 2 >= eps_min:
-        eps *= 0.5
-    return eps
-
-
-def _finalize(tau: np.ndarray, k: int, n: int, c: float, alpha: float,
-              eps: float) -> SeedQuadratic:
+def _finalize(tau: np.ndarray, k: int, n: int, c: float, alpha: float) -> SeedQuadratic:
     tau = np.asarray(tau, dtype=float)
     row = sigma_km1_row(tau, k)
     if np.min(row) <= 0.0:
@@ -171,7 +156,7 @@ def _finalize(tau: np.ndarray, k: int, n: int, c: float, alpha: float,
     cls, _ = convexity_split(tau)
     return SeedQuadratic(
         tau=tau, k=k, n=n, c=float(c), alpha=float(alpha),
-        eps=eps, eps_prime=eps_prime_for(eps, alpha), convexity_class=cls,
+        eps=START_EPS, eps_prime=eps_prime_for(START_EPS, alpha), convexity_class=cls,
     )
 
 
@@ -180,8 +165,7 @@ def seed_for_zero(k: int, n: int, alpha: float) -> SeedQuadratic:
     if not 2 <= k <= n - 1:
         raise DomainError(f"need 2 <= k <= n-1, got k={k}, n={n}")
     tau = p2_example(k, n)
-    eps = _provisional_epsilon(alpha)
-    seed = _finalize(tau, k, n, 0.0, alpha, eps)
+    seed = _finalize(tau, k, n, 0.0, alpha)
     if seed.convexity_class != k - 1:
         raise ConstructionError("zero seed is not exactly (k-1)-convex")
     return seed
@@ -217,8 +201,7 @@ def seed_for_negative(k: int, n: int, c: float, alpha: float = 0.5) -> SeedQuadr
     lam = _negative_level_core(k, n)
     s = (c / elem_sym(lam, k)) ** (1.0 / k)
     tau = s * lam
-    eps = _provisional_epsilon(alpha)
-    seed = _finalize(tau, k, n, c, alpha, eps)
+    seed = _finalize(tau, k, n, c, alpha)
     row = sigma_km1_row(tau, k)
     if not np.all(np.diff(row) >= -1e-12 * max(1.0, float(np.max(np.abs(row))))):
         raise ConstructionError("negative-c seed row is not nondecreasing")
@@ -244,8 +227,7 @@ def seed_for_positive(k: int, n: int, c: float, l: int | str | None = None,
         l = 1
     if l == "full" or l == n - k + 1:
         tau = np.full(n, (c / binom(n, k)) ** (1.0 / k))
-        eps = _provisional_epsilon(alpha)
-        return _finalize(tau, k, n, c, alpha, eps)
+        return _finalize(tau, k, n, c, alpha)
     if not isinstance(l, int) or not 1 <= l <= n - k:
         raise DomainError(f"need 1 <= l <= n-k or 'full', got l={l!r}")
     if k + l < n:
@@ -257,8 +239,7 @@ def seed_for_positive(k: int, n: int, c: float, l: int | str | None = None,
         lam[-1] = -0.5 / (n - 1)
     s = (c / elem_sym(lam, k)) ** (1.0 / k)
     tau = s * lam
-    eps = _provisional_epsilon(alpha)
-    seed = _finalize(tau, k, n, c, alpha, eps)
+    seed = _finalize(tau, k, n, c, alpha)
     if seed.convexity_class != k + l - 1:
         raise ConstructionError(
             f"positive seed has class {seed.convexity_class}, wanted {k + l - 1}"

@@ -30,8 +30,9 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def manufactured_runs():
-    """Shared manufactured-solution runs at m = 17 and m = 33."""
-    seed = seed_for_zero(2, 3, 0.5)
+    """Shared manufactured-solution runs at m = 17 and m = 33.  The tabulated
+    f is built for one eps', so the loop runs at it untuned."""
+    seed = seed_for_zero(2, 3, 0.5).with_eps(1 / 16)
     out = {}
     for m in (17, 33):
         t0 = time.time()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from khessian import verify
-from khessian.cli import main, run_solve
+from khessian.cli import main
 from khessian.config import ProblemConfig
 from khessian.errors import DomainError, EllipticityError, SolverError
 from khessian.presets import PRESETS, named_rhs, preset_config
@@ -45,6 +45,7 @@ class TestSeedCommand:
         assert main(["seed", "--k", "2", "--n", "3", "--c", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tau"][0] == 1.0
+        assert (doc["eps"], doc["alpha"]) == (0.5, 0.5)  # tuning's first candidate
         assert doc["certificate"]["convexity_class"] == 1
         assert doc["certificate"]["not_class"] == 3
 
@@ -160,7 +161,7 @@ class TestSolveCommand:
         (lambda d: d.update(alpha=float("inf")), "alpha must be a finite number"),
         (lambda d: d.update(l=True), "invalid convexity level request l=True"),
         (lambda d: d["output"].update(emit_plots_csv="yes"),
-         "output.emit_plots_csv must be of type bool"),
+         "unknown key 'emit_plots_csv' in section 'output'"),
         (lambda d: d.update(rhs={"terms": [{"coeff": "abc"}]}),
          "rhs.terms[0].coeff must be a finite number"),
         (lambda d: d.update(rhs=5), "section 'rhs' must be a JSON object, got 5"),
@@ -222,8 +223,9 @@ class TestSolveCommand:
         assert report["error"].startswith("no admissible eps above 0.0001")
         diagnostics = report["diagnostics"]
         assert [d["eps"] for d in diagnostics] == [0.5 * 0.5**i for i in range(13)]
-        assert all(d["error"].startswith("(u, p) arguments leave the declared box")
-                   for d in diagnostics)
+        for d in diagnostics:
+            assert d["reason"].startswith("(u, p) arguments leave the declared box")
+            assert d["iterations"] == []
 
     def test_krylov_stall_report_keeps_diagnostics(self, tmp_path):
         # every candidate's linear solve stalls; tuning records each refusal
@@ -239,9 +241,13 @@ class TestSolveCommand:
         diagnostics = report["diagnostics"]
         assert len(diagnostics) == 13
         for d in diagnostics:
-            assert d["refused"].startswith("linear solve failed: Krylov iteration stalled")
-            assert d["rho_c2alpha"] is None
-        assert report["error"].endswith(diagnostics[-1]["refused"])
+            assert d["reason"].startswith("linear solve failed: Krylov iteration stalled")
+            (record,) = d["iterations"]
+            assert record["rho_c2alpha"] is None
+            # the stalled solve's step count is kept as a number
+            assert record["krylov_steps"] >= 1
+            assert d["reason"].endswith(f" after {record['krylov_steps']} steps")
+        assert report["error"].endswith(diagnostics[-1]["reason"])
 
     @pytest.mark.parametrize("err, fields", [
         (SolverError("stalled", steps=7), {"error_type": "SolverError", "steps": 7}),
@@ -273,15 +279,16 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg_path)]) == 0
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["status"] == "Converged"
-        assert report["eps_history"] == [0.0625]
+        assert report["seed"]["eps"] == 0.0625
+        assert [a["eps"] for a in report["aborted_attempts"]] == [0.5, 0.25, 0.125]
+        assert report["aborted_attempts"][0]["reason"].startswith("linear solve failed")
 
     @pytest.mark.parametrize("edit", [
         lambda d: d.update(alpha=0.25),
         lambda d: d.update(rhs={"terms": [{"coeff": 30.0}]}),
     ], ids=["alpha-quarter", "const-30"])
     def test_large_or_rough_constant_converges(self, tmp_path, edit):
-        # eps is tuned from 1/2 whatever the size of f; no provisional eps
-        # sized from f stands in the way
+        # eps is tuned from the seed's 1/2 whatever the size of f or alpha
         doc = json.loads(json.dumps(PRESETS["fconst-pos"]))
         doc["output"]["directory"] = str(tmp_path / "run")
         edit(doc)
@@ -295,7 +302,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("alpha", [0.1, 0.55])
     def test_alpha_without_provisional_eps_converges(self, tmp_path, alpha):
         # no dyadic eps >= 1e-4 has eps^(2 alpha) / eps' <= 1/4 at these
-        # alpha; the seed takes the smallest candidate and tuning decides
+        # alpha; the seed starts at 1/2 like any other, and tuning decides
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
         doc.update(alpha=alpha)
         doc["grid"]["m"] = 9
@@ -305,15 +312,6 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg_path)]) == 0
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["status"] == "Converged"
-
-    def test_plots_csv_emitted(self, tmp_path):
-        doc = json.loads(json.dumps(PRESETS["fconst-match"]))
-        doc["output"]["emit_plots_csv"] = True
-        cfg = ProblemConfig.from_dict(doc)
-        run_solve(cfg, out_dir=str(tmp_path))
-        lines = (tmp_path / "residuals.csv").read_text().splitlines()
-        assert lines[0] == "iteration,g_inf,g_holder,rho_inf,min_margin"
-        assert len(lines) == 2
 
 
 class TestVerifyCommand:

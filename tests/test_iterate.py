@@ -7,7 +7,6 @@ from khessian.cli import run_solve
 from khessian.config import ProblemConfig
 from khessian.grids import ScalarGrid, boundary_mask, grid_coords
 from khessian.iterate import (
-    MAX_RETUNES,
     STATUS_CONVERGED,
     STATUS_ELLIPTICITY_LOST,
     assemble_solution,
@@ -31,22 +30,24 @@ class TestTuneEpsilon:
             raise AssertionError("a residual on the roundoff floor needs no step")
 
         monkeypatch.setattr("khessian.iterate.assemble_linearized", no_step)
-        tuned = tune_epsilon(seed, f, 9)
+        tuned, refused = tune_epsilon(seed, f, 9)
         assert tuned.eps == 0.5
+        assert refused == []
 
     def test_acceptance_is_monotone(self):
         # whenever some eps passes the residual bound, half of it passes too
         seed = seed_for_zero(2, 3, 0.5)
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
-        tuned = tune_epsilon(seed, f, 9)
+        tuned, _ = tune_epsilon(seed, f, 9)
         assert tuned.eps <= 0.5
-        halved = tune_epsilon(seed.with_eps(tuned.eps), f, 9, eps_start=tuned.eps / 2)
+        halved, refused = tune_epsilon(seed.with_eps(tuned.eps / 2), f, 9)
         assert halved.eps == tuned.eps / 2
+        assert refused == []
 
     def test_eps_prime_recomputed(self):
         seed = seed_for_zero(2, 3, 0.5)
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0))])
-        tuned = tune_epsilon(seed, f, 9)
+        tuned, _ = tune_epsilon(seed, f, 9)
         assert tuned.eps_prime == pytest.approx(tuned.eps**0.5)
 
     def test_box_violation_rejects_candidate(self, tmp_path):
@@ -55,7 +56,11 @@ class TestTuneEpsilon:
         doc.update(n=4, k=2, rhs="const-neg-one", grid={"m": 9})
         art = run_solve(ProblemConfig.from_dict(doc), out_dir=str(tmp_path))
         assert art.report.converged
-        assert art.report.eps_history == [0.25]
+        assert art.report.seed["eps"] == 0.25
+        assert [a["eps"] for a in art.report.aborted_attempts] == [0.5]
+        assert art.report.aborted_attempts[0]["iterations"] == []
+        assert art.report.aborted_attempts[0]["reason"].startswith(
+            "(u, p) arguments leave the declared box")
 
 
 class TestNewtonLoop:
@@ -68,7 +73,7 @@ class TestNewtonLoop:
         assert np.max(np.abs(w.values)) == 0.0
 
     def test_manufactured_recovery(self):
-        seed = seed_for_zero(2, 3, 0.5)
+        seed = seed_for_zero(2, 3, 0.5).with_eps(1 / 16)
         m = 17
         w_star, hess = manufactured_field(3, m, 0.05)
         f = tabulated_rhs_from_hessian(seed, hess)
@@ -79,7 +84,7 @@ class TestNewtonLoop:
         assert report.iterations[-1].g_inf <= 1e-9
 
     def test_residual_monotone_after_first_step(self):
-        seed = seed_for_zero(2, 3, 0.5)
+        seed = seed_for_zero(2, 3, 0.5).with_eps(1 / 16)
         m = 17
         _, hess = manufactured_field(3, m, 0.05)
         f = tabulated_rhs_from_hessian(seed, hess)
@@ -88,7 +93,7 @@ class TestNewtonLoop:
         assert all(b < a for a, b in zip(g[1:], g[2:]))
 
     def test_quadratic_ratio_bounded(self):
-        seed = seed_for_zero(2, 3, 0.5)
+        seed = seed_for_zero(2, 3, 0.5).with_eps(1 / 16)
         m = 17
         _, hess = manufactured_field(3, m, 0.05)
         f = tabulated_rhs_from_hessian(seed, hess)
@@ -103,7 +108,7 @@ class TestNewtonLoop:
         assert all(q <= 10.0 * med + 1e-30 for q in usable)
 
     def test_iterate_norm_stays_below_one(self):
-        seed = seed_for_zero(2, 3, 0.5)
+        seed = seed_for_zero(2, 3, 0.5).with_eps(1 / 16)
         m = 17
         _, hess = manufactured_field(3, m, 0.05)
         f = tabulated_rhs_from_hessian(seed, hess)
@@ -112,23 +117,36 @@ class TestNewtonLoop:
         # w_1 = 0 + rho_0, so the loop reuses iteration 0's surrogate
         assert report.iterations[1].w_c2alpha == report.iterations[0].rho_c2alpha
 
-    def test_retune_after_large_iterate_converges(self):
-        seed = seed_for_zero(2, 3, 0.5).with_eps(0.5)
+    def test_untuned_eps_stops_at_refused_step(self):
+        # at eps 1/2 the first correction leaves the unit ball; the loop keeps
+        # its eps and stops there
+        seed = seed_for_zero(2, 3, 0.5)
+        assert seed.eps == 0.5
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
         _, report = newton_loop(seed, f, 9)
-        assert report.status == STATUS_CONVERGED
-        assert report.eps_history == [0.5, 0.25]
-        assert len(report.aborted_attempts) == 1
-        assert report.aborted_attempts[0]["reason"].startswith("iterate norm surrogate")
-
-    def test_retunes_stop_after_max_retunes(self):
-        seed = seed_for_zero(2, 3, 0.5).with_eps(0.5)
-        f = RhsSpec(n=3, terms=[RhsTerm(6000.0, (2, 0, 0)), RhsTerm(-6000.0, (0, 2, 0))],
-                    box=1e3)
-        _, report = newton_loop(seed, f, 9)
         assert report.status == STATUS_ELLIPTICITY_LOST
-        assert report.eps_history == [0.5, 0.25, 0.125, 0.0625]
-        assert len(report.aborted_attempts) == MAX_RETUNES + 1
+        assert report.stop_reason.startswith("iterate norm surrogate")
+        assert report.seed["eps"] == 0.5
+        assert [r.iteration for r in report.iterations] == [0, 1]
+        assert report.iterations[-1].w_c2alpha > 1.0
+        assert report.aborted_attempts == []
+
+    def test_tuning_halves_through_refused_eps(self, tmp_path):
+        # the same f through the pipeline: tuning refuses the large eps and
+        # the loop converges at the accepted one
+        doc = copy.deepcopy(PRESETS["fzero-linear"])
+        doc["grid"]["m"] = 9
+        art = run_solve(ProblemConfig.from_dict(doc), out_dir=str(tmp_path))
+        report = art.report
+        assert report.converged
+        refused = [a["eps"] for a in report.aborted_attempts]
+        assert refused == [0.5 * 0.5**i for i in range(len(refused))]
+        assert refused and report.seed["eps"] == refused[-1] / 2
+        for attempt in report.aborted_attempts:
+            (record,) = attempt["iterations"]
+            assert record["rho_c2alpha"] > 0.25
+            assert attempt["reason"] == f"c2alpha(rho) {record['rho_c2alpha']:.3g} > 0.25"
+        assert all(r.krylov_steps is not None for r in report.iterations[:-1])
 
     def test_each_iterate_evaluated_once(self, monkeypatch):
         # G, its linearization and the iterate's C^{2,alpha} surrogate share
@@ -161,7 +179,7 @@ class TestNewtonLoop:
         monkeypatch.setattr(pde, "second_differences", counted_build)
         monkeypatch.setattr(grids, "second_differences", counted_build)
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
-        seed = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
+        seed, _ = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
         _, report = newton_loop(seed, f, 9)
         # iteration 2 reads w's surrogate from its evaluation
         assert report.converged and len(report.iterations) == 3
@@ -212,7 +230,7 @@ class TestAssembleSolution:
     def test_physical_residual(self):
         # S_k of the assembled Hessian minus f equals eps' times the rescaled
         # residual, pointwise
-        seed = seed_for_zero(2, 3, 0.5)
+        seed = seed_for_zero(2, 3, 0.5).with_eps(1 / 16)
         m = 17
         _, hess = manufactured_field(3, m, 0.05)
         f = tabulated_rhs_from_hessian(seed, hess)

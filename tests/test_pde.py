@@ -377,7 +377,7 @@ class TestSolve:
         rng = np.random.default_rng(12)
         sys = self._system(rhs_values=None)
         sys.rhs = rng.normal(size=sys.size)
-        rho, res = solve_dirichlet_info(sys, 1e-10)
+        rho, res, _ = solve_dirichlet_info(sys, 1e-10)
         dense = np.linalg.solve(sys.matrix @ np.eye(sys.size), sys.rhs)
         got = rho.values.reshape(-1)[sys.interior_flat]
         assert np.max(np.abs(got - dense)) < 1e-8
@@ -390,7 +390,7 @@ class TestSolve:
         sys = self._system()
         b = rng.normal(size=sys.size)
         sys.rhs = 1e-11 * b / np.linalg.norm(b)
-        rho, res = solve_dirichlet_info(sys, 1e-10)
+        rho, res, _ = solve_dirichlet_info(sys, 1e-10)
         assert res <= 1e-10
         assert np.max(np.abs(rho.values)) > 0.0
 
@@ -410,8 +410,9 @@ class TestSolve:
     def test_noisy_iterate_solves_in_five_steps(self, n):
         seed, f, w = _noisy_problem(n)
         sys = assemble_linearized(w, seed, f)
-        rho, res = solve_dirichlet_info(sys, 1e-10, max_iter=5)
+        rho, res, steps = solve_dirichlet_info(sys, 1e-10, max_iter=5)
         assert res <= 1e-10
+        assert 1 <= steps <= 5
         got = sys.matrix @ rho.values.reshape(-1)[sys.interior_flat]
         assert np.linalg.norm(got - sys.rhs) <= 1e-10 * np.linalg.norm(sys.rhs)
 
