@@ -57,22 +57,28 @@ class SolveArtifacts:
 
 
 def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifacts:
-    """Full pipeline: seed, tune, iterate, assemble, certify, write files."""
+    """Full pipeline: seed, tune, iterate, assemble, certify, write files.
+
+    The loop starts from tuning's iteration 0 at the accepted eps, and the
+    assembly reads the second differences of the loop's last evaluation.
+    """
     config.validate()
     f = config.build_rhs()
     c = f.value_at_origin()
     seed = seed_for_constant(config.k, config.n, c, alpha=config.alpha, l=config.l)
-    seed, refused = tune_epsilon(seed, f, config.m, tol_lin=config.tol_lin)
+    seed, refused, start = tune_epsilon(seed, f, config.m, tol_lin=config.tol_lin)
     w, report = newton_loop(
         seed, f, config.m,
         tol_newton=config.tol_newton,
         max_iter=config.max_iter,
         tol_lin=config.tol_lin,
+        start=start,
     )
     report.aborted_attempts = refused
     solution = None
     if report.converged:
-        solution = assemble_solution(w, seed)
+        solution = assemble_solution(w, seed, w.derivs)
+        w.derivs = None  # free them before certification
         cert = certify_convexity(
             solution.hessian, config.k, ~boundary_mask(config.n, config.m)
         )

@@ -24,7 +24,8 @@ class EllipticityError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The linear solver stagnated; carries the number of Krylov steps taken."""
+    """The linear solver stagnated; ``steps`` counts the operator applications
+    BiCGSTAB made (one per half step)."""
 
     def __init__(self, message, steps=None):
         super().__init__(message)

@@ -3,8 +3,11 @@
 This module alone decides eps and runs the Newton step.  ``tune_epsilon``
 halves eps from the seed's eps (1/2) until one step from w = 0 gives a
 correction with c2alpha(rho) <= 1/4, and records every refused eps.
-``newton_loop`` then starts from w = 0 at the eps it is given.  The loop
-repeatedly solves the linearized homogeneous Dirichlet problem for the
+``newton_loop`` then starts from w = 0 at the eps it is given.  Its
+iteration 0 comes from tuning: the accepted candidate's record and
+correction, computed once by ``_iteration_zero``, the one implementation of
+that iteration (the loop runs it itself when called without tuning).  The
+loop repeatedly solves the linearized homogeneous Dirichlet problem for the
 correction, and stops when the sup norm of the residual falls below the
 Newton tolerance (or below ten times the estimated roundoff floor of the
 residual evaluation).  The residual is expected to decay quadratically; the
@@ -18,7 +21,8 @@ Each iterate is evaluated once: the ``Residual`` that ``eval_G`` returns
 carries the Hessian, the Newton tensor and the physical arguments, the step
 assembles the linearization from them, and the iterate's C^{2,alpha}
 surrogate reads the same Hessian.  A residual's pointwise data is freed as
-soon as its step is assembled or the loop stops.
+soon as its step is assembled; at the last iterate, its second differences
+are handed to ``assemble_solution``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, EllipticityError, SolverError, TuningError
-from .grids import ScalarGrid, c2alpha_surrogate, calpha_surrogate, grid_coords, hessian_of
+from .grids import (
+    ScalarGrid,
+    c2alpha_surrogate,
+    calpha_surrogate,
+    grid_coords,
+    second_differences,
+    symmetric_matrix,
+)
 from .pde import Residual, assemble_linearized, eval_G, minor_sums, solve_dirichlet_info
 from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
@@ -77,6 +88,14 @@ class IterationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass
+class Iterate(ScalarGrid):
+    """A Newton iterate w and, when the loop evaluated its residual last,
+    ``second_differences(w)`` from that evaluation (None otherwise)."""
+
+    derivs: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -132,7 +151,7 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
     Returns ``(None, reason)`` when the coefficient matrix loses diagonal
     dominance, a dominance margin drops below half the seed's deleted-variable
     row, or the linear solve fails (breaks down or reaches its step limit);
-    a failed solve still records its step count.
+    a failed solve still records its count of operator applications.
     """
     try:
         sys = assemble_linearized(w, seed, f, g_grid)
@@ -156,41 +175,60 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
     return rho, None
 
 
+def _iteration_zero(seed: SeedQuadratic, f, m: int, tol_lin: float
+                    ) -> tuple[IterationRecord, ScalarGrid | None, str | None, Residual]:
+    """Iteration 0 at the seed's eps, the same for tuning and the loop: G at
+    w = 0 and, unless G lies on the roundoff floor, the Newton step from w = 0.
+
+    Returns ``(record, rho, reason, g)``: the iteration-0 record without
+    ``g_holder``, the correction and the refusal as ``_newton_step`` gives
+    them (both None on the floor), and the residual.  Raises DomainError when
+    the (u, p) arguments leave the right-hand side's box.
+    """
+    w0 = ScalarGrid.zeros(seed.n, m)
+    g = eval_G(w0, seed, f)
+    record = IterationRecord(iteration=0, g_inf=_interior_sup(g), w_c2alpha=0.0)
+    if record.g_inf <= 10.0 * residual_floor(seed, m):
+        return record, None, None, g
+    rho, reason = _newton_step(w0, g, seed, f, tol_lin, record)
+    return record, rho, reason, g
+
+
 def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10
-                 ) -> tuple[SeedQuadratic, list[dict]]:
+                 ) -> tuple[SeedQuadratic, list[dict], list]:
     """Halve eps from the seed's eps until the first Newton correction is small.
 
-    Each candidate runs the Newton loop's own step from w = 0 and is accepted
-    when the correction satisfies c2alpha(rho) <= 1/4.  At w = 0 the Hessian
-    is diag(tau) exactly, so every dominance margin is the seed row
+    Each candidate runs the loop's iteration 0 (``_iteration_zero``) and is
+    accepted when the correction satisfies c2alpha(rho) <= 1/4.  At w = 0 the
+    Hessian is diag(tau) exactly, so every dominance margin is the seed row
     sigma_{k-1,i}(tau) up to rounding and the step's margin test cannot
     refuse the candidate.  A residual that is zero to roundoff accepts
-    immediately; a candidate whose (u, p) arguments leave the right-hand
+    without a step; a candidate whose (u, p) arguments leave the right-hand
     side's box, or whose step is refused (a failed linear solve), is
     rejected.
 
-    Returns the accepted seed and one record {"eps", "reason", "iterations"}
+    Returns the accepted seed, one record {"eps", "reason", "iterations"}
     per refused eps, ``iterations`` holding the candidate's iteration-0
-    record (empty after a box exit).  When no candidate is accepted, the
-    TuningError carries these records and names the last one's reason.
+    record (empty after a box exit), and the accepted candidate's iteration
+    0 as ``[record, rho]`` for ``newton_loop``'s ``start``: its record, with
+    ``g_holder`` measured, and its correction (None on the roundoff floor).
+    When no candidate is accepted, the TuningError carries the refusal
+    records and names the last one's reason.
     """
     refused: list[dict] = []
-    w0 = ScalarGrid.zeros(seed.n, m)
     eps = seed.eps
     while eps >= EPS_MIN:
         candidate = seed.with_eps(eps)
         try:
-            g_grid = eval_G(w0, candidate, f)
+            record, rho, reason, g = _iteration_zero(candidate, f, m, tol_lin)
         except DomainError as err:
             refused.append({"eps": eps, "reason": str(err), "iterations": []})
             eps *= 0.5
             continue
-        record = IterationRecord(iteration=0, g_inf=_interior_sup(g_grid), w_c2alpha=0.0)
-        if record.g_inf <= 10.0 * residual_floor(candidate, m):
-            return candidate, refused
-        _, reason = _newton_step(w0, g_grid, candidate, f, tol_lin, record)
-        if reason is None and record.rho_c2alpha <= 0.25:
-            return candidate, refused
+        if reason is None and (rho is None or record.rho_c2alpha <= 0.25):
+            record.g_holder = calpha_surrogate(g.values, g.h, candidate.alpha)
+            return candidate, refused, [record, rho]
+        del rho, g  # free them before the next candidate
         refused.append({"eps": eps,
                         "reason": reason or f"c2alpha(rho) {record.rho_c2alpha:.3g} > 0.25",
                         "iterations": [record.to_dict()]})
@@ -202,55 +240,70 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10
 
 
 def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
-                max_iter: int = 12, tol_lin: float = 1e-10
-                ) -> tuple[ScalarGrid, IterationReport]:
+                max_iter: int = 12, tol_lin: float = 1e-10, start: list | None = None
+                ) -> tuple[Iterate, IterationReport]:
     """Run the correction scheme from w = 0 at the seed's eps until the
     residual is small.
 
+    Iteration 0 is ``start`` when given, the ``[record, rho]`` that
+    ``tune_epsilon`` returned for this seed's eps; the loop empties the list,
+    so that rho is freed once it has been added to w.  Without ``start`` the
+    loop runs ``_iteration_zero`` itself and measures ``g_holder``, as tuning
+    does for the candidate it accepts.  Iteration 0 takes its step before the
+    stopping tests, so its record shows the step only when the loop goes on.
+
     The first refused step stops the loop with status EllipticityLost and the
     refusal as ``stop_reason``; its record is the last of ``iterations``.
-    Returns the final iterate together with the full per-iteration report;
-    the caller decides what to do with non-converged statuses.
+    Returns the final iterate, with the second differences of its last
+    evaluation, together with the full per-iteration report; the caller
+    decides what to do with non-converged statuses.
     """
+    if start is None:
+        first, rho, reason, g_grid = _iteration_zero(seed, f, m, tol_lin)
+        first.g_holder = calpha_surrogate(g_grid.values, g_grid.h, seed.alpha)
+    else:
+        (first, rho), reason = start, None
+        start.clear()
     w = ScalarGrid.zeros(seed.n, m)
-    records: list[IterationRecord] = []
+    records = [IterationRecord(iteration=0, g_inf=first.g_inf, w_c2alpha=0.0,
+                               g_holder=first.g_holder)]
     ratios: list[float] = []
     for it in range(max_iter + 1):
-        g_grid = eval_G(w, seed, f)
-        g_inf = _interior_sup(g_grid)
-        g_holder = calpha_surrogate(g_grid.values, w.h, seed.alpha)
-        # w_1 = 0 + rho_0, so its surrogate is iteration 0's rho_c2alpha
-        if it == 0:
-            w_norm = 0.0
-        elif it == 1:
-            w_norm = records[0].rho_c2alpha
-        else:
-            w_norm = c2alpha_surrogate(w, seed.alpha, (g_grid.second, g_grid.grad))
-        if records:
-            prev = records[-1].g_inf
-            if prev > 0.0:
-                ratios.append(g_inf / prev**2)
-        record = IterationRecord(
-            iteration=it, g_inf=g_inf, w_c2alpha=w_norm, g_holder=g_holder
-        )
-        records.append(record)
-        if g_inf <= tol_newton:
+        if it > 0:
+            g_grid = eval_G(w, seed, f)
+            # w_1 = 0 + rho_0, so its surrogate is iteration 0's rho_c2alpha
+            w_norm = (first.rho_c2alpha if it == 1 else
+                      c2alpha_surrogate(w, seed.alpha, (g_grid.second, g_grid.grad)))
+            record = IterationRecord(
+                iteration=it, g_inf=_interior_sup(g_grid), w_c2alpha=w_norm,
+                g_holder=calpha_surrogate(g_grid.values, w.h, seed.alpha),
+            )
+            if records[-1].g_inf > 0.0:
+                ratios.append(record.g_inf / records[-1].g_inf**2)
+            records.append(record)
+        record = records[-1]
+        if record.g_inf <= tol_newton:
             status, reason = STATUS_CONVERGED, "residual_tolerance"
-        elif g_inf <= 10.0 * residual_floor(seed, m, max(1.0, w_norm)):
+        elif record.g_inf <= 10.0 * residual_floor(seed, m, max(1.0, record.w_c2alpha)):
             status, reason = STATUS_CONVERGED, "residual_floor"
         elif it == max_iter:
             status, reason = STATUS_MAX_ITER, "max_iter"
-        elif w_norm > 1.0:
+        elif record.w_c2alpha > 1.0:
             status = STATUS_ELLIPTICITY_LOST
-            reason = f"iterate norm surrogate {w_norm:.3f} > 1"
+            reason = f"iterate norm surrogate {record.w_c2alpha:.3f} > 1"
         else:
-            rho, reason = _newton_step(w, g_grid, seed, f, tol_lin, record)
+            if it == 0:
+                records[0] = first
+            else:
+                rho, reason = _newton_step(w, g_grid, seed, f, tol_lin, record)
             if reason is None:
                 w = ScalarGrid(w.n, w.m, w.values + rho.values)
+                rho = None
                 continue
             status = STATUS_ELLIPTICITY_LOST
         break
-    return w, IterationReport(
+    derivs = (g_grid.second, g_grid.grad) if it > 0 and g_grid.second is not None else None
+    return Iterate(w.n, w.m, w.values, derivs), IterationReport(
         status=status,
         stop_reason=reason,
         iterations=records,
@@ -260,16 +313,21 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     )
 
 
-def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
+def assemble_solution(w: ScalarGrid, seed: SeedQuadratic,
+                      derivs: tuple[np.ndarray, np.ndarray] | None = None
+                      ) -> PhysicalSolution:
     """Assemble u(y) = 1/2 sum tau_i y_i^2 + eps' eps^4 w(y / eps^2).
 
     The affine part w(0) + x . Dw(0) is subtracted first (it shifts u by an
     affine function, invisible to second derivatives), so the reported w
-    vanishes to second order at the origin.
+    vanishes to second order at the origin.  ``derivs`` is w's
+    ``second_differences`` when the caller already has them.
     """
     n, m = w.n, w.m
     center = (m // 2,) * n
-    hess_w, grad_w = hessian_of(w)
+    second, grad_w = second_differences(w) if derivs is None else derivs
+    hess_w = symmetric_matrix(second, n)
+    del second
     w0 = float(w.values[center])
     g0 = grad_w[center].copy()
     x = grid_coords(n, m)

@@ -4,15 +4,16 @@ test-only helpers that check library output.
 The oracles deliberately avoid the library's evaluation routes: subset
 enumeration for minor sums, explicit zeroing for deleted variables,
 point-by-point pair enumeration along axis and full-diagonal directions for
-Hoelder quotients, entry-by-entry stencil placement for the linearized
-operator and per-cell formatting for grid CSVs.  Enumeration is kept to
+Hoelder quotients (and, on grids too large for it, a sweep of every
+difference offset with no pass skipped), entry-by-entry stencil placement
+for the linearized operator and per-cell formatting for grid CSVs.  Enumeration is kept to
 n <= 12.  The helpers (the cone inequality check, the descending-order facts
 and the grid CSV reader) are built on the library and used only by tests.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -98,6 +99,34 @@ def brute_holder_quotient(values, h: float, alpha: float, radius: int = 8,
         if pair.any():
             q = np.abs(flat[pair] - flat[a]) / denom[sq[pair]]
             best = max(best, float(q.max()))
+    return best
+
+
+def every_offset_holder_quotient(values, h: float, alpha: float,
+                                 radius: int = 8) -> float:
+    """The quotient ``brute_holder_quotient`` enumerates, swept one index
+    offset s u at a time, u = +-e_a or a sign vector (+-1, ..., +-1) and
+    0 < |s u| <= radius, both signs and none skipped: the exact reference on
+    grids beyond that oracle's 1000 points.  Distances are formed as it forms
+    them.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.ndim
+    units = [sign * np.eye(n, dtype=int)[a] for a in range(n) for sign in (1, -1)]
+    units += [np.array(signs) for signs in product((1, -1), repeat=n)]
+    best = 0.0
+    for u in units:
+        for s in range(1, radius + 1):
+            d = s * u
+            sq = int((d**2).sum())
+            if sq > radius * radius or np.any(np.abs(d) >= values.shape):
+                break
+            hi = values[tuple(slice(max(0, o), k + min(0, o))
+                              for o, k in zip(d, values.shape))]
+            lo = values[tuple(slice(max(0, -o), k - max(0, o))
+                              for o, k in zip(d, values.shape))]
+            q = float(np.max(np.abs(hi - lo))) / (h * math.sqrt(sq)) ** alpha
+            best = max(best, q)
     return best
 
 

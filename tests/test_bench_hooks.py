@@ -56,7 +56,7 @@ def test_every_tapped_name_is_in_verify():
 def test_every_counter_reads_a_real_result(layer_table, tmp_path):
     # (result, args, kwargs) of one real call per counted layer
     f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
-    seed, _ = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
+    seed, _, _ = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
     loop = newton_loop(seed, f, 9)
     w, report = loop
     system = assemble_linearized(w, seed, f)

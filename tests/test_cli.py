@@ -205,7 +205,7 @@ class TestSolveCommand:
         assert "Krylov iteration stalled" in capsys.readouterr().err
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["status"] == "Failed"
-        assert report["error"].endswith(" steps")
+        assert report["error"].endswith(" operator applications")
         assert "(breakdown, info -1" in report["error"]
 
     def test_tuning_failure_report_keeps_diagnostics(self, tmp_path):
@@ -244,9 +244,10 @@ class TestSolveCommand:
             assert d["reason"].startswith("linear solve failed: Krylov iteration stalled")
             (record,) = d["iterations"]
             assert record["rho_c2alpha"] is None
-            # the stalled solve's step count is kept as a number
+            # the stalled solve's count of operator applications is kept as a number
             assert record["krylov_steps"] >= 1
-            assert d["reason"].endswith(f" after {record['krylov_steps']} steps")
+            assert d["reason"].endswith(
+                f" after {record['krylov_steps']} operator applications")
         assert report["error"].endswith(diagnostics[-1]["reason"])
 
     @pytest.mark.parametrize("err, fields", [

@@ -5,7 +5,7 @@ import pytest
 
 from khessian.cli import run_solve
 from khessian.config import ProblemConfig
-from khessian.grids import ScalarGrid, boundary_mask, grid_coords
+from khessian.grids import ScalarGrid, boundary_mask, grid_coords, second_differences
 from khessian.iterate import (
     STATUS_CONVERGED,
     STATUS_ELLIPTICITY_LOST,
@@ -30,7 +30,7 @@ class TestTuneEpsilon:
             raise AssertionError("a residual on the roundoff floor needs no step")
 
         monkeypatch.setattr("khessian.iterate.assemble_linearized", no_step)
-        tuned, refused = tune_epsilon(seed, f, 9)
+        tuned, refused, _ = tune_epsilon(seed, f, 9)
         assert tuned.eps == 0.5
         assert refused == []
 
@@ -38,16 +38,16 @@ class TestTuneEpsilon:
         # whenever some eps passes the residual bound, half of it passes too
         seed = seed_for_zero(2, 3, 0.5)
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
-        tuned, _ = tune_epsilon(seed, f, 9)
+        tuned, _, _ = tune_epsilon(seed, f, 9)
         assert tuned.eps <= 0.5
-        halved, refused = tune_epsilon(seed.with_eps(tuned.eps / 2), f, 9)
+        halved, refused, _ = tune_epsilon(seed.with_eps(tuned.eps / 2), f, 9)
         assert halved.eps == tuned.eps / 2
         assert refused == []
 
     def test_eps_prime_recomputed(self):
         seed = seed_for_zero(2, 3, 0.5)
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0))])
-        tuned, _ = tune_epsilon(seed, f, 9)
+        tuned, _, _ = tune_epsilon(seed, f, 9)
         assert tuned.eps_prime == pytest.approx(tuned.eps**0.5)
 
     def test_box_violation_rejects_candidate(self, tmp_path):
@@ -179,7 +179,7 @@ class TestNewtonLoop:
         monkeypatch.setattr(pde, "second_differences", counted_build)
         monkeypatch.setattr(grids, "second_differences", counted_build)
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
-        seed, _ = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
+        seed, _, _ = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
         _, report = newton_loop(seed, f, 9)
         # iteration 2 reads w's surrogate from its evaluation
         assert report.converged and len(report.iterations) == 3
@@ -188,6 +188,48 @@ class TestNewtonLoop:
         # the other Hessians are of corrections, never of an evaluated iterate
         outside = {id(grid) for grid, inside in builds if not inside}
         assert outside and not outside & {id(w) for w in evaluated}
+
+    def test_iteration_zero_runs_once(self, tmp_path, monkeypatch):
+        # the loop starts from tuning's iteration 0, and the solution is
+        # assembled from the second differences of the last evaluation
+        import khessian.iterate as iterate
+
+        eval_G, tune = iterate.eval_G, iterate.tune_epsilon
+        calls = {"eval_G": 0, "tuning": 0}
+
+        def counted_eval_G(*args):
+            calls["eval_G"] += 1
+            return eval_G(*args)
+
+        def counted_tune(*args, **kwargs):
+            before = calls["eval_G"]
+            try:
+                return tune(*args, **kwargs)
+            finally:
+                calls["tuning"] = calls["eval_G"] - before
+
+        def no_differences(grid):
+            raise AssertionError("the converged iterate was differenced again")
+
+        monkeypatch.setattr(iterate, "eval_G", counted_eval_G)
+        monkeypatch.setattr("khessian.cli.tune_epsilon", counted_tune)
+        monkeypatch.setattr(iterate, "second_differences", no_differences)
+        doc = copy.deepcopy(PRESETS["fzero-linear"])
+        doc["grid"]["m"] = 9
+        config = ProblemConfig.from_dict(doc)
+        report = run_solve(config, out_dir=str(tmp_path)).report
+        assert report.converged and len(report.iterations) > 1
+        assert calls["tuning"] == len(report.aborted_attempts) + 1
+        assert calls["eval_G"] == calls["tuning"] + len(report.iterations) - 1
+
+        monkeypatch.undo()
+        seed = seed_for_zero(2, 3, 0.5).with_eps(report.seed["eps"])
+        w, alone = newton_loop(seed, config.build_rhs(), 9)
+        assert [r.to_dict() for r in alone.iterations] == [
+            r.to_dict() for r in report.iterations]
+        assert alone.iterations[0].g_holder is not None
+        second, grad = second_differences(w)
+        assert np.array_equal(w.derivs[0], second) and np.array_equal(w.derivs[1], grad)
 
     def test_floor_estimate_scales_like_inverse_h_squared(self):
         seed = seed_for_zero(2, 3, 0.5)

@@ -28,6 +28,7 @@ from khessian.symfun import elem_sym, sigma_all, sigma_km1_row
 from oracles import (
     brute_holder_quotient,
     brute_sk_matrix,
+    every_offset_holder_quotient,
     fd_sk_gradient,
     read_grid_csv,
     stencil_matrix,
@@ -410,18 +411,19 @@ class TestSolve:
     def test_noisy_iterate_solves_in_five_steps(self, n):
         seed, f, w = _noisy_problem(n)
         sys = assemble_linearized(w, seed, f)
-        rho, res, steps = solve_dirichlet_info(sys, 1e-10, max_iter=5)
+        rho, res, applied = solve_dirichlet_info(sys, 1e-10, max_iter=5)
         assert res <= 1e-10
-        assert 1 <= steps <= 5
+        assert 1 <= applied <= 2 * 5  # two operator applications per step
         got = sys.matrix @ rho.values.reshape(-1)[sys.interior_flat]
         assert np.linalg.norm(got - sys.rhs) <= 1e-10 * np.linalg.norm(sys.rhs)
 
     def test_step_limit_raises_with_steps(self):
         seed, f, w = _noisy_problem(3)
         sys = assemble_linearized(w, seed, f)
-        with pytest.raises(SolverError, match="after 1 steps") as info:
+        # one full BiCGSTAB step applies the operator twice
+        with pytest.raises(SolverError, match="after 2 operator applications") as info:
             solve_dirichlet_info(sys, 1e-10, max_iter=1)
-        assert info.value.steps == 1
+        assert info.value.steps == 2
         assert "(step limit reached)" in str(info.value)
 
     def test_discrete_maximum_principle(self):
@@ -516,6 +518,42 @@ class TestNormSurrogates:
         expect = max(brute_holder_quotient(v, h, 0.5) for v in stack)
         assert holder_quotient(stack, h, 0.5) == expect
         assert holder_quotient(stack[:1], h, 0.5) == brute_holder_quotient(stack[0], h, 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("m", [9, 17])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pruned_sweep_is_exact(self, n, m, alpha):
+        # the skipped passes must not change the maximum by one bit: a
+        # constant (spread 0), a spike, a checkerboard (largest at step 1), a
+        # ramp (largest at the longest step) and a smooth field with noise
+        rng = np.random.default_rng(70 + 10 * n + m)
+        x = grid_coords(n, m)
+        idx = np.indices((m,) * n).sum(axis=0)
+        spike = np.zeros((m,) * n)
+        spike[(m // 3,) * n] = 2.5
+        smooth = np.sin(x @ rng.normal(size=n)) + x[..., 0] ** 3
+        fields = {
+            "constant": np.full((m,) * n, 0.7),
+            "spike": spike,
+            "checkerboard": np.where(idx % 2 == 0, 1.0, -1.0),
+            "ramp": x @ np.linspace(1.0, 0.2, n),
+            "noisy": smooth + 1e-3 * rng.normal(size=smooth.shape),
+        }
+        h = 2.0 / (m - 1)
+        small = m**n <= 1000  # the pair oracle's limit
+        reference = brute_holder_quotient if small else every_offset_holder_quotient
+        expect = {}
+        for kind, field in fields.items():
+            expect[kind] = reference(field, h, alpha)
+            assert holder_quotient(field[None], h, alpha) == expect[kind], kind
+            if small:  # the reference for larger grids agrees with the oracle
+                assert every_offset_holder_quotient(field, h, alpha) == expect[kind], kind
+        # in a stack the running maximum carries over between fields; the
+        # gentle ramp has the largest spread, so it is swept first
+        extra = [0.2 * fields["checkerboard"], 8.0 * fields["ramp"]]
+        stack = np.stack([*extra, *fields.values()])
+        assert holder_quotient(stack, h, alpha) == max(
+            *(reference(f, h, alpha) for f in extra), *expect.values())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_quotient_skips_off_direction_pairs(self, n):
