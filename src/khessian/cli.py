@@ -77,8 +77,7 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
     report.aborted_attempts = refused
     solution = None
     if report.converged:
-        solution = assemble_solution(w, seed, w.derivs)
-        w.derivs = None  # free them before certification
+        solution = assemble_solution(w, seed)
         cert = certify_convexity(
             solution.hessian, config.k, ~boundary_mask(config.n, config.m)
         )

@@ -16,7 +16,11 @@ field's spread) and padded by 1e-12 s for rounding, cannot raise the running
 maximum; the maximum is still exact, the same float as a sweep of every
 pass.  The caps on n and on points per axis (``_M_CAP``) are memory caps.
 The CSV format (header ``x1,...,xn,value``, rows lexicographic in grid
-indices, shortest-roundtrip floats) is frozen for golden tests.
+indices, shortest-roundtrip floats) is frozen for golden tests.  The writer
+goes one slab along the first axis at a time and formats each distinct
+float64 bit pattern of the slab once: ``repr`` is a function of the bit
+pattern alone, so every byte is the same as formatting value by value, and
+symmetric grids repeat values heavily (the seed quadratic, a zero boundary).
 """
 
 from __future__ import annotations
@@ -251,14 +255,33 @@ def c2alpha_surrogate(grid: ScalarGrid, alpha: float,
 
 
 def write_grid_csv(path, values: np.ndarray, axes: list[np.ndarray]) -> None:
-    """Write grid values with per-axis coordinate arrays; format is frozen."""
+    """Write grid values with per-axis coordinate arrays; format is frozen.
+
+    The rows go out one slab along the first axis at a time, and each
+    distinct float64 bit pattern of a slab is formatted once, as ``repr`` of
+    its float.  Keying by bit pattern, not by float equality, keeps -0.0
+    apart from 0.0, and ``repr`` depends on nothing but the bits, so the file
+    is byte for byte the one that formatting every value gives.  Only one
+    slab's strings exist at a time, so the writer holds less than a list of
+    every value would.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.ndim
     header = ",".join(f"x{i + 1}" for i in range(n)) + ",value\n"
     columns = [[repr(float(v)) + "," for v in ax] for ax in axes]
-    prefixes = map("".join, itertools.product(*columns))
+    tails = list(map("".join, itertools.product(*columns[1:])))
+    row = [""] * (3 * len(tails))  # per row: first coordinate, the others, value
+    row[1::3] = tails
+    slabs = values.view(np.int64).reshape(len(columns[0]), -1)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header)
-        fh.writelines(map("{}{!r}\n".format, prefixes, values.ravel().tolist()))
+        for head, slab in zip(columns[0], slabs):
+            patterns, inverse = np.unique(slab, return_inverse=True)
+            texts = np.array([repr(v) + "\n" for v in patterns.view(np.float64).tolist()],
+                             dtype=object)
+            row[0::3] = [head] * len(tails)
+            row[2::3] = texts[inverse].tolist()
+            fh.write("".join(row))
 
 
 def write_json(path, doc: dict) -> None:

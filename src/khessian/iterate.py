@@ -22,7 +22,9 @@ carries the Hessian, the Newton tensor and the physical arguments, the step
 assembles the linearization from them, and the iterate's C^{2,alpha}
 surrogate reads the same Hessian.  A residual's pointwise data is freed as
 soon as its step is assembled; at the last iterate, its second differences
-are handed to ``assemble_solution``.
+are handed to ``assemble_solution``.  That includes iteration 0 from tuning:
+when G(0) lies on the roundoff floor, tuning hands the loop the second
+differences of w = 0 with its record.
 """
 
 from __future__ import annotations
@@ -92,8 +94,10 @@ class IterationReport:
 
 @dataclass
 class Iterate(ScalarGrid):
-    """A Newton iterate w and, when the loop evaluated its residual last,
-    ``second_differences(w)`` from that evaluation (None otherwise)."""
+    """A Newton iterate w and, when no step was taken from its last
+    evaluation (the loop's, or tuning's at w = 0), ``second_differences(w)``
+    from that evaluation (None otherwise); ``assemble_solution`` reads and
+    releases them."""
 
     derivs: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -175,6 +179,12 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
     return rho, None
 
 
+def _kept_derivs(g: Residual) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(second, grad)`` of the residual while it keeps its pointwise data
+    (no step has been assembled from it), else None."""
+    return None if g.second is None else (g.second, g.grad)
+
+
 def _iteration_zero(seed: SeedQuadratic, f, m: int, tol_lin: float
                     ) -> tuple[IterationRecord, ScalarGrid | None, str | None, Residual]:
     """Iteration 0 at the seed's eps, the same for tuning and the loop: G at
@@ -210,8 +220,10 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10
     Returns the accepted seed, one record {"eps", "reason", "iterations"}
     per refused eps, ``iterations`` holding the candidate's iteration-0
     record (empty after a box exit), and the accepted candidate's iteration
-    0 as ``[record, rho]`` for ``newton_loop``'s ``start``: its record, with
-    ``g_holder`` measured, and its correction (None on the roundoff floor).
+    0 as ``[record, rho, derivs]`` for ``newton_loop``'s ``start``: its
+    record, with ``g_holder`` measured, its correction (None on the roundoff
+    floor) and, on the floor only, the second differences and gradient of
+    w = 0 from its evaluation (None otherwise).
     When no candidate is accepted, the TuningError carries the refusal
     records and names the last one's reason.
     """
@@ -227,7 +239,7 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10
             continue
         if reason is None and (rho is None or record.rho_c2alpha <= 0.25):
             record.g_holder = calpha_surrogate(g.values, g.h, candidate.alpha)
-            return candidate, refused, [record, rho]
+            return candidate, refused, [record, rho, _kept_derivs(g)]
         del rho, g  # free them before the next candidate
         refused.append({"eps": eps,
                         "reason": reason or f"c2alpha(rho) {record.rho_c2alpha:.3g} > 0.25",
@@ -245,7 +257,7 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     """Run the correction scheme from w = 0 at the seed's eps until the
     residual is small.
 
-    Iteration 0 is ``start`` when given, the ``[record, rho]`` that
+    Iteration 0 is ``start`` when given, the ``[record, rho, derivs]`` that
     ``tune_epsilon`` returned for this seed's eps; the loop empties the list,
     so that rho is freed once it has been added to w.  Without ``start`` the
     loop runs ``_iteration_zero`` itself and measures ``g_holder``, as tuning
@@ -261,8 +273,9 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     if start is None:
         first, rho, reason, g_grid = _iteration_zero(seed, f, m, tol_lin)
         first.g_holder = calpha_surrogate(g_grid.values, g_grid.h, seed.alpha)
+        derivs = _kept_derivs(g_grid)
     else:
-        (first, rho), reason = start, None
+        (first, rho, derivs), reason = start, None
         start.clear()
     w = ScalarGrid.zeros(seed.n, m)
     records = [IterationRecord(iteration=0, g_inf=first.g_inf, w_c2alpha=0.0,
@@ -302,7 +315,8 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 continue
             status = STATUS_ELLIPTICITY_LOST
         break
-    derivs = (g_grid.second, g_grid.grad) if it > 0 and g_grid.second is not None else None
+    if it > 0:
+        derivs = _kept_derivs(g_grid)
     return Iterate(w.n, w.m, w.values, derivs), IterationReport(
         status=status,
         stop_reason=reason,
@@ -313,23 +327,25 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     )
 
 
-def assemble_solution(w: ScalarGrid, seed: SeedQuadratic,
-                      derivs: tuple[np.ndarray, np.ndarray] | None = None
-                      ) -> PhysicalSolution:
+def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
     """Assemble u(y) = 1/2 sum tau_i y_i^2 + eps' eps^4 w(y / eps^2).
 
     The affine part w(0) + x . Dw(0) is subtracted first (it shifts u by an
     affine function, invisible to second derivatives), so the reported w
-    vanishes to second order at the origin.  ``derivs`` is w's
-    ``second_differences`` when the caller already has them.
+    vanishes to second order at the origin.  When w is an ``Iterate`` that
+    carries its second differences, they are read instead of taken again,
+    and released (``w.derivs`` becomes None) once the Hessian is formed.
     """
     n, m = w.n, w.m
     center = (m // 2,) * n
-    second, grad_w = second_differences(w) if derivs is None else derivs
+    if isinstance(w, Iterate) and w.derivs is not None:
+        (second, grad_w), w.derivs = w.derivs, None
+    else:
+        second, grad_w = second_differences(w)
     hess_w = symmetric_matrix(second, n)
-    del second
     w0 = float(w.values[center])
     g0 = grad_w[center].copy()
+    del second, grad_w
     x = grid_coords(n, m)
     w_norm = w.values - w0 - x @ g0
 

@@ -248,9 +248,16 @@ def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
     shifted = [(padded[tuple(slice(1 + o, m - 1 + o) for o in offset)], field)
                for offset, field in stencil]
 
+    product = np.empty(inner.shape)
+
     def _apply(v: np.ndarray) -> np.ndarray:
+        # summed onto zeros in stencil order: the floats of a left-to-right sum
         inner[...] = v.reshape(inner.shape)
-        return sum(field * view for view, field in shifted).reshape(-1)
+        out = np.zeros(inner.shape)
+        for view, field in shifted:
+            np.multiply(field, view, out=product)
+            out += product
+        return out.reshape(-1)
 
     matrix = LinearOperator((inner.size,) * 2, matvec=_apply, dtype=float)
     matrix.nnz = len(stencil) * inner.size  # stencil coefficients; perfbench/spans.py reads it

@@ -231,6 +231,45 @@ class TestNewtonLoop:
         second, grad = second_differences(w)
         assert np.array_equal(w.derivs[0], second) and np.array_equal(w.derivs[1], grad)
 
+    def test_iteration_zero_hands_its_derivatives_over(self, tmp_path, monkeypatch):
+        # a constant f is solved by the seed: G(0) lies on the roundoff floor,
+        # the loop stops at iteration 0, and the solution is assembled from
+        # tuning's second differences of w = 0
+        import khessian.grids as grids
+        import khessian.iterate as iterate
+        import khessian.pde as pde
+
+        eval_G, build, assemble = iterate.eval_G, grids.second_differences, iterate.assemble_solution
+        calls = {"eval_G": 0, "differences": 0}
+        handed = []
+
+        def counted_eval_G(*args):
+            calls["eval_G"] += 1
+            return eval_G(*args)
+
+        def counted_build(grid):
+            calls["differences"] += 1
+            return build(grid)
+
+        def recorded_assemble(w, seed):
+            handed.append(w.derivs)
+            return assemble(w, seed)
+
+        monkeypatch.setattr(iterate, "eval_G", counted_eval_G)
+        for module in (grids, pde, iterate):
+            monkeypatch.setattr(module, "second_differences", counted_build)
+        monkeypatch.setattr("khessian.cli.assemble_solution", recorded_assemble)
+        doc = copy.deepcopy(PRESETS["fconst-pos"])
+        doc["grid"]["m"] = 9
+        assert doc["rhs"] == "const-three"
+        report = run_solve(ProblemConfig.from_dict(doc), out_dir=str(tmp_path)).report
+        assert report.converged and len(report.iterations) == 1
+        assert calls["eval_G"] == len(report.aborted_attempts) + 1
+        assert calls["differences"] == calls["eval_G"]
+        (derivs,) = handed
+        second, grad = build(ScalarGrid.zeros(doc["n"], 9))
+        assert np.array_equal(derivs[0], second) and np.array_equal(derivs[1], grad)
+
     def test_floor_estimate_scales_like_inverse_h_squared(self):
         seed = seed_for_zero(2, 3, 0.5)
         assert residual_floor(seed, 17) / residual_floor(seed, 9) == pytest.approx(4.0)

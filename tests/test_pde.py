@@ -626,3 +626,37 @@ class TestGridIO:
         text = (tmp_path / "a.csv").read_bytes()
         assert text == (tmp_path / "b.csv").read_bytes()
         assert b"\n-0.25,-0.25,-0.25,-0.0\n" in text
+
+    @staticmethod
+    def repeated_value_field(kind, n, m):
+        """Fields that repeat values, with the axes their CSV is written on."""
+        rng = np.random.default_rng(17 + n)
+        axes = [np.linspace(-1, 1, m)] * n
+        if kind == "seed-quadratic":
+            # u = eps^4 psi, psi = 1/2 sum tau_i x_i^2, as a solve stopped at
+            # iteration 0 writes it (n = 2 has no seed: two of n = 3's tau)
+            seed = seed_for_constant(2, max(n, 3), 3.0)
+            psi = 0.5 * np.sum(seed.tau[:n] * grid_coords(n, m) ** 2, axis=-1)
+            return seed.eps**4 * psi, [seed.eps**2 * ax for ax in axes]
+        if kind == "zero":
+            return np.zeros((m,) * n), axes
+        if kind == "zero-boundary":
+            values = rng.normal(size=(m,) * n)
+            return np.where(boundary_mask(n, m), 0.0, values), axes
+        specials = np.array([-0.0, 0.0, 5e-324, 1e-05, 1e16])
+        return rng.choice(specials, size=(m,) * n), axes
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["seed-quadratic", "zero", "zero-boundary",
+                                      "specials"])
+    def test_repeated_values_match_per_cell_writer(self, tmp_path, kind, n):
+        values, axes = self.repeated_value_field(kind, n, 9)
+        assert len(np.unique(values)) < values.size  # values repeat
+        write_grid_csv(tmp_path / "a.csv", values, axes)
+        write_grid_csv_per_cell(tmp_path / "b.csv", values, axes)
+        text = (tmp_path / "a.csv").read_bytes()
+        assert text == (tmp_path / "b.csv").read_bytes()
+        if kind == "specials":
+            # -0.0 and 0.0 compare equal but keep their own text
+            assert b",-0.0\n" in text and b",0.0\n" in text
+            assert b",5e-324\n" in text and b",1e+16\n" in text
