@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -206,6 +207,22 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # reported below, with the non-finite values
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _convexity_level(text: str) -> int | str:
     if text == "full":
         return text
@@ -229,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma-separated eigenvalues; use "
                                  "--lambda=-1,2,... when the first is negative")
     classify_p.add_argument("--k", type=int, required=True)
-    classify_p.add_argument("--tol", type=float, default=1e-9)
+    classify_p.add_argument("--tol", type=_finite_float, default=1e-9)
     classify_p.set_defaults(func=_cmd_cone_classify)
 
     seed_p = sub.add_parser("seed", help="construct a quadratic seed")
     seed_p.add_argument("--k", type=int, required=True)
     seed_p.add_argument("--n", type=int, required=True)
-    seed_p.add_argument("--c", type=float, required=True)
+    seed_p.add_argument("--c", type=_finite_float, required=True)
     seed_p.add_argument("--l", type=_convexity_level, default=None,
                         help="target convexity offset for c > 0, or 'full'")
     seed_p.set_defaults(func=_cmd_seed)
@@ -252,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--suite", default="all",
                           choices=["all", *SUITES])
     verify_p.add_argument("--samples", type=_positive_int, default=10000)
-    verify_p.add_argument("--seed", type=int, default=7)
+    verify_p.add_argument("--seed", type=_nonnegative_int, default=7)
     verify_p.set_defaults(func=_cmd_verify)
     return parser
 

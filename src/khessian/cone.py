@@ -68,14 +68,18 @@ class ConeVerdict:
         return out
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def in_gamma_k(lam, k: int, tol: float = 0.0):
     """True iff sigma_j(lam) > tol for all j = 1..k.  Broadcasts over batches."""
     arr = as_spectrum(lam)
     n = arr.shape[-1]
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if tol < 0.0:
-        raise DomainError("tol must be nonnegative")
+    _check_tol(tol)
     sig = _sigma_all_raw(arr, k)
     ok = np.all(sig[..., 1:] > tol, axis=-1)
     return bool(ok) if ok.ndim == 0 else ok
@@ -129,8 +133,7 @@ def in_gamma_tilde(lam, k: int):
     ok = np.ones(arr.shape[:-1], dtype=bool)
     for l in range(k):  # l == k gives sigma_0 == 1, trivially positive
         for idx in combinations(range(n), l):
-            reduced = np.delete(arr, idx, axis=-1) if idx else arr
-            vals = _sigma_all_raw(reduced, k - l)[..., k - l]
+            vals = _sigma_all_raw(arr, k - l, deleted=idx)[..., k - l]
             ok &= vals > 0.0
     return bool(ok) if ok.ndim == 0 else ok
 
@@ -163,8 +166,7 @@ def classify_boundary(lam, k: int, tol: float = DEFAULT_TOL) -> ConeVerdict:
     n = arr.shape[-1]
     if not 1 <= k <= n - 1:
         raise DomainError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    if tol < 0.0:
-        raise DomainError("tol must be nonnegative")
+    _check_tol(tol)
 
     sig = _sigma_all_raw(arr, n)
     margin = float(np.min(sig[1 : k + 1]))

@@ -96,20 +96,20 @@ def minor_sums(r: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
     n = r.shape[-1]
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    idx = np.arange(n)
     sums = [np.trace(r, axis1=-2, axis2=-1)]
     if k == 1:
         return sums, np.broadcast_to(np.eye(n), r.shape).copy()
     t = -r  # T_1 without the product r T_0
     flat_r, flat_t = r.reshape(-1, n, n), t.reshape(-1, n, n)  # flat_t is a view of t
     block = np.empty((min(_PRODUCT_BLOCK, len(flat_t)), n, n))
+    diag = np.einsum("...ii->...i", t)  # writeable view of t's diagonal
     for j in range(2, k + 1):
         if j > 2:  # T <- -r T, a block of matrices at a time
             for lo in range(0, len(flat_t), _PRODUCT_BLOCK):
                 part = flat_t[lo:lo + _PRODUCT_BLOCK]
                 np.matmul(flat_r[lo:lo + _PRODUCT_BLOCK], part, out=block[:len(part)])
                 np.negative(block[:len(part)], out=part)
-        t[..., idx, idx] += sums[-1][..., None]
+        diag += sums[-1][..., None]
         sums.append(np.einsum("...ij,...ji->...", r, t) / j)
     return sums, t
 

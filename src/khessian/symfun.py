@@ -5,6 +5,13 @@ of shape ``(..., n)`` and broadcast over the leading axes.  Values are
 computed with the stable coefficient recurrence for ``prod_i (1 + lam_i t)``,
 which costs O(n*k) per vector and avoids the cancellation of Newton-identity
 schemes on mixed-sign input.
+
+The recurrence runs coefficient-major: each sigma_j of the whole batch is one
+contiguous row, so every update and every ``sig[..., j]`` a caller takes walks
+memory with unit stride.  The ``(..., k+1)`` arrays returned are views of
+those rows.  Deleted entries are skipped by the recurrence rather than copied
+out of the batch.  The products and sums are those of the row-major
+recurrence, in the same order, so the floats are the same.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
+
+_BLOCK = 16384  # batch entries per sweep of the recurrence (128 KB of products)
 
 
 def as_spectrum(lam) -> np.ndarray:
@@ -33,16 +42,34 @@ def binom(n: int, k: int) -> float:
     return float(math.comb(n, k))
 
 
-def _sigma_all_raw(lam: np.ndarray, k_max: int) -> np.ndarray:
-    """All sigma_0..sigma_{k_max}, no validation.  lam may have length 0."""
-    n = lam.shape[-1]
-    out = np.zeros(lam.shape[:-1] + (k_max + 1,))
-    out[..., 0] = 1.0
-    for i in range(n):
-        top = min(i + 1, k_max)
-        for j in range(top, 0, -1):
-            out[..., j] += lam[..., i] * out[..., j - 1]
-    return out
+def _sigma_all_raw(lam: np.ndarray, k_max: int, deleted=()) -> np.ndarray:
+    """All sigma_0..sigma_{k_max} of lam without the ``deleted`` entries (all
+    of them may be); no validation.
+
+    ``out[j]`` is the contiguous row of sigma_j over the batch, and the result
+    is its ``(..., k_max + 1)`` view.  The batch is swept in blocks of
+    ``_BLOCK`` entries, so one block's rows and the one reused product buffer
+    stay in cache and no batch-sized temporary is made.  Each product is
+    formed in that buffer before it is added, and the kept entries enter in
+    index order, so every float equals that of
+    ``out[..., j] += lam[..., i] * out[..., j - 1]`` on a row-major array with
+    the deleted entries removed.
+    """
+    out = np.zeros((k_max + 1,) + lam.shape[:-1])
+    out[0] = 1.0
+    rows = out.reshape(k_max + 1, -1)  # a view, as out is contiguous
+    cols = lam.reshape(-1, lam.shape[-1]).T
+    kept = [i for i in range(lam.shape[-1]) if i not in deleted]
+    term = np.empty(min(rows.shape[1], _BLOCK))
+    for lo in range(0, rows.shape[1], _BLOCK):
+        block = list(rows[:, lo:lo + _BLOCK])  # views, updated in place
+        prod = term[:len(block[0])]
+        for count, i in enumerate(kept):
+            col = cols[i, lo:lo + _BLOCK]
+            for j in range(min(count + 1, k_max), 0, -1):
+                np.multiply(col, block[j - 1], out=prod)
+                block[j] += prod
+    return out.transpose((*range(1, out.ndim), 0))
 
 
 def sigma_all(lam, k_max: int) -> np.ndarray:
@@ -81,8 +108,7 @@ def elem_sym_deleted(lam, k: int, deleted):
         raise DomainError(f"deleted indices must lie in 0..{n - 1}, got {idx}")
     if not 0 <= k <= n - len(idx):
         raise DomainError(f"need 0 <= k <= n - |deleted|, got k={k}")
-    reduced = np.delete(arr, idx, axis=-1)
-    return _maybe_scalar(_sigma_all_raw(reduced, k)[..., k])
+    return _maybe_scalar(_sigma_all_raw(arr, k, deleted=idx)[..., k])
 
 
 def shift_coefficient(j: int, k: int, n: int) -> float:
@@ -130,8 +156,5 @@ def sigma_km1_row(lam, k: int) -> np.ndarray:
     n = arr.shape[-1]
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    cols = [
-        _sigma_all_raw(np.delete(arr, i, axis=-1), k - 1)[..., k - 1]
-        for i in range(n)
-    ]
+    cols = [_sigma_all_raw(arr, k - 1, deleted=(i,))[..., k - 1] for i in range(n)]
     return np.stack(cols, axis=-1)

@@ -113,6 +113,7 @@ def _sample_in_cone(n: int, k: int, count: int,
         draw = rng.uniform(-3.0, 3.0, size=(4 * count, n))
         inside = in_gamma_k(draw, k)
         out = np.concatenate([out, draw[inside]], axis=0)
+        del draw, inside  # not alive while the next draw is made
     return out[:count]
 
 

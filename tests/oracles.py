@@ -7,8 +7,11 @@ point-by-point pair enumeration along axis and full-diagonal directions for
 Hoelder quotients (and, on grids too large for it, a sweep of every
 difference offset with no pass skipped), entry-by-entry stencil placement
 for the linearized operator and per-cell formatting for grid CSVs.  Enumeration is kept to
-n <= 12.  The helpers (the cone inequality check, the descending-order facts
-and the grid CSV reader) are built on the library and used only by tests.
+n <= 12.  The row-major sigma recurrence and its ``np.delete`` routes are the
+bit-exact reference for the library's coefficient-major kernel, which does the
+same arithmetic in the same order.  The helpers (the cone inequality check,
+the descending-order facts and the grid CSV reader) are built on the library
+and used only by tests.
 """
 
 import math
@@ -20,6 +23,46 @@ import numpy as np
 from khessian.cone import garding_slack, in_gamma_k
 from khessian.errors import DomainError
 from khessian.symfun import as_spectrum, sigma_km1_row
+
+
+def sigma_all_row_major(lam: np.ndarray, k_max: int) -> np.ndarray:
+    """All sigma_0..sigma_{k_max}, no validation.  lam may have length 0."""
+    n = lam.shape[-1]
+    out = np.zeros(lam.shape[:-1] + (k_max + 1,))
+    out[..., 0] = 1.0
+    for i in range(n):
+        top = min(i + 1, k_max)
+        for j in range(top, 0, -1):
+            out[..., j] += lam[..., i] * out[..., j - 1]
+    return out
+
+
+def elem_sym_deleted_by_copy(lam: np.ndarray, k: int, deleted) -> np.ndarray:
+    """sigma_k of lam with the listed entries removed by ``np.delete``."""
+    reduced = np.delete(lam, tuple(deleted), axis=-1)
+    return sigma_all_row_major(reduced, k)[..., k]
+
+
+def sigma_km1_row_by_copy(lam: np.ndarray, k: int) -> np.ndarray:
+    """Deleted-variable row sigma_{k-1}(lam | i), one ``np.delete`` per i."""
+    n = lam.shape[-1]
+    cols = [
+        sigma_all_row_major(np.delete(lam, i, axis=-1), k - 1)[..., k - 1]
+        for i in range(n)
+    ]
+    return np.stack(cols, axis=-1)
+
+
+def in_gamma_tilde_by_copy(lam: np.ndarray, k: int) -> np.ndarray:
+    """Deleted-variable cone membership, each subset removed by ``np.delete``."""
+    n = lam.shape[-1]
+    ok = np.ones(lam.shape[:-1], dtype=bool)
+    for l in range(k):  # l == k gives sigma_0 == 1, trivially positive
+        for idx in combinations(range(n), l):
+            reduced = np.delete(lam, idx, axis=-1) if idx else lam
+            vals = sigma_all_row_major(reduced, k - l)[..., k - l]
+            ok &= vals > 0.0
+    return ok
 
 
 def brute_sigma(lam, k: int) -> float:

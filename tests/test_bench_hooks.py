@@ -83,3 +83,20 @@ def test_every_counter_reads_a_real_result(layer_table, tmp_path):
     assert os.path.getsize(path) > 0
     for suite in verify.SUITES:
         assert counts[f"verify.{suite}"]["checked"] > 0, suite
+
+
+def test_sweep_spot_checks_pass():
+    # the benchmark's check (e): tapped sweep calls recomputed by subset products
+    checks = _load("checks")
+    tap = checks.SweepTap(verify, seed=3)
+    try:
+        for suite, sweep in verify.SUITES.items():
+            tap.suite = suite
+            assert sweep(samples=200, seed=3).passed, suite
+    finally:
+        tap.close()
+    checked, errors = checks.check_sweeps(tap, list(verify.SUITES))
+    assert errors == []
+    assert checked.keys() == verify.SUITES.keys()
+    for suite, count in checked.items():
+        assert count > 0, suite

@@ -39,6 +39,23 @@ class TestConeCommand:
     def test_parse_error(self):
         assert main(["cone", "classify", "--lambda", "a,b,c", "--k", "2"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "1e400", "tiny"])
+    def test_nonfinite_tol_exit_two(self, capsys, tol):
+        # an interior point: a NaN tol used to read as Outside with exit 1
+        with pytest.raises(SystemExit) as info:
+            main(["cone", "classify", "--lambda=1,2,3", "--k", "2", f"--tol={tol}"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"expected a finite number, got '{tol}'" in captured.err
+        assert captured.out == ""
+
+    def test_negative_tol_exit_two(self, capsys):
+        assert main(["cone", "classify", "--lambda=1,2,3", "--k", "2",
+                     "--tol=-1e-9"]) == 2
+        captured = capsys.readouterr()
+        assert "tol must be finite and nonnegative" in captured.err
+        assert captured.out == ""
+
 
 class TestSeedCommand:
     def test_zero_seed(self, capsys):
@@ -56,6 +73,16 @@ class TestSeedCommand:
 
     def test_empty_boundary_exit_three(self):
         assert main(["seed", "--k", "2", "--n", "2", "--c", "0"]) == 3
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "1e400", "three"])
+    def test_nonfinite_constant_exit_two(self, capsys, c):
+        # used to exit 3 as a construction failure
+        with pytest.raises(SystemExit) as info:
+            main(["seed", "--k", "2", "--n", "3", f"--c={c}"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"expected a finite number, got '{c}'" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("level", ["abc", "0", "-1", "1.5"])
     def test_bad_level_exit_two(self, capsys, level):
@@ -331,6 +358,20 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert f"expected a positive integer, got '{samples}'" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "seven"])
+    def test_bad_seed_exit_two(self, capsys, seed):
+        # -1 used to end in numpy's traceback from default_rng
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--suite", "maclaurin", "--samples", "10", "--seed", seed])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"expected a non-negative integer, got '{seed}'" in captured.err
+        assert captured.out == ""
+
+    def test_seed_zero_accepted(self, capsys):
+        assert main(["verify", "--suite", "maclaurin", "--samples", "10",
+                     "--seed", "0"]) == 0
 
     def test_identities_failures_recorded(self, monkeypatch):
         # every sample fails once shift_expand is off by 1e-6

@@ -118,6 +118,15 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify_boundary([1.0, 1.0], 2)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_bad_tol_rejected(self, tol):
+        # NaN compares false against every threshold, so it used to read an
+        # interior point as Outside
+        with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+            classify_boundary([1.0, 2.0, 3.0], 2, tol)
+        with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+            in_gamma_k([1.0, 2.0, 3.0], 2, tol)
+
     def test_ambiguous_band(self):
         tol = 1e-9
         # sigma_k a bit above tol but within half a band of the threshold

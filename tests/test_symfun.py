@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from khessian.cone import in_gamma_tilde
 from khessian.errors import DomainError
 from khessian.symfun import (
+    _BLOCK,
     binom,
     elem_sym,
     elem_sym_deleted,
@@ -17,7 +20,14 @@ from khessian.symfun import (
     sigma_all,
     sigma_km1_row,
 )
-from oracles import brute_sigma, brute_sigma_zeroed
+from oracles import (
+    brute_sigma,
+    brute_sigma_zeroed,
+    elem_sym_deleted_by_copy,
+    in_gamma_tilde_by_copy,
+    sigma_all_row_major,
+    sigma_km1_row_by_copy,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -198,3 +208,69 @@ class TestRow:
                              scale=(n - k + 1) * mag(lam, k - 1))
             assert rel_close(float(row @ lam), k * elem_sym(lam, k),
                              scale=k * mag(lam, k))
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64))
+
+
+class TestCoefficientMajorKernel:
+    """The coefficient-major recurrence, with deleted entries skipped, gives
+    the same floats as the row-major one on ``np.delete`` copies."""
+
+    BATCHES = ((), (7,), (3, 4), (0,), (1000,))
+
+    @staticmethod
+    def draw(rng, batch, n):
+        lam = rng.uniform(-3.0, 3.0, size=batch + (n,))
+        # signed zeros and repeated entries, where a changed order would show
+        lam[rng.random(lam.shape) < 0.1] = -0.0
+        lam[rng.random(lam.shape) < 0.1] = 0.0
+        lam[rng.random(lam.shape) < 0.1] = 1.5
+        return lam
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bit_identical_to_row_major(self, n):
+        rng = np.random.default_rng(100 + n)
+        for batch in self.BATCHES:
+            lam = self.draw(rng, batch, n)
+            for k in range(n + 1):
+                assert same_bits(sigma_all(lam, k), sigma_all_row_major(lam, k))
+                for l in range(n - k + 1):
+                    for idx in combinations(range(n), l):
+                        assert same_bits(elem_sym_deleted(lam, k, idx),
+                                         elem_sym_deleted_by_copy(lam, k, idx)), (batch, k, idx)
+                if k >= 1:
+                    assert same_bits(sigma_km1_row(lam, k), sigma_km1_row_by_copy(lam, k))
+                    assert np.array_equal(in_gamma_tilde(lam, k),
+                                          in_gamma_tilde_by_copy(lam, k))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bit_identical_across_blocks(self, n):
+        # batches over several blocks, a partial last block, and input that
+        # is not C-contiguous
+        rng = np.random.default_rng(200 + n)
+        wide = self.draw(rng, (2 * _BLOCK + 5,), n)
+        for lam in (wide, self.draw(rng, (3, _BLOCK // 2 + 1), n),
+                    np.asfortranarray(wide), wide[::-3]):
+            for k in range(n + 1):
+                assert same_bits(sigma_all(lam, k), sigma_all_row_major(lam, k))
+                if k >= 1:
+                    assert same_bits(sigma_km1_row(lam, k), sigma_km1_row_by_copy(lam, k))
+            for k in (1, 2):  # every deleted subset of size < k
+                assert np.array_equal(in_gamma_tilde(lam, k), in_gamma_tilde_by_copy(lam, k))
+            for idx in ((0,), (n - 1,), (0, n - 1)):
+                k = n - len(idx)
+                assert same_bits(elem_sym_deleted(lam, k, idx),
+                                 elem_sym_deleted_by_copy(lam, k, idx))
+
+    def test_rows_are_contiguous_views(self):
+        lam = np.random.default_rng(1).uniform(-3.0, 3.0, size=(50, 5))
+        sig = sigma_all(lam, 3)
+        assert sig.shape == (50, 4)
+        for j in range(4):
+            assert sig[:, j].flags.c_contiguous
+        assert sigma_all(lam[0], 3).shape == (4,)
+        assert isinstance(elem_sym_deleted(lam[0], 2, (1,)), float)
