@@ -165,13 +165,17 @@ def _cmd_solve(args) -> int:
     except (DomainError, OSError, KeyError, json.JSONDecodeError) as err:
         _note(f"invalid configuration: {err}")
         return 2
+    target = args.output if args.output is not None else config.out_dir
+    try:  # made before the solve, so an unusable path costs no solve
+        os.makedirs(target, exist_ok=True)
+    except OSError as err:
+        _note(f"cannot use output directory {target!r}: {err}")
+        return 2
     try:
-        artifacts = run_solve(config, out_dir=args.output)
+        artifacts = run_solve(config, out_dir=target)
     except (TuningError, SolverError, EllipticityError, DomainError,
             ConstructionError, CapacityError) as err:
         _note(f"solver failed: {err}")
-        target = args.output if args.output is not None else config.out_dir
-        os.makedirs(target, exist_ok=True)
         write_json(os.path.join(target, "report.json"),
                    {"status": "Failed", "error": str(err), "config": config.to_dict()}
                    | _error_fields(err))

@@ -107,10 +107,12 @@ def in_garding_cone_sampled(lam, k: int):
         [[0.0], np.geomspace(1e-6 * s_max, s_max, _S_SAMPLES - 1)]
     )
     poly = np.zeros(arr.shape[:-1] + (samples.size,))
+    term = np.empty_like(poly)  # one product buffer, reused by every term
     for j in range(k + 1):
-        poly += shift_coefficient(j, k, n) * np.multiply.outer(
-            sig[..., k - j], samples**j
-        )
+        np.multiply.outer(sig[..., k - j], samples**j, out=term)
+        term *= shift_coefficient(j, k, n)
+        poly += term
+    del term  # freed before the comparison allocates its (N, 17) mask
     sampled_ok = np.all(poly > 0.0, axis=-1)
     if np.any(coeff_ok & ~sampled_ok):
         raise AssertionError(

@@ -128,6 +128,9 @@ class ProblemConfig:
         integer is due) and non-finite floats are rejected with a DomainError
         that names the key."""
         _object(doc, "the configuration", _KEYS[""])
+        for key in ("n", "k"):
+            if key not in doc:
+                raise DomainError(f"{key} is required")
         grid, solver, output = (_section(doc, name) for name in ("grid", "solver", "output"))
         cfg = cls(
             n=_typed("n", doc["n"], int),

@@ -24,7 +24,10 @@ surrogate reads the same Hessian.  A residual's pointwise data is freed as
 soon as its step is assembled; at the last iterate, its second differences
 are handed to ``assemble_solution``.  That includes iteration 0 from tuning:
 when G(0) lies on the roundoff floor, tuning hands the loop the second
-differences of w = 0 with its record.
+differences of w = 0 with its record.  w = 0 is never differenced: its
+Hessian is one matrix, diag(tau) for G and the solution alike, so each
+tuning candidate, and the certificate of a solve that stops at iteration 0,
+recurses that one matrix instead of every grid point.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ class IterationReport:
 class Iterate(ScalarGrid):
     """A Newton iterate w and, when no step was taken from its last
     evaluation (the loop's, or tuning's at w = 0), ``second_differences(w)``
-    from that evaluation (None otherwise); ``assemble_solution`` reads and
-    releases them."""
+    from that evaluation (None otherwise); ``assemble_solution`` releases
+    them, and reads them unless w is zero."""
 
     derivs: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -335,18 +338,24 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
     vanishes to second order at the origin.  When w is an ``Iterate`` that
     carries its second differences, they are read instead of taken again,
     and released (``w.derivs`` becomes None) once the Hessian is formed.
+    The Hessian is returned read-only.  When w is zero, its differences and
+    affine part are +0.0 and none is taken: the Hessian diag(tau) + eps' * 0
+    is one matrix, broadcast over the grid.
     """
     n, m = w.n, w.m
     center = (m // 2,) * n
-    if isinstance(w, Iterate) and w.derivs is not None:
-        (second, grad_w), w.derivs = w.derivs, None
-    else:
-        second, grad_w = second_differences(w)
-    hess_w = symmetric_matrix(second, n)
-    w0 = float(w.values[center])
-    g0 = grad_w[center].copy()
-    del second, grad_w
+    derivs = None
+    if isinstance(w, Iterate):
+        derivs, w.derivs = w.derivs, None
     x = grid_coords(n, m)
+    if w.values.any():
+        second, grad_w = second_differences(w) if derivs is None else derivs
+        hess_w = symmetric_matrix(second, n)
+        w0 = float(w.values[center])
+        g0 = grad_w[center].copy()
+        del second, grad_w, derivs
+    else:
+        hess_w, w0, g0 = np.zeros((n, n)), 0.0, np.zeros(n)
     w_norm = w.values - w0 - x @ g0
 
     grad_check = np.gradient(w_norm, w.h, edge_order=2)
@@ -356,7 +365,7 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
     eps, epsp = seed.eps, seed.eps_prime
     psi = 0.5 * np.sum(seed.tau * x**2, axis=-1)
     u = eps**4 * (psi + epsp * w_norm)
-    hess_u = seed.perturbed_hessian(hess_w)
+    hess_u = np.broadcast_to(seed.perturbed_hessian(hess_w), w.values.shape + (n, n))
     axes = [eps**2 * np.linspace(-1.0, 1.0, m) for _ in range(n)]
     return PhysicalSolution(
         u_values=u,
@@ -373,9 +382,15 @@ def certify_convexity(hessian: np.ndarray, k: int,
     """Flag j-convexity of the assembled solution for j = 1..k+1.
 
     The flag for level j is set when the j-th minor sum of the discrete
-    Hessian stays above -CONVEXITY_TOL at every interior point.
+    Hessian stays above -CONVEXITY_TOL at every interior point.  A Hessian
+    that is one matrix broadcast over the grid (every grid stride zero, as
+    ``assemble_solution`` gives for w = 0) is recursed once.
     """
-    sums, _ = minor_sums(hessian[interior_mask], k + 1)
+    if any(hessian.strides[:-2]):
+        points = hessian[interior_mask]
+    else:
+        points = hessian[(0,) * interior_mask.ndim][None]
+    sums, _ = minor_sums(points, k + 1)
     mins = {j: float(np.min(vals)) for j, vals in enumerate(sums, start=1)}
     flags = {j: bool(v >= -CONVEXITY_TOL) for j, v in mins.items()}
     return ConvexityCertificate(flags=flags, min_values=mins, tol=CONVEXITY_TOL)

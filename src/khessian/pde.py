@@ -25,8 +25,11 @@ last level and dS_k/dr the transposed tensor T_{k-1}.
 Each iterate is evaluated once.  ``eval_G`` takes w's second differences,
 r = diag(tau) + eps' D^2 w, one recursion (S_k for G, T_{k-1} for the
 coefficients) and (y, u, p), and returns them with G as a ``Residual``;
-``assemble_linearized`` reads them from there.  scipy's sparse layer is
-imported on the first assembly, so importing the package does not load it.
+``assemble_linearized`` reads them from there.  The zero iterate is
+evaluated in closed form: at w = 0 every difference is +0.0, so r = diag(tau)
+at every point, and one matrix is recursed and broadcast over the grid.
+scipy's sparse layer is imported on the first assembly, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
@@ -160,7 +163,9 @@ class Residual(ScalarGrid):
     """G(w) on the grid (``values``, zero on the boundary) and the pointwise
     data of w it was computed from: ``second`` and ``grad`` as returned by
     ``second_differences(w)``, the Newton tensor T_{k-1}(r(w)) (``tensor``,
-    the transposed dS_k/dr) and the physical arguments (y, u, p)."""
+    the transposed dS_k/dr) and the physical arguments (y, u, p).  ``tensor``
+    is read-only; at w = 0 it, ``second`` and ``grad`` are views of one
+    point broadcast over the grid."""
 
     second: np.ndarray | None
     grad: np.ndarray | None
@@ -178,17 +183,27 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
     """Rescaled residual operator on interior points (boundary entries zero).
 
     One Newton-tensor recursion gives both S_k(r), for G, and T_{k-1}(r),
-    which the result keeps for ``assemble_linearized``.
+    which the result keeps for ``assemble_linearized``.  At w = 0 every
+    second difference and gradient entry is +0.0, so r = diag(tau) at every
+    point: one matrix is recursed, S_k broadcasts as its scalar, and T_{k-1},
+    ``second`` and ``grad`` are read-only views broadcast over the grid.
     """
-    second, grad = second_differences(w)
-    sums, tensor = minor_sums(symmetric_matrix(second, seed.n, seed.eps_prime, seed.tau),
-                              seed.k)
+    n, shape = seed.n, w.values.shape
+    if w.values.any():
+        second, grad = second_differences(w)
+        points = second
+    else:
+        second = np.broadcast_to(0.0, (n * (n + 1) // 2,) + shape)
+        grad = np.broadcast_to(0.0, shape + (n,))
+        points = np.zeros((len(second),) + (1,) * n)
+    sums, tensor = minor_sums(symmetric_matrix(points, n, seed.eps_prime, seed.tau), seed.k)
     y, u, p = _physical_args(w, seed, grad)
     interior = w.interior_mask
     _check_box(f, u, p, interior)
     g = (sums[-1] - f.value(y, u, p)) / seed.eps_prime
     g = np.where(interior, g, 0.0)
-    return Residual(w.n, w.m, g, second, grad, tensor, y, u, p)
+    return Residual(w.n, w.m, g, second, grad, np.broadcast_to(tensor, shape + (n, n)),
+                    y, u, p)
 
 
 def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,

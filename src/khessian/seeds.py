@@ -64,8 +64,8 @@ class SeedQuadratic:
     def perturbed_hessian(self, hess_w: np.ndarray) -> np.ndarray:
         """diag(tau) + eps' * hess_w: the Hessian of psi + eps' w, per point."""
         r = self.eps_prime * hess_w
-        idx = np.arange(self.n)
-        r[..., idx, idx] += self.tau
+        diag = np.einsum("...ii->...i", r)  # writeable view of r's diagonal
+        diag += self.tau
         return r
 
 

@@ -9,7 +9,10 @@ difference offset with no pass skipped), entry-by-entry stencil placement
 for the linearized operator and per-cell formatting for grid CSVs.  Enumeration is kept to
 n <= 12.  The row-major sigma recurrence and its ``np.delete`` routes are the
 bit-exact reference for the library's coefficient-major kernel, which does the
-same arithmetic in the same order.  The helpers (the cone inequality check,
+same arithmetic in the same order.  The point-by-point evaluation of G and of
+the convexity certificate, which differences and recurses every grid point
+even at w = 0, is the bit-exact reference for the library's closed form of the
+zero iterate.  The helpers (the cone inequality check,
 the descending-order facts and the grid CSV reader) are built on the library
 and used only by tests.
 """
@@ -22,6 +25,8 @@ import numpy as np
 
 from khessian.cone import garding_slack, in_gamma_k
 from khessian.errors import DomainError
+from khessian.grids import second_differences, symmetric_matrix
+from khessian.pde import _check_box, _physical_args, minor_sums
 from khessian.symfun import as_spectrum, sigma_km1_row
 
 
@@ -63,6 +68,29 @@ def in_gamma_tilde_by_copy(lam: np.ndarray, k: int) -> np.ndarray:
             vals = sigma_all_row_major(reduced, k - l)[..., k - l]
             ok &= vals > 0.0
     return ok
+
+
+def eval_G_at_every_point(w, seed, f) -> dict:
+    """G(w) and its pointwise data, every grid point differenced and
+    recursed: keys ``values``, ``second``, ``grad``, ``tensor``, ``y``, ``u``
+    and ``p`` as on ``pde.Residual``."""
+    second, grad = second_differences(w)
+    sums, tensor = minor_sums(symmetric_matrix(second, seed.n, seed.eps_prime, seed.tau),
+                              seed.k)
+    y, u, p = _physical_args(w, seed, grad)
+    interior = w.interior_mask
+    _check_box(f, u, p, interior)
+    g = (sums[-1] - f.value(y, u, p)) / seed.eps_prime
+    g = np.where(interior, g, 0.0)
+    return {"values": g, "second": second, "grad": grad, "tensor": tensor,
+            "y": y, "u": u, "p": p}
+
+
+def convexity_minima_at_every_point(hessian, k: int, interior_mask) -> dict:
+    """Smallest j-th minor sum over the interior points, j = 1..k+1, each
+    point's matrix recursed."""
+    sums, _ = minor_sums(np.array(hessian)[interior_mask], k + 1)
+    return {j: float(np.min(vals)) for j, vals in enumerate(sums, start=1)}
 
 
 def brute_sigma(lam, k: int) -> float:

@@ -195,9 +195,11 @@ class TestSolveCommand:
         (lambda d: d.update(rhs={"terms": [{"coeff": 1.0, "y": [5, 0, 0]}]}),
          "rhs.terms: term 0: total degree in y exceeds 4"),
         (lambda d: d.update(rhs={"termz": []}), "unknown key 'termz' in section 'rhs'"),
+        (lambda d: d.pop("n"), "invalid configuration: n is required\n"),
+        (lambda d: d.pop("k"), "invalid configuration: k is required\n"),
     ], ids=["solvr", "grid-key", "n-float", "k-bool", "m-float", "max-iter-float",
             "tol-nan", "alpha-inf", "l-bool", "emit-str", "rhs-coeff-str", "rhs-int",
-            "rhs-y-degree", "rhs-key"])
+            "rhs-y-degree", "rhs-key", "n-missing", "k-missing"])
     def test_strict_config_exit_two(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
         doc["output"]["directory"] = str(tmp_path / "run")
@@ -207,6 +209,22 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_not_a_directory_exit_two(self, tmp_path, capsys, monkeypatch, below):
+        # refused before the solve, with one line and no traceback
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved into an unusable output path")
+
+        monkeypatch.setattr("khessian.cli.run_solve", no_solve)
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        target = blocker / below if below else blocker
+        assert main(["solve", "--preset", "fconst-match", "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot use output directory {str(target)!r}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert blocker.read_text() == "keep"
 
     def test_construction_failure_exit_four(self, tmp_path, capsys):
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))

@@ -28,6 +28,8 @@ from khessian.symfun import elem_sym, sigma_all, sigma_km1_row
 from oracles import (
     brute_holder_quotient,
     brute_sk_matrix,
+    convexity_minima_at_every_point,
+    eval_G_at_every_point,
     every_offset_holder_quotient,
     fd_sk_gradient,
     read_grid_csv,
@@ -196,6 +198,101 @@ class TestEvalG:
         big = ScalarGrid(3, 9, np.full((9, 9, 9), 5.0))
         with pytest.raises(DomainError):
             eval_G(big, seed, f)
+
+
+# (n, k, c, l): c = 0, c > 0 with the equal-entry seed and with l = 1, c < 0
+_ZERO_SEEDS = [(n, k, c, l) for n in (3, 4) for k, c, l in [
+    (2, 0.0, None), (2, 3.0, "full"), (2, 3.0, 1), (2, -1.0, None),
+    (3, 0.0, None), (3, 2.0, "full"), (3, 2.0, 1), (3, -2.0, None)] if k < n]
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestZeroIterate:
+    """At w = 0, r = diag(tau) at every point: the closed form recurses one
+    matrix and gives the bits of the point-by-point evaluation."""
+
+    @staticmethod
+    def _problem(n, k, c, l, eps):
+        seed = seed_for_constant(k, n, c, l=l).with_eps(eps)
+        one, e1 = (0,) * n, (1,) + (0,) * (n - 1)
+        f = RhsSpec(n=n, terms=[RhsTerm(c, one), RhsTerm(0.5, e1, 1),
+                                RhsTerm(-0.3, one, 0, e1), RhsTerm(0.2, e1, 0, (2,) + one[1:])])
+        return seed, f
+
+    @pytest.mark.parametrize("m", [9, 17])
+    @pytest.mark.parametrize("n, k, c, l", _ZERO_SEEDS)
+    @pytest.mark.parametrize("eps", [0.5, 0.125])
+    def test_eval_G_bits_match_every_point(self, n, m, k, c, l, eps):
+        seed, f = self._problem(n, k, c, l, eps)
+        w = ScalarGrid.zeros(n, m)
+        try:
+            expect = eval_G_at_every_point(w, seed, f)
+        except DomainError as err:  # (u, p) leave the box at this eps
+            with pytest.raises(DomainError, match="declared box"):
+                eval_G(w, seed, f)
+            assert "declared box" in str(err)
+            return
+        g = eval_G(w, seed, f)
+        for name, value in expect.items():
+            got = getattr(g, name)
+            assert got.shape == value.shape, name
+            assert np.array_equal(_bits(got), _bits(value)), name
+        for name in ("second", "grad", "tensor"):
+            assert not getattr(g, name).flags.writeable, name
+
+    @pytest.mark.parametrize("m", [9, 17])
+    @pytest.mark.parametrize("n, k, c, l", _ZERO_SEEDS)
+    def test_certificate_bits_match_every_point(self, n, m, k, c, l):
+        from khessian.iterate import assemble_solution, certify_convexity
+
+        seed = seed_for_constant(k, n, c, l=l)
+        interior = ~boundary_mask(n, m)
+        sol = assemble_solution(ScalarGrid.zeros(n, m), seed)
+        hessian = seed.perturbed_hessian(hessian_of(ScalarGrid.zeros(n, m))[0])
+        assert np.array_equal(_bits(sol.hessian), _bits(hessian))
+        got = certify_convexity(sol.hessian, k, interior).min_values
+        expect = convexity_minima_at_every_point(hessian, k, interior)
+        assert list(got) == list(expect)
+        assert np.array_equal(_bits(list(got.values())), _bits(list(expect.values())))
+
+    def test_nonzero_iterate_matches_every_point(self):
+        seed, f, w = _noisy_problem(3)
+        expect, g = eval_G_at_every_point(w, seed, f), eval_G(w, seed, f)
+        for name, value in expect.items():
+            assert np.array_equal(_bits(getattr(g, name)), _bits(value)), name
+
+    def test_zero_is_never_differenced_and_recursed_once(self, monkeypatch):
+        import khessian.grids as grids
+        import khessian.iterate as iterate
+        import khessian.pde as pde
+
+        def no_differences(grid):
+            raise AssertionError("w = 0 was differenced")
+
+        recursed = []
+
+        def recorded(module):
+            minor = module.minor_sums
+
+            def counted(r, k):
+                recursed.append(r.shape)
+                return minor(r, k)
+            return counted
+
+        for module in (grids, pde, iterate):
+            monkeypatch.setattr(module, "second_differences", no_differences)
+        for module in (pde, iterate):
+            monkeypatch.setattr(module, "minor_sums", recorded(module))
+        n, m = 4, 17
+        seed = seed_for_constant(3, n, 2.0, l="full")
+        g = eval_G(ScalarGrid.zeros(n, m), seed, RhsSpec.constant(n, 2.0))
+        sol = iterate.assemble_solution(ScalarGrid.zeros(n, m), seed)
+        iterate.certify_convexity(sol.hessian, 3, ~boundary_mask(n, m))
+        assert [np.prod(shape[:-2]) for shape in recursed] == [1, 1]
+        assert g.tensor.shape == sol.hessian.shape == (m,) * n + (n, n)
 
 
 def _noisy_problem(n, m=9):
