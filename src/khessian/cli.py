@@ -1,11 +1,12 @@
 """Command line interface: ``cone classify``, ``seed``, ``solve``, ``verify``.
 
-Machine-readable JSON goes to stdout; human summaries go to stderr.  Exit
-codes: classify returns 0 for any cone/boundary verdict, 1 for Outside, 2 for
-argument errors; seed returns 2 for an out-of-range ``--l`` and 3 on
-construction failure; solve returns 0 only when the iteration converged (2
-for config errors, 4 for solver failures, with a report that keeps the
-error's type and data); verify returns 1 when any property fails.
+Machine-readable JSON goes to stdout; human summaries go to stderr, with
+each verify suite's wall time.  Exit codes: classify returns 0 for any
+cone/boundary verdict, 1 for Outside, 2 for argument errors; seed returns 2
+for an out-of-range ``--l`` and 3 on construction failure; solve returns 0
+only when the iteration converged (2 for config errors, 4 for solver
+failures, with a report that keeps the error's type and data); verify
+returns 1 when any property fails.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,11 +196,13 @@ def _cmd_verify(args) -> int:
     all_ok = True
     results = {}
     for name in names:
+        start = time.perf_counter()
         res = SUITES[name](samples=args.samples, seed=args.seed)
+        seconds = time.perf_counter() - start
         results[name] = res.to_dict()
         _note(
             f"{name}: checked {res.checked}, excluded {res.excluded}, "
-            f"failures {res.failures}"
+            f"failures {res.failures} ({seconds:.2f} s)"
         )
         all_ok &= res.passed
     _emit(results)

@@ -6,6 +6,11 @@ linearized operator stays uniformly elliptic there) and points where every
 sigma_j with j >= k vanishes (the degenerate regime).  Three equivalent
 membership definitions are implemented so they can be swept against each
 other.
+
+The batched tests compare the contiguous sigma_j rows that the recurrence
+stores, one level at a time.  The sampled hyperbolicity check of
+``in_garding_cone_sampled`` is built only on the rows whose coefficient
+verdict is positive, the only rows it can contradict.
 """
 
 from __future__ import annotations
@@ -81,7 +86,9 @@ def in_gamma_k(lam, k: int, tol: float = 0.0):
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
     _check_tol(tol)
     sig = _sigma_all_raw(arr, k)
-    ok = np.all(sig[..., 1:] > tol, axis=-1)
+    ok = sig[..., 1] > tol
+    for j in range(2, k + 1):
+        ok &= sig[..., j] > tol
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -91,30 +98,33 @@ def in_garding_cone_sampled(lam, k: int):
     The exact decision uses the coefficient expansion in s: every coefficient
     C(j,k,n)*sigma_{k-j}(lam) must be nonnegative with sigma_k(lam) > 0.  A
     geometric s-sample is evaluated as a consistency check of the positive
-    verdicts.
+    verdicts, on those rows only; the sample's range is set by the whole
+    batch.
     """
     arr = as_spectrum(lam)
     n = arr.shape[-1]
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
     sig = _sigma_all_raw(arr, k)
-    coeff_ok = np.all(sig[..., :k] >= 0.0, axis=-1) & (sig[..., k] > 0.0)
+    coeff_ok = sig[..., k] > 0.0
+    for j in range(1, k):  # sigma_0 is 1
+        coeff_ok &= sig[..., j] >= 0.0
 
     # Consistency: a positive coefficient verdict forces positivity at every
     # sampled s (the converse direction cannot be sampled).
-    s_max = 1.0 + arr.shape[-1] * max(1.0, float(np.max(np.abs(arr))))
+    s_max = 1.0 + n * max(1.0, float(max(arr.max(), -arr.min())))
     samples = np.concatenate(
         [[0.0], np.geomspace(1e-6 * s_max, s_max, _S_SAMPLES - 1)]
     )
-    poly = np.zeros(arr.shape[:-1] + (samples.size,))
+    pos = np.ravel(coeff_ok)
+    poly = np.zeros((np.count_nonzero(pos), samples.size))
     term = np.empty_like(poly)  # one product buffer, reused by every term
     for j in range(k + 1):
-        np.multiply.outer(sig[..., k - j], samples**j, out=term)
+        np.multiply.outer(np.compress(pos, sig[..., k - j]), samples**j, out=term)
         term *= shift_coefficient(j, k, n)
         poly += term
-    del term  # freed before the comparison allocates its (N, 17) mask
-    sampled_ok = np.all(poly > 0.0, axis=-1)
-    if np.any(coeff_ok & ~sampled_ok):
+    del term  # freed before the comparison allocates its (P, 17) mask
+    if not np.all(poly > 0.0):
         raise AssertionError(
             "coefficient test and sampled hyperbolicity check disagree; "
             "this indicates a bug"

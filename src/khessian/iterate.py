@@ -21,13 +21,12 @@ Each iterate is evaluated once: the ``Residual`` that ``eval_G`` returns
 carries the Hessian, the Newton tensor and the physical arguments, the step
 assembles the linearization from them, and the iterate's C^{2,alpha}
 surrogate reads the same Hessian.  A residual's pointwise data is freed as
-soon as its step is assembled; at the last iterate, its second differences
-are handed to ``assemble_solution``.  That includes iteration 0 from tuning:
-when G(0) lies on the roundoff floor, tuning hands the loop the second
-differences of w = 0 with its record.  w = 0 is never differenced: its
-Hessian is one matrix, diag(tau) for G and the solution alike, so each
-tuning candidate, and the certificate of a solve that stops at iteration 0,
-recurses that one matrix instead of every grid point.
+soon as its step is assembled; at the last iterate past iteration 0, its
+second differences are handed to ``assemble_solution``.  w = 0 is never
+differenced and hands nothing over: its Hessian is one matrix, diag(tau) for
+G and the solution alike, so each tuning candidate, and the certificate of a
+solve that stops at iteration 0, recurses that one matrix instead of every
+grid point.
 """
 
 from __future__ import annotations
@@ -97,10 +96,10 @@ class IterationReport:
 
 @dataclass
 class Iterate(ScalarGrid):
-    """A Newton iterate w and, when no step was taken from its last
-    evaluation (the loop's, or tuning's at w = 0), ``second_differences(w)``
-    from that evaluation (None otherwise); ``assemble_solution`` releases
-    them, and reads them unless w is zero."""
+    """A Newton iterate w and, when w is past iteration 0 and no step was
+    taken from its last evaluation, ``second_differences(w)`` from that
+    evaluation (None otherwise); ``assemble_solution`` reads and releases
+    them."""
 
     derivs: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -182,12 +181,6 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
     return rho, None
 
 
-def _kept_derivs(g: Residual) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(second, grad)`` of the residual while it keeps its pointwise data
-    (no step has been assembled from it), else None."""
-    return None if g.second is None else (g.second, g.grad)
-
-
 def _iteration_zero(seed: SeedQuadratic, f, m: int, tol_lin: float
                     ) -> tuple[IterationRecord, ScalarGrid | None, str | None, Residual]:
     """Iteration 0 at the seed's eps, the same for tuning and the loop: G at
@@ -223,10 +216,8 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10
     Returns the accepted seed, one record {"eps", "reason", "iterations"}
     per refused eps, ``iterations`` holding the candidate's iteration-0
     record (empty after a box exit), and the accepted candidate's iteration
-    0 as ``[record, rho, derivs]`` for ``newton_loop``'s ``start``: its
-    record, with ``g_holder`` measured, its correction (None on the roundoff
-    floor) and, on the floor only, the second differences and gradient of
-    w = 0 from its evaluation (None otherwise).
+    0 as ``[record, rho]`` for ``newton_loop``'s ``start``: its record, with
+    ``g_holder`` measured, and its correction (None on the roundoff floor).
     When no candidate is accepted, the TuningError carries the refusal
     records and names the last one's reason.
     """
@@ -242,7 +233,7 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10
             continue
         if reason is None and (rho is None or record.rho_c2alpha <= 0.25):
             record.g_holder = calpha_surrogate(g.values, g.h, candidate.alpha)
-            return candidate, refused, [record, rho, _kept_derivs(g)]
+            return candidate, refused, [record, rho]
         del rho, g  # free them before the next candidate
         refused.append({"eps": eps,
                         "reason": reason or f"c2alpha(rho) {record.rho_c2alpha:.3g} > 0.25",
@@ -260,7 +251,7 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     """Run the correction scheme from w = 0 at the seed's eps until the
     residual is small.
 
-    Iteration 0 is ``start`` when given, the ``[record, rho, derivs]`` that
+    Iteration 0 is ``start`` when given, the ``[record, rho]`` that
     ``tune_epsilon`` returned for this seed's eps; the loop empties the list,
     so that rho is freed once it has been added to w.  Without ``start`` the
     loop runs ``_iteration_zero`` itself and measures ``g_holder``, as tuning
@@ -270,15 +261,15 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     The first refused step stops the loop with status EllipticityLost and the
     refusal as ``stop_reason``; its record is the last of ``iterations``.
     Returns the final iterate, with the second differences of its last
-    evaluation, together with the full per-iteration report; the caller
-    decides what to do with non-converged statuses.
+    evaluation when it is past iteration 0, together with the full
+    per-iteration report; the caller decides what to do with non-converged
+    statuses.
     """
     if start is None:
         first, rho, reason, g_grid = _iteration_zero(seed, f, m, tol_lin)
         first.g_holder = calpha_surrogate(g_grid.values, g_grid.h, seed.alpha)
-        derivs = _kept_derivs(g_grid)
     else:
-        (first, rho, derivs), reason = start, None
+        (first, rho), reason = start, None
         start.clear()
     w = ScalarGrid.zeros(seed.n, m)
     records = [IterationRecord(iteration=0, g_inf=first.g_inf, w_c2alpha=0.0,
@@ -318,8 +309,8 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 continue
             status = STATUS_ELLIPTICITY_LOST
         break
-    if it > 0:
-        derivs = _kept_derivs(g_grid)
+    # the residual keeps its pointwise data when no step was assembled from it
+    derivs = None if it == 0 or g_grid.second is None else (g_grid.second, g_grid.grad)
     return Iterate(w.n, w.m, w.values, derivs), IterationReport(
         status=status,
         stop_reason=reason,
@@ -343,7 +334,8 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
     is one matrix, broadcast over the grid.
     """
     n, m = w.n, w.m
-    center = (m // 2,) * n
+    c = m // 2
+    center = (c,) * n
     derivs = None
     if isinstance(w, Iterate):
         derivs, w.derivs = w.derivs, None
@@ -358,8 +350,11 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
         hess_w, w0, g0 = np.zeros((n, n)), 0.0, np.zeros(n)
     w_norm = w.values - w0 - x @ g0
 
-    grad_check = np.gradient(w_norm, w.h, edge_order=2)
-    if abs(w_norm[center]) > 1e-8 or max(abs(float(d[center])) for d in grad_check) > 1e-8:
+    # np.gradient's interior formula, at the center only
+    slopes = [(w_norm[center[:a] + (c + 1,) + center[a + 1:]]
+               - w_norm[center[:a] + (c - 1,) + center[a + 1:]]) / (2.0 * w.h)
+              for a in range(n)]
+    if abs(w_norm[center]) > 1e-8 or max(abs(float(d)) for d in slopes) > 1e-8:
         raise AssertionError("affine normalization failed to vanish at the origin")
 
     eps, epsp = seed.eps, seed.eps_prime

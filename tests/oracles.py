@@ -12,7 +12,10 @@ bit-exact reference for the library's coefficient-major kernel, which does the
 same arithmetic in the same order.  The point-by-point evaluation of G and of
 the convexity certificate, which differences and recurses every grid point
 even at w = 0, is the bit-exact reference for the library's closed form of the
-zero iterate.  The helpers (the cone inequality check,
+zero iterate.  The cone tests that reduce over the strided sigma axis, sample
+the hyperbolicity check on every row and test every drawn row for the cone are
+the bit-exact references for the library's row-wise, positive-rows-only and
+blocked, stop-when-full forms.  The helpers (the cone inequality check,
 the descending-order facts and the grid CSV reader) are built on the library
 and used only by tests.
 """
@@ -27,7 +30,7 @@ from khessian.cone import garding_slack, in_gamma_k
 from khessian.errors import DomainError
 from khessian.grids import second_differences, symmetric_matrix
 from khessian.pde import _check_box, _physical_args, minor_sums
-from khessian.symfun import as_spectrum, sigma_km1_row
+from khessian.symfun import as_spectrum, shift_coefficient, sigma_km1_row
 
 
 def sigma_all_row_major(lam: np.ndarray, k_max: int) -> np.ndarray:
@@ -68,6 +71,44 @@ def in_gamma_tilde_by_copy(lam: np.ndarray, k: int) -> np.ndarray:
             vals = sigma_all_row_major(reduced, k - l)[..., k - l]
             ok &= vals > 0.0
     return ok
+
+
+def in_gamma_k_over_the_sigma_axis(lam, k: int, tol: float = 0.0):
+    """sigma_j(lam) > tol for all j = 1..k, one ``np.all`` over the last axis
+    of the row-major sigma array."""
+    sig = sigma_all_row_major(as_spectrum(lam), k)
+    ok = np.all(sig[..., 1:] > tol, axis=-1)
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def in_garding_cone_sampled_every_row(lam, k: int):
+    """Coefficient verdict of hyperbolicity-cone membership, with the sampled
+    consistency check (s = 0 and 16 geometric shifts) built and tested on
+    every row: raises AssertionError where a positive verdict has a
+    nonpositive sample."""
+    arr = as_spectrum(lam)
+    n = arr.shape[-1]
+    sig = sigma_all_row_major(arr, k)
+    coeff_ok = np.all(sig[..., :k] >= 0.0, axis=-1) & (sig[..., k] > 0.0)
+    s_max = 1.0 + n * max(1.0, float(np.max(np.abs(arr))))
+    s = np.concatenate([[0.0], np.geomspace(1e-6 * s_max, s_max, 16)])
+    poly = np.zeros(arr.shape[:-1] + (s.size,))
+    for j in range(k + 1):
+        poly += np.multiply.outer(sig[..., k - j], s**j) * shift_coefficient(j, k, n)
+    if np.any(coeff_ok & ~np.all(poly > 0.0, axis=-1)):
+        raise AssertionError("coefficient test and sampled hyperbolicity check disagree")
+    return bool(coeff_ok) if coeff_ok.ndim == 0 else coeff_ok
+
+
+def sample_in_cone_every_row(n: int, k: int, count: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """The first ``count`` uniform(-3, 3) draws in the level-k cone: chunks of
+    ``4 * count`` rows, every row of every chunk drawn and tested."""
+    out = np.empty((0, n))
+    while out.shape[0] < count:
+        draw = rng.uniform(-3.0, 3.0, size=(4 * count, n))
+        out = np.concatenate([out, draw[in_gamma_k_over_the_sigma_axis(draw, k)]])
+    return out[:count]
 
 
 def eval_G_at_every_point(w, seed, f) -> dict:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -365,8 +366,12 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "identities", "--samples", "50",
                      "--seed", "3"])
         assert code == 0
-        doc = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
         assert doc["identities"]["passed"] is True
+        # each suite's wall time goes to stderr, never into the JSON
+        assert re.fullmatch(r"identities: checked 50, excluded 0, failures 0 "
+                            r"\(\d+\.\d\d s\)\n", captured.err)
 
     @pytest.mark.parametrize("samples", ["-3", "0", "ten"])
     def test_bad_samples_exit_two(self, capsys, samples):

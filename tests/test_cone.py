@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from khessian import cone, verify
 from khessian.cone import (
     Region,
     classify_boundary,
@@ -17,7 +18,14 @@ from khessian.cone import (
 from khessian.errors import CapacityError, DomainError
 from khessian.seeds import p2_example, sample_p2_points
 from khessian.symfun import elem_sym, sigma_all, sigma_km1_row
-from oracles import descending_order_facts, garding_inequality_check
+import oracles
+from oracles import (
+    descending_order_facts,
+    garding_inequality_check,
+    in_gamma_k_over_the_sigma_axis,
+    in_garding_cone_sampled_every_row,
+    sample_in_cone_every_row,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -224,3 +232,98 @@ class TestDescendingFacts:
                 continue
             found += 1
             assert np.all(np.diff(row) >= -1e-12 * max(1.0, np.max(np.abs(row))))
+
+
+class TestSampledCheck:
+    """The hyperbolicity consistency check is built on positive coefficient
+    verdicts only, and still fires there."""
+
+    def test_fires_on_in_cone_points(self, monkeypatch):
+        # with the s^k coefficient negated, sigma_k(s e + lam) turns negative
+        # at the largest sampled s for every point, in the cone included
+        true = cone.shift_coefficient
+        for module in (cone, oracles):
+            monkeypatch.setattr(module, "shift_coefficient",
+                                lambda j, k, n: -true(j, k, n) if j == k else true(j, k, n))
+        batch = np.array([[1.0, 1.0, 1.0, 1.0], [-3.0, 0.5, 0.5, 0.5]])
+        for lam in (batch, np.ones(4), batch[None]):
+            with pytest.raises(AssertionError, match="disagree"):
+                in_garding_cone_sampled(lam, 2)
+            with pytest.raises(AssertionError, match="disagree"):
+                in_garding_cone_sampled_every_row(lam, 2)
+
+    def test_outside_points_with_nonpositive_samples_pass(self):
+        # sigma_k(lam) <= 0 is the sample at s = 0: those points are outside,
+        # and the check neither samples them nor raises
+        rng = np.random.default_rng(4)
+        for n, k in verify.EQUIV_CONFIGS:
+            lam = rng.uniform(-3.0, 3.0, size=(5000, n))
+            got = in_garding_cone_sampled(lam, k)
+            assert np.array_equal(got, in_garding_cone_sampled_every_row(lam, k))
+            assert np.any(sigma_all(lam, k)[:, k] <= 0.0)
+            assert 0 < got.sum() < got.size
+
+
+class TestSameBitsAsReference:
+    """The row-wise cone tests and the blocked sampler give the bits of the
+    strided, every-row references, and leave the generator where they do."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5])
+    def test_in_gamma_k(self, tol):
+        rng = np.random.default_rng(6)
+        for n in (3, 4, 5):
+            lam = rng.uniform(-3.0, 3.0, size=(2, 3, 400, n))
+            for k in range(1, n + 1):
+                got = in_gamma_k(lam, k, tol)
+                assert got.shape == lam.shape[:-1]
+                assert np.array_equal(got, in_gamma_k_over_the_sigma_axis(lam, k, tol))
+                for row in lam[0, 0, :40]:
+                    assert in_gamma_k(row, k, tol) is in_gamma_k_over_the_sigma_axis(row, k, tol)
+
+    def test_in_garding_cone_sampled(self):
+        rng = np.random.default_rng(8)
+        for n in (3, 4, 5):
+            lam = rng.uniform(-3.0, 3.0, size=(2, 3, 400, n))
+            for k in range(1, n + 1):
+                got = in_garding_cone_sampled(lam, k)
+                assert got.shape == lam.shape[:-1]
+                assert np.array_equal(got, in_garding_cone_sampled_every_row(lam, k))
+                for row in lam[0, 0, :40]:
+                    assert (in_garding_cone_sampled(row, k)
+                            is in_garding_cone_sampled_every_row(row, k))
+
+    @pytest.mark.parametrize("n, k", verify.EQUIV_CONFIGS)
+    @pytest.mark.parametrize("count, block", [(1, None), (9000, None), (1, 2),
+                                              (37, 8), (1000, 64)])
+    def test_sampler(self, monkeypatch, n, k, count, block):
+        # at 9000 a 36000-row chunk is 3 blocks of the default size
+        if block is not None:
+            monkeypatch.setattr(verify, "_BLOCK", block)
+        rng, ref = np.random.default_rng(10 * n + k), np.random.default_rng(10 * n + k)
+        got = verify._sample_in_cone(n, k, count, rng)
+        want = sample_in_cone_every_row(n, k, count, ref)
+        assert got.shape == want.shape == (count, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_sampler_tests_positive_sums_until_full(self, monkeypatch):
+        # only rows with sigma_1 > 0 reach the cone test, and testing stops
+        # before the end of the last chunk
+        tested = []
+
+        def recorded(lam, k):
+            tested.append(lam)
+            return in_gamma_k(lam, k)
+
+        monkeypatch.setattr(verify, "in_gamma_k", recorded)
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        count, rng = 1000, np.random.default_rng(3)
+        verify._sample_in_cone(5, 3, count, rng)
+        rows = np.concatenate(tested)
+        assert np.all(np.sum(rows, axis=1) > 0.0)
+        ref, positive, kept = np.random.default_rng(3), 0, 0
+        while kept < count:  # the reference's chunks, every row tested
+            draw = ref.uniform(-3.0, 3.0, size=(4 * count, 5))
+            positive += int(np.sum(np.sum(draw, axis=1) > 0.0))
+            kept += int(np.sum(in_gamma_k(draw, 3)))
+        assert len(rows) < positive
