@@ -24,8 +24,8 @@ class EllipticityError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The linear solver stagnated; ``steps`` counts the operator applications
-    BiCGSTAB made (one per half step)."""
+    """The linear solve stopped short of its tolerance; ``steps`` counts its
+    iterations, one operator application each."""
 
     def __init__(self, message, steps=None):
         super().__init__(message)

@@ -58,6 +58,11 @@ CONVEXITY_TOL = 1e-9  # slack of the j-convexity flags
 
 @dataclass
 class IterationRecord:
+    """One iteration's measurements.  ``krylov_steps`` counts the iterations
+    of the step's linear solve, and ``contraction`` is the largest ratio
+    ||r_{i+1}|| / ||r_i|| of its successive residuals; both are None when no
+    solve ran."""
+
     iteration: int
     g_inf: float
     w_c2alpha: float
@@ -67,6 +72,7 @@ class IterationRecord:
     min_margin: float | None = None
     lin_residual: float | None = None
     krylov_steps: int | None = None
+    contraction: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -153,11 +159,12 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
     """One linearized solve at w for the residual ``g_grid``.
 
     Fills the record's ``rho_inf``, ``rho_c2alpha``, ``min_margin``,
-    ``lin_residual`` and ``krylov_steps`` and returns ``(rho, None)``.
-    Returns ``(None, reason)`` when the coefficient matrix loses diagonal
-    dominance, a dominance margin drops below half the seed's deleted-variable
-    row, or the linear solve fails (breaks down or reaches its step limit);
-    a failed solve still records its count of operator applications.
+    ``lin_residual``, ``krylov_steps`` and ``contraction`` and returns
+    ``(rho, None)``.  Returns ``(None, reason)`` when the coefficient matrix
+    loses diagonal dominance, a dominance margin drops below half the seed's
+    deleted-variable row, or the linear solve fails (its residual stops
+    shrinking or it reaches its step limit); a failed solve still records its
+    count of operator applications and its contraction.
     """
     try:
         sys = assemble_linearized(w, seed, f, g_grid)
@@ -174,6 +181,8 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
     except SolverError as err:
         record.krylov_steps = err.steps
         return None, f"linear solve failed: {err}"
+    finally:
+        record.contraction = sys.contraction
     record.min_margin = sys.min_margin
     del sys  # free the coefficient fields before the next assembly
     record.rho_inf = float(np.max(np.abs(rho.values)))

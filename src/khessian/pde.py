@@ -14,9 +14,11 @@ as one coefficient field per stencil offset, with the same stencils used by
 ``eval_G``'s differences, and records the per-row diagonal-dominance margins
 of the coefficient matrix.  The operator is applied on the grid, never
 assembled.  ``solve_dirichlet_info`` solves the homogeneous Dirichlet problem
-with scipy's BiCGSTAB, preconditioned by the exact inverse of the seed's
+by Richardson iteration, preconditioned by the exact inverse of the seed's
 constant-coefficient operator sum_i sigma_{k-1,i}(tau) d_i^2, which a sine
-transform along each axis diagonalizes.
+transform along each axis diagonalizes.  Near the seed the linearization is
+a small perturbation of that operator, so each iteration contracts the
+residual; a solve whose residual stops shrinking is refused.
 
 Minor sums S_j and the derivative dS_k/dr come from one route, Reilly's
 Newton-tensor recursion (``minor_sums``), for any matrix order: S_k is the
@@ -28,14 +30,12 @@ coefficients) and (y, u, p), and returns them with G as a ``Residual``;
 ``assemble_linearized`` reads them from there.  The zero iterate is
 evaluated in closed form: at w = 0 every difference is +0.0, so r = diag(tau)
 at every point, and one matrix is recursed and broadcast over the grid.
-scipy's sparse layer is imported on the first assembly, so importing the
-package does not load it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,11 +44,9 @@ from .grids import ScalarGrid, grid_coords, second_differences, symmetric_matrix
 from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
 
-if TYPE_CHECKING:
-    from scipy.sparse.linalg import LinearOperator
-
-# BiCGSTAB step limit: converged solves took at most 23 steps (fzero-linear
-# 0-3), so a solve that reaches it has diverged and its eps is rejected.
+# Richardson iteration limit: accepted solves took at most 17 iterations, at
+# contractions up to 0.34, so a solve that reaches it contracts too slowly
+# and its eps is refused.
 MAX_KRYLOV_STEPS = 200
 # Matrices per block of minor_sums' products: 4096 (4, 4) blocks take 512 kB.
 _PRODUCT_BLOCK = 4096
@@ -61,19 +59,23 @@ class LinearSystem:
 
     ``matrix`` applies the operator to the interior values in lexicographic
     order, and ``seed_inverse`` applies the exact inverse of the seed's
-    operator sum_i sigma_{k-1,i}(tau) d_i^2; both are scipy LinearOperators.
-    ``margins[q, i]`` is the diagonal-dominance margin of coefficient row i of
-    the n-by-n second-order coefficient matrix at interior point q; positivity
-    of every entry certifies uniform ellipticity of the discrete operator.
+    operator sum_i sigma_{k-1,i}(tau) d_i^2; both are functions of the flat
+    interior vector.  ``margins[q, i]`` is the diagonal-dominance margin of
+    coefficient row i of the n-by-n second-order coefficient matrix at
+    interior point q; positivity of every entry certifies uniform ellipticity
+    of the discrete operator.  ``contraction`` is the largest ratio
+    ||r_{i+1}|| / ||r_i|| of successive residuals in the last solve of the
+    system (None before a solve iterated).
     """
 
-    matrix: LinearOperator
-    seed_inverse: LinearOperator
+    matrix: Callable[[np.ndarray], np.ndarray]
+    seed_inverse: Callable[[np.ndarray], np.ndarray]
     rhs: np.ndarray
     n: int
     m: int
     interior_flat: np.ndarray
     margins: np.ndarray
+    contraction: float | None = None
 
     @property
     def size(self) -> int:
@@ -152,12 +154,6 @@ def _check_box(f, u: np.ndarray, p: np.ndarray, interior: np.ndarray) -> None:
         )
 
 
-def rescaled_hessian(w: ScalarGrid, seed: SeedQuadratic) -> tuple[np.ndarray, np.ndarray]:
-    """r(w) = diag(tau) + eps' * D^2 w per grid point, plus the gradient of w."""
-    second, grad = second_differences(w)
-    return symmetric_matrix(second, seed.n, seed.eps_prime, seed.tau), grad
-
-
 @dataclass
 class Residual(ScalarGrid):
     """G(w) on the grid (``values``, zero on the boundary) and the pointwise
@@ -220,8 +216,6 @@ def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
     coefficient matrix is nonpositive at some interior point (the usual cause
     is an eps too large for the current iterate).
     """
-    from scipy.sparse.linalg import LinearOperator
-
     if g is None:
         g = eval_G(w, seed, f)
     n, m = w.n, w.m
@@ -274,78 +268,81 @@ def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
             out += product
         return out.reshape(-1)
 
-    matrix = LinearOperator((inner.size,) * 2, matvec=_apply, dtype=float)
-    matrix.nnz = len(stencil) * inner.size  # stencil coefficients; perfbench/spans.py reads it
+    _apply.nnz = len(stencil) * inner.size  # stencil coefficients; perfbench/spans.py reads it
     rhs = -g.values[slab].reshape(-1)
 
     return LinearSystem(
-        matrix=matrix, seed_inverse=_seed_inverse(seed, m), rhs=rhs, n=n, m=m,
+        matrix=_apply, seed_inverse=_seed_inverse(seed, m), rhs=rhs, n=n, m=m,
         interior_flat=np.flatnonzero(w.interior_mask), margins=margins,
     )
 
 
-def _seed_inverse(seed: SeedQuadratic, m: int) -> LinearOperator:
+def _seed_inverse(seed: SeedQuadratic, m: int) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of the seed's operator sum_a sigma_{k-1,a}(tau) d_a^2,
     discretized by three-point differences with zero Dirichlet data.
 
-    A DST-I along each axis diagonalizes it: mode j of an axis has the
-    eigenvalue (2 cos(pi j / (m-1)) - 2) / h^2.
+    The DST-I matrix S[j, l] = sin(pi j l / (m-1)), j, l = 1..m-2,
+    diagonalizes it along each axis: mode j of an axis has the eigenvalue
+    (2 cos(pi j / (m-1)) - 2) / h^2.  S is symmetric and S S = (m-1)/2 I, so
+    with S^n applying S along every axis the inverse is
+    (2/(m-1))^n S^n (S^n v / eig); the factor is folded into eig.
     """
-    from scipy.fft import dstn, idstn  # imported here to keep `import khessian` light
-    from scipy.sparse.linalg import LinearOperator
-
     n, h = seed.n, 2.0 / (m - 1)
-    mu = (2.0 * np.cos(np.pi * np.arange(1, m - 1) / (m - 1)) - 2.0) / h**2
+    modes = np.arange(1, m - 1)
+    sine = np.sin(np.pi / (m - 1) * np.outer(modes, modes))
+    mu = ((m - 1) / 2.0) ** n * (2.0 * np.cos(np.pi * modes / (m - 1)) - 2.0) / h**2
     row = sigma_km1_row(seed.tau, seed.k)
-    eig = sum(row[a] * mu.reshape((-1,) + (1,) * (n - 1 - a)) for a in range(n))
+    eig = sum(row[a] * mu.reshape((-1,) + (1,) * (n - 1 - a)) for a in range(n)).reshape(-1)
+
+    def _transform(v: np.ndarray) -> np.ndarray:
+        # each product transforms the leading axis and moves it to the back
+        for _ in range(n):
+            v = v.reshape(m - 2, -1).T @ sine
+        return v.reshape(-1)
 
     def _apply(v: np.ndarray) -> np.ndarray:
-        return idstn(dstn(v.reshape(eig.shape), type=1) / eig, type=1).reshape(-1)
+        return _transform(_transform(v) / eig)
 
-    return LinearOperator((eig.size,) * 2, matvec=_apply, dtype=float)
+    return _apply
 
 
 def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
                          max_iter: int = MAX_KRYLOV_STEPS) -> tuple[ScalarGrid, float, int]:
-    """Solve the interior system by BiCGSTAB, preconditioned by the seed
-    operator's inverse; returns the grid solution (zero on the boundary), the
-    achieved relative residual and the number of operator applications
-    BiCGSTAB made (one per half step, so two per completed step).
-
-    The right-hand side is scaled to unit norm first: scipy's breakdown tests
-    are absolute (eps^2), and late Newton corrections have norms near 1e-11.
-    ``max_iter`` caps the BiCGSTAB steps.  A residual above tol_lin raises
-    SolverError, whose message says whether BiCGSTAB broke down or reached
-    its step limit, and which carries the operator applications as ``steps``.
+    """Solve the interior system by Richardson iteration preconditioned by the
+    seed operator's inverse, x <- x + P^-1 (b - A x) from x = 0, on the
+    unit-normalized right-hand side, to a true relative residual of
+    0.1 tol_lin.  Returns the grid solution (zero on the boundary), the
+    relative residual and the number of iterations (one application of A
+    each), and records the largest ratio of successive residual norms as
+    ``sys.contraction``.  A residual that does not shrink, or ``max_iter``
+    iterations short of the target, raise SolverError, whose message says
+    which and which carries the iterations as ``steps``.
     """
-    from scipy.sparse.linalg import LinearOperator, bicgstab
-
-    b = sys.rhs
     rho = ScalarGrid.zeros(sys.n, sys.m)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(np.linalg.norm(sys.rhs))
     if bnorm == 0.0:
         return rho, 0.0, 0
-    applied = 0
-
-    def _counted(v: np.ndarray) -> np.ndarray:
-        nonlocal applied
-        applied += 1
-        return sys.matrix.matvec(v)
-
-    # scipy returns on a converged half step without calling a step callback,
-    # so the work is counted where it is done
-    counted = LinearOperator(sys.matrix.shape, matvec=_counted, dtype=float)
-    x, info = bicgstab(counted, b / bnorm, rtol=0.1 * tol_lin, atol=0.0,
-                       maxiter=max_iter, M=sys.seed_inverse)
-    x *= bnorm
-    res = float(np.linalg.norm(sys.matrix @ x - b)) / bnorm
-    if res > tol_lin:
-        why = (f"breakdown, info {info}" if info < 0 else "step limit reached"
-               if info > 0 else "only the recurred residual met the tolerance")
-        raise SolverError(
-            f"Krylov iteration stalled ({why}) at relative residual {res:.3e} "
-            f"after {applied} operator applications",
-            steps=applied,
-        )
-    rho.values.flat[sys.interior_flat] = x
-    return rho, res, applied
+    b = sys.rhs / bnorm
+    x = np.zeros_like(b)
+    r, res, steps = b, 1.0, 0
+    sys.contraction = 0.0
+    while res > 0.1 * tol_lin:
+        if steps == max_iter:
+            why = "step limit reached"
+            break
+        x += sys.seed_inverse(r)
+        r = b - sys.matrix(x)
+        steps += 1
+        last, res = res, float(np.linalg.norm(r))
+        sys.contraction = max(sys.contraction, res / last)
+        if not res < last:  # a NaN residual stops here as well
+            why = "residual stopped shrinking"
+            break
+    else:
+        rho.values.flat[sys.interior_flat] = bnorm * x
+        return rho, res, steps
+    raise SolverError(
+        f"Krylov iteration stalled ({why}) at relative residual {res:.3e} "
+        f"after {steps} operator applications",
+        steps=steps,
+    )

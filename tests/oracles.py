@@ -242,6 +242,12 @@ def every_offset_holder_quotient(values, h: float, alpha: float,
     return best
 
 
+def dense_operator(apply, size: int) -> np.ndarray:
+    """The matrix of a linear function of a flat vector, one column per unit
+    vector."""
+    return np.column_stack([apply(unit) for unit in np.eye(size)])
+
+
 def stencil_matrix(coeff, a_first, a_zero, h: float) -> np.ndarray:
     """Dense linearized operator, placed one stencil entry at a time.
 

@@ -163,7 +163,7 @@ def test_criterion_07_linearization_consistency():
     bump = np.prod(np.cos(np.pi * x / 2), axis=-1)
     w = ScalarGrid(3, m, 0.02 * bump)
     sys = assemble_linearized(w, seed, f)
-    applied = sys.matrix @ bump.reshape(-1)[sys.interior_flat]
+    applied = sys.matrix(bump.reshape(-1)[sys.interior_flat])
     g0 = eval_G(w, seed, f).values
     deltas = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
     errs = []

@@ -272,6 +272,23 @@ class TestNewtonLoop:
         (derivs,) = handed
         assert derivs is None
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_linear_solve_contracts(self, tmp_path, name):
+        # each preset's linearizations are small perturbations of the seed's
+        # operator: every solve, refused candidates' included, shrinks its
+        # residual at each iteration; a record without a solve has none
+        report = run_solve(ProblemConfig.from_dict(PRESETS[name]), out_dir=str(tmp_path)).report
+        assert report.converged
+        records = [r.to_dict() for r in report.iterations] + [
+            r for a in report.aborted_attempts for r in a["iterations"]]
+        solved = [r for r in records if r["krylov_steps"] is not None]
+        for r in records:
+            if r["krylov_steps"] is None:
+                assert r["contraction"] is None
+            else:
+                assert 0.0 <= r["contraction"] < 1.0
+        assert (len(solved) > 0) == (name == "fzero-linear")
+
     def test_floor_estimate_scales_like_inverse_h_squared(self):
         seed = seed_for_zero(2, 3, 0.5)
         assert residual_floor(seed, 17) / residual_floor(seed, 9) == pytest.approx(4.0)
