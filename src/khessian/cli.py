@@ -31,7 +31,7 @@ from .errors import (
     SolverError,
     TuningError,
 )
-from .grids import write_grid_csv, write_json
+from .grids import ScalarGrid, axis_coords, write_grid_csv, write_json
 from .iterate import (
     IterationReport,
     assemble_solution,
@@ -40,7 +40,6 @@ from .iterate import (
     tune_epsilon,
 )
 from .presets import PRESETS, preset_config
-from .grids import ScalarGrid, axis_coords, boundary_mask
 from .seeds import certify_seed, seed_for_constant
 from .verify import SUITES
 
@@ -109,9 +108,7 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
     solution = None
     if report.converged:
         solution = assemble_solution(w, seed)
-        cert = certify_convexity(
-            solution.hessian, config.k, ~boundary_mask(config.n, config.m)
-        )
+        cert = certify_convexity(solution.hessian, config.k)
         report.convexity = cert.to_dict()
     marks.append(time.perf_counter())
 

@@ -35,13 +35,13 @@ import numpy as np
 
 from .errors import DomainError
 
-_M_CAP = {2: 257, 3: 65, 4: 33}
+_M_CAP = {2: 257, 3: 65, 4: 33, 5: 17}
 _HOLDER_RADIUS = 8  # Hoelder quotients compare points at most this many steps apart
 
 
 def _validate_shape(n: int, m: int) -> None:
-    if not 2 <= n <= 4:
-        raise DomainError(f"need 2 <= n <= 4, got n={n}")
+    if not 2 <= n <= 5:
+        raise DomainError(f"need 2 <= n <= 5, got n={n}")
     if m < 9 or m % 2 == 0:
         raise DomainError(f"points per axis must be odd and >= 9, got m={m}")
     if m > _M_CAP[n]:
@@ -67,10 +67,6 @@ class ScalarGrid:
     @property
     def h(self) -> float:
         return 2.0 / (self.m - 1)
-
-    @property
-    def interior_mask(self) -> np.ndarray:
-        return ~boundary_mask(self.n, self.m)
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "ScalarGrid":

@@ -18,15 +18,18 @@ solve fails, the loop stops: a manufactured right-hand side is built for one
 eps', so the loop never changes eps itself.
 
 Each iterate is evaluated once: the ``Residual`` that ``eval_G`` returns
-carries the Hessian, the Newton tensor and the physical arguments, the step
-assembles the linearization from them, and the iterate's C^{2,alpha}
-surrogate reads the same Hessian.  A residual's pointwise data is freed as
-soon as its step is assembled; at the last iterate past iteration 0, its
-second differences are handed to ``assemble_solution``.  w = 0 is never
+carries the second differences, the Newton tensor and the physical
+arguments, the step assembles the linearization from them, and the
+iterate's C^{2,alpha} surrogate reads the same differences.  The step frees
+the differences before it assembles, and the rest of the pointwise data
+before it solves; at the last iterate past iteration 0, the differences are
+handed to ``assemble_solution``.  Only the differences cover the whole grid:
+the tensor, the physical arguments and the solution's Hessian, which the
+certificate recurses, are kept at the interior points.  w = 0 is never
 differenced and hands nothing over: its Hessian is one matrix, diag(tau) for
 G and the solution alike, so each tuning candidate, and the certificate of a
 solve that stops at iteration 0, recurses that one matrix instead of every
-grid point.
+interior point.
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ class Iterate(ScalarGrid):
 @dataclass
 class PhysicalSolution:
     """Solution assembled in the original variables on the cube of side
-    2*eps^2, plus its discrete Hessian."""
+    2*eps^2 (``u_values`` on every grid point), plus its discrete Hessian at
+    the interior points, shape (m-2,)*n + (n, n)."""
 
     u_values: np.ndarray
     hessian: np.ndarray
@@ -150,7 +154,7 @@ def residual_floor(seed: SeedQuadratic, m: int, w_sup: float = 1.0) -> float:
 
 
 def _interior_sup(grid: ScalarGrid) -> float:
-    return float(np.max(np.abs(grid.values[grid.interior_mask])))
+    return float(np.max(np.abs(grid.values[(slice(1, -1),) * grid.n])))
 
 
 def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
@@ -166,6 +170,7 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
     shrinking or it reaches its step limit); a failed solve still records its
     count of operator applications and its contraction.
     """
+    g_grid.second = g_grid.grad = None  # the surrogate has read them; assembly does not
     try:
         sys = assemble_linearized(w, seed, f, g_grid)
     except EllipticityError as err:
@@ -338,20 +343,22 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
     vanishes to second order at the origin.  When w is an ``Iterate`` that
     carries its second differences, they are read instead of taken again,
     and released (``w.derivs`` becomes None) once the Hessian is formed.
-    The Hessian is returned read-only.  When w is zero, its differences and
-    affine part are +0.0 and none is taken: the Hessian diag(tau) + eps' * 0
-    is one matrix, broadcast over the grid.
+    The Hessian is formed at the interior points only and returned
+    read-only.  When w is zero, its differences and affine part are +0.0 and
+    none is taken: the Hessian diag(tau) + eps' * 0 is one matrix, broadcast
+    over the interior.
     """
     n, m = w.n, w.m
     c = m // 2
     center = (c,) * n
+    slab = (slice(1, -1),) * n
     derivs = None
     if isinstance(w, Iterate):
         derivs, w.derivs = w.derivs, None
     x = grid_coords(n, m)
     if w.values.any():
         second, grad_w = second_differences(w) if derivs is None else derivs
-        hess_w = symmetric_matrix(second, n)
+        hess_w = symmetric_matrix(second[(slice(None),) + slab], n)
         w0 = float(w.values[center])
         g0 = grad_w[center].copy()
         del second, grad_w, derivs
@@ -369,7 +376,7 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
     eps, epsp = seed.eps, seed.eps_prime
     psi = 0.5 * np.sum(seed.tau * x**2, axis=-1)
     u = eps**4 * (psi + epsp * w_norm)
-    hess_u = np.broadcast_to(seed.perturbed_hessian(hess_w), w.values.shape + (n, n))
+    hess_u = np.broadcast_to(seed.perturbed_hessian(hess_w), (m - 2,) * n + (n, n))
     axes = [eps**2 * np.linspace(-1.0, 1.0, m) for _ in range(n)]
     return PhysicalSolution(
         u_values=u,
@@ -381,19 +388,16 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
     )
 
 
-def certify_convexity(hessian: np.ndarray, k: int,
-                      interior_mask: np.ndarray) -> ConvexityCertificate:
+def certify_convexity(hessian: np.ndarray, k: int) -> ConvexityCertificate:
     """Flag j-convexity of the assembled solution for j = 1..k+1.
 
-    The flag for level j is set when the j-th minor sum of the discrete
-    Hessian stays above -CONVEXITY_TOL at every interior point.  A Hessian
-    that is one matrix broadcast over the grid (every grid stride zero, as
-    ``assemble_solution`` gives for w = 0) is recursed once.
+    ``hessian`` is the solution's Hessian at the interior points, as
+    ``assemble_solution`` gives it.  The flag for level j is set when the
+    j-th minor sum stays above -CONVEXITY_TOL at every one of them.  A
+    Hessian that is one matrix broadcast over the points (every point stride
+    zero, as for w = 0) is recursed once.
     """
-    if any(hessian.strides[:-2]):
-        points = hessian[interior_mask]
-    else:
-        points = hessian[(0,) * interior_mask.ndim][None]
+    points = hessian if any(hessian.strides[:-2]) else hessian[(0,) * (hessian.ndim - 2)][None]
     sums, _ = minor_sums(points, k + 1)
     mins = {j: float(np.min(vals)) for j, vals in enumerate(sums, start=1)}
     flags = {j: bool(v >= -CONVEXITY_TOL) for j, v in mins.items()}

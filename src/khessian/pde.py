@@ -24,12 +24,14 @@ Minor sums S_j and the derivative dS_k/dr come from one route, Reilly's
 Newton-tensor recursion (``minor_sums``), for any matrix order: S_k is the
 last level and dS_k/dr the transposed tensor T_{k-1}.
 
-Each iterate is evaluated once.  ``eval_G`` takes w's second differences,
-r = diag(tau) + eps' D^2 w, one recursion (S_k for G, T_{k-1} for the
-coefficients) and (y, u, p), and returns them with G as a ``Residual``;
-``assemble_linearized`` reads them from there.  The zero iterate is
-evaluated in closed form: at w = 0 every difference is +0.0, so r = diag(tau)
-at every point, and one matrix is recursed and broadcast over the grid.
+Each iterate is evaluated once.  ``eval_G`` takes w's second differences
+on the full grid, then r = diag(tau) + eps' D^2 w, one recursion (S_k for G,
+T_{k-1} for the coefficients) and (y, u, p) on the interior points only,
+where the equation is imposed and the operator's coefficients live; it
+returns them with G as a ``Residual``, and ``assemble_linearized`` reads
+them from there.  The zero iterate is evaluated in closed form: at w = 0
+every difference is +0.0, so r = diag(tau) at every point, and one matrix is
+recursed and broadcast over the interior.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ class LinearSystem:
     rhs: np.ndarray
     n: int
     m: int
-    interior_flat: np.ndarray
     margins: np.ndarray
     contraction: float | None = None
 
@@ -130,23 +131,25 @@ def sk_gradient(r: np.ndarray, k: int) -> np.ndarray:
     return np.swapaxes(minor_sums(r, k)[1], -1, -2)
 
 
-def _physical_args(w: ScalarGrid, seed: SeedQuadratic, grad: np.ndarray):
-    x = grid_coords(w.n, w.m)
+def _physical_args(seed: SeedQuadratic, x: np.ndarray, values: np.ndarray,
+                   grad: np.ndarray):
+    """(y, u, p) at the points with coordinates x (``(..., n)``), where w and
+    its gradient take the values ``values`` and ``grad``."""
     tau = seed.tau
     eps, epsp = seed.eps, seed.eps_prime
     psi = 0.5 * np.sum(tau * x**2, axis=-1)
     y = eps**2 * x
-    u = eps**4 * psi + epsp * eps**4 * w.values
+    u = eps**4 * psi + epsp * eps**4 * values
     p = eps**2 * (tau * x) + epsp * eps**2 * grad
     return y, u, p
 
 
-def _check_box(f, u: np.ndarray, p: np.ndarray, interior: np.ndarray) -> None:
+def _check_box(f, u: np.ndarray, p: np.ndarray) -> None:
     box = getattr(f, "box", None)
     if box is None:
         return
-    umax = float(np.max(np.abs(u[interior])))
-    pmax = float(np.max(np.sqrt(np.sum(p**2, axis=-1))[interior]))
+    umax = float(np.max(np.abs(u)))
+    pmax = float(np.max(np.sqrt(np.sum(p**2, axis=-1))))
     if umax > box or pmax > box:
         raise DomainError(
             f"(u, p) arguments leave the declared box: |u|={umax:.3g}, "
@@ -157,11 +160,13 @@ def _check_box(f, u: np.ndarray, p: np.ndarray, interior: np.ndarray) -> None:
 @dataclass
 class Residual(ScalarGrid):
     """G(w) on the grid (``values``, zero on the boundary) and the pointwise
-    data of w it was computed from: ``second`` and ``grad`` as returned by
-    ``second_differences(w)``, the Newton tensor T_{k-1}(r(w)) (``tensor``,
-    the transposed dS_k/dr) and the physical arguments (y, u, p).  ``tensor``
-    is read-only; at w = 0 it, ``second`` and ``grad`` are views of one
-    point broadcast over the grid."""
+    data of w it was computed from.  ``second`` and ``grad`` are
+    ``second_differences(w)`` on the full grid, as the C^{2,alpha} surrogate
+    and the solution read them.  The Newton tensor T_{k-1}(r(w)) (``tensor``,
+    the transposed dS_k/dr) and the physical arguments (y, u, p) are kept at
+    the interior points only, shape (m-2,)*n + trailing axes, the points
+    where the equation is imposed.  ``tensor`` is read-only; at w = 0 it,
+    ``second`` and ``grad`` are views of one point broadcast over the grid."""
 
     second: np.ndarray | None
     grad: np.ndarray | None
@@ -178,28 +183,30 @@ class Residual(ScalarGrid):
 def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
     """Rescaled residual operator on interior points (boundary entries zero).
 
-    One Newton-tensor recursion gives both S_k(r), for G, and T_{k-1}(r),
-    which the result keeps for ``assemble_linearized``.  At w = 0 every
-    second difference and gradient entry is +0.0, so r = diag(tau) at every
-    point: one matrix is recursed, S_k broadcasts as its scalar, and T_{k-1},
-    ``second`` and ``grad`` are read-only views broadcast over the grid.
+    w is differenced on the full grid; everything after that runs on the
+    interior slab.  One Newton-tensor recursion gives both S_k(r), for G,
+    and T_{k-1}(r), which the result keeps for ``assemble_linearized``.  At
+    w = 0 every second difference and gradient entry is +0.0, so
+    r = diag(tau) at every point: one matrix is recursed, S_k broadcasts as
+    its scalar, and T_{k-1}, ``second`` and ``grad`` are read-only views
+    broadcast over the grid.
     """
     n, shape = seed.n, w.values.shape
+    slab = (slice(1, -1),) * n
     if w.values.any():
         second, grad = second_differences(w)
-        points = second
+        points = second[(slice(None),) + slab]
     else:
         second = np.broadcast_to(0.0, (n * (n + 1) // 2,) + shape)
         grad = np.broadcast_to(0.0, shape + (n,))
         points = np.zeros((len(second),) + (1,) * n)
     sums, tensor = minor_sums(symmetric_matrix(points, n, seed.eps_prime, seed.tau), seed.k)
-    y, u, p = _physical_args(w, seed, grad)
-    interior = w.interior_mask
-    _check_box(f, u, p, interior)
-    g = (sums[-1] - f.value(y, u, p)) / seed.eps_prime
-    g = np.where(interior, g, 0.0)
-    return Residual(w.n, w.m, g, second, grad, np.broadcast_to(tensor, shape + (n, n)),
-                    y, u, p)
+    y, u, p = _physical_args(seed, grid_coords(n, w.m)[slab], w.values[slab], grad[slab])
+    _check_box(f, u, p)
+    g = np.zeros(shape)
+    g[slab] = (sums[-1] - f.value(y, u, p)) / seed.eps_prime
+    return Residual(w.n, w.m, g, second, grad,
+                    np.broadcast_to(tensor, u.shape + (n, n)), y, u, p)
 
 
 def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
@@ -220,14 +227,21 @@ def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
         g = eval_G(w, seed, f)
     n, m = w.n, w.m
     h = w.h
-    slab = (slice(1, -1),) * n
-    coeff = np.swapaxes(g.tensor, -1, -2)[slab]
-    a_first = -seed.eps**2 * f.dp(g.y, g.u, g.p)[slab]
-    a_zero = -seed.eps**4 * f.du(g.y, g.u, g.p)[slab]
+    coeff = np.swapaxes(g.tensor, -1, -2)
+    a_first = -seed.eps**2 * f.dp(g.y, g.u, g.p)
+    a_zero = -seed.eps**4 * f.du(g.y, g.u, g.p)
     idx = np.arange(n)
 
+    # margin of row i: c_ii - (|c_i0| + ... + |c_i,n-1| - |c_ii|), the sum
+    # taken from the left one component at a time, as np.sum over a row does
     diag = coeff[..., idx, idx]
-    margins = (diag - (np.sum(np.abs(coeff), axis=-1) - np.abs(diag))).reshape(-1, n)
+    margins = np.empty(diag.shape)
+    for i in range(n):
+        row_sum = np.abs(coeff[..., i, 0])
+        for j in range(1, n):
+            row_sum += np.abs(coeff[..., i, j])
+        margins[..., i] = diag[..., i] - (row_sum - np.abs(diag[..., i]))
+    margins = margins.reshape(-1, n)
     if margins.size and margins.min() <= 0.0:
         flat_bad = int(np.argmin(margins.min(axis=-1)))
         point = tuple(int(v) + 1 for v in np.unravel_index(flat_bad, (m - 2,) * n))
@@ -240,22 +254,26 @@ def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
             margin=float(margins[flat_bad, axis]),
         )
 
+    # (offset, field, ufunc): the product of the field and the input shifted
+    # by the offset is added, or, for the anti-diagonal mixed offsets,
+    # subtracted, which gives the floats of adding the negated field
     unit = np.eye(n, dtype=int)
-    stencil = [(np.zeros(n, dtype=int), -2.0 / h**2 * np.sum(diag, axis=-1) + a_zero)]
+    add, sub = np.add, np.subtract
+    stencil = [(np.zeros(n, dtype=int), -2.0 / h**2 * np.sum(diag, axis=-1) + a_zero, add)]
     for a in range(n):
         second = coeff[..., a, a] / h**2
         first = a_first[..., a] / (2.0 * h)
-        stencil += [(unit[a], second + first), (-unit[a], second - first)]
+        stencil += [(unit[a], second + first, add), (-unit[a], second - first, add)]
     for a in range(n):
         for b in range(a + 1, n):
             mixed = coeff[..., a, b] / (2.0 * h**2)
-            anti = -mixed
-            stencil += [(unit[a] + unit[b], mixed), (-unit[a] - unit[b], mixed),
-                        (unit[a] - unit[b], anti), (unit[b] - unit[a], anti)]
+            stencil += [(unit[a] + unit[b], mixed, add), (-unit[a] - unit[b], mixed, add),
+                        (unit[a] - unit[b], mixed, sub), (unit[b] - unit[a], mixed, sub)]
+    slab = (slice(1, -1),) * n
     padded = np.zeros((m,) * n)  # its boundary layer is the zero Dirichlet data
     inner = padded[slab]
-    shifted = [(padded[tuple(slice(1 + o, m - 1 + o) for o in offset)], field)
-               for offset, field in stencil]
+    shifted = [(padded[tuple(slice(1 + o, m - 1 + o) for o in offset)], field, op)
+               for offset, field, op in stencil]
 
     product = np.empty(inner.shape)
 
@@ -263,9 +281,9 @@ def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
         # summed onto zeros in stencil order: the floats of a left-to-right sum
         inner[...] = v.reshape(inner.shape)
         out = np.zeros(inner.shape)
-        for view, field in shifted:
+        for view, field, op in shifted:
             np.multiply(field, view, out=product)
-            out += product
+            op(out, product, out=out)
         return out.reshape(-1)
 
     _apply.nnz = len(stencil) * inner.size  # stencil coefficients; perfbench/spans.py reads it
@@ -273,7 +291,7 @@ def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
 
     return LinearSystem(
         matrix=_apply, seed_inverse=_seed_inverse(seed, m), rhs=rhs, n=n, m=m,
-        interior_flat=np.flatnonzero(w.interior_mask), margins=margins,
+        margins=margins,
     )
 
 
@@ -339,7 +357,7 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
             why = "residual stopped shrinking"
             break
     else:
-        rho.values.flat[sys.interior_flat] = bnorm * x
+        rho.values[(slice(1, -1),) * sys.n] = (bnorm * x).reshape((sys.m - 2,) * sys.n)
         return rho, res, steps
     raise SolverError(
         f"Krylov iteration stalled ({why}) at relative residual {res:.3e} "

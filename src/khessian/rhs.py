@@ -115,23 +115,24 @@ class RhsSpec:
 class TabulatedRhs:
     """Position-only right-hand side known at the grid points.
 
-    Used to manufacture problems whose exact solution is prescribed; ignores
-    the (y, u, p) arguments and returns the stored grid values, so it may only
-    be evaluated on the full grid it was built for.  It declares no box, so
+    Used to manufacture problems whose exact solution is prescribed; the
+    table holds f at every grid point of the grid it was built for.  It
+    ignores the (y, u, p) arguments and returns the table read at the
+    interior points, where ``eval_G`` evaluates f.  It declares no box, so
     ``eval_G`` makes no box check for it.
     """
 
     values: np.ndarray
 
     def value(self, y, u, p) -> np.ndarray:
-        return self.values
+        return self.values[(slice(1, -1),) * self.values.ndim]
 
     def du(self, y, u, p) -> np.ndarray:
-        return np.zeros(self.values.shape)
+        return np.zeros(self.value(y, u, p).shape)
 
     def dp(self, y, u, p) -> np.ndarray:
         n = np.asarray(y).shape[-1]
-        return np.zeros(self.values.shape + (n,))
+        return np.zeros(self.value(y, u, p).shape + (n,))
 
     def value_at_origin(self) -> float:
         center = tuple(s // 2 for s in self.values.shape)

@@ -12,8 +12,9 @@ bit-exact reference for the library's coefficient-major kernel, which does the
 same arithmetic in the same order.  The point-by-point evaluation of G and of
 the convexity certificate, which differences and recurses every grid point
 even at w = 0, is the bit-exact reference for the library's closed form of the
-zero iterate.  The cone tests that reduce over the strided sigma axis, sample
-the hyperbolicity check on every row and test every drawn row for the cone are
+zero iterate and for its interior-only pointwise data.  The cone tests that
+reduce over the strided sigma axis, sample the hyperbolicity check on every
+row and test every drawn row for the cone are
 the bit-exact references for the library's row-wise, positive-rows-only and
 blocked, stop-when-full forms.  The helpers (the cone inequality check,
 the descending-order facts and the grid CSV reader) are built on the library
@@ -28,7 +29,7 @@ import numpy as np
 
 from khessian.cone import garding_slack, in_gamma_k
 from khessian.errors import DomainError
-from khessian.grids import second_differences, symmetric_matrix
+from khessian.grids import boundary_mask, grid_coords, second_differences, symmetric_matrix
 from khessian.pde import _check_box, _physical_args, minor_sums
 from khessian.symfun import as_spectrum, shift_coefficient, sigma_km1_row
 
@@ -114,17 +115,19 @@ def sample_in_cone_every_row(n: int, k: int, count: int,
 def eval_G_at_every_point(w, seed, f) -> dict:
     """G(w) and its pointwise data, every grid point differenced and
     recursed: keys ``values``, ``second``, ``grad``, ``tensor``, ``y``, ``u``
-    and ``p`` as on ``pde.Residual``."""
+    and ``p`` as on ``pde.Residual``.  The tensor and (y, u, p) are formed on
+    the full grid and returned on the interior slab, where the library keeps
+    them."""
     second, grad = second_differences(w)
     sums, tensor = minor_sums(symmetric_matrix(second, seed.n, seed.eps_prime, seed.tau),
                               seed.k)
-    y, u, p = _physical_args(w, seed, grad)
-    interior = w.interior_mask
-    _check_box(f, u, p, interior)
+    y, u, p = _physical_args(seed, grid_coords(w.n, w.m), w.values, grad)
+    slab = (slice(1, -1),) * w.n
+    _check_box(f, u[slab], p[slab])
     g = (sums[-1] - f.value(y, u, p)) / seed.eps_prime
-    g = np.where(interior, g, 0.0)
-    return {"values": g, "second": second, "grad": grad, "tensor": tensor,
-            "y": y, "u": u, "p": p}
+    g = np.where(boundary_mask(w.n, w.m), 0.0, g)
+    return {"values": g, "second": second, "grad": grad, "tensor": tensor[slab],
+            "y": y[slab], "u": u[slab], "p": p[slab]}
 
 
 def convexity_minima_at_every_point(hessian, k: int, interior_mask) -> dict:

@@ -129,6 +129,16 @@ class TestConfig:
         with pytest.raises(DomainError):
             ProblemConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("n, m, ok", [(5, 17, True), (5, 19, False),
+                                          (6, 9, False), (4, 33, True), (4, 35, False)])
+    def test_shape_caps(self, n, m, ok):
+        doc = PRESETS["fzero-linear"] | {"n": n, "grid": {"m": m}}
+        if ok:
+            assert ProblemConfig.from_dict(doc).m == m
+        else:
+            with pytest.raises(DomainError, match="need 2 <= n <= 5|exceeds the cap"):
+                ProblemConfig.from_dict(doc)
+
     def test_inline_rhs(self):
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
         doc["rhs"] = {"terms": [{"coeff": 2.0, "y": [0, 0, 1]}]}

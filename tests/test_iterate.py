@@ -1,24 +1,32 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from khessian.cli import run_solve
 from khessian.config import ProblemConfig
-from khessian.grids import ScalarGrid, boundary_mask, grid_coords, second_differences
+from khessian.grids import ScalarGrid, grid_coords, second_differences
 from khessian.iterate import (
     STATUS_CONVERGED,
     STATUS_ELLIPTICITY_LOST,
+    IterationRecord,
+    _newton_step,
     assemble_solution,
     certify_convexity,
     newton_loop,
     residual_floor,
     tune_epsilon,
 )
-from khessian.pde import sk_of_matrix
+from khessian.pde import eval_G, sk_of_matrix
 from khessian.presets import PRESETS
 from khessian.rhs import RhsSpec, RhsTerm, manufactured_field, tabulated_rhs_from_hessian
-from khessian.seeds import seed_for_negative, seed_for_positive, seed_for_zero
+from khessian.seeds import (
+    seed_for_constant,
+    seed_for_negative,
+    seed_for_positive,
+    seed_for_zero,
+)
 
 
 class TestTuneEpsilon:
@@ -302,7 +310,7 @@ class TestAssembleSolution:
         y = seed.eps**2 * x
         psi = 0.5 * np.sum(seed.tau * y**2, axis=-1)
         assert np.max(np.abs(sol.u_values - psi)) < 1e-15
-        assert np.allclose(sol.hessian[4, 4, 4], np.diag(seed.tau))
+        assert np.allclose(sol.hessian[3, 3, 3], np.diag(seed.tau))
 
     def test_affine_normalization(self):
         seed = seed_for_zero(2, 3, 0.5)
@@ -325,7 +333,7 @@ class TestAssembleSolution:
 
         hw, _ = hessian_of(w)
         expect = np.diag(seed.tau) + seed.eps_prime * hw[4, 4, 4]
-        assert np.allclose(sol.hessian[4, 4, 4], expect)
+        assert np.allclose(sol.hessian[3, 3, 3], expect)
 
     def test_physical_residual(self):
         # S_k of the assembled Hessian minus f equals eps' times the rescaled
@@ -336,9 +344,8 @@ class TestAssembleSolution:
         f = tabulated_rhs_from_hessian(seed, hess)
         w, report = newton_loop(seed, f, m)
         sol = assemble_solution(w, seed)
-        inner = ~boundary_mask(3, m)
-        sk = sk_of_matrix(sol.hessian[inner], 2)
-        fvals = f.values[inner]
+        sk = sk_of_matrix(sol.hessian, 2)
+        fvals = f.values[1:-1, 1:-1, 1:-1]
         resid = np.max(np.abs(sk - fvals))
         assert resid <= seed.eps_prime * max(report.iterations[-1].g_inf, 1e-9) * 1.01
 
@@ -347,18 +354,90 @@ class TestCertify:
     def test_zero_seed_certificate(self):
         seed = seed_for_zero(2, 3, 0.5)
         sol = assemble_solution(ScalarGrid.zeros(3, 9), seed)
-        cert = certify_convexity(sol.hessian, 2, ~boundary_mask(3, 9))
+        cert = certify_convexity(sol.hessian, 2)
         assert cert.flags[1] is True
         assert cert.flags[3] is False
 
     def test_negative_seed_certificate(self):
         seed = seed_for_negative(2, 3, -1.0)
         sol = assemble_solution(ScalarGrid.zeros(3, 9), seed)
-        cert = certify_convexity(sol.hessian, 2, ~boundary_mask(3, 9))
+        cert = certify_convexity(sol.hessian, 2)
         assert cert.flags[2] is False
 
     def test_equal_entry_all_flags(self):
         seed = seed_for_positive(2, 3, 3.0, l="full")
         sol = assemble_solution(ScalarGrid.zeros(3, 9), seed)
-        cert = certify_convexity(sol.hessian, 2, ~boundary_mask(3, 9))
+        cert = certify_convexity(sol.hessian, 2)
         assert all(cert.flags[j] for j in (1, 2, 3))
+
+
+def _fzero_config(n, m, k):
+    doc = copy.deepcopy(PRESETS["fzero-linear"])
+    doc.update(n=n, k=k)
+    doc["grid"]["m"] = m
+    return ProblemConfig.from_dict(doc)
+
+
+class TestFiveDimensions:
+    # n = 5 is the first dimension with k = 4; each solve takes about 1 s
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_fzero_linear_solves_and_certifies(self, tmp_path, k):
+        report = run_solve(_fzero_config(5, 9, k), out_dir=str(tmp_path)).report
+        assert report.converged and len(report.iterations) > 1
+        # the certificate of f = y1 + y2: (k-1)-convex, not k-convex
+        flags = report.convexity["flags"]
+        assert all(flags[str(j)] for j in range(1, k))
+        assert not flags[str(k)] and not flags[str(k + 1)]
+
+
+class TestMemory:
+    """Traced peaks at n = 4, m = 17, k = 3: ``fzero-linear``'s f at
+    eps = 1/16 and the manufactured iterate w of amplitude 1e-3.  Full-grid
+    pointwise data (n-by-n tensors at every grid point) would exceed both
+    bounds."""
+
+    MB = 2**20
+
+    @staticmethod
+    def _problem():
+        f = _fzero_config(4, 17, 3).build_rhs()
+        seed = seed_for_constant(3, 4, f.value_at_origin()).with_eps(1 / 16)
+        return seed, f, ScalarGrid(4, 17, manufactured_field(4, 17, 1e-3)[0])
+
+    def test_newton_step_keeps_interior_data(self, monkeypatch):
+        import khessian.iterate as iterate
+
+        seed, f, w = self._problem()
+        assemble, seen = iterate.assemble_linearized, {}
+
+        def traced_assemble(w, seed, f, g):
+            sys = assemble(w, seed, f, g)
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            seen["derivs"] = (g.second, g.grad)
+            return sys
+
+        monkeypatch.setattr(iterate, "assemble_linearized", traced_assemble)
+        tracemalloc.start()
+        try:
+            g = eval_G(w, seed, f)
+            assert g.tensor.shape == (15,) * 4 + (4, 4)
+            assert g.u.shape == (15,) * 4 and g.p.shape == (15,) * 4 + (4,)
+            rho, reason = _newton_step(w, g, seed, f, 1e-10, IterationRecord(0, 0.0, 0.0))
+        finally:
+            tracemalloc.stop()
+        assert reason is None and rho is not None
+        assert seen["derivs"] == (None, None)
+        assert seen["peak"] < 30 * self.MB
+
+    def test_solution_and_certificate_peak(self):
+        seed, _, w = self._problem()
+        tracemalloc.start()
+        try:
+            sol = assemble_solution(w, seed)
+            cert = certify_convexity(sol.hessian, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.hessian.shape == (15,) * 4 + (4, 4)
+        assert cert.flags[1] and not cert.flags[4]
+        assert peak < 25 * self.MB

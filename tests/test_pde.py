@@ -206,6 +206,9 @@ class TestEvalG:
 _ZERO_SEEDS = [(n, k, c, l) for n in (3, 4) for k, c, l in [
     (2, 0.0, None), (2, 3.0, "full"), (2, 3.0, 1), (2, -1.0, None),
     (3, 0.0, None), (3, 2.0, "full"), (3, 2.0, 1), (3, -2.0, None)] if k < n]
+# n = 5 at m = 9 only: k = 4 first appears there
+_FIVE_SEEDS = [(5, k, c, l) for k, c, l in [
+    (2, 0.0, None), (3, 2.0, "full"), (4, 0.0, None), (4, 2.0, 1), (4, -2.0, None)]]
 
 
 def _bits(a) -> np.ndarray:
@@ -254,11 +257,17 @@ class TestZeroIterate:
         interior = ~boundary_mask(n, m)
         sol = assemble_solution(ScalarGrid.zeros(n, m), seed)
         hessian = seed.perturbed_hessian(hessian_of(ScalarGrid.zeros(n, m))[0])
-        assert np.array_equal(_bits(sol.hessian), _bits(hessian))
-        got = certify_convexity(sol.hessian, k, interior).min_values
+        assert np.array_equal(_bits(sol.hessian), _bits(hessian[(slice(1, -1),) * n]))
+        got = certify_convexity(sol.hessian, k).min_values
         expect = convexity_minima_at_every_point(hessian, k, interior)
         assert list(got) == list(expect)
         assert np.array_equal(_bits(list(got.values())), _bits(list(expect.values())))
+
+    @pytest.mark.parametrize("n, k, c, l", _FIVE_SEEDS)
+    @pytest.mark.parametrize("eps", [0.5, 0.125])
+    def test_five_dimensions_match_every_point(self, n, k, c, l, eps):
+        self.test_eval_G_bits_match_every_point(n, 9, k, c, l, eps)
+        self.test_certificate_bits_match_every_point(n, 9, k, c, l)
 
     def test_nonzero_iterate_matches_every_point(self):
         seed, f, w = _noisy_problem(3)
@@ -292,9 +301,9 @@ class TestZeroIterate:
         seed = seed_for_constant(3, n, 2.0, l="full")
         g = eval_G(ScalarGrid.zeros(n, m), seed, RhsSpec.constant(n, 2.0))
         sol = iterate.assemble_solution(ScalarGrid.zeros(n, m), seed)
-        iterate.certify_convexity(sol.hessian, 3, ~boundary_mask(n, m))
+        iterate.certify_convexity(sol.hessian, 3)
         assert [np.prod(shape[:-2]) for shape in recursed] == [1, 1]
-        assert g.tensor.shape == sol.hessian.shape == (m,) * n + (n, n)
+        assert g.tensor.shape == sol.hessian.shape == (m - 2,) * n + (n, n)
 
 
 def _noisy_problem(n, m=9):
@@ -354,7 +363,7 @@ class TestAssemble:
         w = ScalarGrid(3, m, 0.02 * np.prod(np.cos(np.pi * x / 2), axis=-1))
         sys = assemble_linearized(w, seed, f)
         rho = np.prod(np.cos(np.pi * x / 2), axis=-1)
-        rho_int = rho.reshape(-1)[sys.interior_flat]
+        rho_int = rho[~boundary_mask(3, m)]
         got = sys.matrix(rho_int)
 
         # hand-assembled oracle: loop the stencil pointwise
@@ -396,7 +405,7 @@ class TestAssemble:
                     ) / (4 * h**2)
                     val += 2.0 * coeff[i, j, l, a, b] * cross
             expect[i, j, l] = val
-        expect_int = expect.reshape(-1)[sys.interior_flat]
+        expect_int = expect[~boundary_mask(3, m)]
         assert np.max(np.abs(got - expect_int)) < 1e-10 * max(1.0, np.max(np.abs(expect_int)))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -407,7 +416,7 @@ class TestAssemble:
         sys = assemble_linearized(w, seed, f)
         second, grad = second_differences(w)
         r = symmetric_matrix(second, n, seed.eps_prime, seed.tau)
-        y, u, p = _physical_args(w, seed, grad)
+        y, u, p = _physical_args(seed, grid_coords(n, m), w.values, grad)
         a_first = -seed.eps**2 * f.dp(y, u, p)
         a_zero = -seed.eps**4 * f.du(y, u, p)
         assert np.all(a_first[..., 0] != 0.0) and np.all(a_zero != 0.0)
@@ -430,13 +439,13 @@ class TestAssemble:
         w = ScalarGrid(3, m, 0.02 * np.prod(np.cos(np.pi * x / 2), axis=-1))
         direction = np.prod(np.cos(np.pi * x / 2), axis=-1)
         sys = assemble_linearized(w, seed, f)
-        applied = sys.matrix(direction.reshape(-1)[sys.interior_flat])
+        applied = sys.matrix(direction[~boundary_mask(3, m)])
         g0 = eval_G(w, seed, f).values
         deltas = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
         errs = []
         for d in deltas:
             g1 = eval_G(ScalarGrid(3, m, w.values + d * direction), seed, f).values
-            fd = (g1 - g0).reshape(-1)[sys.interior_flat] / d
+            fd = (g1 - g0)[~boundary_mask(3, m)] / d
             errs.append(np.max(np.abs(fd - applied)))
         slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
         assert slope >= 0.9
@@ -482,7 +491,7 @@ class TestSolve:
         sys.rhs = rng.normal(size=sys.size)
         rho, res, _ = solve_dirichlet_info(sys, 1e-10)
         dense = np.linalg.solve(dense_operator(sys.matrix, sys.size), sys.rhs)
-        got = rho.values.reshape(-1)[sys.interior_flat]
+        got = rho.values[~boundary_mask(3, 9)]
         assert np.max(np.abs(got - dense)) < 1e-8
         assert res <= 1e-10
 
@@ -519,7 +528,7 @@ class TestSolve:
         assert res <= 1e-10
         assert applied == {2: 8, 3: 10, 4: 13}[n]
         assert 0.0 < sys.contraction < 0.2
-        got = sys.matrix(rho.values.reshape(-1)[sys.interior_flat])
+        got = sys.matrix(rho.values[~boundary_mask(n, 9)])
         assert np.linalg.norm(got - sys.rhs) <= 1e-10 * np.linalg.norm(sys.rhs)
 
     def test_step_limit_raises_with_steps(self):
@@ -591,7 +600,7 @@ class TestOrderOfAccuracy:
             rho_star = np.prod(np.cos(np.pi * x / 2), axis=-1)
             g = -6.0 * (np.pi / 2) ** 2 * rho_star
             sys = assemble_linearized(ScalarGrid.zeros(3, m), seed, f)
-            sys.rhs = g.reshape(-1)[sys.interior_flat]
+            sys.rhs = g[~boundary_mask(3, m)]
             rho = solve_dirichlet_info(sys, 1e-12)[0]
             errs[m] = float(np.max(np.abs(rho.values - rho_star)))
         ratio = errs[9] / errs[17]
