@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Run every built-in preset and print a one-line summary per run.
 
-The decisions (status, iterations, eps, convexity flags) go to stdout, so
-two trees that decide alike print the same stdout; each preset's wall time
-goes to stderr.
+The decisions (status, iterations, eps, convexity flags) and the sha256 of
+every file a run writes go to stdout, so two trees that decide alike and
+write the same bytes print the same stdout, and one ``diff`` of it compares
+them; each preset's wall time goes to stderr.
 """
 
+import hashlib
+import os
 import sys
 import time
 
@@ -26,6 +29,10 @@ def main() -> int:
             f"{name:14s} {report.status:12s} iters={len(report.iterations):2d} "
             f"eps={report.seed['eps']:.4g} flags={flags}"
         )
+        for file in sorted(os.listdir(artifacts.out_dir)):
+            with open(os.path.join(artifacts.out_dir, file), "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            print(f"{name:14s} {file:11s} sha256 {digest}")
         print(f"{name:14s} {elapsed:.2f}s", file=sys.stderr)
         failures += 0 if report.converged else 1
     return failures

@@ -144,6 +144,12 @@ def symmetric_matrix(second: np.ndarray, n: int, scale: float = 1.0,
     return np.ascontiguousarray(np.moveaxis(full, (0, 1), (-2, -1)))
 
 
+def sup_norm(values: np.ndarray) -> float:
+    """max |values| from its extremes, without an |values| copy; a NaN
+    propagates, and + 0.0 reads -0.0 as the 0.0 of ``np.abs``."""
+    return max(float(values.max()), -float(values.min())) + 0.0
+
+
 def hessian_of(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
     """Discrete Hessian (shape grid + (n,n)) and gradient (grid + (n,)): the
     ``second_differences`` stack scattered by ``symmetric_matrix``."""
@@ -208,7 +214,7 @@ def holder_quotient(stack: np.ndarray, h: float, alpha: float) -> float:
         hi, lo = field[dst], field[src]
         diff = buf[:hi.size].reshape(hi.shape)
         np.subtract(hi, lo, out=diff)
-        return max(float(diff.max()), -float(diff.min()))
+        return sup_norm(diff)
 
     spreads = [float(field.max()) - float(field.min()) for field in stack]
     best = 0.0
@@ -229,7 +235,7 @@ def calpha_surrogate(values: np.ndarray, h: float, alpha: float) -> float:
     """Sup norm plus Hoelder quotient over the interior points (pairs with both
     ends off the boundary), the discrete stand-in for a C^alpha norm."""
     inner = values[(slice(1, -1),) * values.ndim]
-    return float(np.max(np.abs(inner))) + holder_quotient(inner[None], h, alpha)
+    return sup_norm(inner) + holder_quotient(inner[None], h, alpha)
 
 
 def c2alpha_surrogate(grid: ScalarGrid, alpha: float,
@@ -242,11 +248,7 @@ def c2alpha_surrogate(grid: ScalarGrid, alpha: float,
     ``second_differences`` when the caller already has them.
     """
     second, grad = second_differences(grid) if derivs is None else derivs
-    sup = max(
-        float(np.max(np.abs(grid.values))),
-        float(np.max(np.abs(grad))),
-        float(np.max(np.abs(second))),
-    )
+    sup = max(sup_norm(grid.values), sup_norm(grad), sup_norm(second))
     return sup + holder_quotient(second, grid.h, alpha)
 
 

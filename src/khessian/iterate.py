@@ -17,19 +17,17 @@ coefficient matrix drops below half its seed-level value, or the linear
 solve fails, the loop stops: a manufactured right-hand side is built for one
 eps', so the loop never changes eps itself.
 
-Each iterate is evaluated once: the ``Residual`` that ``eval_G`` returns
-carries the second differences, the Newton tensor and the physical
-arguments, the step assembles the linearization from them, and the
-iterate's C^{2,alpha} surrogate reads the same differences.  The step frees
-the differences before it assembles, and the rest of the pointwise data
-before it solves; at the last iterate past iteration 0, the differences are
-handed to ``assemble_solution``.  Only the differences cover the whole grid:
-the tensor, the physical arguments and the solution's Hessian, which the
-certificate recurses, are kept at the interior points.  w = 0 is never
-differenced and hands nothing over: its Hessian is one matrix, diag(tau) for
-G and the solution alike, so each tuning candidate, and the certificate of a
-solve that stops at iteration 0, recurses that one matrix instead of every
-interior point.
+Each iterate is evaluated once: the step assembles the linearization from
+the ``Residual`` that ``eval_G`` returns alone, and the iterate's
+C^{2,alpha} surrogate reads its second differences.  The step frees them
+before it assembles, and the rest before it solves; the last iterate past
+iteration 0 hands the second differences, without the gradient, to
+``assemble_solution``, which forms the Hessian as G does
+(``pde.total_hessian``) and reads w(0) and Dw(0) at the centre.  Only the
+differences cover the whole grid.  w = 0 is never differenced and hands
+nothing over: its Hessian is one matrix, diag(tau), for G and the solution
+alike, so each tuning candidate, and the certificate of a solve that stops
+at iteration 0, recurses that one matrix instead of every interior point.
 """
 
 from __future__ import annotations
@@ -45,9 +43,16 @@ from .grids import (
     calpha_surrogate,
     grid_coords,
     second_differences,
-    symmetric_matrix,
+    sup_norm,
 )
-from .pde import Residual, assemble_linearized, eval_G, minor_sums, solve_dirichlet_info
+from .pde import (
+    Residual,
+    assemble_linearized,
+    eval_G,
+    minor_sums,
+    solve_dirichlet_info,
+    total_hessian,
+)
 from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
 
@@ -106,11 +111,11 @@ class IterationReport:
 @dataclass
 class Iterate(ScalarGrid):
     """A Newton iterate w and, when w is past iteration 0 and no step was
-    taken from its last evaluation, ``second_differences(w)`` from that
-    evaluation (None otherwise); ``assemble_solution`` reads and releases
-    them."""
+    taken from its last evaluation, the second-difference stack of
+    ``second_differences(w)`` from that evaluation (None otherwise), without
+    the gradient; ``assemble_solution`` reads and releases it."""
 
-    derivs: tuple[np.ndarray, np.ndarray] | None = None
+    second: np.ndarray | None = None
 
 
 @dataclass
@@ -153,14 +158,17 @@ def residual_floor(seed: SeedQuadratic, m: int, w_sup: float = 1.0) -> float:
     return eps_mach * 4.0 * seed.n * row_max * max(1.0, w_sup) / h**2
 
 
-def _interior_sup(grid: ScalarGrid) -> float:
-    return float(np.max(np.abs(grid.values[(slice(1, -1),) * grid.n])))
+def _center_gradient(values: np.ndarray, h: float) -> np.ndarray:
+    """``np.gradient`` at the centre, from its 3^n block: the centred formula,
+    and so the bits of ``second_differences``' gradient there."""
+    c = len(values) // 2
+    block = values[(slice(c - 1, c + 2),) * values.ndim]
+    return np.stack(np.gradient(block, h), axis=-1)[(1,) * values.ndim]
 
 
-def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
-                 tol_lin: float, record: IterationRecord
-                 ) -> tuple[ScalarGrid | None, str | None]:
-    """One linearized solve at w for the residual ``g_grid``.
+def _newton_step(g_grid: Residual, seed: SeedQuadratic, f, tol_lin: float,
+                 record: IterationRecord) -> tuple[ScalarGrid | None, str | None]:
+    """One linearized solve at the iterate of the residual ``g_grid``.
 
     Fills the record's ``rho_inf``, ``rho_c2alpha``, ``min_margin``,
     ``lin_residual``, ``krylov_steps`` and ``contraction`` and returns
@@ -172,7 +180,7 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
     """
     g_grid.second = g_grid.grad = None  # the surrogate has read them; assembly does not
     try:
-        sys = assemble_linearized(w, seed, f, g_grid)
+        sys = assemble_linearized(g_grid, seed, f)
     except EllipticityError as err:
         return None, f"ellipticity failure: {err}"
     finally:
@@ -190,7 +198,7 @@ def _newton_step(w: ScalarGrid, g_grid: Residual, seed: SeedQuadratic, f,
         record.contraction = sys.contraction
     record.min_margin = sys.min_margin
     del sys  # free the coefficient fields before the next assembly
-    record.rho_inf = float(np.max(np.abs(rho.values)))
+    record.rho_inf = sup_norm(rho.values)
     record.rho_c2alpha = c2alpha_surrogate(rho, seed.alpha)
     return rho, None
 
@@ -205,12 +213,12 @@ def _iteration_zero(seed: SeedQuadratic, f, m: int, tol_lin: float
     them (both None on the floor), and the residual.  Raises DomainError when
     the (u, p) arguments leave the right-hand side's box.
     """
-    w0 = ScalarGrid.zeros(seed.n, m)
-    g = eval_G(w0, seed, f)
-    record = IterationRecord(iteration=0, g_inf=_interior_sup(g), w_c2alpha=0.0)
+    g = eval_G(ScalarGrid.zeros(seed.n, m), seed, f)
+    # G is zero on the boundary, so its sup over the grid is the interior's
+    record = IterationRecord(iteration=0, g_inf=sup_norm(g.values), w_c2alpha=0.0)
     if record.g_inf <= 10.0 * residual_floor(seed, m):
         return record, None, None, g
-    rho, reason = _newton_step(w0, g, seed, f, tol_lin, record)
+    rho, reason = _newton_step(g, seed, f, tol_lin, record)
     return record, rho, reason, g
 
 
@@ -296,7 +304,7 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
             w_norm = (first.rho_c2alpha if it == 1 else
                       c2alpha_surrogate(w, seed.alpha, (g_grid.second, g_grid.grad)))
             record = IterationRecord(
-                iteration=it, g_inf=_interior_sup(g_grid), w_c2alpha=w_norm,
+                iteration=it, g_inf=sup_norm(g_grid.values), w_c2alpha=w_norm,
                 g_holder=calpha_surrogate(g_grid.values, w.h, seed.alpha),
             )
             if records[-1].g_inf > 0.0:
@@ -316,7 +324,7 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
             if it == 0:
                 records[0] = first
             else:
-                rho, reason = _newton_step(w, g_grid, seed, f, tol_lin, record)
+                rho, reason = _newton_step(g_grid, seed, f, tol_lin, record)
             if reason is None:
                 w = ScalarGrid(w.n, w.m, w.values + rho.values)
                 rho = None
@@ -324,8 +332,7 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
             status = STATUS_ELLIPTICITY_LOST
         break
     # the residual keeps its pointwise data when no step was assembled from it
-    derivs = None if it == 0 or g_grid.second is None else (g_grid.second, g_grid.grad)
-    return Iterate(w.n, w.m, w.values, derivs), IterationReport(
+    return Iterate(w.n, w.m, w.values, None if it == 0 else g_grid.second), IterationReport(
         status=status,
         stop_reason=reason,
         iterations=records,
@@ -340,43 +347,34 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
 
     The affine part w(0) + x . Dw(0) is subtracted first (it shifts u by an
     affine function, invisible to second derivatives), so the reported w
-    vanishes to second order at the origin.  When w is an ``Iterate`` that
-    carries its second differences, they are read instead of taken again,
-    and released (``w.derivs`` becomes None) once the Hessian is formed.
-    The Hessian is formed at the interior points only and returned
-    read-only.  When w is zero, its differences and affine part are +0.0 and
-    none is taken: the Hessian diag(tau) + eps' * 0 is one matrix, broadcast
-    over the interior.
+    vanishes to second order at the origin; w(0) and Dw(0) are read at the
+    centre.  The Hessian is ``total_hessian`` at the interior points,
+    returned read-only.  An ``Iterate``'s second differences are read instead
+    of taken again, and released (``w.second`` becomes None).  A zero w is
+    not differenced: its Hessian is diag(tau), one matrix broadcast over the
+    interior.
     """
     n, m = w.n, w.m
-    c = m // 2
-    center = (c,) * n
-    slab = (slice(1, -1),) * n
-    derivs = None
+    center = (m // 2,) * n
+    second = None
     if isinstance(w, Iterate):
-        derivs, w.derivs = w.derivs, None
-    x = grid_coords(n, m)
-    if w.values.any():
-        second, grad_w = second_differences(w) if derivs is None else derivs
-        hess_w = symmetric_matrix(second[(slice(None),) + slab], n)
-        w0 = float(w.values[center])
-        g0 = grad_w[center].copy()
-        del second, grad_w, derivs
-    else:
-        hess_w, w0, g0 = np.zeros((n, n)), 0.0, np.zeros(n)
-    w_norm = w.values - w0 - x @ g0
+        second, w.second = w.second, None
+    if second is None and w.values.any():
+        second = second_differences(w)[0]
+    points = None if second is None else second[(slice(None),) + (slice(1, -1),) * n]
+    hess_u = np.broadcast_to(total_hessian(points, seed), (m - 2,) * n + (n, n))
+    del second, points
 
-    # np.gradient's interior formula, at the center only
-    slopes = [(w_norm[center[:a] + (c + 1,) + center[a + 1:]]
-               - w_norm[center[:a] + (c - 1,) + center[a + 1:]]) / (2.0 * w.h)
-              for a in range(n)]
-    if abs(w_norm[center]) > 1e-8 or max(abs(float(d)) for d in slopes) > 1e-8:
+    x = grid_coords(n, m)
+    w0 = float(w.values[center])
+    g0 = _center_gradient(w.values, w.h)
+    w_norm = w.values - w0 - x @ g0
+    if abs(w_norm[center]) > 1e-8 or sup_norm(_center_gradient(w_norm, w.h)) > 1e-8:
         raise AssertionError("affine normalization failed to vanish at the origin")
 
     eps, epsp = seed.eps, seed.eps_prime
     psi = 0.5 * np.sum(seed.tau * x**2, axis=-1)
     u = eps**4 * (psi + epsp * w_norm)
-    hess_u = np.broadcast_to(seed.perturbed_hessian(hess_w), (m - 2,) * n + (n, n))
     axes = [eps**2 * np.linspace(-1.0, 1.0, m) for _ in range(n)]
     return PhysicalSolution(
         u_values=u,

@@ -25,13 +25,12 @@ Newton-tensor recursion (``minor_sums``), for any matrix order: S_k is the
 last level and dS_k/dr the transposed tensor T_{k-1}.
 
 Each iterate is evaluated once.  ``eval_G`` takes w's second differences
-on the full grid, then r = diag(tau) + eps' D^2 w, one recursion (S_k for G,
-T_{k-1} for the coefficients) and (y, u, p) on the interior points only,
-where the equation is imposed and the operator's coefficients live; it
-returns them with G as a ``Residual``, and ``assemble_linearized`` reads
-them from there.  The zero iterate is evaluated in closed form: at w = 0
-every difference is +0.0, so r = diag(tau) at every point, and one matrix is
-recursed and broadcast over the interior.
+on the full grid, then r = diag(tau) + eps' D^2 w (``total_hessian``, r's
+one construction), one recursion (S_k for G, T_{k-1} for the coefficients)
+and (y, u, p) on the interior points only, where the equation is imposed;
+it returns them with G as a ``Residual``, all ``assemble_linearized``
+reads.  At w = 0 every difference is +0.0, so r = diag(tau) at every
+point, and one matrix is recursed and broadcast over the interior.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EllipticityError, SolverError
-from .grids import ScalarGrid, grid_coords, second_differences, symmetric_matrix
+from .grids import ScalarGrid, grid_coords, second_differences, sup_norm, symmetric_matrix
 from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
 
@@ -131,6 +130,16 @@ def sk_gradient(r: np.ndarray, k: int) -> np.ndarray:
     return np.swapaxes(minor_sums(r, k)[1], -1, -2)
 
 
+def total_hessian(second: np.ndarray | None, seed: SeedQuadratic) -> np.ndarray:
+    """r = diag(tau) + eps' D^2 w at the points of w's ``second_differences``
+    stack, (c,) + points, or its slice: shape points + (n, n).  None stands
+    for w = 0, whose r is the one matrix diag(tau), shape (1,)*n + (n, n)."""
+    n = seed.n
+    if second is None:
+        second = np.zeros((n * (n + 1) // 2,) + (1,) * n)
+    return symmetric_matrix(second, n, seed.eps_prime, seed.tau)
+
+
 def _physical_args(seed: SeedQuadratic, x: np.ndarray, values: np.ndarray,
                    grad: np.ndarray):
     """(y, u, p) at the points with coordinates x (``(..., n)``), where w and
@@ -148,7 +157,7 @@ def _check_box(f, u: np.ndarray, p: np.ndarray) -> None:
     box = getattr(f, "box", None)
     if box is None:
         return
-    umax = float(np.max(np.abs(u)))
+    umax = sup_norm(u)
     pmax = float(np.max(np.sqrt(np.sum(p**2, axis=-1))))
     if umax > box or pmax > box:
         raise DomainError(
@@ -160,13 +169,13 @@ def _check_box(f, u: np.ndarray, p: np.ndarray) -> None:
 @dataclass
 class Residual(ScalarGrid):
     """G(w) on the grid (``values``, zero on the boundary) and the pointwise
-    data of w it was computed from.  ``second`` and ``grad`` are
-    ``second_differences(w)`` on the full grid, as the C^{2,alpha} surrogate
-    and the solution read them.  The Newton tensor T_{k-1}(r(w)) (``tensor``,
-    the transposed dS_k/dr) and the physical arguments (y, u, p) are kept at
-    the interior points only, shape (m-2,)*n + trailing axes, the points
-    where the equation is imposed.  ``tensor`` is read-only; at w = 0 it,
-    ``second`` and ``grad`` are views of one point broadcast over the grid."""
+    data of w it was computed from, all the linearization at w reads.
+    ``second`` and ``grad`` are ``second_differences(w)`` on the full grid,
+    as the C^{2,alpha} surrogate and the solution read them.  The Newton
+    tensor T_{k-1}(r(w)) (``tensor``, the transposed dS_k/dr) and (y, u, p)
+    are kept at the interior points only, shape (m-2,)*n + trailing axes.
+    ``tensor`` is read-only; at w = 0 it, ``second`` and ``grad`` are views
+    of one point broadcast over the grid."""
 
     second: np.ndarray | None
     grad: np.ndarray | None
@@ -184,12 +193,11 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
     """Rescaled residual operator on interior points (boundary entries zero).
 
     w is differenced on the full grid; everything after that runs on the
-    interior slab.  One Newton-tensor recursion gives both S_k(r), for G,
-    and T_{k-1}(r), which the result keeps for ``assemble_linearized``.  At
-    w = 0 every second difference and gradient entry is +0.0, so
-    r = diag(tau) at every point: one matrix is recursed, S_k broadcasts as
-    its scalar, and T_{k-1}, ``second`` and ``grad`` are read-only views
-    broadcast over the grid.
+    interior slab.  One Newton-tensor recursion of r gives both S_k(r), for
+    G, and T_{k-1}(r), which the result keeps for ``assemble_linearized``.
+    At w = 0, r = diag(tau) at every point: one matrix is recursed, S_k
+    broadcasts as its scalar, and T_{k-1}, ``second`` and ``grad`` are
+    read-only views broadcast over the grid.
     """
     n, shape = seed.n, w.values.shape
     slab = (slice(1, -1),) * n
@@ -199,8 +207,8 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
     else:
         second = np.broadcast_to(0.0, (n * (n + 1) // 2,) + shape)
         grad = np.broadcast_to(0.0, shape + (n,))
-        points = np.zeros((len(second),) + (1,) * n)
-    sums, tensor = minor_sums(symmetric_matrix(points, n, seed.eps_prime, seed.tau), seed.k)
+        points = None
+    sums, tensor = minor_sums(total_hessian(points, seed), seed.k)
     y, u, p = _physical_args(seed, grid_coords(n, w.m)[slab], w.values[slab], grad[slab])
     _check_box(f, u, p)
     g = np.zeros(shape)
@@ -209,24 +217,20 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
                     np.broadcast_to(tensor, u.shape + (n, n)), y, u, p)
 
 
-def assemble_linearized(w: ScalarGrid, seed: SeedQuadratic, f,
-                        g: Residual | None = None) -> LinearSystem:
-    """Linearization at w with right-hand side -G(w).
+def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
+    """Linearization at w with right-hand side -G(w), read from the residual
+    ``g = eval_G(w, seed, f)`` alone.
 
-    ``g`` is ``eval_G(w, seed, f)``, evaluated here when not given.  The
-    unknowns are the interior points in lexicographic order.  The operator
-    keeps one coefficient field per stencil offset and applies it as the sum,
-    over offsets, of the field times the zero-padded input shifted by the
-    offset, so neighbours on the Dirichlet boundary drop out.
+    The unknowns are the interior points in lexicographic order.  The
+    operator keeps one coefficient field per stencil offset and applies it as
+    the sum, over offsets, of the field times the zero-padded input shifted
+    by the offset, so neighbours on the Dirichlet boundary drop out.
 
     Raises EllipticityError when a dominance margin of the second-order
     coefficient matrix is nonpositive at some interior point (the usual cause
     is an eps too large for the current iterate).
     """
-    if g is None:
-        g = eval_G(w, seed, f)
-    n, m = w.n, w.m
-    h = w.h
+    n, m, h = g.n, g.m, g.h
     coeff = np.swapaxes(g.tensor, -1, -2)
     a_first = -seed.eps**2 * f.dp(g.y, g.u, g.p)
     a_zero = -seed.eps**4 * f.du(g.y, g.u, g.p)

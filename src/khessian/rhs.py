@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import grid_coords
-from .pde import sk_of_matrix
+from .pde import sk_of_matrix, total_hessian
 
 
 @dataclass(frozen=True)
@@ -141,23 +141,24 @@ class TabulatedRhs:
 
 def manufactured_field(n: int, m: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Target iterate beta * prod cos(pi x_i / 2), which vanishes on the cube
-    boundary, and its analytic Hessian (grid + (n, n))."""
+    boundary, and its analytic Hessian stacked as ``second_differences``
+    stacks the discrete one: (c,) + grid shape, in np.triu_indices order."""
     x = grid_coords(n, m)
     c = np.cos(np.pi * x / 2)
     s = np.sin(np.pi * x / 2)
     w = beta * np.prod(c, axis=-1)
-    hess = np.zeros(w.shape + (n, n))
-    for i in range(n):
-        hess[..., i, i] = -((np.pi / 2) ** 2) * w
-        for j in range(i + 1, n):
+    second = np.empty((n * (n + 1) // 2,) + w.shape)
+    for comp, (i, j) in enumerate(zip(*np.triu_indices(n))):
+        if i == j:
+            second[comp] = -((np.pi / 2) ** 2) * w
+        else:
             rest = np.prod(np.delete(c, [i, j], axis=-1), axis=-1)
-            hess[..., i, j] = hess[..., j, i] = (
-                beta * (np.pi / 2) ** 2 * s[..., i] * s[..., j] * rest)
-    return w, hess
+            second[comp] = beta * (np.pi / 2) ** 2 * s[..., i] * s[..., j] * rest
+    return w, second
 
 
-def tabulated_rhs_from_hessian(seed, hess: np.ndarray) -> TabulatedRhs:
-    """Right-hand side that makes the iterate with Hessian ``hess`` an exact
-    solution of the continuum problem, so the discrete residual reflects
-    truncation only."""
-    return TabulatedRhs(values=sk_of_matrix(seed.perturbed_hessian(hess), seed.k))
+def tabulated_rhs_from_hessian(seed, second: np.ndarray) -> TabulatedRhs:
+    """Right-hand side that makes the iterate with Hessian stack ``second`` an
+    exact solution of the continuum problem, so the discrete residual
+    reflects truncation only."""
+    return TabulatedRhs(values=sk_of_matrix(total_hessian(second, seed), seed.k))

@@ -61,13 +61,6 @@ class SeedQuadratic:
     def with_eps(self, eps: float) -> "SeedQuadratic":
         return replace(self, eps=eps, eps_prime=eps_prime_for(eps, self.alpha))
 
-    def perturbed_hessian(self, hess_w: np.ndarray) -> np.ndarray:
-        """diag(tau) + eps' * hess_w: the Hessian of psi + eps' w, per point."""
-        r = self.eps_prime * hess_w
-        diag = np.einsum("...ii->...i", r)  # writeable view of r's diagonal
-        diag += self.tau
-        return r
-
 
 @dataclass
 class SeedCertificate:

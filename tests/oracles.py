@@ -12,7 +12,10 @@ bit-exact reference for the library's coefficient-major kernel, which does the
 same arithmetic in the same order.  The point-by-point evaluation of G and of
 the convexity certificate, which differences and recurses every grid point
 even at w = 0, is the bit-exact reference for the library's closed form of the
-zero iterate and for its interior-only pointwise data.  The cone tests that
+zero iterate and for its interior-only pointwise data.  Scaling full (n, n)
+Hessian matrices and shifting their diagonal is the bit-exact reference for
+the library's one construction of diag(tau) + eps' D^2 w from stacked
+upper-triangle components.  The cone tests that
 reduce over the strided sigma axis, sample the hyperbolicity check on every
 row and test every drawn row for the cone are
 the bit-exact references for the library's row-wise, positive-rows-only and
@@ -128,6 +131,35 @@ def eval_G_at_every_point(w, seed, f) -> dict:
     g = np.where(boundary_mask(w.n, w.m), 0.0, g)
     return {"values": g, "second": second, "grad": grad, "tensor": tensor[slab],
             "y": y[slab], "u": u[slab], "p": p[slab]}
+
+
+def total_hessian_by_matrices(hess, seed) -> np.ndarray:
+    """diag(tau) + eps' hess per point, from (..., n, n) Hessian matrices:
+    eps' times every matrix, then tau added on a writeable view of the
+    diagonal.  The bit-exact reference for ``pde.total_hessian``, which
+    scales and shifts the upper-triangle components instead."""
+    r = seed.eps_prime * np.asarray(hess, dtype=float)
+    diag = np.einsum("...ii->...i", r)
+    diag += seed.tau
+    return r
+
+
+def manufactured_hessian_matrices(n: int, m: int, beta: float) -> np.ndarray:
+    """The analytic Hessian of ``rhs.manufactured_field``'s target as a full
+    symmetric (n, n) matrix at every grid point, each entry written
+    separately."""
+    x = grid_coords(n, m)
+    c = np.cos(np.pi * x / 2)
+    s = np.sin(np.pi * x / 2)
+    w = beta * np.prod(c, axis=-1)
+    hess = np.zeros(w.shape + (n, n))
+    for i in range(n):
+        hess[..., i, i] = -((np.pi / 2) ** 2) * w
+        for j in range(i + 1, n):
+            rest = np.prod(np.delete(c, [i, j], axis=-1), axis=-1)
+            hess[..., i, j] = hess[..., j, i] = (
+                beta * (np.pi / 2) ** 2 * s[..., i] * s[..., j] * rest)
+    return hess
 
 
 def convexity_minima_at_every_point(hessian, k: int, interior_mask) -> dict:

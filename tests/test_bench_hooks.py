@@ -16,7 +16,7 @@ import pytest
 from khessian import verify
 from khessian.grids import axis_coords, write_grid_csv
 from khessian.iterate import newton_loop, tune_epsilon
-from khessian.pde import assemble_linearized, solve_dirichlet_info
+from khessian.pde import assemble_linearized, eval_G, solve_dirichlet_info
 from khessian.rhs import RhsSpec, RhsTerm
 from khessian.seeds import seed_for_zero
 
@@ -59,11 +59,12 @@ def test_every_counter_reads_a_real_result(layer_table, tmp_path):
     seed, _, _ = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
     loop = newton_loop(seed, f, 9)
     w, report = loop
-    system = assemble_linearized(w, seed, f)
+    g = eval_G(w, seed, f)
+    system = assemble_linearized(g, seed, f)
     path, axes = str(tmp_path / "w.csv"), [axis_coords(9)] * 3
     calls = {
         "iterate.newton_loop": (loop, (seed, f, 9), {}),
-        "pde.assemble_linearized": (system, (w, seed, f), {}),
+        "pde.assemble_linearized": (system, (g, seed, f), {}),
         "pde.solve_dirichlet_info": (solve_dirichlet_info(system), (system,), {}),
         "grids.write_grid_csv": (write_grid_csv(path, w.values, axes),
                                  (path, w.values, axes), {}),

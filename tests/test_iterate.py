@@ -239,8 +239,7 @@ class TestNewtonLoop:
         assert [r.to_dict() for r in alone.iterations] == [
             r.to_dict() for r in report.iterations]
         assert alone.iterations[0].g_holder is not None
-        second, grad = second_differences(w)
-        assert np.array_equal(w.derivs[0], second) and np.array_equal(w.derivs[1], grad)
+        assert np.array_equal(w.second, second_differences(w)[0])
 
     def test_iteration_zero_hands_its_derivatives_over(self, tmp_path, monkeypatch):
         # a constant f is solved by the seed: G(0) lies on the roundoff floor
@@ -263,7 +262,7 @@ class TestNewtonLoop:
             return build(grid)
 
         def recorded_assemble(w, seed):
-            handed.append(w.derivs)
+            handed.append(w.second)
             return assemble(w, seed)
 
         monkeypatch.setattr(iterate, "eval_G", counted_eval_G)
@@ -277,8 +276,8 @@ class TestNewtonLoop:
         assert report.converged and len(report.iterations) == 1
         assert calls["eval_G"] == len(report.aborted_attempts) + 1
         assert calls["differences"] == 0
-        (derivs,) = handed
-        assert derivs is None
+        (second,) = handed
+        assert second is None
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_linear_solve_contracts(self, tmp_path, name):
@@ -390,6 +389,24 @@ class TestFiveDimensions:
         assert not flags[str(k)] and not flags[str(k + 1)]
 
 
+class TestNonNegativeRhs:
+    def test_sum_of_squares_is_k_convex_not_k_plus_one(self, tmp_path):
+        # f = |y|^2 >= 0 with f(0) = 0, the regime between c = 0 and c > 0:
+        # the c = 0 seed, and S_2 of the solution stays at f's minimum 0 to
+        # rounding, so the certificate reads 2-convex, not 3-convex
+        doc = copy.deepcopy(PRESETS["fzero-linear"])
+        doc["rhs"] = {"terms": [{"coeff": 1.0, "y": [2, 0, 0]}, {"coeff": 1.0, "y": [0, 2, 0]},
+                                {"coeff": 1.0, "y": [0, 0, 2]}]}
+        doc["grid"]["m"] = 9
+        report = run_solve(ProblemConfig.from_dict(doc), out_dir=str(tmp_path)).report
+        assert report.converged and len(report.iterations) == 3
+        assert report.seed["eps"] == 0.25
+        assert [a["eps"] for a in report.aborted_attempts] == [0.5]
+        cert = report.convexity
+        assert cert["flags"] == {"1": True, "2": True, "3": False}
+        assert abs(cert["min_values"]["2"]) <= cert["tol"]
+
+
 class TestMemory:
     """Traced peaks at n = 4, m = 17, k = 3: ``fzero-linear``'s f at
     eps = 1/16 and the manufactured iterate w of amplitude 1e-3.  Full-grid
@@ -410,10 +427,10 @@ class TestMemory:
         seed, f, w = self._problem()
         assemble, seen = iterate.assemble_linearized, {}
 
-        def traced_assemble(w, seed, f, g):
-            sys = assemble(w, seed, f, g)
+        def traced_assemble(g, seed, f):
+            sys = assemble(g, seed, f)
             seen["peak"] = tracemalloc.get_traced_memory()[1]
-            seen["derivs"] = (g.second, g.grad)
+            seen["differences"] = (g.second, g.grad)
             return sys
 
         monkeypatch.setattr(iterate, "assemble_linearized", traced_assemble)
@@ -422,11 +439,11 @@ class TestMemory:
             g = eval_G(w, seed, f)
             assert g.tensor.shape == (15,) * 4 + (4, 4)
             assert g.u.shape == (15,) * 4 and g.p.shape == (15,) * 4 + (4,)
-            rho, reason = _newton_step(w, g, seed, f, 1e-10, IterationRecord(0, 0.0, 0.0))
+            rho, reason = _newton_step(g, seed, f, 1e-10, IterationRecord(0, 0.0, 0.0))
         finally:
             tracemalloc.stop()
         assert reason is None and rho is not None
-        assert seen["derivs"] == (None, None)
+        assert seen["differences"] == (None, None)
         assert seen["peak"] < 30 * self.MB
 
     def test_solution_and_certificate_peak(self):

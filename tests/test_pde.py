@@ -22,8 +22,15 @@ from khessian.pde import (
     sk_gradient,
     sk_of_matrix,
     solve_dirichlet_info,
+    total_hessian,
 )
-from khessian.rhs import RhsSpec, RhsTerm, TabulatedRhs, manufactured_field
+from khessian.rhs import (
+    RhsSpec,
+    RhsTerm,
+    TabulatedRhs,
+    manufactured_field,
+    tabulated_rhs_from_hessian,
+)
 from khessian.seeds import SeedQuadratic, seed_for_constant, seed_for_positive, seed_for_zero
 from khessian.symfun import elem_sym, sigma_all, sigma_km1_row
 from oracles import (
@@ -34,8 +41,10 @@ from oracles import (
     eval_G_at_every_point,
     every_offset_holder_quotient,
     fd_sk_gradient,
+    manufactured_hessian_matrices,
     read_grid_csv,
     stencil_matrix,
+    total_hessian_by_matrices,
     write_grid_csv_per_cell,
 )
 
@@ -186,9 +195,7 @@ class TestEvalG:
         m = 9
         w_star, _ = manufactured_field(3, m, 0.05)
         grid = ScalarGrid(3, m, w_star)
-        hess, _ = hessian_of(grid)
-        r = seed.eps_prime * hess
-        r[..., np.arange(3), np.arange(3)] += seed.tau
+        r = total_hessian_by_matrices(hessian_of(grid)[0], seed)
         f = TabulatedRhs(values=sk_of_matrix(r, 2))
         g = eval_G(grid, seed, f)
         assert np.max(np.abs(g.values)) < 1e-10
@@ -256,7 +263,7 @@ class TestZeroIterate:
         seed = seed_for_constant(k, n, c, l=l)
         interior = ~boundary_mask(n, m)
         sol = assemble_solution(ScalarGrid.zeros(n, m), seed)
-        hessian = seed.perturbed_hessian(hessian_of(ScalarGrid.zeros(n, m))[0])
+        hessian = total_hessian_by_matrices(hessian_of(ScalarGrid.zeros(n, m))[0], seed)
         assert np.array_equal(_bits(sol.hessian), _bits(hessian[(slice(1, -1),) * n]))
         got = certify_convexity(sol.hessian, k).min_values
         expect = convexity_minima_at_every_point(hessian, k, interior)
@@ -306,6 +313,47 @@ class TestZeroIterate:
         assert g.tensor.shape == sol.hessian.shape == (m - 2,) * n + (n, n)
 
 
+class TestOneRouteToTheHessian:
+    """diag(tau) + eps' D^2 w is formed by ``total_hessian`` alone, for G,
+    the solution and the manufactured table, and gives the bits of scaling
+    full Hessian matrices and shifting their diagonal."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_solution_hessian_and_affine_gradient_bits(self, n):
+        from khessian.iterate import Iterate, assemble_solution
+
+        seed, _, noisy = _noisy_problem(n)
+        manufactured = ScalarGrid(n, 9, manufactured_field(n, 9, 0.05)[0])
+        slab, center = (slice(1, -1),) * n, (4,) * n
+        for w in (noisy, manufactured, ScalarGrid.zeros(n, 9)):
+            hess, grad = hessian_of(w)
+            expect = total_hessian_by_matrices(hess[slab], seed)
+            handed = Iterate(n, 9, w.values, second_differences(w)[0])
+            for given in (w, handed):
+                sol = assemble_solution(given, seed)
+                assert sol.hessian.shape == expect.shape
+                assert np.array_equal(_bits(sol.hessian), _bits(expect))
+                assert np.array_equal(_bits(sol.affine_gradient), _bits(grad[center]))
+            assert handed.second is None
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_manufactured_table_bits(self, n):
+        seed = seed_for_zero(2, n, 0.5).with_eps(1 / 16)
+        _, second = manufactured_field(n, 9, 0.05)
+        hess = manufactured_hessian_matrices(n, 9, 0.05)
+        assert np.array_equal(_bits(symmetric_matrix(second, n)), _bits(hess))
+        table = tabulated_rhs_from_hessian(seed, second).values
+        expect = sk_of_matrix(total_hessian_by_matrices(hess, seed), seed.k)
+        assert np.array_equal(_bits(table), _bits(expect))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_zero_iterate_is_one_matrix(self, n):
+        seed = seed_for_zero(2, n, 0.5)
+        r = total_hessian(None, seed)
+        assert r.shape == (1,) * n + (n, n)
+        assert np.array_equal(_bits(r.reshape(n, n)), _bits(np.diag(seed.tau)))
+
+
 def _noisy_problem(n, m=9):
     """A varying, noisy iterate and first- and zeroth-order terms that depend
     on (u, p): (seed, f, w)."""
@@ -324,12 +372,17 @@ def _noisy_problem(n, m=9):
     return seed, f, w
 
 
+def linearized_at(w, seed, f):
+    """The linearization at w, assembled from its residual."""
+    return assemble_linearized(eval_G(w, seed, f), seed, f)
+
+
 class TestAssemble:
     def test_constant_coefficients_at_zero(self):
         seed = seed_for_zero(2, 3, 0.5)
         f = RhsSpec.constant(3, 0.0)
         m = 9
-        sys = assemble_linearized(ScalarGrid.zeros(3, m), seed, f)
+        sys = linearized_at(ScalarGrid.zeros(3, m), seed, f)
         row = sigma_km1_row(seed.tau, 2)
         assert np.allclose(sys.margins, row[None, :])
         # center entries: -2/h^2 * sum of the row
@@ -349,7 +402,7 @@ class TestAssemble:
         f.box = None  # at n = 4 and eps = 1/2, (u, p) leave the box; margins ignore it
         row = sigma_km1_row(seed.tau, k)
         for eps in (0.5, 0.0625):
-            sys = assemble_linearized(ScalarGrid.zeros(n, 9), seed.with_eps(eps), f)
+            sys = linearized_at(ScalarGrid.zeros(n, 9), seed.with_eps(eps), f)
             assert np.all(sys.margins == sys.margins[0])
             assert np.allclose(sys.margins[0], row, rtol=1e-14, atol=0.0)
             assert np.all(sys.margins > 0.5 * row)
@@ -361,7 +414,7 @@ class TestAssemble:
         m = 9
         x = grid_coords(3, m)
         w = ScalarGrid(3, m, 0.02 * np.prod(np.cos(np.pi * x / 2), axis=-1))
-        sys = assemble_linearized(w, seed, f)
+        sys = linearized_at(w, seed, f)
         rho = np.prod(np.cos(np.pi * x / 2), axis=-1)
         rho_int = rho[~boundary_mask(3, m)]
         got = sys.matrix(rho_int)
@@ -413,7 +466,7 @@ class TestAssemble:
         # the applied stencil against entry-by-entry placement
         seed, f, w = _noisy_problem(n)
         m = w.m
-        sys = assemble_linearized(w, seed, f)
+        sys = linearized_at(w, seed, f)
         second, grad = second_differences(w)
         r = symmetric_matrix(second, n, seed.eps_prime, seed.tau)
         y, u, p = _physical_args(seed, grid_coords(n, m), w.values, grad)
@@ -438,7 +491,7 @@ class TestAssemble:
         x = grid_coords(3, m)
         w = ScalarGrid(3, m, 0.02 * np.prod(np.cos(np.pi * x / 2), axis=-1))
         direction = np.prod(np.cos(np.pi * x / 2), axis=-1)
-        sys = assemble_linearized(w, seed, f)
+        sys = linearized_at(w, seed, f)
         applied = sys.matrix(direction[~boundary_mask(3, m)])
         g0 = eval_G(w, seed, f).values
         deltas = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
@@ -458,7 +511,7 @@ class TestAssemble:
         f = RhsSpec.constant(3, 0.0)
         f.box = None  # disable the argument guard to reach assembly
         with pytest.raises(EllipticityError) as info:
-            assemble_linearized(w, seed, f)
+            linearized_at(w, seed, f)
         # the worst row over the interior, located on the full grid
         coeff = sk_gradient(symmetric_matrix(second_differences(w)[0], 3, seed.eps_prime,
                                              seed.tau), 2)
@@ -475,7 +528,7 @@ class TestSolve:
     def _system(self, m=9, rhs_values=None):
         seed = seed_for_positive(2, 3, 3.0, l="full")
         f = RhsSpec.constant(3, 3.0)
-        sys = assemble_linearized(ScalarGrid.zeros(3, m), seed, f)
+        sys = linearized_at(ScalarGrid.zeros(3, m), seed, f)
         if rhs_values is not None:
             sys.rhs = rhs_values
         return sys
@@ -513,7 +566,7 @@ class TestSolve:
         seed = seed_for_zero(2, n, 0.5)
         assert len(set(sigma_km1_row(seed.tau, 2))) == n
         f = RhsSpec(n=n, terms=[RhsTerm(1.0, (1, 2) + (0,) * (n - 2))])
-        sys = assemble_linearized(ScalarGrid.zeros(n, 9), seed, f)
+        sys = linearized_at(ScalarGrid.zeros(n, 9), seed, f)
         v = np.random.default_rng(60 + n).normal(size=sys.size)
         back = sys.seed_inverse(sys.matrix(v))
         assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
@@ -523,7 +576,7 @@ class TestSolve:
         # the noisy iterate's operator is a small perturbation of the seed's:
         # each iteration shrinks the residual at least fivefold
         seed, f, w = _noisy_problem(n)
-        sys = assemble_linearized(w, seed, f)
+        sys = linearized_at(w, seed, f)
         rho, res, applied = solve_dirichlet_info(sys, 1e-10)
         assert res <= 1e-10
         assert applied == {2: 8, 3: 10, 4: 13}[n]
@@ -533,7 +586,7 @@ class TestSolve:
 
     def test_step_limit_raises_with_steps(self):
         seed, f, w = _noisy_problem(3)
-        sys = assemble_linearized(w, seed, f)
+        sys = linearized_at(w, seed, f)
         # one Richardson iteration applies the operator once
         with pytest.raises(SolverError, match="after 1 operator applications") as info:
             solve_dirichlet_info(sys, 1e-10, max_iter=1)
@@ -573,7 +626,7 @@ class TestEllipticityPersistence:
         found = None
         while eps >= 1e-4:
             try:
-                sys = assemble_linearized(w, seed.with_eps(eps), f)
+                sys = linearized_at(w, seed.with_eps(eps), f)
                 if np.all(sys.margins > thresh[None, :]):
                     found = eps
                     break
@@ -583,7 +636,7 @@ class TestEllipticityPersistence:
         assert found is not None
         for _ in range(3):
             eps *= 0.5
-            sys = assemble_linearized(w, seed.with_eps(eps), f)
+            sys = linearized_at(w, seed.with_eps(eps), f)
             assert np.all(sys.margins > thresh[None, :])
 
 
@@ -599,7 +652,7 @@ class TestOrderOfAccuracy:
             x = grid_coords(3, m)
             rho_star = np.prod(np.cos(np.pi * x / 2), axis=-1)
             g = -6.0 * (np.pi / 2) ** 2 * rho_star
-            sys = assemble_linearized(ScalarGrid.zeros(3, m), seed, f)
+            sys = linearized_at(ScalarGrid.zeros(3, m), seed, f)
             sys.rhs = g[~boundary_mask(3, m)]
             rho = solve_dirichlet_info(sys, 1e-12)[0]
             errs[m] = float(np.max(np.abs(rho.values - rho_star)))
