@@ -5,8 +5,10 @@ the wall time of each solve phase and of each verify suite.  Exit codes:
 classify returns 0 for any cone/boundary verdict, 1 for Outside, 2 for
 argument errors; seed returns 2 for an out-of-range ``--l`` and 3 on
 construction failure; solve returns 0 only when the iteration converged (2
-for config errors, 4 for solver failures, with a report that keeps the
-error's type and data); verify returns 1 when any property fails.
+for config errors, 4 when the loop stops unconverged or the solve raises
+one of the errors ``run_solve`` names, with a report that keeps the error's
+type and tuning's refused candidates); verify returns 1 when any property
+fails.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ import numpy as np
 
 from .config import ProblemConfig
 from .cone import Region, classify_boundary
-from .errors import (
-    CapacityError,
-    ConstructionError,
-    DomainError,
-    EllipticityError,
-    SolverError,
-    TuningError,
-)
+from .errors import ConstructionError, DomainError, TuningError
 from .grids import ScalarGrid, axis_coords, write_grid_csv, write_json
 from .iterate import (
     IterationReport,
@@ -87,6 +82,10 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
 
     The loop starts from tuning's iteration 0 at the accepted eps, and the
     assembly reads the second differences of the loop's last evaluation.
+    Raises TuningError when no eps is admissible, DomainError when the
+    configuration is invalid or the loop's (u, p) leave the right-hand
+    side's box, and ConstructionError when the seed cannot be built; a
+    refused Newton step ends the loop instead of raising.
     """
     config.validate()
     _reuse_freed_arrays()
@@ -94,7 +93,8 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
     c = f.value_at_origin()
     seed = seed_for_constant(config.k, config.n, c, alpha=config.alpha, l=config.l)
     marks = [time.perf_counter()]  # the start of each phase, then the end
-    seed, refused, start = tune_epsilon(seed, f, config.m, tol_lin=config.tol_lin)
+    seed, refused, start = tune_epsilon(seed, f, config.m, tol_newton=config.tol_newton,
+                                        tol_lin=config.tol_lin)
     marks.append(time.perf_counter())
     w, report = newton_loop(
         seed, f, config.m,
@@ -173,16 +173,11 @@ def _cmd_seed(args) -> int:
 
 
 def _error_fields(err: Exception) -> dict:
-    """The failure report's record of a solver error: its type and the
-    structured data it carries."""
+    """The failure report's record of a solve's error: its type and, for a
+    TuningError, the refused candidates as ``diagnostics``."""
     fields = {"error_type": type(err).__name__}
     if isinstance(err, TuningError):
         fields["diagnostics"] = err.diagnostics
-    elif isinstance(err, SolverError):
-        fields["steps"] = err.steps
-    elif isinstance(err, EllipticityError):
-        fields |= {"point": None if err.point is None else list(err.point),
-                   "index": err.index, "margin": err.margin}
     return fields
 
 
@@ -203,8 +198,7 @@ def _cmd_solve(args) -> int:
         return 2
     try:
         artifacts = run_solve(config, out_dir=target)
-    except (TuningError, SolverError, EllipticityError, DomainError,
-            ConstructionError, CapacityError) as err:
+    except (TuningError, DomainError, ConstructionError) as err:
         _note(f"solver failed: {err}")
         write_json(os.path.join(target, "report.json"),
                    {"status": "Failed", "error": str(err), "config": config.to_dict()}

@@ -6,26 +6,18 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A combinatorial guard was exceeded (the request is too large)."""
+    """A combinatorial guard was exceeded (the request is too large); only the
+    cone tests raise it, never a solve."""
 
 
 class ConstructionError(RuntimeError):
     """A seed construction failed; indicates a bug rather than bad input."""
 
 
-class EllipticityError(RuntimeError):
-    """Diagonal dominance of the second-order coefficients failed at a grid point."""
-
-    def __init__(self, message, point=None, index=None, margin=None):
-        super().__init__(message)
-        self.point = point
-        self.index = index
-        self.margin = margin
-
-
 class SolverError(RuntimeError):
     """The linear solve stopped short of its tolerance; ``steps`` counts its
-    iterations, one operator application each."""
+    iterations, one operator application each.  The Newton step turns it
+    into a refusal, so a solve never raises it."""
 
     def __init__(self, message, steps=None):
         super().__init__(message)

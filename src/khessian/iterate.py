@@ -1,21 +1,24 @@
 """Newton-type iteration on the rescaled problem, with epsilon tuning.
 
-This module alone decides eps and runs the Newton step.  ``tune_epsilon``
-halves eps from the seed's eps (1/2) until one step from w = 0 gives a
-correction with c2alpha(rho) <= 1/4, and records every refused eps.
-``newton_loop`` then starts from w = 0 at the eps it is given.  Its
-iteration 0 comes from tuning: the accepted candidate's record and
-correction, computed once by ``_iteration_zero``, the one implementation of
-that iteration (the loop runs it itself when called without tuning).  The
-loop repeatedly solves the linearized homogeneous Dirichlet problem for the
-correction, and stops when the sup norm of the residual falls below the
-Newton tolerance (or below ten times the estimated roundoff floor of the
-residual evaluation).  The residual is expected to decay quadratically; the
-ratio ||g_{m+1}|| / ||g_m||^2 is recorded as a diagnostic.  When the
-iterate's norm surrogate leaves the unit ball, diagonal dominance of the
-coefficient matrix drops below half its seed-level value, or the linear
-solve fails, the loop stops: a manufactured right-hand side is built for one
-eps', so the loop never changes eps itself.
+This module alone decides eps and how each Newton step ends.
+``tune_epsilon`` halves eps from the seed's eps (1/2) until one step from
+w = 0 gives a correction with c2alpha(rho) <= 1/4, and records every
+refused eps.  ``newton_loop`` then starts from w = 0 at the eps it is
+given.  Its iteration 0 comes from tuning: the accepted candidate's record
+and correction, computed once by ``_iteration_zero``, the one
+implementation of that iteration (the loop runs it itself when called
+without tuning).  The loop repeatedly solves the linearized homogeneous
+Dirichlet problem for the correction.  One stopping test, ``_stop_reason``,
+decides at every iteration, iteration 0 included, whether a step is needed:
+none is once the sup norm of the residual falls below the Newton tolerance
+(or below ten times the estimated roundoff floor of the residual
+evaluation).  The residual is expected to decay quadratically; the ratio
+||g_{m+1}|| / ||g_m||^2 is recorded as a diagnostic.  When the iterate's
+norm surrogate leaves the unit ball, a diagonal-dominance margin of the
+coefficient matrix drops below half its seed-level value (the one
+uniform-ellipticity test), or the linear solve fails, the loop stops: a
+manufactured right-hand side is built for one eps', so the loop never
+changes eps itself.
 
 Each iterate is evaluated once: the step assembles the linearization from
 the ``Residual`` that ``eval_G`` returns alone, and the iterate's
@@ -36,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EllipticityError, SolverError, TuningError
+from .errors import DomainError, SolverError, TuningError
 from .grids import (
     ScalarGrid,
     c2alpha_surrogate,
@@ -172,23 +175,25 @@ def _newton_step(g_grid: Residual, seed: SeedQuadratic, f, tol_lin: float,
 
     Fills the record's ``rho_inf``, ``rho_c2alpha``, ``min_margin``,
     ``lin_residual``, ``krylov_steps`` and ``contraction`` and returns
-    ``(rho, None)``.  Returns ``(None, reason)`` when the coefficient matrix
-    loses diagonal dominance, a dominance margin drops below half the seed's
-    deleted-variable row, or the linear solve fails (its residual stops
-    shrinking or it reaches its step limit); a failed solve still records its
-    count of operator applications and its contraction.
+    ``(rho, None)``.  Returns ``(None, reason)`` when a dominance margin
+    drops below half the seed's deleted-variable row, or when the linear
+    solve fails (its residual stops shrinking or it reaches its step limit);
+    a failed solve still records its count of operator applications and its
+    contraction.  The half-row test is the one test of uniform ellipticity:
+    the seed row is positive (``seeds._finalize``), so it refuses every
+    nonpositive margin too.  Its reason names the margin with the most
+    negative gap, its grid point (indices on the full grid) and its row.
     """
     g_grid.second = g_grid.grad = None  # the surrogate has read them; assembly does not
-    try:
-        sys = assemble_linearized(g_grid, seed, f)
-    except EllipticityError as err:
-        return None, f"ellipticity failure: {err}"
-    finally:
-        g_grid.drop_pointwise()  # free them before the solve
+    sys = assemble_linearized(g_grid, seed, f)
+    g_grid.drop_pointwise()  # free them before the solve
     gap = sys.margins - 0.5 * sigma_km1_row(seed.tau, seed.k)
     if np.any(gap < 0.0):
-        return None, (f"dominance margin dropped {float(np.min(gap)):.3e} below "
-                      "half the seed row")
+        q, row = np.unravel_index(int(np.argmin(gap)), gap.shape)
+        point = tuple(int(v) + 1 for v in np.unravel_index(q, (g_grid.m - 2,) * g_grid.n))
+        return None, (f"dominance margin dropped {gap[q, row]:.3e} below half the seed "
+                      f"row: margin {sys.margins[q, row]:.3e} at grid point {point}, "
+                      f"row {row}")
     try:
         rho, record.lin_residual, record.krylov_steps = solve_dirichlet_info(sys, tol_lin)
     except SolverError as err:
@@ -203,43 +208,57 @@ def _newton_step(g_grid: Residual, seed: SeedQuadratic, f, tol_lin: float,
     return rho, None
 
 
-def _iteration_zero(seed: SeedQuadratic, f, m: int, tol_lin: float
+def _stop_reason(record: IterationRecord, seed: SeedQuadratic, m: int,
+                 tol_newton: float) -> str | None:
+    """Why no step follows the iterate of ``record``: "residual_tolerance"
+    when its residual meets the Newton tolerance, "residual_floor" when it
+    lies within ten times the roundoff floor of the evaluation (scaled by
+    the iterate's norm surrogate), None when a step is needed."""
+    if record.g_inf <= tol_newton:
+        return "residual_tolerance"
+    if record.g_inf <= 10.0 * residual_floor(seed, m, max(1.0, record.w_c2alpha)):
+        return "residual_floor"
+    return None
+
+
+def _iteration_zero(seed: SeedQuadratic, f, m: int, tol_newton: float, tol_lin: float
                     ) -> tuple[IterationRecord, ScalarGrid | None, str | None, Residual]:
     """Iteration 0 at the seed's eps, the same for tuning and the loop: G at
-    w = 0 and, unless G lies on the roundoff floor, the Newton step from w = 0.
+    w = 0 and, unless G meets the loop's stopping test (``_stop_reason``),
+    the Newton step from w = 0.
 
     Returns ``(record, rho, reason, g)``: the iteration-0 record without
     ``g_holder``, the correction and the refusal as ``_newton_step`` gives
-    them (both None on the floor), and the residual.  Raises DomainError when
-    the (u, p) arguments leave the right-hand side's box.
+    them (both None when no step is needed), and the residual.  Raises
+    DomainError when the (u, p) arguments leave the right-hand side's box.
     """
     g = eval_G(ScalarGrid.zeros(seed.n, m), seed, f)
     # G is zero on the boundary, so its sup over the grid is the interior's
     record = IterationRecord(iteration=0, g_inf=sup_norm(g.values), w_c2alpha=0.0)
-    if record.g_inf <= 10.0 * residual_floor(seed, m):
+    if _stop_reason(record, seed, m, tol_newton) is not None:
         return record, None, None, g
     rho, reason = _newton_step(g, seed, f, tol_lin, record)
     return record, rho, reason, g
 
 
-def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10
-                 ) -> tuple[SeedQuadratic, list[dict], list]:
+def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
+                 tol_lin: float = 1e-10) -> tuple[SeedQuadratic, list[dict], list]:
     """Halve eps from the seed's eps until the first Newton correction is small.
 
     Each candidate runs the loop's iteration 0 (``_iteration_zero``) and is
     accepted when the correction satisfies c2alpha(rho) <= 1/4.  At w = 0 the
     Hessian is diag(tau) exactly, so every dominance margin is the seed row
     sigma_{k-1,i}(tau) up to rounding and the step's margin test cannot
-    refuse the candidate.  A residual that is zero to roundoff accepts
-    without a step; a candidate whose (u, p) arguments leave the right-hand
-    side's box, or whose step is refused (a failed linear solve), is
-    rejected.
+    refuse the candidate.  A residual that meets the loop's stopping test
+    (``tol_newton`` or the roundoff floor) accepts without a step; a
+    candidate whose (u, p) arguments leave the right-hand side's box, or
+    whose step is refused (a failed linear solve), is rejected.
 
     Returns the accepted seed, one record {"eps", "reason", "iterations"}
     per refused eps, ``iterations`` holding the candidate's iteration-0
     record (empty after a box exit), and the accepted candidate's iteration
     0 as ``[record, rho]`` for ``newton_loop``'s ``start``: its record, with
-    ``g_holder`` measured, and its correction (None on the roundoff floor).
+    ``g_holder`` measured, and its correction (None when no step is needed).
     When no candidate is accepted, the TuningError carries the refusal
     records and names the last one's reason.
     """
@@ -248,7 +267,7 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_lin: float = 1e-10
     while eps >= EPS_MIN:
         candidate = seed.with_eps(eps)
         try:
-            record, rho, reason, g = _iteration_zero(candidate, f, m, tol_lin)
+            record, rho, reason, g = _iteration_zero(candidate, f, m, tol_newton, tol_lin)
         except DomainError as err:
             refused.append({"eps": eps, "reason": str(err), "iterations": []})
             eps *= 0.5
@@ -274,11 +293,13 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     residual is small.
 
     Iteration 0 is ``start`` when given, the ``[record, rho]`` that
-    ``tune_epsilon`` returned for this seed's eps; the loop empties the list,
-    so that rho is freed once it has been added to w.  Without ``start`` the
-    loop runs ``_iteration_zero`` itself and measures ``g_holder``, as tuning
-    does for the candidate it accepts.  Iteration 0 takes its step before the
-    stopping tests, so its record shows the step only when the loop goes on.
+    ``tune_epsilon`` returned for this seed's eps and ``tol_newton``; the
+    loop empties the list, so that rho is freed once it has been added to
+    w.  A ``start`` without a step whose residual misses ``tol_newton``
+    (tuned with a larger tolerance) raises DomainError.  Without ``start`` the loop runs ``_iteration_zero`` itself and
+    measures ``g_holder``, as tuning does for the candidate it accepts.
+    Every iteration, iteration 0 included, stops by ``_stop_reason``, so
+    iteration 0 has a step exactly when the loop goes on.
 
     The first refused step stops the loop with status EllipticityLost and the
     refusal as ``stop_reason``; its record is the last of ``iterations``.
@@ -288,14 +309,15 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     statuses.
     """
     if start is None:
-        first, rho, reason, g_grid = _iteration_zero(seed, f, m, tol_lin)
+        first, rho, reason, g_grid = _iteration_zero(seed, f, m, tol_newton, tol_lin)
         first.g_holder = calpha_surrogate(g_grid.values, g_grid.h, seed.alpha)
     else:
         (first, rho), reason = start, None
         start.clear()
+        if rho is None and _stop_reason(first, seed, m, tol_newton) is None:
+            raise DomainError("start has no step, but its residual misses this tol_newton")
     w = ScalarGrid.zeros(seed.n, m)
-    records = [IterationRecord(iteration=0, g_inf=first.g_inf, w_c2alpha=0.0,
-                               g_holder=first.g_holder)]
+    records = [first]
     ratios: list[float] = []
     for it in range(max_iter + 1):
         if it > 0:
@@ -311,19 +333,16 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 ratios.append(record.g_inf / records[-1].g_inf**2)
             records.append(record)
         record = records[-1]
-        if record.g_inf <= tol_newton:
-            status, reason = STATUS_CONVERGED, "residual_tolerance"
-        elif record.g_inf <= 10.0 * residual_floor(seed, m, max(1.0, record.w_c2alpha)):
-            status, reason = STATUS_CONVERGED, "residual_floor"
+        stop = _stop_reason(record, seed, m, tol_newton)
+        if stop is not None:
+            status, reason = STATUS_CONVERGED, stop
         elif it == max_iter:
             status, reason = STATUS_MAX_ITER, "max_iter"
         elif record.w_c2alpha > 1.0:
             status = STATUS_ELLIPTICITY_LOST
             reason = f"iterate norm surrogate {record.w_c2alpha:.3f} > 1"
         else:
-            if it == 0:
-                records[0] = first
-            else:
+            if it > 0:
                 rho, reason = _newton_step(g_grid, seed, f, tol_lin, record)
             if reason is None:
                 w = ScalarGrid(w.n, w.m, w.values + rho.values)

@@ -11,8 +11,9 @@ the linearized operator
     sum_ij dS_k/dr_ij d_i d_j  -  eps^2 sum_i (df/dp_i) d_i  -  eps^4 (df/du)
 
 as one coefficient field per stencil offset, with the same stencils used by
-``eval_G``'s differences, and records the per-row diagonal-dominance margins
-of the coefficient matrix.  The operator is applied on the grid, never
+``eval_G``'s differences, and measures the per-row diagonal-dominance
+margins of the coefficient matrix; the Newton step alone decides whether
+they are large enough.  The operator is applied on the grid, never
 assembled.  ``solve_dirichlet_info`` solves the homogeneous Dirichlet problem
 by Richardson iteration, preconditioned by the exact inverse of the seed's
 constant-coefficient operator sum_i sigma_{k-1,i}(tau) d_i^2, which a sine
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EllipticityError, SolverError
+from .errors import DomainError, SolverError
 from .grids import ScalarGrid, grid_coords, second_differences, sup_norm, symmetric_matrix
 from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
@@ -226,9 +227,9 @@ def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
     the sum, over offsets, of the field times the zero-padded input shifted
     by the offset, so neighbours on the Dirichlet boundary drop out.
 
-    Raises EllipticityError when a dominance margin of the second-order
-    coefficient matrix is nonpositive at some interior point (the usual cause
-    is an eps too large for the current iterate).
+    The dominance margins of the second-order coefficient matrix are
+    measured, never judged: whether they certify uniform ellipticity is
+    ``iterate._newton_step``'s decision.
     """
     n, m, h = g.n, g.m, g.h
     coeff = np.swapaxes(g.tensor, -1, -2)
@@ -246,17 +247,6 @@ def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
             row_sum += np.abs(coeff[..., i, j])
         margins[..., i] = diag[..., i] - (row_sum - np.abs(diag[..., i]))
     margins = margins.reshape(-1, n)
-    if margins.size and margins.min() <= 0.0:
-        flat_bad = int(np.argmin(margins.min(axis=-1)))
-        point = tuple(int(v) + 1 for v in np.unravel_index(flat_bad, (m - 2,) * n))
-        axis = int(np.argmin(margins[flat_bad]))
-        raise EllipticityError(
-            f"dominance margin {margins[flat_bad, axis]:.3e} <= 0 at grid point "
-            f"{point}, row {axis}",
-            point=point,
-            index=axis,
-            margin=float(margins[flat_bad, axis]),
-        )
 
     # (offset, field, ufunc): the product of the field and the input shifted
     # by the offset is added, or, for the anti-diagonal mixed offsets,

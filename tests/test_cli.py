@@ -11,9 +11,11 @@ import pytest
 from khessian import verify
 from khessian.cli import main
 from khessian.config import ProblemConfig
-from khessian.errors import DomainError, EllipticityError, SolverError
+from khessian.errors import DomainError, TuningError
+from khessian.iterate import tune_epsilon
 from khessian.presets import PRESETS, named_rhs, preset_config
 from khessian.rhs import RhsSpec
+from khessian.seeds import seed_for_zero
 
 
 class TestConeCommand:
@@ -313,11 +315,11 @@ class TestSolveCommand:
         assert report["error"].endswith(diagnostics[-1]["reason"])
 
     @pytest.mark.parametrize("err, fields", [
-        (SolverError("stalled", steps=7), {"error_type": "SolverError", "steps": 7}),
-        (EllipticityError("lost", point=(1, 2, 3), index=2, margin=-0.25),
-         {"error_type": "EllipticityError", "point": [1, 2, 3], "index": 2,
-          "margin": -0.25}),
-    ], ids=["solver", "ellipticity"])
+        (TuningError("no eps", diagnostics=[{"eps": 0.5, "reason": "r", "iterations": []}]),
+         {"error_type": "TuningError",
+          "diagnostics": [{"eps": 0.5, "reason": "r", "iterations": []}]}),
+        (DomainError("left the box"), {"error_type": "DomainError"}),
+    ], ids=["tuning", "domain"])
     def test_failure_report_keeps_error_data(self, tmp_path, monkeypatch, err, fields):
         def fail(config, out_dir=None):
             raise err
@@ -328,6 +330,30 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report == {"status": "Failed", "error": str(err),
                           "config": preset_config("fzero-linear").to_dict()} | fields
+
+    def test_box_exit_after_tuning_exit_four(self, tmp_path, capsys):
+        # tuning refuses eps 1/2, 1/4 and 1/8 by the box and accepts 1/16,
+        # where iteration 0's |p| is 5.859375e-3; iteration 1's |p| leaves it
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc["rhs"] = {"terms": [{"coeff": 1.0, "y": [1, 0, 0]},
+                                {"coeff": 1.0, "y": [0, 1, 0]}], "box": 5.86e-3}
+        doc["grid"]["m"] = 9
+        doc["output"]["directory"] = str(tmp_path / "run")
+        config = ProblemConfig.from_dict(doc)
+        f = config.build_rhs()
+        tuned, refused, _ = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
+        assert tuned.eps == 0.0625
+        assert [a["eps"] for a in refused] == [0.5, 0.25, 0.125]
+        assert all(a["reason"].startswith("(u, p) arguments leave the declared box")
+                   for a in refused)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path)]) == 4
+        assert "solver failed: (u, p) arguments leave the declared box" in capsys.readouterr().err
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["status"] == "Failed"
+        assert report["error_type"] == "DomainError"
+        assert report["error"].endswith("|p|=0.00586, box=0.00586")
 
     def test_failed_linear_solve_rejects_eps(self, tmp_path):
         # the seed-preconditioned solve diverges at eps = 1/2; tuning rejects

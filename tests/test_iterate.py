@@ -6,6 +6,7 @@ import pytest
 
 from khessian.cli import run_solve
 from khessian.config import ProblemConfig
+from khessian.errors import DomainError
 from khessian.grids import ScalarGrid, grid_coords, second_differences
 from khessian.iterate import (
     STATUS_CONVERGED,
@@ -278,6 +279,46 @@ class TestNewtonLoop:
         assert calls["differences"] == 0
         (second,) = handed
         assert second is None
+
+    def test_iteration_zero_stops_at_tol_newton(self, tmp_path, monkeypatch):
+        # f = 1e-10 (y1 + y2): G(0) lies between ten times the roundoff floor
+        # and tol_newton, so iteration 0 meets the loop's stopping test and
+        # neither tuning nor the loop assembles or solves a step
+        import khessian.iterate as iterate
+
+        calls = {"assemble": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(iterate, "assemble_linearized",
+                            counted("assemble", iterate.assemble_linearized))
+        monkeypatch.setattr(iterate, "solve_dirichlet_info",
+                            counted("solve", iterate.solve_dirichlet_info))
+        doc = copy.deepcopy(PRESETS["fzero-linear"])
+        doc["rhs"] = {"terms": [{"coeff": 1e-10, "y": [1, 0, 0]},
+                                {"coeff": 1e-10, "y": [0, 1, 0]}]}
+        doc["grid"]["m"] = 17
+        config = ProblemConfig.from_dict(doc)
+        report = run_solve(config, out_dir=str(tmp_path)).report
+        assert calls == {"assemble": 0, "solve": 0}
+        assert report.converged and report.stop_reason == "residual_tolerance"
+        assert report.seed["eps"] == 0.5 and report.aborted_attempts == []
+        (first,) = report.iterations
+        assert 10.0 * report.floor_estimate < first.g_inf <= config.tol_newton
+        assert first.krylov_steps is None and first.rho_c2alpha is None
+
+        _, alone = newton_loop(seed_for_zero(2, 3, 0.5), config.build_rhs(), 17)
+        assert calls == {"assemble": 0, "solve": 0}
+        assert [r.to_dict() for r in alone.iterations] == [first.to_dict()]
+        assert alone.stop_reason == "residual_tolerance"
+        # tuning's step-free iteration 0 cannot start a loop that needs a step
+        seed, _, start = tune_epsilon(seed_for_zero(2, 3, 0.5), config.build_rhs(), 17)
+        with pytest.raises(DomainError, match="misses this tol_newton"):
+            newton_loop(seed, config.build_rhs(), 17, tol_newton=1e-12, start=start)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_linear_solve_contracts(self, tmp_path, name):

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from khessian.errors import DomainError, EllipticityError, SolverError
+from khessian.errors import DomainError, SolverError
 from khessian.grids import (
     ScalarGrid,
     boundary_mask,
@@ -14,6 +16,7 @@ from khessian.grids import (
     symmetric_matrix,
     write_grid_csv,
 )
+from khessian.iterate import IterationRecord, _newton_step
 from khessian.pde import (
     _physical_args,
     assemble_linearized,
@@ -503,25 +506,44 @@ class TestAssemble:
         slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
         assert slope >= 0.9
 
-    def test_ellipticity_failure_reported(self):
+    @staticmethod
+    def _refusal_at(amplitude):
+        """One Newton step at eps 1/2 from a noisy iterate of the given
+        amplitude; returns its margins, located on the full grid, after
+        checking that the step is refused at the point and row of the most
+        negative gap below half the seed row."""
         seed = seed_for_zero(2, 3, 0.5).with_eps(0.5)
-        # force a huge iterate so the perturbed coefficients lose dominance
         rng = np.random.default_rng(5)
-        w = ScalarGrid(3, 9, 40.0 * rng.normal(size=(9, 9, 9)))
+        w = ScalarGrid(3, 9, amplitude * rng.normal(size=(9, 9, 9)))
         f = RhsSpec.constant(3, 0.0)
         f.box = None  # disable the argument guard to reach assembly
-        with pytest.raises(EllipticityError) as info:
-            linearized_at(w, seed, f)
-        # the worst row over the interior, located on the full grid
+        record = IterationRecord(0, 0.0, 0.0)
+        rho, reason = _newton_step(eval_G(w, seed, f), seed, f, 1e-10, record)
+        assert rho is None
+        assert record.krylov_steps is None and record.min_margin is None
         coeff = sk_gradient(symmetric_matrix(second_differences(w)[0], 3, seed.eps_prime,
                                              seed.tau), 2)
         diag = np.diagonal(coeff, axis1=-2, axis2=-1)
         margins = diag - (np.sum(np.abs(coeff), axis=-1) - np.abs(diag))
         margins[boundary_mask(3, 9)] = np.inf
-        point = np.unravel_index(np.argmin(margins.min(axis=-1)), margins.shape[:-1])
-        assert info.value.point == tuple(int(v) for v in point)
-        assert info.value.index == int(np.argmin(margins[point]))
-        assert info.value.margin == pytest.approx(float(margins.min()), rel=1e-12)
+        gap = margins - 0.5 * sigma_km1_row(seed.tau, 2)
+        *point, row = (int(v) for v in np.unravel_index(np.argmin(gap), gap.shape))
+        assert reason.startswith("dominance margin dropped ")
+        assert "below half the seed row: margin " in reason
+        assert reason.endswith(f" at grid point {tuple(point)}, row {row}")
+        dropped, margin = (float(v) for v in re.findall(r"(-?\d\.\d{3}e[+-]\d+)", reason))
+        assert dropped == pytest.approx(float(gap.min()), rel=1e-3)
+        assert margin == pytest.approx(float(margins[(*point, row)]), rel=1e-3)
+        return margins
+
+    def test_ellipticity_failure_reported(self):
+        # a huge iterate: the perturbed coefficients lose dominance outright
+        assert self._refusal_at(40.0).min() <= 0.0
+
+    def test_dominance_below_half_row_refused(self):
+        # every margin stays positive, but one falls below half its seed row
+        margins = self._refusal_at(2e-3)
+        assert 0.0 < margins.min()
 
 
 class TestSolve:
@@ -625,13 +647,10 @@ class TestEllipticityPersistence:
         eps = 0.5
         found = None
         while eps >= 1e-4:
-            try:
-                sys = linearized_at(w, seed.with_eps(eps), f)
-                if np.all(sys.margins > thresh[None, :]):
-                    found = eps
-                    break
-            except EllipticityError:
-                pass
+            sys = linearized_at(w, seed.with_eps(eps), f)
+            if np.all(sys.margins > thresh[None, :]):
+                found = eps
+                break
             eps *= 0.5
         assert found is not None
         for _ in range(3):
