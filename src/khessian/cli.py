@@ -84,8 +84,9 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
     assembly reads the second differences of the loop's last evaluation.
     Raises TuningError when no eps is admissible, DomainError when the
     configuration is invalid or the loop's (u, p) leave the right-hand
-    side's box, and ConstructionError when the seed cannot be built; a
-    refused Newton step ends the loop instead of raising.
+    side's box (then with tuning's refusals as its ``diagnostics``), and
+    ConstructionError when the seed cannot be built; a refused Newton step
+    ends the loop instead of raising.
     """
     config.validate()
     _reuse_freed_arrays()
@@ -96,13 +97,17 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
     seed, refused, start = tune_epsilon(seed, f, config.m, tol_newton=config.tol_newton,
                                         tol_lin=config.tol_lin)
     marks.append(time.perf_counter())
-    w, report = newton_loop(
-        seed, f, config.m,
-        tol_newton=config.tol_newton,
-        max_iter=config.max_iter,
-        tol_lin=config.tol_lin,
-        start=start,
-    )
+    try:
+        w, report = newton_loop(
+            seed, f, config.m,
+            tol_newton=config.tol_newton,
+            max_iter=config.max_iter,
+            tol_lin=config.tol_lin,
+            start=start,
+        )
+    except DomainError as err:  # a box exit after tuning keeps tuning's refusals
+        err.diagnostics = refused
+        raise
     report.aborted_attempts = refused
     marks.append(time.perf_counter())
     solution = None
@@ -174,9 +179,10 @@ def _cmd_seed(args) -> int:
 
 def _error_fields(err: Exception) -> dict:
     """The failure report's record of a solve's error: its type and, for a
-    TuningError, the refused candidates as ``diagnostics``."""
+    TuningError or a DomainError raised after tuning, tuning's refused
+    candidates as ``diagnostics``."""
     fields = {"error_type": type(err).__name__}
-    if isinstance(err, TuningError):
+    if getattr(err, "diagnostics", None) is not None:
         fields["diagnostics"] = err.diagnostics
     return fields
 

@@ -2,7 +2,11 @@
 
 
 class DomainError(ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition.  ``diagnostics`` holds
+    tuning's refused candidates, as on TuningError, when the Newton loop
+    raised it after tuning (the loop's (u, p) left the box), else None."""
+
+    diagnostics = None
 
 
 class CapacityError(RuntimeError):

@@ -7,8 +7,10 @@ centered and one-sided second-difference stencils; mixed derivatives are
 first differences of first differences, so the discrete Hessian is symmetric
 exactly.  ``second_differences`` stacks the n(n+1)/2 distinct components
 component-major, (c,) + grid shape: the C^{2,alpha} surrogate reads that
-stack, and ``symmetric_matrix`` scatters it into grid + (n, n) matrices where
-a caller needs them.  Hoelder quotients compare points along the axis and
+stack, and ``symmetric_matrix`` scatters it into points + (n, n) matrices,
+which a solve forms one interior slab along the first axis at a time; no
+(n, n) stack or coordinate array of the whole grid is kept.
+Hoelder quotients compare points along the axis and
 full-diagonal directions only, at most ``_HOLDER_RADIUS`` steps apart, for
 every n, one field at a time.  The sweep skips each pass whose telescoping
 bound, s times the largest step-1 difference along its direction (or the
@@ -37,6 +39,7 @@ from .errors import DomainError
 
 _M_CAP = {2: 257, 3: 65, 4: 33, 5: 17}
 _HOLDER_RADIUS = 8  # Hoelder quotients compare points at most this many steps apart
+_SLAB_BYTES = 1 << 19  # per array of a slab-by-slab pass, at least one row
 
 
 def _validate_shape(n: int, m: int) -> None:
@@ -86,17 +89,37 @@ def boundary_mask(n: int, m: int) -> np.ndarray:
     return mask
 
 
+def slabs(rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices covering ``rows`` indices along the first axis, each
+    of whole rows and about ``_SLAB_BYTES`` of the pass's widest array, which
+    holds ``row_bytes`` per row (one row when a row holds more)."""
+    step = max(1, _SLAB_BYTES // row_bytes)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def interior_slabs(n: int, m: int, width: int) -> list[tuple[slice, tuple[slice, ...]]]:
+    """The interior points, shape (m-2,)*n, in the ``slabs`` of an array of
+    ``width`` doubles per point: per slab, its slice of the interior's first
+    axis and its index into the grid."""
+    inner = (slice(1, -1),) * (n - 1)
+    return [(rows, (slice(rows.start + 1, rows.stop + 1),) + inner)
+            for rows in slabs(m - 2, (m - 2) ** (n - 1) * width * 8)]
+
+
 def axis_coords(m: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, m)
 
 
-@lru_cache(maxsize=16)
-def grid_coords(n: int, m: int) -> np.ndarray:
-    """Coordinates of every grid point, shape (m,)*n + (n,)."""
-    axes = np.meshgrid(*[axis_coords(m)] * n, indexing="ij")
-    out = np.stack(axes, axis=-1)
-    out.setflags(write=False)
-    return out
+def grid_coords(n: int, m: int, index: tuple[slice, ...] = ()) -> np.ndarray:
+    """Coordinates of the grid points ``values[index]``, ``index`` one slice
+    per leading axis (the axes after it whole): shape (points per axis) +
+    (n,), every grid point by default.  Nothing is cached: callers that go
+    through the grid one slab at a time hold one slab's coordinates, never
+    the whole grid's."""
+    axis = axis_coords(m)
+    index = index + (slice(None),) * (n - len(index))
+    return np.stack(np.meshgrid(*(axis[s] for s in index), indexing="ij", copy=False),
+                    axis=-1)
 
 
 def _second_difference(values: np.ndarray, h: float, axis: int, out: np.ndarray) -> None:
@@ -132,7 +155,9 @@ def symmetric_matrix(second: np.ndarray, n: int, scale: float = 1.0,
     when given: shape grid + (n, n).
 
     The matrices are filled component-major, where every write is
-    contiguous, and transposed to grid + (n, n) in one copy.
+    contiguous, and transposed to grid + (n, n) in one copy, so two (n, n)
+    stacks of the input's size are alive at once: a solve passes one slab of
+    points at a time (``pde.total_hessian``).
     """
     full = np.empty((n, n) + second.shape[1:])
     for c, (a, b) in enumerate(zip(*np.triu_indices(n))):

@@ -23,14 +23,17 @@ changes eps itself.
 Each iterate is evaluated once: the step assembles the linearization from
 the ``Residual`` that ``eval_G`` returns alone, and the iterate's
 C^{2,alpha} surrogate reads its second differences.  The step frees them
-before it assembles, and the rest before it solves; the last iterate past
-iteration 0 hands the second differences, without the gradient, to
-``assemble_solution``, which forms the Hessian as G does
-(``pde.total_hessian``) and reads w(0) and Dw(0) at the centre.  Only the
-differences cover the whole grid.  w = 0 is never differenced and hands
-nothing over: its Hessian is one matrix, diag(tau), for G and the solution
-alike, so each tuning candidate, and the certificate of a solve that stops
-at iteration 0, recurses that one matrix instead of every interior point.
+before it assembles, the assembly drops (y, u, p) once it has read f's
+derivatives, and the step frees the rest before it solves; the last
+iterate past iteration 0 hands the second differences, without the
+gradient, to ``assemble_solution``, which forms the Hessian as G does
+(``pde.total_hessian``, one interior slab at a time) and reads w(0) and
+Dw(0) at the centre; ``certify_convexity`` recurses that Hessian slab by
+slab too.  Only the differences cover the whole grid.  w = 0 is never
+differenced and hands nothing over: its Hessian is one matrix, diag(tau),
+for G and the solution alike, so each tuning candidate, and the
+certificate of a solve that stops at iteration 0, recurses that one matrix
+instead of every interior point.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ from .grids import (
     c2alpha_surrogate,
     calpha_surrogate,
     grid_coords,
+    interior_slabs,
     second_differences,
+    slabs,
     sup_norm,
 )
 from .pde import (
@@ -296,8 +301,9 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     ``tune_epsilon`` returned for this seed's eps and ``tol_newton``; the
     loop empties the list, so that rho is freed once it has been added to
     w.  A ``start`` without a step whose residual misses ``tol_newton``
-    (tuned with a larger tolerance) raises DomainError.  Without ``start`` the loop runs ``_iteration_zero`` itself and
-    measures ``g_holder``, as tuning does for the candidate it accepts.
+    (tuned with a larger tolerance) raises DomainError.  Without ``start``
+    the loop runs ``_iteration_zero`` itself and measures ``g_holder``, as
+    tuning does for the candidate it accepts.
     Every iteration, iteration 0 included, stops by ``_stop_reason``, so
     iteration 0 has a step exactly when the loop goes on.
 
@@ -367,11 +373,12 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
     The affine part w(0) + x . Dw(0) is subtracted first (it shifts u by an
     affine function, invisible to second derivatives), so the reported w
     vanishes to second order at the origin; w(0) and Dw(0) are read at the
-    centre.  The Hessian is ``total_hessian`` at the interior points,
-    returned read-only.  An ``Iterate``'s second differences are read instead
-    of taken again, and released (``w.second`` becomes None).  A zero w is
-    not differenced: its Hessian is diag(tau), one matrix broadcast over the
-    interior.
+    centre.  The Hessian is ``total_hessian`` at the interior points, formed
+    one slab along the first axis at a time and returned read-only; u is
+    formed slab by slab as well, each slab from its own coordinates.  An
+    ``Iterate``'s second differences are read instead of taken again, and
+    released (``w.second`` becomes None).  A zero w is not differenced: its
+    Hessian is diag(tau), one matrix broadcast over the interior.
     """
     n, m = w.n, w.m
     center = (m // 2,) * n
@@ -380,20 +387,27 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
         second, w.second = w.second, None
     if second is None and w.values.any():
         second = second_differences(w)[0]
-    points = None if second is None else second[(slice(None),) + (slice(1, -1),) * n]
-    hess_u = np.broadcast_to(total_hessian(points, seed), (m - 2,) * n + (n, n))
-    del second, points
+    if second is None:
+        hess_u = np.broadcast_to(total_hessian(None, seed), (m - 2,) * n + (n, n))
+    else:
+        hess_u = np.empty((m - 2,) * n + (n, n))
+        for rows, at in interior_slabs(n, m, n * n):
+            hess_u[rows] = total_hessian(second[(slice(None),) + at], seed)
+        hess_u.flags.writeable = False
+    del second
 
-    x = grid_coords(n, m)
     w0 = float(w.values[center])
     g0 = _center_gradient(w.values, w.h)
-    w_norm = w.values - w0 - x @ g0
+    eps, epsp = seed.eps, seed.eps_prime
+    w_norm, u = np.empty(w.values.shape), np.empty(w.values.shape)
+    for rows in slabs(m, m ** (n - 1) * n * 8):  # x holds n doubles per point
+        x = grid_coords(n, m, (rows,))
+        w_norm[rows] = w.values[rows] - w0 - x @ g0
+        psi = 0.5 * np.sum(seed.tau * x**2, axis=-1)
+        u[rows] = eps**4 * (psi + epsp * w_norm[rows])
     if abs(w_norm[center]) > 1e-8 or sup_norm(_center_gradient(w_norm, w.h)) > 1e-8:
         raise AssertionError("affine normalization failed to vanish at the origin")
 
-    eps, epsp = seed.eps, seed.eps_prime
-    psi = 0.5 * np.sum(seed.tau * x**2, axis=-1)
-    u = eps**4 * (psi + epsp * w_norm)
     axes = [eps**2 * np.linspace(-1.0, 1.0, m) for _ in range(n)]
     return PhysicalSolution(
         u_values=u,
@@ -410,12 +424,16 @@ def certify_convexity(hessian: np.ndarray, k: int) -> ConvexityCertificate:
 
     ``hessian`` is the solution's Hessian at the interior points, as
     ``assemble_solution`` gives it.  The flag for level j is set when the
-    j-th minor sum stays above -CONVEXITY_TOL at every one of them.  A
-    Hessian that is one matrix broadcast over the points (every point stride
-    zero, as for w = 0) is recursed once.
+    j-th minor sum stays above -CONVEXITY_TOL at every one of them.  The
+    points are recursed one slab along the first axis at a time, and each
+    level's minimum is the least of the slabs' minima, the same float as
+    one recursion of every point gives.  A Hessian that is one matrix
+    broadcast over the points (every point stride zero, as for w = 0) is
+    recursed once.
     """
     points = hessian if any(hessian.strides[:-2]) else hessian[(0,) * (hessian.ndim - 2)][None]
-    sums, _ = minor_sums(points, k + 1)
-    mins = {j: float(np.min(vals)) for j, vals in enumerate(sums, start=1)}
+    lows = [[np.min(vals) for vals in minor_sums(points[rows], k + 1)[0]]
+            for rows in slabs(len(points), points[0].nbytes)]
+    mins = {j: float(np.min(col)) for j, col in enumerate(zip(*lows), start=1)}
     flags = {j: bool(v >= -CONVEXITY_TOL) for j, v in mins.items()}
     return ConvexityCertificate(flags=flags, min_values=mins, tol=CONVEXITY_TOL)

@@ -28,10 +28,14 @@ last level and dS_k/dr the transposed tensor T_{k-1}.
 Each iterate is evaluated once.  ``eval_G`` takes w's second differences
 on the full grid, then r = diag(tau) + eps' D^2 w (``total_hessian``, r's
 one construction), one recursion (S_k for G, T_{k-1} for the coefficients)
-and (y, u, p) on the interior points only, where the equation is imposed;
-it returns them with G as a ``Residual``, all ``assemble_linearized``
-reads.  At w = 0 every difference is +0.0, so r = diag(tau) at every
-point, and one matrix is recursed and broadcast over the interior.
+and (y, u, p) on the interior points only, where the equation is imposed.
+Those run one interior slab along the first axis at a time and fill
+preallocated interior arrays, so r, its transposed copy and the points'
+coordinates never exist for the whole interior.  ``eval_G`` returns them
+with G as a ``Residual``, all ``assemble_linearized`` reads; the assembly
+drops (y, u, p) as soon as f's derivatives are evaluated.  At w = 0 every
+difference is +0.0, so r = diag(tau) at every point, and one matrix is
+recursed and broadcast over the interior.
 """
 
 from __future__ import annotations
@@ -42,7 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .grids import ScalarGrid, grid_coords, second_differences, sup_norm, symmetric_matrix
+from .grids import (
+    ScalarGrid,
+    grid_coords,
+    interior_slabs,
+    second_differences,
+    sup_norm,
+    symmetric_matrix,
+)
 from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
 
@@ -174,9 +185,10 @@ class Residual(ScalarGrid):
     ``second`` and ``grad`` are ``second_differences(w)`` on the full grid,
     as the C^{2,alpha} surrogate and the solution read them.  The Newton
     tensor T_{k-1}(r(w)) (``tensor``, the transposed dS_k/dr) and (y, u, p)
-    are kept at the interior points only, shape (m-2,)*n + trailing axes.
-    ``tensor`` is read-only; at w = 0 it, ``second`` and ``grad`` are views
-    of one point broadcast over the grid."""
+    are kept at the interior points only, shape (m-2,)*n + trailing axes;
+    ``assemble_linearized`` sets (y, u, p) to None once it has evaluated f's
+    derivatives.  ``tensor`` is read-only; at w = 0 it, ``second`` and
+    ``grad`` are views of one point broadcast over the grid."""
 
     second: np.ndarray | None
     grad: np.ndarray | None
@@ -194,33 +206,47 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
     """Rescaled residual operator on interior points (boundary entries zero).
 
     w is differenced on the full grid; everything after that runs on the
-    interior slab.  One Newton-tensor recursion of r gives both S_k(r), for
-    G, and T_{k-1}(r), which the result keeps for ``assemble_linearized``.
-    At w = 0, r = diag(tau) at every point: one matrix is recursed, S_k
-    broadcasts as its scalar, and T_{k-1}, ``second`` and ``grad`` are
-    read-only views broadcast over the grid.
+    interior, one slab along the first axis at a time.  Per slab, one
+    Newton-tensor recursion of r gives both S_k(r), for G, and T_{k-1}(r),
+    which the result keeps for ``assemble_linearized``, and (y, u, p) are
+    formed from that slab's coordinates; each fills its part of a
+    preallocated interior array, so r and its copies never cover the whole
+    interior.  Each point's arithmetic is that of a whole-interior pass.  f
+    is evaluated on the whole interior once the slabs are done.  At w = 0,
+    r = diag(tau) at every point: one matrix is recursed, S_k broadcasts as
+    its scalar, and T_{k-1}, ``second`` and ``grad`` are read-only views
+    broadcast over the grid.
     """
-    n, shape = seed.n, w.values.shape
-    slab = (slice(1, -1),) * n
-    if w.values.any():
+    n, m, shape = seed.n, w.m, w.values.shape
+    inner = (m - 2,) * n
+    differenced = bool(w.values.any())
+    if differenced:
         second, grad = second_differences(w)
-        points = second[(slice(None),) + slab]
+        sk, tensor = np.empty(inner), np.empty(inner + (n, n))
     else:
         second = np.broadcast_to(0.0, (n * (n + 1) // 2,) + shape)
         grad = np.broadcast_to(0.0, shape + (n,))
-        points = None
-    sums, tensor = minor_sums(total_hessian(points, seed), seed.k)
-    y, u, p = _physical_args(seed, grid_coords(n, w.m)[slab], w.values[slab], grad[slab])
+        sums, tensor = minor_sums(total_hessian(None, seed), seed.k)
+        sk = sums[-1]
+    y, u, p = np.empty(inner + (n,)), np.empty(inner), np.empty(inner + (n,))
+    for rows, at in interior_slabs(n, m, n * n if differenced else n):
+        if differenced:
+            sums, tensor[rows] = minor_sums(total_hessian(second[(slice(None),) + at], seed),
+                                            seed.k)
+            sk[rows] = sums[-1]
+        y[rows], u[rows], p[rows] = _physical_args(seed, grid_coords(n, m, at),
+                                                   w.values[at], grad[at])
     _check_box(f, u, p)
     g = np.zeros(shape)
-    g[slab] = (sums[-1] - f.value(y, u, p)) / seed.eps_prime
-    return Residual(w.n, w.m, g, second, grad,
-                    np.broadcast_to(tensor, u.shape + (n, n)), y, u, p)
+    g[(slice(1, -1),) * n] = (sk - f.value(y, u, p)) / seed.eps_prime
+    return Residual(w.n, w.m, g, second, grad, np.broadcast_to(tensor, inner + (n, n)),
+                    y, u, p)
 
 
 def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
     """Linearization at w with right-hand side -G(w), read from the residual
-    ``g = eval_G(w, seed, f)`` alone.
+    ``g = eval_G(w, seed, f)`` alone; the residual's (y, u, p) are set to
+    None once f's derivatives have been evaluated at them.
 
     The unknowns are the interior points in lexicographic order.  The
     operator keeps one coefficient field per stencil offset and applies it as
@@ -235,6 +261,7 @@ def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
     coeff = np.swapaxes(g.tensor, -1, -2)
     a_first = -seed.eps**2 * f.dp(g.y, g.u, g.p)
     a_zero = -seed.eps**4 * f.du(g.y, g.u, g.p)
+    g.y = g.u = g.p = None  # read for the last time
     idx = np.arange(n)
 
     # margin of row i: c_ii - (|c_i0| + ... + |c_i,n-1| - |c_ii|), the sum

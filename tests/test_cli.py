@@ -354,6 +354,9 @@ class TestSolveCommand:
         assert report["status"] == "Failed"
         assert report["error_type"] == "DomainError"
         assert report["error"].endswith("|p|=0.00586, box=0.00586")
+        # tuning's refusals are kept, in the records a TuningError carries
+        assert report["diagnostics"] == json.loads(json.dumps(refused))
+        assert [a["eps"] for a in report["diagnostics"]] == [0.5, 0.25, 0.125]
 
     def test_failed_linear_solve_rejects_eps(self, tmp_path):
         # the seed-preconditioned solve diverges at eps = 1/2; tuning rejects

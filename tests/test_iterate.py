@@ -1,4 +1,5 @@
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -159,8 +160,10 @@ class TestNewtonLoop:
 
     def test_each_iterate_evaluated_once(self, monkeypatch):
         # G, its linearization and the iterate's C^{2,alpha} surrogate share
-        # one Hessian and one minor-sum recursion per evaluated iterate; each
-        # nonzero iterate is differenced once, and w = 0 never is
+        # one Hessian and one minor-sum recursion per evaluated iterate: each
+        # nonzero iterate is differenced once and each of its interior points
+        # recursed once (one slab at a time), and w = 0 is never differenced
+        # and recurses one matrix
         import khessian.grids as grids
         import khessian.iterate as iterate
         import khessian.pde as pde
@@ -176,9 +179,11 @@ class TestNewtonLoop:
             finally:
                 depth[0] -= 1
 
-        def counted_minor_sums(*args):
-            recursions.append(args)
-            return minor_sums(*args)
+        def counted_minor_sums(r, k):
+            # (evaluation, matrices recursed), or None outside an evaluation
+            recursions.append((len(evaluated) - 1 if depth[0] else None,
+                               math.prod(r.shape[:-2])))
+            return minor_sums(r, k)
 
         def counted_build(grid):
             builds.append((grid, depth[0] > 0))
@@ -193,9 +198,13 @@ class TestNewtonLoop:
         _, report = newton_loop(seed, f, 9)
         # iteration 2 reads w's surrogate from its evaluation
         assert report.converged and len(report.iterations) == 3
-        assert len(recursions) == len(evaluated) > 3
+        assert len(evaluated) > 3
         nonzero = [w for w in evaluated if w.values.any()]
         assert 0 < len(nonzero) < len(evaluated)
+        recursed = [0] * len(evaluated)
+        for e, matrices in recursions:
+            recursed[e] += matrices
+        assert recursed == [7**3 if w.values.any() else 1 for w in evaluated]
         assert sum(inside for _, inside in builds) == len(nonzero)
         # the other Hessians are of corrections, never of an evaluated iterate
         outside = {id(grid) for grid, inside in builds if not inside}
@@ -450,9 +459,10 @@ class TestNonNegativeRhs:
 
 class TestMemory:
     """Traced peaks at n = 4, m = 17, k = 3: ``fzero-linear``'s f at
-    eps = 1/16 and the manufactured iterate w of amplitude 1e-3.  Full-grid
-    pointwise data (n-by-n tensors at every grid point) would exceed both
-    bounds."""
+    eps = 1/16 and the manufactured iterate w of amplitude 1e-3, and a whole
+    ``fzero-linear`` solve.  Full-grid pointwise data (n-by-n tensors at
+    every grid point) would exceed the first two bounds, and an n-by-n
+    stack of the whole interior with its transposed copy the third."""
 
     MB = 2**20
 
@@ -499,3 +509,17 @@ class TestMemory:
         assert sol.hessian.shape == (15,) * 4 + (4, 4)
         assert cert.flags[1] and not cert.flags[4]
         assert peak < 25 * self.MB
+
+    def test_whole_solve_peak(self, tmp_path):
+        config = _fzero_config(4, 17, 3)
+        tracemalloc.start()
+        try:
+            report = run_solve(config, out_dir=str(tmp_path)).report
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak < 25 * self.MB
+        # nothing the size of the grid's coordinates (n m^n doubles) outlives
+        # the solve
+        assert retained < 4 * 17**4 * 8
