@@ -3,12 +3,12 @@
 Machine-readable JSON goes to stdout; human summaries go to stderr, with
 the wall time of each solve phase and of each verify suite.  Exit codes:
 classify returns 0 for any cone/boundary verdict, 1 for Outside, 2 for
-argument errors; seed returns 2 for an out-of-range ``--l`` and 3 on
-construction failure; solve returns 0 only when the iteration converged (2
-for config errors, 4 when the loop stops unconverged or the solve raises
-one of the errors ``run_solve`` names, with a report that keeps the error's
-type and tuning's refused candidates); verify returns 1 when any property
-fails.
+argument errors; seed returns 2 for an out-of-range ``--l`` or an ``--l``
+with c <= 0 and 3 on construction failure; solve returns 0 only when the
+iteration converged (2 for config errors, 4 when the loop stops unconverged
+or the solve raises one of the errors ``run_solve`` names, with a report
+that keeps the error's type, tuning's refused candidates and the loop's
+records); verify returns 1 when any property fails.
 """
 
 from __future__ import annotations
@@ -78,13 +78,14 @@ class SolveArtifacts:
 
 
 def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifacts:
-    """Full pipeline: seed, tune, iterate, assemble, certify, write files.
+    """Full pipeline: seed, tune, iterate, certify, assemble, write files.
 
     The loop starts from tuning's iteration 0 at the accepted eps, and the
-    assembly reads the second differences of the loop's last evaluation.
-    Raises TuningError when no eps is admissible, DomainError when the
-    configuration is invalid or the loop's (u, p) leave the right-hand
-    side's box (then with tuning's refusals as its ``diagnostics``), and
+    certificate reads the second differences of the loop's last evaluation
+    and frees them before u is formed.  Raises TuningError when no eps is
+    admissible, DomainError when the configuration is invalid or the loop's
+    (u, p) leave the right-hand side's box (then with the loop's records as
+    its ``iterations`` and tuning's refusals as its ``diagnostics``), and
     ConstructionError when the seed cannot be built; a refused Newton step
     ends the loop instead of raising.
     """
@@ -110,31 +111,30 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
         raise
     report.aborted_attempts = refused
     marks.append(time.perf_counter())
-    solution = None
+    u = None
     if report.converged:
-        solution = assemble_solution(w, seed)
-        cert = certify_convexity(solution.hessian, config.k)
-        report.convexity = cert.to_dict()
+        report.convexity = certify_convexity(w, seed).to_dict()
+        u = assemble_solution(w, seed)
     marks.append(time.perf_counter())
 
     target = out_dir if out_dir is not None else config.out_dir
     os.makedirs(target, exist_ok=True)
-    _write_outputs(target, config, seed, w, report, solution)
+    _write_outputs(target, config, seed, w, report, u)
     marks.append(time.perf_counter())
     seconds = {phase: end - begin for phase, begin, end in zip(SOLVE_PHASES, marks, marks[1:])}
     return SolveArtifacts(report=report, out_dir=target, seconds=seconds)
 
 
 def _write_outputs(target: str, config: ProblemConfig, seed, w: ScalarGrid,
-                   report: IterationReport, solution) -> None:
-    x_axes = [axis_coords(config.m)] * config.n
-    sidecar = {"n": config.n, "m": config.m, "seed": seed.to_dict()}
-    write_grid_csv(os.path.join(target, "w.csv"), w.values, x_axes)
+                   report: IterationReport, u: np.ndarray | None) -> None:
+    """w on [-1,1]^n and, when given, u on the cube of side 2*eps^2."""
+    m, eps = config.m, seed.eps
+    sidecar = {"n": config.n, "m": m, "seed": seed.to_dict()}
+    write_grid_csv(os.path.join(target, "w.csv"), w.values, [axis_coords(m)] * config.n)
     write_json(os.path.join(target, "w.json"), sidecar | {"h": w.h})
-    if solution is not None:
-        write_grid_csv(os.path.join(target, "u.csv"), solution.u_values,
-                       solution.axes)
-        write_json(os.path.join(target, "u.json"), sidecar | {"h": solution.h_physical})
+    if u is not None:
+        write_grid_csv(os.path.join(target, "u.csv"), u, [eps**2 * axis_coords(m)] * config.n)
+        write_json(os.path.join(target, "u.json"), sidecar | {"h": eps**2 * 2.0 / (m - 1)})
     write_json(os.path.join(target, "report.json"),
                report.to_dict() | {"config": config.to_dict()})
 
@@ -157,7 +157,10 @@ def _cmd_cone_classify(args) -> int:
 
 def _cmd_seed(args) -> int:
     top = args.n - args.k + 1  # l = top is the fully convex seed; k >= n has none
-    if args.c > 0.0 and isinstance(args.l, int) and 1 < top < args.l:
+    if args.l is not None and args.c <= 0.0:
+        _note(f"--l applies only when c > 0, got --l {args.l} with --c {args.c}")
+        return 2
+    if isinstance(args.l, int) and 1 < top < args.l:
         _note(f"--l must be in 1..{top} or 'full' for n={args.n}, k={args.k}, "
               f"got {args.l}")
         return 2
@@ -180,10 +183,12 @@ def _cmd_seed(args) -> int:
 def _error_fields(err: Exception) -> dict:
     """The failure report's record of a solve's error: its type and, for a
     TuningError or a DomainError raised after tuning, tuning's refused
-    candidates as ``diagnostics``."""
+    candidates as ``diagnostics``; for a DomainError the Newton loop raised,
+    its records so far as ``iterations``."""
     fields = {"error_type": type(err).__name__}
-    if getattr(err, "diagnostics", None) is not None:
-        fields["diagnostics"] = err.diagnostics
+    for name in ("diagnostics", "iterations"):
+        if getattr(err, name, None) is not None:
+            fields[name] = getattr(err, name)
     return fields
 
 
@@ -193,7 +198,7 @@ def _cmd_solve(args) -> int:
             config = preset_config(args.preset)
         else:
             config = ProblemConfig.from_json_file(args.config)
-    except (DomainError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (DomainError, OSError, KeyError, json.JSONDecodeError, UnicodeDecodeError) as err:
         _note(f"invalid configuration: {err}")
         return 2
     target = args.output if args.output is not None else config.out_dir

@@ -2,11 +2,13 @@
 
 
 class DomainError(ValueError):
-    """An argument violates a documented precondition.  ``diagnostics`` holds
-    tuning's refused candidates, as on TuningError, when the Newton loop
-    raised it after tuning (the loop's (u, p) left the box), else None."""
+    """An argument violates a documented precondition.  When the Newton loop
+    raised it (its (u, p) left the box), ``iterations`` holds the loop's
+    records so far and, after tuning, ``diagnostics`` tuning's refused
+    candidates, as on TuningError; both are None otherwise."""
 
     diagnostics = None
+    iterations = None
 
 
 class CapacityError(RuntimeError):

@@ -26,14 +26,15 @@ C^{2,alpha} surrogate reads its second differences.  The step frees them
 before it assembles, the assembly drops (y, u, p) once it has read f's
 derivatives, and the step frees the rest before it solves; the last
 iterate past iteration 0 hands the second differences, without the
-gradient, to ``assemble_solution``, which forms the Hessian as G does
-(``pde.total_hessian``, one interior slab at a time) and reads w(0) and
-Dw(0) at the centre; ``certify_convexity`` recurses that Hessian slab by
-slab too.  Only the differences cover the whole grid.  w = 0 is never
-differenced and hands nothing over: its Hessian is one matrix, diag(tau),
-for G and the solution alike, so each tuning candidate, and the
-certificate of a solve that stops at iteration 0, recurses that one matrix
-instead of every interior point.
+gradient, to ``certify_convexity``, which forms the Hessian as G does
+(``pde.total_hessian``) and recurses it one interior slab at a time, so
+no Hessian of the whole interior is kept.  ``assemble_solution`` forms u
+from w alone and reads w(0) and Dw(0) at the centre.  Only the
+differences cover the whole grid.  w = 0 is never differenced and hands
+nothing over: its Hessian is one matrix, diag(tau), for G and the
+certificate alike, so each tuning candidate, and the certificate of a
+solve that stops at iteration 0, recurses that one matrix instead of
+every interior point.
 """
 
 from __future__ import annotations
@@ -121,23 +122,9 @@ class Iterate(ScalarGrid):
     """A Newton iterate w and, when w is past iteration 0 and no step was
     taken from its last evaluation, the second-difference stack of
     ``second_differences(w)`` from that evaluation (None otherwise), without
-    the gradient; ``assemble_solution`` reads and releases it."""
+    the gradient; ``certify_convexity`` reads and releases it."""
 
     second: np.ndarray | None = None
-
-
-@dataclass
-class PhysicalSolution:
-    """Solution assembled in the original variables on the cube of side
-    2*eps^2 (``u_values`` on every grid point), plus its discrete Hessian at
-    the interior points, shape (m-2,)*n + (n, n)."""
-
-    u_values: np.ndarray
-    hessian: np.ndarray
-    axes: list[np.ndarray]
-    h_physical: float
-    affine_offset: float
-    affine_gradient: list[float]
 
 
 @dataclass
@@ -309,10 +296,12 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
 
     The first refused step stops the loop with status EllipticityLost and the
     refusal as ``stop_reason``; its record is the last of ``iterations``.
-    Returns the final iterate, with the second differences of its last
-    evaluation when it is past iteration 0, together with the full
-    per-iteration report; the caller decides what to do with non-converged
-    statuses.
+    An iterate whose (u, p) arguments leave the right-hand side's box raises
+    DomainError, with the records so far, as ``to_dict`` gives them, in its
+    ``iterations``.  Returns the final iterate, with the second differences
+    of its last evaluation (for ``certify_convexity``) when it is past
+    iteration 0, together with the full per-iteration report; the caller
+    decides what to do with non-converged statuses.
     """
     if start is None:
         first, rho, reason, g_grid = _iteration_zero(seed, f, m, tol_newton, tol_lin)
@@ -327,7 +316,11 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     ratios: list[float] = []
     for it in range(max_iter + 1):
         if it > 0:
-            g_grid = eval_G(w, seed, f)
+            try:
+                g_grid = eval_G(w, seed, f)
+            except DomainError as err:  # (u, p) left the box
+                err.iterations = [r.to_dict() for r in records]
+                raise
             # w_1 = 0 + rho_0, so its surrogate is iteration 0's rho_c2alpha
             w_norm = (first.rho_c2alpha if it == 1 else
                       c2alpha_surrogate(w, seed.alpha, (g_grid.second, g_grid.grad)))
@@ -367,35 +360,19 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     )
 
 
-def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
-    """Assemble u(y) = 1/2 sum tau_i y_i^2 + eps' eps^4 w(y / eps^2).
+def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> np.ndarray:
+    """u(y) = 1/2 sum tau_i y_i^2 + eps' eps^4 w(y / eps^2) at every grid
+    point, in the original variables on the cube of side 2*eps^2.
 
     The affine part w(0) + x . Dw(0) is subtracted first (it shifts u by an
     affine function, invisible to second derivatives), so the reported w
     vanishes to second order at the origin; w(0) and Dw(0) are read at the
-    centre.  The Hessian is ``total_hessian`` at the interior points, formed
-    one slab along the first axis at a time and returned read-only; u is
-    formed slab by slab as well, each slab from its own coordinates.  An
-    ``Iterate``'s second differences are read instead of taken again, and
-    released (``w.second`` becomes None).  A zero w is not differenced: its
-    Hessian is diag(tau), one matrix broadcast over the interior.
+    centre.  u is formed one slab along the first axis at a time, each slab
+    from its own coordinates.  w is never differenced: its Hessian is
+    ``certify_convexity``'s.
     """
     n, m = w.n, w.m
     center = (m // 2,) * n
-    second = None
-    if isinstance(w, Iterate):
-        second, w.second = w.second, None
-    if second is None and w.values.any():
-        second = second_differences(w)[0]
-    if second is None:
-        hess_u = np.broadcast_to(total_hessian(None, seed), (m - 2,) * n + (n, n))
-    else:
-        hess_u = np.empty((m - 2,) * n + (n, n))
-        for rows, at in interior_slabs(n, m, n * n):
-            hess_u[rows] = total_hessian(second[(slice(None),) + at], seed)
-        hess_u.flags.writeable = False
-    del second
-
     w0 = float(w.values[center])
     g0 = _center_gradient(w.values, w.h)
     eps, epsp = seed.eps, seed.eps_prime
@@ -407,33 +384,33 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> PhysicalSolution:
         u[rows] = eps**4 * (psi + epsp * w_norm[rows])
     if abs(w_norm[center]) > 1e-8 or sup_norm(_center_gradient(w_norm, w.h)) > 1e-8:
         raise AssertionError("affine normalization failed to vanish at the origin")
-
-    axes = [eps**2 * np.linspace(-1.0, 1.0, m) for _ in range(n)]
-    return PhysicalSolution(
-        u_values=u,
-        hessian=hess_u,
-        axes=axes,
-        h_physical=eps**2 * 2.0 / (m - 1),
-        affine_offset=w0,
-        affine_gradient=[float(v) for v in g0],
-    )
+    return u
 
 
-def certify_convexity(hessian: np.ndarray, k: int) -> ConvexityCertificate:
-    """Flag j-convexity of the assembled solution for j = 1..k+1.
+def certify_convexity(w: ScalarGrid, seed: SeedQuadratic) -> ConvexityCertificate:
+    """Flag j-convexity of the solution assembled from w for j = 1..k+1.
 
-    ``hessian`` is the solution's Hessian at the interior points, as
-    ``assemble_solution`` gives it.  The flag for level j is set when the
-    j-th minor sum stays above -CONVEXITY_TOL at every one of them.  The
-    points are recursed one slab along the first axis at a time, and each
-    level's minimum is the least of the slabs' minima, the same float as
-    one recursion of every point gives.  A Hessian that is one matrix
-    broadcast over the points (every point stride zero, as for w = 0) is
-    recursed once.
+    The solution's Hessian is diag(tau) + eps' D^2 w (``total_hessian``),
+    and the flag for level j is set when its j-th minor sum stays above
+    -CONVEXITY_TOL at every interior point.  An ``Iterate``'s second
+    differences are read instead of taken again, and released
+    (``w.second`` becomes None).  The Hessian is formed and recursed one
+    slab along the first axis at a time, and each level's minimum is the
+    least of the slabs' minima, the same float as one recursion of every
+    point gives.  A zero w is not differenced: its Hessian is the one
+    matrix diag(tau), recursed once.
     """
-    points = hessian if any(hessian.strides[:-2]) else hessian[(0,) * (hessian.ndim - 2)][None]
-    lows = [[np.min(vals) for vals in minor_sums(points[rows], k + 1)[0]]
-            for rows in slabs(len(points), points[0].nbytes)]
+    second = None
+    if isinstance(w, Iterate):
+        second, w.second = w.second, None
+    if second is None and w.values.any():
+        second = second_differences(w)[0]
+    if second is None:
+        hessians = [total_hessian(None, seed)]
+    else:
+        hessians = (total_hessian(second[(slice(None),) + at], seed)
+                    for _, at in interior_slabs(w.n, w.m, w.n * w.n))
+    lows = [[np.min(vals) for vals in minor_sums(r, seed.k + 1)[0]] for r in hessians]
     mins = {j: float(np.min(col)) for j, col in enumerate(zip(*lows), start=1)}
     flags = {j: bool(v >= -CONVEXITY_TOL) for j, v in mins.items()}
     return ConvexityCertificate(flags=flags, min_values=mins, tol=CONVEXITY_TOL)

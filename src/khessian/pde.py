@@ -183,7 +183,7 @@ class Residual(ScalarGrid):
     """G(w) on the grid (``values``, zero on the boundary) and the pointwise
     data of w it was computed from, all the linearization at w reads.
     ``second`` and ``grad`` are ``second_differences(w)`` on the full grid,
-    as the C^{2,alpha} surrogate and the solution read them.  The Newton
+    as the C^{2,alpha} surrogate and the convexity certificate read them.  The Newton
     tensor T_{k-1}(r(w)) (``tensor``, the transposed dS_k/dr) and (y, u, p)
     are kept at the interior points only, shape (m-2,)*n + trailing axes;
     ``assemble_linearized`` sets (y, u, p) to None once it has evaluated f's

@@ -101,6 +101,15 @@ class TestSeedCommand:
         err = capsys.readouterr().err
         assert f"--l must be in 1..3 or 'full' for n=4, k=2, got {level}" in err
 
+    @pytest.mark.parametrize("c, level", [("0", "1"), ("-1", "full")])
+    def test_level_without_positive_constant_exit_two(self, capsys, c, level):
+        # the c <= 0 seeds have no convexity level to choose; --l is refused,
+        # not ignored
+        assert main(["seed", "--k", "2", "--n", "3", f"--c={c}", "--l", level]) == 2
+        captured = capsys.readouterr()
+        assert f"--l applies only when c > 0, got --l {level} with --c {float(c)}" in captured.err
+        assert captured.out == ""
+
     def test_level_accepted(self, capsys):
         assert main(["seed", "--k", "2", "--n", "4", "--c", "1", "--l", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["certificate"]["convexity_class"] == 3
@@ -187,10 +196,17 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["convexity"]["flags"]["2"] is False
 
-    def test_bad_config_exit_two(self, tmp_path):
+    def test_bad_config_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert main(["solve", "--config", str(cfg_path)]) == 2
+        # a file that is not UTF-8 is refused the same way, without a traceback
+        cfg_path.write_bytes(b'{"n": 3, "k": 2\xff}')
+        capsys.readouterr()
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
 
     def test_unknown_preset_exit_two(self):
         assert main(["solve", "--preset", "nope"]) == 2
@@ -216,9 +232,13 @@ class TestSolveCommand:
         (lambda d: d.update(rhs={"termz": []}), "unknown key 'termz' in section 'rhs'"),
         (lambda d: d.pop("n"), "invalid configuration: n is required\n"),
         (lambda d: d.pop("k"), "invalid configuration: k is required\n"),
+        (lambda d: d.update(l="full"),
+         "l applies only when c = f(0,0,0) > 0, got l='full' with c=0.0"),
+        (lambda d: d.update(l=1, rhs="const-neg-one"),
+         "l applies only when c = f(0,0,0) > 0, got l=1 with c=-1.0"),
     ], ids=["solvr", "grid-key", "n-float", "k-bool", "m-float", "max-iter-float",
             "tol-nan", "alpha-inf", "l-bool", "emit-str", "rhs-coeff-str", "rhs-int",
-            "rhs-y-degree", "rhs-key", "n-missing", "k-missing"])
+            "rhs-y-degree", "rhs-key", "n-missing", "k-missing", "l-c-zero", "l-c-negative"])
     def test_strict_config_exit_two(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
         doc["output"]["directory"] = str(tmp_path / "run")
@@ -341,7 +361,7 @@ class TestSolveCommand:
         doc["output"]["directory"] = str(tmp_path / "run")
         config = ProblemConfig.from_dict(doc)
         f = config.build_rhs()
-        tuned, refused, _ = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
+        tuned, refused, start = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
         assert tuned.eps == 0.0625
         assert [a["eps"] for a in refused] == [0.5, 0.25, 0.125]
         assert all(a["reason"].startswith("(u, p) arguments leave the declared box")
@@ -357,6 +377,10 @@ class TestSolveCommand:
         # tuning's refusals are kept, in the records a TuningError carries
         assert report["diagnostics"] == json.loads(json.dumps(refused))
         assert [a["eps"] for a in report["diagnostics"]] == [0.5, 0.25, 0.125]
+        # and so are the loop's records: iteration 0 at eps 1/16, its step included
+        (first, rho) = start
+        assert rho is not None and first.krylov_steps is not None
+        assert report["iterations"] == json.loads(json.dumps([first.to_dict()]))
 
     def test_failed_linear_solve_rejects_eps(self, tmp_path):
         # the seed-preconditioned solve diverges at eps = 1/2; tuning rejects

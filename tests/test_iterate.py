@@ -8,10 +8,11 @@ import pytest
 from khessian.cli import run_solve
 from khessian.config import ProblemConfig
 from khessian.errors import DomainError
-from khessian.grids import ScalarGrid, grid_coords, second_differences
+from khessian.grids import ScalarGrid, grid_coords, hessian_of, second_differences
 from khessian.iterate import (
     STATUS_CONVERGED,
     STATUS_ELLIPTICITY_LOST,
+    Iterate,
     IterationRecord,
     _newton_step,
     assemble_solution,
@@ -212,7 +213,7 @@ class TestNewtonLoop:
 
     def test_iteration_zero_runs_once(self, tmp_path, monkeypatch):
         # the loop starts from tuning's iteration 0, and the solution is
-        # assembled from the second differences of the last evaluation
+        # certified from the second differences of the last evaluation
         import khessian.iterate as iterate
 
         eval_G, tune = iterate.eval_G, iterate.tune_epsilon
@@ -254,12 +255,13 @@ class TestNewtonLoop:
     def test_iteration_zero_hands_its_derivatives_over(self, tmp_path, monkeypatch):
         # a constant f is solved by the seed: G(0) lies on the roundoff floor
         # and the loop stops at iteration 0.  w = 0 is never differenced, and
-        # no differences are handed over: the assembly of a zero w needs none
+        # no differences are handed over: the certificate of a zero w needs none
         import khessian.grids as grids
         import khessian.iterate as iterate
         import khessian.pde as pde
 
-        eval_G, build, assemble = iterate.eval_G, grids.second_differences, iterate.assemble_solution
+        eval_G, build = iterate.eval_G, grids.second_differences
+        certify = iterate.certify_convexity
         calls = {"eval_G": 0, "differences": 0}
         handed = []
 
@@ -271,14 +273,14 @@ class TestNewtonLoop:
             calls["differences"] += 1
             return build(grid)
 
-        def recorded_assemble(w, seed):
+        def recorded_certify(w, seed):
             handed.append(w.second)
-            return assemble(w, seed)
+            return certify(w, seed)
 
         monkeypatch.setattr(iterate, "eval_G", counted_eval_G)
         for module in (grids, pde, iterate):
             monkeypatch.setattr(module, "second_differences", counted_build)
-        monkeypatch.setattr("khessian.cli.assemble_solution", recorded_assemble)
+        monkeypatch.setattr("khessian.cli.certify_convexity", recorded_certify)
         doc = copy.deepcopy(PRESETS["fconst-pos"])
         doc["grid"]["m"] = 9
         assert doc["rhs"] == "const-three"
@@ -351,49 +353,57 @@ class TestNewtonLoop:
         assert residual_floor(seed, 17) / residual_floor(seed, 9) == pytest.approx(4.0)
 
 
+def _physical_hessian(u: np.ndarray, seed) -> np.ndarray:
+    """The Hessian of u in y = eps^2 x from u's second differences: those of
+    the grid over [-1,1]^n divided by eps^4."""
+    return hessian_of(ScalarGrid(u.ndim, len(u), u))[0] / seed.eps**4
+
+
 class TestAssembleSolution:
     def test_zero_iterate_gives_seed_quadratic(self):
         seed = seed_for_positive(2, 3, 3.0, l="full")
-        sol = assemble_solution(ScalarGrid.zeros(3, 9), seed)
+        u = assemble_solution(ScalarGrid.zeros(3, 9), seed)
         x = grid_coords(3, 9)
         y = seed.eps**2 * x
         psi = 0.5 * np.sum(seed.tau * y**2, axis=-1)
-        assert np.max(np.abs(sol.u_values - psi)) < 1e-15
-        assert np.allclose(sol.hessian[3, 3, 3], np.diag(seed.tau))
+        assert np.max(np.abs(u - psi)) < 1e-15
+        assert np.allclose(_physical_hessian(u, seed)[4, 4, 4], np.diag(seed.tau))
 
     def test_affine_normalization(self):
+        # u = eps^4 (psi + eps' (w - w(0) - x . Dw(0))) with w(0) = 0.3 + 0.05
+        # and Dw(0) = 0.1 e_2: an error of 1e-12 in w(0) and of 1e-8 in Dw(0)
+        # moves u by at most eps^4 eps' (1e-12 + 1e-8)
         seed = seed_for_zero(2, 3, 0.5)
         x = grid_coords(3, 9)
         w = ScalarGrid(
             3, 9,
             0.05 * np.prod(np.cos(np.pi * x / 2), axis=-1) + 0.3 + 0.1 * x[..., 1],
         )
-        sol = assemble_solution(w, seed)
-        assert abs(sol.affine_offset - (0.3 + 0.05)) < 1e-12
-        assert sol.affine_gradient[1] == pytest.approx(0.1, abs=1e-8)
+        u = assemble_solution(w, seed)
+        psi = 0.5 * np.sum(seed.tau * x**2, axis=-1)
+        expect = seed.eps**4 * (psi + seed.eps_prime * (w.values - (0.3 + 0.05) - 0.1 * x[..., 1]))
+        assert np.max(np.abs(u - expect)) <= seed.eps**4 * seed.eps_prime * (1e-12 + 1e-8)
 
     def test_center_hessian_identity(self):
         # second derivatives at the origin: seed diagonal plus scaled iterate
         seed = seed_for_zero(2, 3, 0.5)
         x = grid_coords(3, 9)
         w = ScalarGrid(3, 9, 0.05 * np.prod(np.cos(np.pi * x / 2), axis=-1))
-        sol = assemble_solution(w, seed)
-        from khessian.grids import hessian_of
-
+        u = assemble_solution(w, seed)
         hw, _ = hessian_of(w)
         expect = np.diag(seed.tau) + seed.eps_prime * hw[4, 4, 4]
-        assert np.allclose(sol.hessian[3, 3, 3], expect)
+        assert np.allclose(_physical_hessian(u, seed)[4, 4, 4], expect)
 
     def test_physical_residual(self):
-        # S_k of the assembled Hessian minus f equals eps' times the rescaled
-        # residual, pointwise
+        # S_k of the assembled solution's Hessian minus f equals eps' times
+        # the rescaled residual, pointwise
         seed = seed_for_zero(2, 3, 0.5).with_eps(1 / 16)
         m = 17
         _, hess = manufactured_field(3, m, 0.05)
         f = tabulated_rhs_from_hessian(seed, hess)
         w, report = newton_loop(seed, f, m)
-        sol = assemble_solution(w, seed)
-        sk = sk_of_matrix(sol.hessian, 2)
+        u = assemble_solution(w, seed)
+        sk = sk_of_matrix(_physical_hessian(u, seed)[1:-1, 1:-1, 1:-1], 2)
         fvals = f.values[1:-1, 1:-1, 1:-1]
         resid = np.max(np.abs(sk - fvals))
         assert resid <= seed.eps_prime * max(report.iterations[-1].g_inf, 1e-9) * 1.01
@@ -402,21 +412,18 @@ class TestAssembleSolution:
 class TestCertify:
     def test_zero_seed_certificate(self):
         seed = seed_for_zero(2, 3, 0.5)
-        sol = assemble_solution(ScalarGrid.zeros(3, 9), seed)
-        cert = certify_convexity(sol.hessian, 2)
+        cert = certify_convexity(ScalarGrid.zeros(3, 9), seed)
         assert cert.flags[1] is True
         assert cert.flags[3] is False
 
     def test_negative_seed_certificate(self):
         seed = seed_for_negative(2, 3, -1.0)
-        sol = assemble_solution(ScalarGrid.zeros(3, 9), seed)
-        cert = certify_convexity(sol.hessian, 2)
+        cert = certify_convexity(ScalarGrid.zeros(3, 9), seed)
         assert cert.flags[2] is False
 
     def test_equal_entry_all_flags(self):
         seed = seed_for_positive(2, 3, 3.0, l="full")
-        sol = assemble_solution(ScalarGrid.zeros(3, 9), seed)
-        cert = certify_convexity(sol.hessian, 2)
+        cert = certify_convexity(ScalarGrid.zeros(3, 9), seed)
         assert all(cert.flags[j] for j in (1, 2, 3))
 
 
@@ -501,14 +508,43 @@ class TestMemory:
         seed, _, w = self._problem()
         tracemalloc.start()
         try:
-            sol = assemble_solution(w, seed)
-            cert = certify_convexity(sol.hessian, 3)
+            cert = certify_convexity(w, seed)
+            u = assemble_solution(w, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sol.hessian.shape == (15,) * 4 + (4, 4)
+        assert u.shape == (17,) * 4
         assert cert.flags[1] and not cert.flags[4]
         assert peak < 25 * self.MB
+
+    def test_certificate_reads_the_hand_over(self, monkeypatch):
+        # the loop's second differences are the certificate's only stack:
+        # neither the certificate nor u differences w again, and no Hessian
+        # of the whole interior is formed
+        import khessian.grids as grids
+        import khessian.iterate as iterate
+
+        seed, _, w = self._problem()
+        w = Iterate(w.n, w.m, w.values, second_differences(w)[0])
+        calls = []
+
+        def counted(grid):
+            calls.append(grid)
+            return second_differences(grid)
+
+        for module in (grids, iterate):
+            monkeypatch.setattr(module, "second_differences", counted)
+        tracemalloc.start()
+        try:
+            cert = certify_convexity(w, seed)
+            u = assemble_solution(w, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.shape == (17,) * 4
+        assert cert.flags[1] and not cert.flags[4]
+        assert calls == [] and w.second is None
+        assert peak < 5 * self.MB
 
     def test_whole_solve_peak(self, tmp_path):
         config = _fzero_config(4, 17, 3)

@@ -261,14 +261,12 @@ class TestZeroIterate:
     @pytest.mark.parametrize("m", [9, 17])
     @pytest.mark.parametrize("n, k, c, l", _ZERO_SEEDS)
     def test_certificate_bits_match_every_point(self, n, m, k, c, l):
-        from khessian.iterate import assemble_solution, certify_convexity
+        from khessian.iterate import certify_convexity
 
         seed = seed_for_constant(k, n, c, l=l)
         interior = ~boundary_mask(n, m)
-        sol = assemble_solution(ScalarGrid.zeros(n, m), seed)
         hessian = total_hessian_by_matrices(hessian_of(ScalarGrid.zeros(n, m))[0], seed)
-        assert np.array_equal(_bits(sol.hessian), _bits(hessian[(slice(1, -1),) * n]))
-        got = certify_convexity(sol.hessian, k).min_values
+        got = certify_convexity(ScalarGrid.zeros(n, m), seed).min_values
         expect = convexity_minima_at_every_point(hessian, k, interior)
         assert list(got) == list(expect)
         assert np.array_equal(_bits(list(got.values())), _bits(list(expect.values())))
@@ -310,10 +308,11 @@ class TestZeroIterate:
         n, m = 4, 17
         seed = seed_for_constant(3, n, 2.0, l="full")
         g = eval_G(ScalarGrid.zeros(n, m), seed, RhsSpec.constant(n, 2.0))
-        sol = iterate.assemble_solution(ScalarGrid.zeros(n, m), seed)
-        iterate.certify_convexity(sol.hessian, 3)
+        iterate.certify_convexity(ScalarGrid.zeros(n, m), seed)
+        u = iterate.assemble_solution(ScalarGrid.zeros(n, m), seed)
         assert [np.prod(shape[:-2]) for shape in recursed] == [1, 1]
-        assert g.tensor.shape == sol.hessian.shape == (m - 2,) * n + (n, n)
+        assert g.tensor.shape == (m - 2,) * n + (n, n)
+        assert u.shape == (m,) * n
 
 
 class TestOneRouteToTheHessian:
@@ -323,20 +322,37 @@ class TestOneRouteToTheHessian:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_solution_hessian_and_affine_gradient_bits(self, n):
-        from khessian.iterate import Iterate, assemble_solution
+        # the certificate recurses the solution's Hessian one slab at a time
+        # and its minima are the bits of recursing every point's matrix; u
+        # subtracts an affine part whose gradient has the bits of the
+        # differences' gradient at the centre
+        from khessian.iterate import (
+            Iterate,
+            _center_gradient,
+            assemble_solution,
+            certify_convexity,
+        )
 
         seed, _, noisy = _noisy_problem(n)
         manufactured = ScalarGrid(n, 9, manufactured_field(n, 9, 0.05)[0])
-        slab, center = (slice(1, -1),) * n, (4,) * n
+        interior, center = ~boundary_mask(n, 9), (4,) * n
+        x = grid_coords(n, 9)
+        psi = 0.5 * np.sum(seed.tau * x**2, axis=-1)
         for w in (noisy, manufactured, ScalarGrid.zeros(n, 9)):
             hess, grad = hessian_of(w)
-            expect = total_hessian_by_matrices(hess[slab], seed)
+            expect = convexity_minima_at_every_point(
+                total_hessian_by_matrices(hess, seed), seed.k, interior)
+            assert np.array_equal(_bits(_center_gradient(w.values, w.h)), _bits(grad[center]))
+            w_norm = w.values - w.values[center] - x @ grad[center]
+            u = seed.eps**4 * (psi + seed.eps_prime * w_norm)
             handed = Iterate(n, 9, w.values, second_differences(w)[0])
             for given in (w, handed):
-                sol = assemble_solution(given, seed)
-                assert sol.hessian.shape == expect.shape
-                assert np.array_equal(_bits(sol.hessian), _bits(expect))
-                assert np.array_equal(_bits(sol.affine_gradient), _bits(grad[center]))
+                got = certify_convexity(given, seed).min_values
+                assert list(got) == list(expect)
+                assert np.array_equal(_bits(list(got.values())), _bits(list(expect.values())))
+                # to rounding: u's x . Dw(0) is a product per slab, not per grid
+                err = np.max(np.abs(assemble_solution(given, seed) - u))
+                assert err <= 2 * np.finfo(float).eps * np.max(u)
             assert handed.second is None
 
     @pytest.mark.parametrize("n", [3, 4, 5])
