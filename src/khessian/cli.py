@@ -35,7 +35,7 @@ from .iterate import (
     tune_epsilon,
 )
 from .presets import PRESETS, preset_config
-from .seeds import certify_seed, seed_for_constant
+from .seeds import certify_seed, require_level_applies, seed_for_constant
 from .verify import SUITES
 
 
@@ -157,8 +157,10 @@ def _cmd_cone_classify(args) -> int:
 
 def _cmd_seed(args) -> int:
     top = args.n - args.k + 1  # l = top is the fully convex seed; k >= n has none
-    if args.l is not None and args.c <= 0.0:
-        _note(f"--l applies only when c > 0, got --l {args.l} with --c {args.c}")
+    try:
+        require_level_applies(args.c, args.l)
+    except DomainError as err:
+        _note(str(err))
         return 2
     if isinstance(args.l, int) and 1 < top < args.l:
         _note(f"--l must be in 1..{top} or 'full' for n={args.n}, k={args.k}, "

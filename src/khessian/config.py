@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .rhs import RhsSpec, RhsTerm
+from .seeds import require_level_applies
 
 
 _KEYS = {
@@ -101,10 +102,7 @@ class ProblemConfig:
             if (not isinstance(self.l, int) or isinstance(self.l, bool)
                     or not 1 <= self.l <= self.n - self.k + 1):
                 raise DomainError(f"invalid convexity level request l={self.l!r}")
-        c = self.build_rhs().value_at_origin()
-        if self.l is not None and c <= 0.0:
-            raise DomainError(f"l applies only when c = f(0,0,0) > 0, got l={self.l!r} "
-                              f"with c={c!r}")
+        require_level_applies(self.build_rhs().value_at_origin(), self.l)
 
     def build_rhs(self) -> RhsSpec:
         """The right-hand side: a named one, or an inline section

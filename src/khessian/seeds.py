@@ -242,9 +242,17 @@ def seed_for_positive(k: int, n: int, c: float, l: int | str | None = None,
     return seed
 
 
+def require_level_applies(c: float, l: int | str | None) -> None:
+    """Refuse a convexity level l unless c > 0: the c <= 0 seeds have no
+    level to choose, and l is refused rather than dropped."""
+    if l is not None and c <= 0.0:
+        raise DomainError(f"l applies only when c = f(0,0,0) > 0, got l={l!r} with c={c!r}")
+
+
 def seed_for_constant(k: int, n: int, c: float, alpha: float = 0.5,
                       l: int | str | None = None) -> SeedQuadratic:
     """Dispatch on the sign of c; used by the solve pipeline."""
+    require_level_applies(c, l)
     if c == 0.0:
         return seed_for_zero(k, n, alpha)
     if c > 0.0:

@@ -101,13 +101,14 @@ class TestSeedCommand:
         err = capsys.readouterr().err
         assert f"--l must be in 1..3 or 'full' for n=4, k=2, got {level}" in err
 
-    @pytest.mark.parametrize("c, level", [("0", "1"), ("-1", "full")])
-    def test_level_without_positive_constant_exit_two(self, capsys, c, level):
+    @pytest.mark.parametrize("c, level, shown", [("0", "1", "1"), ("-1", "full", "'full'")])
+    def test_level_without_positive_constant_exit_two(self, capsys, c, level, shown):
         # the c <= 0 seeds have no convexity level to choose; --l is refused,
         # not ignored
         assert main(["seed", "--k", "2", "--n", "3", f"--c={c}", "--l", level]) == 2
         captured = capsys.readouterr()
-        assert f"--l applies only when c > 0, got --l {level} with --c {float(c)}" in captured.err
+        assert (f"l applies only when c = f(0,0,0) > 0, got l={shown} with c={float(c)}"
+                in captured.err)
         assert captured.out == ""
 
     def test_level_accepted(self, capsys):

@@ -372,7 +372,8 @@ class TestAssembleSolution:
     def test_affine_normalization(self):
         # u = eps^4 (psi + eps' (w - w(0) - x . Dw(0))) with w(0) = 0.3 + 0.05
         # and Dw(0) = 0.1 e_2: an error of 1e-12 in w(0) and of 1e-8 in Dw(0)
-        # moves u by at most eps^4 eps' (1e-12 + 1e-8)
+        # moves u by at most eps^4 eps' (1e-12 + 1e-8); at the centre the
+        # gradient term vanishes, so there u pins w(0) alone to 1e-12
         seed = seed_for_zero(2, 3, 0.5)
         x = grid_coords(3, 9)
         w = ScalarGrid(
@@ -383,6 +384,8 @@ class TestAssembleSolution:
         psi = 0.5 * np.sum(seed.tau * x**2, axis=-1)
         expect = seed.eps**4 * (psi + seed.eps_prime * (w.values - (0.3 + 0.05) - 0.1 * x[..., 1]))
         assert np.max(np.abs(u - expect)) <= seed.eps**4 * seed.eps_prime * (1e-12 + 1e-8)
+        c = (4,) * 3
+        assert abs(u[c] - expect[c]) <= seed.eps**4 * seed.eps_prime * 1e-12
 
     def test_center_hessian_identity(self):
         # second derivatives at the origin: seed diagonal plus scaled iterate

@@ -9,6 +9,7 @@ from khessian.seeds import (
     eps_prime_for,
     p2_example,
     sample_p2_points,
+    seed_for_constant,
     seed_for_negative,
     seed_for_positive,
     seed_for_zero,
@@ -113,6 +114,12 @@ class TestPositiveSeed:
     def test_l_out_of_range(self):
         with pytest.raises(DomainError):
             seed_for_positive(2, 4, 1.0, l=5)
+
+    @pytest.mark.parametrize("c, l", [(0.0, 1), (-1.0, "full")])
+    def test_level_without_positive_constant_is_refused(self, c, l):
+        # the c <= 0 seeds have no level to choose: l is refused, not dropped
+        with pytest.raises(DomainError, match="l applies only when c = f\\(0,0,0\\) > 0"):
+            seed_for_constant(2, 3, c, l=l)
 
 
 class TestSeedMatrix:
