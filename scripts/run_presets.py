@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run every built-in preset and print a one-line summary per run.
 
-The decisions (status, iterations, eps, convexity flags) and the sha256 of
-every file a run writes go to stdout, so two trees that decide alike and
-write the same bytes print the same stdout, and one ``diff`` of it compares
-them; each preset's wall time goes to stderr.
+The decisions (status, iterations, eps, each refused eps as ``eps@m`` with
+the grid that refused it, convexity flags) and the sha256 of every file a
+run writes go to stdout, so two trees that decide alike and write the same
+bytes print the same stdout, and one ``diff`` of it compares them, tuning's
+decisions included; each preset's wall time goes to stderr.
 """
 
 import hashlib
@@ -25,9 +26,10 @@ def main() -> int:
         elapsed = time.perf_counter() - t0
         report = artifacts.report
         flags = report.convexity["flags"] if report.convexity else {}
+        refused = ",".join(f"{a['eps']:.4g}@{a['m']}" for a in report.aborted_attempts)
         print(
             f"{name:14s} {report.status:12s} iters={len(report.iterations):2d} "
-            f"eps={report.seed['eps']:.4g} flags={flags}"
+            f"eps={report.seed['eps']:.4g} refused=[{refused}] flags={flags}"
         )
         for file in sorted(os.listdir(artifacts.out_dir)):
             with open(os.path.join(artifacts.out_dir, file), "rb") as fh:

@@ -31,6 +31,16 @@ def _object(part, where: str, keys: set) -> dict:
     return part
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object from its (key, value) pairs, if no key repeats."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DomainError(f"repeated key {key!r} in the configuration")
+        doc[key] = value
+    return doc
+
+
 def _section(doc, name: str) -> dict:
     """Section ``name`` of doc, checked for unknown keys."""
     return _object(doc.get(name, {}), f"section {name!r}", _KEYS[name])
@@ -166,5 +176,12 @@ class ProblemConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ProblemConfig":
+        """``from_dict`` of the JSON document in ``path``.  A key repeated in
+        any object, and nesting too deep for the parser, are rejected with a
+        DomainError."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh, object_pairs_hook=_unique_keys)
+            except RecursionError:
+                raise DomainError("the configuration is nested too deeply") from None
+        return cls.from_dict(doc)

@@ -32,7 +32,9 @@ class SolverError(RuntimeError):
 
 class TuningError(RuntimeError):
     """No admissible epsilon was found; ``diagnostics`` holds one record
-    {"eps", "reason", "iterations"} per refused candidate."""
+    {"eps", "m", "reason", "iterations"} per refused candidate, ``m`` the
+    grid that refused it: the coarsest grid's refusals first, then the
+    solve's grid's, each in the order tried (``iterate.tune_epsilon``)."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

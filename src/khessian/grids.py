@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 
+M_MIN = 9  # points per axis of the coarsest grid
 _M_CAP = {2: 257, 3: 65, 4: 33, 5: 17}
 _HOLDER_RADIUS = 8  # Hoelder quotients compare points at most this many steps apart
 _SLAB_BYTES = 1 << 19  # per array of a slab-by-slab pass, at least one row
@@ -45,8 +47,8 @@ _SLAB_BYTES = 1 << 19  # per array of a slab-by-slab pass, at least one row
 def _validate_shape(n: int, m: int) -> None:
     if not 2 <= n <= 5:
         raise DomainError(f"need 2 <= n <= 5, got n={n}")
-    if m < 9 or m % 2 == 0:
-        raise DomainError(f"points per axis must be odd and >= 9, got m={m}")
+    if m < M_MIN or m % 2 == 0:
+        raise DomainError(f"points per axis must be odd and >= {M_MIN}, got m={m}")
     if m > _M_CAP[n]:
         raise DomainError(f"m={m} exceeds the cap {_M_CAP[n]} for n={n}")
 
@@ -120,6 +122,23 @@ def grid_coords(n: int, m: int, index: tuple[slice, ...] = ()) -> np.ndarray:
     index = index + (slice(None),) * (n - len(index))
     return np.stack(np.meshgrid(*(axis[s] for s in index), indexing="ij", copy=False),
                     axis=-1)
+
+
+def slab_coords(n: int, m: int, index: list[tuple[slice, ...]]) -> Iterator[np.ndarray]:
+    """``grid_coords(n, m, at)`` for each ``at`` of ``index``, slabs that
+    differ in their first slice only: one buffer as large as the largest
+    slab, its last n - 1 columns filled once and its first column per slab.
+    Each array yielded is that buffer, overwritten by the next slab."""
+    axis = axis_coords(m)
+    rest = [axis[s] for s in index[0][1:] + (slice(None),) * (n - len(index[0]))]
+    firsts = [axis[at[0]] for at in index]
+    x = np.empty((max(map(len, firsts)),) + tuple(map(len, rest)) + (n,))
+    for j, part in enumerate(rest, start=1):
+        x[..., j] = part.reshape((-1,) + (1,) * (n - 1 - j))
+    for first in firsts:
+        slab = x[:len(first)]
+        slab[..., 0] = first.reshape((-1,) + (1,) * (n - 1))
+        yield slab
 
 
 def _second_difference(values: np.ndarray, h: float, axis: int, out: np.ndarray) -> None:

@@ -3,7 +3,13 @@
 This module alone decides eps and how each Newton step ends.
 ``tune_epsilon`` halves eps from the seed's eps (1/2) until one step from
 w = 0 gives a correction with c2alpha(rho) <= 1/4, and records every
-refused eps.  ``newton_loop`` then starts from w = 0 at the eps it is
+refused eps with the grid that refused it.  On a grid finer than the
+coarsest (m = ``grids.M_MIN`` = 9) it halves on the coarsest grid first,
+which only chooses where the halving on the solve's grid starts; every
+accept or refuse that sets eps is made on the solve's grid, and when that
+grid accepts the start at once, twice the start is run there too and must
+be refused.
+``newton_loop`` then starts from w = 0 at the eps it is
 given.  Its iteration 0 comes from tuning: the accepted candidate's record
 and correction, computed once by ``_iteration_zero``, the one
 implementation of that iteration (the loop runs it itself when called
@@ -45,12 +51,13 @@ import numpy as np
 
 from .errors import DomainError, SolverError, TuningError
 from .grids import (
+    M_MIN,
     ScalarGrid,
     c2alpha_surrogate,
     calpha_surrogate,
-    grid_coords,
     interior_slabs,
     second_differences,
+    slab_coords,
     slabs,
     sup_norm,
 )
@@ -233,6 +240,50 @@ def _iteration_zero(seed: SeedQuadratic, f, m: int, tol_newton: float, tol_lin: 
     return record, rho, reason, g
 
 
+def _try_eps(seed: SeedQuadratic, f, m: int, eps: float, tol_newton: float,
+             tol_lin: float) -> tuple[tuple | None, dict | None]:
+    """Tuning's test of one eps on grid m: runs the loop's iteration 0
+    (``_iteration_zero``) at that eps.  Returns ``((candidate, record, rho,
+    g), None)`` when it is accepted and ``(None, refusal)`` otherwise, the
+    refusal record {"eps", "m", "reason", "iterations"}."""
+    candidate = seed.with_eps(eps)
+    try:
+        record, rho, reason, g = _iteration_zero(candidate, f, m, tol_newton, tol_lin)
+    except DomainError as err:
+        return None, {"eps": eps, "m": m, "reason": str(err), "iterations": []}
+    if reason is None and (rho is None or record.rho_c2alpha <= 0.25):
+        return (candidate, record, rho, g), None
+    return None, {"eps": eps, "m": m,
+                  "reason": reason or f"c2alpha(rho) {record.rho_c2alpha:.3g} > 0.25",
+                  "iterations": [record.to_dict()]}
+
+
+def _halve(seed: SeedQuadratic, f, m: int, eps: float, tol_newton: float, tol_lin: float,
+           refused: list[dict]) -> tuple:
+    """Halve eps on grid m, from ``eps``, until ``_try_eps`` accepts one, and
+    return its ``(candidate, record, rho, g)``; each refusal is appended to
+    ``refused``.  Raises TuningError, carrying ``refused``, below EPS_MIN."""
+    while eps >= EPS_MIN:
+        accepted, refusal = _try_eps(seed, f, m, eps, tol_newton, tol_lin)
+        if accepted is not None:
+            return accepted
+        refused.append(refusal)
+        eps *= 0.5
+    message = f"no admissible eps above {EPS_MIN}"
+    if refused:
+        message += f"; eps {refused[-1]['eps']:.3g} refused: {refused[-1]['reason']}"
+    raise TuningError(message, diagnostics=refused)
+
+
+def _accept(seed: SeedQuadratic, f, m: int, eps: float, tol_newton: float, tol_lin: float,
+            refused: list[dict]) -> tuple:
+    """``_halve`` on grid m from ``eps``, and the accepted candidate's
+    ``(candidate, record, rho)``, its record's ``g_holder`` measured."""
+    candidate, record, rho, g = _halve(seed, f, m, eps, tol_newton, tol_lin, refused)
+    record.g_holder = calpha_surrogate(g.values, g.h, candidate.alpha)
+    return candidate, record, rho
+
+
 def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                  tol_lin: float = 1e-10) -> tuple[SeedQuadratic, list[dict], list]:
     """Halve eps from the seed's eps until the first Newton correction is small.
@@ -246,36 +297,44 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     candidate whose (u, p) arguments leave the right-hand side's box, or
     whose step is refused (a failed linear solve), is rejected.
 
-    Returns the accepted seed, one record {"eps", "reason", "iterations"}
-    per refused eps, ``iterations`` holding the candidate's iteration-0
-    record (empty after a box exit), and the accepted candidate's iteration
-    0 as ``[record, rho]`` for ``newton_loop``'s ``start``: its record, with
-    ``g_holder`` measured, and its correction (None when no step is needed).
-    When no candidate is accepted, the TuningError carries the refusal
-    records and names the last one's reason.
+    On a grid finer than the coarsest (m > M_MIN) the halving runs on the
+    coarsest grid first, where a candidate costs a fraction of one on grid
+    m, and only chooses where the halving on grid m starts: at the eps e
+    it accepted.  Every accept or refuse that sets eps is made on grid m.
+    When grid m accepts e at once and e is below the seed's eps, 2e is run
+    on grid m as well and must be refused.  Acceptance on one grid is
+    monotone in eps (a refused eps refuses every larger one), so then the
+    result is the one plain halving on grid m from the seed's eps gives.
+    If grid m accepts 2e, or the coarsest grid accepts no eps, plain halving
+    on grid m from the seed's eps decides instead.
+
+    Returns the accepted seed, one record {"eps", "m", "reason",
+    "iterations"} per refused eps, ``m`` the grid that refused it and
+    ``iterations`` the candidate's iteration-0 record (empty after a box
+    exit), the coarsest grid's refusals first and then grid m's, each in
+    the order tried; and the accepted candidate's iteration 0 on grid m as
+    ``[record, rho]`` for ``newton_loop``'s ``start``: its record, with
+    ``g_holder`` measured, and its correction (None when no step is
+    needed).  When no candidate is accepted, the TuningError carries the
+    refusal records and names the last one's reason.
     """
     refused: list[dict] = []
     eps = seed.eps
-    while eps >= EPS_MIN:
-        candidate = seed.with_eps(eps)
+    if m > M_MIN:
         try:
-            record, rho, reason, g = _iteration_zero(candidate, f, m, tol_newton, tol_lin)
-        except DomainError as err:
-            refused.append({"eps": eps, "reason": str(err), "iterations": []})
-            eps *= 0.5
-            continue
-        if reason is None and (rho is None or record.rho_c2alpha <= 0.25):
-            record.g_holder = calpha_surrogate(g.values, g.h, candidate.alpha)
-            return candidate, refused, [record, rho]
-        del rho, g  # free them before the next candidate
-        refused.append({"eps": eps,
-                        "reason": reason or f"c2alpha(rho) {record.rho_c2alpha:.3g} > 0.25",
-                        "iterations": [record.to_dict()]})
-        eps *= 0.5
-    message = f"no admissible eps above {EPS_MIN}"
-    if refused:
-        message += f"; eps {refused[-1]['eps']:.3g} refused: {refused[-1]['reason']}"
-    raise TuningError(message, diagnostics=refused)
+            eps = _halve(seed, f, M_MIN, eps, tol_newton, tol_lin, refused)[0].eps
+        except TuningError:
+            pass  # plain halving on grid m, after the coarsest grid's refusals
+    candidate, record, rho = _accept(seed, f, m, eps, tol_newton, tol_lin, refused)
+    if candidate.eps == eps < seed.eps:  # grid m accepted e at once: 2e must be refused
+        above, refusal = _try_eps(seed, f, m, 2.0 * eps, tol_newton, tol_lin)
+        if above is None:
+            refused.append(refusal)
+        else:
+            del above, record, rho  # free them before the fallback
+            candidate, record, rho = _accept(seed, f, m, seed.eps, tol_newton, tol_lin,
+                                             refused)
+    return candidate, refused, [record, rho]
 
 
 def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
@@ -368,8 +427,8 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> np.ndarray:
     affine function, invisible to second derivatives), so the reported w
     vanishes to second order at the origin; w(0) and Dw(0) are read at the
     centre.  u is formed one slab along the first axis at a time, each slab
-    from its own coordinates.  w is never differenced: its Hessian is
-    ``certify_convexity``'s.
+    from its own coordinates (``slab_coords``).  w is never differenced: its
+    Hessian is ``certify_convexity``'s.
     """
     n, m = w.n, w.m
     center = (m // 2,) * n
@@ -377,8 +436,8 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> np.ndarray:
     g0 = _center_gradient(w.values, w.h)
     eps, epsp = seed.eps, seed.eps_prime
     w_norm, u = np.empty(w.values.shape), np.empty(w.values.shape)
-    for rows in slabs(m, m ** (n - 1) * n * 8):  # x holds n doubles per point
-        x = grid_coords(n, m, (rows,))
+    parts = slabs(m, m ** (n - 1) * n * 8)  # x holds n doubles per point
+    for rows, x in zip(parts, slab_coords(n, m, [(rows,) for rows in parts])):
         w_norm[rows] = w.values[rows] - w0 - x @ g0
         psi = 0.5 * np.sum(seed.tau * x**2, axis=-1)
         u[rows] = eps**4 * (psi + epsp * w_norm[rows])

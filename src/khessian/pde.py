@@ -48,9 +48,9 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .grids import (
     ScalarGrid,
-    grid_coords,
     interior_slabs,
     second_differences,
+    slab_coords,
     sup_norm,
     symmetric_matrix,
 )
@@ -209,7 +209,8 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
     interior, one slab along the first axis at a time.  Per slab, one
     Newton-tensor recursion of r gives both S_k(r), for G, and T_{k-1}(r),
     which the result keeps for ``assemble_linearized``, and (y, u, p) are
-    formed from that slab's coordinates; each fills its part of a
+    formed from that slab's coordinates (``slab_coords``: one buffer, its
+    columns after the first filled once per call); each fills its part of a
     preallocated interior array, so r and its copies never cover the whole
     interior.  Each point's arithmetic is that of a whole-interior pass.  f
     is evaluated on the whole interior once the slabs are done.  At w = 0,
@@ -229,13 +230,13 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
         sums, tensor = minor_sums(total_hessian(None, seed), seed.k)
         sk = sums[-1]
     y, u, p = np.empty(inner + (n,)), np.empty(inner), np.empty(inner + (n,))
-    for rows, at in interior_slabs(n, m, n * n if differenced else n):
+    parts = interior_slabs(n, m, n * n if differenced else n)
+    for (rows, at), x in zip(parts, slab_coords(n, m, [at for _, at in parts])):
         if differenced:
             sums, tensor[rows] = minor_sums(total_hessian(second[(slice(None),) + at], seed),
                                             seed.k)
             sk[rows] = sums[-1]
-        y[rows], u[rows], p[rows] = _physical_args(seed, grid_coords(n, m, at),
-                                                   w.values[at], grad[at])
+        y[rows], u[rows], p[rows] = _physical_args(seed, x, w.values[at], grad[at])
     _check_box(f, u, p)
     g = np.zeros(shape)
     g[(slice(1, -1),) * n] = (sk - f.value(y, u, p)) / seed.eps_prime

@@ -15,7 +15,9 @@ even at w = 0, is the bit-exact reference for the library's closed form of the
 zero iterate and for its interior-only pointwise data.  Scaling full (n, n)
 Hessian matrices and shifting their diagonal is the bit-exact reference for
 the library's one construction of diag(tau) + eps' D^2 w from stacked
-upper-triangle components.  The cone tests that
+upper-triangle components.  Plain halving of eps on the solve's grid alone
+is the reference for tuning, which halves on the coarsest grid first.
+The cone tests that
 reduce over the strided sigma axis, sample the hyperbolicity check on every
 row and test every drawn row for the cone are
 the bit-exact references for the library's row-wise, positive-rows-only and
@@ -31,8 +33,15 @@ from itertools import combinations, product
 import numpy as np
 
 from khessian.cone import garding_slack, in_gamma_k
-from khessian.errors import DomainError
-from khessian.grids import boundary_mask, grid_coords, second_differences, symmetric_matrix
+from khessian.errors import DomainError, TuningError
+from khessian.grids import (
+    boundary_mask,
+    calpha_surrogate,
+    grid_coords,
+    second_differences,
+    symmetric_matrix,
+)
+from khessian.iterate import EPS_MIN, _iteration_zero
 from khessian.pde import _check_box, _physical_args, minor_sums
 from khessian.symfun import as_spectrum, shift_coefficient, sigma_km1_row
 
@@ -131,6 +140,31 @@ def eval_G_at_every_point(w, seed, f) -> dict:
     g = np.where(boundary_mask(w.n, w.m), 0.0, g)
     return {"values": g, "second": second, "grad": grad, "tensor": tensor[slab],
             "y": y[slab], "u": u[slab], "p": p[slab]}
+
+
+def halving_tune(seed, f, m: int, tol_newton: float = 1e-9, tol_lin: float = 1e-10):
+    """Tuning by plain halving of eps from the seed's eps on grid m alone,
+    each candidate by the loop's iteration 0: the reference for
+    ``iterate.tune_epsilon``, which halves on the coarsest grid first.
+    Returns what ``tune_epsilon`` returns, every refusal record with
+    ``"m": m``, and raises TuningError when no eps down to EPS_MIN passes."""
+    refused = []
+    eps = seed.eps
+    while eps >= EPS_MIN:
+        candidate = seed.with_eps(eps)
+        try:
+            record, rho, reason, g = _iteration_zero(candidate, f, m, tol_newton, tol_lin)
+        except DomainError as err:
+            refused.append({"eps": eps, "m": m, "reason": str(err), "iterations": []})
+        else:
+            if reason is None and (rho is None or record.rho_c2alpha <= 0.25):
+                record.g_holder = calpha_surrogate(g.values, g.h, candidate.alpha)
+                return candidate, refused, [record, rho]
+            refused.append({"eps": eps, "m": m,
+                            "reason": reason or f"c2alpha(rho) {record.rho_c2alpha:.3g} > 0.25",
+                            "iterations": [record.to_dict()]})
+        eps *= 0.5
+    raise TuningError(f"no admissible eps above {EPS_MIN}", diagnostics=refused)
 
 
 def total_hessian_by_matrices(hess, seed) -> np.ndarray:

@@ -18,6 +18,17 @@ from khessian.rhs import RhsSpec
 from khessian.seeds import seed_for_zero
 
 
+def _repeating(after: str, extra: str, **update):
+    """A config edit that applies ``update`` and returns the document's JSON
+    text with ``extra``, which repeats a key, written after ``after``."""
+    def edit(doc):
+        doc.update(update)
+        text = json.dumps(doc)
+        assert after in text
+        return text.replace(after, after + extra, 1)
+    return edit
+
+
 class TestConeCommand:
     def test_boundary_example(self, capsys):
         code = main([
@@ -208,6 +219,11 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
+        # so is nesting too deep for the parser
+        cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid configuration: the configuration is nested too deeply\n")
 
     def test_unknown_preset_exit_two(self):
         assert main(["solve", "--preset", "nope"]) == 2
@@ -237,15 +253,20 @@ class TestSolveCommand:
          "l applies only when c = f(0,0,0) > 0, got l='full' with c=0.0"),
         (lambda d: d.update(l=1, rhs="const-neg-one"),
          "l applies only when c = f(0,0,0) > 0, got l=1 with c=-1.0"),
+        (_repeating('"k": 2', ', "n": 4'), "repeated key 'n' in the configuration"),
+        (_repeating('"m": 17', ', "m": 9'), "repeated key 'm' in the configuration"),
+        (_repeating('"coeff": 1.0', ', "coeff": 2.0', rhs={"terms": [{"coeff": 1.0}]}),
+         "repeated key 'coeff' in the configuration"),
     ], ids=["solvr", "grid-key", "n-float", "k-bool", "m-float", "max-iter-float",
             "tol-nan", "alpha-inf", "l-bool", "emit-str", "rhs-coeff-str", "rhs-int",
-            "rhs-y-degree", "rhs-key", "n-missing", "k-missing", "l-c-zero", "l-c-negative"])
+            "rhs-y-degree", "rhs-key", "n-missing", "k-missing", "l-c-zero", "l-c-negative",
+            "n-repeated", "grid-m-repeated", "rhs-coeff-repeated"])
     def test_strict_config_exit_two(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
         doc["output"]["directory"] = str(tmp_path / "run")
-        edit(doc)
+        text = edit(doc)  # the file's text, when the edit writes it
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
+        cfg_path.write_text(text if isinstance(text, str) else json.dumps(doc))
         assert main(["solve", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -312,6 +333,23 @@ class TestSolveCommand:
             assert d["reason"].startswith("(u, p) arguments leave the declared box")
             assert d["iterations"] == []
 
+    def test_tuning_failure_on_a_finer_grid_keeps_both_grids(self, tmp_path):
+        # at m = 17 the coarsest grid refuses every eps first, then the
+        # solve's grid does; each record names the grid that refused it
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc["rhs"] = {"terms": [{"coeff": 1.0, "y": [1, 0, 0]}], "box": 1e-12}
+        doc["output"]["directory"] = str(tmp_path / "run")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path)]) == 4
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["error_type"] == "TuningError"
+        eps = [0.5 * 0.5**i for i in range(13)]
+        assert [(d["eps"], d["m"]) for d in report["diagnostics"]] == (
+            [(e, 9) for e in eps] + [(e, 17) for e in eps])
+        assert set(report["diagnostics"][0]) == {"eps", "m", "reason", "iterations"}
+        assert report["error"].endswith(report["diagnostics"][-1]["reason"])
+
     def test_krylov_stall_report_keeps_diagnostics(self, tmp_path):
         # every candidate's linear solve stalls; tuning records each refusal
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
@@ -336,9 +374,10 @@ class TestSolveCommand:
         assert report["error"].endswith(diagnostics[-1]["reason"])
 
     @pytest.mark.parametrize("err, fields", [
-        (TuningError("no eps", diagnostics=[{"eps": 0.5, "reason": "r", "iterations": []}]),
+        (TuningError("no eps",
+                     diagnostics=[{"eps": 0.5, "m": 9, "reason": "r", "iterations": []}]),
          {"error_type": "TuningError",
-          "diagnostics": [{"eps": 0.5, "reason": "r", "iterations": []}]}),
+          "diagnostics": [{"eps": 0.5, "m": 9, "reason": "r", "iterations": []}]}),
         (DomainError("left the box"), {"error_type": "DomainError"}),
     ], ids=["tuning", "domain"])
     def test_failure_report_keeps_error_data(self, tmp_path, monkeypatch, err, fields):

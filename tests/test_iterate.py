@@ -7,8 +7,8 @@ import pytest
 
 from khessian.cli import run_solve
 from khessian.config import ProblemConfig
-from khessian.errors import DomainError
-from khessian.grids import ScalarGrid, grid_coords, hessian_of, second_differences
+from khessian.errors import DomainError, TuningError
+from khessian.grids import M_MIN, ScalarGrid, grid_coords, hessian_of, second_differences
 from khessian.iterate import (
     STATUS_CONVERGED,
     STATUS_ELLIPTICITY_LOST,
@@ -30,6 +30,7 @@ from khessian.seeds import (
     seed_for_positive,
     seed_for_zero,
 )
+from oracles import halving_tune
 
 
 class TestTuneEpsilon:
@@ -72,6 +73,109 @@ class TestTuneEpsilon:
         assert art.report.aborted_attempts[0]["iterations"] == []
         assert art.report.aborted_attempts[0]["reason"].startswith(
             "(u, p) arguments leave the declared box")
+
+
+# (n, k, rhs) of each problem tuned against plain halving on the solve's grid
+_TUNING_CASES = {
+    "fzero-n3-k2": (3, 2, "linear-y1-plus-y2"),
+    "fzero-n4-k2": (4, 2, "linear-y1-plus-y2"),
+    "fzero-n4-k3": (4, 3, "linear-y1-plus-y2"),
+    # the coarsest grid accepts 1/2 at k = 3, the box refuses it at m = 17
+    "neg-one-n4-k2": (4, 2, "const-neg-one"),
+    "neg-one-n4-k3": (4, 3, "const-neg-one"),
+    # the linear solve fails at the large eps
+    "y1-600p1sq": (3, 2, {"terms": [{"coeff": 1.0, "y": [1, 0, 0]},
+                                    {"coeff": 600.0, "p": [2, 0, 0]}]}),
+    "three-u-p1": (3, 2, {"terms": [{"coeff": 3.0}, {"coeff": 1.0, "u": 1, "p": [1, 0, 0]}]}),
+}
+
+
+def _tuning_problem(n: int, k: int, rhs):
+    doc = copy.deepcopy(PRESETS["fzero-linear"])
+    doc.update(n=n, k=k, rhs=rhs)
+    f = ProblemConfig.from_dict(doc).build_rhs()
+    return seed_for_constant(k, n, f.value_at_origin()), f
+
+
+def _assert_tuned_alike(got, expected, m: int) -> None:
+    """The same eps, start record and rho bits as plain halving on grid m;
+    the coarsest grid's refusals first, and each of grid m's equal to the
+    reference's record for its eps."""
+    (seed, refused, (record, rho)), (seed0, refused0, (record0, rho0)) = got, expected
+    assert seed.to_dict() == seed0.to_dict()
+    assert record.to_dict() == record0.to_dict()
+    assert (rho is None) == (rho0 is None)
+    if rho is not None:
+        assert rho.values.tobytes() == rho0.values.tobytes()
+    grids_tried = [r["m"] for r in refused]
+    assert grids_tried == sorted(grids_tried) and set(grids_tried) <= {M_MIN, m}
+    by_eps = {r["eps"]: r for r in refused0}
+    assert all(r == by_eps[r["eps"]] for r in refused if r["m"] == m)
+
+
+def _count_eval_G(monkeypatch) -> list[int]:
+    """The m of every grid ``iterate.eval_G`` evaluates on from now on."""
+    import khessian.iterate as iterate
+
+    grids_evaluated, eval_G = [], iterate.eval_G
+
+    def counted(w, *args):
+        grids_evaluated.append(w.m)
+        return eval_G(w, *args)
+
+    monkeypatch.setattr(iterate, "eval_G", counted)
+    return grids_evaluated
+
+
+class TestCoarsestGridFirst:
+    @pytest.mark.parametrize("m", [M_MIN, 17])
+    @pytest.mark.parametrize("case", sorted(_TUNING_CASES))
+    def test_same_result_as_plain_halving(self, case, m):
+        seed, f = _tuning_problem(*_TUNING_CASES[case])
+        got, expected = tune_epsilon(seed, f, m), halving_tune(seed, f, m)
+        _assert_tuned_alike(got, expected, m)
+        if m == M_MIN:  # nothing runs before the solve's own grid
+            assert got[1] == expected[1]
+
+    @pytest.mark.parametrize("n, k, m, eps", [(3, 2, 33, 1 / 32), (4, 2, 17, 1 / 16)])
+    def test_two_candidates_on_the_solve_grid(self, monkeypatch, n, k, m, eps):
+        # plain halving runs 5 (n = 3) and 4 (n = 4) candidates on grid m
+        grids_evaluated = _count_eval_G(monkeypatch)
+        seed, f = _tuning_problem(n, k, "linear-y1-plus-y2")
+        tuned, refused, _ = tune_epsilon(seed, f, m)
+        assert tuned.eps == eps
+        assert grids_evaluated.count(m) == 2
+        coarse = [r for r in refused if r["m"] == M_MIN]
+        assert grids_evaluated.count(M_MIN) == len(coarse) + 1
+        assert [r["eps"] for r in coarse] == [0.5, 0.25, 0.125]
+
+    @pytest.mark.parametrize("how", ["double-accepted", "coarsest-refuses-all"])
+    def test_fallback_is_plain_halving(self, monkeypatch, how):
+        import khessian.iterate as iterate
+
+        halve = iterate._halve
+
+        def forced(seed, f, m, eps, tol_newton, tol_lin, refused):
+            if m != M_MIN:
+                return halve(seed, f, m, eps, tol_newton, tol_lin, refused)
+            if how == "coarsest-refuses-all":
+                refused.append({"eps": eps, "m": m, "reason": "forced", "iterations": []})
+                raise TuningError("forced", diagnostics=refused)
+            # a start far below the solve grid's eps, so that grid accepts 2e too
+            candidate, *rest = halve(seed, f, m, eps, tol_newton, tol_lin, refused)
+            return (candidate.with_eps(candidate.eps / 4), *rest)
+
+        monkeypatch.setattr(iterate, "_halve", forced)
+        grids_evaluated = _count_eval_G(monkeypatch)
+        seed, f = _tuning_problem(3, 2, "linear-y1-plus-y2")
+        got = tune_epsilon(seed, f, 17)
+        monkeypatch.undo()
+        expected = halving_tune(seed, f, 17)
+        _assert_tuned_alike(got, expected, 17)
+        coarse = [r for r in got[1] if r["m"] == M_MIN]
+        assert coarse and got[1] == coarse + expected[1]
+        plain = len(expected[1]) + 1
+        assert grids_evaluated.count(17) == plain + (2 if how == "double-accepted" else 0)
 
 
 class TestNewtonLoop:
