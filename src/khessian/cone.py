@@ -98,8 +98,9 @@ def in_garding_cone_sampled(lam, k: int):
     The exact decision uses the coefficient expansion in s: every coefficient
     C(j,k,n)*sigma_{k-j}(lam) must be nonnegative with sigma_k(lam) > 0.  A
     geometric s-sample is evaluated as a consistency check of the positive
-    verdicts, on those rows only; the sample's range is set by the whole
-    batch.
+    verdicts, on those rows only; the sample's range is set by the batch
+    given (in the verify sweeps, one block of rows), and the verdict does
+    not depend on it.
     """
     arr = as_spectrum(lam)
     n = arr.shape[-1]

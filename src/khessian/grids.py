@@ -78,19 +78,6 @@ class ScalarGrid:
         return cls(n=n, m=m, values=np.zeros((m,) * n))
 
 
-@lru_cache(maxsize=16)
-def boundary_mask(n: int, m: int) -> np.ndarray:
-    mask = np.zeros((m,) * n, dtype=bool)
-    for axis in range(n):
-        sl = [slice(None)] * n
-        sl[axis] = 0
-        mask[tuple(sl)] = True
-        sl[axis] = m - 1
-        mask[tuple(sl)] = True
-    mask.setflags(write=False)
-    return mask
-
-
 def slabs(rows: int, row_bytes: int) -> list[slice]:
     """Consecutive slices covering ``rows`` indices along the first axis, each
     of whole rows and about ``_SLAB_BYTES`` of the pass's widest array, which

@@ -1,14 +1,17 @@
 """Randomized property sweeps over the algebra and cone modules.
 
 Each sweep draws reproducible samples from a seeded generator, checks one
-family of identities or memberships on whole batches, and returns a summary
-with the first few counterexamples (if any).  The CLI ``verify`` command and
-the acceptance test suite both run these.
+family of identities or memberships on batches, and returns a summary with
+the first few counterexamples (if any).  The CLI ``verify`` command and the
+acceptance test suite both run these.
 
-The sweeps that need points inside the cone draw them by rejection.  The
-sampler tests its draws a block at a time and stops once it has its samples;
-it draws the same chunks either way, so the samples and the generator's
-state are those of testing every row.
+The cone sweeps draw and check at most ``_BLOCK`` rows at a time, so their
+memory does not grow with the sample count.  Consecutive draws continue one
+stream, so the samples, the counts and the order of the counterexamples are
+those of drawing and checking each batch whole.  The sweeps that need points
+inside the cone draw them by rejection, and the sampler stops drawing once it
+has its samples: it then moves the generator past the rest of the chunk, so
+its state is that of drawing every row.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ EQUIV_TOL = 1e-9  # samples this close to a defining hypersurface are excluded
 GARDING_TOL = 1e-10  # slack allowed in the Garding inequality and its equality case
 N_MAX = 8  # largest dimension the identities sweep draws
 COUNTEREXAMPLES = 5  # counterexamples a sweep keeps
-_BLOCK = 16384  # draws tested at a time by the cone sampler
+_BLOCK = 16384  # rows the cone sweeps draw and check at a time
 
 
 @dataclass
@@ -85,32 +88,38 @@ def _record_failures(result: SweepResult, ok: np.ndarray, samples: np.ndarray) -
         result.counterexamples.append([float(v) for v in np.atleast_2d(samples)[i]])
 
 
+def _blocks(rows: int) -> list[slice]:
+    """Consecutive slices of at most ``_BLOCK`` rows covering ``rows``."""
+    return [slice(lo, min(lo + _BLOCK, rows)) for lo in range(0, rows, _BLOCK)]
+
+
 def cone_equivalence_sweep(samples: int = 10000, seed: int = 7) -> SweepResult:
     """The three membership definitions agree away from their hypersurfaces."""
     rng = np.random.default_rng(seed)
     result = SweepResult(name="cone-equivalence", checked=0, failures=0)
     for n, k in EQUIV_CONFIGS:
-        lam = rng.uniform(-3.0, 3.0, size=(samples, n))
-        sig = sigma_all(lam, k)
-        near = np.abs(sig[:, 1]) <= EQUIV_TOL
-        for j in range(2, k + 1):
-            near |= np.abs(sig[:, j]) <= EQUIV_TOL
-        # Deleted-variable quantities sit on their own hypersurfaces.
-        for l in range(1, k):
-            for idx in combinations(range(n), l):
-                vals = elem_sym_deleted(lam, k - l, idx)
-                near |= np.abs(vals) <= EQUIV_TOL
-        keep = ~near
-        result.excluded += int(near.sum())
-        lam_kept = lam[keep]
-        if lam_kept.shape[0] == 0:
-            continue
-        a = in_gamma_k(lam_kept, k)
-        b = in_garding_cone_sampled(lam_kept, k)
-        c = in_gamma_tilde(lam_kept, k)
-        ok = (a == b) & (b == c)
-        result.checked += lam_kept.shape[0]
-        _record_failures(result, ok, lam_kept)
+        for rows in _blocks(samples):
+            lam = rng.uniform(-3.0, 3.0, size=(rows.stop - rows.start, n))
+            sig = sigma_all(lam, k)
+            near = np.abs(sig[:, 1]) <= EQUIV_TOL
+            for j in range(2, k + 1):
+                near |= np.abs(sig[:, j]) <= EQUIV_TOL
+            # Deleted-variable quantities sit on their own hypersurfaces.
+            for l in range(1, k):
+                for idx in combinations(range(n), l):
+                    vals = elem_sym_deleted(lam, k - l, idx)
+                    near |= np.abs(vals) <= EQUIV_TOL
+            keep = ~near
+            result.excluded += int(near.sum())
+            lam_kept = lam[keep]
+            if lam_kept.shape[0] == 0:
+                continue
+            a = in_gamma_k(lam_kept, k)
+            b = in_garding_cone_sampled(lam_kept, k)
+            c = in_gamma_tilde(lam_kept, k)
+            ok = (a == b) & (b == c)
+            result.checked += lam_kept.shape[0]
+            _record_failures(result, ok, lam_kept)
     return result
 
 
@@ -119,20 +128,21 @@ def _sample_in_cone(n: int, k: int, count: int,
     """The first ``count`` rows of uniform(-3, 3) draws that lie in the
     level-k cone, drawn in chunks of ``4 * count`` rows.
 
-    Each chunk is tested in blocks of ``_BLOCK`` rows, and testing stops once
-    ``count`` rows are kept, so the generator moves exactly as it would if
-    every row of every chunk were tested.  A row whose sigma_1, the sum of its
-    entries from the left as the recurrence forms it, is not positive is
-    outside the cone and is dropped before ``in_gamma_k`` is run.
+    Each chunk is drawn ``_BLOCK`` rows at a time, and drawing stops once
+    ``count`` rows are kept.  The generator is then advanced past the rest of
+    the chunk: the sweeps' generator is PCG64, whose ``uniform`` takes one
+    step per double, so the rows and the final state are those of drawing
+    the whole chunk.  A row whose sigma_1, the sum of its entries from the
+    left as the recurrence forms it, is not positive is outside the cone and
+    is dropped before ``in_gamma_k`` is run.
     """
     out = np.empty((count, n))
     kept = 0
     while kept < count:
-        draw = rng.uniform(-3.0, 3.0, size=(4 * count, n))
-        for lo in range(0, draw.shape[0], _BLOCK):
-            if kept == count:
-                break
-            block = draw[lo:lo + _BLOCK]
+        left = 4 * count
+        while left and kept < count:
+            block = rng.uniform(-3.0, 3.0, size=(min(_BLOCK, left), n))
+            left -= block.shape[0]
             sigma_1 = block[:, 0] + block[:, 1]
             for i in range(2, n):
                 sigma_1 += block[:, i]
@@ -140,24 +150,28 @@ def _sample_in_cone(n: int, k: int, count: int,
             block = np.compress(in_gamma_k(block, k), block, axis=0)[:count - kept]
             out[kept:kept + block.shape[0]] = block
             kept += block.shape[0]
-        del draw  # not alive while the next draw is made
+        rng.bit_generator.advance(left * n)
     return out
 
 
 def garding_inequality_sweep(samples: int = 10000, seed: int = 11) -> SweepResult:
-    """Cone inequality on random interior pairs, plus the equality case."""
+    """Cone inequality on random interior pairs, plus the equality case.
+
+    Per configuration, every pair failure is recorded before any equality
+    failure."""
     rng = np.random.default_rng(seed)
     result = SweepResult(name="garding-inequality", checked=0, failures=0)
     for n, k in GARDING_CONFIGS:
         lam = _sample_in_cone(n, k, samples, rng)
         mu = _sample_in_cone(n, k, samples, rng)
-        slack = garding_slack(lam, mu, k)
-        ok = slack >= -GARDING_TOL
-        result.checked += samples
-        _record_failures(result, ok, lam)
-        eq = np.abs(garding_slack(lam, lam, k)) <= GARDING_TOL
-        result.checked += samples
-        _record_failures(result, eq, lam)
+        for rows in _blocks(samples):
+            ok = garding_slack(lam[rows], mu[rows], k) >= -GARDING_TOL
+            _record_failures(result, ok, lam[rows])
+        for rows in _blocks(samples):
+            eq = np.abs(garding_slack(lam[rows], lam[rows], k)) <= GARDING_TOL
+            _record_failures(result, eq, lam[rows])
+        result.checked += 2 * samples
+        del lam, mu  # freed before the next configuration is sampled
     return result
 
 
@@ -166,16 +180,18 @@ def maclaurin_sweep(samples: int = 10000, seed: int = 13) -> SweepResult:
     rng = np.random.default_rng(seed)
     result = SweepResult(name="maclaurin", checked=0, failures=0)
     for n, k in EQUIV_CONFIGS:
-        lam = _sample_in_cone(n, k, samples, rng)
-        sig = sigma_all(lam, k)
-        means = np.stack(
-            [(sig[:, l] / binom(n, l)) ** (1.0 / l) for l in range(1, k + 1)],
-            axis=1,
-        )
-        scale = np.maximum(1.0, np.abs(means[:, :-1]))
-        ok = np.all(np.diff(means, axis=1) <= REL_TOL * scale, axis=1)
+        sample = _sample_in_cone(n, k, samples, rng)
+        for rows in _blocks(samples):
+            sig = sigma_all(sample[rows], k)
+            means = np.stack(
+                [(sig[:, l] / binom(n, l)) ** (1.0 / l) for l in range(1, k + 1)],
+                axis=1,
+            )
+            scale = np.maximum(1.0, np.abs(means[:, :-1]))
+            ok = np.all(np.diff(means, axis=1) <= REL_TOL * scale, axis=1)
+            _record_failures(result, ok, sample[rows])
         result.checked += samples
-        _record_failures(result, ok, lam)
+        del sample  # freed before the next configuration is sampled
     return result
 
 

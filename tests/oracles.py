@@ -21,21 +21,24 @@ The cone tests that
 reduce over the strided sigma axis, sample the hyperbolicity check on every
 row and test every drawn row for the cone are
 the bit-exact references for the library's row-wise, positive-rows-only and
-blocked, stop-when-full forms.  The helpers (the cone inequality check,
-the descending-order facts and the grid CSV reader) are built on the library
-and used only by tests.
+blocked, stop-when-full forms, and the cone sweeps that draw and check each
+configuration's whole batch at once are the references for the library's
+sweeps of one block at a time.  The helpers (the cone inequality check,
+the descending-order facts, the boundary mask and the grid CSV reader) are
+built on the library and used only by tests.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
+from khessian import verify
 from khessian.cone import garding_slack, in_gamma_k
 from khessian.errors import DomainError, TuningError
 from khessian.grids import (
-    boundary_mask,
     calpha_surrogate,
     grid_coords,
     second_differences,
@@ -122,6 +125,66 @@ def sample_in_cone_every_row(n: int, k: int, count: int,
         draw = rng.uniform(-3.0, 3.0, size=(4 * count, n))
         out = np.concatenate([out, draw[in_gamma_k_over_the_sigma_axis(draw, k)]])
     return out[:count]
+
+
+def cone_equivalence_sweep_whole_batch(samples: int, seed: int) -> verify.SweepResult:
+    """``verify.cone_equivalence_sweep`` on each configuration's whole batch
+    of ``samples`` rows at once, through the names ``verify`` looks up."""
+    rng = np.random.default_rng(seed)
+    result = verify.SweepResult(name="cone-equivalence", checked=0, failures=0)
+    for n, k in verify.EQUIV_CONFIGS:
+        lam = rng.uniform(-3.0, 3.0, size=(samples, n))
+        sig = verify.sigma_all(lam, k)
+        near = np.abs(sig[:, 1]) <= verify.EQUIV_TOL
+        for j in range(2, k + 1):
+            near |= np.abs(sig[:, j]) <= verify.EQUIV_TOL
+        for l in range(1, k):
+            for idx in combinations(range(n), l):
+                near |= np.abs(verify.elem_sym_deleted(lam, k - l, idx)) <= verify.EQUIV_TOL
+        result.excluded += int(near.sum())
+        lam_kept = lam[~near]
+        if lam_kept.shape[0] == 0:
+            continue
+        a = verify.in_gamma_k(lam_kept, k)
+        b = verify.in_garding_cone_sampled(lam_kept, k)
+        c = verify.in_gamma_tilde(lam_kept, k)
+        result.checked += lam_kept.shape[0]
+        verify._record_failures(result, (a == b) & (b == c), lam_kept)
+    return result
+
+
+def garding_inequality_sweep_whole_batch(samples: int, seed: int) -> verify.SweepResult:
+    """``verify.garding_inequality_sweep`` on whole batches, sampled by
+    ``sample_in_cone_every_row``."""
+    rng = np.random.default_rng(seed)
+    result = verify.SweepResult(name="garding-inequality", checked=0, failures=0)
+    for n, k in verify.GARDING_CONFIGS:
+        lam = sample_in_cone_every_row(n, k, samples, rng)
+        mu = sample_in_cone_every_row(n, k, samples, rng)
+        ok = verify.garding_slack(lam, mu, k) >= -verify.GARDING_TOL
+        result.checked += samples
+        verify._record_failures(result, ok, lam)
+        eq = np.abs(verify.garding_slack(lam, lam, k)) <= verify.GARDING_TOL
+        result.checked += samples
+        verify._record_failures(result, eq, lam)
+    return result
+
+
+def maclaurin_sweep_whole_batch(samples: int, seed: int) -> verify.SweepResult:
+    """``verify.maclaurin_sweep`` on whole batches, sampled by
+    ``sample_in_cone_every_row``."""
+    rng = np.random.default_rng(seed)
+    result = verify.SweepResult(name="maclaurin", checked=0, failures=0)
+    for n, k in verify.EQUIV_CONFIGS:
+        lam = sample_in_cone_every_row(n, k, samples, rng)
+        sig = verify.sigma_all(lam, k)
+        means = np.stack([(sig[:, l] / verify.binom(n, l)) ** (1.0 / l)
+                          for l in range(1, k + 1)], axis=1)
+        scale = np.maximum(1.0, np.abs(means[:, :-1]))
+        ok = np.all(np.diff(means, axis=1) <= verify.REL_TOL * scale, axis=1)
+        result.checked += samples
+        verify._record_failures(result, ok, lam)
+    return result
 
 
 def eval_G_at_every_point(w, seed, f) -> dict:
@@ -412,6 +475,20 @@ def descending_order_facts(lam, k: int) -> OrderFacts:
     row_sorted = bool(np.all(np.diff(row) >= -1e-12 * scale))
     p = int(np.sum(arr > 0.0))
     return OrderFacts(p=p, row_sorted=row_sorted, row=[float(v) for v in row])
+
+
+@lru_cache(maxsize=16)
+def boundary_mask(n: int, m: int) -> np.ndarray:
+    """True on the boundary faces of the (m,)*n grid; read-only."""
+    mask = np.zeros((m,) * n, dtype=bool)
+    for axis in range(n):
+        sl = [slice(None)] * n
+        sl[axis] = 0
+        mask[tuple(sl)] = True
+        sl[axis] = m - 1
+        mask[tuple(sl)] = True
+    mask.setflags(write=False)
+    return mask
 
 
 def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from khessian.verify import (
     garding_inequality_sweep,
     identities_sweep,
 )
-from oracles import fd_sk_gradient
+from oracles import boundary_mask, fd_sk_gradient
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -145,7 +145,7 @@ def test_criterion_06_minor_gradient_vs_finite_differences():
 
 
 def test_criterion_07_linearization_consistency():
-    from khessian.grids import ScalarGrid, boundary_mask, grid_coords
+    from khessian.grids import ScalarGrid, grid_coords
     from khessian.pde import assemble_linearized, eval_G
     from khessian.rhs import RhsSpec, RhsTerm
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from khessian.seeds import p2_example, sample_p2_points
 from khessian.symfun import elem_sym, sigma_all, sigma_km1_row
 import oracles
 from oracles import (
+    cone_equivalence_sweep_whole_batch,
     descending_order_facts,
     garding_inequality_check,
+    garding_inequality_sweep_whole_batch,
     in_gamma_k_over_the_sigma_axis,
     in_garding_cone_sampled_every_row,
+    maclaurin_sweep_whole_batch,
     sample_in_cone_every_row,
 )
 
@@ -327,3 +331,103 @@ class TestSameBitsAsReference:
             positive += int(np.sum(np.sum(draw, axis=1) > 0.0))
             kept += int(np.sum(in_gamma_k(draw, 3)))
         assert len(rows) < positive
+
+
+SWEEPS = {
+    "cone-equivalence": (verify.cone_equivalence_sweep, cone_equivalence_sweep_whole_batch),
+    "garding-inequality": (verify.garding_inequality_sweep,
+                           garding_inequality_sweep_whole_batch),
+    "maclaurin": (verify.maclaurin_sweep, maclaurin_sweep_whole_batch),
+}
+
+
+def _same_report(suite, samples, seed):
+    blocked, whole = SWEEPS[suite]
+    got = blocked(samples, seed).to_dict()
+    assert got == whole(samples, seed).to_dict()
+    return got
+
+
+class TestBlockedSweeps:
+    """The cone sweeps, run one block of rows at a time, report the counts and
+    counterexamples of checking each configuration's whole batch at once."""
+
+    @pytest.mark.parametrize("suite", SWEEPS)
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("samples", [1, 37, "block + 1"])
+    def test_same_report(self, monkeypatch, suite, block, samples):
+        if block is not None:
+            monkeypatch.setattr(verify, "_BLOCK", block)
+        if samples == "block + 1":
+            samples = verify._BLOCK + 1
+        for seed in (1, 5, 11):
+            got = _same_report(suite, samples, seed)
+            assert got["passed"] and got["checked"] > 0
+
+    def test_equivalence_failures_across_blocks(self, monkeypatch):
+        # a row-wise wrong verdict for rows whose first entry exceeds 2.9,
+        # about one row in a 64-row block
+        true = verify.in_gamma_tilde
+        monkeypatch.setattr(verify, "in_gamma_tilde",
+                            lambda lam, k: true(lam, k) ^ (lam[:, 0] > 2.9))
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        got = _same_report("cone-equivalence", 1000, 2)
+        assert got["failures"] > verify.COUNTEREXAMPLES
+        draw = np.random.default_rng(2).uniform(-3.0, 3.0, size=(1000, 3))
+        rows = [int(np.flatnonzero(np.all(draw == row, axis=1))[0])
+                for row in got["counterexamples"]]
+        assert rows == sorted(rows) and rows[-1] // 64 > rows[0] // 64
+
+    def test_garding_failures_keep_pairs_first(self, monkeypatch):
+        # the slack fails where the second argument's first entry exceeds
+        # 2.95: pair failures follow mu, equality failures follow lam
+        true = verify.garding_slack
+
+        def slack(lam, mu, k):
+            out = true(lam, mu, k)
+            out[mu[:, 0] > 2.95] = -1.0
+            return out
+
+        monkeypatch.setattr(verify, "garding_slack", slack)
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        got = _same_report("garding-inequality", 300, 1)
+        assert got["failures"] > verify.COUNTEREXAMPLES
+        # at this seed the first configuration's four pair failures lie in
+        # three blocks, and the fifth counterexample is its first equality
+        # failure, which comes from the first block
+        firsts = [row[0] > 2.95 for row in got["counterexamples"]]
+        assert firsts == [False] * 4 + [True]
+
+    def test_maclaurin_failures_across_blocks(self, monkeypatch):
+        true = verify.sigma_all
+
+        def sigma(lam, k):
+            sig = true(lam, k)
+            sig[lam[:, 0] > 2.9, k] *= 100.0
+            return sig
+
+        monkeypatch.setattr(verify, "sigma_all", sigma)
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        got = _same_report("maclaurin", 1000, 6)
+        assert got["failures"] > verify.COUNTEREXAMPLES
+
+
+class TestSweepMemory:
+    """The cone sweeps evaluate a block of rows at a time: at 200,000 samples
+    ``maclaurin`` holds one configuration's sample and a block (10.2 MiB),
+    ``cone-equivalence`` a block alone (3.1 MiB), where whole batches peaked
+    at 59.0 and 37.5 MiB."""
+
+    MB = 2**20
+
+    @pytest.mark.parametrize("sweep, bound", [(verify.maclaurin_sweep, 14),
+                                              (verify.cone_equivalence_sweep, 6)])
+    def test_peak_at_200000_samples(self, sweep, bound):
+        tracemalloc.start()
+        try:
+            result = sweep(200000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed and result.checked > 0
+        assert peak < bound * self.MB

@@ -6,7 +6,6 @@ import pytest
 from khessian.errors import DomainError, SolverError
 from khessian.grids import (
     ScalarGrid,
-    boundary_mask,
     c2alpha_surrogate,
     calpha_surrogate,
     grid_coords,
@@ -37,6 +36,7 @@ from khessian.rhs import (
 from khessian.seeds import SeedQuadratic, seed_for_constant, seed_for_positive, seed_for_zero
 from khessian.symfun import elem_sym, sigma_all, sigma_km1_row
 from oracles import (
+    boundary_mask,
     brute_holder_quotient,
     brute_sk_matrix,
     convexity_minima_at_every_point,
