@@ -439,8 +439,7 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> np.ndarray:
     parts = slabs(m, m ** (n - 1) * n * 8)  # x holds n doubles per point
     for rows, x in zip(parts, slab_coords(n, m, [(rows,) for rows in parts])):
         w_norm[rows] = w.values[rows] - w0 - x @ g0
-        psi = 0.5 * np.sum(seed.tau * x**2, axis=-1)
-        u[rows] = eps**4 * (psi + epsp * w_norm[rows])
+        u[rows] = eps**4 * (seed.psi(x) + epsp * w_norm[rows])
     if abs(w_norm[center]) > 1e-8 or sup_norm(_center_gradient(w_norm, w.h)) > 1e-8:
         raise AssertionError("affine normalization failed to vanish at the origin")
     return u

@@ -156,12 +156,10 @@ def _physical_args(seed: SeedQuadratic, x: np.ndarray, values: np.ndarray,
                    grad: np.ndarray):
     """(y, u, p) at the points with coordinates x (``(..., n)``), where w and
     its gradient take the values ``values`` and ``grad``."""
-    tau = seed.tau
     eps, epsp = seed.eps, seed.eps_prime
-    psi = 0.5 * np.sum(tau * x**2, axis=-1)
     y = eps**2 * x
-    u = eps**4 * psi + epsp * eps**4 * values
-    p = eps**2 * (tau * x) + epsp * eps**2 * grad
+    u = eps**4 * seed.psi(x) + epsp * eps**4 * values
+    p = eps**2 * (seed.tau * x) + epsp * eps**2 * grad
     return y, u, p
 
 

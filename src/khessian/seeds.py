@@ -61,6 +61,16 @@ class SeedQuadratic:
     def with_eps(self, eps: float) -> "SeedQuadratic":
         return replace(self, eps=eps, eps_prime=eps_prime_for(eps, self.alpha))
 
+    def psi(self, x: np.ndarray) -> np.ndarray:
+        """psi = 1/2 sum tau_i x_i^2 at the points x, shape (..., n), summed one
+        component at a time from +0.0: the floats of ``np.sum`` over a last
+        axis of n < 8 entries (a row of -0.0 terms gives +0.0), without its
+        (..., n) array of terms."""
+        total = np.zeros(x.shape[:-1])
+        for i, t in enumerate(self.tau):
+            total += t * x[..., i] ** 2
+        return 0.5 * total
+
 
 @dataclass
 class SeedCertificate:
