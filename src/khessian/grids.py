@@ -12,7 +12,8 @@ which a solve forms one interior slab along the first axis at a time; no
 (n, n) stack or coordinate array of the whole grid is kept.
 Hoelder quotients compare points along the axis and
 full-diagonal directions only, at most ``_HOLDER_RADIUS`` steps apart, for
-every n, one field at a time.  The sweep skips each pass whose telescoping
+every n, one field at a time, from a table of passes built once per grid
+shape, spacing and alpha.  The sweep skips each pass whose telescoping
 bound, s times the largest step-1 difference along its direction (or the
 field's spread) and padded by 1e-12 s for rounding, cannot raise the running
 maximum; the maximum is still exact, the same float as a sweep of every
@@ -23,8 +24,10 @@ for golden tests.  The writer goes through blocks of whole rows along the
 first axis and formats each distinct float64 bit pattern of a block once:
 ``repr`` is a function of the bit pattern alone, so every byte is the same
 as formatting value by value, and symmetric grids repeat values heavily (the
-seed quadratic, a zero boundary).  The patterns are formatted in bulk by a
-numpy kernel in the manner of Grisu3 (Loitsch, PLDI 2010):
+seed quadratic, a zero boundary).  A file with no more distinct patterns
+than one block holds values is one block, formatted in one go, and a row
+equal to the row before reuses its texts.  The patterns are formatted in
+bulk by a numpy kernel in the manner of Grisu3 (Loitsch, PLDI 2010):
 ``_shortest_digits`` finds the shortest digits that read back as each float,
 the nearest among equally short ones, exactly or not at all, and
 ``_lay_out`` writes them by ``repr``'s rules.  What the fast path declines
@@ -212,6 +215,30 @@ def _holder_offsets(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
                  for u in axes + diagonals)
 
 
+@lru_cache(maxsize=8)
+def _holder_passes(shape: tuple[int, ...], h: float, alpha: float) -> tuple:
+    """``holder_quotient``'s passes on a grid of ``shape``, spacing h: per
+    direction of ``_holder_offsets`` that fits, its step-1 pass and its
+    longer passes, longest first, each pass (step, dst, src, dist^alpha),
+    dst and src the slices whose difference is the step's.  Built once per
+    (shape, h, alpha): a solve's surrogates ask for a few of them again and
+    again."""
+    directions = []
+    for u, most in _holder_offsets(len(shape)):
+        passes = []
+        for step in range(1, most + 1):
+            off = tuple(step * v for v in u)
+            if any(abs(o) >= s for o, s in zip(off, shape)):
+                break
+            src = tuple(slice(max(0, -o), s - max(0, o)) for o, s in zip(off, shape))
+            dst = tuple(slice(max(0, o), s + min(0, o)) for o, s in zip(off, shape))
+            dist = h * float(np.sqrt(sum(o * o for o in off)))
+            passes.append((step, dst, src, dist**alpha))
+        if passes:
+            directions.append((passes[0], passes[:0:-1]))
+    return tuple(directions)
+
+
 def holder_quotient(stack: np.ndarray, h: float, alpha: float) -> float:
     """max |f(x)-f(z)| / |x-z|^alpha over grid pairs x - z = s u, u a direction
     of ``_holder_offsets`` and s = 1, 2, ... with |x-z| <= _HOLDER_RADIUS*h.
@@ -233,21 +260,8 @@ def holder_quotient(stack: np.ndarray, h: float, alpha: float) -> float:
     denominator (the smallest along u) is.  The result is therefore the same
     float as a sweep of every pass.
     """
-    n = stack.ndim - 1
     shape = stack.shape[1:]
-    directions = []
-    for u, most in _holder_offsets(n):
-        passes = []
-        for step in range(1, most + 1):
-            off = tuple(step * v for v in u)
-            if any(abs(o) >= s for o, s in zip(off, shape)):
-                break
-            src = tuple(slice(max(0, -o), s - max(0, o)) for o, s in zip(off, shape))
-            dst = tuple(slice(max(0, o), s + min(0, o)) for o, s in zip(off, shape))
-            dist = h * float(np.sqrt(sum(o * o for o in off)))
-            passes.append((step, dst, src, dist**alpha))
-        if passes:
-            directions.append((passes[0], passes[:0:-1]))
+    directions = _holder_passes(shape, h, alpha)
     buf = np.empty(math.prod(shape))
 
     def largest(field, dst, src) -> float:
@@ -516,49 +530,80 @@ def _fast_texts(bits: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return fast[order], strs
 
 
-def _distinct_texts(bits: np.ndarray) -> np.ndarray:
-    """``_repr_texts`` of ``bits`` (any shape), each distinct bit pattern
-    formatted once."""
-    patterns, inverse = np.unique(bits.ravel(), return_inverse=True)
-    return _repr_texts(patterns)[inverse].reshape(bits.shape)
+def _distinct(bits: np.ndarray, most: int) -> np.ndarray | None:
+    """The distinct patterns of ``bits`` (any shape), sorted, or None when
+    there are more than ``most``.  One sorted copy of ``bits`` and a mask
+    are made, and both are let go before the patterns are returned."""
+    ordered = np.sort(bits, axis=None)
+    fresh = np.empty(ordered.shape, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    if np.count_nonzero(fresh) > most:
+        return None
+    return ordered[fresh]
 
 
 def write_grid_csv(path, values: np.ndarray, axes: list[np.ndarray]) -> None:
     """Write grid values with per-axis coordinate arrays; format is frozen.
 
-    The rows go out in blocks of whole rows along the first axis, each about
-    ``_SLAB_BYTES`` of formatting temporaries, and each distinct float64 bit
-    pattern of a block is formatted once by ``_repr_texts``: the numpy fast
-    path, exact wherever it decides, and ``repr`` for every value it
-    declines (an interval end or a tie within 1e-6 of a digit unit, a
-    misjudged decade), for +-0.0, NaN, +-inf, subnormals, |x| outside
-    2^(+-880), and for blocks of fewer than ``_FAST_MIN`` patterns.  Every
-    text is thus ``repr`` of its float.  Keying by bit pattern, not by float
-    equality, keeps -0.0 apart from 0.0, and ``repr`` depends on nothing but
-    the bits, so the file is byte for byte the one that formatting every
-    value gives.  Each line starts with its newline, so the header goes out
-    without one and the file ends with one.  A block's texts are let go
-    before the next block is formatted, so two blocks' texts are never held
-    at once.
+    The rows go out in blocks of whole rows along the first axis, and each
+    distinct float64 bit pattern of a block is formatted once by
+    ``_repr_texts``: the numpy fast path, exact wherever it decides, and
+    ``repr`` for every value it declines (an interval end or a tie within
+    1e-6 of a digit unit, a misjudged decade), for +-0.0, NaN, +-inf,
+    subnormals, |x| outside 2^(+-880), and for slabs of fewer than
+    ``_FAST_MIN`` patterns.  Every text is thus ``repr`` of its float.
+    Keying by bit pattern, not by float equality, keeps -0.0 apart from
+    0.0, and ``repr`` depends on nothing but the bits, so the file is byte
+    for byte the one that formatting every value gives.
+
+    The file's patterns are sorted once.  When there are at most as many
+    distinct ones as a ``slabs`` block of about ``_SLAB_BYTES`` of
+    formatting temporaries holds values (one row of 4,913 at n = 4,
+    m = 17), the whole file is one block: a zero ``w`` or the seed
+    quadratic ``u`` of a solve that stops at iteration 0 is formatted in
+    one ``_repr_texts`` call, not one per row, and each row takes its texts
+    by ``np.searchsorted`` in the file's patterns.  Otherwise the blocks are
+    the ``slabs`` blocks, and a row takes its texts by the inverse of its
+    block's ``np.unique``, which costs less than searching a row's worth of
+    patterns.  A row whose patterns equal the previous row's reuses that
+    row's texts.  A block is formatted only when one of its rows needs it,
+    after the previous row's texts are let go, so no more texts than one
+    block holds are alive at once.  Each line starts with its newline, so
+    the header goes out without one and the file ends with one.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.ndim
+    rows = values.view(np.int64).reshape(len(axes[0]), -1)
+    blocks = slabs(len(rows), rows.shape[1] * _FORMAT_BYTES)
+    whole = _distinct(rows, (blocks[0].stop - blocks[0].start) * rows.shape[1])
+    if whole is not None:
+        blocks = [slice(0, len(rows))]
     columns = [[repr(float(v)) + "," for v in ax] for ax in axes]
     heads = ["\n" + head for head in columns[0]]
     tails = list(map("".join, itertools.product(*columns[1:])))
     row = [""] * (3 * len(tails))  # per line: first coordinate, the others, value
     row[1::3] = tails
-    blanks = row[0::3]  # empty strings, to drop a block's texts from the row
-    rows = values.view(np.int64).reshape(len(heads), len(tails))
+    blanks = row[0::3]  # empty strings, to drop the texts of a row from the line
+    last = None  # the bit patterns of the row whose texts the line holds
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(f"x{i + 1}" for i in range(n)) + ",value")
-        for block in slabs(len(rows), len(tails) * _FORMAT_BYTES):
-            for head, texts in zip(heads[block], _distinct_texts(rows[block]).tolist()):
+        for block in blocks:
+            texts = None
+            for i, (head, cells) in enumerate(zip(heads[block], rows[block])):
+                if last is None or not np.array_equal(cells, last):
+                    if texts is None:
+                        row[2::3] = blanks  # the last block's texts go first
+                        patterns, inverse = whole, None
+                        if whole is None:
+                            patterns, inverse = np.unique(rows[block], return_inverse=True)
+                            inverse = inverse.reshape(block.stop - block.start, -1)
+                        texts = _repr_texts(patterns)
+                    row[2::3] = texts[np.searchsorted(patterns, cells)
+                                      if inverse is None else inverse[i]].tolist()
+                    last = cells
                 row[0::3] = [head] * len(tails)
-                row[2::3] = texts
                 fh.write("".join(row))
-            del texts  # drop the block's texts before the next block's are formatted
-            row[2::3] = blanks
         fh.write("\n")
 
 

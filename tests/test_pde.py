@@ -23,6 +23,7 @@ from khessian.grids import (
 )
 from khessian.iterate import IterationRecord, _newton_step
 from khessian.pde import (
+    _check_box,
     _physical_args,
     assemble_linearized,
     eval_G,
@@ -51,6 +52,7 @@ from oracles import (
     eval_G_at_every_point,
     every_offset_holder_quotient,
     fd_sk_gradient,
+    holder_quotient_building_passes,
     manufactured_hessian_matrices,
     read_grid_csv,
     stencil_matrix,
@@ -218,6 +220,34 @@ class TestEvalG:
         with pytest.raises(DomainError):
             eval_G(big, seed, f)
 
+    @staticmethod
+    def _boxed(box):
+        f = RhsSpec.constant(3, 3.0)
+        f.box = box
+        return f
+
+    def test_box_holds_p_exactly_at_its_edge(self):
+        # |(3, 4, 0) / 8| = 0.625 exactly; the box admits it and nothing past it
+        p = np.zeros((5, 5, 5, 3))
+        p[1, 2, 3] = [0.375, 0.5, 0.0]
+        u = np.zeros((5, 5, 5))
+        _check_box(self._boxed(0.625), u, p)
+        with pytest.raises(DomainError, match=r"\|p\|=0\.625, box=0\.625"):
+            _check_box(self._boxed(np.nextafter(0.625, 0.0)), u, p)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_box_decides_as_root_of_summed_squares(self, n):
+        # the largest |p| is the float of np.sqrt(np.sum(p**2, axis=-1)) at
+        # its point: a box at that float holds, the float below does not
+        rng = np.random.default_rng(40 + n)
+        u = np.zeros((7,) * 3)
+        for _ in range(50):
+            p = rng.normal(size=(7,) * 3 + (n,)) * 10.0 ** rng.uniform(-3, 3, size=n)
+            pmax = float(np.max(np.sqrt(np.sum(p**2, axis=-1))))
+            _check_box(self._boxed(pmax), u, p)
+            with pytest.raises(DomainError, match="declared box"):
+                _check_box(self._boxed(np.nextafter(pmax, 0.0)), u, p)
+
 
 # (n, k, c, l): c = 0, c > 0 with the equal-entry seed and with l = 1, c < 0
 _ZERO_SEEDS = [(n, k, c, l) for n in (3, 4) for k, c, l in [
@@ -289,6 +319,23 @@ class TestZeroIterate:
         expect, g = eval_G_at_every_point(w, seed, f), eval_G(w, seed, f)
         for name, value in expect.items():
             assert np.array_equal(_bits(getattr(g, name)), _bits(value)), name
+
+    @pytest.mark.parametrize("n, k, c", [(3, 2, -1.0), (4, 3, -2.0)])
+    def test_zero_terms_left_out_give_the_same_bits(self, n, k, c):
+        # tau has a negative entry, so tau x holds -0.0 where that
+        # coordinate is 0, which the zero w term's +0.0 turns into +0.0; the
+        # library adds +0.0 in place of forming that term
+        seed, f = self._problem(n, k, c, None, 0.125)
+        assert any(any(t.p_pow) for t in f.terms) and np.any(seed.tau < 0)
+        m = 9
+        w = ScalarGrid.zeros(n, m)
+        x = grid_coords(n, m)
+        assert np.any(np.signbit(seed.eps**2 * (seed.tau * x)) & (x == 0.0))
+        g = eval_G(w, seed, f)
+        expect = eval_G_at_every_point(w, seed, f)
+        for name in ("values", "y", "u", "p"):
+            assert np.array_equal(_bits(getattr(g, name)), _bits(expect[name])), name
+        assert not np.any(np.signbit(g.p) & (g.p == 0.0))
 
     def test_zero_is_never_differenced_and_recursed_once(self, monkeypatch):
         import khessian.grids as grids
@@ -764,6 +811,23 @@ class TestNormSurrogates:
         assert holder_quotient(stack, h, alpha) == max(
             *(reference(f, h, alpha) for f in extra), *expect.values())
 
+    @pytest.mark.parametrize("n, m", [(2, 33), (3, 17), (4, 9)])
+    def test_cached_passes_match_sweep_building_them(self, n, m):
+        # the table of passes, cached per (shape, h, alpha), gives the float
+        # of the sweep that builds it on every call: on a real stack of
+        # second differences and its interior, and on the zero stacks of
+        # iteration 0, on the second call as on the first
+        rng = np.random.default_rng(60 + n)
+        w = ScalarGrid(n, m, _surrogate_fields("ramp", n, m, 1, rng)[0] ** 3)
+        second = second_differences(w)[0]
+        inner = second[(slice(None),) + (slice(1, -1),) * n]
+        for stack in (second, inner, np.zeros_like(second), np.zeros_like(inner[:1])):
+            for alpha in (0.25, 0.5):
+                expect = holder_quotient_building_passes(stack, w.h, alpha)
+                for _ in range(2):
+                    assert holder_quotient(stack, w.h, alpha) == expect
+        assert holder_quotient_building_passes(second, w.h, 0.5) > 0.0
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_quotient_skips_off_direction_pairs(self, n):
         # the spikes differ by 2 at index offset (1, 2, 0, ...), which lies
@@ -869,6 +933,98 @@ class TestGridIO:
             # -0.0 and 0.0 compare equal but keep their own text
             assert b",-0.0\n" in text and b",0.0\n" in text
             assert b",5e-324\n" in text and b",1e+16\n" in text
+
+    @staticmethod
+    def block_values(n, m):
+        """Values one ``slabs`` block of the writer holds on a grid (m,)*n."""
+        row = m ** (n - 1)
+        block = grids.slabs(m, row * grids._FORMAT_BYTES)[0]
+        return (block.stop - block.start) * row
+
+    @pytest.mark.parametrize("kind", ["fewer", "more"])
+    @pytest.mark.parametrize("n, m", [(2, 129), (3, 33), (4, 9), (5, 9)])
+    def test_block_rule_matches_per_cell_writer(self, tmp_path, n, m, kind):
+        # fewer distinct patterns than a block holds makes the file one
+        # block, more keeps the slabs blocks; rows 2 and 3 repeat row 1
+        rng = np.random.default_rng(90 + n)
+        block = self.block_values(n, m)
+        pool = rng.normal(size=block // 2 if kind == "fewer" else 4 * m**n)
+        pool[:2] = [-0.0, 0.0]
+        values = rng.choice(pool, size=(m,) * n)
+        values[(0,) * n], values[(1,) + (0,) * (n - 1)] = -0.0, 0.0
+        values[2] = values[3] = values[1]
+        assert (len(np.unique(values.view(np.int64))) > block) == (kind == "more")
+        axes = [axis_coords(m)] * n
+        write_grid_csv(tmp_path / "a.csv", values, axes)
+        write_grid_csv_per_cell(tmp_path / "b.csv", values, axes)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @staticmethod
+    def count_formatting(monkeypatch) -> list[int]:
+        """Patch ``grids._repr_part`` to record the patterns of each call."""
+        sizes = []
+        part = grids._repr_part
+
+        def counting(bits, texts):
+            sizes.append(len(bits))
+            part(bits, texts)
+
+        monkeypatch.setattr(grids, "_repr_part", counting)
+        return sizes
+
+    def test_equal_rows_are_formatted_once(self, tmp_path, monkeypatch):
+        # one-row blocks: rows 2 and 3 equal row 1, so their blocks are
+        # never formatted and the lines reuse row 1's texts
+        n, m = 5, 9
+        values = np.random.default_rng(91).normal(size=(m,) * n)
+        values[2] = values[3] = values[1]
+        sizes = self.count_formatting(monkeypatch)
+        axes = [axis_coords(m)] * n
+        write_grid_csv(tmp_path / "a.csv", values, axes)
+        assert sum(sizes) == (m - 2) * m ** (n - 1)
+        write_grid_csv_per_cell(tmp_path / "b.csv", values, axes)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @staticmethod
+    def seed_quadratic_at_n4_m17():
+        """u = eps^4 psi of the const-three, l = full seed at n = 4, m = 17,
+        as a solve stopped at iteration 0 writes it, with its axes."""
+        seed = seed_for_constant(2, 4, 3.0, l="full")
+        return (seed.eps**4 * seed.psi(grid_coords(4, 17)),
+                [seed.eps**2 * axis_coords(17)] * 4)
+
+    def test_few_patterns_formatted_once_per_file(self, tmp_path, monkeypatch):
+        values, axes = self.seed_quadratic_at_n4_m17()
+        distinct = len(np.unique(values.view(np.int64)))
+        assert distinct <= self.block_values(4, 17)  # at most one row's worth
+        sizes = self.count_formatting(monkeypatch)
+        write_grid_csv(tmp_path / "u.csv", values, axes)
+        assert sum(sizes) == distinct
+        assert len(sizes) == -(-distinct // 4096)  # one call per 4,096 patterns, not per row
+
+    def test_one_pattern_more_keeps_row_blocks(self, tmp_path, monkeypatch):
+        # 4,914 distinct patterns, one more than a row holds, in cycles: each
+        # row is formatted apart, 4,913 patterns a row
+        pool = np.random.default_rng(92).normal(size=self.block_values(4, 17) + 1)
+        values = np.resize(pool, (17,) * 4)
+        sizes = self.count_formatting(monkeypatch)
+        write_grid_csv(tmp_path / "w.csv", values, [axis_coords(17)] * 4)
+        assert sum(sizes) == 17 * 17**3
+
+    def test_writer_peak_on_repeated_values(self, tmp_path):
+        """tracemalloc peak of writing the seed quadratic at n = 4, m = 17:
+        1,125,729 bytes with numpy 2.4 for the writer that formatted each
+        row's patterns apart, the bound; about 1,103,000 for one block."""
+        values, axes = self.seed_quadratic_at_n4_m17()
+        path = tmp_path / "u.csv"
+        write_grid_csv(path, values, axes)  # the tables and layouts are cached
+        tracemalloc.start()
+        try:
+            write_grid_csv(path, values, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_125_729
 
     @staticmethod
     def assert_repr(values):
