@@ -35,8 +35,8 @@ coordinates never exist for the whole interior.  ``eval_G`` returns them
 with G as a ``Residual``, all ``assemble_linearized`` reads; the assembly
 drops (y, u, p) as soon as f's derivatives are evaluated.  At w = 0 every
 difference is +0.0, so r = diag(tau) at every point, and one matrix is
-recursed and broadcast over the interior; u and p are the seed's terms plus
-+0.0, the floats the zero terms of w would give, without forming them.
+recursed and broadcast over the interior; scalar +0.0 stands in for w and
+Dw in u and p, the floats zero arrays would give, without forming them.
 """
 
 from __future__ import annotations
@@ -153,18 +153,12 @@ def total_hessian(second: np.ndarray | None, seed: SeedQuadratic) -> np.ndarray:
     return symmetric_matrix(second, n, seed.eps_prime, seed.tau)
 
 
-def _physical_args(seed: SeedQuadratic, x: np.ndarray, values: np.ndarray | None = None,
-                   grad: np.ndarray | None = None):
+def _physical_args(seed: SeedQuadratic, x: np.ndarray, values: np.ndarray,
+                   grad: np.ndarray):
     """(y, u, p) at the points with coordinates x (``(..., n)``), where w and
-    its gradient take the values ``values`` and ``grad``.  None for both
-    stands for w = 0, whose gradient ``eval_G`` takes as +0.0: +0.0 is
-    added in place of the terms eps' eps^4 w and eps' eps^2 Dw, the same
-    floats without forming them (eps^4 psi is never -0.0, and a -0.0 of
-    tau x becomes +0.0)."""
+    its gradient take the values ``values`` and ``grad``."""
     eps, epsp = seed.eps, seed.eps_prime
     y = eps**2 * x
-    if values is None:
-        return y, eps**4 * seed.psi(x) + 0.0, eps**2 * (seed.tau * x) + 0.0
     u = eps**4 * seed.psi(x) + epsp * eps**4 * values
     p = eps**2 * (seed.tau * x) + epsp * eps**2 * grad
     return y, u, p
@@ -229,8 +223,8 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
     is evaluated on the whole interior once the slabs are done.  At w = 0,
     r = diag(tau) at every point: one matrix is recursed, S_k broadcasts as
     its scalar, and T_{k-1}, ``second`` and ``grad`` are read-only views
-    broadcast over the grid; u = eps^4 psi + 0.0 and p = eps^2 tau x + 0.0
-    (``_physical_args`` without w), no product of zeros formed.
+    broadcast over the grid, and scalar +0.0 stands in for w and Dw in
+    (y, u, p): the floats of zero arrays, no product of zeros formed.
     """
     n, m, shape = seed.n, w.m, w.values.shape
     inner = (m - 2,) * n
@@ -251,7 +245,7 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
                                             seed.k)
             sk[rows] = sums[-1]
         y[rows], u[rows], p[rows] = _physical_args(
-            seed, x, *((w.values[at], grad[at]) if differenced else ()))
+            seed, x, *((w.values[at], grad[at]) if differenced else (0.0, 0.0)))
     _check_box(f, u, p)
     g = np.zeros(shape)
     g[(slice(1, -1),) * n] = (sk - f.value(y, u, p)) / seed.eps_prime

@@ -5,17 +5,14 @@ The oracles deliberately avoid the library's evaluation routes: subset
 enumeration for minor sums, explicit zeroing for deleted variables,
 point-by-point pair enumeration along axis and full-diagonal directions for
 Hoelder quotients (and, on grids too large for it, a sweep of every
-difference offset with no pass skipped; the pruned sweep that builds its
-passes on every call is the bit-exact reference for the library's cached
-table of passes), entry-by-entry stencil placement
+difference offset with no pass skipped), entry-by-entry stencil placement
 for the linearized operator and per-cell formatting for grid CSVs.  Enumeration is kept to
 n <= 12.  The row-major sigma recurrence and its ``np.delete`` routes are the
 bit-exact reference for the library's coefficient-major kernel, which does the
 same arithmetic in the same order.  The point-by-point evaluation of G and of
 the convexity certificate, which differences and recurses every grid point
-even at w = 0 and forms the zero w terms of (y, u, p), is the bit-exact
-reference for the library's closed form of the zero iterate and for its
-interior-only pointwise data.  Scaling full (n, n)
+even at w = 0, is the bit-exact reference for the library's closed form of the
+zero iterate and for its interior-only pointwise data.  Scaling full (n, n)
 Hessian matrices and shifting their diagonal is the bit-exact reference for
 the library's one construction of diag(tau) + eps' D^2 w from stacked
 upper-triangle components.  Plain halving of eps on the solve's grid alone
@@ -42,15 +39,13 @@ from khessian import verify
 from khessian.cone import garding_slack, in_gamma_k
 from khessian.errors import DomainError, TuningError
 from khessian.grids import (
-    _holder_offsets,
     calpha_surrogate,
     grid_coords,
     second_differences,
-    sup_norm,
     symmetric_matrix,
 )
 from khessian.iterate import EPS_MIN, _iteration_zero
-from khessian.pde import _check_box, minor_sums
+from khessian.pde import _check_box, _physical_args, minor_sums
 from khessian.symfun import as_spectrum, shift_coefficient, sigma_km1_row
 
 
@@ -201,24 +196,13 @@ def eval_G_at_every_point(w, seed, f) -> dict:
     second, grad = second_differences(w)
     sums, tensor = minor_sums(symmetric_matrix(second, seed.n, seed.eps_prime, seed.tau),
                               seed.k)
-    y, u, p = physical_args_with_w_terms(seed, grid_coords(w.n, w.m), w.values, grad)
+    y, u, p = _physical_args(seed, grid_coords(w.n, w.m), w.values, grad)
     slab = (slice(1, -1),) * w.n
     _check_box(f, u[slab], p[slab])
     g = (sums[-1] - f.value(y, u, p)) / seed.eps_prime
     g = np.where(boundary_mask(w.n, w.m), 0.0, g)
     return {"values": g, "second": second, "grad": grad, "tensor": tensor[slab],
             "y": y[slab], "u": u[slab], "p": p[slab]}
-
-
-def physical_args_with_w_terms(seed, x, values, grad):
-    """(y, u, p) at the points x, the w terms eps' eps^4 w and eps' eps^2 Dw
-    formed and added even at w = 0: the reference for the library's zero
-    iterate, which adds +0.0 in their place."""
-    eps, epsp = seed.eps, seed.eps_prime
-    y = eps**2 * x
-    u = eps**4 * seed.psi(x) + epsp * eps**4 * values
-    p = eps**2 * (seed.tau * x) + epsp * eps**2 * grad
-    return y, u, p
 
 
 def halving_tune(seed, f, m: int, tol_newton: float = 1e-9, tol_lin: float = 1e-10):
@@ -387,48 +371,6 @@ def every_offset_holder_quotient(values, h: float, alpha: float,
                               for o, k in zip(d, values.shape))]
             q = float(np.max(np.abs(hi - lo))) / (h * math.sqrt(sq)) ** alpha
             best = max(best, q)
-    return best
-
-
-def holder_quotient_building_passes(stack, h: float, alpha: float) -> float:
-    """``grids.holder_quotient`` with its table of passes built on every
-    call, the same skips in the same order: the reference for the library's
-    table cached per (shape, h, alpha)."""
-    n = stack.ndim - 1
-    shape = stack.shape[1:]
-    directions = []
-    for u, most in _holder_offsets(n):
-        passes = []
-        for step in range(1, most + 1):
-            off = tuple(step * v for v in u)
-            if any(abs(o) >= s for o, s in zip(off, shape)):
-                break
-            src = tuple(slice(max(0, -o), s - max(0, o)) for o, s in zip(off, shape))
-            dst = tuple(slice(max(0, o), s + min(0, o)) for o, s in zip(off, shape))
-            dist = h * float(np.sqrt(sum(o * o for o in off)))
-            passes.append((step, dst, src, dist**alpha))
-        if passes:
-            directions.append((passes[0], passes[:0:-1]))
-    buf = np.empty(math.prod(shape))
-
-    def largest(field, dst, src) -> float:
-        hi, lo = field[dst], field[src]
-        diff = buf[:hi.size].reshape(hi.shape)
-        np.subtract(hi, lo, out=diff)
-        return sup_norm(diff)
-
-    spreads = [float(field.max()) - float(field.min()) for field in stack]
-    best = 0.0
-    for c in sorted(range(len(stack)), key=spreads.__getitem__, reverse=True):
-        field, spread = stack[c], spreads[c]
-        for (_, dst, src, scale), longer in directions:
-            if spread / scale <= best:
-                continue
-            d1 = largest(field, dst, src)
-            best = max(best, d1 / scale)
-            for step, dst, src, scale in longer:
-                if min(step * d1, spread) * (1.0 + 1e-12 * step) / scale > best:
-                    best = max(best, largest(field, dst, src) / scale)
     return best
 
 

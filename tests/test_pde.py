@@ -52,7 +52,6 @@ from oracles import (
     eval_G_at_every_point,
     every_offset_holder_quotient,
     fd_sk_gradient,
-    holder_quotient_building_passes,
     manufactured_hessian_matrices,
     read_grid_csv,
     stencil_matrix,
@@ -812,21 +811,25 @@ class TestNormSurrogates:
             *(reference(f, h, alpha) for f in extra), *expect.values())
 
     @pytest.mark.parametrize("n, m", [(2, 33), (3, 17), (4, 9)])
-    def test_cached_passes_match_sweep_building_them(self, n, m):
-        # the table of passes, cached per (shape, h, alpha), gives the float
-        # of the sweep that builds it on every call: on a real stack of
-        # second differences and its interior, and on the zero stacks of
-        # iteration 0, on the second call as on the first
+    def test_cached_passes_match_passes_built_anew(self, n, m):
+        # the table of passes cached per (shape, h, alpha) is the table built
+        # anew for those keys, and the quotient is the same float on a cache
+        # hit as after the cache is cleared: on a real stack of second
+        # differences and its interior, and on the zero stacks of iteration 0
         rng = np.random.default_rng(60 + n)
         w = ScalarGrid(n, m, _surrogate_fields("ramp", n, m, 1, rng)[0] ** 3)
         second = second_differences(w)[0]
         inner = second[(slice(None),) + (slice(1, -1),) * n]
         for stack in (second, inner, np.zeros_like(second), np.zeros_like(inner[:1])):
             for alpha in (0.25, 0.5):
-                expect = holder_quotient_building_passes(stack, w.h, alpha)
-                for _ in range(2):
-                    assert holder_quotient(stack, w.h, alpha) == expect
-        assert holder_quotient_building_passes(second, w.h, 0.5) > 0.0
+                grids._holder_passes.cache_clear()
+                first = holder_quotient(stack, w.h, alpha)
+                for shape in (second.shape[1:], inner.shape[1:]):
+                    for a in (0.25, 0.5):
+                        assert grids._holder_passes(shape, w.h, a) == \
+                            grids._holder_passes.__wrapped__(shape, w.h, a)
+                assert holder_quotient(stack, w.h, alpha) == first
+        assert holder_quotient(second, w.h, 0.5) > 0.0
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_quotient_skips_off_direction_pairs(self, n):
