@@ -30,7 +30,6 @@ from .grids import ScalarGrid, axis_coords, write_grid_csv, write_json
 from .iterate import (
     IterationReport,
     assemble_solution,
-    certify_convexity,
     newton_loop,
     tune_epsilon,
 )
@@ -47,7 +46,7 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-SOLVE_PHASES = ("tuning", "loop", "assembly and certificate", "output")
+SOLVE_PHASES = ("tuning", "loop", "assembly", "output")
 
 
 def _reuse_freed_arrays() -> None:
@@ -78,11 +77,11 @@ class SolveArtifacts:
 
 
 def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifacts:
-    """Full pipeline: seed, tune, iterate, certify, assemble, write files.
+    """Full pipeline: seed, tune, iterate and certify, assemble, write files.
 
-    The loop starts from tuning's iteration 0 at the accepted eps, and the
-    certificate reads the second differences of the loop's last evaluation
-    and frees them before u is formed.  Raises TuningError when no eps is
+    The loop starts from tuning's iteration 0 at the accepted eps and, when
+    it converges, certifies its solution itself; u is assembled from the
+    converged w alone.  Raises TuningError when no eps is
     admissible, DomainError when the configuration is invalid or the loop's
     (u, p) leave the right-hand side's box (then with the loop's records as
     its ``iterations`` and tuning's refusals as its ``diagnostics``), and
@@ -111,10 +110,7 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
         raise
     report.aborted_attempts = refused
     marks.append(time.perf_counter())
-    u = None
-    if report.converged:
-        report.convexity = certify_convexity(w, seed).to_dict()
-        u = assemble_solution(w, seed)
+    u = assemble_solution(w, seed) if report.converged else None
     marks.append(time.perf_counter())
 
     target = out_dir if out_dir is not None else config.out_dir

@@ -111,23 +111,21 @@ def axis_coords(m: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, m)
 
 
-def grid_coords(n: int, m: int, index: tuple[slice, ...] = ()) -> np.ndarray:
-    """Coordinates of the grid points ``values[index]``, ``index`` one slice
-    per leading axis (the axes after it whole): shape (points per axis) +
-    (n,), every grid point by default.  Nothing is cached: callers that go
-    through the grid one slab at a time hold one slab's coordinates, never
-    the whole grid's."""
+def grid_coords(n: int, m: int) -> np.ndarray:
+    """Coordinates of every grid point, shape (m,)*n + (n,).  Nothing is
+    cached; callers that go through the grid one slab at a time use
+    ``slab_coords``."""
     axis = axis_coords(m)
-    index = index + (slice(None),) * (n - len(index))
-    return np.stack(np.meshgrid(*(axis[s] for s in index), indexing="ij", copy=False),
-                    axis=-1)
+    return np.stack(np.meshgrid(*(axis,) * n, indexing="ij", copy=False), axis=-1)
 
 
 def slab_coords(n: int, m: int, index: list[tuple[slice, ...]]) -> Iterator[np.ndarray]:
-    """``grid_coords(n, m, at)`` for each ``at`` of ``index``, slabs that
-    differ in their first slice only: one buffer as large as the largest
-    slab, its last n - 1 columns filled once and its first column per slab.
-    Each array yielded is that buffer, overwritten by the next slab."""
+    """Coordinates of the grid points ``values[at]`` for each ``at`` of
+    ``index``, one slice per leading axis (the axes after it whole), slabs
+    that differ in their first slice only: shape (points per axis) + (n,).
+    One buffer as large as the largest slab, its last n - 1 columns filled
+    once and its first column per slab; each array yielded is that buffer,
+    overwritten by the next slab, so no caller holds the whole grid's."""
     axis = axis_coords(m)
     rest = [axis[s] for s in index[0][1:] + (slice(None),) * (n - len(index[0]))]
     firsts = [axis[at[0]] for at in index]

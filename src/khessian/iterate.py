@@ -30,17 +30,16 @@ Each iterate is evaluated once: the step assembles the linearization from
 the ``Residual`` that ``eval_G`` returns alone, and the iterate's
 C^{2,alpha} surrogate reads its second differences.  The step frees them
 before it assembles, the assembly drops (y, u, p) once it has read f's
-derivatives, and the step frees the rest before it solves; the last
-iterate past iteration 0 hands the second differences, without the
-gradient, to ``certify_convexity``, which forms the Hessian as G does
+derivatives, and the step frees the rest before it solves.  A converged
+loop certifies its last iterate itself: ``certify_convexity`` reads the
+second differences of the last evaluation, forms the Hessian as G does
 (``pde.total_hessian``) and recurses it one interior slab at a time, so
 no Hessian of the whole interior is kept.  ``assemble_solution`` forms u
 from w alone and reads w(0) and Dw(0) at the centre.  Only the
-differences cover the whole grid.  w = 0 is never differenced and hands
-nothing over: its Hessian is one matrix, diag(tau), for G and the
-certificate alike, so each tuning candidate, and the certificate of a
-solve that stops at iteration 0, recurses that one matrix instead of
-every interior point.
+differences cover the whole grid.  w = 0 is never differenced: its
+Hessian is one matrix, diag(tau), for G and the certificate alike, so
+each tuning candidate, and the certificate of a solve that stops at
+iteration 0, recurses that one matrix instead of every interior point.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from .grids import (
     c2alpha_surrogate,
     calpha_surrogate,
     interior_slabs,
-    second_differences,
     slab_coords,
     slabs,
     sup_norm,
@@ -104,7 +102,8 @@ class IterationRecord:
 
 @dataclass
 class IterationReport:
-    """What a solve did: the Newton loop's records, and in
+    """What a solve did: the Newton loop's records, in ``convexity`` the
+    certificate of a converged loop's solution (None otherwise), and in
     ``aborted_attempts`` tuning's record of each refused eps."""
 
     status: str
@@ -122,16 +121,6 @@ class IterationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class Iterate(ScalarGrid):
-    """A Newton iterate w and, when w is past iteration 0 and no step was
-    taken from its last evaluation, the second-difference stack of
-    ``second_differences(w)`` from that evaluation (None otherwise), without
-    the gradient; ``certify_convexity`` reads and releases it."""
-
-    second: np.ndarray | None = None
 
 
 @dataclass
@@ -339,7 +328,7 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
 
 def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 max_iter: int = 12, tol_lin: float = 1e-10, start: list | None = None
-                ) -> tuple[Iterate, IterationReport]:
+                ) -> tuple[ScalarGrid, IterationReport]:
     """Run the correction scheme from w = 0 at the seed's eps until the
     residual is small.
 
@@ -357,10 +346,12 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     refusal as ``stop_reason``; its record is the last of ``iterations``.
     An iterate whose (u, p) arguments leave the right-hand side's box raises
     DomainError, with the records so far, as ``to_dict`` gives them, in its
-    ``iterations``.  Returns the final iterate, with the second differences
-    of its last evaluation (for ``certify_convexity``) when it is past
-    iteration 0, together with the full per-iteration report; the caller
-    decides what to do with non-converged statuses.
+    ``iterations``.  A converged loop certifies its final iterate
+    (``certify_convexity``) from the second differences of its last
+    evaluation, or from None at iteration 0, into the report's
+    ``convexity``.  Returns the final iterate together with the full
+    per-iteration report; the caller decides what to do with non-converged
+    statuses.
     """
     if start is None:
         first, rho, reason, g_grid = _iteration_zero(seed, f, m, tol_newton, tol_lin)
@@ -408,14 +399,18 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 continue
             status = STATUS_ELLIPTICITY_LOST
         break
-    # the residual keeps its pointwise data when no step was assembled from it
-    return Iterate(w.n, w.m, w.values, None if it == 0 else g_grid.second), IterationReport(
+    convexity = None
+    if status == STATUS_CONVERGED:
+        # the residual keeps its pointwise data when no step was assembled from it
+        convexity = certify_convexity(None if it == 0 else g_grid.second, seed).to_dict()
+    return w, IterationReport(
         status=status,
         stop_reason=reason,
         iterations=records,
         floor_estimate=residual_floor(seed, m),
         quadratic_ratios=ratios,
         seed=seed.to_dict(),
+        convexity=convexity,
     )
 
 
@@ -445,29 +440,25 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> np.ndarray:
     return u
 
 
-def certify_convexity(w: ScalarGrid, seed: SeedQuadratic) -> ConvexityCertificate:
-    """Flag j-convexity of the solution assembled from w for j = 1..k+1.
+def certify_convexity(second: np.ndarray | None, seed: SeedQuadratic) -> ConvexityCertificate:
+    """Flag j-convexity of the solution for j = 1..k+1, from the
+    ``second_differences`` stack of its w on the full grid, or None for
+    w = 0.
 
     The solution's Hessian is diag(tau) + eps' D^2 w (``total_hessian``),
     and the flag for level j is set when its j-th minor sum stays above
-    -CONVEXITY_TOL at every interior point.  An ``Iterate``'s second
-    differences are read instead of taken again, and released
-    (``w.second`` becomes None).  The Hessian is formed and recursed one
-    slab along the first axis at a time, and each level's minimum is the
-    least of the slabs' minima, the same float as one recursion of every
-    point gives.  A zero w is not differenced: its Hessian is the one
+    -CONVEXITY_TOL at every interior point.  The Hessian is formed and
+    recursed one slab along the first axis at a time, and each level's
+    minimum is the least of the slabs' minima, the same float as one
+    recursion of every point gives.  At w = 0 the Hessian is the one
     matrix diag(tau), recursed once.
     """
-    second = None
-    if isinstance(w, Iterate):
-        second, w.second = w.second, None
-    if second is None and w.values.any():
-        second = second_differences(w)[0]
     if second is None:
         hessians = [total_hessian(None, seed)]
     else:
+        n, m = seed.n, second.shape[-1]
         hessians = (total_hessian(second[(slice(None),) + at], seed)
-                    for _, at in interior_slabs(w.n, w.m, w.n * w.n))
+                    for _, at in interior_slabs(n, m, n * n))
     lows = [[np.min(vals) for vals in minor_sums(r, seed.k + 1)[0]] for r in hessians]
     mins = {j: float(np.min(col)) for j, col in enumerate(zip(*lows), start=1)}
     flags = {j: bool(v >= -CONVEXITY_TOL) for j, v in mins.items()}

@@ -190,9 +190,10 @@ class Residual(ScalarGrid):
     """G(w) on the grid (``values``, zero on the boundary) and the pointwise
     data of w it was computed from, all the linearization at w reads.
     ``second`` and ``grad`` are ``second_differences(w)`` on the full grid,
-    as the C^{2,alpha} surrogate and the convexity certificate read them.  The Newton
-    tensor T_{k-1}(r(w)) (``tensor``, the transposed dS_k/dr) and (y, u, p)
-    are kept at the interior points only, shape (m-2,)*n + trailing axes;
+    which the C^{2,alpha} surrogate reads; the convexity certificate of a
+    converged loop reads ``second`` alone.  The Newton tensor
+    T_{k-1}(r(w)) (``tensor``, the transposed dS_k/dr) and (y, u, p) are
+    kept at the interior points only, shape (m-2,)*n + trailing axes;
     ``assemble_linearized`` sets (y, u, p) to None once it has evaluated f's
     derivatives.  ``tensor`` is read-only; at w = 0 it, ``second`` and
     ``grad`` are views of one point broadcast over the grid."""
@@ -355,17 +356,18 @@ def _seed_inverse(seed: SeedQuadratic, m: int) -> Callable[[np.ndarray], np.ndar
     return _apply
 
 
-def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
-                         max_iter: int = MAX_KRYLOV_STEPS) -> tuple[ScalarGrid, float, int]:
+def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10
+                         ) -> tuple[ScalarGrid, float, int]:
     """Solve the interior system by Richardson iteration preconditioned by the
     seed operator's inverse, x <- x + P^-1 (b - A x) from x = 0, on the
     unit-normalized right-hand side, to a true relative residual of
     0.1 tol_lin.  Returns the grid solution (zero on the boundary), the
     relative residual and the number of iterations (one application of A
     each), and records the largest ratio of successive residual norms as
-    ``sys.contraction``.  A residual that does not shrink, or ``max_iter``
-    iterations short of the target, raise SolverError, whose message says
-    which and which carries the iterations as ``steps``.
+    ``sys.contraction``.  A residual that does not shrink, or
+    ``MAX_KRYLOV_STEPS`` iterations (read at each call) short of the target,
+    raise SolverError, whose message says which and which carries the
+    iterations as ``steps``.
     """
     rho = ScalarGrid.zeros(sys.n, sys.m)
     bnorm = float(np.linalg.norm(sys.rhs))
@@ -376,7 +378,7 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10,
     r, res, steps = b, 1.0, 0
     sys.contraction = 0.0
     while res > 0.1 * tol_lin:
-        if steps == max_iter:
+        if steps == MAX_KRYLOV_STEPS:
             why = "step limit reached"
             break
         x += sys.seed_inverse(r)

@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from khessian.grids import M_MIN, ScalarGrid, grid_coords, hessian_of, second_di
 from khessian.iterate import (
     STATUS_CONVERGED,
     STATUS_ELLIPTICITY_LOST,
-    Iterate,
+    STATUS_MAX_ITER,
     IterationRecord,
     _newton_step,
     assemble_solution,
@@ -30,7 +31,12 @@ from khessian.seeds import (
     seed_for_positive,
     seed_for_zero,
 )
-from oracles import halving_tune
+from oracles import (
+    boundary_mask,
+    convexity_minima_at_every_point,
+    halving_tune,
+    total_hessian_by_matrices,
+)
 
 
 class TestTuneEpsilon:
@@ -319,9 +325,11 @@ class TestNewtonLoop:
         # the loop starts from tuning's iteration 0, and the solution is
         # certified from the second differences of the last evaluation
         import khessian.iterate as iterate
+        import khessian.pde as pde
 
         eval_G, tune = iterate.eval_G, iterate.tune_epsilon
-        calls = {"eval_G": 0, "tuning": 0}
+        build = pde.second_differences
+        calls = {"eval_G": 0, "tuning": 0, "differences": 0}
 
         def counted_eval_G(*args):
             calls["eval_G"] += 1
@@ -334,12 +342,13 @@ class TestNewtonLoop:
             finally:
                 calls["tuning"] = calls["eval_G"] - before
 
-        def no_differences(grid):
-            raise AssertionError("the converged iterate was differenced again")
+        def counted_build(grid):
+            calls["differences"] += 1
+            return build(grid)
 
         monkeypatch.setattr(iterate, "eval_G", counted_eval_G)
         monkeypatch.setattr("khessian.cli.tune_epsilon", counted_tune)
-        monkeypatch.setattr(iterate, "second_differences", no_differences)
+        monkeypatch.setattr(pde, "second_differences", counted_build)
         doc = copy.deepcopy(PRESETS["fzero-linear"])
         doc["grid"]["m"] = 9
         config = ProblemConfig.from_dict(doc)
@@ -347,6 +356,9 @@ class TestNewtonLoop:
         assert report.converged and len(report.iterations) > 1
         assert calls["tuning"] == len(report.aborted_attempts) + 1
         assert calls["eval_G"] == calls["tuning"] + len(report.iterations) - 1
+        # each iterate past iteration 0 is differenced once, by its evaluation:
+        # the converged one is not differenced again for its certificate
+        assert calls["differences"] == len(report.iterations) - 1
 
         monkeypatch.undo()
         seed = seed_for_zero(2, 3, 0.5).with_eps(report.seed["eps"])
@@ -354,7 +366,8 @@ class TestNewtonLoop:
         assert [r.to_dict() for r in alone.iterations] == [
             r.to_dict() for r in report.iterations]
         assert alone.iterations[0].g_holder is not None
-        assert np.array_equal(w.second, second_differences(w)[0])
+        assert alone.convexity == report.convexity
+        assert alone.convexity == certify_convexity(second_differences(w)[0], seed).to_dict()
 
     def test_iteration_zero_hands_its_derivatives_over(self, tmp_path, monkeypatch):
         # a constant f is solved by the seed: G(0) lies on the roundoff floor
@@ -377,14 +390,14 @@ class TestNewtonLoop:
             calls["differences"] += 1
             return build(grid)
 
-        def recorded_certify(w, seed):
-            handed.append(w.second)
-            return certify(w, seed)
+        def recorded_certify(second, seed):
+            handed.append(second)
+            return certify(second, seed)
 
         monkeypatch.setattr(iterate, "eval_G", counted_eval_G)
-        for module in (grids, pde, iterate):
+        for module in (grids, pde):
             monkeypatch.setattr(module, "second_differences", counted_build)
-        monkeypatch.setattr("khessian.cli.certify_convexity", recorded_certify)
+        monkeypatch.setattr(iterate, "certify_convexity", recorded_certify)
         doc = copy.deepcopy(PRESETS["fconst-pos"])
         doc["grid"]["m"] = 9
         assert doc["rhs"] == "const-three"
@@ -519,19 +532,87 @@ class TestAssembleSolution:
 class TestCertify:
     def test_zero_seed_certificate(self):
         seed = seed_for_zero(2, 3, 0.5)
-        cert = certify_convexity(ScalarGrid.zeros(3, 9), seed)
+        cert = certify_convexity(None, seed)
         assert cert.flags[1] is True
         assert cert.flags[3] is False
 
     def test_negative_seed_certificate(self):
         seed = seed_for_negative(2, 3, -1.0)
-        cert = certify_convexity(ScalarGrid.zeros(3, 9), seed)
+        cert = certify_convexity(None, seed)
         assert cert.flags[2] is False
 
     def test_equal_entry_all_flags(self):
         seed = seed_for_positive(2, 3, 3.0, l="full")
-        cert = certify_convexity(ScalarGrid.zeros(3, 9), seed)
+        cert = certify_convexity(None, seed)
         assert all(cert.flags[j] for j in (1, 2, 3))
+
+
+class TestLoopCertifies:
+    """The loop certifies a converged iterate itself, once, from its last
+    evaluation's second differences (None at iteration 0), and no other
+    stop is certified."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        import khessian.iterate as iterate
+
+        certify, given = iterate.certify_convexity, []
+
+        def recorded(second, seed):
+            given.append(second)
+            return certify(second, seed)
+
+        monkeypatch.setattr(iterate, "certify_convexity", recorded)
+        return given
+
+    @staticmethod
+    def _tuned(n, k):
+        """``fzero-linear`` at m = 9: its f, tuned seed and iteration 0."""
+        f = _fzero_config(n, 9, k).build_rhs()
+        seed, _, start = tune_epsilon(seed_for_constant(k, n, f.value_at_origin()), f, 9)
+        return f, seed, start
+
+    def test_converged_loop_certifies_once(self, monkeypatch):
+        f, seed, start = self._tuned(3, 2)
+        given = self._counted(monkeypatch)
+        w, report = newton_loop(seed, f, 9, start=start)
+        assert report.converged and len(report.iterations) > 1
+        (second,) = given
+        assert second.shape == (6,) + (9,) * 3
+        assert np.array_equal(second, second_differences(w)[0])
+        assert report.convexity == certify_convexity(second, seed).to_dict()
+
+    def test_iteration_zero_stop_certifies_once_with_none(self, monkeypatch):
+        config = ProblemConfig.from_dict(PRESETS["fconst-match"])
+        f = config.build_rhs()
+        seed = seed_for_constant(config.k, config.n, f.value_at_origin(), l=config.l)
+        given = self._counted(monkeypatch)
+        _, report = newton_loop(seed, f, 9)
+        assert report.converged and len(report.iterations) == 1
+        assert given == [None]
+        assert report.convexity == certify_convexity(None, seed).to_dict()
+
+    def test_unconverged_stops_are_not_certified(self, monkeypatch):
+        f, seed, _ = self._tuned(3, 2)
+        given = self._counted(monkeypatch)
+        _, capped = newton_loop(seed, f, 9, max_iter=1)
+        assert capped.status == STATUS_MAX_ITER
+        _, lost = newton_loop(seed_for_zero(2, 3, 0.5), f, 9)
+        assert lost.status == STATUS_ELLIPTICITY_LOST
+        assert given == []
+        assert capped.convexity is None and lost.convexity is None
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (4, 3)])
+    def test_minima_match_every_point(self, n, k):
+        f, seed, start = self._tuned(n, k)
+        w, report = newton_loop(seed, f, 9, start=start)
+        assert report.converged and w.values.any()
+        hessian = total_hessian_by_matrices(hessian_of(w)[0], seed)
+        expect = convexity_minima_at_every_point(hessian, k, ~boundary_mask(n, 9))
+        got = report.convexity["min_values"]
+        assert list(got) == [str(j) for j in expect]
+        bits = np.array(list(got.values())).view(np.uint64)
+        assert np.array_equal(bits, np.array(list(expect.values())).view(np.uint64))
 
 
 def _fzero_config(n, m, k):
@@ -615,7 +696,7 @@ class TestMemory:
         seed, _, w = self._problem()
         tracemalloc.start()
         try:
-            cert = certify_convexity(w, seed)
+            cert = certify_convexity(second_differences(w)[0], seed)
             u = assemble_solution(w, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -626,31 +707,34 @@ class TestMemory:
 
     def test_certificate_reads_the_hand_over(self, monkeypatch):
         # the loop's second differences are the certificate's only stack:
-        # neither the certificate nor u differences w again, and no Hessian
-        # of the whole interior is formed
+        # neither the certificate nor u differences w again, no Hessian of
+        # the whole interior is formed, and the certificate keeps no
+        # reference to the stack
         import khessian.grids as grids
-        import khessian.iterate as iterate
+        import khessian.pde as pde
 
         seed, _, w = self._problem()
-        w = Iterate(w.n, w.m, w.values, second_differences(w)[0])
+        second = second_differences(w)[0]
+        released = weakref.ref(second)
         calls = []
 
         def counted(grid):
             calls.append(grid)
             return second_differences(grid)
 
-        for module in (grids, iterate):
+        for module in (grids, pde):
             monkeypatch.setattr(module, "second_differences", counted)
         tracemalloc.start()
         try:
-            cert = certify_convexity(w, seed)
+            cert = certify_convexity(second, seed)
             u = assemble_solution(w, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        del second
         assert u.shape == (17,) * 4
         assert cert.flags[1] and not cert.flags[4]
-        assert calls == [] and w.second is None
+        assert calls == [] and released() is None
         assert peak < 5 * self.MB
 
     def test_whole_solve_peak(self, tmp_path):
