@@ -8,7 +8,9 @@ membership definitions are implemented so they can be swept against each
 other.
 
 The batched tests compare the contiguous sigma_j rows that the recurrence
-stores, one level at a time.  The sampled hyperbolicity check of
+stores, one level at a time.  So does the boundary classifier
+(``classify_boundaries``), from one sigma pass over a batch of vectors;
+``classify_boundary`` is its one-row case.  The sampled hyperbolicity check of
 ``in_garding_cone_sampled`` is built only on the rows whose coefficient
 verdict is positive, the only rows it can contradict.
 """
@@ -43,6 +45,9 @@ class Region(str, Enum):
     BOUNDARY_P1 = "BoundaryP1"
     BOUNDARY_P2 = "BoundaryP2"
     OUTSIDE = "Outside"
+
+
+REGIONS = tuple(Region)  # the kind codes of ``ConeVerdicts``
 
 
 @dataclass
@@ -151,67 +156,107 @@ def in_gamma_tilde(lam, k: int):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _threshold_distances(sig: np.ndarray, k: int, n: int, tol: float) -> float:
-    """Distance of the decision quantities to their classification thresholds."""
+@dataclass
+class ConeVerdicts:
+    """``classify_boundary`` of every row of a (rows, n) batch: ``kinds``
+    (each row's index into ``REGIONS``), ``sigmas`` (sigma_0..sigma_{k+1}
+    per row), ``margins``, ``ambiguous`` and ``rows``, the deleted-variable
+    row of each BoundaryP2 row (NaN in the others)."""
+
+    kinds: np.ndarray
+    sigmas: np.ndarray
+    margins: np.ndarray
+    ambiguous: np.ndarray
+    rows: np.ndarray
+
+    def of_kind(self, region: Region) -> np.ndarray:
+        """Which rows are classified as ``region``."""
+        return self.kinds == REGIONS.index(region)
+
+    def verdict(self, i: int) -> ConeVerdict:
+        """Row i's ``ConeVerdict``."""
+        kind = REGIONS[self.kinds[i]]
+        return ConeVerdict(
+            kind=kind,
+            sigmas=[float(v) for v in self.sigmas[i]],
+            margin=float(self.margins[i]),
+            ambiguous=bool(self.ambiguous[i]),
+            ellipticity_row=([float(v) for v in self.rows[i]]
+                             if kind is Region.BOUNDARY_P2 else None),
+        )
+
+
+def _threshold_distances(sig: np.ndarray, k: int, n: int, tol: float) -> np.ndarray:
+    """Distance of the decision quantities to their classification
+    thresholds, per row of ``sig`` (rows, n + 1): the least of them taken
+    as Python's ``min`` takes it over the list in this order, a later one
+    replacing the running one only when it is smaller, so a NaN kept or
+    passed over is the one ``min`` keeps or passes over."""
     dists = []
     for j in range(1, k):
-        dists.append(abs(sig[j] - tol))
-        dists.append(abs(sig[j] + tol))
-    dists.append(abs(abs(sig[k]) - tol))
+        dists += [np.abs(sig[:, j] - tol), np.abs(sig[:, j] + tol)]
+    dists.append(np.abs(np.abs(sig[:, k]) - tol))
     if k + 1 <= n:
-        dists.append(abs(sig[k + 1] + tol))
-        dists.append(abs(abs(sig[k + 1]) - tol))
+        dists += [np.abs(sig[:, k + 1] + tol), np.abs(np.abs(sig[:, k + 1]) - tol)]
     for j in range(k + 2, n + 1):
-        dists.append(abs(abs(sig[j]) - tol))
-    return min(dists)
+        dists.append(np.abs(np.abs(sig[:, j]) - tol))
+    least = dists[0]
+    for d in dists[1:]:
+        least = np.where(d < least, d, least)
+    return least
 
 
-def classify_boundary(lam, k: int, tol: float = DEFAULT_TOL) -> ConeVerdict:
-    """Classify lam as Interior / BoundaryP2 / BoundaryP1 / Outside at level k.
+def classify_boundaries(lam, k: int, tol: float = DEFAULT_TOL) -> ConeVerdicts:
+    """Classify every row of lam, shape (rows, n), as Interior / BoundaryP2 /
+    BoundaryP1 / Outside at level k, from one ``_sigma_all_raw`` pass.
 
-    The verdict is flagged ``ambiguous`` when some decision quantity lies
+    A verdict is flagged ``ambiguous`` when some decision quantity lies
     within half a tolerance of a classification threshold, i.e. when a
-    tol-sized perturbation could change the answer.
+    tol-sized perturbation could change the answer.  A BoundaryP2 row whose
+    deleted-variable row is not positive raises AssertionError.
     """
     arr = as_spectrum(lam)
-    if arr.ndim != 1:
-        raise DomainError("classify_boundary takes a single vector")
+    if arr.ndim != 2:
+        raise DomainError("classify_boundaries takes a (rows, n) batch")
     n = arr.shape[-1]
     if not 1 <= k <= n - 1:
         raise DomainError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     _check_tol(tol)
 
     sig = _sigma_all_raw(arr, n)
-    margin = float(np.min(sig[1 : k + 1]))
-    low_ok = bool(np.all(sig[1:k] > tol))
+    low_ok = np.all(sig[:, 1:k] > tol, axis=1)
+    interior = low_ok & (sig[:, k] > tol)
+    p2 = ~interior & low_ok & (np.abs(sig[:, k]) <= tol) & (sig[:, k + 1] < -tol)
+    p1 = (~interior & ~p2 & np.all(sig[:, 1:k] >= -tol, axis=1)
+          & np.all(np.abs(sig[:, k:]) <= tol, axis=1))
+    kinds = np.full(arr.shape[0], REGIONS.index(Region.OUTSIDE))
+    for region, where in ((Region.INTERIOR, interior), (Region.BOUNDARY_P2, p2),
+                          (Region.BOUNDARY_P1, p1)):
+        kinds[where] = REGIONS.index(region)
 
-    if low_ok and sig[k] > tol:
-        kind = Region.INTERIOR
-    elif low_ok and abs(sig[k]) <= tol and sig[k + 1] < -tol:
-        kind = Region.BOUNDARY_P2
-    elif np.all(sig[1:k] >= -tol) and np.all(np.abs(sig[k:]) <= tol):
-        kind = Region.BOUNDARY_P1
-    else:
-        kind = Region.OUTSIDE
-
-    row = None
-    if kind is Region.BOUNDARY_P2:
-        row = sigma_km1_row(arr, k)
-        if not np.all(row > 0.0):
-            raise AssertionError(
-                "uniformly elliptic boundary point with a nonpositive "
-                "deleted-variable row; this indicates a bug"
-            )
-        row = [float(v) for v in row]
-
-    ambiguous = bool(_threshold_distances(sig, k, n, tol) < 0.5 * tol)
-    return ConeVerdict(
-        kind=kind,
-        sigmas=[float(v) for v in sig[: k + 2]],
-        margin=margin,
-        ambiguous=ambiguous,
-        ellipticity_row=row,
+    rows = np.full(arr.shape, np.nan)
+    rows[p2] = sigma_km1_row(arr[p2], k)
+    if not np.all(rows[p2] > 0.0):
+        raise AssertionError(
+            "uniformly elliptic boundary point with a nonpositive "
+            "deleted-variable row; this indicates a bug"
+        )
+    return ConeVerdicts(
+        kinds=kinds,
+        sigmas=sig[:, : k + 2],
+        margins=np.min(sig[:, 1 : k + 1], axis=1),
+        ambiguous=_threshold_distances(sig, k, n, tol) < 0.5 * tol,
+        rows=rows,
     )
+
+
+def classify_boundary(lam, k: int, tol: float = DEFAULT_TOL) -> ConeVerdict:
+    """Classify one vector lam as Interior / BoundaryP2 / BoundaryP1 / Outside
+    at level k: the one-row case of ``classify_boundaries``."""
+    arr = as_spectrum(lam)
+    if arr.ndim != 1:
+        raise DomainError("classify_boundary takes a single vector")
+    return classify_boundaries(arr[None], k, tol).verdict(0)
 
 
 def garding_slack(lam, mu, k: int):

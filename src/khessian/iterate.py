@@ -28,9 +28,11 @@ changes eps itself.
 
 Each iterate is evaluated once: the step assembles the linearization from
 the ``Residual`` that ``eval_G`` returns alone, and the iterate's
-C^{2,alpha} surrogate reads its second differences.  The step frees them
-before it assembles, the assembly drops (y, u, p) once it has read f's
-derivatives, and the step frees the rest before it solves.  A converged
+C^{2,alpha} surrogate reads its second differences.  The step frees the
+second differences before it assembles, the assembly forms (y, u, p)
+again one slab at a time from the iterate and its gradient and drops the
+gradient once it has read f's derivatives, and the step frees the rest
+before it solves.  A converged
 loop certifies its last iterate itself: ``certify_convexity`` reads the
 second differences of the last evaluation, forms the Hessian as G does
 (``pde.total_hessian``) and recurses it one interior slab at a time, so
@@ -171,8 +173,11 @@ def _newton_step(g_grid: Residual, seed: SeedQuadratic, f, tol_lin: float,
     the seed row is positive (``seeds._finalize``), so it refuses every
     nonpositive margin too.  Its reason names the margin with the most
     negative gap, its grid point (indices on the full grid) and its row.
+    The step frees the residual's second differences before it assembles
+    (the assembly drops the gradient and the iterate itself) and the rest
+    of its pointwise data before it solves.
     """
-    g_grid.second = g_grid.grad = None  # the surrogate has read them; assembly does not
+    g_grid.second = None  # the surrogate has read it; the assembly does not
     sys = assemble_linearized(g_grid, seed, f)
     g_grid.drop_pointwise()  # free them before the solve
     gap = sys.margins - 0.5 * sigma_km1_row(seed.tau, seed.k)

@@ -27,16 +27,19 @@ last level and dS_k/dr the transposed tensor T_{k-1}.
 
 Each iterate is evaluated once.  ``eval_G`` takes w's second differences
 on the full grid, then r = diag(tau) + eps' D^2 w (``total_hessian``, r's
-one construction), one recursion (S_k for G, T_{k-1} for the coefficients)
-and (y, u, p) on the interior points only, where the equation is imposed.
-Those run one interior slab along the first axis at a time and fill
-preallocated interior arrays, so r, its transposed copy and the points'
-coordinates never exist for the whole interior.  ``eval_G`` returns them
-with G as a ``Residual``, all ``assemble_linearized`` reads; the assembly
-drops (y, u, p) as soon as f's derivatives are evaluated.  At w = 0 every
-difference is +0.0, so r = diag(tau) at every point, and one matrix is
-recursed and broadcast over the interior; scalar +0.0 stands in for w and
-Dw in u and p, the floats zero arrays would give, without forming them.
+one construction), one recursion (S_k for G, T_{k-1} for the coefficients),
+(y, u, p), f and the box's running maxima on the interior points only,
+where the equation is imposed.  Those run one interior slab along the
+first axis at a time and fill preallocated interior arrays, so r, its
+transposed copy, the points' coordinates and (y, u, p) never exist for the
+whole interior.  ``eval_G`` returns G as a ``Residual`` with the
+differences, the tensor and a reference to w, all ``assemble_linearized``
+reads; the assembly forms (y, u, p) again, one slab at a time, for f's
+derivatives, and drops w and its gradient before it builds the stencil
+fields.  At w = 0 every difference is +0.0, so r = diag(tau) at every
+point, and one matrix is recursed and broadcast over the interior; scalar
++0.0 stands in for w and Dw in u and p, the floats zero arrays would give,
+without forming them.
 """
 
 from __future__ import annotations
@@ -164,20 +167,44 @@ def _physical_args(seed: SeedQuadratic, x: np.ndarray, values: np.ndarray,
     return y, u, p
 
 
-def _check_box(f, u: np.ndarray, p: np.ndarray) -> None:
-    """Raise DomainError when max |u| or max |p| exceeds f's declared box.
-    |p|^2 is summed one component at a time, in the order of ``np.sum``
-    over p's last axis, and one square root is taken, of its maximum: the
-    float of the largest root, since the root is correctly rounded and
-    monotone."""
-    box = getattr(f, "box", None)
-    if box is None:
-        return
-    umax = sup_norm(u)
+def _slab_arguments(seed: SeedQuadratic, m: int, values: np.ndarray | None,
+                    grad: np.ndarray, width: int):
+    """(rows, at, y, u, p) per interior slab (``interior_slabs`` of an array
+    of ``width`` doubles per point): its rows of the interior, its index
+    into the grid and (y, u, p) there, from w's ``values`` and gradient
+    ``grad`` on the full grid.  ``values`` None stands for w = 0, whose
+    scalar +0.0 for w and Dw gives the floats of zero arrays without
+    forming them.  Each slab's (y, u, p) are new arrays; its coordinates
+    (``slab_coords``) are one buffer, freed with the generator."""
+    n = seed.n
+    parts = interior_slabs(n, m, width)
+    for (rows, at), x in zip(parts, slab_coords(n, m, [at for _, at in parts])):
+        w_at = (0.0, 0.0) if values is None else (values[at], grad[at])
+        yield (rows, at) + _physical_args(seed, x, *w_at)
+
+
+def _box_extremes(u: np.ndarray, p: np.ndarray, prior=(-np.inf, -np.inf)) -> tuple:
+    """(max |u|, max |p|^2) over the points of (u, p) and ``prior``, the pair
+    for the points before them: folded slab by slab, it gives the floats of
+    the whole interior, since a maximum is exact, and ``np.maximum`` lets a
+    NaN propagate from any slab as it does from the whole array.  |p|^2 is
+    summed one component at a time, in the order of ``np.sum`` over p's
+    last axis."""
     square = p[..., 0] ** 2
     for i in range(1, p.shape[-1]):
         square += p[..., i] ** 2
-    pmax = float(np.sqrt(square.max()))
+    return np.maximum(prior[0], sup_norm(u)), np.maximum(prior[1], square.max())
+
+
+def _check_box(f, extremes: tuple) -> None:
+    """Raise DomainError when max |u| or max |p| exceeds f's declared box,
+    from the ``_box_extremes`` of every point: one square root is taken, of
+    the largest |p|^2, the float of the largest root, since the root is
+    correctly rounded and monotone."""
+    box = getattr(f, "box", None)
+    if box is None:
+        return
+    umax, pmax = float(extremes[0]), float(np.sqrt(extremes[1]))
     if umax > box or pmax > box:
         raise DomainError(
             f"(u, p) arguments leave the declared box: |u|={umax:.3g}, "
@@ -191,23 +218,23 @@ class Residual(ScalarGrid):
     data of w it was computed from, all the linearization at w reads.
     ``second`` and ``grad`` are ``second_differences(w)`` on the full grid,
     which the C^{2,alpha} surrogate reads; the convexity certificate of a
-    converged loop reads ``second`` alone.  The Newton tensor
-    T_{k-1}(r(w)) (``tensor``, the transposed dS_k/dr) and (y, u, p) are
-    kept at the interior points only, shape (m-2,)*n + trailing axes;
-    ``assemble_linearized`` sets (y, u, p) to None once it has evaluated f's
-    derivatives.  ``tensor`` is read-only; at w = 0 it, ``second`` and
-    ``grad`` are views of one point broadcast over the grid."""
+    converged loop reads ``second`` alone.  ``iterate`` is w's values, the
+    caller's array (no copy), or None for w = 0.  The Newton tensor
+    T_{k-1}(r(w)) (``tensor``, the transposed dS_k/dr) is kept at the
+    interior points only, shape (m-2,)*n + (n, n).  (y, u, p) are not kept:
+    ``assemble_linearized`` forms them again from ``iterate`` and ``grad``,
+    one slab at a time, and then sets both to None.  ``tensor`` is
+    read-only; at w = 0 it, ``second`` and ``grad`` are views of one point
+    broadcast over the grid."""
 
     second: np.ndarray | None
     grad: np.ndarray | None
     tensor: np.ndarray | None
-    y: np.ndarray | None
-    u: np.ndarray | None
-    p: np.ndarray | None
+    iterate: np.ndarray | None
 
     def drop_pointwise(self) -> None:
         """Free the pointwise data, keeping the residual values."""
-        self.second = self.grad = self.tensor = self.y = self.u = self.p = None
+        self.second = self.grad = self.tensor = self.iterate = None
 
 
 def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
@@ -216,12 +243,14 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
     w is differenced on the full grid; everything after that runs on the
     interior, one slab along the first axis at a time.  Per slab, one
     Newton-tensor recursion of r gives both S_k(r), for G, and T_{k-1}(r),
-    which the result keeps for ``assemble_linearized``, and (y, u, p) are
-    formed from that slab's coordinates (``slab_coords``: one buffer, its
-    columns after the first filled once per call); each fills its part of a
-    preallocated interior array, so r and its copies never cover the whole
-    interior.  Each point's arithmetic is that of a whole-interior pass.  f
-    is evaluated on the whole interior once the slabs are done.  At w = 0,
+    which the result keeps for ``assemble_linearized``; (y, u, p) are formed
+    from that slab's coordinates (``_slab_arguments``), f is evaluated
+    there (``f.value(y, u, p, at)``, ``at`` the slab's index into the grid)
+    and |u| and |p|^2 are folded into running maxima (``_box_extremes``).
+    Each fills its part of a preallocated interior array, so r, its copies
+    and (y, u, p) never cover the whole interior.  After the last slab the
+    box is checked on the whole interior's extremes (``_check_box``).  Each
+    point's arithmetic is that of a whole-interior pass.  At w = 0,
     r = diag(tau) at every point: one matrix is recursed, S_k broadcasts as
     its scalar, and T_{k-1}, ``second`` and ``grad`` are read-only views
     broadcast over the grid, and scalar +0.0 stands in for w and Dw in
@@ -238,26 +267,45 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
         grad = np.broadcast_to(0.0, shape + (n,))
         sums, tensor = minor_sums(total_hessian(None, seed), seed.k)
         sk = sums[-1]
-    y, u, p = np.empty(inner + (n,)), np.empty(inner), np.empty(inner + (n,))
-    parts = interior_slabs(n, m, n * n if differenced else n)
-    for (rows, at), x in zip(parts, slab_coords(n, m, [at for _, at in parts])):
+    iterate = w.values if differenced else None
+    fval, extremes = np.empty(inner), (-np.inf, -np.inf)
+    for rows, at, y, u, p in _slab_arguments(seed, m, iterate, grad,
+                                             n * n if differenced else n):
         if differenced:
             sums, tensor[rows] = minor_sums(total_hessian(second[(slice(None),) + at], seed),
                                             seed.k)
             sk[rows] = sums[-1]
-        y[rows], u[rows], p[rows] = _physical_args(
-            seed, x, *((w.values[at], grad[at]) if differenced else (0.0, 0.0)))
-    _check_box(f, u, p)
+        fval[rows] = f.value(y, u, p, at)
+        extremes = _box_extremes(u, p, extremes)
+    del y, u, p  # the last slab's, freed before G is formed
+    _check_box(f, extremes)
     g = np.zeros(shape)
-    g[(slice(1, -1),) * n] = (sk - f.value(y, u, p)) / seed.eps_prime
+    np.divide(np.subtract(sk, fval, out=fval), seed.eps_prime, out=g[(slice(1, -1),) * n])
     return Residual(w.n, w.m, g, second, grad, np.broadcast_to(tensor, inner + (n, n)),
-                    y, u, p)
+                    iterate)
+
+
+def _rhs_derivatives(g: Residual, seed: SeedQuadratic, f) -> tuple[np.ndarray, np.ndarray]:
+    """-eps^2 f_p and -eps^4 f_u at the interior points, from the residual's
+    ``iterate`` and ``grad``: (y, u, p) are formed one slab at a time
+    (``_slab_arguments``) and each slab's derivatives fill preallocated
+    interior arrays, the floats of one whole-interior evaluation.  The last
+    slab's arguments are freed on return."""
+    n, inner = g.n, (g.m - 2,) * g.n
+    a_first, a_zero = np.empty(inner + (n,)), np.empty(inner)
+    # a slab holds y, u, p and f_p: 3n + 1 doubles per point
+    for rows, _, y, u, p in _slab_arguments(seed, g.m, g.iterate, g.grad, 3 * n + 1):
+        a_first[rows] = -seed.eps**2 * f.dp(y, u, p)
+        a_zero[rows] = -seed.eps**4 * f.du(y, u, p)
+    return a_first, a_zero
 
 
 def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
     """Linearization at w with right-hand side -G(w), read from the residual
-    ``g = eval_G(w, seed, f)`` alone; the residual's (y, u, p) are set to
-    None once f's derivatives have been evaluated at them.
+    ``g = eval_G(w, seed, f)`` alone.  f's derivatives are evaluated at
+    (y, u, p) formed one slab at a time from the residual's ``iterate`` and
+    ``grad`` (``_rhs_derivatives``), and both are set to None before the
+    stencil fields are built.
 
     The unknowns are the interior points in lexicographic order.  The
     operator keeps one coefficient field per stencil offset and applies it as
@@ -270,9 +318,8 @@ def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
     """
     n, m, h = g.n, g.m, g.h
     coeff = np.swapaxes(g.tensor, -1, -2)
-    a_first = -seed.eps**2 * f.dp(g.y, g.u, g.p)
-    a_zero = -seed.eps**4 * f.du(g.y, g.u, g.p)
-    g.y = g.u = g.p = None  # read for the last time
+    a_first, a_zero = _rhs_derivatives(g, seed, f)
+    g.grad = g.iterate = None  # read for the last time
     idx = np.arange(n)
 
     # margin of row i: c_ii - (|c_i0| + ... + |c_i,n-1| - |c_ii|), the sum

@@ -67,7 +67,9 @@ class RhsSpec:
 
     # -- evaluation ------------------------------------------------------------
 
-    def value(self, y: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def value(self, y: np.ndarray, u: np.ndarray, p: np.ndarray, at=None) -> np.ndarray:
+        """f(y, u, p); ``at``, the points' index into the grid, is not read:
+        f is a function of its arguments alone."""
         return self._eval_terms(self.terms, y, u, p)
 
     def _du_terms(self) -> list[RhsTerm]:
@@ -117,22 +119,23 @@ class TabulatedRhs:
 
     Used to manufacture problems whose exact solution is prescribed; the
     table holds f at every grid point of the grid it was built for.  It
-    ignores the (y, u, p) arguments and returns the table read at the
-    interior points, where ``eval_G`` evaluates f.  It declares no box, so
-    ``eval_G`` makes no box check for it.
+    ignores the (y, u, p) arguments and returns the table read at ``at``,
+    the points' index into the grid: the slab ``eval_G`` evaluates f on,
+    or by default every interior point.  Its derivatives are zeros shaped
+    like u and p.  It declares no box, so ``eval_G`` makes no box check
+    for it.
     """
 
     values: np.ndarray
 
-    def value(self, y, u, p) -> np.ndarray:
-        return self.values[(slice(1, -1),) * self.values.ndim]
+    def value(self, y, u, p, at=None) -> np.ndarray:
+        return self.values[(slice(1, -1),) * self.values.ndim if at is None else at]
 
     def du(self, y, u, p) -> np.ndarray:
-        return np.zeros(self.value(y, u, p).shape)
+        return np.zeros(np.shape(u))
 
     def dp(self, y, u, p) -> np.ndarray:
-        n = np.asarray(y).shape[-1]
-        return np.zeros(self.value(y, u, p).shape + (n,))
+        return np.zeros(np.shape(p))
 
     def value_at_origin(self) -> float:
         center = tuple(s // 2 for s in self.values.shape)

@@ -5,8 +5,9 @@ family of identities or memberships on batches, and returns a summary with
 the first few counterexamples (if any).  The CLI ``verify`` command and the
 acceptance test suite both run these.
 
-The cone sweeps draw and check at most ``_BLOCK`` rows at a time, so their
-memory does not grow with the sample count.  Consecutive draws continue one
+The cone sweeps, the P2 boundary sweep included, draw and check at most
+``_BLOCK`` rows at a time, so their memory does not grow with the sample
+count; the P2 sweep classifies each block in one batched call.  Consecutive draws continue one
 stream, so the samples, the counts and the order of the counterexamples are
 those of drawing and checking each batch whole.  The sweeps that need points
 inside the cone draw them by rejection, and the sampler stops drawing once it
@@ -22,12 +23,12 @@ from itertools import combinations
 import numpy as np
 
 from .cone import (
+    Region,
+    classify_boundaries,
     garding_slack,
     in_gamma_k,
     in_gamma_tilde,
     in_garding_cone_sampled,
-    classify_boundary,
-    Region,
 )
 from .seeds import sample_p2_points
 from .symfun import binom, elem_sym, elem_sym_deleted, shift_expand, sigma_all, sigma_km1_row
@@ -230,19 +231,21 @@ def identities_sweep(samples: int = 1000, seed: int = 17) -> SweepResult:
 
 
 def p2_ellipticity_sweep(samples: int = 1000, seed: int = 23) -> SweepResult:
-    """Constructed sign-changing boundary points keep a positive row."""
+    """Constructed sign-changing boundary points keep a positive row.
+
+    Each configuration's points are drawn, classified (``classify_boundaries``,
+    which raises on a BoundaryP2 point with a nonpositive row) and checked
+    ``_BLOCK`` at a time."""
     rng = np.random.default_rng(seed)
     result = SweepResult(name="p2-ellipticity", checked=0, failures=0)
     per = max(1, samples // len(P2_CONFIGS))
     for k, n in P2_CONFIGS:
-        pts = sample_p2_points(k, n, per, rng)
-        rows = sigma_km1_row(pts, k)
-        ok = np.min(rows, axis=1) > 0.0
-        for i in range(per):
-            verdict = classify_boundary(pts[i], k)
-            ok[i] &= verdict.kind is Region.BOUNDARY_P2
+        for rows in _blocks(per):
+            pts = sample_p2_points(k, n, rows.stop - rows.start, rng)
+            ok = np.min(sigma_km1_row(pts, k), axis=1) > 0.0
+            ok &= classify_boundaries(pts, k).of_kind(Region.BOUNDARY_P2)
+            _record_failures(result, ok, pts)
         result.checked += per
-        _record_failures(result, ok, pts)
     return result
 
 

@@ -12,7 +12,9 @@ bit-exact reference for the library's coefficient-major kernel, which does the
 same arithmetic in the same order.  The point-by-point evaluation of G and of
 the convexity certificate, which differences and recurses every grid point
 even at w = 0, is the bit-exact reference for the library's closed form of the
-zero iterate and for its interior-only pointwise data.  Scaling full (n, n)
+zero iterate and for its interior-only pointwise data; its (y, u, p),
+formed for the whole interior at once, are the reference for the library's
+slab-by-slab arguments, box decision and derivatives of f.  Scaling full (n, n)
 Hessian matrices and shifting their diagonal is the bit-exact reference for
 the library's one construction of diag(tau) + eps' D^2 w from stacked
 upper-triangle components.  Plain halving of eps on the solve's grid alone
@@ -23,7 +25,9 @@ row and test every drawn row for the cone are
 the bit-exact references for the library's row-wise, positive-rows-only and
 blocked, stop-when-full forms, and the cone sweeps that draw and check each
 configuration's whole batch at once are the references for the library's
-sweeps of one block at a time.  The helpers (the cone inequality check,
+sweeps of one block at a time.  Classifying one vector at a time with
+scalar comparisons and Python's ``min`` is the reference for the batched
+boundary classifier and the P2 sweep's blocks.  The helpers (the cone inequality check,
 the descending-order facts, the boundary mask and the grid CSV reader) are
 built on the library and used only by tests.
 """
@@ -36,7 +40,7 @@ from itertools import combinations, product
 import numpy as np
 
 from khessian import verify
-from khessian.cone import garding_slack, in_gamma_k
+from khessian.cone import DEFAULT_TOL, Region, classify_boundary, garding_slack, in_gamma_k
 from khessian.errors import DomainError, TuningError
 from khessian.grids import (
     calpha_surrogate,
@@ -45,7 +49,8 @@ from khessian.grids import (
     symmetric_matrix,
 )
 from khessian.iterate import EPS_MIN, _iteration_zero
-from khessian.pde import _check_box, _physical_args, minor_sums
+from khessian.pde import _box_extremes, _check_box, _physical_args, minor_sums
+from khessian.seeds import sample_p2_points
 from khessian.symfun import as_spectrum, shift_coefficient, sigma_km1_row
 
 
@@ -187,22 +192,87 @@ def maclaurin_sweep_whole_batch(samples: int, seed: int) -> verify.SweepResult:
     return result
 
 
+def classify_boundary_per_point(lam, k: int, tol: float = DEFAULT_TOL) -> dict:
+    """``cone.classify_boundary``'s verdict of one vector, as ``to_dict``
+    gives it, decided by scalar comparisons on its own sigma row and the
+    ambiguity distance taken by Python's ``min`` over a list: the reference
+    for the batched classifier."""
+    arr = as_spectrum(lam)
+    n = arr.shape[-1]
+    sig = sigma_all_row_major(arr, n)
+    low_ok = bool(np.all(sig[1:k] > tol))
+    if low_ok and sig[k] > tol:
+        kind = Region.INTERIOR
+    elif low_ok and abs(sig[k]) <= tol and sig[k + 1] < -tol:
+        kind = Region.BOUNDARY_P2
+    elif np.all(sig[1:k] >= -tol) and np.all(np.abs(sig[k:]) <= tol):
+        kind = Region.BOUNDARY_P1
+    else:
+        kind = Region.OUTSIDE
+    dists = []
+    for j in range(1, k):
+        dists += [abs(sig[j] - tol), abs(sig[j] + tol)]
+    dists.append(abs(abs(sig[k]) - tol))
+    if k + 1 <= n:
+        dists += [abs(sig[k + 1] + tol), abs(abs(sig[k + 1]) - tol)]
+    for j in range(k + 2, n + 1):
+        dists.append(abs(abs(sig[j]) - tol))
+    out = {"kind": kind.value, "sigmas": [float(v) for v in sig[: k + 2]],
+           "margin": float(np.min(sig[1 : k + 1])), "ambiguous": bool(min(dists) < 0.5 * tol)}
+    if kind is Region.BOUNDARY_P2:
+        out["ellipticity_row"] = [float(v) for v in sigma_km1_row(arr, k)]
+    return out
+
+
+def p2_ellipticity_sweep_per_point(samples: int, rng: np.random.Generator
+                                   ) -> verify.SweepResult:
+    """``verify.p2_ellipticity_sweep`` drawing each configuration's points at
+    once from ``rng`` and classifying them one by one with
+    ``cone.classify_boundary``."""
+    result = verify.SweepResult(name="p2-ellipticity", checked=0, failures=0)
+    per = max(1, samples // len(verify.P2_CONFIGS))
+    for k, n in verify.P2_CONFIGS:
+        pts = sample_p2_points(k, n, per, rng)
+        ok = np.min(sigma_km1_row(pts, k), axis=1) > 0.0
+        for i in range(per):
+            ok[i] &= classify_boundary(pts[i], k).kind is Region.BOUNDARY_P2
+        result.checked += per
+        verify._record_failures(result, ok, pts)
+    return result
+
+
+def arguments_at_every_point(w, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y, u, p) of the iterate w formed on the full grid in one pass and
+    returned on the interior, the points where f is read."""
+    grad = second_differences(w)[1]
+    slab = (slice(1, -1),) * w.n
+    return tuple(a[slab] for a in _physical_args(seed, grid_coords(w.n, w.m), w.values, grad))
+
+
 def eval_G_at_every_point(w, seed, f) -> dict:
     """G(w) and its pointwise data, every grid point differenced and
-    recursed: keys ``values``, ``second``, ``grad``, ``tensor``, ``y``, ``u``
-    and ``p`` as on ``pde.Residual``.  The tensor and (y, u, p) are formed on
-    the full grid and returned on the interior slab, where the library keeps
-    them."""
+    recursed and f evaluated on the whole interior at once: keys
+    ``values``, ``second``, ``grad`` and ``tensor`` as on ``pde.Residual``.
+    The tensor is formed on the full grid and returned on the interior,
+    where the library keeps it; the box is checked on the whole interior's
+    (u, p) (``arguments_at_every_point``)."""
     second, grad = second_differences(w)
     sums, tensor = minor_sums(symmetric_matrix(second, seed.n, seed.eps_prime, seed.tau),
                               seed.k)
-    y, u, p = _physical_args(seed, grid_coords(w.n, w.m), w.values, grad)
+    y, u, p = arguments_at_every_point(w, seed)
+    _check_box(f, _box_extremes(u, p))
     slab = (slice(1, -1),) * w.n
-    _check_box(f, u[slab], p[slab])
-    g = (sums[-1] - f.value(y, u, p)) / seed.eps_prime
-    g = np.where(boundary_mask(w.n, w.m), 0.0, g)
-    return {"values": g, "second": second, "grad": grad, "tensor": tensor[slab],
-            "y": y[slab], "u": u[slab], "p": p[slab]}
+    g = np.zeros(w.values.shape)
+    g[slab] = (sums[-1][slab] - f.value(y, u, p)) / seed.eps_prime
+    return {"values": g, "second": second, "grad": grad, "tensor": tensor[slab]}
+
+
+def rhs_derivatives_at_every_point(w, seed, f) -> tuple[np.ndarray, np.ndarray]:
+    """-eps^2 f_p and -eps^4 f_u on the whole interior at once, from
+    ``arguments_at_every_point``: the coefficients the library's assembly
+    forms one slab at a time."""
+    y, u, p = arguments_at_every_point(w, seed)
+    return -seed.eps**2 * f.dp(y, u, p), -seed.eps**4 * f.du(y, u, p)
 
 
 def halving_tune(seed, f, m: int, tol_newton: float = 1e-9, tol_lin: float = 1e-10):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from khessian import cone, verify
 from khessian.cone import (
     Region,
+    classify_boundaries,
     classify_boundary,
     garding_slack,
     in_gamma_k,
@@ -21,6 +23,7 @@ from khessian.seeds import p2_example, sample_p2_points
 from khessian.symfun import elem_sym, sigma_all, sigma_km1_row
 import oracles
 from oracles import (
+    classify_boundary_per_point,
     cone_equivalence_sweep_whole_batch,
     descending_order_facts,
     garding_inequality_check,
@@ -28,6 +31,7 @@ from oracles import (
     in_gamma_k_over_the_sigma_axis,
     in_garding_cone_sampled_every_row,
     maclaurin_sweep_whole_batch,
+    p2_ellipticity_sweep_per_point,
     sample_in_cone_every_row,
 )
 
@@ -165,6 +169,133 @@ class TestClassify:
             verdict = classify_boundary(lam, 2)
             assert verdict.kind is Region.BOUNDARY_P2
             assert min(verdict.ellipticity_row) > 0
+
+
+def _classifier_cases(rng):
+    """(lam batch, k, tol): random vectors, P1, P2 and Outside families and
+    P2 points nudged into the ambiguous band, at n = 3..6."""
+    cases = []
+    for n in (3, 4, 5, 6):
+        for k in range(1, n):
+            cases.append((rng.uniform(-3.0, 3.0, size=(200, n)), k, 1e-9))
+            p1 = np.zeros((40, n))
+            p1[:, : k - 1] = rng.uniform(0.2, 3.0, size=(40, k - 1))
+            cases.append((p1, k, 1e-9))
+            cases.append((-rng.uniform(0.1, 3.0, size=(40, n)), k, 1e-9))
+            if k >= 2:
+                p2 = sample_p2_points(k, n, 40, rng)
+                nudged = p2.copy()
+                nudged[:, k] += rng.uniform(-1.0, 1.0, size=40) * 1e-9
+                cases += [(p2, k, 1e-9), (nudged, k, 1e-9), (nudged, k, 1e-3), (p2, k, 0.0)]
+    return cases
+
+
+class TestBatchedClassifier:
+    """``classify_boundaries`` gives every row the per-point verdict, field
+    by field, and the P2 sweep classifies a block at a time with the
+    reports, counterexamples and generator state of the per-point loop."""
+
+    def test_rows_match_per_point_reference(self):
+        kinds = set()
+        ambiguous = 0
+        for lam, k, tol in _classifier_cases(np.random.default_rng(12)):
+            got = classify_boundaries(lam, k, tol)
+            for i, row in enumerate(lam):
+                want = classify_boundary_per_point(row, k, tol)
+                assert got.verdict(i).to_dict() == want
+                assert classify_boundary(row, k, tol).to_dict() == want
+                kinds.add(want["kind"])
+                ambiguous += want["ambiguous"]
+        assert kinds == {region.value for region in Region} and ambiguous > 0
+
+    @pytest.mark.parametrize("lam, k", [([1e200, -1e200, 0.0, 1.0], 2),
+                                        ([1.0, 1e300, -1e300, -1.0], 2),
+                                        ([1e300, -1.0, -1e300, 1.0], 3)])
+    def test_nan_distance_kept_where_min_keeps_it(self, lam, k):
+        # a sigma overflows to NaN, and its distance comes after one of 0
+        # to a threshold: Python's min passes over the later NaN, so the
+        # verdict is ambiguous, where np.minimum would have propagated it
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = classify_boundary_per_point(lam, k, 1.0)
+            got = classify_boundaries(np.array([lam]), k, 1.0).verdict(0).to_dict()
+        assert want["ambiguous"] and any(map(math.isnan, want["sigmas"]))
+        assert json.dumps(got) == json.dumps(want)
+
+    def test_verdict_bits(self):
+        rng = np.random.default_rng(13)
+        lam = np.concatenate([sample_p2_points(2, 4, 30, rng),
+                              rng.uniform(-3.0, 3.0, size=(30, 4))])
+        got = classify_boundaries(lam, 2)
+        for i, row in enumerate(lam):
+            want = classify_boundary_per_point(row, 2)
+            for name, field in (("sigmas", got.sigmas[i]), ("margin", got.margins[i])):
+                assert np.array_equal(np.asarray(field).view(np.uint64),
+                                      np.asarray(want[name]).view(np.uint64)), name
+            p2 = want["kind"] == Region.BOUNDARY_P2.value
+            assert got.of_kind(Region.BOUNDARY_P2)[i] == p2
+            assert np.all(np.isnan(got.rows[i])) != p2
+
+    def test_batch_shape_required(self):
+        with pytest.raises(DomainError, match="batch"):
+            classify_boundaries([1.0, 1.0, 1.0], 2)
+        with pytest.raises(DomainError, match="single vector"):
+            classify_boundary([[1.0, 1.0, 1.0]], 2)
+
+    @pytest.mark.parametrize("samples", [1, 4, 37, "block + 1"])
+    def test_sweep_matches_per_point_loop(self, monkeypatch, samples):
+        monkeypatch.setattr(verify, "_BLOCK", 8)
+        if samples == "block + 1":
+            samples = 4 * (verify._BLOCK + 1)  # _BLOCK + 1 points per configuration
+        drawn = []
+
+        def recorded(k, n, count, rng):
+            drawn.append((count, rng))
+            return sample_p2_points(k, n, count, rng)
+
+        monkeypatch.setattr(verify, "sample_p2_points", recorded)
+        for seed in (1, 23):
+            drawn.clear()
+            got = verify.p2_ellipticity_sweep(samples, seed).to_dict()
+            ref = np.random.default_rng(seed)
+            assert got == p2_ellipticity_sweep_per_point(samples, ref).to_dict()
+            assert got["passed"] and got["checked"] == 4 * max(1, samples // 4)
+            assert max(count for count, _ in drawn) <= verify._BLOCK
+            assert drawn[-1][1].bit_generator.state == ref.bit_generator.state
+
+    def test_sweep_counterexamples_across_blocks(self, monkeypatch):
+        # a wrong verdict for points whose first entry exceeds 1.09, about
+        # one point in ten and several in each configuration: the same
+        # failures and counterexamples, in the order of the per-point loop
+        true = cone.classify_boundaries
+
+        def wrong(lam, k, tol=cone.DEFAULT_TOL):
+            got = true(lam, k, tol)
+            got.kinds[lam[:, 0] > 1.09] = cone.REGIONS.index(Region.OUTSIDE)
+            return got
+
+        for module in (cone, verify):
+            monkeypatch.setattr(module, "classify_boundaries", wrong)
+        monkeypatch.setattr(verify, "_BLOCK", 8)
+        got = verify.p2_ellipticity_sweep(100, 4).to_dict()
+        assert got == p2_ellipticity_sweep_per_point(100, np.random.default_rng(4)).to_dict()
+        assert got["failures"] > verify.COUNTEREXAMPLES
+
+    def test_nonpositive_row_raises(self, monkeypatch):
+        # a sampled BoundaryP2 point whose deleted-variable row is not
+        # positive is a bug, reported by the classifier and the sweep alike
+        true = cone.sigma_km1_row
+
+        def broken(lam, k):
+            row = true(lam, k)
+            row[..., -1] = -row[..., -1]
+            return row
+
+        monkeypatch.setattr(cone, "sigma_km1_row", broken)
+        pts = sample_p2_points(2, 4, 5, np.random.default_rng(1))
+        for call in (lambda: classify_boundaries(pts, 2), lambda: classify_boundary(pts[0], 2),
+                     lambda: verify.p2_ellipticity_sweep(8, 3)):
+            with pytest.raises(AssertionError, match="nonpositive deleted-variable row"):
+                call()
 
 
 class TestGardingInequality:

@@ -22,7 +22,7 @@ from khessian.iterate import (
     residual_floor,
     tune_epsilon,
 )
-from khessian.pde import eval_G, sk_of_matrix
+from khessian.pde import _slab_arguments, eval_G, sk_of_matrix
 from khessian.presets import PRESETS
 from khessian.rhs import RhsSpec, RhsTerm, manufactured_field, tabulated_rhs_from_hessian
 from khessian.seeds import (
@@ -684,13 +684,40 @@ class TestMemory:
         try:
             g = eval_G(w, seed, f)
             assert g.tensor.shape == (15,) * 4 + (4, 4)
-            assert g.u.shape == (15,) * 4 and g.p.shape == (15,) * 4 + (4,)
+            # (y, u, p) are not kept: the assembly forms them per slab from
+            # the iterate (the caller's array) and its gradient, on the
+            # interior points only
+            assert not any(hasattr(g, name) for name in "yup") and g.iterate is w.values
+            slabs = [(rows, u.shape, p.shape) for rows, _, _, u, p in
+                     _slab_arguments(seed, g.m, g.iterate, g.grad, 3 * 4 + 1)]
+            assert sum(rows.stop - rows.start for rows, _, _ in slabs) == 15
+            for rows, u_shape, p_shape in slabs:
+                assert u_shape == (rows.stop - rows.start,) + (15,) * 3
+                assert p_shape == u_shape + (4,)
             rho, reason = _newton_step(g, seed, f, 1e-10, IterationRecord(0, 0.0, 0.0))
         finally:
             tracemalloc.stop()
         assert reason is None and rho is not None
         assert seen["differences"] == (None, None)
         assert seen["peak"] < 30 * self.MB
+
+    @pytest.mark.parametrize("zero, bound", [(True, 4), (False, 19)])
+    def test_eval_G_peak(self, zero, bound):
+        # (y, u, p) live one slab at a time: at w = 0 the peak is G, f's
+        # interior values and a slab (2.7 MiB), at the manufactured w the
+        # differences, the tensor and G (17.8 MiB); whole-interior (y, u, p)
+        # added 3.0 and 3.2 MiB
+        seed, f, w = self._problem()
+        if zero:
+            w = ScalarGrid.zeros(4, 17)
+        tracemalloc.start()
+        try:
+            g = eval_G(w, seed, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.values.shape == (17,) * 4
+        assert peak < bound * self.MB
 
     def test_solution_and_certificate_peak(self):
         seed, _, w = self._problem()

@@ -23,8 +23,11 @@ from khessian.grids import (
 )
 from khessian.iterate import IterationRecord, _newton_step
 from khessian.pde import (
+    _box_extremes,
     _check_box,
     _physical_args,
+    _rhs_derivatives,
+    _slab_arguments,
     assemble_linearized,
     eval_G,
     minor_sums,
@@ -48,12 +51,14 @@ from oracles import (
     brute_holder_quotient,
     brute_sk_matrix,
     convexity_minima_at_every_point,
+    arguments_at_every_point,
     dense_operator,
     eval_G_at_every_point,
     every_offset_holder_quotient,
     fd_sk_gradient,
     manufactured_hessian_matrices,
     read_grid_csv,
+    rhs_derivatives_at_every_point,
     stencil_matrix,
     total_hessian_by_matrices,
     write_grid_csv_per_cell,
@@ -230,9 +235,9 @@ class TestEvalG:
         p = np.zeros((5, 5, 5, 3))
         p[1, 2, 3] = [0.375, 0.5, 0.0]
         u = np.zeros((5, 5, 5))
-        _check_box(self._boxed(0.625), u, p)
+        _check_box(self._boxed(0.625), _box_extremes(u, p))
         with pytest.raises(DomainError, match=r"\|p\|=0\.625, box=0\.625"):
-            _check_box(self._boxed(np.nextafter(0.625, 0.0)), u, p)
+            _check_box(self._boxed(np.nextafter(0.625, 0.0)), _box_extremes(u, p))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_box_decides_as_root_of_summed_squares(self, n):
@@ -243,9 +248,9 @@ class TestEvalG:
         for _ in range(50):
             p = rng.normal(size=(7,) * 3 + (n,)) * 10.0 ** rng.uniform(-3, 3, size=n)
             pmax = float(np.max(np.sqrt(np.sum(p**2, axis=-1))))
-            _check_box(self._boxed(pmax), u, p)
+            _check_box(self._boxed(pmax), _box_extremes(u, p))
             with pytest.raises(DomainError, match="declared box"):
-                _check_box(self._boxed(np.nextafter(pmax, 0.0)), u, p)
+                _check_box(self._boxed(np.nextafter(pmax, 0.0)), _box_extremes(u, p))
 
 
 # (n, k, c, l): c = 0, c > 0 with the equal-entry seed and with l = 1, c < 0
@@ -259,6 +264,21 @@ _FIVE_SEEDS = [(5, k, c, l) for k, c, l in [
 
 def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def slab_arguments_gathered(g, seed):
+    """(y, u, p) formed from the residual g one slab at a time, as the
+    assembly forms them, joined over the interior."""
+    parts = [(y, u, p) for _, _, y, u, p in
+             _slab_arguments(seed, g.m, g.iterate, g.grad, 3 * g.n + 1)]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def assert_arguments_match(g, w, seed):
+    """The slabs' (y, u, p) carry the bits of the whole-interior ones."""
+    got = slab_arguments_gathered(g, seed)
+    for name, a, b in zip("yup", got, arguments_at_every_point(w, seed)):
+        assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), name
 
 
 class TestZeroIterate:
@@ -291,6 +311,7 @@ class TestZeroIterate:
             got = getattr(g, name)
             assert got.shape == value.shape, name
             assert np.array_equal(_bits(got), _bits(value)), name
+        assert_arguments_match(g, w, seed)
         for name in ("second", "grad", "tensor"):
             assert not getattr(g, name).flags.writeable, name
 
@@ -318,6 +339,7 @@ class TestZeroIterate:
         expect, g = eval_G_at_every_point(w, seed, f), eval_G(w, seed, f)
         for name, value in expect.items():
             assert np.array_equal(_bits(getattr(g, name)), _bits(value)), name
+        assert_arguments_match(g, w, seed)
 
     @pytest.mark.parametrize("n, k, c", [(3, 2, -1.0), (4, 3, -2.0)])
     def test_zero_terms_left_out_give_the_same_bits(self, n, k, c):
@@ -332,9 +354,12 @@ class TestZeroIterate:
         assert np.any(np.signbit(seed.eps**2 * (seed.tau * x)) & (x == 0.0))
         g = eval_G(w, seed, f)
         expect = eval_G_at_every_point(w, seed, f)
-        for name in ("values", "y", "u", "p"):
-            assert np.array_equal(_bits(getattr(g, name)), _bits(expect[name])), name
-        assert not np.any(np.signbit(g.p) & (g.p == 0.0))
+        assert np.array_equal(_bits(g.values), _bits(expect["values"]))
+        # (y, u, p) are formed per slab: at w = 0 they carry the bits of
+        # the whole-interior arguments, and p holds no -0.0
+        assert_arguments_match(g, w, seed)
+        p = slab_arguments_gathered(g, seed)[2]
+        assert not np.any(np.signbit(p) & (p == 0.0))
 
     def test_zero_is_never_differenced_and_recursed_once(self, monkeypatch):
         import khessian.grids as grids
@@ -608,6 +633,131 @@ class TestAssemble:
         # every margin stays positive, but one falls below half its seed row
         margins = self._refusal_at(2e-3)
         assert 0.0 < margins.min()
+
+
+def _box_message(f, u, p) -> str | None:
+    """The box refusal of the whole interior's (u, p), or None."""
+    try:
+        _check_box(f, _box_extremes(u, p))
+    except DomainError as err:
+        return str(err)
+    return None
+
+
+class TestSlabbedArguments:
+    """(y, u, p) are formed one interior slab at a time, by ``eval_G`` and
+    again by the assembly, and never kept for the whole interior: the box
+    decision and its message, G, f's derivatives, the operator and the
+    margins are those of one whole-interior (y, u, p)."""
+
+    @staticmethod
+    def _spiked(eps, row, amplitude, n=3, m=9):
+        """w = +-amplitude at two points of one grid row, two apart along
+        the last axis: its largest |Dw| lies on that row, between them."""
+        seed = seed_for_zero(2, n, 0.5).with_eps(eps)
+        values = np.zeros((m,) * n)
+        values[row, 4, 3], values[row, 4, 5] = amplitude, -amplitude
+        return seed, ScalarGrid(n, m, values)
+
+    @pytest.mark.parametrize("rows_per_slab", [1, None])
+    @pytest.mark.parametrize("decisive, eps", [("u", 2.0), ("p", 0.25)])
+    def test_box_decided_in_last_slab(self, monkeypatch, rows_per_slab, decisive, eps):
+        # spikes on the last interior row, the last slab: at eps = 2 they
+        # give the largest |u| and at eps = 1/4 the largest |p|
+        if rows_per_slab is not None:
+            monkeypatch.setattr(grids, "_SLAB_BYTES", 1)
+        seed, w = self._spiked(eps, 7, 3.0)
+        u, p = arguments_at_every_point(w, seed)[1:]
+        umax, square = _box_extremes(u, p)
+        top = float(umax) if decisive == "u" else float(np.sqrt(square))
+        assert top == max(float(umax), float(np.sqrt(square)))
+        where = np.unravel_index(np.argmax(np.abs(u) if decisive == "u"
+                                           else np.sum(p**2, axis=-1)), u.shape)
+        assert where[0] == u.shape[0] - 1
+        f = RhsSpec.constant(3, 0.0)
+        f.box = top
+        g = eval_G(w, seed, f)
+        assert np.array_equal(_bits(g.values), _bits(eval_G_at_every_point(w, seed, f)["values"]))
+        f.box = np.nextafter(top, np.inf)
+        eval_G(w, seed, f)
+        f.box = np.nextafter(top, 0.0)
+        message = _box_message(f, u, p)
+        assert message is not None and f"|{decisive}|={top:.3g}" in message
+        with pytest.raises(DomainError) as err:
+            eval_G(w, seed, f)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("nan_row, big_row", [(7, 1), (1, 7), (4, 4)])
+    def test_nan_passes_the_box_as_on_the_whole_interior(self, monkeypatch, nan_row, big_row):
+        # a NaN anywhere makes max |u| and max |p| NaN, which no box
+        # refuses, also when the slab that exceeds the box comes first or last
+        monkeypatch.setattr(grids, "_SLAB_BYTES", 1)
+        seed, w = self._spiked(0.25, big_row, 1e6)
+        w.values[nan_row, 3, 5] = np.nan
+        f = RhsSpec.constant(3, 0.0)
+        f.box = 1.0
+        u, p = arguments_at_every_point(w, seed)[1:]
+        assert _box_message(f, u, p) is None
+        assert _box_message(f, np.where(np.isnan(u), 0.0, u),
+                            np.where(np.isnan(p), 0.0, p)) is not None
+        g = eval_G(w, seed, f)
+        assert np.any(np.isnan(g.values))
+        assert np.array_equal(_bits(g.values), _bits(eval_G_at_every_point(w, seed, f)["values"]))
+
+    @pytest.mark.parametrize("rows_per_slab", [1, None])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tabulated_rhs_keeps_its_G_bits(self, monkeypatch, rows_per_slab, n):
+        # the table is read at each slab's grid index: G, and the solve it
+        # drives, are those of reading the whole interior at once
+        if rows_per_slab is not None:
+            monkeypatch.setattr(grids, "_SLAB_BYTES", 1)
+        seed = _noisy_problem(n)[0].with_eps(1 / 16)
+        w_star, second = manufactured_field(n, 9, 0.05)
+        f = tabulated_rhs_from_hessian(seed, second)
+        assert f.value(None, None, None).shape == (7,) * n
+        for w in (ScalarGrid.zeros(n, 9), ScalarGrid(n, 9, 0.5 * w_star)):
+            g = eval_G(w, seed, f)
+            expect = eval_G_at_every_point(w, seed, f)["values"]
+            assert np.array_equal(_bits(g.values), _bits(expect))
+            a_first, a_zero = _rhs_derivatives(g, seed, f)
+            assert a_first.shape == (7,) * n + (n,) and a_zero.shape == (7,) * n
+            assert not np.any(a_first) and not np.any(a_zero)
+
+    @pytest.mark.parametrize("rows_per_slab", [1, None])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_derivatives_match_whole_interior(self, monkeypatch, rows_per_slab, n):
+        if rows_per_slab is not None:
+            monkeypatch.setattr(grids, "_SLAB_BYTES", 1)
+        seed, f, noisy = _noisy_problem(n)
+        for w in (noisy, ScalarGrid.zeros(n, 9)):
+            got = _rhs_derivatives(eval_G(w, seed, f), seed, f)
+            for name, a, b in zip(("f_p", "f_u"), got, rhs_derivatives_at_every_point(w, seed, f)):
+                assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), name
+
+    @pytest.mark.parametrize("rows_per_slab", [1, None])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_operator_and_margins_match_whole_interior(self, monkeypatch, rows_per_slab, n):
+        # entry by entry against the stencil placed from whole-interior
+        # coefficient fields, and the margins against whole-interior rows
+        if rows_per_slab is not None:
+            monkeypatch.setattr(grids, "_SLAB_BYTES", 1)
+        seed, f, noisy = _noisy_problem(n)
+        for w in (noisy, ScalarGrid.zeros(n, 9)):
+            g = eval_G(w, seed, f)
+            tensor, rhs = np.array(g.tensor), -g.values[~boundary_mask(n, 9)]
+            sys = assemble_linearized(g, seed, f)
+            assert g.grad is None and g.iterate is None
+            a_first, a_zero = np.zeros((9,) * n + (n,)), np.zeros((9,) * n)
+            slab = (slice(1, -1),) * n
+            a_first[slab], a_zero[slab] = rhs_derivatives_at_every_point(w, seed, f)
+            coeff = np.zeros((9,) * n + (n, n))
+            coeff[slab] = np.swapaxes(tensor, -1, -2)
+            expect = stencil_matrix(coeff, a_first, a_zero, w.h)
+            assert np.array_equal(dense_operator(sys.matrix, sys.size), expect)
+            assert np.array_equal(sys.rhs, rhs)
+            diag = np.diagonal(coeff[slab], axis1=-2, axis2=-1)
+            margins = diag - (np.sum(np.abs(coeff[slab]), axis=-1) - np.abs(diag))
+            assert np.array_equal(_bits(sys.margins), _bits(margins.reshape(-1, n)))
 
 
 class TestSolve:
