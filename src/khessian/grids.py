@@ -6,10 +6,12 @@ second order on the boundary faces.  Pure second derivatives use the matching
 centered and one-sided second-difference stencils; mixed derivatives are
 first differences of first differences, so the discrete Hessian is symmetric
 exactly.  ``second_differences`` stacks the n(n+1)/2 distinct components
-component-major, (c,) + grid shape: the C^{2,alpha} surrogate reads that
-stack, and ``symmetric_matrix`` scatters it into points + (n, n) matrices,
-which a solve forms one interior slab along the first axis at a time; no
-(n, n) stack or coordinate array of the whole grid is kept.
+component-major, (c,) + grid shape, and ``symmetric_matrix`` scatters such
+a stack into points + (n, n) matrices.  A solve keeps no such stack:
+``interior_differences`` differences one interior slab along the first axis
+from the slab and one halo row on each side, with the interior formulas
+alone, the floats of the whole-grid stack there, and the C^{2,alpha}
+surrogate forms one component at a time on the whole grid.
 Hoelder quotients compare points along the axis and
 full-diagonal directions only, at most ``_HOLDER_RADIUS`` steps apart, for
 every n, one field at a time, from a table of passes built once per grid
@@ -25,9 +27,12 @@ first axis and formats each distinct float64 bit pattern of a block once:
 ``repr`` is a function of the bit pattern alone, so every byte is the same
 as formatting value by value, and symmetric grids repeat values heavily (the
 seed quadratic, a zero boundary).  A file with no more distinct patterns
-than one block holds values is one block, formatted in one go, and a row
-equal to the row before reuses its texts.  The patterns are formatted in
-bulk by a numpy kernel in the manner of Grisu3 (Loitsch, PLDI 2010):
+than one block holds values is one block, formatted in one go; a sample
+of the patterns rules most other files out before the whole is sorted.
+A row equal to the row before reuses its texts, and in a one-block file
+a row equal to its mirror across x1 = 0 reuses the mirror's.  The
+patterns are formatted in bulk by a numpy kernel in the manner of Grisu3
+(Loitsch, PLDI 2010):
 ``_shortest_digits`` finds the shortest digits that read back as each float,
 the nearest among equally short ones, exactly or not at all, and
 ``_lay_out`` writes them by ``repr``'s rules.  What the fast path declines
@@ -140,13 +145,32 @@ def slab_coords(n: int, m: int, index: list[tuple[slice, ...]]) -> Iterator[np.n
 
 def _second_difference(values: np.ndarray, h: float, axis: int, out: np.ndarray) -> None:
     """Second difference along one axis into ``out``: centered in the interior,
-    one-sided second order (2, -5, 4, -1) / h^2 on the two faces."""
+    (f[:-2] - 2 f[1:-1]) + f[2:], and one-sided second order (2, -5, 4, -1)
+    on the two faces, each divided by h^2; no temporary of the field's
+    size."""
     f = np.moveaxis(values, axis, 0)
     d = np.moveaxis(out, axis, 0)
-    d[1:-1] = f[:-2] - 2.0 * f[1:-1] + f[2:]
+    mid = d[1:-1]
+    np.multiply(2.0, f[1:-1], out=mid)
+    np.subtract(f[:-2], mid, out=mid)
+    mid += f[2:]
     d[0] = 2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]
     d[-1] = 2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]
     d /= h * h
+
+
+def _first_difference(values: np.ndarray, h: float, axis: int, out: np.ndarray) -> None:
+    """``np.gradient(values, h, axis=axis, edge_order=2)`` into ``out``, by
+    its formulas: (f[2:] - f[:-2]) / (2. * h) in the interior and
+    a f[0] + b f[1] + c f[2] with (a, b, c) = (-1.5, 2., -0.5) / h on the
+    first face, (0.5, -2., 1.5) / h on f[-3], f[-2], f[-1] on the last."""
+    f = np.moveaxis(values, axis, 0)
+    d = np.moveaxis(out, axis, 0)
+    mid = d[1:-1]
+    np.subtract(f[2:], f[:-2], out=mid)
+    mid /= 2. * h
+    d[0] = -1.5 / h * f[0] + 2. / h * f[1] + -0.5 / h * f[2]
+    d[-1] = 0.5 / h * f[-3] + -2. / h * f[-2] + 1.5 / h * f[-1]
 
 
 def second_differences(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +186,64 @@ def second_differences(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
         else:
             second[c] = np.gradient(firsts[a], h, axis=b, edge_order=2)
     return second, np.stack(firsts, axis=-1)
+
+
+def _centred(f: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f[:-2], f[1:-1] and f[2:] along ``axis``."""
+    return tuple(f[(slice(None),) * axis + (part,)]
+                 for part in (slice(None, -2), slice(1, -1), slice(2, None)))
+
+
+def interior_differences(values: np.ndarray, h: float, rows: slice, second: bool = True
+                         ) -> tuple[np.ndarray | None, np.ndarray]:
+    """The second differences, component-major (c,) + slab in
+    ``np.triu_indices(n)`` order, and the gradient, slab + (n,), of the
+    grid values ``values`` at the interior points of the interior ``rows``
+    (an ``interior_slabs`` slice), read from grid rows rows.start ..
+    rows.stop + 1: the slab and one halo row on each side.
+
+    Interior points take the interior formulas alone, so each float is
+    ``second_differences``' there: a first difference is ``np.gradient``'s
+    (f[2:] - f[:-2]) / (2. * h), a mixed one the same formula along b
+    applied to the first difference along a (interior along a, whole
+    along b), and a pure one ``_second_difference``'s centred stencil.
+    ``second`` False leaves out the second differences (None).
+    """
+    n = values.ndim
+    block = values[rows.start:rows.stop + 2]
+    inner = slice(1, -1)
+    # firsts[a]: the slab's rows along the first axis, interior along a,
+    # every point along the other axes
+    firsts = []
+    for a in range(n):
+        lo, _, hi = _centred(block if a == 0 else block[inner], a)
+        d = np.subtract(hi, lo)
+        d /= 2. * h
+        firsts.append(d)
+    shape = (rows.stop - rows.start,) + (len(values) - 2,) * (n - 1)
+    grad = np.empty(shape + (n,))
+    for a, d in enumerate(firsts):
+        grad[..., a] = d[(slice(None),) + tuple(slice(None) if i == a else inner
+                                                 for i in range(1, n))]
+    if not second:
+        return None, grad
+    out = np.empty((n * (n + 1) // 2,) + shape)
+    for c, (a, b) in enumerate(zip(*np.triu_indices(n))):
+        d = out[c]
+        if a == b:
+            f = block if a == 0 else block[inner]
+            f = f[tuple(slice(None) if i in (0, a) else inner for i in range(n))]
+            lo, mid, hi = _centred(f, a)
+            np.multiply(2.0, mid, out=d)
+            np.subtract(lo, d, out=d)
+            d += hi
+            d /= h * h
+        else:
+            f = firsts[a][tuple(slice(None) if i in (0, a, b) else inner for i in range(n))]
+            lo, _, hi = _centred(f, b)
+            np.subtract(hi, lo, out=d)
+            d /= 2. * h
+    return out, grad
 
 
 def symmetric_matrix(second: np.ndarray, n: int, scale: float = 1.0,
@@ -256,10 +338,21 @@ def holder_quotient(stack: np.ndarray, h: float, alpha: float) -> float:
     is skipped when that bound over the pass's own denominator is at most
     ``best``, and a whole direction when the spread over its step-1
     denominator (the smallest along u) is.  The result is therefore the same
-    float as a sweep of every pass.
+    float as a sweep of every pass, in any order of the fields.
     """
-    shape = stack.shape[1:]
+    spreads = [float(field.max()) - float(field.min()) for field in stack]
+    return _sweep(stack.__getitem__, spreads, stack.shape[1:], h, alpha)
+
+
+def _sweep(field_of, spreads: list[float], shape: tuple[int, ...], h: float,
+           alpha: float) -> float:
+    """``holder_quotient``'s pruned sweep of the fields ``field_of(c)``,
+    of spreads ``spreads``, in order of decreasing spread.  A field is not
+    asked for when its spread over the smallest step-1 denominator is at
+    most the running maximum, since each of its directions would be
+    skipped."""
     directions = _holder_passes(shape, h, alpha)
+    smallest = min(scale for (_, _, _, scale), _ in directions)
     buf = np.empty(math.prod(shape))
 
     def largest(field, dst, src) -> float:
@@ -268,10 +361,12 @@ def holder_quotient(stack: np.ndarray, h: float, alpha: float) -> float:
         np.subtract(hi, lo, out=diff)
         return sup_norm(diff)
 
-    spreads = [float(field.max()) - float(field.min()) for field in stack]
     best = 0.0
-    for c in sorted(range(len(stack)), key=spreads.__getitem__, reverse=True):
-        field, spread = stack[c], spreads[c]
+    for c in sorted(range(len(spreads)), key=spreads.__getitem__, reverse=True):
+        spread = spreads[c]
+        if spread / smallest <= best:
+            continue
+        field = field_of(c)
         for (_, dst, src, scale), longer in directions:
             if spread / scale <= best:
                 continue
@@ -290,18 +385,41 @@ def calpha_surrogate(values: np.ndarray, h: float, alpha: float) -> float:
     return sup_norm(inner) + holder_quotient(inner[None], h, alpha)
 
 
-def c2alpha_surrogate(grid: ScalarGrid, alpha: float,
-                      derivs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+def c2alpha_surrogate(grid: ScalarGrid, alpha: float) -> float:
     """Discrete stand-in for a C^{2,alpha} norm.
 
     Max of |w|, |Dw|, |D^2 w| over the grid plus the largest Hoelder quotient
     among the second-derivative components (``holder_quotient``: pairs along
-    axis and full-diagonal directions within 8h).  ``derivs`` is the grid's
-    ``second_differences`` when the caller already has them.
+    axis and full-diagonal directions within 8h), the floats
+    ``second_differences`` gives.  No stack of the components is formed:
+    the n first differences are kept, and each component is formed on the
+    whole grid into one buffer, once for its extremes (its sup and its
+    spread) and again, in order of decreasing spread, for the sweep, which
+    does not ask for a component that cannot raise its running maximum
+    (``_sweep``).
     """
-    second, grad = second_differences(grid) if derivs is None else derivs
-    sup = max(sup_norm(grid.values), sup_norm(grad), sup_norm(second))
-    return sup + holder_quotient(second, grid.h, alpha)
+    n, h, w = grid.n, grid.h, grid.values
+    firsts = np.gradient(w, h, edge_order=2)
+    pairs = list(zip(*np.triu_indices(n)))
+    buf = np.empty(w.shape)
+
+    def component(c: int) -> np.ndarray:
+        a, b = pairs[c]
+        if a == b:
+            _second_difference(w, h, a, buf)
+        else:
+            _first_difference(firsts[a], h, b, buf)
+        return buf
+
+    # each part's extremes: its sup_norm is theirs, a NaN propagating
+    ends = [[float(e) for f in firsts for e in (f.max(), f.min())], []]
+    spreads = []
+    for c in range(len(pairs)):
+        field = component(c)
+        ends[1] += [float(field.max()), float(field.min())]
+        spreads.append(ends[1][-2] - ends[1][-1])
+    sup = max(sup_norm(w), *(sup_norm(np.array(part)) for part in ends))
+    return sup + _sweep(component, spreads, w.shape, h, alpha)
 
 
 _FAST_BINADES = 880  # the fast path takes 2^-880 <= |x| < 2^881
@@ -528,17 +646,27 @@ def _fast_texts(bits: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return fast[order], strs
 
 
-def _distinct(bits: np.ndarray, most: int) -> np.ndarray | None:
-    """The distinct patterns of ``bits`` (any shape), sorted, or None when
-    there are more than ``most``.  One sorted copy of ``bits`` and a mask
-    are made, and both are let go before the patterns are returned."""
-    ordered = np.sort(bits, axis=None)
+def _sorted_distinct(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of the sorted 1-d array ``ordered``, in order."""
     fresh = np.empty(ordered.shape, dtype=bool)
     fresh[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    if np.count_nonzero(fresh) > most:
-        return None
     return ordered[fresh]
+
+
+def _distinct(bits: np.ndarray, most: int) -> np.ndarray | None:
+    """The distinct patterns of ``bits`` (any shape), sorted, or None when
+    there are more than ``most``.  A sample of every s-th pattern, about
+    4 ``most`` of them, is sorted first: when it holds more than ``most``
+    distinct patterns, so does the whole, which is then not sorted.  The
+    sample is spread over the file, so rows of one repeated value (w's
+    zero boundary) do not fill it."""
+    flat = bits.reshape(-1)
+    step = len(flat) // (4 * most)
+    if step > 1 and len(_sorted_distinct(np.sort(flat[::step]))) > most:
+        return None
+    patterns = _sorted_distinct(np.sort(flat))
+    return patterns if len(patterns) <= most else None
 
 
 def write_grid_csv(path, values: np.ndarray, axes: list[np.ndarray]) -> None:
@@ -555,17 +683,21 @@ def write_grid_csv(path, values: np.ndarray, axes: list[np.ndarray]) -> None:
     0.0, and ``repr`` depends on nothing but the bits, so the file is byte
     for byte the one that formatting every value gives.
 
-    The file's patterns are sorted once.  When there are at most as many
-    distinct ones as a ``slabs`` block of about ``_SLAB_BYTES`` of
-    formatting temporaries holds values (one row of 4,913 at n = 4,
-    m = 17), the whole file is one block: a zero ``w`` or the seed
-    quadratic ``u`` of a solve that stops at iteration 0 is formatted in
-    one ``_repr_texts`` call, not one per row, and each row takes its texts
-    by ``np.searchsorted`` in the file's patterns.  Otherwise the blocks are
-    the ``slabs`` blocks, and a row takes its texts by the inverse of its
-    block's ``np.unique``, which costs less than searching a row's worth of
-    patterns.  A row whose patterns equal the previous row's reuses that
-    row's texts.  A block is formatted only when one of its rows needs it,
+    The blocks are the ``slabs`` blocks of about ``_SLAB_BYTES`` of
+    formatting temporaries (one row of 4,913 values at n = 4, m = 17).
+    When the file has at most as many distinct patterns as a block holds
+    values (``_distinct``, which rules most files out from a sample before
+    it sorts the whole), the whole file is one block: a zero ``w`` or the
+    seed quadratic ``u`` of a solve that stops at iteration 0 is formatted
+    in one ``_repr_texts`` call, not one per row, and each row takes its
+    texts by ``np.searchsorted`` in the file's patterns.  Otherwise a row takes its
+    texts by the inverse of its block's ``np.unique``, which costs less
+    than searching a row's worth of patterns.  A row whose patterns equal
+    the previous row's reuses that row's texts, and in a one-block file a
+    row of the second half equal to its mirror, row m - 1 - i (x1 -> -x1,
+    as in the seed quadratic), reuses the mirror's indices into the texts,
+    which a one-block file keeps in the smallest unsigned integer type that
+    holds them.  A block is formatted only when one of its rows needs it,
     after the previous row's texts are let go, so no more texts than one
     block holds are alive at once.  Each line starts with its newline, so
     the header goes out without one and the file ends with one.
@@ -579,28 +711,35 @@ def write_grid_csv(path, values: np.ndarray, axes: list[np.ndarray]) -> None:
         blocks = [slice(0, len(rows))]
     columns = [[repr(float(v)) + "," for v in ax] for ax in axes]
     heads = ["\n" + head for head in columns[0]]
-    tails = list(map("".join, itertools.product(*columns[1:])))
-    row = [""] * (3 * len(tails))  # per line: first coordinate, the others, value
-    row[1::3] = tails
-    blanks = row[0::3]  # empty strings, to drop the texts of a row from the line
+    cells_per_row = rows.shape[1]
+    row = [""] * (3 * cells_per_row)  # per line: first coordinate, the others, value
+    row[1::3] = map("".join, itertools.product(*columns[1:]))
     last = None  # the bit patterns of the row whose texts the line holds
+    kept = {}  # one block: the first half's rows' indices into the texts, for their mirrors
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(f"x{i + 1}" for i in range(n)) + ",value")
         for block in blocks:
             texts = None
-            for i, (head, cells) in enumerate(zip(heads[block], rows[block])):
+            for i, (head, cells) in enumerate(zip(heads[block], rows[block]), block.start):
                 if last is None or not np.array_equal(cells, last):
                     if texts is None:
-                        row[2::3] = blanks  # the last block's texts go first
+                        row[2::3] = [""] * cells_per_row  # the last block's texts go first
                         patterns, inverse = whole, None
                         if whole is None:
                             patterns, inverse = np.unique(rows[block], return_inverse=True)
                             inverse = inverse.reshape(block.stop - block.start, -1)
                         texts = _repr_texts(patterns)
-                    row[2::3] = texts[np.searchsorted(patterns, cells)
-                                      if inverse is None else inverse[i]].tolist()
+                        small = np.min_scalar_type(len(patterns))
+                    mirror = len(rows) - 1 - i
+                    at = kept.pop(mirror, None)
+                    if at is None or not np.array_equal(cells, rows[mirror]):
+                        at = (np.searchsorted(patterns, cells).astype(small) if inverse is None
+                              else inverse[i - block.start])
+                    row[2::3] = texts[at].tolist()
                     last = cells
-                row[0::3] = [head] * len(tails)
+                if inverse is None and i < len(rows) // 2:
+                    kept[i] = at
+                row[0::3] = [head] * cells_per_row
                 fh.write("".join(row))
         fh.write("\n")
 

@@ -27,21 +27,20 @@ manufactured right-hand side is built for one eps', so the loop never
 changes eps itself.
 
 Each iterate is evaluated once: the step assembles the linearization from
-the ``Residual`` that ``eval_G`` returns alone, and the iterate's
-C^{2,alpha} surrogate reads its second differences.  The step frees the
-second differences before it assembles, the assembly forms (y, u, p)
-again one slab at a time from the iterate and its gradient and drops the
-gradient once it has read f's derivatives, and the step frees the rest
-before it solves.  A converged
-loop certifies its last iterate itself: ``certify_convexity`` reads the
-second differences of the last evaluation, forms the Hessian as G does
-(``pde.total_hessian``) and recurses it one interior slab at a time, so
-no Hessian of the whole interior is kept.  ``assemble_solution`` forms u
-from w alone and reads w(0) and Dw(0) at the centre.  Only the
-differences cover the whole grid.  w = 0 is never differenced: its
-Hessian is one matrix, diag(tau), for G and the certificate alike, so
-each tuning candidate, and the certificate of a solve that stops at
-iteration 0, recurses that one matrix instead of every interior point.
+the ``Residual`` that ``eval_G`` returns alone, which keeps the stencil's
+entries of the Newton tensor and the reduced dominance margins, and the
+assembly turns the entries into its fields, forming (y, u, p) again one
+slab at a time from the iterate and its gradient.  The iterate's
+C^{2,alpha} surrogate forms its own second differences, one component at
+a time on the whole grid.  A converged loop certifies its last iterate
+itself: ``certify_convexity`` is handed w's values, differences them and
+forms the Hessian as G does (``pde.total_hessian``) one interior slab at a
+time, and recurses each slab, so no difference or Hessian of the whole
+grid is kept.  ``assemble_solution`` forms u from w alone and reads w(0)
+and Dw(0) at the centre.  w = 0 is never differenced: its Hessian is one
+matrix, diag(tau), for G and the certificate alike, so each tuning
+candidate, and the certificate of a solve that stops at iteration 0,
+recurses that one matrix instead of every interior point.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ from .grids import (
     ScalarGrid,
     c2alpha_surrogate,
     calpha_surrogate,
+    interior_differences,
     interior_slabs,
     slab_coords,
     slabs,
@@ -171,22 +171,19 @@ def _newton_step(g_grid: Residual, seed: SeedQuadratic, f, tol_lin: float,
     a failed solve still records its count of operator applications and its
     contraction.  The half-row test is the one test of uniform ellipticity:
     the seed row is positive (``seeds._finalize``), so it refuses every
-    nonpositive margin too.  Its reason names the margin with the most
-    negative gap, its grid point (indices on the full grid) and its row.
-    The step frees the residual's second differences before it assembles
-    (the assembly drops the gradient and the iterate itself) and the rest
-    of its pointwise data before it solves.
+    nonpositive margin too.  The margins are the residual's, reduced by
+    ``eval_G`` (``pde.Margins``): the reason names the first least gap in
+    C order, its margin, its grid point (indices on the full grid) and its
+    row.  The assembly takes the residual's stencil entries over as its
+    fields, which are freed before the surrogate of the correction is
+    formed.
     """
-    g_grid.second = None  # the surrogate has read it; the assembly does not
     sys = assemble_linearized(g_grid, seed, f)
-    g_grid.drop_pointwise()  # free them before the solve
-    gap = sys.margins - 0.5 * sigma_km1_row(seed.tau, seed.k)
-    if np.any(gap < 0.0):
-        q, row = np.unravel_index(int(np.argmin(gap)), gap.shape)
-        point = tuple(int(v) + 1 for v in np.unravel_index(q, (g_grid.m - 2,) * g_grid.n))
-        return None, (f"dominance margin dropped {gap[q, row]:.3e} below half the seed "
-                      f"row: margin {sys.margins[q, row]:.3e} at grid point {point}, "
-                      f"row {row}")
+    margins = sys.margins
+    if margins.below:
+        return None, (f"dominance margin dropped {margins.gap:.3e} below half the seed "
+                      f"row: margin {margins.margin:.3e} at grid point {margins.point}, "
+                      f"row {margins.row}")
     try:
         rho, record.lin_residual, record.krylov_steps = solve_dirichlet_info(sys, tol_lin)
     except SolverError as err:
@@ -352,11 +349,10 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     An iterate whose (u, p) arguments leave the right-hand side's box raises
     DomainError, with the records so far, as ``to_dict`` gives them, in its
     ``iterations``.  A converged loop certifies its final iterate
-    (``certify_convexity``) from the second differences of its last
-    evaluation, or from None at iteration 0, into the report's
-    ``convexity``.  Returns the final iterate together with the full
-    per-iteration report; the caller decides what to do with non-converged
-    statuses.
+    (``certify_convexity``) from its values, or from None at iteration 0,
+    into the report's ``convexity``.  Returns the final iterate together
+    with the full per-iteration report; the caller decides what to do with
+    non-converged statuses.
     """
     if start is None:
         first, rho, reason, g_grid = _iteration_zero(seed, f, m, tol_newton, tol_lin)
@@ -371,14 +367,15 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     ratios: list[float] = []
     for it in range(max_iter + 1):
         if it > 0:
+            # w_1 = 0 + rho_0, so its surrogate is iteration 0's rho_c2alpha;
+            # formed before the residual, so that its components and the
+            # residual's entries are never alive together
+            w_norm = first.rho_c2alpha if it == 1 else c2alpha_surrogate(w, seed.alpha)
             try:
                 g_grid = eval_G(w, seed, f)
             except DomainError as err:  # (u, p) left the box
                 err.iterations = [r.to_dict() for r in records]
                 raise
-            # w_1 = 0 + rho_0, so its surrogate is iteration 0's rho_c2alpha
-            w_norm = (first.rho_c2alpha if it == 1 else
-                      c2alpha_surrogate(w, seed.alpha, (g_grid.second, g_grid.grad)))
             record = IterationRecord(
                 iteration=it, g_inf=sup_norm(g_grid.values), w_c2alpha=w_norm,
                 g_holder=calpha_surrogate(g_grid.values, w.h, seed.alpha),
@@ -406,8 +403,7 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
         break
     convexity = None
     if status == STATUS_CONVERGED:
-        # the residual keeps its pointwise data when no step was assembled from it
-        convexity = certify_convexity(None if it == 0 else g_grid.second, seed).to_dict()
+        convexity = certify_convexity(None if it == 0 else w.values, seed).to_dict()
     return w, IterationReport(
         status=status,
         stop_reason=reason,
@@ -445,25 +441,25 @@ def assemble_solution(w: ScalarGrid, seed: SeedQuadratic) -> np.ndarray:
     return u
 
 
-def certify_convexity(second: np.ndarray | None, seed: SeedQuadratic) -> ConvexityCertificate:
-    """Flag j-convexity of the solution for j = 1..k+1, from the
-    ``second_differences`` stack of its w on the full grid, or None for
-    w = 0.
+def certify_convexity(values: np.ndarray | None, seed: SeedQuadratic) -> ConvexityCertificate:
+    """Flag j-convexity of the solution for j = 1..k+1, from the grid values
+    of its w, or None for w = 0.
 
     The solution's Hessian is diag(tau) + eps' D^2 w (``total_hessian``),
     and the flag for level j is set when its j-th minor sum stays above
-    -CONVEXITY_TOL at every interior point.  The Hessian is formed and
-    recursed one slab along the first axis at a time, and each level's
-    minimum is the least of the slabs' minima, the same float as one
-    recursion of every point gives.  At w = 0 the Hessian is the one
+    -CONVEXITY_TOL at every interior point.  w is differenced, and the
+    Hessian formed and recursed, one slab along the first axis at a time
+    (``interior_differences``, the floats of whole-grid differences), and
+    each level's minimum is the least of the slabs' minima, the same float
+    as one recursion of every point gives.  At w = 0 the Hessian is the one
     matrix diag(tau), recursed once.
     """
-    if second is None:
+    if values is None:
         hessians = [total_hessian(None, seed)]
     else:
-        n, m = seed.n, second.shape[-1]
-        hessians = (total_hessian(second[(slice(None),) + at], seed)
-                    for _, at in interior_slabs(n, m, n * n))
+        n, m = seed.n, len(values)
+        hessians = (total_hessian(interior_differences(values, 2.0 / (m - 1), rows)[0], seed)
+                    for rows, _ in interior_slabs(n, m, n * n))
     lows = [[np.min(vals) for vals in minor_sums(r, seed.k + 1)[0]] for r in hessians]
     mins = {j: float(np.min(col)) for j, col in enumerate(zip(*lows), start=1)}
     flags = {j: bool(v >= -CONVEXITY_TOL) for j, v in mins.items()}

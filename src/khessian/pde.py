@@ -11,9 +11,9 @@ the linearized operator
     sum_ij dS_k/dr_ij d_i d_j  -  eps^2 sum_i (df/dp_i) d_i  -  eps^4 (df/du)
 
 as one coefficient field per stencil offset, with the same stencils used by
-``eval_G``'s differences, and measures the per-row diagonal-dominance
-margins of the coefficient matrix; the Newton step alone decides whether
-they are large enough.  The operator is applied on the grid, never
+``eval_G``'s differences; ``eval_G`` measures the per-row diagonal-dominance
+margins of the coefficient matrix, and the Newton step alone decides
+whether they are large enough.  The operator is applied on the grid, never
 assembled.  ``solve_dirichlet_info`` solves the homogeneous Dirichlet problem
 by Richardson iteration, preconditioned by the exact inverse of the seed's
 constant-coefficient operator sum_i sigma_{k-1,i}(tau) d_i^2, which a sine
@@ -25,21 +25,25 @@ Minor sums S_j and the derivative dS_k/dr come from one route, Reilly's
 Newton-tensor recursion (``minor_sums``), for any matrix order: S_k is the
 last level and dS_k/dr the transposed tensor T_{k-1}.
 
-Each iterate is evaluated once.  ``eval_G`` takes w's second differences
-on the full grid, then r = diag(tau) + eps' D^2 w (``total_hessian``, r's
-one construction), one recursion (S_k for G, T_{k-1} for the coefficients),
-(y, u, p), f and the box's running maxima on the interior points only,
-where the equation is imposed.  Those run one interior slab along the
-first axis at a time and fill preallocated interior arrays, so r, its
-transposed copy, the points' coordinates and (y, u, p) never exist for the
-whole interior.  ``eval_G`` returns G as a ``Residual`` with the
-differences, the tensor and a reference to w, all ``assemble_linearized``
-reads; the assembly forms (y, u, p) again, one slab at a time, for f's
-derivatives, and drops w and its gradient before it builds the stencil
-fields.  At w = 0 every difference is +0.0, so r = diag(tau) at every
-point, and one matrix is recursed and broadcast over the interior; scalar
-+0.0 stands in for w and Dw in u and p, the floats zero arrays would give,
-without forming them.
+Each iterate is evaluated once, on the interior points only, where the
+equation is imposed, one interior slab along the first axis at a time.
+``eval_G`` differences each slab of w from the slab and one halo row on
+each side (``grids.interior_differences``), forms r = diag(tau) + eps' D^2 w
+(``total_hessian``, r's one construction) and recurses it once: S_k for G,
+and T_{k-1}, of which it keeps only the n(n+1)/2 entries of coeff = T^T
+that the stencil reads and the dominance margins, reduced to what the
+Newton step reads (``Margins``).  It forms (y, u, p), evaluates f and
+folds the box's running maxima per slab too, so neither w's differences,
+r, its transposed copy, the tensor, the points' coordinates nor (y, u, p)
+ever cover the whole interior.  ``eval_G`` returns G as a ``Residual``
+with the entries, the margins and a reference to w, all
+``assemble_linearized`` reads; the assembly forms w's gradient and
+(y, u, p) again, one slab at a time, for f's derivatives, and turns the
+entries into its fields in place, with no other difference and no
+recursion.  At w = 0 every difference is +0.0, so r = diag(tau) at every
+point, and one matrix is recursed and its entries broadcast over the
+interior; scalar +0.0 stands in for w and Dw in u and p, the floats zero
+arrays would give, without forming them.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .grids import (
     ScalarGrid,
+    interior_differences,
     interior_slabs,
-    second_differences,
     slab_coords,
     sup_norm,
     symmetric_matrix,
@@ -70,6 +74,26 @@ _PRODUCT_BLOCK = 4096
 
 
 @dataclass
+class Margins:
+    """The diagonal-dominance margins of the second-order coefficient matrix
+    coeff = T_{k-1}^T at the interior points, reduced to what the Newton
+    step reads.  The margin of row i at a point is
+    coeff_ii - (sum_j |coeff_ij| - |coeff_ii|), and its gap is the margin
+    less half the seed row, 0.5 sigma_{k-1,i}(tau).  ``below`` says whether
+    some gap is below 0 (a NaN gap is not); ``gap``, ``margin``, ``point``
+    (indices on the full grid) and ``row`` are the first least gap in C
+    order over (point, row), where a NaN wins, as in ``np.argmin``, and the
+    margin there; ``least`` is the least margin, NaN when any is NaN."""
+
+    below: bool
+    gap: float
+    margin: float
+    point: tuple[int, ...]
+    row: int
+    least: float
+
+
+@dataclass
 class LinearSystem:
     """Linearized operator over the interior points, its preconditioner and
     monitors.
@@ -77,12 +101,12 @@ class LinearSystem:
     ``matrix`` applies the operator to the interior values in lexicographic
     order, and ``seed_inverse`` applies the exact inverse of the seed's
     operator sum_i sigma_{k-1,i}(tau) d_i^2; both are functions of the flat
-    interior vector.  ``margins[q, i]`` is the diagonal-dominance margin of
-    coefficient row i of the n-by-n second-order coefficient matrix at
-    interior point q; positivity of every entry certifies uniform ellipticity
-    of the discrete operator.  ``contraction`` is the largest ratio
-    ||r_{i+1}|| / ||r_i|| of successive residuals in the last solve of the
-    system (None before a solve iterated).
+    interior vector.  ``margins`` are the diagonal-dominance margins of the
+    n-by-n second-order coefficient matrix at the interior points, reduced
+    (``Margins``); positivity of every margin certifies uniform
+    ellipticity of the discrete operator.  ``contraction`` is the largest
+    ratio ||r_{i+1}|| / ||r_i|| of successive residuals in the last solve
+    of the system (None before a solve iterated).
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]
@@ -90,7 +114,7 @@ class LinearSystem:
     rhs: np.ndarray
     n: int
     m: int
-    margins: np.ndarray
+    margins: Margins
     contraction: float | None = None
 
     @property
@@ -99,7 +123,7 @@ class LinearSystem:
 
     @property
     def min_margin(self) -> float:
-        return float(self.margins.min())
+        return self.margins.least
 
 
 def minor_sums(r: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -147,9 +171,10 @@ def sk_gradient(r: np.ndarray, k: int) -> np.ndarray:
 
 
 def total_hessian(second: np.ndarray | None, seed: SeedQuadratic) -> np.ndarray:
-    """r = diag(tau) + eps' D^2 w at the points of w's ``second_differences``
-    stack, (c,) + points, or its slice: shape points + (n, n).  None stands
-    for w = 0, whose r is the one matrix diag(tau), shape (1,)*n + (n, n)."""
+    """r = diag(tau) + eps' D^2 w at the points of a stack of w's second
+    differences, (c,) + points in ``np.triu_indices(n)`` order: shape
+    points + (n, n).  None stands for w = 0, whose r is the one matrix
+    diag(tau), shape (1,)*n + (n, n)."""
     n = seed.n
     if second is None:
         second = np.zeros((n * (n + 1) // 2,) + (1,) * n)
@@ -168,19 +193,25 @@ def _physical_args(seed: SeedQuadratic, x: np.ndarray, values: np.ndarray,
 
 
 def _slab_arguments(seed: SeedQuadratic, m: int, values: np.ndarray | None,
-                    grad: np.ndarray, width: int):
-    """(rows, at, y, u, p) per interior slab (``interior_slabs`` of an array
-    of ``width`` doubles per point): its rows of the interior, its index
-    into the grid and (y, u, p) there, from w's ``values`` and gradient
-    ``grad`` on the full grid.  ``values`` None stands for w = 0, whose
-    scalar +0.0 for w and Dw gives the floats of zero arrays without
-    forming them.  Each slab's (y, u, p) are new arrays; its coordinates
-    (``slab_coords``) are one buffer, freed with the generator."""
+                    width: int, second: bool):
+    """(rows, at, D^2 w, y, u, p) per interior slab (``interior_slabs`` of
+    an array of ``width`` doubles per point): its rows of the interior, its
+    index into the grid, w's second differences there when ``second``
+    (else None) and (y, u, p), from w's grid ``values``, which the slab and
+    one halo row on each side give (``interior_differences``).  ``values``
+    None stands for w = 0, which is not differenced: its scalar +0.0 for w
+    and Dw gives the floats of zero arrays without forming them.  Each
+    slab's arrays are new; its coordinates (``slab_coords``) are one
+    buffer, freed with the generator."""
     n = seed.n
     parts = interior_slabs(n, m, width)
     for (rows, at), x in zip(parts, slab_coords(n, m, [at for _, at in parts])):
-        w_at = (0.0, 0.0) if values is None else (values[at], grad[at])
-        yield (rows, at) + _physical_args(seed, x, *w_at)
+        if values is None:
+            d2, w_at = None, (0.0, 0.0)
+        else:
+            d2, grad = interior_differences(values, 2.0 / (m - 1), rows, second)
+            w_at = (values[at], grad)
+        yield (rows, at, d2) + _physical_args(seed, x, *w_at)
 
 
 def _box_extremes(u: np.ndarray, p: np.ndarray, prior=(-np.inf, -np.inf)) -> tuple:
@@ -212,140 +243,176 @@ def _check_box(f, extremes: tuple) -> None:
         )
 
 
+def _stencil_entries(t: np.ndarray, out: np.ndarray) -> None:
+    """The entries of coeff = T^T that the stencil reads, coeff[a, a] and
+    coeff[a, b] for a < b, from the Newton tensors ``t`` (points + (n, n))
+    into ``out``, component-major (c,) + points in ``np.triu_indices(n)``
+    order."""
+    for c, (a, b) in enumerate(zip(*np.triu_indices(t.shape[-1]))):
+        out[c] = t[..., b, a]
+
+
+def _fold_margins(t: np.ndarray, half_row: np.ndarray, rows: slice,
+                  prior: Margins | None) -> Margins:
+    """``prior``, the ``Margins`` of the interior points before a slab (None
+    for the first), and the slab's interior rows ``rows``, whose Newton
+    tensors are ``t``: the ``Margins`` of both.  Row i's sum is taken from
+    the left one component at a time, as ``np.sum`` over a row does.
+    Slabs follow one another in C order, so the first least gap is the
+    prior's unless the slab's is less or is NaN (and the prior's is not);
+    a NaN least margin propagates."""
+    n = t.shape[-1]
+    margins = np.empty(t.shape[:-1])
+    for i in range(n):
+        row_sum = np.abs(t[..., 0, i])
+        for j in range(1, n):
+            row_sum += np.abs(t[..., j, i])
+        diag = t[..., i, i]
+        margins[..., i] = diag - (row_sum - np.abs(diag))
+    gap = margins - half_row
+    q = int(np.argmin(gap))
+    first, *rest, row = (int(v) for v in np.unravel_index(q, gap.shape))
+    found = Margins(below=bool(np.any(gap < 0.0)), gap=float(gap.flat[q]),
+                    margin=float(margins.flat[q]), row=row,
+                    point=(rows.start + first + 1, *(v + 1 for v in rest)),
+                    least=float(margins.min()))
+    if prior is None:
+        return found
+    if not np.isnan(prior.gap) and (np.isnan(found.gap) or found.gap < prior.gap):
+        prior.gap, prior.margin, prior.point, prior.row = (
+            found.gap, found.margin, found.point, found.row)
+    prior.below |= found.below
+    prior.least = float(np.minimum(prior.least, found.least))
+    return prior
+
+
 @dataclass
 class Residual(ScalarGrid):
-    """G(w) on the grid (``values``, zero on the boundary) and the pointwise
-    data of w it was computed from, all the linearization at w reads.
-    ``second`` and ``grad`` are ``second_differences(w)`` on the full grid,
-    which the C^{2,alpha} surrogate reads; the convexity certificate of a
-    converged loop reads ``second`` alone.  ``iterate`` is w's values, the
-    caller's array (no copy), or None for w = 0.  The Newton tensor
-    T_{k-1}(r(w)) (``tensor``, the transposed dS_k/dr) is kept at the
-    interior points only, shape (m-2,)*n + (n, n).  (y, u, p) are not kept:
-    ``assemble_linearized`` forms them again from ``iterate`` and ``grad``,
-    one slab at a time, and then sets both to None.  ``tensor`` is
-    read-only; at w = 0 it, ``second`` and ``grad`` are views of one point
-    broadcast over the grid."""
+    """G(w) on the grid (``values``, zero on the boundary) and what the
+    linearization at w reads of w's evaluation: ``iterate``, w's values
+    (the caller's array, no copy) or None for w = 0; ``entries``, the
+    entries of coeff = T_{k-1}(r(w))^T (the transposed dS_k/dr) that the
+    stencil reads, coeff[a, a] and coeff[a, b] for a < b, component-major
+    with shape (c,) + interior in ``np.triu_indices(n)`` order; and
+    ``margins``, coeff's dominance margins reduced (``Margins``).  Neither
+    w's differences nor the tensor are kept.  At w = 0 ``entries`` is a
+    read-only view of one point's broadcast over the interior.
+    ``assemble_linearized`` takes the entries over (and sets them to
+    None)."""
 
-    second: np.ndarray | None
-    grad: np.ndarray | None
-    tensor: np.ndarray | None
     iterate: np.ndarray | None
-
-    def drop_pointwise(self) -> None:
-        """Free the pointwise data, keeping the residual values."""
-        self.second = self.grad = self.tensor = self.iterate = None
+    entries: np.ndarray | None
+    margins: Margins
 
 
 def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
     """Rescaled residual operator on interior points (boundary entries zero).
 
-    w is differenced on the full grid; everything after that runs on the
-    interior, one slab along the first axis at a time.  Per slab, one
-    Newton-tensor recursion of r gives both S_k(r), for G, and T_{k-1}(r),
-    which the result keeps for ``assemble_linearized``; (y, u, p) are formed
-    from that slab's coordinates (``_slab_arguments``), f is evaluated
-    there (``f.value(y, u, p, at)``, ``at`` the slab's index into the grid)
-    and |u| and |p|^2 are folded into running maxima (``_box_extremes``).
-    Each fills its part of a preallocated interior array, so r, its copies
-    and (y, u, p) never cover the whole interior.  After the last slab the
-    box is checked on the whole interior's extremes (``_check_box``).  Each
-    point's arithmetic is that of a whole-interior pass.  At w = 0,
-    r = diag(tau) at every point: one matrix is recursed, S_k broadcasts as
-    its scalar, and T_{k-1}, ``second`` and ``grad`` are read-only views
-    broadcast over the grid, and scalar +0.0 stands in for w and Dw in
-    (y, u, p): the floats of zero arrays, no product of zeros formed.
+    Everything runs on the interior, one slab along the first axis at a
+    time.  Per slab, w is differenced from the slab and one halo row on
+    each side (``interior_differences``, the floats of whole-grid
+    differences), and one Newton-tensor recursion of r gives both S_k(r),
+    for G, and T_{k-1}(r), of which the result keeps the entries the
+    stencil reads (``_stencil_entries``) and the reduced dominance margins
+    (``_fold_margins``); (y, u, p) are formed from that slab's coordinates
+    (``_slab_arguments``), f is evaluated there (``f.value(y, u, p, at)``,
+    ``at`` the slab's index into the grid) and |u| and |p|^2 are folded
+    into running maxima (``_box_extremes``).  Each fills its part of a
+    preallocated interior array, so neither w's differences, r, its copies,
+    the tensor nor (y, u, p) ever cover the whole interior.  After the last
+    slab the box is checked on the whole interior's extremes
+    (``_check_box``).  Each point's arithmetic is that of a whole-interior
+    pass.  At w = 0, r = diag(tau) at every point: one matrix is recursed,
+    S_k broadcasts as its scalar and its entries as a read-only view, its
+    margins are the first point's, and scalar +0.0 stands in for w and Dw
+    in (y, u, p): the floats of zero arrays, no product of zeros formed.
     """
     n, m, shape = seed.n, w.m, w.values.shape
     inner = (m - 2,) * n
-    differenced = bool(w.values.any())
-    if differenced:
-        second, grad = second_differences(w)
-        sk, tensor = np.empty(inner), np.empty(inner + (n, n))
-    else:
-        second = np.broadcast_to(0.0, (n * (n + 1) // 2,) + shape)
-        grad = np.broadcast_to(0.0, shape + (n,))
+    half_row = 0.5 * sigma_km1_row(seed.tau, seed.k)
+    iterate = w.values if w.values.any() else None
+    if iterate is None:
         sums, tensor = minor_sums(total_hessian(None, seed), seed.k)
-        sk = sums[-1]
-    iterate = w.values if differenced else None
+        sk, one = sums[-1], np.empty((n * (n + 1) // 2,) + (1,) * n)
+        _stencil_entries(tensor, one)
+        entries = np.broadcast_to(one, one.shape[:1] + inner)
+        margins = _fold_margins(tensor, half_row, slice(0, 1), None)
+    else:
+        sk, entries, margins = np.empty(inner), np.empty((n * (n + 1) // 2,) + inner), None
     fval, extremes = np.empty(inner), (-np.inf, -np.inf)
-    for rows, at, y, u, p in _slab_arguments(seed, m, iterate, grad,
-                                             n * n if differenced else n):
-        if differenced:
-            sums, tensor[rows] = minor_sums(total_hessian(second[(slice(None),) + at], seed),
-                                            seed.k)
+    for rows, at, second, y, u, p in _slab_arguments(seed, m, iterate,
+                                                     n if iterate is None else n * n, True):
+        if iterate is not None:
+            sums, tensor = minor_sums(total_hessian(second, seed), seed.k)
             sk[rows] = sums[-1]
+            _stencil_entries(tensor, entries[:, rows])
+            margins = _fold_margins(tensor, half_row, rows, margins)
         fval[rows] = f.value(y, u, p, at)
         extremes = _box_extremes(u, p, extremes)
     del y, u, p  # the last slab's, freed before G is formed
     _check_box(f, extremes)
     g = np.zeros(shape)
     np.divide(np.subtract(sk, fval, out=fval), seed.eps_prime, out=g[(slice(1, -1),) * n])
-    return Residual(w.n, w.m, g, second, grad, np.broadcast_to(tensor, inner + (n, n)),
-                    iterate)
-
-
-def _rhs_derivatives(g: Residual, seed: SeedQuadratic, f) -> tuple[np.ndarray, np.ndarray]:
-    """-eps^2 f_p and -eps^4 f_u at the interior points, from the residual's
-    ``iterate`` and ``grad``: (y, u, p) are formed one slab at a time
-    (``_slab_arguments``) and each slab's derivatives fill preallocated
-    interior arrays, the floats of one whole-interior evaluation.  The last
-    slab's arguments are freed on return."""
-    n, inner = g.n, (g.m - 2,) * g.n
-    a_first, a_zero = np.empty(inner + (n,)), np.empty(inner)
-    # a slab holds y, u, p and f_p: 3n + 1 doubles per point
-    for rows, _, y, u, p in _slab_arguments(seed, g.m, g.iterate, g.grad, 3 * n + 1):
-        a_first[rows] = -seed.eps**2 * f.dp(y, u, p)
-        a_zero[rows] = -seed.eps**4 * f.du(y, u, p)
-    return a_first, a_zero
+    return Residual(w.n, w.m, g, iterate, entries, margins)
 
 
 def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
     """Linearization at w with right-hand side -G(w), read from the residual
-    ``g = eval_G(w, seed, f)`` alone.  f's derivatives are evaluated at
-    (y, u, p) formed one slab at a time from the residual's ``iterate`` and
-    ``grad`` (``_rhs_derivatives``), and both are set to None before the
-    stencil fields are built.
+    ``g = eval_G(w, seed, f)`` alone.
 
     The unknowns are the interior points in lexicographic order.  The
     operator keeps one coefficient field per stencil offset and applies it as
     the sum, over offsets, of the field times the zero-padded input shifted
     by the offset, so neighbours on the Dirichlet boundary drop out.
 
-    The dominance margins of the second-order coefficient matrix are
-    measured, never judged: whether they certify uniform ellipticity is
-    ``iterate._newton_step``'s decision.
+    The fields come from the residual's stencil entries, with no
+    difference beyond w's gradient and no recursion: per slab, w's gradient
+    and (y, u, p) are formed (``_slab_arguments``) for f_p and f_u, and the
+    centre and axis fields are filled.  The assembly takes the entries over
+    and turns them into fields in place, each diagonal entry into the field
+    of its -e_a offset and each mixed one into its four offsets' field, so
+    entries and fields never both cover the interior.
+
+    The dominance margins were measured by ``eval_G``, never judged:
+    whether they certify uniform ellipticity is ``iterate._newton_step``'s
+    decision.
     """
     n, m, h = g.n, g.m, g.h
-    coeff = np.swapaxes(g.tensor, -1, -2)
-    a_first, a_zero = _rhs_derivatives(g, seed, f)
-    g.grad = g.iterate = None  # read for the last time
-    idx = np.arange(n)
-
-    # margin of row i: c_ii - (|c_i0| + ... + |c_i,n-1| - |c_ii|), the sum
-    # taken from the left one component at a time, as np.sum over a row does
-    diag = coeff[..., idx, idx]
-    margins = np.empty(diag.shape)
-    for i in range(n):
-        row_sum = np.abs(coeff[..., i, 0])
-        for j in range(1, n):
-            row_sum += np.abs(coeff[..., i, j])
-        margins[..., i] = diag[..., i] - (row_sum - np.abs(diag[..., i]))
-    margins = margins.reshape(-1, n)
+    entries, g.entries = g.entries, None
+    if not entries.flags.writeable:  # w = 0: one point's entries, broadcast
+        entries = entries.copy()
+    pairs = list(zip(*np.triu_indices(n)))
+    diag = [entries[pairs.index((a, a))] for a in range(n)]
+    inner = (m - 2,) * n
+    centre, plus = np.empty(inner), np.empty((n,) + inner)
+    # a slab holds y, u, p and f_p: 3n + 1 doubles per point
+    for rows, _, _, y, u, p in _slab_arguments(seed, m, g.iterate, 3 * n + 1, False):
+        a_first = -seed.eps**2 * f.dp(y, u, p)
+        # the trace summed from the left, as np.sum over the diagonal does
+        trace = diag[0][rows].copy()
+        for a in range(1, n):
+            trace += diag[a][rows]
+        centre[rows] = -2.0 / h**2 * trace + -seed.eps**4 * f.du(y, u, p)
+        for a in range(n):
+            second = diag[a][rows]
+            second /= h**2
+            first = a_first[..., a] / (2.0 * h)
+            np.add(second, first, out=plus[a][rows])
+            second -= first
+    del y, u, p, a_first  # the last slab's
 
     # (offset, field, ufunc): the product of the field and the input shifted
     # by the offset is added, or, for the anti-diagonal mixed offsets,
     # subtracted, which gives the floats of adding the negated field
     unit = np.eye(n, dtype=int)
     add, sub = np.add, np.subtract
-    stencil = [(np.zeros(n, dtype=int), -2.0 / h**2 * np.sum(diag, axis=-1) + a_zero, add)]
+    stencil = [(np.zeros(n, dtype=int), centre, add)]
     for a in range(n):
-        second = coeff[..., a, a] / h**2
-        first = a_first[..., a] / (2.0 * h)
-        stencil += [(unit[a], second + first, add), (-unit[a], second - first, add)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            mixed = coeff[..., a, b] / (2.0 * h**2)
+        stencil += [(unit[a], plus[a], add), (-unit[a], diag[a], add)]
+    for c, (a, b) in enumerate(pairs):
+        if a != b:
+            mixed = entries[c]
+            mixed /= 2.0 * h**2
             stencil += [(unit[a] + unit[b], mixed, add), (-unit[a] - unit[b], mixed, add),
                         (unit[a] - unit[b], mixed, sub), (unit[b] - unit[a], mixed, sub)]
     slab = (slice(1, -1),) * n
@@ -370,7 +437,7 @@ def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
 
     return LinearSystem(
         matrix=_apply, seed_inverse=_seed_inverse(seed, m), rhs=rhs, n=n, m=m,
-        margins=margins,
+        margins=g.margins,
     )
 
 

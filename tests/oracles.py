@@ -12,13 +12,18 @@ bit-exact reference for the library's coefficient-major kernel, which does the
 same arithmetic in the same order.  The point-by-point evaluation of G and of
 the convexity certificate, which differences and recurses every grid point
 even at w = 0, is the bit-exact reference for the library's closed form of the
-zero iterate and for its interior-only pointwise data; its (y, u, p),
-formed for the whole interior at once, are the reference for the library's
-slab-by-slab arguments, box decision and derivatives of f.  Scaling full (n, n)
-Hessian matrices and shifting their diagonal is the bit-exact reference for
-the library's one construction of diag(tau) + eps' D^2 w from stacked
-upper-triangle components.  Plain halving of eps on the solve's grid alone
-is the reference for tuning, which halves on the coarsest grid first.
+zero iterate and for its slab-by-slab differences, stencil entries and
+dominance margins, reduced as one ``np.argmin`` over every interior
+point's gaps reduces them; its (y, u, p), formed for the whole interior
+at once, are the reference for the library's slab-by-slab arguments, box
+decision and derivatives of f.  Scaling full (n, n) Hessian matrices and
+shifting their diagonal is the bit-exact reference for the library's one
+construction of diag(tau) + eps' D^2 w from stacked upper-triangle
+components.  The C^{2,alpha} surrogate read from the whole
+``second_differences`` stack is the reference for the library's
+surrogate, which forms one component at a time.  Plain halving of eps on
+the solve's grid alone is the reference for tuning, which halves on the
+coarsest grid first.
 The cone tests that
 reduce over the strided sigma axis, sample the hyperbolicity check on every
 row and test every drawn row for the cone are
@@ -45,11 +50,13 @@ from khessian.errors import DomainError, TuningError
 from khessian.grids import (
     calpha_surrogate,
     grid_coords,
+    holder_quotient,
     second_differences,
+    sup_norm,
     symmetric_matrix,
 )
 from khessian.iterate import EPS_MIN, _iteration_zero
-from khessian.pde import _box_extremes, _check_box, _physical_args, minor_sums
+from khessian.pde import Margins, _box_extremes, _check_box, _physical_args, minor_sums
 from khessian.seeds import sample_p2_points
 from khessian.symfun import as_spectrum, shift_coefficient, sigma_km1_row
 
@@ -250,12 +257,15 @@ def arguments_at_every_point(w, seed) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def eval_G_at_every_point(w, seed, f) -> dict:
-    """G(w) and its pointwise data, every grid point differenced and
+    """G(w) and what its residual keeps, every grid point differenced and
     recursed and f evaluated on the whole interior at once: keys
-    ``values``, ``second``, ``grad`` and ``tensor`` as on ``pde.Residual``.
-    The tensor is formed on the full grid and returned on the interior,
-    where the library keeps it; the box is checked on the whole interior's
-    (u, p) (``arguments_at_every_point``)."""
+    ``values``, ``entries`` and ``margins`` as on ``pde.Residual``, and the
+    interior ``tensor`` T_{k-1} they come from.  The tensor is formed on
+    the full grid and returned on the interior, its stencil entries are
+    coeff = T^T's coeff[a, a] and coeff[a, b] (a < b) stacked
+    component-major, and the margins are ``margins_at_every_point``'s; the
+    box is checked on the whole interior's (u, p)
+    (``arguments_at_every_point``)."""
     second, grad = second_differences(w)
     sums, tensor = minor_sums(symmetric_matrix(second, seed.n, seed.eps_prime, seed.tau),
                               seed.k)
@@ -264,7 +274,36 @@ def eval_G_at_every_point(w, seed, f) -> dict:
     slab = (slice(1, -1),) * w.n
     g = np.zeros(w.values.shape)
     g[slab] = (sums[-1][slab] - f.value(y, u, p)) / seed.eps_prime
-    return {"values": g, "second": second, "grad": grad, "tensor": tensor[slab]}
+    coeff = np.swapaxes(tensor[slab], -1, -2)
+    entries = np.stack([coeff[..., a, b] for a, b in zip(*np.triu_indices(w.n))])
+    return {"values": g, "entries": entries, "tensor": tensor[slab],
+            "margins": margins_at_every_point(coeff, seed)}
+
+
+def margins_at_every_point(coeff, seed) -> Margins:
+    """The dominance margins of the coefficient matrices ``coeff``
+    (interior + (n, n)), each row's sum of |coeff_ij| by ``np.sum``, and
+    their reduction as one whole-interior pass: ``np.any`` of the gaps to
+    half the seed row below 0, their ``np.argmin`` in C order over
+    (point, row) and the least margin by ``np.min``."""
+    n = coeff.shape[-1]
+    diag = np.diagonal(coeff, axis1=-2, axis2=-1)
+    margins = (diag - (np.sum(np.abs(coeff), axis=-1) - np.abs(diag))).reshape(-1, n)
+    gap = margins - 0.5 * sigma_km1_row(seed.tau, seed.k)
+    q, row = np.unravel_index(int(np.argmin(gap)), gap.shape)
+    point = tuple(int(v) + 1 for v in np.unravel_index(q, coeff.shape[:-2]))
+    return Margins(below=bool(np.any(gap < 0.0)), gap=float(gap[q, row]),
+                   margin=float(margins[q, row]), point=point, row=int(row),
+                   least=float(margins.min()))
+
+
+def c2alpha_from_the_stack(grid, alpha: float) -> float:
+    """The C^{2,alpha} surrogate read from the whole ``second_differences``
+    stack: the sup of |w|, |Dw| and |D^2 w| and ``holder_quotient`` of the
+    stack."""
+    second, grad = second_differences(grid)
+    sup = max(sup_norm(grid.values), sup_norm(grad), sup_norm(second))
+    return sup + holder_quotient(second, grid.h, alpha)
 
 
 def rhs_derivatives_at_every_point(w, seed, f) -> tuple[np.ndarray, np.ndarray]:

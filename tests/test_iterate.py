@@ -9,7 +9,7 @@ import pytest
 from khessian.cli import run_solve
 from khessian.config import ProblemConfig
 from khessian.errors import DomainError, TuningError
-from khessian.grids import M_MIN, ScalarGrid, grid_coords, hessian_of, second_differences
+from khessian.grids import M_MIN, ScalarGrid, c2alpha_surrogate, grid_coords, hessian_of
 from khessian.iterate import (
     STATUS_CONVERGED,
     STATUS_ELLIPTICITY_LOST,
@@ -22,7 +22,7 @@ from khessian.iterate import (
     residual_floor,
     tune_epsilon,
 )
-from khessian.pde import _slab_arguments, eval_G, sk_of_matrix
+from khessian.pde import _slab_arguments, assemble_linearized, eval_G, sk_of_matrix
 from khessian.presets import PRESETS
 from khessian.rhs import RhsSpec, RhsTerm, manufactured_field, tabulated_rhs_from_hessian
 from khessian.seeds import (
@@ -33,6 +33,7 @@ from khessian.seeds import (
 )
 from oracles import (
     boundary_mask,
+    c2alpha_from_the_stack,
     convexity_minima_at_every_point,
     halving_tune,
     total_hessian_by_matrices,
@@ -269,67 +270,101 @@ class TestNewtonLoop:
             assert attempt["reason"] == f"c2alpha(rho) {record['rho_c2alpha']:.3g} > 0.25"
         assert all(r.krylov_steps is not None for r in report.iterations[:-1])
 
-    def test_each_iterate_evaluated_once(self, monkeypatch):
-        # G, its linearization and the iterate's C^{2,alpha} surrogate share
-        # one Hessian and one minor-sum recursion per evaluated iterate: each
-        # nonzero iterate is differenced once and each of its interior points
-        # recursed once (one slab at a time), and w = 0 is never differenced
-        # and recurses one matrix
+    @staticmethod
+    def _count_differences(monkeypatch, log):
+        """Record each slab differencing of w as (caller module, interior
+        rows, second differences formed): ``pde``'s for an evaluation or an
+        assembly, ``iterate``'s for a certificate.  A whole-grid
+        ``second_differences`` is recorded as ("grids", None, True)."""
         import khessian.grids as grids
         import khessian.iterate as iterate
         import khessian.pde as pde
 
-        eval_G, minor_sums, build = pde.eval_G, pde.minor_sums, grids.second_differences
-        evaluated, recursions, builds, depth = [], [], [], [0]
+        slab, whole = grids.interior_differences, grids.second_differences
+
+        def counted(module):
+            def differences(values, h, rows, second=True):
+                log.append((module.__name__.rpartition(".")[2], rows.stop - rows.start, second))
+                return slab(values, h, rows, second)
+            return differences
+
+        def counted_whole(grid):
+            log.append(("grids", None, True))
+            return whole(grid)
+
+        for module in (pde, iterate):
+            monkeypatch.setattr(module, "interior_differences", counted(module))
+        monkeypatch.setattr(grids, "second_differences", counted_whole)
+
+    def test_each_iterate_evaluated_once(self, monkeypatch):
+        # each evaluated iterate is differenced and each of its interior
+        # points recursed once, one slab at a time, and w = 0 is never
+        # differenced and recurses one matrix; the assembly neither
+        # differences beyond the gradient nor recurses
+        import khessian.iterate as iterate
+        import khessian.pde as pde
+
+        eval_G, minor_sums = pde.eval_G, pde.minor_sums
+        assemble = pde.assemble_linearized
+        evaluated, recursions, differenced, stage = [], [], [], [None]
 
         def counted_eval_G(w, *args):
             evaluated.append(w)
-            depth[0] += 1
+            stage[0] = "eval_G"
             try:
                 return eval_G(w, *args)
             finally:
-                depth[0] -= 1
+                stage[0] = None
+
+        def counted_assemble(*args):
+            stage[0] = "assembly"
+            try:
+                return assemble(*args)
+            finally:
+                stage[0] = None
 
         def counted_minor_sums(r, k):
-            # (evaluation, matrices recursed), or None outside an evaluation
-            recursions.append((len(evaluated) - 1 if depth[0] else None,
-                               math.prod(r.shape[:-2])))
+            # (stage, evaluation, matrices recursed)
+            recursions.append((stage[0], len(evaluated) - 1, math.prod(r.shape[:-2])))
             return minor_sums(r, k)
 
-        def counted_build(grid):
-            builds.append((grid, depth[0] > 0))
-            return build(grid)
-
+        log = []
+        self._count_differences(monkeypatch, log)
         monkeypatch.setattr(iterate, "eval_G", counted_eval_G)
+        monkeypatch.setattr(iterate, "assemble_linearized", counted_assemble)
         monkeypatch.setattr(pde, "minor_sums", counted_minor_sums)
-        monkeypatch.setattr(pde, "second_differences", counted_build)
-        monkeypatch.setattr(grids, "second_differences", counted_build)
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
         seed, _, _ = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
-        _, report = newton_loop(seed, f, 9)
-        # iteration 2 reads w's surrogate from its evaluation
+        stage[0] = "loop"  # the differencing and recursions of the loop alone
+        log.clear()
+        w, report = newton_loop(seed, f, 9)
         assert report.converged and len(report.iterations) == 3
         assert len(evaluated) > 3
         nonzero = [w for w in evaluated if w.values.any()]
         assert 0 < len(nonzero) < len(evaluated)
         recursed = [0] * len(evaluated)
-        for e, matrices in recursions:
-            recursed[e] += matrices
+        for where, e, matrices in recursions:
+            assert where in ("eval_G", "loop")  # the assembly recurses nothing
+            if where == "eval_G":
+                recursed[e] += matrices
         assert recursed == [7**3 if w.values.any() else 1 for w in evaluated]
-        assert sum(inside for _, inside in builds) == len(nonzero)
-        # the other Hessians are of corrections, never of an evaluated iterate
-        outside = {id(grid) for grid, inside in builds if not inside}
-        assert outside and not outside & {id(w) for w in evaluated}
+        # in the loop: each nonzero iterate's 7 interior rows differenced
+        # once by its evaluation, the gradient alone by each assembly, and
+        # the converged w once more by its certificate
+        steps = sum(r.krylov_steps is not None for r in report.iterations)
+        rows = {key: sum(n for where, n, second in log if (where, second) == key)
+                for key in {(where, second) for where, _, second in log}}
+        assert rows == {("pde", True): 7 * (len(report.iterations) - 1),
+                        ("pde", False): 7 * (steps - 1), ("iterate", True): 7}
 
     def test_iteration_zero_runs_once(self, tmp_path, monkeypatch):
         # the loop starts from tuning's iteration 0, and the solution is
-        # certified from the second differences of the last evaluation
+        # certified from its own slab differences
         import khessian.iterate as iterate
-        import khessian.pde as pde
 
         eval_G, tune = iterate.eval_G, iterate.tune_epsilon
-        build = pde.second_differences
-        calls = {"eval_G": 0, "tuning": 0, "differences": 0}
+        calls = {"eval_G": 0, "tuning": 0}
+        log = []
 
         def counted_eval_G(*args):
             calls["eval_G"] += 1
@@ -341,14 +376,11 @@ class TestNewtonLoop:
                 return tune(*args, **kwargs)
             finally:
                 calls["tuning"] = calls["eval_G"] - before
-
-        def counted_build(grid):
-            calls["differences"] += 1
-            return build(grid)
+                log.clear()
 
         monkeypatch.setattr(iterate, "eval_G", counted_eval_G)
         monkeypatch.setattr("khessian.cli.tune_epsilon", counted_tune)
-        monkeypatch.setattr(pde, "second_differences", counted_build)
+        self._count_differences(monkeypatch, log)
         doc = copy.deepcopy(PRESETS["fzero-linear"])
         doc["grid"]["m"] = 9
         config = ProblemConfig.from_dict(doc)
@@ -356,9 +388,13 @@ class TestNewtonLoop:
         assert report.converged and len(report.iterations) > 1
         assert calls["tuning"] == len(report.aborted_attempts) + 1
         assert calls["eval_G"] == calls["tuning"] + len(report.iterations) - 1
-        # each iterate past iteration 0 is differenced once, by its evaluation:
-        # the converged one is not differenced again for its certificate
-        assert calls["differences"] == len(report.iterations) - 1
+        # after tuning, each iterate past iteration 0 is differenced once by
+        # its evaluation, and the converged one once by its certificate;
+        # nothing is differenced on the whole grid
+        second = [(where, n) for where, n, formed in log if formed]
+        assert sum(n for where, n in second if where == "pde") == 7 * (len(report.iterations) - 1)
+        assert sum(n for where, n in second if where == "iterate") == 7
+        assert ("grids", None) not in second
 
         monkeypatch.undo()
         seed = seed_for_zero(2, 3, 0.5).with_eps(report.seed["eps"])
@@ -367,36 +403,29 @@ class TestNewtonLoop:
             r.to_dict() for r in report.iterations]
         assert alone.iterations[0].g_holder is not None
         assert alone.convexity == report.convexity
-        assert alone.convexity == certify_convexity(second_differences(w)[0], seed).to_dict()
+        assert alone.convexity == certify_convexity(w.values, seed).to_dict()
 
     def test_iteration_zero_hands_its_derivatives_over(self, tmp_path, monkeypatch):
         # a constant f is solved by the seed: G(0) lies on the roundoff floor
         # and the loop stops at iteration 0.  w = 0 is never differenced, and
-        # no differences are handed over: the certificate of a zero w needs none
-        import khessian.grids as grids
+        # its certificate is handed None
         import khessian.iterate as iterate
-        import khessian.pde as pde
 
-        eval_G, build = iterate.eval_G, grids.second_differences
+        eval_G = iterate.eval_G
         certify = iterate.certify_convexity
-        calls = {"eval_G": 0, "differences": 0}
-        handed = []
+        calls = {"eval_G": 0}
+        handed, log = [], []
 
         def counted_eval_G(*args):
             calls["eval_G"] += 1
             return eval_G(*args)
 
-        def counted_build(grid):
-            calls["differences"] += 1
-            return build(grid)
-
-        def recorded_certify(second, seed):
-            handed.append(second)
-            return certify(second, seed)
+        def recorded_certify(values, seed):
+            handed.append(values)
+            return certify(values, seed)
 
         monkeypatch.setattr(iterate, "eval_G", counted_eval_G)
-        for module in (grids, pde):
-            monkeypatch.setattr(module, "second_differences", counted_build)
+        self._count_differences(monkeypatch, log)
         monkeypatch.setattr(iterate, "certify_convexity", recorded_certify)
         doc = copy.deepcopy(PRESETS["fconst-pos"])
         doc["grid"]["m"] = 9
@@ -404,9 +433,9 @@ class TestNewtonLoop:
         report = run_solve(ProblemConfig.from_dict(doc), out_dir=str(tmp_path)).report
         assert report.converged and len(report.iterations) == 1
         assert calls["eval_G"] == len(report.aborted_attempts) + 1
-        assert calls["differences"] == 0
-        (second,) = handed
-        assert second is None
+        assert log == []
+        (values,) = handed
+        assert values is None
 
     def test_iteration_zero_stops_at_tol_newton(self, tmp_path, monkeypatch):
         # f = 1e-10 (y1 + y2): G(0) lies between ten times the roundoff floor
@@ -548,9 +577,8 @@ class TestCertify:
 
 
 class TestLoopCertifies:
-    """The loop certifies a converged iterate itself, once, from its last
-    evaluation's second differences (None at iteration 0), and no other
-    stop is certified."""
+    """The loop certifies a converged iterate itself, once, from its values
+    (None at iteration 0), and no other stop is certified."""
 
     @staticmethod
     def _counted(monkeypatch):
@@ -558,9 +586,9 @@ class TestLoopCertifies:
 
         certify, given = iterate.certify_convexity, []
 
-        def recorded(second, seed):
-            given.append(second)
-            return certify(second, seed)
+        def recorded(values, seed):
+            given.append(values)
+            return certify(values, seed)
 
         monkeypatch.setattr(iterate, "certify_convexity", recorded)
         return given
@@ -577,10 +605,9 @@ class TestLoopCertifies:
         given = self._counted(monkeypatch)
         w, report = newton_loop(seed, f, 9, start=start)
         assert report.converged and len(report.iterations) > 1
-        (second,) = given
-        assert second.shape == (6,) + (9,) * 3
-        assert np.array_equal(second, second_differences(w)[0])
-        assert report.convexity == certify_convexity(second, seed).to_dict()
+        (values,) = given
+        assert values is w.values
+        assert report.convexity == certify_convexity(w.values, seed).to_dict()
 
     def test_iteration_zero_stop_certifies_once_with_none(self, monkeypatch):
         config = ProblemConfig.from_dict(PRESETS["fconst-match"])
@@ -657,7 +684,11 @@ class TestMemory:
     eps = 1/16 and the manufactured iterate w of amplitude 1e-3, and a whole
     ``fzero-linear`` solve.  Full-grid pointwise data (n-by-n tensors at
     every grid point) would exceed the first two bounds, and an n-by-n
-    stack of the whole interior with its transposed copy the third."""
+    stack of the whole interior with its transposed copy the third.  The
+    bounds on ``eval_G``, the assembly, the certificate and the surrogate
+    are below their peaks with a whole-grid second-difference stack and a
+    whole-interior Newton tensor: 17.8, 20.8, 11.5 and 11.5 MiB with
+    numpy 2.4."""
 
     MB = 2**20
 
@@ -667,7 +698,21 @@ class TestMemory:
         seed = seed_for_constant(3, 4, f.value_at_origin()).with_eps(1 / 16)
         return seed, f, ScalarGrid(4, 17, manufactured_field(4, 17, 1e-3)[0])
 
+    @classmethod
+    def _peak(cls, fn):
+        """fn's result and its traced peak in MiB."""
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] / cls.MB
+        finally:
+            tracemalloc.stop()
+
     def test_newton_step_keeps_interior_data(self, monkeypatch):
+        # the residual keeps the stencil's entries of the interior and the
+        # reduced margins, not the tensor; the assembly forms the gradient
+        # and (y, u, p) per slab and turns the entries into fields in place
+        # (7.3 MiB traced for the residual, 8.5 MiB at the assembly)
         import khessian.iterate as iterate
 
         seed, f, w = self._problem()
@@ -676,20 +721,18 @@ class TestMemory:
         def traced_assemble(g, seed, f):
             sys = assemble(g, seed, f)
             seen["peak"] = tracemalloc.get_traced_memory()[1]
-            seen["differences"] = (g.second, g.grad)
+            seen["entries"] = g.entries
             return sys
 
         monkeypatch.setattr(iterate, "assemble_linearized", traced_assemble)
         tracemalloc.start()
         try:
             g = eval_G(w, seed, f)
-            assert g.tensor.shape == (15,) * 4 + (4, 4)
-            # (y, u, p) are not kept: the assembly forms them per slab from
-            # the iterate (the caller's array) and its gradient, on the
-            # interior points only
-            assert not any(hasattr(g, name) for name in "yup") and g.iterate is w.values
-            slabs = [(rows, u.shape, p.shape) for rows, _, _, u, p in
-                     _slab_arguments(seed, g.m, g.iterate, g.grad, 3 * 4 + 1)]
+            assert g.entries.shape == (10,) + (15,) * 4
+            assert not any(hasattr(g, name) for name in ("tensor", "second", "grad", *"yup"))
+            assert g.iterate is w.values
+            slabs = [(rows, u.shape, p.shape) for rows, _, _, _, u, p in
+                     _slab_arguments(seed, g.m, g.iterate, 3 * 4 + 1, False)]
             assert sum(rows.stop - rows.start for rows, _, _ in slabs) == 15
             for rows, u_shape, p_shape in slabs:
                 assert u_shape == (rows.stop - rows.start,) + (15,) * 3
@@ -698,71 +741,77 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert reason is None and rho is not None
-        assert seen["differences"] == (None, None)
-        assert seen["peak"] < 30 * self.MB
+        assert seen["entries"] is None
+        assert seen["peak"] < 11 * self.MB
 
-    @pytest.mark.parametrize("zero, bound", [(True, 4), (False, 19)])
+    @pytest.mark.parametrize("zero, bound", [(True, 4), (False, 9)])
     def test_eval_G_peak(self, zero, bound):
-        # (y, u, p) live one slab at a time: at w = 0 the peak is G, f's
-        # interior values and a slab (2.7 MiB), at the manufactured w the
-        # differences, the tensor and G (17.8 MiB); whole-interior (y, u, p)
-        # added 3.0 and 3.2 MiB
+        # w, its differences and (y, u, p) live one slab at a time: at w = 0
+        # the peak is G, f's interior values and a slab (3.4 MiB), at the
+        # manufactured w G, the entries and a slab's tensors (7.3 MiB); the
+        # whole-grid stack and interior tensor took 17.8 MiB
         seed, f, w = self._problem()
         if zero:
             w = ScalarGrid.zeros(4, 17)
-        tracemalloc.start()
-        try:
-            g = eval_G(w, seed, f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        g, peak = self._peak(lambda: eval_G(w, seed, f))
         assert g.values.shape == (17,) * 4
-        assert peak < bound * self.MB
+        assert peak < bound
 
     def test_solution_and_certificate_peak(self):
+        # the certificate differences w slab by slab: 2.1 MiB with u, where
+        # a whole-grid stack took 11.5 MiB
         seed, _, w = self._problem()
-        tracemalloc.start()
-        try:
-            cert = certify_convexity(second_differences(w)[0], seed)
-            u = assemble_solution(w, seed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (cert, u), peak = self._peak(
+            lambda: (certify_convexity(w.values, seed), assemble_solution(w, seed)))
         assert u.shape == (17,) * 4
         assert cert.flags[1] and not cert.flags[4]
-        assert peak < 25 * self.MB
+        assert peak < 4
 
     def test_certificate_reads_the_hand_over(self, monkeypatch):
-        # the loop's second differences are the certificate's only stack:
-        # neither the certificate nor u differences w again, no Hessian of
-        # the whole interior is formed, and the certificate keeps no
-        # reference to the stack
+        # the certificate is handed w's values alone and differences them
+        # itself, each interior row once, one slab at a time: no stack of
+        # the whole grid and no Hessian of the whole interior is formed
         import khessian.grids as grids
-        import khessian.pde as pde
+        import khessian.iterate as iterate
 
         seed, _, w = self._problem()
-        second = second_differences(w)[0]
-        released = weakref.ref(second)
-        calls = []
+        slab, hessian, log = grids.interior_differences, iterate.total_hessian, []
 
-        def counted(grid):
-            calls.append(grid)
-            return second_differences(grid)
+        def counted(values, h, rows, second=True):
+            assert values is w.values
+            log.append(rows.stop - rows.start)
+            return slab(values, h, rows, second)
 
-        for module in (grids, pde):
-            monkeypatch.setattr(module, "second_differences", counted)
-        tracemalloc.start()
-        try:
-            cert = certify_convexity(second, seed)
-            u = assemble_solution(w, seed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        del second
-        assert u.shape == (17,) * 4
+        def whole(grid):
+            raise AssertionError("the grid was differenced whole")
+
+        def shaped(second, seed):
+            r = hessian(second, seed)
+            log.append(r.shape)
+            return r
+
+        monkeypatch.setattr(iterate, "interior_differences", counted)
+        monkeypatch.setattr(grids, "second_differences", whole)
+        monkeypatch.setattr(iterate, "total_hessian", shaped)
+        cert, peak = self._peak(lambda: certify_convexity(w.values, seed))
         assert cert.flags[1] and not cert.flags[4]
-        assert calls == [] and released() is None
-        assert peak < 5 * self.MB
+        rows = log[0::2]
+        assert sum(rows) == 15 and len(rows) > 1
+        assert all(shape == (n,) + (15,) * 3 + (4, 4) for n, shape in zip(rows, log[1::2]))
+        assert peak < 3
+
+    def test_assembly_and_surrogate_peaks(self):
+        # beyond the residual, the assembly holds its fields and one slab
+        # (4.0 MiB), where the tensor, the fields and whole-interior
+        # margins took 14.0 MiB; the surrogate holds w's first differences
+        # and one component (4.0 MiB, 11.5 MiB with the whole stack)
+        seed, f, w = self._problem()
+        g = eval_G(w, seed, f)
+        sys, peak = self._peak(lambda: assemble_linearized(g, seed, f))
+        assert sys.size == 15**4 and peak < 6
+        norm, peak = self._peak(lambda: c2alpha_surrogate(w, seed.alpha))
+        assert norm == c2alpha_from_the_stack(w, seed.alpha)
+        assert peak < 6
 
     def test_whole_solve_peak(self, tmp_path):
         config = _fzero_config(4, 17, 3)
@@ -773,7 +822,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert report.converged
-        assert peak < 25 * self.MB
+        assert peak < 15 * self.MB  # 11.7 MiB; 21.6 MiB with the stack and the tensor
         # nothing the size of the grid's coordinates (n m^n doubles) outlives
         # the solve
         assert retained < 4 * 17**4 * 8

@@ -17,16 +17,19 @@ from khessian.grids import (
     grid_coords,
     hessian_of,
     holder_quotient,
+    interior_differences,
+    interior_slabs,
     second_differences,
     symmetric_matrix,
     write_grid_csv,
 )
 from khessian.iterate import IterationRecord, _newton_step
 from khessian.pde import (
+    Margins,
     _box_extremes,
     _check_box,
+    _fold_margins,
     _physical_args,
-    _rhs_derivatives,
     _slab_arguments,
     assemble_linearized,
     eval_G,
@@ -52,11 +55,13 @@ from oracles import (
     brute_sk_matrix,
     convexity_minima_at_every_point,
     arguments_at_every_point,
+    c2alpha_from_the_stack,
     dense_operator,
     eval_G_at_every_point,
     every_offset_holder_quotient,
     fd_sk_gradient,
     manufactured_hessian_matrices,
+    margins_at_every_point,
     read_grid_csv,
     rhs_derivatives_at_every_point,
     stencil_matrix,
@@ -269,9 +274,33 @@ def _bits(a) -> np.ndarray:
 def slab_arguments_gathered(g, seed):
     """(y, u, p) formed from the residual g one slab at a time, as the
     assembly forms them, joined over the interior."""
-    parts = [(y, u, p) for _, _, y, u, p in
-             _slab_arguments(seed, g.m, g.iterate, g.grad, 3 * g.n + 1)]
+    parts = [(y, u, p) for _, _, _, y, u, p in
+             _slab_arguments(seed, g.m, g.iterate, 3 * g.n + 1, False)]
     return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def slab_derivatives_gathered(g, seed, f):
+    """-eps^2 f_p and -eps^4 f_u at the (y, u, p) the assembly forms from
+    the residual g one slab at a time, joined over the interior."""
+    y, u, p = slab_arguments_gathered(g, seed)
+    return -seed.eps**2 * f.dp(y, u, p), -seed.eps**4 * f.du(y, u, p)
+
+
+def assert_residual_matches(g, expect):
+    """G, the stencil entries and the reduced margins of the residual g
+    carry the bits of the whole-interior reference ``expect``."""
+    for name in ("values", "entries"):
+        got = getattr(g, name)
+        assert got.shape == expect[name].shape, name
+        assert np.array_equal(_bits(got), _bits(expect[name])), name
+    assert_margins_equal(g.margins, expect["margins"])
+
+
+def assert_margins_equal(got, expect):
+    """Two ``Margins`` alike field by field, floats to the bit (NaN too)."""
+    assert (got.below, got.point, got.row) == (expect.below, expect.point, expect.row)
+    for name in ("gap", "margin", "least"):
+        assert _bits(getattr(got, name)) == _bits(getattr(expect, name)), name
 
 
 def assert_arguments_match(g, w, seed):
@@ -307,13 +336,9 @@ class TestZeroIterate:
             assert "declared box" in str(err)
             return
         g = eval_G(w, seed, f)
-        for name, value in expect.items():
-            got = getattr(g, name)
-            assert got.shape == value.shape, name
-            assert np.array_equal(_bits(got), _bits(value)), name
+        assert_residual_matches(g, expect)
         assert_arguments_match(g, w, seed)
-        for name in ("second", "grad", "tensor"):
-            assert not getattr(g, name).flags.writeable, name
+        assert g.iterate is None and not g.entries.flags.writeable
 
     @pytest.mark.parametrize("m", [9, 17])
     @pytest.mark.parametrize("n, k, c, l", _ZERO_SEEDS)
@@ -337,8 +362,7 @@ class TestZeroIterate:
     def test_nonzero_iterate_matches_every_point(self):
         seed, f, w = _noisy_problem(3)
         expect, g = eval_G_at_every_point(w, seed, f), eval_G(w, seed, f)
-        for name, value in expect.items():
-            assert np.array_equal(_bits(getattr(g, name)), _bits(value)), name
+        assert_residual_matches(g, expect)
         assert_arguments_match(g, w, seed)
 
     @pytest.mark.parametrize("n, k, c", [(3, 2, -1.0), (4, 3, -2.0)])
@@ -366,7 +390,7 @@ class TestZeroIterate:
         import khessian.iterate as iterate
         import khessian.pde as pde
 
-        def no_differences(grid):
+        def no_differences(*args, **kwargs):
             raise AssertionError("w = 0 was differenced")
 
         recursed = []
@@ -379,9 +403,9 @@ class TestZeroIterate:
                 return minor(r, k)
             return counted
 
-        for module in (grids, pde):
-            monkeypatch.setattr(module, "second_differences", no_differences)
+        monkeypatch.setattr(grids, "second_differences", no_differences)
         for module in (pde, iterate):
+            monkeypatch.setattr(module, "interior_differences", no_differences)
             monkeypatch.setattr(module, "minor_sums", recorded(module))
         n, m = 4, 17
         seed = seed_for_constant(3, n, 2.0, l="full")
@@ -389,7 +413,7 @@ class TestZeroIterate:
         iterate.certify_convexity(None, seed)
         u = iterate.assemble_solution(ScalarGrid.zeros(n, m), seed)
         assert [np.prod(shape[:-2]) for shape in recursed] == [1, 1]
-        assert g.tensor.shape == (m - 2,) * n + (n, n)
+        assert g.entries.shape == (n * (n + 1) // 2,) + (m - 2,) * n
         assert u.shape == (m,) * n
 
 
@@ -418,9 +442,8 @@ class TestOneRouteToTheHessian:
             assert np.array_equal(_bits(_center_gradient(w.values, w.h)), _bits(grad[center]))
             w_norm = w.values - w.values[center] - x @ grad[center]
             u = seed.eps**4 * (psi + seed.eps_prime * w_norm)
-            second = second_differences(w)[0]
-            # w = 0's certificate is given None, and its stack gives the same bits
-            for given in (second,) if w.values.any() else (second, None):
+            # w = 0's certificate is given None, and its values give the same bits
+            for given in (w.values,) if w.values.any() else (w.values, None):
                 got = certify_convexity(given, seed).min_values
                 assert list(got) == list(expect)
                 assert np.array_equal(_bits(list(got.values())), _bits(list(expect.values())))
@@ -476,7 +499,12 @@ class TestAssemble:
         m = 9
         sys = linearized_at(ScalarGrid.zeros(3, m), seed, f)
         row = sigma_km1_row(seed.tau, 2)
-        assert np.allclose(sys.margins, row[None, :])
+        # every point's margins are the row: the least gap is at the first point
+        margins = sys.margins
+        assert margins.point == (1, 1, 1) and not margins.below
+        assert np.isclose(margins.margin, row[margins.row])
+        assert np.isclose(margins.gap, np.min(0.5 * row))
+        assert np.isclose(margins.least, row.min())
         # center entries: -2/h^2 * sum of the row
         h = 2.0 / (m - 1)
         diag = np.diagonal(dense_operator(sys.matrix, sys.size))
@@ -494,10 +522,18 @@ class TestAssemble:
         f.box = None  # at n = 4 and eps = 1/2, (u, p) leave the box; margins ignore it
         row = sigma_km1_row(seed.tau, k)
         for eps in (0.5, 0.0625):
-            sys = linearized_at(ScalarGrid.zeros(n, 9), seed.with_eps(eps), f)
-            assert np.all(sys.margins == sys.margins[0])
-            assert np.allclose(sys.margins[0], row, rtol=1e-14, atol=0.0)
-            assert np.all(sys.margins > 0.5 * row)
+            w = ScalarGrid.zeros(n, 9)
+            g = eval_G(w, seed.with_eps(eps), f)
+            # the one point's margins, reduced as every point's would be
+            coeff = np.swapaxes(eval_G_at_every_point(w, seed.with_eps(eps), f)["tensor"],
+                                -1, -2)
+            expect = margins_at_every_point(coeff, seed)
+            assert_margins_equal(g.margins, expect)
+            margins = assemble_linearized(g, seed.with_eps(eps), f).margins
+            assert margins.point == (1,) * n
+            assert margins.margin == pytest.approx(row[margins.row], rel=1e-14, abs=0.0)
+            assert margins.least == pytest.approx(row.min(), rel=1e-14, abs=0.0)
+            assert not margins.below and margins.gap > 0.0
 
     def test_operator_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
@@ -719,7 +755,7 @@ class TestSlabbedArguments:
             g = eval_G(w, seed, f)
             expect = eval_G_at_every_point(w, seed, f)["values"]
             assert np.array_equal(_bits(g.values), _bits(expect))
-            a_first, a_zero = _rhs_derivatives(g, seed, f)
+            a_first, a_zero = slab_derivatives_gathered(g, seed, f)
             assert a_first.shape == (7,) * n + (n,) and a_zero.shape == (7,) * n
             assert not np.any(a_first) and not np.any(a_zero)
 
@@ -728,9 +764,10 @@ class TestSlabbedArguments:
     def test_derivatives_match_whole_interior(self, monkeypatch, rows_per_slab, n):
         if rows_per_slab is not None:
             monkeypatch.setattr(grids, "_SLAB_BYTES", 1)
+        # the assembly's f_p and f_u, from the gradient it forms per slab
         seed, f, noisy = _noisy_problem(n)
         for w in (noisy, ScalarGrid.zeros(n, 9)):
-            got = _rhs_derivatives(eval_G(w, seed, f), seed, f)
+            got = slab_derivatives_gathered(eval_G(w, seed, f), seed, f)
             for name, a, b in zip(("f_p", "f_u"), got, rhs_derivatives_at_every_point(w, seed, f)):
                 assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), name
 
@@ -744,20 +781,133 @@ class TestSlabbedArguments:
         seed, f, noisy = _noisy_problem(n)
         for w in (noisy, ScalarGrid.zeros(n, 9)):
             g = eval_G(w, seed, f)
-            tensor, rhs = np.array(g.tensor), -g.values[~boundary_mask(n, 9)]
+            reference = eval_G_at_every_point(w, seed, f)
+            assert_residual_matches(g, reference)
+            rhs = -g.values[~boundary_mask(n, 9)]
             sys = assemble_linearized(g, seed, f)
-            assert g.grad is None and g.iterate is None
+            assert g.entries is None  # taken over by the assembly
             a_first, a_zero = np.zeros((9,) * n + (n,)), np.zeros((9,) * n)
             slab = (slice(1, -1),) * n
             a_first[slab], a_zero[slab] = rhs_derivatives_at_every_point(w, seed, f)
             coeff = np.zeros((9,) * n + (n, n))
-            coeff[slab] = np.swapaxes(tensor, -1, -2)
+            coeff[slab] = np.swapaxes(reference["tensor"], -1, -2)
             expect = stencil_matrix(coeff, a_first, a_zero, w.h)
             assert np.array_equal(dense_operator(sys.matrix, sys.size), expect)
             assert np.array_equal(sys.rhs, rhs)
-            diag = np.diagonal(coeff[slab], axis1=-2, axis2=-1)
-            margins = diag - (np.sum(np.abs(coeff[slab]), axis=-1) - np.abs(diag))
-            assert np.array_equal(_bits(sys.margins), _bits(margins.reshape(-1, n)))
+            assert_margins_equal(sys.margins, margins_at_every_point(coeff[slab], seed))
+
+
+class TestSlabDifferences:
+    """w is differenced one interior slab at a time, from the slab and one
+    halo row on each side, with the floats of the whole-grid
+    ``second_differences`` at the interior points; T_{k-1} is kept as the
+    stencil's entries and its margins reduced slab by slab, with the
+    floats and the choice of one whole-interior pass."""
+
+    @pytest.mark.parametrize("rows_per_slab", [1, None])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_match_whole_grid_differences(self, monkeypatch, rows_per_slab, n):
+        if rows_per_slab is not None:
+            monkeypatch.setattr(grids, "_SLAB_BYTES", 1)
+        m = 9
+        _, _, noisy = _noisy_problem(n, m)
+        ramp = _surrogate_fields("ramp", n, m, 1, np.random.default_rng(n))[0] ** 3
+        ramp = ScalarGrid(n, m, ramp)
+        for w in (noisy, ramp):
+            second, grad = second_differences(w)
+            inner = (slice(1, -1),) * n
+            parts = interior_slabs(n, m, n * n)
+            assert rows_per_slab is None or all(rows.stop - rows.start == 1 for rows, _ in parts)
+            got = [interior_differences(w.values, w.h, rows) for rows, _ in parts]
+            joined = np.concatenate([d2 for d2, _ in got], axis=1)
+            assert np.array_equal(_bits(joined), _bits(second[(slice(None),) + inner]))
+            joined = np.concatenate([g for _, g in got])
+            assert np.array_equal(_bits(joined), _bits(grad[inner]))
+            for rows, _ in parts:
+                d2, g = interior_differences(w.values, w.h, rows, second=False)
+                assert d2 is None
+                assert np.array_equal(_bits(g), _bits(grad[inner][rows]))
+
+    @staticmethod
+    def _tensors(rng, shape, n):
+        """Newton tensors near a diagonal one, not symmetric, so that each
+        index of the tensor is pinned."""
+        return np.eye(n) * rng.uniform(5.0, 6.0, size=n) + 0.1 * rng.normal(size=shape + (n, n))
+
+    @staticmethod
+    def _folded(t, seed, rows_per_slab):
+        """The ``Margins`` of tensors t (interior + (n, n)) folded slab by
+        slab, ``rows_per_slab`` rows of the interior each."""
+        half_row = 0.5 * sigma_km1_row(seed.tau, seed.k)
+        found = None
+        for lo in range(0, len(t), rows_per_slab):
+            rows = slice(lo, min(lo + rows_per_slab, len(t)))
+            found = _fold_margins(t[rows], half_row, rows, found)
+        return found
+
+    @pytest.mark.parametrize("case", ["random", "ties", "nan-first", "nan-last",
+                                      "nan-same-slab", "negative-ties"])
+    @pytest.mark.parametrize("rows_per_slab", [1, 2, 5])
+    def test_margins_fold_as_one_pass(self, case, rows_per_slab):
+        # the first least gap in C order, a NaN first wherever it is, ties
+        # to the earlier point or row, "below" only for a gap under 0, a
+        # NaN least margin: each as one np.argmin / np.any / np.min does
+        n = 3
+        seed = seed_for_zero(2, n, 0.5)
+        rng = np.random.default_rng(80 + rows_per_slab)
+        t = self._tensors(rng, (5, 4, 4), n)
+        if case in ("ties", "negative-ties"):
+            # two points in different slabs, and two rows of one point,
+            # share the least gap: a diagonal tensor with equal entries
+            scale = -1.0 if case == "negative-ties" else 0.01
+            low = np.eye(n) * scale + np.diag(0.5 * sigma_km1_row(seed.tau, 2))
+            t[1, 2, 3] = t[4, 0, 0] = low
+        if case.startswith("nan"):
+            t[3, 1, 2, 0, 0] = -5.0  # a negative gap
+            where = {"nan-first": (0, 1, 1), "nan-last": (4, 3, 3), "nan-same-slab": (3, 1, 3)}
+            t[where[case] + (1, 2)] = np.nan
+        got = self._folded(t, seed, rows_per_slab)
+        expect = margins_at_every_point(np.swapaxes(t, -1, -2), seed)
+        assert_margins_equal(got, expect)
+        if case.startswith("nan"):
+            assert got.below and np.isnan(got.gap) and np.isnan(got.least)
+        if case == "ties":
+            assert got.point == (2, 3, 4) and got.row == 0 and not got.below
+        if case == "negative-ties":
+            assert got.below and got.point == (2, 3, 4)
+
+    @pytest.mark.parametrize("case", ["negative", "nan-before", "nan-after"])
+    def test_refusal_names_the_first_least_gap(self, monkeypatch, case):
+        # the step's refusal reads the reduced margins: the message of one
+        # whole-interior argmin, also when a NaN gap comes before or after
+        # the negative one (a NaN alone refuses nothing)
+        monkeypatch.setattr(grids, "_SLAB_BYTES", 1)
+        seed, f, w = _noisy_problem(3)
+        f.box = None
+        g = eval_G(w, seed, f)
+        t = eval_G_at_every_point(w, seed, f)["tensor"].copy()
+        t[4, 2, 5, 1, 1] = -3.0
+        if case != "negative":
+            t[(1, 0, 0) if case == "nan-before" else (6, 6, 6)][0, 2] = np.nan
+        g.margins = self._folded(t, seed, 1)
+        expect = margins_at_every_point(np.swapaxes(t, -1, -2), seed)
+        assert_margins_equal(g.margins, expect)
+        record = IterationRecord(1, 0.0, 0.0)
+        rho, reason = _newton_step(g, seed, f, 1e-10, record)
+        assert rho is None and record.krylov_steps is None and record.min_margin is None
+        assert reason == (f"dominance margin dropped {expect.gap:.3e} below half the seed "
+                          f"row: margin {expect.margin:.3e} at grid point {expect.point}, "
+                          f"row {expect.row}")
+        if case == "negative":
+            assert expect.point == (5, 3, 6) and expect.row == 1
+        else:
+            assert "dropped nan" in reason
+        if case == "nan-after":
+            # without the negative gap, the NaN alone refuses nothing
+            t[4, 2, 5, 1, 1] = 1.0
+            g = eval_G(w, seed, f)
+            g.margins = self._folded(t, seed, 1)
+            assert not g.margins.below and np.isnan(g.margins.gap)
 
 
 class TestSolve:
@@ -860,12 +1010,11 @@ class TestEllipticityPersistence:
         bump = np.prod(np.cos(np.pi * x / 2), axis=-1)
         w = ScalarGrid(3, m, bump)
         w = ScalarGrid(3, m, 0.9 * bump / c2alpha_surrogate(w, 0.5))
-        thresh = 0.5 * sigma_km1_row(seed.tau, 2)
         eps = 0.5
         found = None
         while eps >= 1e-4:
             sys = linearized_at(w, seed.with_eps(eps), f)
-            if np.all(sys.margins > thresh[None, :]):
+            if sys.margins.gap > 0.0:  # the least gap: every margin above half its row
                 found = eps
                 break
             eps *= 0.5
@@ -873,7 +1022,7 @@ class TestEllipticityPersistence:
         for _ in range(3):
             eps *= 0.5
             sys = linearized_at(w, seed.with_eps(eps), f)
-            assert np.all(sys.margins > thresh[None, :])
+            assert sys.margins.gap > 0.0
 
 
 class TestOrderOfAccuracy:
@@ -1004,6 +1153,27 @@ class TestNormSurrogates:
         quot = max(brute_holder_quotient(hess[..., a, b], w.h, 0.5)
                    for a in range(n) for b in range(a, n))
         assert c2alpha_surrogate(w, 0.5) == sup + quot
+
+    @pytest.mark.parametrize("n, m", [(2, 33), (3, 17), (4, 9), (5, 9)])
+    def test_c2alpha_matches_the_stack(self, n, m):
+        # formed one component at a time, the surrogate is the float the
+        # whole second-difference stack gives: smooth and noisy fields, a
+        # constant, a quadratic and fields with a NaN or an inf
+        rng = np.random.default_rng(90 + n)
+        x = grid_coords(n, m)
+        smooth = np.sin(x @ rng.normal(size=n)) + x[..., 0] ** 3
+        fields = [smooth, smooth + 1e-3 * rng.normal(size=smooth.shape),
+                  np.full(smooth.shape, 0.3), 0.5 * np.sum(x**2, axis=-1),
+                  _surrogate_fields("tilt", n, m, 1, rng)[0]]
+        for bad in (np.nan, np.inf):
+            spoiled = smooth.copy()
+            spoiled[(m // 2,) * n] = bad
+            fields.append(spoiled)
+        for values in fields:
+            w = ScalarGrid(n, m, values)
+            for alpha in (0.25, 0.5):
+                got, expect = c2alpha_surrogate(w, alpha), c2alpha_from_the_stack(w, alpha)
+                assert _bits(got) == _bits(expect)
 
     @pytest.mark.parametrize("kind", ["noise", "ramp"])
     @pytest.mark.parametrize("n", [2, 3])
