@@ -557,15 +557,17 @@ def test_solve_runs_without_scipy(tmp_path):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
 def test_repeated_solve_reuses_freed_arrays(tmp_path):
     # a second solve finds its grid temporaries in the heap; left alone, glibc
-    # maps each one afresh and page-faults it (about 1800 faults at m = 17)
+    # maps each one afresh and page-faults it (about 5000 faults at m = 33,
+    # against some tens tuned; at m = 17 the slabbed temporaries leave about
+    # 500, too near the tuned run's own spread to tell the two apart)
     import khessian
 
     src = str(pathlib.Path(khessian.__file__).resolve().parents[1])
     faults = {}
     for untuned in ("", "cli._reuse_freed_arrays = lambda: None; "):
-        code = (f"import sys, resource; sys.path.insert(0, {src!r}); "
+        code = (f"import dataclasses, sys, resource; sys.path.insert(0, {src!r}); "
                 f"import khessian.cli as cli; {untuned}"
-                "config = cli.preset_config('fzero-linear'); "
+                "config = dataclasses.replace(cli.preset_config('fzero-linear'), m=33); "
                 f"cli.run_solve(config, {str(tmp_path / 'first')!r}); "
                 "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
                 f"cli.run_solve(config, {str(tmp_path / 'second')!r}); "
