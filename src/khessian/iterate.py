@@ -26,6 +26,10 @@ uniform-ellipticity test), or the linear solve fails, the loop stops: a
 manufactured right-hand side is built for one eps', so the loop never
 changes eps itself.
 
+A norm surrogate is measured only where a decision reads it: iteration
+0's correction's (tuning's test, and w_1's) and each later iterate's (the
+loop's norm stop and roundoff-floor scale).
+
 Each iterate is evaluated once: the step assembles the linearization from
 the ``Residual`` that ``eval_G`` returns alone, which keeps the stencil's
 entries of the Newton tensor and the reduced dominance margins, and the
@@ -54,7 +58,6 @@ from .grids import (
     M_MIN,
     ScalarGrid,
     c2alpha_surrogate,
-    calpha_surrogate,
     interior_differences,
     interior_slabs,
     slab_coords,
@@ -82,20 +85,19 @@ CONVEXITY_TOL = 1e-9  # slack of the j-convexity flags
 
 @dataclass
 class IterationRecord:
-    """One iteration's measurements.  ``krylov_steps`` counts the iterations
+    """One iteration's measurements.  ``lin_steps`` counts the iterations
     of the step's linear solve, and ``contraction`` is the largest ratio
     ||r_{i+1}|| / ||r_i|| of its successive residuals; both are None when no
-    solve ran."""
+    solve ran.  ``rho_c2alpha`` is measured at iteration 0 alone."""
 
     iteration: int
     g_inf: float
     w_c2alpha: float
-    g_holder: float | None = None
     rho_inf: float | None = None
     rho_c2alpha: float | None = None
     min_margin: float | None = None
     lin_residual: float | None = None
-    krylov_steps: int | None = None
+    lin_steps: int | None = None
     contraction: float | None = None
 
     def to_dict(self) -> dict:
@@ -163,20 +165,19 @@ def _newton_step(g_grid: Residual, seed: SeedQuadratic, f, tol_lin: float,
                  record: IterationRecord) -> tuple[ScalarGrid | None, str | None]:
     """One linearized solve at the iterate of the residual ``g_grid``.
 
-    Fills the record's ``rho_inf``, ``rho_c2alpha``, ``min_margin``,
-    ``lin_residual``, ``krylov_steps`` and ``contraction`` and returns
-    ``(rho, None)``.  Returns ``(None, reason)`` when a dominance margin
-    drops below half the seed's deleted-variable row, or when the linear
-    solve fails (its residual stops shrinking or it reaches its step limit);
-    a failed solve still records its count of operator applications and its
-    contraction.  The half-row test is the one test of uniform ellipticity:
-    the seed row is positive (``seeds._finalize``), so it refuses every
-    nonpositive margin too.  The margins are the residual's, reduced by
-    ``eval_G`` (``pde.Margins``): the reason names the first least gap in
-    C order, its margin, its grid point (indices on the full grid) and its
-    row.  The assembly takes the residual's stencil entries over as its
-    fields, which are freed before the surrogate of the correction is
-    formed.
+    Fills the record's ``rho_inf``, ``min_margin``, ``lin_residual``,
+    ``lin_steps`` and ``contraction`` and returns ``(rho, None)``.  Returns
+    ``(None, reason)`` when a dominance margin drops below half the seed's
+    deleted-variable row, or when the linear solve fails (its residual
+    stops shrinking or it reaches its step limit); a failed solve still
+    records its count of operator applications and its contraction.  The
+    half-row test is the one test of uniform ellipticity: the seed row is
+    positive (``seeds._finalize``), so it refuses every nonpositive margin
+    too.  The margins are the residual's, reduced by ``eval_G``
+    (``pde.Margins``): the reason names the first least gap in C order, its
+    margin, its grid point (indices on the full grid) and its row.  The
+    assembly takes the residual's stencil entries over as its fields, which
+    are freed before the step returns.
     """
     sys = assemble_linearized(g_grid, seed, f)
     margins = sys.margins
@@ -185,16 +186,15 @@ def _newton_step(g_grid: Residual, seed: SeedQuadratic, f, tol_lin: float,
                       f"row: margin {margins.margin:.3e} at grid point {margins.point}, "
                       f"row {margins.row}")
     try:
-        rho, record.lin_residual, record.krylov_steps = solve_dirichlet_info(sys, tol_lin)
+        rho, record.lin_residual, record.lin_steps = solve_dirichlet_info(sys, tol_lin)
     except SolverError as err:
-        record.krylov_steps = err.steps
+        record.lin_steps = err.steps
         return None, f"linear solve failed: {err}"
     finally:
         record.contraction = sys.contraction
     record.min_margin = sys.min_margin
     del sys  # free the coefficient fields before the next assembly
     record.rho_inf = sup_norm(rho.values)
-    record.rho_c2alpha = c2alpha_surrogate(rho, seed.alpha)
     return rho, None
 
 
@@ -212,38 +212,41 @@ def _stop_reason(record: IterationRecord, seed: SeedQuadratic, m: int,
 
 
 def _iteration_zero(seed: SeedQuadratic, f, m: int, tol_newton: float, tol_lin: float
-                    ) -> tuple[IterationRecord, ScalarGrid | None, str | None, Residual]:
+                    ) -> tuple[IterationRecord, ScalarGrid | None, str | None]:
     """Iteration 0 at the seed's eps, the same for tuning and the loop: G at
     w = 0 and, unless G meets the loop's stopping test (``_stop_reason``),
     the Newton step from w = 0.
 
-    Returns ``(record, rho, reason, g)``: the iteration-0 record without
-    ``g_holder``, the correction and the refusal as ``_newton_step`` gives
-    them (both None when no step is needed), and the residual.  Raises
+    Returns ``(record, rho, reason)``: the iteration-0 record, with a
+    correction's ``rho_c2alpha``, and the correction and refusal as
+    ``_newton_step`` gives them (both None when no step is needed).  Raises
     DomainError when the (u, p) arguments leave the right-hand side's box.
     """
     g = eval_G(ScalarGrid.zeros(seed.n, m), seed, f)
     # G is zero on the boundary, so its sup over the grid is the interior's
     record = IterationRecord(iteration=0, g_inf=sup_norm(g.values), w_c2alpha=0.0)
     if _stop_reason(record, seed, m, tol_newton) is not None:
-        return record, None, None, g
+        return record, None, None
     rho, reason = _newton_step(g, seed, f, tol_lin, record)
-    return record, rho, reason, g
+    del g  # the residual goes before the surrogate's buffers come
+    if rho is not None:
+        record.rho_c2alpha = c2alpha_surrogate(rho, seed.alpha)
+    return record, rho, reason
 
 
 def _try_eps(seed: SeedQuadratic, f, m: int, eps: float, tol_newton: float,
              tol_lin: float) -> tuple[tuple | None, dict | None]:
     """Tuning's test of one eps on grid m: runs the loop's iteration 0
-    (``_iteration_zero``) at that eps.  Returns ``((candidate, record, rho,
-    g), None)`` when it is accepted and ``(None, refusal)`` otherwise, the
+    (``_iteration_zero``) at that eps.  Returns ``((candidate, record,
+    rho), None)`` when it is accepted and ``(None, refusal)`` otherwise, the
     refusal record {"eps", "m", "reason", "iterations"}."""
     candidate = seed.with_eps(eps)
     try:
-        record, rho, reason, g = _iteration_zero(candidate, f, m, tol_newton, tol_lin)
+        record, rho, reason = _iteration_zero(candidate, f, m, tol_newton, tol_lin)
     except DomainError as err:
         return None, {"eps": eps, "m": m, "reason": str(err), "iterations": []}
     if reason is None and (rho is None or record.rho_c2alpha <= 0.25):
-        return (candidate, record, rho, g), None
+        return (candidate, record, rho), None
     return None, {"eps": eps, "m": m,
                   "reason": reason or f"c2alpha(rho) {record.rho_c2alpha:.3g} > 0.25",
                   "iterations": [record.to_dict()]}
@@ -252,7 +255,7 @@ def _try_eps(seed: SeedQuadratic, f, m: int, eps: float, tol_newton: float,
 def _halve(seed: SeedQuadratic, f, m: int, eps: float, tol_newton: float, tol_lin: float,
            refused: list[dict]) -> tuple:
     """Halve eps on grid m, from ``eps``, until ``_try_eps`` accepts one, and
-    return its ``(candidate, record, rho, g)``; each refusal is appended to
+    return its ``(candidate, record, rho)``; each refusal is appended to
     ``refused``.  Raises TuningError, carrying ``refused``, below EPS_MIN."""
     while eps >= EPS_MIN:
         accepted, refusal = _try_eps(seed, f, m, eps, tol_newton, tol_lin)
@@ -264,15 +267,6 @@ def _halve(seed: SeedQuadratic, f, m: int, eps: float, tol_newton: float, tol_li
     if refused:
         message += f"; eps {refused[-1]['eps']:.3g} refused: {refused[-1]['reason']}"
     raise TuningError(message, diagnostics=refused)
-
-
-def _accept(seed: SeedQuadratic, f, m: int, eps: float, tol_newton: float, tol_lin: float,
-            refused: list[dict]) -> tuple:
-    """``_halve`` on grid m from ``eps``, and the accepted candidate's
-    ``(candidate, record, rho)``, its record's ``g_holder`` measured."""
-    candidate, record, rho, g = _halve(seed, f, m, eps, tol_newton, tol_lin, refused)
-    record.g_holder = calpha_surrogate(g.values, g.h, candidate.alpha)
-    return candidate, record, rho
 
 
 def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
@@ -304,10 +298,10 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     ``iterations`` the candidate's iteration-0 record (empty after a box
     exit), the coarsest grid's refusals first and then grid m's, each in
     the order tried; and the accepted candidate's iteration 0 on grid m as
-    ``[record, rho]`` for ``newton_loop``'s ``start``: its record, with
-    ``g_holder`` measured, and its correction (None when no step is
-    needed).  When no candidate is accepted, the TuningError carries the
-    refusal records and names the last one's reason.
+    ``[record, rho]`` for ``newton_loop``'s ``start``: its record and its
+    correction (None when no step is needed).  When no candidate is
+    accepted, the TuningError carries the refusal records and names the
+    last one's reason.
     """
     refused: list[dict] = []
     eps = seed.eps
@@ -316,15 +310,14 @@ def tune_epsilon(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
             eps = _halve(seed, f, M_MIN, eps, tol_newton, tol_lin, refused)[0].eps
         except TuningError:
             pass  # plain halving on grid m, after the coarsest grid's refusals
-    candidate, record, rho = _accept(seed, f, m, eps, tol_newton, tol_lin, refused)
+    candidate, record, rho = _halve(seed, f, m, eps, tol_newton, tol_lin, refused)
     if candidate.eps == eps < seed.eps:  # grid m accepted e at once: 2e must be refused
         above, refusal = _try_eps(seed, f, m, 2.0 * eps, tol_newton, tol_lin)
         if above is None:
             refused.append(refusal)
         else:
             del above, record, rho  # free them before the fallback
-            candidate, record, rho = _accept(seed, f, m, seed.eps, tol_newton, tol_lin,
-                                             refused)
+            candidate, record, rho = _halve(seed, f, m, seed.eps, tol_newton, tol_lin, refused)
     return candidate, refused, [record, rho]
 
 
@@ -339,8 +332,7 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     loop empties the list, so that rho is freed once it has been added to
     w.  A ``start`` without a step whose residual misses ``tol_newton``
     (tuned with a larger tolerance) raises DomainError.  Without ``start``
-    the loop runs ``_iteration_zero`` itself and measures ``g_holder``, as
-    tuning does for the candidate it accepts.
+    the loop runs ``_iteration_zero`` itself.
     Every iteration, iteration 0 included, stops by ``_stop_reason``, so
     iteration 0 has a step exactly when the loop goes on.
 
@@ -355,8 +347,7 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     non-converged statuses.
     """
     if start is None:
-        first, rho, reason, g_grid = _iteration_zero(seed, f, m, tol_newton, tol_lin)
-        first.g_holder = calpha_surrogate(g_grid.values, g_grid.h, seed.alpha)
+        first, rho, reason = _iteration_zero(seed, f, m, tol_newton, tol_lin)
     else:
         (first, rho), reason = start, None
         start.clear()
@@ -376,10 +367,8 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
             except DomainError as err:  # (u, p) left the box
                 err.iterations = [r.to_dict() for r in records]
                 raise
-            record = IterationRecord(
-                iteration=it, g_inf=sup_norm(g_grid.values), w_c2alpha=w_norm,
-                g_holder=calpha_surrogate(g_grid.values, w.h, seed.alpha),
-            )
+            record = IterationRecord(iteration=it, g_inf=sup_norm(g_grid.values),
+                                     w_c2alpha=w_norm)
             if records[-1].g_inf > 0.0:
                 ratios.append(record.g_inf / records[-1].g_inf**2)
             records.append(record)

@@ -68,7 +68,7 @@ from .symfun import sigma_km1_row
 # Richardson iteration limit: accepted solves took at most 17 iterations, at
 # contractions up to 0.34, so a solve that reaches it contracts too slowly
 # and its eps is refused.
-MAX_KRYLOV_STEPS = 200
+MAX_LIN_STEPS = 200
 # Matrices per block of minor_sums' products: 4096 (4, 4) blocks take 512 kB.
 _PRODUCT_BLOCK = 4096
 
@@ -479,7 +479,7 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10
     relative residual and the number of iterations (one application of A
     each), and records the largest ratio of successive residual norms as
     ``sys.contraction``.  A residual that does not shrink, or
-    ``MAX_KRYLOV_STEPS`` iterations (read at each call) short of the target,
+    ``MAX_LIN_STEPS`` iterations (read at each call) short of the target,
     raise SolverError, whose message says which and which carries the
     iterations as ``steps``.
     """
@@ -492,7 +492,7 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10
     r, res, steps = b, 1.0, 0
     sys.contraction = 0.0
     while res > 0.1 * tol_lin:
-        if steps == MAX_KRYLOV_STEPS:
+        if steps == MAX_LIN_STEPS:
             why = "step limit reached"
             break
         x += sys.seed_inverse(r)
@@ -507,7 +507,7 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10
         rho.values[(slice(1, -1),) * sys.n] = (bnorm * x).reshape((sys.m - 2,) * sys.n)
         return rho, res, steps
     raise SolverError(
-        f"Krylov iteration stalled ({why}) at relative residual {res:.3e} "
+        f"Richardson iteration stalled ({why}) at relative residual {res:.3e} "
         f"after {steps} operator applications",
         steps=steps,
     )

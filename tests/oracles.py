@@ -48,7 +48,6 @@ from khessian import verify
 from khessian.cone import DEFAULT_TOL, Region, classify_boundary, garding_slack, in_gamma_k
 from khessian.errors import DomainError, TuningError
 from khessian.grids import (
-    calpha_surrogate,
     grid_coords,
     holder_quotient,
     second_differences,
@@ -325,12 +324,11 @@ def halving_tune(seed, f, m: int, tol_newton: float = 1e-9, tol_lin: float = 1e-
     while eps >= EPS_MIN:
         candidate = seed.with_eps(eps)
         try:
-            record, rho, reason, g = _iteration_zero(candidate, f, m, tol_newton, tol_lin)
+            record, rho, reason = _iteration_zero(candidate, f, m, tol_newton, tol_lin)
         except DomainError as err:
             refused.append({"eps": eps, "m": m, "reason": str(err), "iterations": []})
         else:
             if reason is None and (rho is None or record.rho_c2alpha <= 0.25):
-                record.g_holder = calpha_surrogate(g.values, g.h, candidate.alpha)
                 return candidate, refused, [record, rho]
             refused.append({"eps": eps, "m": m,
                             "reason": reason or f"c2alpha(rho) {record.rho_c2alpha:.3g} > 0.25",

@@ -308,7 +308,7 @@ class TestSolveCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert main(["solve", "--config", str(cfg_path)]) == 4
-        assert "Krylov iteration stalled" in capsys.readouterr().err
+        assert "Richardson iteration stalled" in capsys.readouterr().err
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["status"] == "Failed"
         assert report["error"].endswith(" operator applications")
@@ -364,13 +364,13 @@ class TestSolveCommand:
         diagnostics = report["diagnostics"]
         assert len(diagnostics) == 13
         for d in diagnostics:
-            assert d["reason"].startswith("linear solve failed: Krylov iteration stalled")
+            assert d["reason"].startswith("linear solve failed: Richardson iteration stalled")
             (record,) = d["iterations"]
             assert record["rho_c2alpha"] is None
             # the stalled solve's count of operator applications is kept as a number
-            assert record["krylov_steps"] >= 1
+            assert record["lin_steps"] >= 1
             assert d["reason"].endswith(
-                f" after {record['krylov_steps']} operator applications")
+                f" after {record['lin_steps']} operator applications")
         assert report["error"].endswith(diagnostics[-1]["reason"])
 
     @pytest.mark.parametrize("err, fields", [
@@ -419,7 +419,7 @@ class TestSolveCommand:
         assert [a["eps"] for a in report["diagnostics"]] == [0.5, 0.25, 0.125]
         # and so are the loop's records: iteration 0 at eps 1/16, its step included
         (first, rho) = start
-        assert rho is not None and first.krylov_steps is not None
+        assert rho is not None and first.lin_steps is not None
         assert report["iterations"] == json.loads(json.dumps([first.to_dict()]))
 
     def test_failed_linear_solve_rejects_eps(self, tmp_path):
@@ -442,7 +442,7 @@ class TestSolveCommand:
         # the residual grows at the first iteration, so the divergent solve
         # is refused at once instead of at the step limit
         assert "(residual stopped shrinking)" in refusal["reason"]
-        assert refusal["iterations"][0]["krylov_steps"] <= 3
+        assert refusal["iterations"][0]["lin_steps"] <= 3
 
     @pytest.mark.parametrize("edit", [
         lambda d: d.update(alpha=0.25),

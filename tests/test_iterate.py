@@ -268,7 +268,7 @@ class TestNewtonLoop:
             (record,) = attempt["iterations"]
             assert record["rho_c2alpha"] > 0.25
             assert attempt["reason"] == f"c2alpha(rho) {record['rho_c2alpha']:.3g} > 0.25"
-        assert all(r.krylov_steps is not None for r in report.iterations[:-1])
+        assert all(r.lin_steps is not None for r in report.iterations[:-1])
 
     @staticmethod
     def _count_differences(monkeypatch, log):
@@ -351,7 +351,7 @@ class TestNewtonLoop:
         # in the loop: each nonzero iterate's 7 interior rows differenced
         # once by its evaluation, the gradient alone by each assembly, and
         # the converged w once more by its certificate
-        steps = sum(r.krylov_steps is not None for r in report.iterations)
+        steps = sum(r.lin_steps is not None for r in report.iterations)
         rows = {key: sum(n for where, n, second in log if (where, second) == key)
                 for key in {(where, second) for where, _, second in log}}
         assert rows == {("pde", True): 7 * (len(report.iterations) - 1),
@@ -401,7 +401,7 @@ class TestNewtonLoop:
         w, alone = newton_loop(seed, config.build_rhs(), 9)
         assert [r.to_dict() for r in alone.iterations] == [
             r.to_dict() for r in report.iterations]
-        assert alone.iterations[0].g_holder is not None
+        assert "g_holder" not in alone.iterations[0].to_dict()
         assert alone.convexity == report.convexity
         assert alone.convexity == certify_convexity(w.values, seed).to_dict()
 
@@ -466,7 +466,7 @@ class TestNewtonLoop:
         assert report.seed["eps"] == 0.5 and report.aborted_attempts == []
         (first,) = report.iterations
         assert 10.0 * report.floor_estimate < first.g_inf <= config.tol_newton
-        assert first.krylov_steps is None and first.rho_c2alpha is None
+        assert first.lin_steps is None and first.rho_c2alpha is None
 
         _, alone = newton_loop(seed_for_zero(2, 3, 0.5), config.build_rhs(), 17)
         assert calls == {"assemble": 0, "solve": 0}
@@ -486,9 +486,9 @@ class TestNewtonLoop:
         assert report.converged
         records = [r.to_dict() for r in report.iterations] + [
             r for a in report.aborted_attempts for r in a["iterations"]]
-        solved = [r for r in records if r["krylov_steps"] is not None]
+        solved = [r for r in records if r["lin_steps"] is not None]
         for r in records:
-            if r["krylov_steps"] is None:
+            if r["lin_steps"] is None:
                 assert r["contraction"] is None
             else:
                 assert 0.0 <= r["contraction"] < 1.0
@@ -497,6 +497,62 @@ class TestNewtonLoop:
     def test_floor_estimate_scales_like_inverse_h_squared(self):
         seed = seed_for_zero(2, 3, 0.5)
         assert residual_floor(seed, 17) / residual_floor(seed, 9) == pytest.approx(4.0)
+
+    def test_surrogates_only_where_read(self, tmp_path, monkeypatch):
+        # tuning's acceptance test reads each candidate correction's
+        # surrogate, and w_1's is iteration 0's; the loop's norm stop and
+        # floor scale read each iterate's from w_2 on, the last included.
+        # No residual's Hoelder norm is measured
+        import sys
+
+        import khessian.iterate as iterate
+
+        surrogate, step, tune = (iterate.c2alpha_surrogate, iterate._newton_step,
+                                 iterate.tune_epsilon)
+        phase, counts, starts, hoelder = ["loop"], {"tuning": 0, "loop": 0, "steps": 0}, [], []
+
+        def counted_surrogate(grid, alpha):
+            counts[phase[0]] += 1
+            return surrogate(grid, alpha)
+
+        def counted_step(*args):
+            rho, reason = step(*args)
+            counts["steps"] += phase[0] == "tuning" and rho is not None
+            return rho, reason
+
+        def tuning(*args, **kwargs):
+            phase[0] = "tuning"
+            try:
+                result = tune(*args, **kwargs)
+            finally:
+                phase[0] = "loop"
+            starts.append(result[2][1])  # the loop empties the start list
+            return result
+
+        def recorded(name):
+            return lambda *args: hoelder.append(name)
+
+        monkeypatch.setattr(iterate, "c2alpha_surrogate", counted_surrogate)
+        monkeypatch.setattr(iterate, "_newton_step", counted_step)
+        monkeypatch.setattr("khessian.cli.tune_epsilon", tuning)
+        for mod in [m for key, m in sys.modules.items() if key.startswith("khessian")]:
+            for name in ("calpha_surrogate", "holder_quotient"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, recorded(name))
+        config = ProblemConfig.from_dict(PRESETS["fzero-linear"])
+        report = run_solve(config, out_dir=str(tmp_path)).report
+        assert report.converged and len(report.iterations) >= 3
+        assert counts["tuning"] == counts["steps"] > 1  # the coarsest grid's and grid m's
+        assert counts["loop"] == len(report.iterations) - 2
+        assert hoelder == []
+        records = [r.to_dict() for r in report.iterations] + [
+            r for a in report.aborted_attempts for r in a["iterations"]]
+        assert all("g_holder" not in r for r in records)
+        first, *later = report.iterations
+        (rho,) = starts
+        assert first.rho_c2alpha == surrogate(rho, report.seed["alpha"])
+        assert all(r.rho_c2alpha is None for r in later)
+        assert math.isfinite(report.iterations[-1].w_c2alpha)
 
 
 def _physical_hessian(u: np.ndarray, seed) -> np.ndarray:

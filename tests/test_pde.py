@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khessian import cli, grids
+from khessian import cli, floattext, grids
 from khessian.config import ProblemConfig
 from khessian.errors import DomainError, SolverError
 from khessian.grids import (
@@ -645,7 +645,7 @@ class TestAssemble:
         record = IterationRecord(0, 0.0, 0.0)
         rho, reason = _newton_step(eval_G(w, seed, f), seed, f, 1e-10, record)
         assert rho is None
-        assert record.krylov_steps is None and record.min_margin is None
+        assert record.lin_steps is None and record.min_margin is None
         coeff = sk_gradient(symmetric_matrix(second_differences(w)[0], 3, seed.eps_prime,
                                              seed.tau), 2)
         diag = np.diagonal(coeff, axis1=-2, axis2=-1)
@@ -894,7 +894,7 @@ class TestSlabDifferences:
         assert_margins_equal(g.margins, expect)
         record = IterationRecord(1, 0.0, 0.0)
         rho, reason = _newton_step(g, seed, f, 1e-10, record)
-        assert rho is None and record.krylov_steps is None and record.min_margin is None
+        assert rho is None and record.lin_steps is None and record.min_margin is None
         assert reason == (f"dominance margin dropped {expect.gap:.3e} below half the seed "
                           f"row: margin {expect.margin:.3e} at grid point {expect.point}, "
                           f"row {expect.row}")
@@ -976,7 +976,7 @@ class TestSolve:
         seed, f, w = _noisy_problem(3)
         sys = linearized_at(w, seed, f)
         # one Richardson iteration applies the operator once
-        monkeypatch.setattr(pde, "MAX_KRYLOV_STEPS", 1)
+        monkeypatch.setattr(pde, "MAX_LIN_STEPS", 1)
         with pytest.raises(SolverError, match="after 1 operator applications") as info:
             solve_dirichlet_info(sys, 1e-10)
         assert info.value.steps == 1
@@ -1259,7 +1259,7 @@ class TestGridIO:
     def block_values(n, m):
         """Values one ``slabs`` block of the writer holds on a grid (m,)*n."""
         row = m ** (n - 1)
-        block = grids.slabs(m, row * grids._FORMAT_BYTES)[0]
+        block = grids.slabs(m, row * floattext._FORMAT_BYTES)[0]
         return (block.stop - block.start) * row
 
     @pytest.mark.parametrize("kind", ["fewer", "more"])
@@ -1366,7 +1366,7 @@ class TestGridIO:
         self.assert_repr(rng.normal(size=200_000) * 10.0 ** rng.uniform(-20, 20, size=200_000))
 
     # drawn floats padded to _FAST_MIN patterns, so that the fast path runs
-    PAD = np.random.default_rng(26).normal(size=grids._FAST_MIN).tolist()
+    PAD = np.random.default_rng(26).normal(size=floattext._FAST_MIN).tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=64))
@@ -1391,7 +1391,7 @@ class TestGridIO:
         texts: under 1 % of a normal field's values may be declined."""
         rng = np.random.default_rng(27)
         patterns = np.unique(rng.normal(size=(17,) * 4).view(np.int64))
-        fast, texts = grids._fast_texts(patterns)
+        fast, texts = floattext._fast_texts(patterns)
         assert len(fast) == len(texts) > 0.99 * len(patterns)
 
     def test_fallback_alone_gives_per_cell_bytes(self, tmp_path, monkeypatch):
@@ -1401,7 +1401,7 @@ class TestGridIO:
             declined.append(len(bits))
             return np.empty(0, dtype=np.intp), []
 
-        monkeypatch.setattr(grids, "_fast_texts", decline_all)
+        monkeypatch.setattr(floattext, "_fast_texts", decline_all)
         rng = np.random.default_rng(28)
         values = rng.normal(size=(17,) * 3) * 10.0 ** rng.integers(-20, 20, size=(17,) * 3)
         axes = [np.linspace(-1, 1, 17)] * 3
