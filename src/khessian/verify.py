@@ -5,18 +5,23 @@ family of identities or memberships on batches, and returns a summary with
 the first few counterexamples (if any).  The CLI ``verify`` command and the
 acceptance test suite both run these.
 
-The cone sweeps, the P2 boundary sweep included, draw and check at most
-``_BLOCK`` rows at a time, so their memory does not grow with the sample
-count; the P2 sweep classifies each block in one batched call.  Consecutive draws continue one
-stream, so the samples, the counts and the order of the counterexamples are
-those of drawing and checking each batch whole.  The sweeps that need points
-inside the cone draw them by rejection, and the sampler stops drawing once it
-has its samples: it then moves the generator past the rest of the chunk, so
-its state is that of drawing every row.
+Every sweep draws and checks at most ``_BLOCK`` rows (or samples) at a
+time; the P2 sweep classifies each block in one batched call.  Consecutive
+draws continue one stream, so the samples, the counts and the order of the
+counterexamples are those of drawing and checking each batch whole.  The
+sweeps that need points inside the cone draw them by rejection through
+``_cone_blocks``, which yields them a block at a time and stops drawing once
+it has its samples: it then moves the generator past the rest of the chunk,
+so its state is that of drawing every row.  Memory does not grow with the
+sample count, except in the Garding sweep, which holds each configuration's
+first sample (lam) whole: the second (mu) is drawn from where lam's
+rejection sampling ends, so streaming lam too would need a second sampling
+pass.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -43,7 +48,7 @@ EQUIV_TOL = 1e-9  # samples this close to a defining hypersurface are excluded
 GARDING_TOL = 1e-10  # slack allowed in the Garding inequality and its equality case
 N_MAX = 8  # largest dimension the identities sweep draws
 COUNTEREXAMPLES = 5  # counterexamples a sweep keeps
-_BLOCK = 16384  # rows the cone sweeps draw and check at a time
+_BLOCK = 16384  # rows (identities: samples) a sweep draws and checks at a time
 
 
 @dataclass
@@ -124,55 +129,70 @@ def cone_equivalence_sweep(samples: int = 10000, seed: int = 7) -> SweepResult:
     return result
 
 
-def _sample_in_cone(n: int, k: int, count: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """The first ``count`` rows of uniform(-3, 3) draws that lie in the
-    level-k cone, drawn in chunks of ``4 * count`` rows.
+def _cone_blocks(n: int, k: int, count: int, rng: np.random.Generator,
+                 out: np.ndarray | None = None):
+    """Yield the first ``count`` rows of uniform(-3, 3) draws that lie in the
+    level-k cone, drawn in chunks of ``4 * count`` rows, as consecutive
+    blocks of ``_BLOCK`` rows (the last may hold fewer).
 
-    Each chunk is drawn ``_BLOCK`` rows at a time, and drawing stops once
-    ``count`` rows are kept.  The generator is then advanced past the rest of
-    the chunk: the sweeps' generator is PCG64, whose ``uniform`` takes one
-    step per double, so the rows and the final state are those of drawing
-    the whole chunk.  A row whose sigma_1, the sum of its entries from the
-    left as the recurrence forms it, is not positive is outside the cone and
-    is dropped before ``in_gamma_k`` is run.
+    A block is a view of one buffer that the next block reuses, or of the
+    ``(count, n)`` array ``out`` when one is given, which then holds every
+    row at the end.  Each chunk is drawn ``_BLOCK`` rows at a time, and
+    drawing stops once ``count`` rows are kept.  The generator is then
+    advanced past the rest of the chunk: the sweeps' generator is PCG64,
+    whose ``uniform`` takes one step per double, so the rows and the final
+    state are those of drawing the whole chunk.  The advance comes before
+    the last block is yielded, so a consumer that stops pulling after it
+    still leaves the generator there.  A row whose sigma_1, the sum of its
+    entries from the left as the recurrence forms it, is not positive is
+    outside the cone and is dropped before ``in_gamma_k`` is run.
     """
-    out = np.empty((count, n))
-    kept = 0
+    block = np.empty((min(_BLOCK, count), n)) if out is None else out[:_BLOCK]
+    kept = fill = left = lo = 0  # lo: rows yielded; fill: rows in the block
     while kept < count:
-        left = 4 * count
-        while left and kept < count:
-            block = rng.uniform(-3.0, 3.0, size=(min(_BLOCK, left), n))
-            left -= block.shape[0]
-            sigma_1 = block[:, 0] + block[:, 1]
-            for i in range(2, n):
-                sigma_1 += block[:, i]
-            block = np.compress(sigma_1 > 0.0, block, axis=0)
-            block = np.compress(in_gamma_k(block, k), block, axis=0)[:count - kept]
-            out[kept:kept + block.shape[0]] = block
-            kept += block.shape[0]
-        rng.bit_generator.advance(left * n)
-    return out
+        if not left:
+            left = 4 * count
+        draw = rng.uniform(-3.0, 3.0, size=(min(_BLOCK, left), n))
+        left -= draw.shape[0]
+        sigma_1 = draw[:, 0] + draw[:, 1]
+        for i in range(2, n):
+            sigma_1 += draw[:, i]
+        draw = np.compress(sigma_1 > 0.0, draw, axis=0)
+        draw = np.compress(in_gamma_k(draw, k), draw, axis=0)[:count - kept]
+        kept += draw.shape[0]
+        if kept == count:
+            rng.bit_generator.advance(left * n)
+        while draw.shape[0]:
+            take = min(block.shape[0] - fill, draw.shape[0])
+            block[fill:fill + take] = draw[:take]
+            draw, fill = draw[take:], fill + take
+            if fill == block.shape[0] or (kept == count and not draw.shape[0]):
+                yield block[:fill]
+                lo, fill = lo + fill, 0
+                if out is not None:
+                    block = out[lo:lo + _BLOCK]
 
 
 def garding_inequality_sweep(samples: int = 10000, seed: int = 11) -> SweepResult:
     """Cone inequality on random interior pairs, plus the equality case.
 
-    Per configuration, every pair failure is recorded before any equality
-    failure."""
+    Per configuration, lam is sampled whole and mu is checked against it as
+    its blocks are drawn; mu's draws start where lam's end, so lam cannot be
+    streamed without a second sampling pass.  Every pair failure is recorded
+    before any equality failure."""
     rng = np.random.default_rng(seed)
     result = SweepResult(name="garding-inequality", checked=0, failures=0)
     for n, k in GARDING_CONFIGS:
-        lam = _sample_in_cone(n, k, samples, rng)
-        mu = _sample_in_cone(n, k, samples, rng)
-        for rows in _blocks(samples):
-            ok = garding_slack(lam[rows], mu[rows], k) >= -GARDING_TOL
+        lam = np.empty((samples, n))
+        deque(_cone_blocks(n, k, samples, rng, out=lam), maxlen=0)  # fills lam
+        for mu, rows in zip(_cone_blocks(n, k, samples, rng), _blocks(samples)):
+            ok = garding_slack(lam[rows], mu, k) >= -GARDING_TOL
             _record_failures(result, ok, lam[rows])
         for rows in _blocks(samples):
             eq = np.abs(garding_slack(lam[rows], lam[rows], k)) <= GARDING_TOL
             _record_failures(result, eq, lam[rows])
         result.checked += 2 * samples
-        del lam, mu  # freed before the next configuration is sampled
+        del lam  # freed before the next configuration is sampled
     return result
 
 
@@ -181,52 +201,69 @@ def maclaurin_sweep(samples: int = 10000, seed: int = 13) -> SweepResult:
     rng = np.random.default_rng(seed)
     result = SweepResult(name="maclaurin", checked=0, failures=0)
     for n, k in EQUIV_CONFIGS:
-        sample = _sample_in_cone(n, k, samples, rng)
-        for rows in _blocks(samples):
-            sig = sigma_all(sample[rows], k)
+        for sample in _cone_blocks(n, k, samples, rng):
+            sig = sigma_all(sample, k)
             means = np.stack(
                 [(sig[:, l] / binom(n, l)) ** (1.0 / l) for l in range(1, k + 1)],
                 axis=1,
             )
             scale = np.maximum(1.0, np.abs(means[:, :-1]))
             ok = np.all(np.diff(means, axis=1) <= REL_TOL * scale, axis=1)
-            _record_failures(result, ok, sample[rows])
+            _record_failures(result, ok, sample)
         result.checked += samples
-        del sample  # freed before the next configuration is sampled
     return result
+
+
+def _identities_hold(lam: np.ndarray) -> np.ndarray:
+    """Per row of ``lam`` (one n), whether every identity holds at 1e-12."""
+    n = lam.shape[1]
+    mag = np.abs(lam)
+    ok = np.ones(lam.shape[0], dtype=bool)
+    for k in range(1, n + 1):
+        sk = elem_sym(lam, k)
+        sk_mag = elem_sym(mag, k)
+        # recursion through every deleted index
+        for i in range(n):
+            lhs = lam[:, i] * elem_sym_deleted(lam, k - 1, (i,)) + (
+                elem_sym_deleted(lam, k, (i,)) if k <= n - 1 else 0.0
+            )
+            ok &= _close(sk, lhs, scale=sk_mag)
+        row = sigma_km1_row(lam, k)
+        ok &= _close(row.sum(axis=-1), (n - k + 1) * elem_sym(lam, k - 1),
+                     scale=(n - k + 1) * elem_sym(mag, k - 1))
+        ok &= _close(np.sum(row * lam, axis=-1), k * sk, scale=k * sk_mag)
+        for eps in (-1.0, -0.1, 0.1, 1.0):
+            ok &= _close(shift_expand(lam, k, eps), elem_sym(lam + eps, k),
+                         scale=elem_sym(mag + abs(eps), k))
+    return ok
 
 
 def identities_sweep(samples: int = 1000, seed: int = 17) -> SweepResult:
     """Recursion, row-sum, shift, and homogeneity identities at 1e-12.
 
-    Each sample draws its dimension n in 2..N_MAX and then its entries; the
-    samples are checked in one batch per n.
+    Each sample draws its dimension n in 2..N_MAX and then its entries.  The
+    samples are drawn ``_BLOCK`` at a time, and each block is checked in one
+    batch per n.  Per n the sweep keeps a failure count and the first
+    counterexamples, merged in ascending n at the end: the report is that of
+    checking each n's samples in one batch.
     """
     rng = np.random.default_rng(seed)
-    draws = [rng.uniform(-3.0, 3.0, size=rng.integers(2, N_MAX + 1))
-             for _ in range(samples)]
+    per_n = {}  # n -> the failures among the samples of that n
+    for rows in _blocks(samples):
+        sizes = np.empty(rows.stop - rows.start, dtype=int)
+        draws = np.empty((sizes.size, N_MAX))
+        for i in range(sizes.size):
+            sizes[i] = rng.integers(2, N_MAX + 1)
+            draws[i, :sizes[i]] = rng.uniform(-3.0, 3.0, size=sizes[i])
+        for n in np.unique(sizes).tolist():
+            lam = draws[sizes == n, :n]
+            part = per_n.setdefault(n, SweepResult(name="identities", checked=0, failures=0))
+            _record_failures(part, _identities_hold(lam), lam)
     result = SweepResult(name="identities", checked=samples, failures=0)
-    for n in sorted({lam.size for lam in draws}):
-        lam = np.array([v for v in draws if v.size == n])
-        mag = np.abs(lam)
-        ok = np.ones(lam.shape[0], dtype=bool)
-        for k in range(1, n + 1):
-            sk = elem_sym(lam, k)
-            sk_mag = elem_sym(mag, k)
-            # recursion through every deleted index
-            for i in range(n):
-                lhs = lam[:, i] * elem_sym_deleted(lam, k - 1, (i,)) + (
-                    elem_sym_deleted(lam, k, (i,)) if k <= n - 1 else 0.0
-                )
-                ok &= _close(sk, lhs, scale=sk_mag)
-            row = sigma_km1_row(lam, k)
-            ok &= _close(row.sum(axis=-1), (n - k + 1) * elem_sym(lam, k - 1),
-                         scale=(n - k + 1) * elem_sym(mag, k - 1))
-            ok &= _close(np.sum(row * lam, axis=-1), k * sk, scale=k * sk_mag)
-            for eps in (-1.0, -0.1, 0.1, 1.0):
-                ok &= _close(shift_expand(lam, k, eps), elem_sym(lam + eps, k),
-                             scale=elem_sym(mag + abs(eps), k))
-        _record_failures(result, ok, lam)
+    for n in sorted(per_n):
+        result.failures += per_n[n].failures
+        result.counterexamples += per_n[n].counterexamples
+    del result.counterexamples[COUNTEREXAMPLES:]
     return result
 
 

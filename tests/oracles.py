@@ -30,7 +30,9 @@ row and test every drawn row for the cone are
 the bit-exact references for the library's row-wise, positive-rows-only and
 blocked, stop-when-full forms, and the cone sweeps that draw and check each
 configuration's whole batch at once are the references for the library's
-sweeps of one block at a time.  Classifying one vector at a time with
+sweeps of one block at a time.  Drawing every identities sample before
+checking any is the reference for the library's identities sweep, which
+draws and checks one block of samples at a time.  Classifying one vector at a time with
 scalar comparisons and Python's ``min`` is the reference for the batched
 boundary classifier and the P2 sweep's blocks.  The helpers (the cone inequality check,
 the descending-order facts, the boundary mask and the grid CSV reader) are
@@ -194,6 +196,38 @@ def maclaurin_sweep_whole_batch(samples: int, seed: int) -> verify.SweepResult:
         scale = np.maximum(1.0, np.abs(means[:, :-1]))
         ok = np.all(np.diff(means, axis=1) <= verify.REL_TOL * scale, axis=1)
         result.checked += samples
+        verify._record_failures(result, ok, lam)
+    return result
+
+
+def identities_sweep_whole_batch(samples: int, seed: int) -> verify.SweepResult:
+    """``verify.identities_sweep`` with every sample drawn first, as its own
+    array, and each n's samples checked in one batch, through the names
+    ``verify`` looks up."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.uniform(-3.0, 3.0, size=rng.integers(2, verify.N_MAX + 1))
+             for _ in range(samples)]
+    result = verify.SweepResult(name="identities", checked=samples, failures=0)
+    for n in sorted({lam.size for lam in draws}):
+        lam = np.array([v for v in draws if v.size == n])
+        mag = np.abs(lam)
+        ok = np.ones(lam.shape[0], dtype=bool)
+        for k in range(1, n + 1):
+            sk = verify.elem_sym(lam, k)
+            sk_mag = verify.elem_sym(mag, k)
+            for i in range(n):
+                lhs = lam[:, i] * verify.elem_sym_deleted(lam, k - 1, (i,)) + (
+                    verify.elem_sym_deleted(lam, k, (i,)) if k <= n - 1 else 0.0
+                )
+                ok &= verify._close(sk, lhs, scale=sk_mag)
+            row = verify.sigma_km1_row(lam, k)
+            ok &= verify._close(row.sum(axis=-1), (n - k + 1) * verify.elem_sym(lam, k - 1),
+                                scale=(n - k + 1) * verify.elem_sym(mag, k - 1))
+            ok &= verify._close(np.sum(row * lam, axis=-1), k * sk, scale=k * sk_mag)
+            for eps in (-1.0, -0.1, 0.1, 1.0):
+                ok &= verify._close(verify.shift_expand(lam, k, eps),
+                                    verify.elem_sym(lam + eps, k),
+                                    scale=verify.elem_sym(mag + abs(eps), k))
         verify._record_failures(result, ok, lam)
     return result
 

@@ -28,6 +28,7 @@ from oracles import (
     descending_order_facts,
     garding_inequality_check,
     garding_inequality_sweep_whole_batch,
+    identities_sweep_whole_batch,
     in_gamma_k_over_the_sigma_axis,
     in_garding_cone_sampled_every_row,
     maclaurin_sweep_whole_batch,
@@ -434,12 +435,32 @@ class TestSameBitsAsReference:
         # at 9000 a 36000-row chunk is 3 blocks of the default size
         if block is not None:
             monkeypatch.setattr(verify, "_BLOCK", block)
-        rng, ref = np.random.default_rng(10 * n + k), np.random.default_rng(10 * n + k)
-        got = verify._sample_in_cone(n, k, count, rng)
-        want = sample_in_cone_every_row(n, k, count, ref)
-        assert got.shape == want.shape == (count, n)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert rng.bit_generator.state == ref.bit_generator.state
+        for pull in ("every block", "into out", "zipped after _blocks"):
+            rng, ref = np.random.default_rng(10 * n + k), np.random.default_rng(10 * n + k)
+            out = np.empty((count, n)) if pull == "into out" else None
+            blocks = verify._cone_blocks(n, k, count, rng, out)
+            if pull == "zipped after _blocks":
+                # zip stops pulling once the slices run out, after the last block
+                got = [b.copy() for _, b in zip(verify._blocks(count), blocks)]
+            else:
+                got = [b.copy() for b in blocks]
+            want = sample_in_cone_every_row(n, k, count, ref)
+            assert [len(b) for b in got[:-1]] == [verify._BLOCK] * (len(got) - 1)
+            assert 0 < len(got[-1]) <= verify._BLOCK
+            got = np.concatenate(got)
+            assert got.shape == want.shape == (count, n)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            if out is not None:
+                assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_sampler_blocks_are_views(self, monkeypatch):
+        monkeypatch.setattr(verify, "_BLOCK", 64)
+        rng, out = np.random.default_rng(4), np.empty((200, 4))
+        buffers = [b.base for b in verify._cone_blocks(4, 2, 200, rng)]
+        assert len(buffers) == 4 and all(b is buffers[0] for b in buffers)
+        for lo, b in zip(range(0, 200, 64), verify._cone_blocks(4, 2, 200, rng, out)):
+            assert b.base is out and np.shares_memory(b, out[lo:lo + 64])
 
     def test_sampler_tests_positive_sums_until_full(self, monkeypatch):
         # only rows with sigma_1 > 0 reach the cone test, and testing stops
@@ -453,7 +474,8 @@ class TestSameBitsAsReference:
         monkeypatch.setattr(verify, "in_gamma_k", recorded)
         monkeypatch.setattr(verify, "_BLOCK", 64)
         count, rng = 1000, np.random.default_rng(3)
-        verify._sample_in_cone(5, 3, count, rng)
+        blocks = [len(b) for b in verify._cone_blocks(5, 3, count, rng)]
+        assert blocks == [64] * 15 + [40]
         rows = np.concatenate(tested)
         assert np.all(np.sum(rows, axis=1) > 0.0)
         ref, positive, kept = np.random.default_rng(3), 0, 0
@@ -469,6 +491,7 @@ SWEEPS = {
     "garding-inequality": (verify.garding_inequality_sweep,
                            garding_inequality_sweep_whole_batch),
     "maclaurin": (verify.maclaurin_sweep, maclaurin_sweep_whole_batch),
+    "identities": (verify.identities_sweep, identities_sweep_whole_batch),
 }
 
 
@@ -542,23 +565,68 @@ class TestBlockedSweeps:
         got = _same_report("maclaurin", 1000, 6)
         assert got["failures"] > verify.COUNTEREXAMPLES
 
+    def test_identities_failures_across_n_and_blocks(self, monkeypatch):
+        # the shift identity fails for samples whose first entry exceeds 2.7,
+        # about one in twenty: the counterexamples run through the smallest
+        # n's failures, in sample order, into the next n's
+        true = verify.shift_expand
+        monkeypatch.setattr(verify, "shift_expand", lambda lam, k, eps:
+                            true(lam, k, eps) + 1e-3 * (lam[:, 0] > 2.7))
+        monkeypatch.setattr(verify, "_BLOCK", 16)
+        got = _same_report("identities", 300, 4)
+        assert got["failures"] > verify.COUNTEREXAMPLES
+        rng = np.random.default_rng(4)
+        draws = [rng.uniform(-3.0, 3.0, size=rng.integers(2, verify.N_MAX + 1))
+                 for _ in range(300)]
+        index = [next(i for i, v in enumerate(draws) if v.tolist() == row)
+                 for row in got["counterexamples"]]
+        sizes = [len(row) for row in got["counterexamples"]]
+        assert sizes == sorted(sizes) and len(set(sizes)) > 1
+        for n in set(sizes):
+            rows = [i for i, size in zip(index, sizes) if size == n]
+            assert rows == sorted(rows)
+        assert len({i // 16 for i in index}) > 1
+
 
 class TestSweepMemory:
-    """The cone sweeps evaluate a block of rows at a time: at 200,000 samples
-    ``maclaurin`` holds one configuration's sample and a block (10.2 MiB),
-    ``cone-equivalence`` a block alone (3.1 MiB), where whole batches peaked
-    at 59.0 and 37.5 MiB."""
+    """The cone sweeps and the identities sweep draw and check a block of
+    rows at a time.  At 200,000 samples ``maclaurin`` peaks at 2.9 MiB and
+    ``cone-equivalence`` at 3.1 MiB, where whole batches peaked at 59.0 and
+    37.5 MiB and the sampler's whole sample at 9.5 MiB; ``garding-inequality``
+    holds lam whole and peaks at 7.1 MiB at 100,000 samples (10.2 MiB with
+    mu whole).  Beyond one block, only lam grows with the sample count."""
 
     MB = 2**20
 
-    @pytest.mark.parametrize("sweep, bound", [(verify.maclaurin_sweep, 14),
-                                              (verify.cone_equivalence_sweep, 6)])
-    def test_peak_at_200000_samples(self, sweep, bound):
+    @staticmethod
+    def _peak(sweep, samples):
         tracemalloc.start()
         try:
-            result = sweep(200000, 5)
+            result = sweep(samples, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert result.passed and result.checked > 0
-        assert peak < bound * self.MB
+        return peak
+
+    @pytest.mark.parametrize("sweep, bound", [(verify.maclaurin_sweep, 4),
+                                              (verify.cone_equivalence_sweep, 6)])
+    def test_peak_at_200000_samples(self, sweep, bound):
+        assert self._peak(sweep, 200000) < bound * self.MB
+
+    def test_garding_peak_at_100000_samples(self):
+        assert self._peak(verify.garding_inequality_sweep, 100000) < 8.5 * self.MB
+
+    @pytest.mark.parametrize("suite, samples, block", [("maclaurin", 50000, None),
+                                                       ("cone-equivalence", 50000, None),
+                                                       ("garding-inequality", 25000, None),
+                                                       ("identities", 4096, 4096)])
+    def test_peak_does_not_grow_with_samples(self, monkeypatch, suite, samples, block):
+        # 4x the samples: the peak grows by lam's rows alone, for Garding
+        if block is not None:
+            monkeypatch.setattr(verify, "_BLOCK", block)
+        sweep = verify.SUITES[suite]
+        sweep(50, 5)  # one-time allocations, before either peak is read
+        small, large = self._peak(sweep, samples), self._peak(sweep, 4 * samples)
+        lam = 3 * samples * 5 * 8 if suite == "garding-inequality" else 0
+        assert large - small <= lam + 0.5 * self.MB
