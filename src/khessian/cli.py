@@ -5,10 +5,11 @@ the wall time of each solve phase and of each verify suite.  Exit codes:
 classify returns 0 for any cone/boundary verdict, 1 for Outside, 2 for
 argument errors; seed returns 2 for an out-of-range ``--l`` or an ``--l``
 with c <= 0 and 3 on construction failure; solve returns 0 only when the
-iteration converged (2 for config errors, 4 when the loop stops unconverged
-or the solve raises one of the errors ``run_solve`` names, with a report
-that keeps the error's type, tuning's refused candidates and the loop's
-records); verify returns 1 when any property fails.
+iteration converged (2 for config errors and for output files that cannot
+be written, 4 when the loop stops unconverged or the solve raises one of
+the errors ``run_solve`` names, with a report that keeps the error's type,
+tuning's refused candidates and the loop's records); verify returns 1 when
+any property fails and 2 for ``--samples`` above ``_SAMPLES_CAP``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ def _note(message: str) -> None:
 
 
 SOLVE_PHASES = ("tuning", "loop", "assembly", "output")
+# verify's largest --samples, a memory cap: garding-inequality holds its
+# samples x n eigenvalues whole and peaks at 77.6 MB at this count
+_SAMPLES_CAP = 1_000_000
 
 
 def _reuse_freed_arrays() -> None:
@@ -76,7 +80,7 @@ class SolveArtifacts:
     seconds: dict[str, float]
 
 
-def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifacts:
+def run_solve(config: ProblemConfig, out_dir: str) -> SolveArtifacts:
     """Full pipeline: seed, tune, iterate and certify, assemble, write files.
 
     The loop starts from tuning's iteration 0 at the accepted eps and, when
@@ -86,7 +90,7 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
     (u, p) leave the right-hand side's box (then with the loop's records as
     its ``iterations`` and tuning's refusals as its ``diagnostics``), and
     ConstructionError when the seed cannot be built; a refused Newton step
-    ends the loop instead of raising.
+    ends the loop instead of raising; an OSError from writing propagates.
     """
     config.validate()
     _reuse_freed_arrays()
@@ -113,12 +117,11 @@ def run_solve(config: ProblemConfig, out_dir: str | None = None) -> SolveArtifac
     u = assemble_solution(w, seed) if report.converged else None
     marks.append(time.perf_counter())
 
-    target = out_dir if out_dir is not None else config.out_dir
-    os.makedirs(target, exist_ok=True)
-    _write_outputs(target, config, seed, w, report, u)
+    os.makedirs(out_dir, exist_ok=True)
+    _write_outputs(out_dir, config, seed, w, report, u)
     marks.append(time.perf_counter())
     seconds = {phase: end - begin for phase, begin, end in zip(SOLVE_PHASES, marks, marks[1:])}
-    return SolveArtifacts(report=report, out_dir=target, seconds=seconds)
+    return SolveArtifacts(report=report, out_dir=out_dir, seconds=seconds)
 
 
 def _write_outputs(target: str, config: ProblemConfig, seed, w: ScalarGrid,
@@ -206,13 +209,17 @@ def _cmd_solve(args) -> int:
         _note(f"cannot use output directory {target!r}: {err}")
         return 2
     try:
-        artifacts = run_solve(config, out_dir=target)
-    except (TuningError, DomainError, ConstructionError) as err:
-        _note(f"solver failed: {err}")
-        write_json(os.path.join(target, "report.json"),
-                   {"status": "Failed", "error": str(err), "config": config.to_dict()}
-                   | _error_fields(err))
-        return 4
+        try:
+            artifacts = run_solve(config, out_dir=target)
+        except (TuningError, DomainError, ConstructionError) as err:
+            write_json(os.path.join(target, "report.json"),
+                       {"status": "Failed", "error": str(err), "config": config.to_dict()}
+                       | _error_fields(err))
+            _note(f"solver failed: {err}")
+            return 4
+    except OSError as err:  # the outputs, or the failure report, cannot be written
+        _note(f"cannot write the solve's files in {target!r}: {err}")
+        return 2
     _emit(artifacts.report.to_dict() | {"config": config.to_dict()})
     _note(
         f"status {artifacts.report.status} after "
@@ -241,9 +248,11 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _positive_int(text: str) -> int:
+def _sample_count(text: str) -> int:
     if not (text.isdecimal() and int(text) >= 1):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if int(text) > _SAMPLES_CAP:
+        raise argparse.ArgumentTypeError(f"expected at most {_SAMPLES_CAP}, got {text!r}")
     return int(text)
 
 
@@ -308,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="run randomized property sweeps")
     verify_p.add_argument("--suite", default="all",
                           choices=["all", *SUITES])
-    verify_p.add_argument("--samples", type=_positive_int, default=10000)
+    verify_p.add_argument("--samples", type=_sample_count, default=10000)
     verify_p.add_argument("--seed", type=_nonnegative_int, default=7)
     verify_p.set_defaults(func=_cmd_verify)
     return parser

@@ -22,12 +22,13 @@ class ConstructionError(RuntimeError):
 
 class SolverError(RuntimeError):
     """The linear solve stopped short of its tolerance; ``steps`` counts its
-    iterations, one operator application each.  The Newton step turns it
-    into a refusal, so a solve never raises it."""
+    iterations, one operator application each, and ``contraction`` is their
+    largest residual ratio.  The Newton step turns it into a refusal that
+    records both, so a solve never raises it."""
 
-    def __init__(self, message, steps=None):
+    def __init__(self, message, steps=None, contraction=None):
         super().__init__(message)
-        self.steps = steps
+        self.steps, self.contraction = steps, contraction
 
 
 class TuningError(RuntimeError):

@@ -170,30 +170,27 @@ def _newton_step(g_grid: Residual, seed: SeedQuadratic, f, tol_lin: float,
     ``(None, reason)`` when a dominance margin drops below half the seed's
     deleted-variable row, or when the linear solve fails (its residual
     stops shrinking or it reaches its step limit); a failed solve still
-    records its count of operator applications and its contraction.  The
-    half-row test is the one test of uniform ellipticity: the seed row is
-    positive (``seeds._finalize``), so it refuses every nonpositive margin
-    too.  The margins are the residual's, reduced by ``eval_G``
-    (``pde.Margins``): the reason names the first least gap in C order, its
-    margin, its grid point (indices on the full grid) and its row.  The
-    assembly takes the residual's stencil entries over as its fields, which
-    are freed before the step returns.
+    records its count of operator applications and its contraction, from
+    its SolverError.  The half-row test is the one test of uniform
+    ellipticity: the seed row is positive (``seeds._finalize``), so it
+    refuses every nonpositive margin too.  It reads the residual's margins
+    (``pde.Margins``) before anything is assembled: the reason names the
+    first least gap in C order, its margin, its grid point (indices on the
+    full grid) and its row.  The assembly takes the residual's stencil
+    entries over as its fields, which are freed when the solve returns.
     """
-    sys = assemble_linearized(g_grid, seed, f)
-    margins = sys.margins
+    margins = g_grid.margins
     if margins.below:
         return None, (f"dominance margin dropped {margins.gap:.3e} below half the seed "
                       f"row: margin {margins.margin:.3e} at grid point {margins.point}, "
                       f"row {margins.row}")
     try:
-        rho, record.lin_residual, record.lin_steps = solve_dirichlet_info(sys, tol_lin)
+        rho, record.lin_residual, record.lin_steps, record.contraction = solve_dirichlet_info(
+            assemble_linearized(g_grid, seed, f), tol_lin)
     except SolverError as err:
-        record.lin_steps = err.steps
+        record.lin_steps, record.contraction = err.steps, err.contraction
         return None, f"linear solve failed: {err}"
-    finally:
-        record.contraction = sys.contraction
-    record.min_margin = sys.min_margin
-    del sys  # free the coefficient fields before the next assembly
+    record.min_margin = margins.least
     record.rho_inf = sup_norm(rho.values)
     return rho, None
 

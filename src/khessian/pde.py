@@ -12,14 +12,15 @@ the linearized operator
 
 as one coefficient field per stencil offset, with the same stencils used by
 ``eval_G``'s differences; ``eval_G`` measures the per-row diagonal-dominance
-margins of the coefficient matrix, and the Newton step alone decides
-whether they are large enough.  The operator is applied on the grid, never
-assembled.  ``solve_dirichlet_info`` solves the homogeneous Dirichlet problem
-by Richardson iteration, preconditioned by the exact inverse of the seed's
-constant-coefficient operator sum_i sigma_{k-1,i}(tau) d_i^2, which a sine
-transform along each axis diagonalizes.  Near the seed the linearization is
-a small perturbation of that operator, so each iteration contracts the
-residual; a solve whose residual stops shrinking is refused.
+margins of the coefficient matrix, and the Newton step alone decides,
+before it assembles, whether they are large enough.  The operator is
+applied on the grid, never assembled.  ``solve_dirichlet_info`` solves the
+homogeneous Dirichlet problem by Richardson iteration, preconditioned by
+the exact inverse of the seed's constant-coefficient operator
+sum_i sigma_{k-1,i}(tau) d_i^2, which a sine transform along each axis
+diagonalizes.  Near the seed the linearization is a small perturbation of
+that operator, so each iteration contracts the residual; a solve whose
+residual stops shrinking is refused.
 
 Minor sums S_j and the derivative dS_k/dr come from one route, Reilly's
 Newton-tensor recursion (``minor_sums``), for any matrix order: S_k is the
@@ -36,14 +37,14 @@ Newton step reads (``Margins``).  It forms (y, u, p), evaluates f and
 folds the box's running maxima per slab too, so neither w's differences,
 r, its transposed copy, the tensor, the points' coordinates nor (y, u, p)
 ever cover the whole interior.  ``eval_G`` returns G as a ``Residual``
-with the entries, the margins and a reference to w, all
-``assemble_linearized`` reads; the assembly forms w's gradient and
-(y, u, p) again, one slab at a time, for f's derivatives, and turns the
-entries into its fields in place, with no other difference and no
-recursion.  At w = 0 every difference is +0.0, so r = diag(tau) at every
-point, and one matrix is recursed and its entries broadcast over the
-interior; scalar +0.0 stands in for w and Dw in u and p, the floats zero
-arrays would give, without forming them.
+with the margins, which the Newton step reads, and the entries and a
+reference to w, all ``assemble_linearized`` reads; the assembly forms w's
+gradient and (y, u, p) again, one slab at a time, for f's derivatives,
+and turns the entries into its fields in place, with no other difference
+and no recursion.  At w = 0 every difference is +0.0, so r = diag(tau)
+at every point, and one matrix is recursed and its entries broadcast over
+the interior; scalar +0.0 stands in for w and Dw in u and p, the floats
+zero arrays would give, without forming them.
 """
 
 from __future__ import annotations
@@ -96,17 +97,12 @@ class Margins:
 @dataclass
 class LinearSystem:
     """Linearized operator over the interior points, its preconditioner and
-    monitors.
+    right-hand side.
 
     ``matrix`` applies the operator to the interior values in lexicographic
     order, and ``seed_inverse`` applies the exact inverse of the seed's
     operator sum_i sigma_{k-1,i}(tau) d_i^2; both are functions of the flat
-    interior vector.  ``margins`` are the diagonal-dominance margins of the
-    n-by-n second-order coefficient matrix at the interior points, reduced
-    (``Margins``); positivity of every margin certifies uniform
-    ellipticity of the discrete operator.  ``contraction`` is the largest
-    ratio ||r_{i+1}|| / ||r_i|| of successive residuals in the last solve
-    of the system (None before a solve iterated).
+    interior vector, as is ``rhs``.
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]
@@ -114,16 +110,10 @@ class LinearSystem:
     rhs: np.ndarray
     n: int
     m: int
-    margins: Margins
-    contraction: float | None = None
 
     @property
     def size(self) -> int:
         return self.rhs.shape[0]
-
-    @property
-    def min_margin(self) -> float:
-        return self.margins.least
 
 
 def minor_sums(r: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -289,12 +279,13 @@ def _fold_margins(t: np.ndarray, half_row: np.ndarray, rows: slice,
 @dataclass
 class Residual(ScalarGrid):
     """G(w) on the grid (``values``, zero on the boundary) and what the
-    linearization at w reads of w's evaluation: ``iterate``, w's values
+    Newton step at w reads of w's evaluation: ``iterate``, w's values
     (the caller's array, no copy) or None for w = 0; ``entries``, the
     entries of coeff = T_{k-1}(r(w))^T (the transposed dS_k/dr) that the
     stencil reads, coeff[a, a] and coeff[a, b] for a < b, component-major
-    with shape (c,) + interior in ``np.triu_indices(n)`` order; and
-    ``margins``, coeff's dominance margins reduced (``Margins``).  Neither
+    with shape (c,) + interior in ``np.triu_indices(n)`` order, both for
+    the assembly; and ``margins``, coeff's dominance margins reduced
+    (``Margins``), which the step tests before it assembles.  Neither
     w's differences nor the tensor are kept.  At w = 0 ``entries`` is a
     read-only view of one point's broadcast over the interior.
     ``assemble_linearized`` takes the entries over (and sets them to
@@ -373,9 +364,9 @@ def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
     of its -e_a offset and each mixed one into its four offsets' field, so
     entries and fields never both cover the interior.
 
-    The dominance margins were measured by ``eval_G``, never judged:
+    The dominance margins stay on ``g``, where ``eval_G`` measured them:
     whether they certify uniform ellipticity is ``iterate._newton_step``'s
-    decision.
+    decision, made before it assembles.
     """
     n, m, h = g.n, g.m, g.h
     entries, g.entries = g.entries, None
@@ -435,10 +426,7 @@ def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
     _apply.nnz = len(stencil) * inner.size  # stencil coefficients; perfbench/spans.py reads it
     rhs = -g.values[slab].reshape(-1)
 
-    return LinearSystem(
-        matrix=_apply, seed_inverse=_seed_inverse(seed, m), rhs=rhs, n=n, m=m,
-        margins=g.margins,
-    )
+    return LinearSystem(matrix=_apply, seed_inverse=_seed_inverse(seed, m), rhs=rhs, n=n, m=m)
 
 
 def _seed_inverse(seed: SeedQuadratic, m: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -471,26 +459,26 @@ def _seed_inverse(seed: SeedQuadratic, m: int) -> Callable[[np.ndarray], np.ndar
 
 
 def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10
-                         ) -> tuple[ScalarGrid, float, int]:
+                         ) -> tuple[ScalarGrid, float, int, float | None]:
     """Solve the interior system by Richardson iteration preconditioned by the
     seed operator's inverse, x <- x + P^-1 (b - A x) from x = 0, on the
     unit-normalized right-hand side, to a true relative residual of
     0.1 tol_lin.  Returns the grid solution (zero on the boundary), the
-    relative residual and the number of iterations (one application of A
-    each), and records the largest ratio of successive residual norms as
-    ``sys.contraction``.  A residual that does not shrink, or
+    relative residual, the number of iterations (one application of A
+    each) and the contraction, the largest ratio of successive residual
+    norms (None for a zero right-hand side, which needs no iteration).
+    ``sys`` is only read.  A residual that does not shrink, or
     ``MAX_LIN_STEPS`` iterations (read at each call) short of the target,
     raise SolverError, whose message says which and which carries the
-    iterations as ``steps``.
+    iterations as ``steps`` and the contraction so far as ``contraction``.
     """
     rho = ScalarGrid.zeros(sys.n, sys.m)
     bnorm = float(np.linalg.norm(sys.rhs))
     if bnorm == 0.0:
-        return rho, 0.0, 0
+        return rho, 0.0, 0, None
     b = sys.rhs / bnorm
     x = np.zeros_like(b)
-    r, res, steps = b, 1.0, 0
-    sys.contraction = 0.0
+    r, res, steps, contraction = b, 1.0, 0, 0.0
     while res > 0.1 * tol_lin:
         if steps == MAX_LIN_STEPS:
             why = "step limit reached"
@@ -499,15 +487,15 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10
         r = b - sys.matrix(x)
         steps += 1
         last, res = res, float(np.linalg.norm(r))
-        sys.contraction = max(sys.contraction, res / last)
+        contraction = max(contraction, res / last)
         if not res < last:  # a NaN residual stops here as well
             why = "residual stopped shrinking"
             break
     else:
         rho.values[(slice(1, -1),) * sys.n] = (bnorm * x).reshape((sys.m - 2,) * sys.n)
-        return rho, res, steps
+        return rho, res, steps, contraction
     raise SolverError(
         f"Richardson iteration stalled ({why}) at relative residual {res:.3e} "
         f"after {steps} operator applications",
-        steps=steps,
+        steps=steps, contraction=contraction,
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from khessian import verify
-from khessian.cli import main
+from khessian.cli import build_parser, main
 from khessian.config import ProblemConfig
 from khessian.errors import DomainError, TuningError
 from khessian.iterate import tune_epsilon
@@ -287,6 +287,26 @@ class TestSolveCommand:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert blocker.read_text() == "keep"
 
+    @pytest.mark.parametrize("blocked", ["w.csv", "report.json"])
+    def test_unwritable_output_file_exit_two(self, tmp_path, capsys, blocked):
+        # a directory where a file goes: the converged solve's w.csv, or the
+        # failure report of a solve whose (u, p) leave a box of 1e-12 at
+        # every eps; one line and exit 2, never a traceback
+        failing = blocked == "report.json"
+        doc = json.loads(json.dumps(PRESETS["fzero-linear" if failing else "fconst-match"]))
+        if failing:
+            doc["rhs"] = {"terms": [{"coeff": 1.0, "y": [1, 0, 0]}], "box": 1e-12}
+            doc["grid"]["m"] = 9
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        target = tmp_path / "run"
+        (target / blocked).mkdir(parents=True)
+        assert main(["solve", "--config", str(cfg_path), "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write the solve's files in {str(target)!r}: ")
+        assert captured.err.endswith(f"Is a directory: {str(target / blocked)!r}\n")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_construction_failure_exit_four(self, tmp_path, capsys):
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
         doc["rhs"] = {"terms": [{"coeff": 1e-300}]}
@@ -494,6 +514,16 @@ class TestVerifyCommand:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert f"expected a positive integer, got '{samples}'" in captured.err
+        assert captured.out == ""
+
+    def test_samples_cap(self, capsys):
+        # parsing only, no sweep: the cap itself is accepted, one more exits 2
+        assert build_parser().parse_args(["verify", "--samples", "1000000"]).samples == 10**6
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["verify", "--samples", "1000001"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "expected at most 1000000, got '1000001'" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("seed", ["-1", "1.5", "seven"])

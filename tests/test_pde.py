@@ -497,10 +497,11 @@ class TestAssemble:
         seed = seed_for_zero(2, 3, 0.5)
         f = RhsSpec.constant(3, 0.0)
         m = 9
-        sys = linearized_at(ScalarGrid.zeros(3, m), seed, f)
+        g = eval_G(ScalarGrid.zeros(3, m), seed, f)
         row = sigma_km1_row(seed.tau, 2)
         # every point's margins are the row: the least gap is at the first point
-        margins = sys.margins
+        margins = g.margins
+        sys = assemble_linearized(g, seed, f)
         assert margins.point == (1, 1, 1) and not margins.below
         assert np.isclose(margins.margin, row[margins.row])
         assert np.isclose(margins.gap, np.min(0.5 * row))
@@ -529,7 +530,7 @@ class TestAssemble:
                                 -1, -2)
             expect = margins_at_every_point(coeff, seed)
             assert_margins_equal(g.margins, expect)
-            margins = assemble_linearized(g, seed.with_eps(eps), f).margins
+            margins = g.margins
             assert margins.point == (1,) * n
             assert margins.margin == pytest.approx(row[margins.row], rel=1e-14, abs=0.0)
             assert margins.least == pytest.approx(row.min(), rel=1e-14, abs=0.0)
@@ -670,6 +671,33 @@ class TestAssemble:
         margins = self._refusal_at(2e-3)
         assert 0.0 < margins.min()
 
+    def test_refused_step_assembles_nothing(self, monkeypatch):
+        # the step reads the residual's margins before it assembles: a
+        # refused step builds no stencil field, and its residual keeps its
+        # entries; an accepted step assembles once
+        import khessian.iterate as iterate
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return assemble_linearized(*args)
+
+        monkeypatch.setattr(iterate, "assemble_linearized", counted)
+        seed = seed_for_zero(2, 3, 0.5).with_eps(0.5)
+        w = ScalarGrid(3, 9, 40.0 * np.random.default_rng(5).normal(size=(9, 9, 9)))
+        f = RhsSpec.constant(3, 0.0)
+        f.box = None
+        g = eval_G(w, seed, f)
+        assert g.margins.below
+        rho, reason = _newton_step(g, seed, f, 1e-10, IterationRecord(1, 0.0, 0.0))
+        assert rho is None and reason.startswith("dominance margin dropped ")
+        assert calls == [] and g.entries is not None
+        seed, f, w = _noisy_problem(3)
+        rho, reason = _newton_step(eval_G(w, seed, f), seed, f, 1e-10,
+                                   IterationRecord(1, 0.0, 0.0))
+        assert rho is not None and reason is None and len(calls) == 1
+
 
 def _box_message(f, u, p) -> str | None:
     """The box refusal of the whole interior's (u, p), or None."""
@@ -794,7 +822,7 @@ class TestSlabbedArguments:
             expect = stencil_matrix(coeff, a_first, a_zero, w.h)
             assert np.array_equal(dense_operator(sys.matrix, sys.size), expect)
             assert np.array_equal(sys.rhs, rhs)
-            assert_margins_equal(sys.margins, margins_at_every_point(coeff[slab], seed))
+            assert_margins_equal(g.margins, margins_at_every_point(coeff[slab], seed))
 
 
 class TestSlabDifferences:
@@ -921,14 +949,32 @@ class TestSolve:
 
     def test_zero_rhs_gives_zero(self):
         sys = self._system()
-        rho = solve_dirichlet_info(sys)[0]
+        rho, *rest = solve_dirichlet_info(sys)
         assert np.max(np.abs(rho.values)) == 0.0
+        # no iteration ran, so there is no contraction
+        assert rest == [0.0, 0, None]
+
+    def test_solve_only_reads_its_system(self):
+        # the solve assigns to no attribute of its system, and the
+        # contraction it returns is the one the step's record stores
+        seed, f, w = _noisy_problem(3)
+        sys = linearized_at(w, seed, f)
+        before, rhs = dict(vars(sys)), sys.rhs.copy()
+        rho, res, steps, contraction = solve_dirichlet_info(sys, 1e-10)
+        assert vars(sys).keys() == before.keys()
+        assert all(vars(sys)[name] is value for name, value in before.items())
+        assert np.array_equal(sys.rhs, rhs)
+        record = IterationRecord(1, 0.0, 0.0)
+        step, reason = _newton_step(eval_G(w, seed, f), seed, f, 1e-10, record)
+        assert reason is None and np.array_equal(step.values, rho.values)
+        assert (record.lin_residual, record.lin_steps, record.contraction) == (
+            res, steps, contraction)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(12)
         sys = self._system(rhs_values=None)
         sys.rhs = rng.normal(size=sys.size)
-        rho, res, _ = solve_dirichlet_info(sys, 1e-10)
+        rho, res, _, _ = solve_dirichlet_info(sys, 1e-10)
         dense = np.linalg.solve(dense_operator(sys.matrix, sys.size), sys.rhs)
         got = rho.values[~boundary_mask(3, 9)]
         assert np.max(np.abs(got - dense)) < 1e-8
@@ -941,7 +987,7 @@ class TestSolve:
         sys = self._system()
         b = rng.normal(size=sys.size)
         sys.rhs = 1e-11 * b / np.linalg.norm(b)
-        rho, res, _ = solve_dirichlet_info(sys, 1e-10)
+        rho, res, _, _ = solve_dirichlet_info(sys, 1e-10)
         assert res <= 1e-10
         assert np.max(np.abs(rho.values)) > 0.0
 
@@ -963,10 +1009,10 @@ class TestSolve:
         # each iteration shrinks the residual at least fivefold
         seed, f, w = _noisy_problem(n)
         sys = linearized_at(w, seed, f)
-        rho, res, applied = solve_dirichlet_info(sys, 1e-10)
+        rho, res, applied, contraction = solve_dirichlet_info(sys, 1e-10)
         assert res <= 1e-10
         assert applied == {2: 8, 3: 10, 4: 13}[n]
-        assert 0.0 < sys.contraction < 0.2
+        assert 0.0 < contraction < 0.2
         got = sys.matrix(rho.values[~boundary_mask(n, 9)])
         assert np.linalg.norm(got - sys.rhs) <= 1e-10 * np.linalg.norm(sys.rhs)
 
@@ -981,6 +1027,14 @@ class TestSolve:
             solve_dirichlet_info(sys, 1e-10)
         assert info.value.steps == 1
         assert "(step limit reached)" in str(info.value)
+        # the ratio of the one iteration's residual to the unit start
+        assert 0.0 < info.value.contraction < 0.2
+        # the stalled solve's steps and contraction reach the refused step's record
+        record = IterationRecord(1, 0.0, 0.0)
+        rho, reason = _newton_step(eval_G(w, seed, f), seed, f, 1e-10, record)
+        assert rho is None and reason == f"linear solve failed: {info.value}"
+        assert record.lin_steps == 1 and record.contraction == info.value.contraction
+        assert record.min_margin is None and record.lin_residual is None
 
     def test_discrete_maximum_principle(self):
         # pure second-order equal-coefficient operator, nonpositive data
@@ -1013,16 +1067,15 @@ class TestEllipticityPersistence:
         eps = 0.5
         found = None
         while eps >= 1e-4:
-            sys = linearized_at(w, seed.with_eps(eps), f)
-            if sys.margins.gap > 0.0:  # the least gap: every margin above half its row
+            if eval_G(w, seed.with_eps(eps), f).margins.gap > 0.0:
+                # the least gap: every margin above half its row
                 found = eps
                 break
             eps *= 0.5
         assert found is not None
         for _ in range(3):
             eps *= 0.5
-            sys = linearized_at(w, seed.with_eps(eps), f)
-            assert sys.margins.gap > 0.0
+            assert eval_G(w, seed.with_eps(eps), f).margins.gap > 0.0
 
 
 class TestOrderOfAccuracy:
