@@ -20,19 +20,18 @@ from khessian.presets import PRESETS, preset_config
 def main() -> int:
     failures = 0
     for name in PRESETS:
-        config = preset_config(name)
+        config, out_dir = preset_config(name), f"out/{name}"
         t0 = time.perf_counter()
-        artifacts = run_solve(config, out_dir=f"out/{name}")
+        report = run_solve(config, out_dir=out_dir).report
         elapsed = time.perf_counter() - t0
-        report = artifacts.report
         flags = report.convexity["flags"] if report.convexity else {}
         refused = ",".join(f"{a['eps']:.4g}@{a['m']}" for a in report.aborted_attempts)
         print(
             f"{name:14s} {report.status:12s} iters={len(report.iterations):2d} "
             f"eps={report.seed['eps']:.4g} refused=[{refused}] flags={flags}"
         )
-        for file in sorted(os.listdir(artifacts.out_dir)):
-            with open(os.path.join(artifacts.out_dir, file), "rb") as fh:
+        for file in sorted(os.listdir(out_dir)):
+            with open(os.path.join(out_dir, file), "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             print(f"{name:14s} {file:11s} sha256 {digest}")
         print(f"{name:14s} {elapsed:.2f}s", file=sys.stderr)

@@ -6,15 +6,18 @@ classify returns 0 for any cone/boundary verdict, 1 for Outside, 2 for
 argument errors; seed returns 2 for an out-of-range ``--l`` or an ``--l``
 with c <= 0 and 3 on construction failure; solve returns 0 only when the
 iteration converged (2 for config errors and for output files that cannot
-be written, 4 when the loop stops unconverged or the solve raises one of
-the errors ``run_solve`` names, with a report that keeps the error's type,
-tuning's refused candidates and the loop's records); verify returns 1 when
-any property fails and 2 for ``--samples`` above ``_SAMPLES_CAP``.
+be written, which leave no file of the run, 4 when the loop stops
+unconverged or the solve raises one of the errors ``run_solve`` names,
+with a report that keeps the error's type, tuning's refused candidates and
+the loop's records); verify returns 1 when any property fails and 2 for
+``--samples`` above ``_SAMPLES_CAP``.  Every argument error exits 2 with
+the one stderr line ``prog: error: message``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -72,11 +75,10 @@ def _reuse_freed_arrays() -> None:
 
 @dataclass
 class SolveArtifacts:
-    """A finished solve: its report, where its files went, and the wall time
-    of each of ``SOLVE_PHASES`` in seconds (never written to a file)."""
+    """A finished solve: its report and the wall time of each of
+    ``SOLVE_PHASES`` in seconds (never written to a file)."""
 
     report: IterationReport
-    out_dir: str
     seconds: dict[str, float]
 
 
@@ -90,7 +92,8 @@ def run_solve(config: ProblemConfig, out_dir: str) -> SolveArtifacts:
     (u, p) leave the right-hand side's box (then with the loop's records as
     its ``iterations`` and tuning's refusals as its ``diagnostics``), and
     ConstructionError when the seed cannot be built; a refused Newton step
-    ends the loop instead of raising; an OSError from writing propagates.
+    ends the loop instead of raising; an OSError from writing propagates,
+    and then no file of this solve is left in ``out_dir``.
     """
     config.validate()
     _reuse_freed_arrays()
@@ -121,21 +124,43 @@ def run_solve(config: ProblemConfig, out_dir: str) -> SolveArtifacts:
     _write_outputs(out_dir, config, seed, w, report, u)
     marks.append(time.perf_counter())
     seconds = {phase: end - begin for phase, begin, end in zip(SOLVE_PHASES, marks, marks[1:])}
-    return SolveArtifacts(report=report, out_dir=out_dir, seconds=seconds)
+    return SolveArtifacts(report=report, seconds=seconds)
 
 
 def _write_outputs(target: str, config: ProblemConfig, seed, w: ScalarGrid,
                    report: IterationReport, u: np.ndarray | None) -> None:
-    """w on [-1,1]^n and, when given, u on the cube of side 2*eps^2."""
+    """w on [-1,1]^n and, when given, u on the cube of side 2*eps^2.
+
+    Every file is written under a temporary name in ``target`` first, and
+    only then moved into place by ``os.replace``, ``report.json`` last.  On
+    an OSError the temporaries and the files already moved are removed, so
+    a failed write leaves no file of this run, and the error propagates
+    with the name of the output file it hit.
+    """
     m, eps = config.m, seed.eps
     sidecar = {"n": config.n, "m": m, "seed": seed.to_dict()}
-    write_grid_csv(os.path.join(target, "w.csv"), w.values, [axis_coords(m)] * config.n)
-    write_json(os.path.join(target, "w.json"), sidecar | {"h": w.h})
+    writes = [("w.csv", write_grid_csv, (w.values, [axis_coords(m)] * config.n)),
+              ("w.json", write_json, (sidecar | {"h": w.h},))]
     if u is not None:
-        write_grid_csv(os.path.join(target, "u.csv"), u, [eps**2 * axis_coords(m)] * config.n)
-        write_json(os.path.join(target, "u.json"), sidecar | {"h": eps**2 * 2.0 / (m - 1)})
-    write_json(os.path.join(target, "report.json"),
-               report.to_dict() | {"config": config.to_dict()})
+        writes += [("u.csv", write_grid_csv, (u, [eps**2 * axis_coords(m)] * config.n)),
+                   ("u.json", write_json, (sidecar | {"h": eps**2 * 2.0 / (m - 1)},))]
+    writes.append(("report.json", write_json,
+                   (report.to_dict() | {"config": config.to_dict()},)))
+    staged, placed = [], []
+    try:
+        for name, write, args in writes:
+            path = os.path.join(target, name)
+            staged.append(os.path.join(target, f".{name}.{os.getpid()}.tmp"))
+            write(staged[-1], *args)
+        for temporary, (name, _, _) in zip(staged, writes):
+            path = os.path.join(target, name)
+            os.replace(temporary, path)
+            placed.append(path)
+    except OSError as err:
+        for leftover in staged + placed:
+            with contextlib.suppress(OSError):  # a moved temporary is gone already
+                os.remove(leftover)
+        raise OSError(err.errno, err.strerror, path) from err
 
 
 def _cmd_cone_classify(args) -> int:
@@ -223,8 +248,7 @@ def _cmd_solve(args) -> int:
     _emit(artifacts.report.to_dict() | {"config": config.to_dict()})
     _note(
         f"status {artifacts.report.status} after "
-        f"{len(artifacts.report.iterations)} iterations; wrote "
-        f"{artifacts.out_dir}"
+        f"{len(artifacts.report.iterations)} iterations; wrote {target}"
     )
     _note(", ".join(f"{phase} {s:.2f} s" for phase, s in artifacts.seconds.items()))
     return 0 if artifacts.report.converged else 4
@@ -281,8 +305,17 @@ def _convexity_level(text: str) -> int | str:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports an argument error as the one line ``prog: error: message``,
+    without argparse's usage lines, and exits 2.  Subparsers take this
+    class from their parent."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="khessian",
         description="Construct and certify local solutions of k-Hessian equations.",
     )

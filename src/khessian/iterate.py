@@ -19,28 +19,29 @@ decides at every iteration, iteration 0 included, whether a step is needed:
 none is once the sup norm of the residual falls below the Newton tolerance
 (or below ten times the estimated roundoff floor of the residual
 evaluation).  The residual is expected to decay quadratically; the ratio
-||g_{m+1}|| / ||g_m||^2 is recorded as a diagnostic.  When the iterate's
-norm surrogate leaves the unit ball, a diagonal-dominance margin of the
-coefficient matrix drops below half its seed-level value (the one
-uniform-ellipticity test), or the linear solve fails, the loop stops: a
-manufactured right-hand side is built for one eps', so the loop never
-changes eps itself.
+||g_{m+1}|| / ||g_m||^2 is recorded as a diagnostic.  The loop stops only
+on measured outcomes: that test, ``max_iter``, a box exit, or a refused
+step, when a diagonal-dominance margin of the coefficient matrix drops
+below half its seed-level value (the one uniform-ellipticity test) or the
+linear solve fails.  A manufactured right-hand side is built for one eps',
+so the loop never changes eps itself.
 
-A norm surrogate is measured only where a decision reads it: iteration
-0's correction's (tuning's test, and w_1's) and each later iterate's (the
-loop's norm stop and roundoff-floor scale).
+Norm surrogates are measured in two places: iteration 0's correction's,
+which tuning's test reads, and the returned iterate's, once, for the
+report (0 for w_0 = 0, iteration 0's correction's for w_1 = rho_0).  No
+decision of the loop reads one.
 
 Each iterate is evaluated once: the step assembles the linearization from
 the ``Residual`` that ``eval_G`` returns alone, which keeps the stencil's
 entries of the Newton tensor and the reduced dominance margins, and the
 assembly turns the entries into its fields, forming (y, u, p) again one
-slab at a time from the iterate and its gradient.  The iterate's
-C^{2,alpha} surrogate forms its own second differences, one component at
-a time on the whole grid.  A converged loop certifies its last iterate
-itself: ``certify_convexity`` is handed w's values, differences them and
-forms the Hessian as G does (``pde.total_hessian``) one interior slab at a
-time, and recurses each slab, so no difference or Hessian of the whole
-grid is kept.  ``assemble_solution`` forms u from w alone and reads w(0)
+slab at a time from the iterate and its gradient.  The returned
+iterate's C^{2,alpha} surrogate forms its own second differences, one
+component at a time on the whole grid, after the last residual is freed.
+A converged loop certifies its last iterate itself: ``certify_convexity``
+is handed w's values, differences them and forms the Hessian as G does
+(``pde.total_hessian``) one interior slab at a time, and recurses each
+slab, so no difference or Hessian of the whole grid is kept.  ``assemble_solution`` forms u from w alone and reads w(0)
 and Dw(0) at the centre.  w = 0 is never differenced: its Hessian is one
 matrix, diag(tau), for G and the certificate alike, so each tuning
 candidate, and the certificate of a solve that stops at iteration 0,
@@ -88,11 +89,13 @@ class IterationRecord:
     """One iteration's measurements.  ``lin_steps`` counts the iterations
     of the step's linear solve, and ``contraction`` is the largest ratio
     ||r_{i+1}|| / ||r_i|| of its successive residuals; both are None when no
-    solve ran.  ``rho_c2alpha`` is measured at iteration 0 alone."""
+    solve ran.  ``rho_c2alpha`` is measured at iteration 0 alone, and
+    ``w_c2alpha`` on the first record and the last, the returned iterate's;
+    it is None on the loop's records in between."""
 
     iteration: int
     g_inf: float
-    w_c2alpha: float
+    w_c2alpha: float | None = None
     rho_inf: float | None = None
     rho_c2alpha: float | None = None
     min_margin: float | None = None
@@ -141,8 +144,9 @@ class ConvexityCertificate:
         }
 
 
-def residual_floor(seed: SeedQuadratic, m: int, w_sup: float = 1.0) -> float:
-    """Roundoff floor of the residual evaluation.
+def residual_floor(seed: SeedQuadratic, m: int) -> float:
+    """Roundoff floor of the residual evaluation, the report's
+    ``floor_estimate``.
 
     Second differences amplify rounding by ~4/h^2 per entry; the k-Hessian
     contracts them against coefficients of size sigma_{k-1,i}(tau).
@@ -150,7 +154,7 @@ def residual_floor(seed: SeedQuadratic, m: int, w_sup: float = 1.0) -> float:
     h = 2.0 / (m - 1)
     row_max = float(np.max(sigma_km1_row(seed.tau, seed.k)))
     eps_mach = float(np.finfo(float).eps)
-    return eps_mach * 4.0 * seed.n * row_max * max(1.0, w_sup) / h**2
+    return eps_mach * 4.0 * seed.n * row_max / h**2
 
 
 def _center_gradient(values: np.ndarray, h: float) -> np.ndarray:
@@ -199,11 +203,11 @@ def _stop_reason(record: IterationRecord, seed: SeedQuadratic, m: int,
                  tol_newton: float) -> str | None:
     """Why no step follows the iterate of ``record``: "residual_tolerance"
     when its residual meets the Newton tolerance, "residual_floor" when it
-    lies within ten times the roundoff floor of the evaluation (scaled by
-    the iterate's norm surrogate), None when a step is needed."""
+    lies within ten times the roundoff floor of the evaluation
+    (``residual_floor``), None when a step is needed."""
     if record.g_inf <= tol_newton:
         return "residual_tolerance"
-    if record.g_inf <= 10.0 * residual_floor(seed, m, max(1.0, record.w_c2alpha)):
+    if record.g_inf <= 10.0 * residual_floor(seed, m):
         return "residual_floor"
     return None
 
@@ -333,11 +337,15 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     Every iteration, iteration 0 included, stops by ``_stop_reason``, so
     iteration 0 has a step exactly when the loop goes on.
 
-    The first refused step stops the loop with status EllipticityLost and the
-    refusal as ``stop_reason``; its record is the last of ``iterations``.
+    The loop stops on measured outcomes alone: ``_stop_reason``,
+    ``max_iter``, a box exit or a refused step.  The first refused step
+    stops the loop with status EllipticityLost and the refusal as
+    ``stop_reason``; its record is the last of ``iterations``.
     An iterate whose (u, p) arguments leave the right-hand side's box raises
     DomainError, with the records so far, as ``to_dict`` gives them, in its
-    ``iterations``.  A converged loop certifies its final iterate
+    ``iterations``.  The returned iterate's norm surrogate goes into the
+    last record's ``w_c2alpha``; the records between the first and the
+    last hold None.  A converged loop certifies its final iterate
     (``certify_convexity``) from its values, or from None at iteration 0,
     into the report's ``convexity``.  Returns the final iterate together
     with the full per-iteration report; the caller decides what to do with
@@ -355,17 +363,12 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
     ratios: list[float] = []
     for it in range(max_iter + 1):
         if it > 0:
-            # w_1 = 0 + rho_0, so its surrogate is iteration 0's rho_c2alpha;
-            # formed before the residual, so that its components and the
-            # residual's entries are never alive together
-            w_norm = first.rho_c2alpha if it == 1 else c2alpha_surrogate(w, seed.alpha)
             try:
                 g_grid = eval_G(w, seed, f)
             except DomainError as err:  # (u, p) left the box
                 err.iterations = [r.to_dict() for r in records]
                 raise
-            record = IterationRecord(iteration=it, g_inf=sup_norm(g_grid.values),
-                                     w_c2alpha=w_norm)
+            record = IterationRecord(iteration=it, g_inf=sup_norm(g_grid.values))
             if records[-1].g_inf > 0.0:
                 ratios.append(record.g_inf / records[-1].g_inf**2)
             records.append(record)
@@ -375,9 +378,6 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
             status, reason = STATUS_CONVERGED, stop
         elif it == max_iter:
             status, reason = STATUS_MAX_ITER, "max_iter"
-        elif record.w_c2alpha > 1.0:
-            status = STATUS_ELLIPTICITY_LOST
-            reason = f"iterate norm surrogate {record.w_c2alpha:.3f} > 1"
         else:
             if it > 0:
                 rho, reason = _newton_step(g_grid, seed, f, tol_lin, record)
@@ -387,6 +387,9 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 continue
             status = STATUS_ELLIPTICITY_LOST
         break
+    g_grid = None  # the residual goes before the surrogate's buffers come
+    if it > 0:  # w_0 = 0 has 0.0 already, and w_1 = 0 + rho_0 iteration 0's surrogate
+        record.w_c2alpha = first.rho_c2alpha if it == 1 else c2alpha_surrogate(w, seed.alpha)
     convexity = None
     if status == STATUS_CONVERGED:
         convexity = certify_convexity(None if it == 0 else w.values, seed).to_dict()

@@ -175,7 +175,9 @@ class TestConfig:
             named_rhs("no-such-rhs", 3)
 
     def test_preset_files_match_builtins(self):
+        # presets/*.json mirror PRESETS: the same names and equal documents
         root = pathlib.Path(__file__).resolve().parents[1] / "presets"
+        assert sorted(path.stem for path in root.glob("*.json")) == sorted(PRESETS)
         for name, doc in PRESETS.items():
             on_disk = json.loads((root / f"{name}.json").read_text())
             assert on_disk == doc
@@ -287,11 +289,13 @@ class TestSolveCommand:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert blocker.read_text() == "keep"
 
-    @pytest.mark.parametrize("blocked", ["w.csv", "report.json"])
+    @pytest.mark.parametrize("blocked", ["w.csv", "u.csv", "report.json"])
     def test_unwritable_output_file_exit_two(self, tmp_path, capsys, blocked):
-        # a directory where a file goes: the converged solve's w.csv, or the
-        # failure report of a solve whose (u, p) leave a box of 1e-12 at
-        # every eps; one line and exit 2, never a traceback
+        # a directory where a file goes: the converged solve's w.csv or
+        # u.csv, or the failure report of a solve whose (u, p) leave a box
+        # of 1e-12 at every eps; one line and exit 2, never a traceback, and
+        # no file of the run is left: no w.csv or w.json staged before
+        # u.csv, no temporary
         failing = blocked == "report.json"
         doc = json.loads(json.dumps(PRESETS["fzero-linear" if failing else "fconst-match"]))
         if failing:
@@ -306,6 +310,7 @@ class TestSolveCommand:
         assert captured.err.startswith(f"cannot write the solve's files in {str(target)!r}: ")
         assert captured.err.endswith(f"Is a directory: {str(target / blocked)!r}\n")
         assert captured.err.count("\n") == 1 and captured.out == ""
+        assert [p.name for p in target.iterdir()] == [blocked]
 
     def test_construction_failure_exit_four(self, tmp_path, capsys):
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
@@ -493,6 +498,24 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg_path)]) == 0
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["status"] == "Converged"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "maclaurin", "--samples", "1000001"],
+    ["verify", "--suite", "maclaurin", "--seed", "-1"],
+    ["seed", "--k", "2", "--n", "3", "--c", "nan"],
+    ["cone", "classify", "--lambda=1,2,3", "--k", "2", "--tol", "inf"],
+    ["solve"],
+])
+def test_argument_error_is_one_line(capsys, argv):
+    # no usage lines: "khessian <command>: error: <message>" alone, exit 2
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"khessian {argv[0]}")
+    assert re.fullmatch(r"[^\n:]+: error: [^\n]+\n", captured.err)
+    assert captured.out == ""
 
 
 class TestVerifyCommand:

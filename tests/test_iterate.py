@@ -16,6 +16,7 @@ from khessian.iterate import (
     STATUS_MAX_ITER,
     IterationRecord,
     _newton_step,
+    _stop_reason,
     assemble_solution,
     certify_convexity,
     newton_loop,
@@ -230,28 +231,70 @@ class TestNewtonLoop:
         assert all(q <= 10.0 * med + 1e-30 for q in usable)
 
     def test_iterate_norm_stays_below_one(self):
+        # only the returned iterate's record carries its surrogate; the
+        # records between w_0 = 0 and it hold None
         seed = seed_for_zero(2, 3, 0.5).with_eps(1 / 16)
         m = 17
         _, hess = manufactured_field(3, m, 0.05)
         f = tabulated_rhs_from_hessian(seed, hess)
-        _, report = newton_loop(seed, f, m)
-        assert all(r.w_c2alpha <= 1.0 for r in report.iterations)
-        # w_1 = 0 + rho_0, so the loop reuses iteration 0's surrogate
-        assert report.iterations[1].w_c2alpha == report.iterations[0].rho_c2alpha
+        w, report = newton_loop(seed, f, m)
+        first, *between, last = report.iterations
+        assert report.converged and between
+        assert first.w_c2alpha == 0.0
+        assert all(r.w_c2alpha is None for r in between)
+        assert last.w_c2alpha == c2alpha_surrogate(w, seed.alpha) <= 1.0
 
     def test_untuned_eps_stops_at_refused_step(self):
-        # at eps 1/2 the first correction leaves the unit ball; the loop keeps
-        # its eps and stops there
+        # at eps 1/2 the first correction leaves the unit ball, and no
+        # surrogate stops the loop: w_1's residual fails the margin test, so
+        # the loop keeps its eps and stops at iteration 1's refused step
         seed = seed_for_zero(2, 3, 0.5)
         assert seed.eps == 0.5
         f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
         _, report = newton_loop(seed, f, 9)
         assert report.status == STATUS_ELLIPTICITY_LOST
-        assert report.stop_reason.startswith("iterate norm surrogate")
+        assert report.stop_reason.startswith("dominance margin dropped")
         assert report.seed["eps"] == 0.5
         assert [r.iteration for r in report.iterations] == [0, 1]
-        assert report.iterations[-1].w_c2alpha > 1.0
+        # w_1 = 0 + rho_0, so the loop reuses iteration 0's surrogate
+        first, last = report.iterations
+        assert last.w_c2alpha == first.rho_c2alpha > 1.0
+        assert last.lin_steps is None
         assert report.aborted_attempts == []
+
+    def test_loop_measures_one_surrogate(self, monkeypatch):
+        # a tuned loop of four records measures the surrogate once, on the
+        # iterate it returns; the start's iteration 0 measured its own
+        import khessian.iterate as iterate
+
+        doc = copy.deepcopy(PRESETS["fzero-linear"])
+        doc.update(n=4, k=3, grid={"m": 9})
+        f = ProblemConfig.from_dict(doc).build_rhs()
+        seed, _, start = tune_epsilon(seed_for_constant(3, 4, f.value_at_origin()), f, 9)
+        surrogate, measured = iterate.c2alpha_surrogate, []
+
+        def counted(grid, alpha):
+            measured.append(grid)
+            return surrogate(grid, alpha)
+
+        monkeypatch.setattr(iterate, "c2alpha_surrogate", counted)
+        w, report = newton_loop(seed, f, 9, start=start)
+        assert report.converged and len(report.iterations) == 4
+        assert len(measured) == 1 and measured[0] is w
+        assert report.iterations[-1].w_c2alpha == surrogate(w, seed.alpha)
+
+    def test_stop_reason_reads_the_reported_floor(self):
+        # the floor test is ten times the report's floor_estimate, which no
+        # surrogate scales
+        seed = seed_for_zero(2, 3, 0.5).with_eps(1 / 16)
+        f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(1.0, (0, 1, 0))])
+        _, report = newton_loop(seed, f, 9)
+        bound = 10.0 * report.floor_estimate
+        on = IterationRecord(iteration=2, g_inf=bound)
+        above = IterationRecord(iteration=2, g_inf=float(np.nextafter(bound, np.inf)),
+                                w_c2alpha=1e6)
+        assert _stop_reason(on, seed, 9, 0.0) == "residual_floor"
+        assert _stop_reason(above, seed, 9, 0.0) is None
 
     def test_tuning_halves_through_refused_eps(self, tmp_path):
         # the same f through the pipeline: tuning refuses the large eps and
@@ -500,9 +543,9 @@ class TestNewtonLoop:
 
     def test_surrogates_only_where_read(self, tmp_path, monkeypatch):
         # tuning's acceptance test reads each candidate correction's
-        # surrogate, and w_1's is iteration 0's; the loop's norm stop and
-        # floor scale read each iterate's from w_2 on, the last included.
-        # No residual's Hoelder norm is measured
+        # surrogate, and w_1's is iteration 0's; the loop measures the
+        # returned iterate's alone, once it is w_2 or later.  No residual's
+        # Hoelder norm is measured
         import sys
 
         import khessian.iterate as iterate
@@ -543,7 +586,7 @@ class TestNewtonLoop:
         report = run_solve(config, out_dir=str(tmp_path)).report
         assert report.converged and len(report.iterations) >= 3
         assert counts["tuning"] == counts["steps"] > 1  # the coarsest grid's and grid m's
-        assert counts["loop"] == len(report.iterations) - 2
+        assert counts["loop"] == (len(report.iterations) > 2)
         assert hoelder == []
         records = [r.to_dict() for r in report.iterations] + [
             r for a in report.aborted_attempts for r in a["iterations"]]

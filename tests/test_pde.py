@@ -1466,16 +1466,22 @@ class TestGridIO:
     @pytest.mark.parametrize("n, m, rhs, l", [(3, 9, "linear-y1-plus-y2", None),
                                               (4, 9, "const-three", "full")])
     def test_solve_files_match_per_cell_writer(self, tmp_path, monkeypatch, n, m, rhs, l):
+        # the solve writes each file under a temporary name, w.csv first, so
+        # the per-cell copies are numbered in the order of the calls
+        cells = []
+
         def both_writers(path, values, axes):
             write_grid_csv(path, values, axes)
-            write_grid_csv_per_cell(str(path) + ".cell", values, axes)
+            cells.append(tmp_path / f"{len(cells)}.cell")
+            write_grid_csv_per_cell(str(cells[-1]), values, axes)
 
         monkeypatch.setattr(cli, "write_grid_csv", both_writers)
         doc = PRESETS["fzero-linear"] | {"n": n, "k": 2, "rhs": rhs, "l": l, "grid": {"m": m}}
         cli.run_solve(ProblemConfig.from_dict(doc), out_dir=str(tmp_path))
-        for name in ("w.csv", "u.csv"):
+        assert len(cells) == 2
+        for name, cell in zip(("w.csv", "u.csv"), cells):
             text = (tmp_path / name).read_bytes()
-            assert text == (tmp_path / (name + ".cell")).read_bytes()
+            assert text == cell.read_bytes()
             assert text.count(b"\n") == m**n + 1
 
     def test_writer_peak_at_n4_m17(self, tmp_path):
