@@ -6,7 +6,8 @@ classify returns 0 for any cone/boundary verdict, 1 for Outside, 2 for
 argument errors; seed returns 2 for an out-of-range ``--l`` or an ``--l``
 with c <= 0 and 3 on construction failure; solve returns 0 only when the
 iteration converged (2 for config errors and for output files that cannot
-be written, which leave no file of the run, 4 when the loop stops
+be written, which leave no file of the run, and a run that writes leaves
+no earlier run's output file beside its report; 4 when the loop stops
 unconverged or the solve raises one of the errors ``run_solve`` names,
 with a report that keeps the error's type, tuning's refused candidates and
 the loop's records); verify returns 1 when any property fails and 2 for
@@ -51,6 +52,8 @@ def _note(message: str) -> None:
 
 
 SOLVE_PHASES = ("tuning", "loop", "assembly", "output")
+# every file a solve may leave in its output directory
+_OUTPUT_NAMES = ("w.csv", "w.json", "u.csv", "u.json", "report.json")
 # verify's largest --samples, a memory cap: garding-inequality holds its
 # samples x n eigenvalues whole and peaks at 77.6 MB at this count
 _SAMPLES_CAP = 1_000_000
@@ -129,14 +132,8 @@ def run_solve(config: ProblemConfig, out_dir: str) -> SolveArtifacts:
 
 def _write_outputs(target: str, config: ProblemConfig, seed, w: ScalarGrid,
                    report: IterationReport, u: np.ndarray | None) -> None:
-    """w on [-1,1]^n and, when given, u on the cube of side 2*eps^2.
-
-    Every file is written under a temporary name in ``target`` first, and
-    only then moved into place by ``os.replace``, ``report.json`` last.  On
-    an OSError the temporaries and the files already moved are removed, so
-    a failed write leaves no file of this run, and the error propagates
-    with the name of the output file it hit.
-    """
+    """w on [-1,1]^n and, when given, u on the cube of side 2*eps^2, with the
+    report, through ``_write_staged``."""
     m, eps = config.m, seed.eps
     sidecar = {"n": config.n, "m": m, "seed": seed.to_dict()}
     writes = [("w.csv", write_grid_csv, (w.values, [axis_coords(m)] * config.n)),
@@ -146,6 +143,21 @@ def _write_outputs(target: str, config: ProblemConfig, seed, w: ScalarGrid,
                    ("u.json", write_json, (sidecar | {"h": eps**2 * 2.0 / (m - 1)},))]
     writes.append(("report.json", write_json,
                    (report.to_dict() | {"config": config.to_dict()},)))
+    _write_staged(target, writes)
+
+
+def _write_staged(target: str, writes: list[tuple]) -> None:
+    """Write each (name, writer, args) of ``writes``, ``report.json`` last,
+    into ``target``, as a solve leaves its files.
+
+    Every file is written under a temporary name in ``target`` first, and
+    only then moved into place by ``os.replace``, in order.  Once this
+    run's files are in place, the names of ``_OUTPUT_NAMES`` it did not
+    write are removed, so no file of an earlier run stays beside its
+    report.  On an OSError the temporaries and the files already moved are
+    removed, so a failed write leaves no file of this run, and the error
+    propagates with the name of the output file it hit.
+    """
     staged, placed = [], []
     try:
         for name, write, args in writes:
@@ -156,6 +168,12 @@ def _write_outputs(target: str, config: ProblemConfig, seed, w: ScalarGrid,
             path = os.path.join(target, name)
             os.replace(temporary, path)
             placed.append(path)
+        written = [name for name, _, _ in writes]
+        for name in _OUTPUT_NAMES:
+            if name not in written:
+                path = os.path.join(target, name)
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
     except OSError as err:
         for leftover in staged + placed:
             with contextlib.suppress(OSError):  # a moved temporary is gone already
@@ -237,9 +255,10 @@ def _cmd_solve(args) -> int:
         try:
             artifacts = run_solve(config, out_dir=target)
         except (TuningError, DomainError, ConstructionError) as err:
-            write_json(os.path.join(target, "report.json"),
-                       {"status": "Failed", "error": str(err), "config": config.to_dict()}
-                       | _error_fields(err))
+            _write_staged(target, [(
+                "report.json", write_json,
+                ({"status": "Failed", "error": str(err), "config": config.to_dict()}
+                 | _error_fields(err),))])
             _note(f"solver failed: {err}")
             return 4
     except OSError as err:  # the outputs, or the failure report, cannot be written

@@ -167,6 +167,14 @@ def _first_difference(values: np.ndarray, h: float, axis: int, out: np.ndarray) 
     d[-1] = 0.5 / h * f[-3] + -2. / h * f[-2] + 1.5 / h * f[-1]
 
 
+@lru_cache(maxsize=None)
+def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The index pairs (a, b), a <= b, of an (n, n) matrix's upper triangle
+    in ``np.triu_indices(n)`` order: the component order of every stack of
+    second differences and of the stencil's entries."""
+    return tuple(zip(*(index.tolist() for index in np.triu_indices(n))))
+
+
 def second_differences(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
     """The n(n+1)/2 distinct second differences, stacked component-major with
     shape (c,) + grid shape in ``np.triu_indices(n)`` order, and the gradient
@@ -174,7 +182,7 @@ def second_differences(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
     n, h, w = grid.n, grid.h, grid.values
     firsts = np.gradient(w, h, edge_order=2)
     second = np.empty((n * (n + 1) // 2,) + w.shape)
-    for c, (a, b) in enumerate(zip(*np.triu_indices(n))):
+    for c, (a, b) in enumerate(upper_pairs(n)):
         if a == b:
             _second_difference(w, h, a, second[c])
         else:
@@ -222,7 +230,7 @@ def interior_differences(values: np.ndarray, h: float, rows: slice, second: bool
     if not second:
         return None, grad
     out = np.empty((n * (n + 1) // 2,) + shape)
-    for c, (a, b) in enumerate(zip(*np.triu_indices(n))):
+    for c, (a, b) in enumerate(upper_pairs(n)):
         d = out[c]
         if a == b:
             f = block if a == 0 else block[inner]
@@ -252,7 +260,7 @@ def symmetric_matrix(second: np.ndarray, n: int, scale: float = 1.0,
     points at a time (``pde.total_hessian``).
     """
     full = np.empty((n, n) + second.shape[1:])
-    for c, (a, b) in enumerate(zip(*np.triu_indices(n))):
+    for c, (a, b) in enumerate(upper_pairs(n)):
         np.multiply(second[c], scale, out=full[a, b])
         if a != b:
             full[b, a] = full[a, b]
@@ -394,7 +402,7 @@ def c2alpha_surrogate(grid: ScalarGrid, alpha: float) -> float:
     """
     n, h, w = grid.n, grid.h, grid.values
     firsts = np.gradient(w, h, edge_order=2)
-    pairs = list(zip(*np.triu_indices(n)))
+    pairs = upper_pairs(n)
     buf = np.empty(w.shape)
 
     def component(c: int) -> np.ndarray:

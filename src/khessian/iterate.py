@@ -181,16 +181,20 @@ def _newton_step(g_grid: Residual, seed: SeedQuadratic, f, tol_lin: float,
     (``pde.Margins``) before anything is assembled: the reason names the
     first least gap in C order, its margin, its grid point (indices on the
     full grid) and its row.  The assembly takes the residual's stencil
-    entries over as its fields, which are freed when the solve returns.
+    entries over as its fields, which are freed when the solve returns,
+    and the residual's grid values are let go (None) once the system holds
+    -G as its right-hand side, before the solve.
     """
     margins = g_grid.margins
     if margins.below:
         return None, (f"dominance margin dropped {margins.gap:.3e} below half the seed "
                       f"row: margin {margins.margin:.3e} at grid point {margins.point}, "
                       f"row {margins.row}")
+    system = assemble_linearized(g_grid, seed, f)
+    g_grid.values = None  # -G is the system's right-hand side now
     try:
         rho, record.lin_residual, record.lin_steps, record.contraction = solve_dirichlet_info(
-            assemble_linearized(g_grid, seed, f), tol_lin)
+            system, tol_lin)
     except SolverError as err:
         record.lin_steps, record.contraction = err.steps, err.contraction
         return None, f"linear solve failed: {err}"
@@ -383,7 +387,9 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
                 rho, reason = _newton_step(g_grid, seed, f, tol_lin, record)
             if reason is None:
                 w = ScalarGrid(w.n, w.m, w.values + rho.values)
-                rho = None
+                # the correction, and the residual, which holds the last
+                # iterate, go before the next evaluation
+                rho = g_grid = None
                 continue
             status = STATUS_ELLIPTICITY_LOST
         break

@@ -10,8 +10,10 @@ the linearized operator
 
     sum_ij dS_k/dr_ij d_i d_j  -  eps^2 sum_i (df/dp_i) d_i  -  eps^4 (df/du)
 
-as one coefficient field per stencil offset, with the same stencils used by
-``eval_G``'s differences; ``eval_G`` measures the per-row diagonal-dominance
+from each distinct coefficient field once, with the same stencils used by
+``eval_G``'s differences: one field for a mixed pair's four offsets, and
+one for both offsets of an axis when f has no term in p, with constants of
+one point at w = 0.  ``eval_G`` measures the per-row diagonal-dominance
 margins of the coefficient matrix, and the Newton step alone decides,
 before it assembles, whether they are large enough.  The operator is
 applied on the grid, never assembled.  ``solve_dirichlet_info`` solves the
@@ -20,7 +22,9 @@ the exact inverse of the seed's constant-coefficient operator
 sum_i sigma_{k-1,i}(tau) d_i^2, which a sine transform along each axis
 diagonalizes.  Near the seed the linearization is a small perturbation of
 that operator, so each iteration contracts the residual; a solve whose
-residual stops shrinking is refused.
+residual stops shrinking is refused.  Its vectors are the right-hand side,
+the iterate, the residual, written into the operator's output, and the
+two buffers of the sine transforms.
 
 Minor sums S_j and the derivative dS_k/dr come from one route, Reilly's
 Newton-tensor recursion (``minor_sums``), for any matrix order: S_k is the
@@ -43,8 +47,10 @@ gradient and (y, u, p) again, one slab at a time, for f's derivatives,
 and turns the entries into its fields in place, with no other difference
 and no recursion.  At w = 0 every difference is +0.0, so r = diag(tau)
 at every point, and one matrix is recursed and its entries broadcast over
-the interior; scalar +0.0 stands in for w and Dw in u and p, the floats
-zero arrays would give, without forming them.
+the interior; the assembly keeps the fields made from them as that one
+point's constants and leaves out the mixed offsets, whose fields are 0.0
+there.  Scalar +0.0 stands in for w and Dw in u and p, the floats zero
+arrays would give, without forming them.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .grids import (
     slab_coords,
     sup_norm,
     symmetric_matrix,
+    upper_pairs,
 )
 from .seeds import SeedQuadratic
 from .symfun import sigma_km1_row
@@ -102,7 +109,9 @@ class LinearSystem:
     ``matrix`` applies the operator to the interior values in lexicographic
     order, and ``seed_inverse`` applies the exact inverse of the seed's
     operator sum_i sigma_{k-1,i}(tau) d_i^2; both are functions of the flat
-    interior vector, as is ``rhs``.
+    interior vector, as is ``rhs``.  ``matrix`` returns a new array, which
+    its caller may overwrite; ``seed_inverse`` returns its own buffer, which
+    its next call overwrites.
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]
@@ -238,7 +247,7 @@ def _stencil_entries(t: np.ndarray, out: np.ndarray) -> None:
     coeff[a, b] for a < b, from the Newton tensors ``t`` (points + (n, n))
     into ``out``, component-major (c,) + points in ``np.triu_indices(n)``
     order."""
-    for c, (a, b) in enumerate(zip(*np.triu_indices(t.shape[-1]))):
+    for c, (a, b) in enumerate(upper_pairs(t.shape[-1])):
         out[c] = t[..., b, a]
 
 
@@ -289,7 +298,8 @@ class Residual(ScalarGrid):
     w's differences nor the tensor are kept.  At w = 0 ``entries`` is a
     read-only view of one point's broadcast over the interior.
     ``assemble_linearized`` takes the entries over (and sets them to
-    None)."""
+    None), and the Newton step lets ``values`` go (None) once the system
+    holds -G as its right-hand side."""
 
     iterate: np.ndarray | None
     entries: np.ndarray | None
@@ -352,17 +362,31 @@ def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
     ``g = eval_G(w, seed, f)`` alone.
 
     The unknowns are the interior points in lexicographic order.  The
-    operator keeps one coefficient field per stencil offset and applies it as
-    the sum, over offsets, of the field times the zero-padded input shifted
-    by the offset, so neighbours on the Dirichlet boundary drop out.
+    operator applies its stencil as the sum, over offsets, of the offset's
+    coefficient field times the zero-padded input shifted by the offset, so
+    neighbours on the Dirichlet boundary drop out.  It holds each distinct
+    field once: the centre's; per axis a, the -e_a field and, when f has a
+    term in p (``f.reads_p``), the +e_a field, which is otherwise the -e_a
+    field itself (``f.dp`` is then not evaluated); and one field per mixed
+    pair, which its four offsets share.  With f_p zero the two axis fields
+    differ at most in the sign of a zero, and the operator's sum starts at
+    +0.0, so it is never -0.0 and adding a zero of either sign changes
+    none of its bits.
 
     The fields come from the residual's stencil entries, with no
     difference beyond w's gradient and no recursion: per slab, w's gradient
-    and (y, u, p) are formed (``_slab_arguments``) for f_p and f_u, and the
+    and (y, u, p) are formed (``_slab_arguments``) for f_u and f_p, and the
     centre and axis fields are filled.  The assembly takes the entries over
     and turns them into fields in place, each diagonal entry into the field
     of its -e_a offset and each mixed one into its four offsets' field, so
     entries and fields never both cover the interior.
+
+    At w = 0 the entries are one point's, broadcast over the interior
+    (``eval_G``), and the fields made from them stay one point's constants:
+    the axis fields, unless f has a term in p, and the mixed fields, which
+    are exactly 0.0 there, so their offsets are left out of the operator:
+    their products with a finite input are zeros, which change no bit of
+    the sum.
 
     The dominance margins stay on ``g``, where ``eval_G`` measured them:
     whether they certify uniform ellipticity is ``iterate._newton_step``'s
@@ -370,27 +394,37 @@ def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
     """
     n, m, h = g.n, g.m, g.h
     entries, g.entries = g.entries, None
-    if not entries.flags.writeable:  # w = 0: one point's entries, broadcast
-        entries = entries.copy()
-    pairs = list(zip(*np.triu_indices(n)))
+    zero = not entries.flags.writeable  # w = 0: one point's entries, broadcast
+    if zero:
+        entries = entries[(slice(None),) + (slice(0, 1),) * n].copy()
+    pairs = upper_pairs(n)
     diag = [entries[pairs.index((a, a))] for a in range(n)]
     inner = (m - 2,) * n
-    centre, plus = np.empty(inner), np.empty((n,) + inner)
+    centre = np.empty(inner)
+    plus = [np.empty(inner) for _ in range(n)] if f.reads_p else diag
+    minus = [np.empty(inner) for _ in range(n)] if zero and f.reads_p else diag
+
     # a slab holds y, u, p and f_p: 3n + 1 doubles per point
     for rows, _, _, y, u, p in _slab_arguments(seed, m, g.iterate, 3 * n + 1, False):
-        a_first = -seed.eps**2 * f.dp(y, u, p)
-        # the trace summed from the left, as np.sum over the diagonal does
-        trace = diag[0][rows].copy()
-        for a in range(1, n):
-            trace += diag[a][rows]
-        centre[rows] = -2.0 / h**2 * trace + -seed.eps**4 * f.du(y, u, p)
-        for a in range(n):
-            second = diag[a][rows]
-            second /= h**2
-            first = a_first[..., a] / (2.0 * h)
-            np.add(second, first, out=plus[a][rows])
-            second -= first
-    del y, u, p, a_first  # the last slab's
+        at = slice(None) if zero else rows  # at w = 0, the one point
+        if not zero or rows.start == 0:
+            # the trace summed from the left, as np.sum over the diagonal does
+            trace = diag[0][at].copy()
+            for a in range(1, n):
+                trace += diag[a][at]
+            lead = -2.0 / h**2 * trace
+            for a in range(n):
+                second = diag[a][at]
+                second /= h**2
+        centre[rows] = lead + -seed.eps**4 * f.du(y, u, p)
+        if f.reads_p:
+            a_first = -seed.eps**2 * f.dp(y, u, p)
+            for a in range(n):
+                first = a_first[..., a] / (2.0 * h)
+                np.add(diag[a][at], first, out=plus[a][rows])
+                np.subtract(diag[a][at], first, out=minus[a][rows])
+            del a_first
+    del y, u, p  # the last slab's
 
     # (offset, field, ufunc): the product of the field and the input shifted
     # by the offset is added, or, for the anti-diagonal mixed offsets,
@@ -399,13 +433,14 @@ def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
     add, sub = np.add, np.subtract
     stencil = [(np.zeros(n, dtype=int), centre, add)]
     for a in range(n):
-        stencil += [(unit[a], plus[a], add), (-unit[a], diag[a], add)]
+        stencil += [(unit[a], plus[a], add), (-unit[a], minus[a], add)]
     for c, (a, b) in enumerate(pairs):
-        if a != b:
-            mixed = entries[c]
-            mixed /= 2.0 * h**2
-            stencil += [(unit[a] + unit[b], mixed, add), (-unit[a] - unit[b], mixed, add),
-                        (unit[a] - unit[b], mixed, sub), (unit[b] - unit[a], mixed, sub)]
+        mixed = entries[c]
+        if a == b or zero and not mixed.any():
+            continue
+        mixed /= 2.0 * h**2
+        stencil += [(unit[a] + unit[b], mixed, add), (-unit[a] - unit[b], mixed, add),
+                    (unit[a] - unit[b], mixed, sub), (unit[b] - unit[a], mixed, sub)]
     slab = (slice(1, -1),) * n
     padded = np.zeros((m,) * n)  # its boundary layer is the zero Dirichlet data
     inner = padded[slab]
@@ -437,7 +472,10 @@ def _seed_inverse(seed: SeedQuadratic, m: int) -> Callable[[np.ndarray], np.ndar
     diagonalizes it along each axis: mode j of an axis has the eigenvalue
     (2 cos(pi j / (m-1)) - 2) / h^2.  S is symmetric and S S = (m-1)/2 I, so
     with S^n applying S along every axis the inverse is
-    (2/(m-1))^n S^n (S^n v / eig); the factor is folded into eig.
+    (2/(m-1))^n S^n (S^n v / eig); the factor is folded into eig.  The 2n
+    products go through two buffers made once, each product into the one
+    its input is not in, and the result is the second buffer, which the
+    next call overwrites.
     """
     n, h = seed.n, 2.0 / (m - 1)
     modes = np.arange(1, m - 1)
@@ -445,15 +483,17 @@ def _seed_inverse(seed: SeedQuadratic, m: int) -> Callable[[np.ndarray], np.ndar
     mu = ((m - 1) / 2.0) ** n * (2.0 * np.cos(np.pi * modes / (m - 1)) - 2.0) / h**2
     row = sigma_km1_row(seed.tau, seed.k)
     eig = sum(row[a] * mu.reshape((-1,) + (1,) * (n - 1 - a)) for a in range(n)).reshape(-1)
-
-    def _transform(v: np.ndarray) -> np.ndarray:
-        # each product transforms the leading axis and moves it to the back
-        for _ in range(n):
-            v = v.reshape(m - 2, -1).T @ sine
-        return v.reshape(-1)
+    buffers = np.empty((2, eig.size))
 
     def _apply(v: np.ndarray) -> np.ndarray:
-        return _transform(_transform(v) / eig)
+        # each product transforms the leading axis and moves it to the back
+        for step in range(2 * n):
+            out = buffers[step % 2]
+            np.matmul(v.reshape(m - 2, -1).T, sine, out=out.reshape(-1, m - 2))
+            if step == n - 1:
+                out /= eig
+            v = out
+        return v
 
     return _apply
 
@@ -467,15 +507,17 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10
     relative residual, the number of iterations (one application of A
     each) and the contraction, the largest ratio of successive residual
     norms (None for a zero right-hand side, which needs no iteration).
-    ``sys`` is only read.  A residual that does not shrink, or
-    ``MAX_LIN_STEPS`` iterations (read at each call) short of the target,
-    raise SolverError, whose message says which and which carries the
-    iterations as ``steps`` and the contraction so far as ``contraction``.
+    ``sys`` is only read.  Each residual is written into the operator's
+    output, the last one freed first, and the grid solution is made after
+    the iteration, from the iterate scaled in place.  A residual that does
+    not shrink, or ``MAX_LIN_STEPS`` iterations (read at each call) short
+    of the target, raise SolverError, whose message says which and which
+    carries the iterations as ``steps`` and the contraction so far as
+    ``contraction``.
     """
-    rho = ScalarGrid.zeros(sys.n, sys.m)
     bnorm = float(np.linalg.norm(sys.rhs))
     if bnorm == 0.0:
-        return rho, 0.0, 0, None
+        return ScalarGrid.zeros(sys.n, sys.m), 0.0, 0, None
     b = sys.rhs / bnorm
     x = np.zeros_like(b)
     r, res, steps, contraction = b, 1.0, 0, 0.0
@@ -484,7 +526,9 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10
             why = "step limit reached"
             break
         x += sys.seed_inverse(r)
-        r = b - sys.matrix(x)
+        del r  # the last residual goes before the operator's output comes
+        r = sys.matrix(x)
+        np.subtract(b, r, out=r)  # b - A x, into the operator's new output
         steps += 1
         last, res = res, float(np.linalg.norm(r))
         contraction = max(contraction, res / last)
@@ -492,7 +536,10 @@ def solve_dirichlet_info(sys: LinearSystem, tol_lin: float = 1e-10
             why = "residual stopped shrinking"
             break
     else:
-        rho.values[(slice(1, -1),) * sys.n] = (bnorm * x).reshape((sys.m - 2,) * sys.n)
+        del b, r  # before rho comes
+        rho = ScalarGrid.zeros(sys.n, sys.m)
+        x *= bnorm
+        rho.values[(slice(1, -1),) * sys.n] = x.reshape((sys.m - 2,) * sys.n)
         return rho, res, steps, contraction
     raise SolverError(
         f"Richardson iteration stalled ({why}) at relative residual {res:.3e} "

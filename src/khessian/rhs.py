@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .grids import grid_coords
+from .grids import grid_coords, upper_pairs
 from .pde import sk_of_matrix, total_hessian
 
 
@@ -64,6 +64,11 @@ class RhsSpec:
     def constant(cls, n: int, value: float) -> "RhsSpec":
         terms = [] if value == 0.0 else [RhsTerm(value, (0,) * n)]
         return cls(n=n, terms=terms)
+
+    @property
+    def reads_p(self) -> bool:
+        """Whether a term has a power of p; without one, f_p is zero."""
+        return any(any(t.p_pow) for t in self.terms)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -122,11 +127,12 @@ class TabulatedRhs:
     ignores the (y, u, p) arguments and returns the table read at ``at``,
     the points' index into the grid: the slab ``eval_G`` evaluates f on,
     or by default every interior point.  Its derivatives are zeros shaped
-    like u and p.  It declares no box, so ``eval_G`` makes no box check
-    for it.
+    like u and p, and it has no term in p (``reads_p``).  It declares no
+    box, so ``eval_G`` makes no box check for it.
     """
 
     values: np.ndarray
+    reads_p = False  # a function of position alone
 
     def value(self, y, u, p, at=None) -> np.ndarray:
         return self.values[(slice(1, -1),) * self.values.ndim if at is None else at]
@@ -151,7 +157,7 @@ def manufactured_field(n: int, m: int, beta: float) -> tuple[np.ndarray, np.ndar
     s = np.sin(np.pi * x / 2)
     w = beta * np.prod(c, axis=-1)
     second = np.empty((n * (n + 1) // 2,) + w.shape)
-    for comp, (i, j) in enumerate(zip(*np.triu_indices(n))):
+    for comp, (i, j) in enumerate(upper_pairs(n)):
         if i == j:
             second[comp] = -((np.pi / 2) ** 2) * w
         else:

@@ -312,6 +312,32 @@ class TestSolveCommand:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert [p.name for p in target.iterdir()] == [blocked]
 
+    def test_no_earlier_run_files_left(self, tmp_path, capsys):
+        # into one directory: a converged solve, then one stopped by
+        # max_iter, which writes no u, then one whose (u, p) leave a box of
+        # 1e-12 at every eps, which writes only its report; each leaves its
+        # own files alone
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc["grid"]["m"] = 9
+        target, cfg_path = tmp_path / "run", tmp_path / "cfg.json"
+
+        def solve() -> tuple[int, set[str], dict]:
+            cfg_path.write_text(json.dumps(doc))
+            code = main(["solve", "--config", str(cfg_path), "--output", str(target)])
+            report = json.loads((target / "report.json").read_text())
+            return code, {p.name for p in target.iterdir()}, report
+
+        code, names, report = solve()
+        assert code == 0 and names == {"w.csv", "w.json", "u.csv", "u.json", "report.json"}
+        doc["solver"]["max_iter"] = 1
+        code, names, report = solve()
+        assert code == 4 and report["status"] == "MaxIter"
+        assert names == {"w.csv", "w.json", "report.json"}
+        doc["rhs"] = {"terms": [{"coeff": 1.0, "y": [1, 0, 0]}], "box": 1e-12}
+        code, names, report = solve()
+        assert code == 4 and report["status"] == "Failed"
+        assert names == {"report.json"}
+
     def test_construction_failure_exit_four(self, tmp_path, capsys):
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
         doc["rhs"] = {"terms": [{"coeff": 1e-300}]}

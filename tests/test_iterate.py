@@ -912,6 +912,20 @@ class TestMemory:
         assert norm == c2alpha_from_the_stack(w, seed.alpha)
         assert peak < 6
 
+    def test_zero_assembly_holds_no_entry_field(self):
+        # at w = 0 with f free of p, every field made from the entries is
+        # one point's: the assembly holds the centre's field, the
+        # right-hand side, the operator's product and padded grid, and the
+        # preconditioner's eigenvalues and two buffers (2.96 MiB), where a
+        # copy of the entries and the +e_a fields took 7.8 MiB; one more
+        # interior field would add 0.39 MiB
+        seed, f, _ = self._problem()
+        assert not f.reads_p
+        g = eval_G(ScalarGrid.zeros(4, 17), seed, f)
+        sys, peak = self._peak(lambda: assemble_linearized(g, seed, f))
+        assert sys.matrix.nnz == (1 + 2 * 4) * 15**4  # no mixed offsets
+        assert peak < 3.3
+
     def test_whole_solve_peak(self, tmp_path):
         config = _fzero_config(4, 17, 3)
         tracemalloc.start()
@@ -921,7 +935,10 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert report.converged
-        assert peak < 15 * self.MB  # 11.7 MiB; 21.6 MiB with the stack and the tensor
+        assert peak < 15 * self.MB  # 21.6 MiB with the stack and the tensor
+        # 8.7 MiB, where a step that held 15 interior fields, copies of the
+        # right-hand side and G's grid through the solve took 11.5 MiB
+        assert peak < 10 * self.MB
         # nothing the size of the grid's coordinates (n m^n doubles) outlives
         # the solve
         assert retained < 4 * 17**4 * 8

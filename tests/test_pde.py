@@ -492,6 +492,14 @@ def linearized_at(w, seed, f):
     return assemble_linearized(eval_G(w, seed, f), seed, f)
 
 
+def _stencil_fields(sys) -> list[np.ndarray]:
+    """The coefficient field of each stencil term of the system's operator,
+    in stencil order: the centre, per axis the +e_a and -e_a offsets, then
+    the mixed offsets, read from the operator's closure."""
+    cells = dict(zip(sys.matrix.__code__.co_freevars, sys.matrix.__closure__))
+    return [field for _, field, _ in cells["shifted"].cell_contents]
+
+
 class TestAssemble:
     def test_constant_coefficients_at_zero(self):
         seed = seed_for_zero(2, 3, 0.5)
@@ -605,6 +613,48 @@ class TestAssemble:
         expect = stencil_matrix(sk_gradient(r, seed.k), a_first, a_zero, w.h)
         assert np.array_equal(dense_operator(sys.matrix, sys.size), expect)
         assert np.array_equal(sys.rhs, -eval_G(w, seed, f).values[~boundary_mask(n, m)])
+
+    @pytest.mark.parametrize("zero, p_free", [(True, True), (True, False), (False, True)])
+    def test_distinct_fields_match_stencil_oracle_exactly(self, zero, p_free):
+        # each distinct field held once, one point's at w = 0, where the
+        # mixed offsets are left out: the operator of entry-by-entry
+        # placement, bit for bit
+        n = 3
+        seed, f, w = _noisy_problem(n)
+        if p_free:
+            f = RhsSpec(n=n, terms=[t for t in f.terms if not any(t.p_pow)])
+        if zero:
+            w = ScalarGrid.zeros(n, w.m)
+        sys = linearized_at(w, seed, f)
+        assert sys.matrix.nnz == (1 + 2 * n + (0 if zero else 2 * n * (n - 1))) * 7**n
+        second, grad = second_differences(w)
+        r = symmetric_matrix(second, n, seed.eps_prime, seed.tau)
+        y, u, p = _physical_args(seed, grid_coords(n, w.m), w.values, grad)
+        expect = stencil_matrix(sk_gradient(r, seed.k), -seed.eps**2 * f.dp(y, u, p),
+                                -seed.eps**4 * f.du(y, u, p), w.h)
+        assert np.array_equal(dense_operator(sys.matrix, sys.size), expect)
+
+    def test_p_free_f_shares_the_axis_fields(self):
+        # f_p is zero without a term in p: the +e_a field is the -e_a
+        # field and f.dp is not evaluated; criterion 7's f, with a term in
+        # p, keeps them apart.  At w = 0 only the centre's field covers
+        # the interior
+        seed, f, w = _noisy_problem(3)
+        p_free = RhsSpec(n=3, terms=[t for t in f.terms if not any(t.p_pow)])
+        p_free.dp = lambda *args: pytest.fail("f.dp was evaluated")
+        assert f.reads_p and not p_free.reads_p and not TabulatedRhs.reads_p
+        criterion_7 = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(0.3, (0, 0, 0), 1),
+                                          RhsTerm(-0.2, (0, 0, 0), 0, (1, 0, 0))])
+        for rhs, shared in ((p_free, True), (criterion_7, False)):
+            fields = _stencil_fields(linearized_at(w, seed, rhs))
+            assert len(fields) == 1 + 2 * 3 + 4 * 3
+            assert all(field.shape == (7,) * 3 for field in fields)
+            assert all((fields[1 + 2 * a] is fields[2 + 2 * a]) == shared for a in range(3))
+            # each mixed pair's field is shared by its four offsets
+            assert len({id(field) for field in fields}) == 1 + (2 - shared) * 3 + 3
+        fields = _stencil_fields(linearized_at(ScalarGrid.zeros(3, 9), seed, p_free))
+        assert [field.shape for field in fields] == [(7,) * 3] + [(1,) * 3] * 6
+        assert all(fields[1 + 2 * a] is fields[2 + 2 * a] for a in range(3))
 
     def test_jacobian_consistency_order(self):
         seed = seed_for_zero(2, 3, 0.5)
