@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -55,7 +55,9 @@ def _typed(key: str, value, kind: type):
 
 def _finite(key: str, value) -> float:
     real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (real and math.isfinite(value)):
+    # |value| at most the largest float: NaN, the infinities and ints too
+    # large for a float fail it
+    if not (real and abs(value) <= sys.float_info.max):
         raise DomainError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
@@ -143,17 +145,18 @@ class ProblemConfig:
             if key not in doc:
                 raise DomainError(f"{key} is required")
         grid, solver, output = (_section(doc, name) for name in ("grid", "solver", "output"))
+        default = cls(n=0, k=0)  # a key left out takes the dataclass's default
         cfg = cls(
             n=_typed("n", doc["n"], int),
             k=_typed("k", doc["k"], int),
-            alpha=_finite("alpha", doc.get("alpha", 0.5)),
-            rhs=doc.get("rhs", {}),
-            m=_typed("grid.m", grid.get("m", 17), int),
-            tol_lin=_finite("solver.tol_lin", solver.get("tol_lin", 1e-10)),
-            tol_newton=_finite("solver.tol_newton", solver.get("tol_newton", 1e-9)),
-            max_iter=_typed("solver.max_iter", solver.get("max_iter", 12), int),
-            l=doc.get("l"),
-            out_dir=_typed("output.directory", output.get("directory", "out"), str),
+            alpha=_finite("alpha", doc.get("alpha", default.alpha)),
+            rhs=doc.get("rhs", default.rhs),
+            m=_typed("grid.m", grid.get("m", default.m), int),
+            tol_lin=_finite("solver.tol_lin", solver.get("tol_lin", default.tol_lin)),
+            tol_newton=_finite("solver.tol_newton", solver.get("tol_newton", default.tol_newton)),
+            max_iter=_typed("solver.max_iter", solver.get("max_iter", default.max_iter), int),
+            l=doc.get("l", default.l),
+            out_dir=_typed("output.directory", output.get("directory", default.out_dir), str),
         )
         cfg.validate()
         return cfg

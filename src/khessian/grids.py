@@ -196,8 +196,8 @@ def _centred(f: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
                  for part in (slice(None, -2), slice(1, -1), slice(2, None)))
 
 
-def interior_differences(values: np.ndarray, h: float, rows: slice, second: bool = True
-                         ) -> tuple[np.ndarray | None, np.ndarray]:
+def interior_differences(values: np.ndarray, h: float, rows: slice
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """The second differences, component-major (c,) + slab in
     ``np.triu_indices(n)`` order, and the gradient, slab + (n,), of the
     grid values ``values`` at the interior points of the interior ``rows``
@@ -209,7 +209,6 @@ def interior_differences(values: np.ndarray, h: float, rows: slice, second: bool
     (f[2:] - f[:-2]) / (2. * h), a mixed one the same formula along b
     applied to the first difference along a (interior along a, whole
     along b), and a pure one ``_second_difference``'s centred stencil.
-    ``second`` False leaves out the second differences (None).
     """
     n = values.ndim
     block = values[rows.start:rows.stop + 2]
@@ -227,8 +226,6 @@ def interior_differences(values: np.ndarray, h: float, rows: slice, second: bool
     for a, d in enumerate(firsts):
         grad[..., a] = d[(slice(None),) + tuple(slice(None) if i == a else inner
                                                  for i in range(1, n))]
-    if not second:
-        return None, grad
     out = np.empty((n * (n + 1) // 2,) + shape)
     for c, (a, b) in enumerate(upper_pairs(n)):
         d = out[c]

@@ -33,9 +33,10 @@ decision of the loop reads one.
 
 Each iterate is evaluated once: the step assembles the linearization from
 the ``Residual`` that ``eval_G`` returns alone, which keeps the stencil's
-entries of the Newton tensor and the reduced dominance margins, and the
-assembly turns the entries into its fields, forming (y, u, p) again one
-slab at a time from the iterate and its gradient.  The returned
+entries of the Newton tensor, f's zeroth- and first-order fields (when f
+has terms in u or p) and the reduced dominance margins, and the assembly
+turns them into its fields, with no difference, no recursion and no
+(y, u, p) of its own; it is never handed w or f.  The returned
 iterate's C^{2,alpha} surrogate forms its own second differences, one
 component at a time on the whole grid, after the last residual is freed.
 A converged loop certifies its last iterate itself: ``certify_convexity``
@@ -165,7 +166,7 @@ def _center_gradient(values: np.ndarray, h: float) -> np.ndarray:
     return np.stack(np.gradient(block, h), axis=-1)[(1,) * values.ndim]
 
 
-def _newton_step(g_grid: Residual, seed: SeedQuadratic, f, tol_lin: float,
+def _newton_step(g_grid: Residual, seed: SeedQuadratic, tol_lin: float,
                  record: IterationRecord) -> tuple[ScalarGrid | None, str | None]:
     """One linearized solve at the iterate of the residual ``g_grid``.
 
@@ -180,17 +181,18 @@ def _newton_step(g_grid: Residual, seed: SeedQuadratic, f, tol_lin: float,
     refuses every nonpositive margin too.  It reads the residual's margins
     (``pde.Margins``) before anything is assembled: the reason names the
     first least gap in C order, its margin, its grid point (indices on the
-    full grid) and its row.  The assembly takes the residual's stencil
-    entries over as its fields, which are freed when the solve returns,
-    and the residual's grid values are let go (None) once the system holds
-    -G as its right-hand side, before the solve.
+    full grid) and its row.  The step reads the residual alone: the
+    assembly takes its stencil entries and f's fields over as its own
+    fields, which are freed when the solve returns, and the residual's
+    grid values are let go (None) once the system holds -G as its
+    right-hand side, before the solve.
     """
     margins = g_grid.margins
     if margins.below:
         return None, (f"dominance margin dropped {margins.gap:.3e} below half the seed "
                       f"row: margin {margins.margin:.3e} at grid point {margins.point}, "
                       f"row {margins.row}")
-    system = assemble_linearized(g_grid, seed, f)
+    system = assemble_linearized(g_grid, seed)
     g_grid.values = None  # -G is the system's right-hand side now
     try:
         rho, record.lin_residual, record.lin_steps, record.contraction = solve_dirichlet_info(
@@ -232,7 +234,7 @@ def _iteration_zero(seed: SeedQuadratic, f, m: int, tol_newton: float, tol_lin: 
     record = IterationRecord(iteration=0, g_inf=sup_norm(g.values), w_c2alpha=0.0)
     if _stop_reason(record, seed, m, tol_newton) is not None:
         return record, None, None
-    rho, reason = _newton_step(g, seed, f, tol_lin, record)
+    rho, reason = _newton_step(g, seed, tol_lin, record)
     del g  # the residual goes before the surrogate's buffers come
     if rho is not None:
         record.rho_c2alpha = c2alpha_surrogate(rho, seed.alpha)
@@ -384,7 +386,7 @@ def newton_loop(seed: SeedQuadratic, f, m: int, tol_newton: float = 1e-9,
             status, reason = STATUS_MAX_ITER, "max_iter"
         else:
             if it > 0:
-                rho, reason = _newton_step(g_grid, seed, f, tol_lin, record)
+                rho, reason = _newton_step(g_grid, seed, tol_lin, record)
             if reason is None:
                 w = ScalarGrid(w.n, w.m, w.values + rho.values)
                 # the correction, and the residual, which holds the last

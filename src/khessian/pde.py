@@ -37,20 +37,21 @@ each side (``grids.interior_differences``), forms r = diag(tau) + eps' D^2 w
 (``total_hessian``, r's one construction) and recurses it once: S_k for G,
 and T_{k-1}, of which it keeps only the n(n+1)/2 entries of coeff = T^T
 that the stencil reads and the dominance margins, reduced to what the
-Newton step reads (``Margins``).  It forms (y, u, p), evaluates f and
-folds the box's running maxima per slab too, so neither w's differences,
-r, its transposed copy, the tensor, the points' coordinates nor (y, u, p)
-ever cover the whole interior.  ``eval_G`` returns G as a ``Residual``
-with the margins, which the Newton step reads, and the entries and a
-reference to w, all ``assemble_linearized`` reads; the assembly forms w's
-gradient and (y, u, p) again, one slab at a time, for f's derivatives,
-and turns the entries into its fields in place, with no other difference
-and no recursion.  At w = 0 every difference is +0.0, so r = diag(tau)
-at every point, and one matrix is recursed and its entries broadcast over
-the interior; the assembly keeps the fields made from them as that one
-point's constants and leaves out the mixed offsets, whose fields are 0.0
-there.  Scalar +0.0 stands in for w and Dw in u and p, the floats zero
-arrays would give, without forming them.
+Newton step reads (``Margins``).  It forms (y, u, p), evaluates f, and f_u
+and f_p when f has a term in u or in p, and folds the box's running maxima
+per slab too, so neither w's differences, r, its transposed copy, the
+tensor, the points' coordinates nor (y, u, p) ever cover the whole
+interior.  ``eval_G`` returns G as a ``Residual`` with the margins, which
+the Newton step reads, and the entries and f's derivative fields, scaled
+as the stencil takes them, all ``assemble_linearized`` reads: the assembly
+is never handed w or f, and turns the entries and fields into its own in
+place, with no difference, no recursion and no (y, u, p).  At w = 0 every
+difference is +0.0, so r = diag(tau) at every point, and one matrix is
+recursed and its entries broadcast over the interior; the assembly keeps
+the fields made from them as that one point's constants and leaves out
+the mixed offsets, whose fields are 0.0 there.  Scalar +0.0 stands in for
+w and Dw in u and p, the floats zero arrays would give, without forming
+them.
 """
 
 from __future__ import annotations
@@ -191,28 +192,6 @@ def _physical_args(seed: SeedQuadratic, x: np.ndarray, values: np.ndarray,
     return y, u, p
 
 
-def _slab_arguments(seed: SeedQuadratic, m: int, values: np.ndarray | None,
-                    width: int, second: bool):
-    """(rows, at, D^2 w, y, u, p) per interior slab (``interior_slabs`` of
-    an array of ``width`` doubles per point): its rows of the interior, its
-    index into the grid, w's second differences there when ``second``
-    (else None) and (y, u, p), from w's grid ``values``, which the slab and
-    one halo row on each side give (``interior_differences``).  ``values``
-    None stands for w = 0, which is not differenced: its scalar +0.0 for w
-    and Dw gives the floats of zero arrays without forming them.  Each
-    slab's arrays are new; its coordinates (``slab_coords``) are one
-    buffer, freed with the generator."""
-    n = seed.n
-    parts = interior_slabs(n, m, width)
-    for (rows, at), x in zip(parts, slab_coords(n, m, [at for _, at in parts])):
-        if values is None:
-            d2, w_at = None, (0.0, 0.0)
-        else:
-            d2, grad = interior_differences(values, 2.0 / (m - 1), rows, second)
-            w_at = (values[at], grad)
-        yield (rows, at, d2) + _physical_args(seed, x, *w_at)
-
-
 def _box_extremes(u: np.ndarray, p: np.ndarray, prior=(-np.inf, -np.inf)) -> tuple:
     """(max |u|, max |p|^2) over the points of (u, p) and ``prior``, the pair
     for the points before them: folded slab by slab, it gives the floats of
@@ -288,51 +267,58 @@ def _fold_margins(t: np.ndarray, half_row: np.ndarray, rows: slice,
 @dataclass
 class Residual(ScalarGrid):
     """G(w) on the grid (``values``, zero on the boundary) and what the
-    Newton step at w reads of w's evaluation: ``iterate``, w's values
-    (the caller's array, no copy) or None for w = 0; ``entries``, the
-    entries of coeff = T_{k-1}(r(w))^T (the transposed dS_k/dr) that the
-    stencil reads, coeff[a, a] and coeff[a, b] for a < b, component-major
-    with shape (c,) + interior in ``np.triu_indices(n)`` order, both for
-    the assembly; and ``margins``, coeff's dominance margins reduced
-    (``Margins``), which the step tests before it assembles.  Neither
-    w's differences nor the tensor are kept.  At w = 0 ``entries`` is a
-    read-only view of one point's broadcast over the interior.
-    ``assemble_linearized`` takes the entries over (and sets them to
-    None), and the Newton step lets ``values`` go (None) once the system
-    holds -G as its right-hand side."""
+    Newton step at w reads of w's evaluation: ``entries``, the entries of
+    coeff = T_{k-1}(r(w))^T (the transposed dS_k/dr) that the stencil
+    reads, coeff[a, a] and coeff[a, b] for a < b, component-major with
+    shape (c,) + interior in ``np.triu_indices(n)`` order; ``zeroth``,
+    -eps^4 f_u on the interior, or None when f has no term in u
+    (``f.reads_u``); ``first``, -eps^2 f_p / (2h) on the interior, shape
+    (n,) + interior, one field per axis, or None when f has no term in p
+    (``f.reads_p``); these three are all the assembly reads; and
+    ``margins``, coeff's dominance margins reduced (``Margins``), which the
+    step tests before it assembles.  Neither w nor its differences nor
+    the tensor are kept.  At w = 0 ``entries`` is a read-only view of one
+    point's broadcast over the interior.  ``assemble_linearized`` takes
+    ``entries``, ``zeroth`` and ``first`` over (and sets them to None), and
+    the Newton step lets ``values`` go (None) once the system holds -G as
+    its right-hand side."""
 
-    iterate: np.ndarray | None
     entries: np.ndarray | None
     margins: Margins
+    zeroth: np.ndarray | None
+    first: np.ndarray | None
 
 
 def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
     """Rescaled residual operator on interior points (boundary entries zero).
 
     Everything runs on the interior, one slab along the first axis at a
-    time.  Per slab, w is differenced from the slab and one halo row on
-    each side (``interior_differences``, the floats of whole-grid
-    differences), and one Newton-tensor recursion of r gives both S_k(r),
-    for G, and T_{k-1}(r), of which the result keeps the entries the
-    stencil reads (``_stencil_entries``) and the reduced dominance margins
-    (``_fold_margins``); (y, u, p) are formed from that slab's coordinates
-    (``_slab_arguments``), f is evaluated there (``f.value(y, u, p, at)``,
-    ``at`` the slab's index into the grid) and |u| and |p|^2 are folded
-    into running maxima (``_box_extremes``).  Each fills its part of a
-    preallocated interior array, so neither w's differences, r, its copies,
-    the tensor nor (y, u, p) ever cover the whole interior.  After the last
-    slab the box is checked on the whole interior's extremes
-    (``_check_box``).  Each point's arithmetic is that of a whole-interior
-    pass.  At w = 0, r = diag(tau) at every point: one matrix is recursed,
-    S_k broadcasts as its scalar and its entries as a read-only view, its
-    margins are the first point's, and scalar +0.0 stands in for w and Dw
-    in (y, u, p): the floats of zero arrays, no product of zeros formed.
+    time (``interior_slabs``).  Per slab, w is differenced from the slab
+    and one halo row on each side (``interior_differences``, the floats of
+    whole-grid differences), and one Newton-tensor recursion of r gives
+    both S_k(r), for G, and T_{k-1}(r), of which the result keeps the
+    entries the stencil reads (``_stencil_entries``) and the reduced
+    dominance margins (``_fold_margins``); (y, u, p) are formed from that
+    slab's coordinates (``slab_coords``), f is evaluated there
+    (``f.value(y, u, p, at)``, ``at`` the slab's index into the grid),
+    and so are -eps^4 f_u when f has a term in u and -eps^2 f_p / (2h)
+    when it has one in p, the step's zeroth- and first-order fields; |u|
+    and |p|^2 are folded into running maxima (``_box_extremes``).  Each
+    fills its part of a preallocated interior array, so neither w's
+    differences, r, its copies, the tensor nor (y, u, p) ever cover the
+    whole interior.  After the last slab the box is checked on the whole
+    interior's extremes (``_check_box``).  Each point's arithmetic is that
+    of a whole-interior pass.  At w = 0, r = diag(tau) at every point: one
+    matrix is recursed, S_k broadcasts as its scalar and its entries as a
+    read-only view, its margins are the first point's, and scalar +0.0
+    stands in for w and Dw in (y, u, p): the floats of zero arrays, no
+    product of zeros formed.
     """
     n, m, shape = seed.n, w.m, w.values.shape
-    inner = (m - 2,) * n
+    h, inner = w.h, (m - 2,) * n
     half_row = 0.5 * sigma_km1_row(seed.tau, seed.k)
-    iterate = w.values if w.values.any() else None
-    if iterate is None:
+    zero = not w.values.any()
+    if zero:
         sums, tensor = minor_sums(total_hessian(None, seed), seed.k)
         sk, one = sums[-1], np.empty((n * (n + 1) // 2,) + (1,) * n)
         _stencil_entries(tensor, one)
@@ -341,90 +327,92 @@ def eval_G(w: ScalarGrid, seed: SeedQuadratic, f) -> Residual:
     else:
         sk, entries, margins = np.empty(inner), np.empty((n * (n + 1) // 2,) + inner), None
     fval, extremes = np.empty(inner), (-np.inf, -np.inf)
-    for rows, at, second, y, u, p in _slab_arguments(seed, m, iterate,
-                                                     n if iterate is None else n * n, True):
-        if iterate is not None:
+    zeroth = np.empty(inner) if f.reads_u else None
+    first = np.empty((n,) + inner) if f.reads_p else None
+    parts = interior_slabs(n, m, n if zero else n * n)
+    for (rows, at), x in zip(parts, slab_coords(n, m, [at for _, at in parts])):
+        if not zero:
+            second, grad = interior_differences(w.values, h, rows)
             sums, tensor = minor_sums(total_hessian(second, seed), seed.k)
             sk[rows] = sums[-1]
             _stencil_entries(tensor, entries[:, rows])
             margins = _fold_margins(tensor, half_row, rows, margins)
+            del second, sums, tensor
+        y, u, p = _physical_args(seed, x, *((0.0, 0.0) if zero else (w.values[at], grad)))
         fval[rows] = f.value(y, u, p, at)
+        if zeroth is not None:
+            zeroth[rows] = -seed.eps**4 * f.du(y, u, p)
+        if first is not None:
+            first[:, rows] = np.moveaxis(-seed.eps**2 * f.dp(y, u, p), -1, 0) / (2.0 * h)
         extremes = _box_extremes(u, p, extremes)
-    del y, u, p  # the last slab's, freed before G is formed
+    del x, y, u, p  # the last slab's, freed before G is formed
     _check_box(f, extremes)
     g = np.zeros(shape)
     np.divide(np.subtract(sk, fval, out=fval), seed.eps_prime, out=g[(slice(1, -1),) * n])
-    return Residual(w.n, w.m, g, iterate, entries, margins)
+    return Residual(w.n, w.m, g, entries, margins, zeroth, first)
 
 
-def assemble_linearized(g: Residual, seed: SeedQuadratic, f) -> LinearSystem:
+def assemble_linearized(g: Residual, seed: SeedQuadratic) -> LinearSystem:
     """Linearization at w with right-hand side -G(w), read from the residual
-    ``g = eval_G(w, seed, f)`` alone.
+    ``g = eval_G(w, seed, f)`` alone: no difference, no recursion, no
+    (y, u, p) and no call to f.
 
     The unknowns are the interior points in lexicographic order.  The
     operator applies its stencil as the sum, over offsets, of the offset's
     coefficient field times the zero-padded input shifted by the offset, so
     neighbours on the Dirichlet boundary drop out.  It holds each distinct
-    field once: the centre's; per axis a, the -e_a field and, when f has a
-    term in p (``f.reads_p``), the +e_a field, which is otherwise the -e_a
-    field itself (``f.dp`` is then not evaluated); and one field per mixed
-    pair, which its four offsets share.  With f_p zero the two axis fields
-    differ at most in the sign of a zero, and the operator's sum starts at
-    +0.0, so it is never -0.0 and adding a zero of either sign changes
-    none of its bits.
-
-    The fields come from the residual's stencil entries, with no
-    difference beyond w's gradient and no recursion: per slab, w's gradient
-    and (y, u, p) are formed (``_slab_arguments``) for f_u and f_p, and the
-    centre and axis fields are filled.  The assembly takes the entries over
-    and turns them into fields in place, each diagonal entry into the field
-    of its -e_a offset and each mixed one into its four offsets' field, so
-    entries and fields never both cover the interior.
+    field once: the centre's, the trace of the diagonal entries, summed
+    from the left, times -2/h^2, plus ``g.zeroth`` when f has a term in u;
+    per axis a, the -e_a field and, when f has a term in p, the +e_a
+    field, the diagonal entry over h^2 less and plus ``g.first[a]``;
+    without one the +e_a field is the -e_a field itself; and one field per
+    mixed pair, which its four offsets share.  A derivative of f that has
+    no term is zero, so a field that leaves it out differs at most in the
+    sign of a zero, and the operator's sum starts at +0.0, so it is never
+    -0.0 and adding a zero of either sign changes none of its bits.  The
+    assembly takes the entries and f's fields over and turns them into
+    its fields in place: each diagonal entry into its -e_a field, each
+    ``g.first[a]`` into its +e_a field, ``g.zeroth`` into the centre's and
+    each mixed entry into its four offsets' field.
 
     At w = 0 the entries are one point's, broadcast over the interior
-    (``eval_G``), and the fields made from them stay one point's constants:
-    the axis fields, unless f has a term in p, and the mixed fields, which
-    are exactly 0.0 there, so their offsets are left out of the operator:
-    their products with a finite input are zeros, which change no bit of
-    the sum.
+    (``eval_G``), and the fields made from them alone stay one point's
+    constants: the centre's, unless f has a term in u, the axis fields,
+    unless f has a term in p, and the mixed fields, which are exactly 0.0
+    there, so their offsets are left out of the operator: their products
+    with a finite input are zeros, which change no bit of the sum.
 
     The dominance margins stay on ``g``, where ``eval_G`` measured them:
     whether they certify uniform ellipticity is ``iterate._newton_step``'s
     decision, made before it assembles.
     """
     n, m, h = g.n, g.m, g.h
-    entries, g.entries = g.entries, None
+    entries, zeroth, first = g.entries, g.zeroth, g.first
+    g.entries = g.zeroth = g.first = None
     zero = not entries.flags.writeable  # w = 0: one point's entries, broadcast
     if zero:
         entries = entries[(slice(None),) + (slice(0, 1),) * n].copy()
     pairs = upper_pairs(n)
     diag = [entries[pairs.index((a, a))] for a in range(n)]
-    inner = (m - 2,) * n
-    centre = np.empty(inner)
-    plus = [np.empty(inner) for _ in range(n)] if f.reads_p else diag
-    minus = [np.empty(inner) for _ in range(n)] if zero and f.reads_p else diag
-
-    # a slab holds y, u, p and f_p: 3n + 1 doubles per point
-    for rows, _, _, y, u, p in _slab_arguments(seed, m, g.iterate, 3 * n + 1, False):
-        at = slice(None) if zero else rows  # at w = 0, the one point
-        if not zero or rows.start == 0:
-            # the trace summed from the left, as np.sum over the diagonal does
-            trace = diag[0][at].copy()
-            for a in range(1, n):
-                trace += diag[a][at]
-            lead = -2.0 / h**2 * trace
-            for a in range(n):
-                second = diag[a][at]
-                second /= h**2
-        centre[rows] = lead + -seed.eps**4 * f.du(y, u, p)
-        if f.reads_p:
-            a_first = -seed.eps**2 * f.dp(y, u, p)
-            for a in range(n):
-                first = a_first[..., a] / (2.0 * h)
-                np.add(diag[a][at], first, out=plus[a][rows])
-                np.subtract(diag[a][at], first, out=minus[a][rows])
-            del a_first
-    del y, u, p  # the last slab's
+    # the trace summed from the left, as np.sum over the diagonal does
+    centre = diag[0].copy()
+    for a in range(1, n):
+        centre += diag[a]
+    centre *= -2.0 / h**2
+    if zeroth is not None:
+        centre = np.add(centre, zeroth, out=zeroth)
+    plus = minus = diag
+    for a in range(n):
+        diag[a] /= h**2
+    if first is not None:
+        plus, minus = first, [] if zero else diag
+        for a in range(n):
+            lower = diag[a] - first[a]
+            np.add(diag[a], first[a], out=first[a])
+            if zero:
+                minus.append(lower)
+            else:  # into the entry's own field, which nothing else reads
+                diag[a][...] = lower
 
     # (offset, field, ufunc): the product of the field and the input shifted
     # by the offset is added, or, for the anti-diagonal mixed offsets,

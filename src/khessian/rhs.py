@@ -66,6 +66,11 @@ class RhsSpec:
         return cls(n=n, terms=terms)
 
     @property
+    def reads_u(self) -> bool:
+        """Whether a term has a power of u; without one, f_u is zero."""
+        return any(t.u_pow for t in self.terms)
+
+    @property
     def reads_p(self) -> bool:
         """Whether a term has a power of p; without one, f_p is zero."""
         return any(any(t.p_pow) for t in self.terms)
@@ -126,22 +131,17 @@ class TabulatedRhs:
     table holds f at every grid point of the grid it was built for.  It
     ignores the (y, u, p) arguments and returns the table read at ``at``,
     the points' index into the grid: the slab ``eval_G`` evaluates f on,
-    or by default every interior point.  Its derivatives are zeros shaped
-    like u and p, and it has no term in p (``reads_p``).  It declares no
-    box, so ``eval_G`` makes no box check for it.
+    or by default every interior point.  It has no term in u or p
+    (``reads_u``, ``reads_p``), so its derivatives in them are never
+    evaluated.  It declares no box, so ``eval_G`` makes no box check for
+    it.
     """
 
     values: np.ndarray
-    reads_p = False  # a function of position alone
+    reads_u = reads_p = False  # a function of position alone
 
     def value(self, y, u, p, at=None) -> np.ndarray:
         return self.values[(slice(1, -1),) * self.values.ndim if at is None else at]
-
-    def du(self, y, u, p) -> np.ndarray:
-        return np.zeros(np.shape(u))
-
-    def dp(self, y, u, p) -> np.ndarray:
-        return np.zeros(np.shape(p))
 
     def value_at_origin(self) -> float:
         center = tuple(s // 2 for s in self.values.shape)

@@ -60,11 +60,11 @@ def test_every_counter_reads_a_real_result(layer_table, tmp_path):
     loop = newton_loop(seed, f, 9)
     w, report = loop
     g = eval_G(w, seed, f)
-    system = assemble_linearized(g, seed, f)
+    system = assemble_linearized(g, seed)
     path, axes = str(tmp_path / "w.csv"), [axis_coords(9)] * 3
     calls = {
         "iterate.newton_loop": (loop, (seed, f, 9), {}),
-        "pde.assemble_linearized": (system, (g, seed, f), {}),
+        "pde.assemble_linearized": (system, (g, seed), {}),
         "pde.solve_dirichlet_info": (solve_dirichlet_info(system), (system,), {}),
         "grids.write_grid_csv": (write_grid_csv(path, w.values, axes),
                                  (path, w.values, axes), {}),

@@ -1,12 +1,21 @@
+import contextlib
+import copy
+import dataclasses
+import io
 import json
+import math
+import os
 import pathlib
 import platform
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from khessian import verify
 from khessian.cli import build_parser, main
@@ -173,6 +182,14 @@ class TestConfig:
     def test_named_rhs_unknown(self):
         with pytest.raises(DomainError):
             named_rhs("no-such-rhs", 3)
+
+    def test_missing_keys_take_the_dataclass_defaults(self):
+        # each default has one home, the dataclass: a document of n and k
+        # alone gives ProblemConfig(n, k) field for field, types included
+        got, expect = ProblemConfig.from_dict({"n": 3, "k": 2}), ProblemConfig(n=3, k=2)
+        for field in dataclasses.fields(ProblemConfig):
+            a, b = getattr(got, field.name), getattr(expect, field.name)
+            assert (type(a), a) == (type(b), b), field.name
 
     def test_preset_files_match_builtins(self):
         # presets/*.json mirror PRESETS: the same names and equal documents
@@ -524,6 +541,75 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg_path)]) == 0
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["status"] == "Converged"
+
+
+# The mutation probe's bases: each preset at m = 9 and an inline f with
+# terms in u and p, whose terms are mutated too
+_PROBE_BASES = [dict(copy.deepcopy(doc), grid={"m": 9}) for doc in PRESETS.values()] + [
+    dict(copy.deepcopy(PRESETS["fzero-linear"]), grid={"m": 9},
+         rhs={"terms": [{"coeff": 3.0}, {"coeff": 1.0, "u": 1, "p": [1, 0, 0]}]})]
+_EXTREMES = [0, -1, 2**63, 10**400, -0.0, 5e-324, 1e-308, 1e308, -1e308,
+             math.nan, math.inf, -math.inf]
+_TYPE_SWAPS = [None, True, "text", [], {}]
+
+
+def _key_paths(doc, prefix=()):
+    """The path of every value below doc: dict keys and list indices."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A base config with one key deleted, one value's type swapped (an
+    int to its float, a float to its int, anything to null, a bool, a
+    string, a list or an object) or one value set to an extreme or
+    non-finite number.  Deleting grid or grid.m would give the default
+    m = 17, outside the probe's m <= 9, so those two are not deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(_PROBE_BASES)))
+    path = draw(st.sampled_from(list(_key_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value, kind = parent[path[-1]], draw(st.sampled_from(["delete", "type", "extreme"]))
+    if kind == "delete" and path not in (("grid",), ("grid", "m")):
+        del parent[path[-1]]
+    elif kind == "type":
+        swaps = list(_TYPE_SWAPS)
+        if isinstance(value, int) and not isinstance(value, bool):
+            swaps.append(float(value))
+        if isinstance(value, float) and math.isfinite(value):
+            swaps.append(int(value))
+        parent[path[-1]] = draw(st.sampled_from(swaps))
+    else:
+        parent[path[-1]] = draw(st.sampled_from(_EXTREMES))
+    return doc
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(doc=_mutated_configs())
+def test_mutated_configs_end_in_a_documented_exit(doc):
+    # every mutation of a config exits 0, 2, 3 or 4 with no traceback; a
+    # run that exits 0 leaves a Converged report, and any other exit leaves
+    # no w.csv or u.csv in its fresh output directory
+    with tempfile.TemporaryDirectory() as root:
+        path, out = os.path.join(root, "config.json"), os.path.join(root, "out")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["solve", "--config", path, "--output", out])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            with open(os.path.join(out, "report.json")) as fh:
+                assert json.load(fh)["status"] == "Converged"
+        else:
+            for name in ("w.csv", "u.csv"):
+                assert not os.path.exists(os.path.join(out, name)), name
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,7 +23,7 @@ from khessian.iterate import (
     residual_floor,
     tune_epsilon,
 )
-from khessian.pde import _slab_arguments, assemble_linearized, eval_G, sk_of_matrix
+from khessian.pde import assemble_linearized, eval_G, sk_of_matrix
 from khessian.presets import PRESETS
 from khessian.rhs import RhsSpec, RhsTerm, manufactured_field, tabulated_rhs_from_hessian
 from khessian.seeds import (
@@ -316,9 +316,9 @@ class TestNewtonLoop:
     @staticmethod
     def _count_differences(monkeypatch, log):
         """Record each slab differencing of w as (caller module, interior
-        rows, second differences formed): ``pde``'s for an evaluation or an
-        assembly, ``iterate``'s for a certificate.  A whole-grid
-        ``second_differences`` is recorded as ("grids", None, True)."""
+        rows): ``pde``'s for an evaluation, ``iterate``'s for a
+        certificate.  A whole-grid ``second_differences`` is recorded as
+        ("grids", None)."""
         import khessian.grids as grids
         import khessian.iterate as iterate
         import khessian.pde as pde
@@ -326,13 +326,13 @@ class TestNewtonLoop:
         slab, whole = grids.interior_differences, grids.second_differences
 
         def counted(module):
-            def differences(values, h, rows, second=True):
-                log.append((module.__name__.rpartition(".")[2], rows.stop - rows.start, second))
-                return slab(values, h, rows, second)
+            def differences(values, h, rows):
+                log.append((module.__name__.rpartition(".")[2], rows.stop - rows.start))
+                return slab(values, h, rows)
             return differences
 
         def counted_whole(grid):
-            log.append(("grids", None, True))
+            log.append(("grids", None))
             return whole(grid)
 
         for module in (pde, iterate):
@@ -342,14 +342,15 @@ class TestNewtonLoop:
     def test_each_iterate_evaluated_once(self, monkeypatch):
         # each evaluated iterate is differenced and each of its interior
         # points recursed once, one slab at a time, and w = 0 is never
-        # differenced and recurses one matrix; the assembly neither
-        # differences beyond the gradient nor recurses
+        # differenced and recurses one matrix; the assembly differences
+        # nothing and recurses nothing
         import khessian.iterate as iterate
         import khessian.pde as pde
 
         eval_G, minor_sums = pde.eval_G, pde.minor_sums
         assemble = pde.assemble_linearized
-        evaluated, recursions, differenced, stage = [], [], [], [None]
+        evaluated, recursions, assembled, stage = [], [], [], [None]
+        log = []
 
         def counted_eval_G(w, *args):
             evaluated.append(w)
@@ -360,18 +361,20 @@ class TestNewtonLoop:
                 stage[0] = None
 
         def counted_assemble(*args):
+            # (slabs differenced, recursions) while the assembly runs
+            before = len(log), len(recursions)
             stage[0] = "assembly"
             try:
                 return assemble(*args)
             finally:
                 stage[0] = None
+                assembled.append((len(log) - before[0], len(recursions) - before[1]))
 
         def counted_minor_sums(r, k):
             # (stage, evaluation, matrices recursed)
             recursions.append((stage[0], len(evaluated) - 1, math.prod(r.shape[:-2])))
             return minor_sums(r, k)
 
-        log = []
         self._count_differences(monkeypatch, log)
         monkeypatch.setattr(iterate, "eval_G", counted_eval_G)
         monkeypatch.setattr(iterate, "assemble_linearized", counted_assemble)
@@ -380,6 +383,7 @@ class TestNewtonLoop:
         seed, _, _ = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
         stage[0] = "loop"  # the differencing and recursions of the loop alone
         log.clear()
+        assembled.clear()
         w, report = newton_loop(seed, f, 9)
         assert report.converged and len(report.iterations) == 3
         assert len(evaluated) > 3
@@ -392,13 +396,13 @@ class TestNewtonLoop:
                 recursed[e] += matrices
         assert recursed == [7**3 if w.values.any() else 1 for w in evaluated]
         # in the loop: each nonzero iterate's 7 interior rows differenced
-        # once by its evaluation, the gradient alone by each assembly, and
-        # the converged w once more by its certificate
+        # once by its evaluation and the converged w once more by its
+        # certificate; each step's assembly differences nothing and
+        # recurses nothing
         steps = sum(r.lin_steps is not None for r in report.iterations)
-        rows = {key: sum(n for where, n, second in log if (where, second) == key)
-                for key in {(where, second) for where, _, second in log}}
-        assert rows == {("pde", True): 7 * (len(report.iterations) - 1),
-                        ("pde", False): 7 * (steps - 1), ("iterate", True): 7}
+        rows = {key: sum(n for where, n in log if where == key) for key, _ in log}
+        assert rows == {"pde": 7 * (len(report.iterations) - 1), "iterate": 7}
+        assert assembled == [(0, 0)] * steps
 
     def test_iteration_zero_runs_once(self, tmp_path, monkeypatch):
         # the loop starts from tuning's iteration 0, and the solution is
@@ -434,10 +438,9 @@ class TestNewtonLoop:
         # after tuning, each iterate past iteration 0 is differenced once by
         # its evaluation, and the converged one once by its certificate;
         # nothing is differenced on the whole grid
-        second = [(where, n) for where, n, formed in log if formed]
-        assert sum(n for where, n in second if where == "pde") == 7 * (len(report.iterations) - 1)
-        assert sum(n for where, n in second if where == "iterate") == 7
-        assert ("grids", None) not in second
+        assert sum(n for where, n in log if where == "pde") == 7 * (len(report.iterations) - 1)
+        assert sum(n for where, n in log if where == "iterate") == 7
+        assert ("grids", None) not in log
 
         monkeypatch.undo()
         seed = seed_for_zero(2, 3, 0.5).with_eps(report.seed["eps"])
@@ -778,6 +781,44 @@ class TestNonNegativeRhs:
         assert abs(cert["min_values"]["2"]) <= cert["tol"]
 
 
+class TestUPDependentRhs:
+    """Right-hand sides with terms in u and in Du, solved end to end: the
+    step's zeroth- and first-order fields enter every Newton step."""
+
+    # (n, k, terms, c = f(0, 0, 0)); the README's row for c states the
+    # certificate: c = 0 is (k-1)-convex, not (k+1)-convex, and c > 0 with
+    # l = 1 is k-convex, not (k+1)-convex
+    CASES = {
+        "y1 + y2 + u": (3, 2, [{"coeff": 1.0, "y": [1, 0, 0]}, {"coeff": 1.0, "y": [0, 1, 0]},
+                               {"coeff": 1.0, "u": 1}], 0.0),
+        "3 + u p1": (3, 2, [{"coeff": 3.0}, {"coeff": 1.0, "u": 1, "p": [1, 0, 0]}], 3.0),
+        "y1 + 0.2 u p2": (4, 3, [{"coeff": 1.0, "y": [1, 0, 0, 0]},
+                                 {"coeff": 0.2, "u": 1, "p": [0, 1, 0, 0]}], 0.0),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_solves_certify_and_repeat(self, tmp_path, name):
+        n, k, terms, c = self.CASES[name]
+        doc = copy.deepcopy(PRESETS["fzero-linear"])
+        doc.update(n=n, k=k, rhs={"terms": terms})
+        doc["grid"]["m"] = 9
+        config = ProblemConfig.from_dict(doc)
+        f = config.build_rhs()
+        assert f.reads_u and f.value_at_origin() == c
+        runs = [tmp_path / "first", tmp_path / "second"]
+        reports = [run_solve(config, out_dir=str(out)).report for out in runs]
+        assert all(report.converged for report in reports)
+        convex, not_convex = (k - 1, k + 1) if c == 0.0 else (k, k + 1)
+        flags = reports[0].convexity["flags"]
+        assert all(flags[str(j)] for j in range(1, convex + 1))
+        assert not flags[str(not_convex)]
+        names = sorted(path.name for path in runs[0].iterdir())
+        assert names == ["report.json", "u.csv", "u.json", "w.csv", "w.json"]
+        assert names == sorted(path.name for path in runs[1].iterdir())
+        for file in names:
+            assert (runs[0] / file).read_bytes() == (runs[1] / file).read_bytes(), file
+
+
 class TestMemory:
     """Traced peaks at n = 4, m = 17, k = 3: ``fzero-linear``'s f at
     eps = 1/16 and the manufactured iterate w of amplitude 1e-3, and a whole
@@ -809,16 +850,17 @@ class TestMemory:
 
     def test_newton_step_keeps_interior_data(self, monkeypatch):
         # the residual keeps the stencil's entries of the interior and the
-        # reduced margins, not the tensor; the assembly forms the gradient
-        # and (y, u, p) per slab and turns the entries into fields in place
-        # (7.3 MiB traced for the residual, 8.5 MiB at the assembly)
+        # reduced margins, not the tensor and not w; f has no term in u or
+        # p, so it keeps no derivative field; the assembly turns the
+        # entries into fields in place (6.8 MiB traced for the residual,
+        # 7.5 MiB at the assembly)
         import khessian.iterate as iterate
 
         seed, f, w = self._problem()
         assemble, seen = iterate.assemble_linearized, {}
 
-        def traced_assemble(g, seed, f):
-            sys = assemble(g, seed, f)
+        def traced_assemble(g, seed):
+            sys = assemble(g, seed)
             seen["peak"] = tracemalloc.get_traced_memory()[1]
             seen["entries"] = g.entries
             return sys
@@ -828,15 +870,10 @@ class TestMemory:
         try:
             g = eval_G(w, seed, f)
             assert g.entries.shape == (10,) + (15,) * 4
-            assert not any(hasattr(g, name) for name in ("tensor", "second", "grad", *"yup"))
-            assert g.iterate is w.values
-            slabs = [(rows, u.shape, p.shape) for rows, _, _, _, u, p in
-                     _slab_arguments(seed, g.m, g.iterate, 3 * 4 + 1, False)]
-            assert sum(rows.stop - rows.start for rows, _, _ in slabs) == 15
-            for rows, u_shape, p_shape in slabs:
-                assert u_shape == (rows.stop - rows.start,) + (15,) * 3
-                assert p_shape == u_shape + (4,)
-            rho, reason = _newton_step(g, seed, f, 1e-10, IterationRecord(0, 0.0, 0.0))
+            assert not any(hasattr(g, name) for name in
+                           ("tensor", "second", "grad", "iterate", *"yup"))
+            assert g.zeroth is None and g.first is None
+            rho, reason = _newton_step(g, seed, 1e-10, IterationRecord(0, 0.0, 0.0))
         finally:
             tracemalloc.stop()
         assert reason is None and rho is not None
@@ -847,7 +884,7 @@ class TestMemory:
     def test_eval_G_peak(self, zero, bound):
         # w, its differences and (y, u, p) live one slab at a time: at w = 0
         # the peak is G, f's interior values and a slab (3.4 MiB), at the
-        # manufactured w G, the entries and a slab's tensors (7.3 MiB); the
+        # manufactured w G, the entries and a slab's tensors (6.8 MiB); the
         # whole-grid stack and interior tensor took 17.8 MiB
         seed, f, w = self._problem()
         if zero:
@@ -876,10 +913,10 @@ class TestMemory:
         seed, _, w = self._problem()
         slab, hessian, log = grids.interior_differences, iterate.total_hessian, []
 
-        def counted(values, h, rows, second=True):
+        def counted(values, h, rows):
             assert values is w.values
             log.append(rows.stop - rows.start)
-            return slab(values, h, rows, second)
+            return slab(values, h, rows)
 
         def whole(grid):
             raise AssertionError("the grid was differenced whole")
@@ -900,31 +937,31 @@ class TestMemory:
         assert peak < 3
 
     def test_assembly_and_surrogate_peaks(self):
-        # beyond the residual, the assembly holds its fields and one slab
-        # (4.0 MiB), where the tensor, the fields and whole-interior
+        # beyond the residual, the assembly holds its fields and forms no
+        # slab (3.0 MiB), where the tensor, the fields and whole-interior
         # margins took 14.0 MiB; the surrogate holds w's first differences
         # and one component (4.0 MiB, 11.5 MiB with the whole stack)
         seed, f, w = self._problem()
         g = eval_G(w, seed, f)
-        sys, peak = self._peak(lambda: assemble_linearized(g, seed, f))
+        sys, peak = self._peak(lambda: assemble_linearized(g, seed))
         assert sys.size == 15**4 and peak < 6
         norm, peak = self._peak(lambda: c2alpha_surrogate(w, seed.alpha))
         assert norm == c2alpha_from_the_stack(w, seed.alpha)
         assert peak < 6
 
     def test_zero_assembly_holds_no_entry_field(self):
-        # at w = 0 with f free of p, every field made from the entries is
-        # one point's: the assembly holds the centre's field, the
-        # right-hand side, the operator's product and padded grid, and the
-        # preconditioner's eigenvalues and two buffers (2.96 MiB), where a
-        # copy of the entries and the +e_a fields took 7.8 MiB; one more
-        # interior field would add 0.39 MiB
+        # at w = 0 with f free of u and p, every field is one point's: the
+        # assembly holds the right-hand side, the operator's product and
+        # padded grid, and the preconditioner's eigenvalues and two buffers
+        # (2.58 MiB), where a copy of the entries and the +e_a fields took
+        # 7.8 MiB and an interior centre field 2.97 MiB; one more interior
+        # field would add 0.39 MiB
         seed, f, _ = self._problem()
-        assert not f.reads_p
+        assert not f.reads_u and not f.reads_p
         g = eval_G(ScalarGrid.zeros(4, 17), seed, f)
-        sys, peak = self._peak(lambda: assemble_linearized(g, seed, f))
+        sys, peak = self._peak(lambda: assemble_linearized(g, seed))
         assert sys.matrix.nnz == (1 + 2 * 4) * 15**4  # no mixed offsets
-        assert peak < 3.3
+        assert peak < 2.9
 
     def test_whole_solve_peak(self, tmp_path):
         config = _fzero_config(4, 17, 3)

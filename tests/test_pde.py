@@ -30,7 +30,6 @@ from khessian.pde import (
     _check_box,
     _fold_margins,
     _physical_args,
-    _slab_arguments,
     assemble_linearized,
     eval_G,
     minor_sums,
@@ -271,21 +270,6 @@ def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
-def slab_arguments_gathered(g, seed):
-    """(y, u, p) formed from the residual g one slab at a time, as the
-    assembly forms them, joined over the interior."""
-    parts = [(y, u, p) for _, _, _, y, u, p in
-             _slab_arguments(seed, g.m, g.iterate, 3 * g.n + 1, False)]
-    return tuple(np.concatenate(a) for a in zip(*parts))
-
-
-def slab_derivatives_gathered(g, seed, f):
-    """-eps^2 f_p and -eps^4 f_u at the (y, u, p) the assembly forms from
-    the residual g one slab at a time, joined over the interior."""
-    y, u, p = slab_arguments_gathered(g, seed)
-    return -seed.eps**2 * f.dp(y, u, p), -seed.eps**4 * f.du(y, u, p)
-
-
 def assert_residual_matches(g, expect):
     """G, the stencil entries and the reduced margins of the residual g
     carry the bits of the whole-interior reference ``expect``."""
@@ -303,11 +287,22 @@ def assert_margins_equal(got, expect):
         assert _bits(getattr(got, name)) == _bits(getattr(expect, name)), name
 
 
-def assert_arguments_match(g, w, seed):
-    """The slabs' (y, u, p) carry the bits of the whole-interior ones."""
-    got = slab_arguments_gathered(g, seed)
-    for name, a, b in zip("yup", got, arguments_at_every_point(w, seed)):
-        assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), name
+def assert_derivative_fields_match(g, w, seed, f):
+    """The residual g's zeroth- and first-order fields, which ``eval_G``
+    forms from (y, u, p) one slab at a time, carry the bits of -eps^4 f_u
+    and of -eps^2 f_p / (2h) per axis at the whole interior's (y, u, p);
+    a field is None exactly when f has no term in u, or in p, where the
+    whole-interior derivative is zero."""
+    a_first, a_zero = rhs_derivatives_at_every_point(w, seed, f)
+    expect = {"zeroth": a_zero,
+              "first": np.stack([a_first[..., a] / (2.0 * w.h) for a in range(w.n)])}
+    for name, reads in (("zeroth", f.reads_u), ("first", f.reads_p)):
+        got = getattr(g, name)
+        if not reads:
+            assert got is None and not np.any(expect[name]), name
+            continue
+        assert got.shape == expect[name].shape, name
+        assert np.array_equal(_bits(got), _bits(expect[name])), name
 
 
 class TestZeroIterate:
@@ -337,8 +332,8 @@ class TestZeroIterate:
             return
         g = eval_G(w, seed, f)
         assert_residual_matches(g, expect)
-        assert_arguments_match(g, w, seed)
-        assert g.iterate is None and not g.entries.flags.writeable
+        assert_derivative_fields_match(g, w, seed, f)
+        assert f.reads_u and f.reads_p and not g.entries.flags.writeable
 
     @pytest.mark.parametrize("m", [9, 17])
     @pytest.mark.parametrize("n, k, c, l", _ZERO_SEEDS)
@@ -363,7 +358,7 @@ class TestZeroIterate:
         seed, f, w = _noisy_problem(3)
         expect, g = eval_G_at_every_point(w, seed, f), eval_G(w, seed, f)
         assert_residual_matches(g, expect)
-        assert_arguments_match(g, w, seed)
+        assert_derivative_fields_match(g, w, seed, f)
 
     @pytest.mark.parametrize("n, k, c", [(3, 2, -1.0), (4, 3, -2.0)])
     def test_zero_terms_left_out_give_the_same_bits(self, n, k, c):
@@ -379,11 +374,14 @@ class TestZeroIterate:
         g = eval_G(w, seed, f)
         expect = eval_G_at_every_point(w, seed, f)
         assert np.array_equal(_bits(g.values), _bits(expect["values"]))
-        # (y, u, p) are formed per slab: at w = 0 they carry the bits of
-        # the whole-interior arguments, and p holds no -0.0
-        assert_arguments_match(g, w, seed)
-        p = slab_arguments_gathered(g, seed)[2]
-        assert not np.any(np.signbit(p) & (p == 0.0))
+        # (y, u, p) are formed per slab from scalar +0.0 for w and Dw: at
+        # w = 0 they carry the bits of the whole-interior arguments, p holds
+        # no -0.0, and so f's derivative fields carry the whole interior's
+        got = _physical_args(seed, x[(slice(1, -1),) * n], 0.0, 0.0)
+        for name, a, b in zip("yup", got, arguments_at_every_point(w, seed)):
+            assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), name
+        assert not np.any(np.signbit(got[2]) & (got[2] == 0.0))
+        assert_derivative_fields_match(g, w, seed, f)
 
     def test_zero_is_never_differenced_and_recursed_once(self, monkeypatch):
         import khessian.grids as grids
@@ -489,7 +487,7 @@ def _noisy_problem(n, m=9):
 
 def linearized_at(w, seed, f):
     """The linearization at w, assembled from its residual."""
-    return assemble_linearized(eval_G(w, seed, f), seed, f)
+    return assemble_linearized(eval_G(w, seed, f), seed)
 
 
 def _stencil_fields(sys) -> list[np.ndarray]:
@@ -509,7 +507,7 @@ class TestAssemble:
         row = sigma_km1_row(seed.tau, 2)
         # every point's margins are the row: the least gap is at the first point
         margins = g.margins
-        sys = assemble_linearized(g, seed, f)
+        sys = assemble_linearized(g, seed)
         assert margins.point == (1, 1, 1) and not margins.below
         assert np.isclose(margins.margin, row[margins.row])
         assert np.isclose(margins.gap, np.min(0.5 * row))
@@ -614,15 +612,22 @@ class TestAssemble:
         assert np.array_equal(dense_operator(sys.matrix, sys.size), expect)
         assert np.array_equal(sys.rhs, -eval_G(w, seed, f).values[~boundary_mask(n, m)])
 
-    @pytest.mark.parametrize("zero, p_free", [(True, True), (True, False), (False, True)])
-    def test_distinct_fields_match_stencil_oracle_exactly(self, zero, p_free):
+    @pytest.mark.parametrize("zero, rhs", [(True, "p-free"), (True, "noisy"),
+                                           (False, "p-free"), (False, "criterion-7")],
+                             ids=["True-True", "True-False", "False-True", "False-criterion-7"])
+    def test_distinct_fields_match_stencil_oracle_exactly(self, zero, rhs):
         # each distinct field held once, one point's at w = 0, where the
         # mixed offsets are left out: the operator of entry-by-entry
-        # placement, bit for bit
+        # placement, bit for bit, also at a noisy w with criterion 7's f,
+        # which has terms in u and p
         n = 3
         seed, f, w = _noisy_problem(n)
-        if p_free:
+        if rhs == "p-free":
             f = RhsSpec(n=n, terms=[t for t in f.terms if not any(t.p_pow)])
+        if rhs == "criterion-7":
+            f = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0)), RhsTerm(0.3, (0, 0, 0), 1),
+                                    RhsTerm(-0.2, (0, 0, 0), 0, (1, 0, 0))])
+            assert f.reads_u and f.reads_p
         if zero:
             w = ScalarGrid.zeros(n, w.m)
         sys = linearized_at(w, seed, f)
@@ -633,6 +638,45 @@ class TestAssemble:
         expect = stencil_matrix(sk_gradient(r, seed.k), -seed.eps**2 * f.dp(y, u, p),
                                 -seed.eps**4 * f.du(y, u, p), w.h)
         assert np.array_equal(dense_operator(sys.matrix, sys.size), expect)
+
+    def test_assembly_reads_neither_w_nor_f(self, monkeypatch):
+        # the linearization is built from the residual alone: its signature
+        # takes no w and no f, the residual keeps no reference to w, and
+        # no difference, recursion, slab coordinate, (y, u, p) or call to
+        # f runs inside the assembly, at w = 0 and at a noisy w, for an f
+        # with terms in u and p; the operator is still the placed stencil
+        import dataclasses
+        import inspect
+
+        import khessian.pde as pde
+
+        assert list(inspect.signature(assemble_linearized).parameters) == ["g", "seed"]
+        assert "iterate" not in {field.name for field in dataclasses.fields(pde.Residual)}
+        assert "second" not in inspect.signature(interior_differences).parameters
+        assert not hasattr(TabulatedRhs, "du") and not hasattr(TabulatedRhs, "dp")
+        def refuse(name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"the assembly called {name}")
+            return called
+
+        seed, f, noisy = _noisy_problem(3)
+        assert f.reads_u and f.reads_p
+        for w in (noisy, ScalarGrid.zeros(3, 9)):
+            g = eval_G(w, seed, f)
+            with monkeypatch.context() as patched:
+                for name in ("interior_differences", "interior_slabs", "slab_coords",
+                             "minor_sums", "total_hessian", "_physical_args",
+                             "_box_extremes", "_check_box"):
+                    patched.setattr(pde, name, refuse(name))
+                for name in ("value", "du", "dp"):
+                    patched.setattr(RhsSpec, name, refuse(f"f.{name}"))
+                sys = assemble_linearized(g, seed)
+            second, grad = second_differences(w)
+            r = symmetric_matrix(second, 3, seed.eps_prime, seed.tau)
+            y, u, p = _physical_args(seed, grid_coords(3, 9), w.values, grad)
+            expect = stencil_matrix(sk_gradient(r, seed.k), -seed.eps**2 * f.dp(y, u, p),
+                                    -seed.eps**4 * f.du(y, u, p), w.h)
+            assert np.array_equal(dense_operator(sys.matrix, sys.size), expect)
 
     def test_p_free_f_shares_the_axis_fields(self):
         # f_p is zero without a term in p: the +e_a field is the -e_a
@@ -655,6 +699,11 @@ class TestAssemble:
         fields = _stencil_fields(linearized_at(ScalarGrid.zeros(3, 9), seed, p_free))
         assert [field.shape for field in fields] == [(7,) * 3] + [(1,) * 3] * 6
         assert all(fields[1 + 2 * a] is fields[2 + 2 * a] for a in range(3))
+        # with f free of u as well, the centre's field is one point's too
+        free = RhsSpec(n=3, terms=[RhsTerm(1.0, (1, 0, 0))])
+        assert p_free.reads_u and not free.reads_u and not TabulatedRhs.reads_u
+        fields = _stencil_fields(linearized_at(ScalarGrid.zeros(3, 9), seed, free))
+        assert [field.shape for field in fields] == [(1,) * 3] * 7
 
     def test_jacobian_consistency_order(self):
         seed = seed_for_zero(2, 3, 0.5)
@@ -694,7 +743,7 @@ class TestAssemble:
         f = RhsSpec.constant(3, 0.0)
         f.box = None  # disable the argument guard to reach assembly
         record = IterationRecord(0, 0.0, 0.0)
-        rho, reason = _newton_step(eval_G(w, seed, f), seed, f, 1e-10, record)
+        rho, reason = _newton_step(eval_G(w, seed, f), seed, 1e-10, record)
         assert rho is None
         assert record.lin_steps is None and record.min_margin is None
         coeff = sk_gradient(symmetric_matrix(second_differences(w)[0], 3, seed.eps_prime,
@@ -740,11 +789,11 @@ class TestAssemble:
         f.box = None
         g = eval_G(w, seed, f)
         assert g.margins.below
-        rho, reason = _newton_step(g, seed, f, 1e-10, IterationRecord(1, 0.0, 0.0))
+        rho, reason = _newton_step(g, seed, 1e-10, IterationRecord(1, 0.0, 0.0))
         assert rho is None and reason.startswith("dominance margin dropped ")
         assert calls == [] and g.entries is not None
         seed, f, w = _noisy_problem(3)
-        rho, reason = _newton_step(eval_G(w, seed, f), seed, f, 1e-10,
+        rho, reason = _newton_step(eval_G(w, seed, f), seed, 1e-10,
                                    IterationRecord(1, 0.0, 0.0))
         assert rho is not None and reason is None and len(calls) == 1
 
@@ -759,10 +808,10 @@ def _box_message(f, u, p) -> str | None:
 
 
 class TestSlabbedArguments:
-    """(y, u, p) are formed one interior slab at a time, by ``eval_G`` and
-    again by the assembly, and never kept for the whole interior: the box
-    decision and its message, G, f's derivatives, the operator and the
-    margins are those of one whole-interior (y, u, p)."""
+    """(y, u, p) are formed one interior slab at a time, by ``eval_G``
+    alone, and never kept for the whole interior: the box decision and
+    its message, G, f's derivative fields, the operator and the margins
+    are those of one whole-interior (y, u, p)."""
 
     @staticmethod
     def _spiked(eps, row, amplitude, n=3, m=9):
@@ -833,21 +882,19 @@ class TestSlabbedArguments:
             g = eval_G(w, seed, f)
             expect = eval_G_at_every_point(w, seed, f)["values"]
             assert np.array_equal(_bits(g.values), _bits(expect))
-            a_first, a_zero = slab_derivatives_gathered(g, seed, f)
-            assert a_first.shape == (7,) * n + (n,) and a_zero.shape == (7,) * n
-            assert not np.any(a_first) and not np.any(a_zero)
+            # a function of position alone: no derivative field is formed
+            assert g.zeroth is None and g.first is None
 
     @pytest.mark.parametrize("rows_per_slab", [1, None])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_derivatives_match_whole_interior(self, monkeypatch, rows_per_slab, n):
         if rows_per_slab is not None:
             monkeypatch.setattr(grids, "_SLAB_BYTES", 1)
-        # the assembly's f_p and f_u, from the gradient it forms per slab
+        # the step's f_p and f_u fields, which eval_G forms from the
+        # gradient of each slab
         seed, f, noisy = _noisy_problem(n)
         for w in (noisy, ScalarGrid.zeros(n, 9)):
-            got = slab_derivatives_gathered(eval_G(w, seed, f), seed, f)
-            for name, a, b in zip(("f_p", "f_u"), got, rhs_derivatives_at_every_point(w, seed, f)):
-                assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), name
+            assert_derivative_fields_match(eval_G(w, seed, f), w, seed, f)
 
     @pytest.mark.parametrize("rows_per_slab", [1, None])
     @pytest.mark.parametrize("n", [2, 3])
@@ -862,8 +909,9 @@ class TestSlabbedArguments:
             reference = eval_G_at_every_point(w, seed, f)
             assert_residual_matches(g, reference)
             rhs = -g.values[~boundary_mask(n, 9)]
-            sys = assemble_linearized(g, seed, f)
-            assert g.entries is None  # taken over by the assembly
+            sys = assemble_linearized(g, seed)
+            # taken over by the assembly
+            assert g.entries is None and g.zeroth is None and g.first is None
             a_first, a_zero = np.zeros((9,) * n + (n,)), np.zeros((9,) * n)
             slab = (slice(1, -1),) * n
             a_first[slab], a_zero[slab] = rhs_derivatives_at_every_point(w, seed, f)
@@ -901,10 +949,6 @@ class TestSlabDifferences:
             assert np.array_equal(_bits(joined), _bits(second[(slice(None),) + inner]))
             joined = np.concatenate([g for _, g in got])
             assert np.array_equal(_bits(joined), _bits(grad[inner]))
-            for rows, _ in parts:
-                d2, g = interior_differences(w.values, w.h, rows, second=False)
-                assert d2 is None
-                assert np.array_equal(_bits(g), _bits(grad[inner][rows]))
 
     @staticmethod
     def _tensors(rng, shape, n):
@@ -971,7 +1015,7 @@ class TestSlabDifferences:
         expect = margins_at_every_point(np.swapaxes(t, -1, -2), seed)
         assert_margins_equal(g.margins, expect)
         record = IterationRecord(1, 0.0, 0.0)
-        rho, reason = _newton_step(g, seed, f, 1e-10, record)
+        rho, reason = _newton_step(g, seed, 1e-10, record)
         assert rho is None and record.lin_steps is None and record.min_margin is None
         assert reason == (f"dominance margin dropped {expect.gap:.3e} below half the seed "
                           f"row: margin {expect.margin:.3e} at grid point {expect.point}, "
@@ -1015,7 +1059,7 @@ class TestSolve:
         assert all(vars(sys)[name] is value for name, value in before.items())
         assert np.array_equal(sys.rhs, rhs)
         record = IterationRecord(1, 0.0, 0.0)
-        step, reason = _newton_step(eval_G(w, seed, f), seed, f, 1e-10, record)
+        step, reason = _newton_step(eval_G(w, seed, f), seed, 1e-10, record)
         assert reason is None and np.array_equal(step.values, rho.values)
         assert (record.lin_residual, record.lin_steps, record.contraction) == (
             res, steps, contraction)
@@ -1081,7 +1125,7 @@ class TestSolve:
         assert 0.0 < info.value.contraction < 0.2
         # the stalled solve's steps and contraction reach the refused step's record
         record = IterationRecord(1, 0.0, 0.0)
-        rho, reason = _newton_step(eval_G(w, seed, f), seed, f, 1e-10, record)
+        rho, reason = _newton_step(eval_G(w, seed, f), seed, 1e-10, record)
         assert rho is None and reason == f"linear solve failed: {info.value}"
         assert record.lin_steps == 1 and record.contraction == info.value.contraction
         assert record.min_margin is None and record.lin_residual is None
