@@ -3,16 +3,17 @@
 Machine-readable JSON goes to stdout; human summaries go to stderr, with
 the wall time of each solve phase and of each verify suite.  Exit codes:
 classify returns 0 for any cone/boundary verdict, 1 for Outside, 2 for
-argument errors; seed returns 2 for an out-of-range ``--l`` or an ``--l``
-with c <= 0 and 3 on construction failure; solve returns 0 only when the
-iteration converged (2 for config errors and for output files that cannot
-be written, which leave no file of the run, and a run that writes leaves
-no earlier run's output file beside its report; 4 when the loop stops
-unconverged or the solve raises one of the errors ``run_solve`` names,
-with a report that keeps the error's type, tuning's refused candidates and
-the loop's records); verify returns 1 when any property fails and 2 for
-``--samples`` above ``_SAMPLES_CAP``.  Every argument error exits 2 with
-the one stderr line ``prog: error: message``.
+argument errors (more than ``_N_CAP`` eigenvalues, or minor sums that
+overflow among them); seed returns 2 for ``--n`` above ``_N_CAP``, an
+out-of-range ``--l`` or an ``--l`` with c <= 0, and 3 on construction
+failure; solve returns 0 only when the iteration converged (2 for config
+errors and for output files that cannot be written, which leave no file of
+the run, and a run that writes leaves no earlier run's output file beside
+its report; 4 when the loop stops unconverged or the solve raises one of
+the errors ``run_solve`` names, with a report that keeps the error's type,
+tuning's refused candidates and the loop's records); verify returns 1 when
+any property fails and 2 for ``--samples`` above ``_SAMPLES_CAP``.  Every
+argument error exits 2 with the one stderr line ``prog: error: message``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ _OUTPUT_NAMES = ("w.csv", "w.json", "u.csv", "u.json", "report.json")
 # verify's largest --samples, a memory cap: garding-inequality holds its
 # samples x n eigenvalues whole and peaks at 77.6 MB at this count
 _SAMPLES_CAP = 1_000_000
+# seed's largest --n and cone classify's longest --lambda, a time cap: both
+# run O(n^2 k) Python-level recurrences (sigma_km1_row, one deleted
+# recurrence per entry).  On a shared 2-core machine the slowest n = 64
+# seed (--k 62 --c -1) takes 0.5-1.0 s, and seed --k 2 --c 0 takes 1.4 s at
+# n = 512 and 14 s at n = 1,600
+_N_CAP = 64
 
 
 def _reuse_freed_arrays() -> None:
@@ -90,26 +97,25 @@ def run_solve(config: ProblemConfig, out_dir: str) -> SolveArtifacts:
 
     The loop starts from tuning's iteration 0 at the accepted eps and, when
     it converges, certifies its solution itself; u is assembled from the
-    converged w alone.  Raises TuningError when no eps is
-    admissible, DomainError when the configuration is invalid or the loop's
-    (u, p) leave the right-hand side's box (then with the loop's records as
-    its ``iterations`` and tuning's refusals as its ``diagnostics``), and
+    converged w alone.  The configuration was checked when it was built,
+    and its right-hand side ``config.f`` with it.  Raises TuningError when
+    no eps is admissible, DomainError when the loop's (u, p) leave the
+    right-hand side's box (then with the loop's records as its
+    ``iterations`` and tuning's refusals as its ``diagnostics``), and
     ConstructionError when the seed cannot be built; a refused Newton step
     ends the loop instead of raising; an OSError from writing propagates,
     and then no file of this solve is left in ``out_dir``.
     """
-    config.validate()
     _reuse_freed_arrays()
-    f = config.build_rhs()
-    c = f.value_at_origin()
+    c = config.f.value_at_origin()
     seed = seed_for_constant(config.k, config.n, c, alpha=config.alpha, l=config.l)
     marks = [time.perf_counter()]  # the start of each phase, then the end
-    seed, refused, start = tune_epsilon(seed, f, config.m, tol_newton=config.tol_newton,
-                                        tol_lin=config.tol_lin)
+    seed, refused, start = tune_epsilon(seed, config.f, config.m,
+                                        tol_newton=config.tol_newton, tol_lin=config.tol_lin)
     marks.append(time.perf_counter())
     try:
         w, report = newton_loop(
-            seed, f, config.m,
+            seed, config.f, config.m,
             tol_newton=config.tol_newton,
             max_iter=config.max_iter,
             tol_lin=config.tol_lin,
@@ -187,6 +193,9 @@ def _cmd_cone_classify(args) -> int:
     except ValueError:
         _note(f"could not parse eigenvalue list {args.lam!r}")
         return 2
+    if lam.size > _N_CAP:
+        _note(f"--lambda may have at most {_N_CAP} entries, got {lam.size}")
+        return 2
     try:
         verdict = classify_boundary(lam, args.k, tol=args.tol)
     except DomainError as err:
@@ -198,6 +207,9 @@ def _cmd_cone_classify(args) -> int:
 
 
 def _cmd_seed(args) -> int:
+    if args.n > _N_CAP:
+        _note(f"--n must be at most {_N_CAP}, got {args.n}")
+        return 2
     top = args.n - args.k + 1  # l = top is the fully convex seed; k >= n has none
     try:
         require_level_applies(args.c, args.l)
@@ -242,7 +254,7 @@ def _cmd_solve(args) -> int:
             config = preset_config(args.preset)
         else:
             config = ProblemConfig.from_json_file(args.config)
-    except (DomainError, OSError, KeyError, json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (ValueError, OSError) as err:  # DomainError and the decoders' errors among them
         _note(f"invalid configuration: {err}")
         return 2
     target = args.output if args.output is not None else config.out_dir

@@ -188,10 +188,8 @@ class ConeVerdicts:
 
 def _threshold_distances(sig: np.ndarray, k: int, n: int, tol: float) -> np.ndarray:
     """Distance of the decision quantities to their classification
-    thresholds, per row of ``sig`` (rows, n + 1): the least of them taken
-    as Python's ``min`` takes it over the list in this order, a later one
-    replacing the running one only when it is smaller, so a NaN kept or
-    passed over is the one ``min`` keeps or passes over."""
+    thresholds, per row of ``sig`` (rows, n + 1), whose entries are
+    finite: the least of them."""
     dists = []
     for j in range(1, k):
         dists += [np.abs(sig[:, j] - tol), np.abs(sig[:, j] + tol)]
@@ -202,7 +200,7 @@ def _threshold_distances(sig: np.ndarray, k: int, n: int, tol: float) -> np.ndar
         dists.append(np.abs(np.abs(sig[:, j]) - tol))
     least = dists[0]
     for d in dists[1:]:
-        least = np.where(d < least, d, least)
+        least = np.minimum(least, d)
     return least
 
 
@@ -212,8 +210,10 @@ def classify_boundaries(lam, k: int, tol: float = DEFAULT_TOL) -> ConeVerdicts:
 
     A verdict is flagged ``ambiguous`` when some decision quantity lies
     within half a tolerance of a classification threshold, i.e. when a
-    tol-sized perturbation could change the answer.  A BoundaryP2 row whose
-    deleted-variable row is not positive raises AssertionError.
+    tol-sized perturbation could change the answer.  A row whose
+    sigma_0..sigma_n are not all finite (they overflow) raises DomainError,
+    and a BoundaryP2 row whose deleted-variable row is not positive raises
+    AssertionError.
     """
     arr = as_spectrum(lam)
     if arr.ndim != 2:
@@ -223,7 +223,10 @@ def classify_boundaries(lam, k: int, tol: float = DEFAULT_TOL) -> ConeVerdicts:
         raise DomainError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     _check_tol(tol)
 
-    sig = _sigma_all_raw(arr, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig = _sigma_all_raw(arr, n)
+    if not np.all(np.isfinite(sig)):
+        raise DomainError("the spectrum's minor sums sigma_0..sigma_n overflow")
     low_ok = np.all(sig[:, 1:k] > tol, axis=1)
     interior = low_ok & (sig[:, k] > tol)
     p2 = ~interior & low_ok & (np.abs(sig[:, k]) <= tol) & (sig[:, k + 1] < -tol)

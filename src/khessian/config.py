@@ -1,13 +1,16 @@
-"""Problem configuration: a single JSON document with nested sections."""
+"""Problem configuration: a single JSON document with nested sections, checked
+once, when its ``ProblemConfig`` is built, with its right-hand side."""
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 
 from .errors import DomainError
-from .rhs import RhsSpec, RhsTerm
+from .grids import _validate_shape
+from .rhs import RhsSpec, RhsTerm, named_rhs
 from .seeds import require_level_applies
 
 
@@ -85,8 +88,11 @@ def _rhs_term(where: str, doc) -> RhsTerm:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemConfig:
+    """Valid by construction: building one raises DomainError at the first
+    check below that fails.  No field can be assigned; ``f`` is built once."""
+
     n: int
     k: int
     alpha: float = 0.5
@@ -98,7 +104,7 @@ class ProblemConfig:
     l: int | str | None = None
     out_dir: str = "out"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 2 <= self.k <= self.n - 1:
             raise DomainError(f"need 2 <= k <= n-1, got k={self.k}, n={self.n}")
         if not 0.0 < self.alpha < 1.0:
@@ -107,20 +113,17 @@ class ProblemConfig:
             raise DomainError("tolerances must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
-        from .grids import _validate_shape
-
         _validate_shape(self.n, self.m)
         if self.l is not None and self.l != "full":
             if (not isinstance(self.l, int) or isinstance(self.l, bool)
                     or not 1 <= self.l <= self.n - self.k + 1):
                 raise DomainError(f"invalid convexity level request l={self.l!r}")
-        require_level_applies(self.build_rhs().value_at_origin(), self.l)
+        require_level_applies(self.f.value_at_origin(), self.l)
 
-    def build_rhs(self) -> RhsSpec:
+    @cached_property
+    def f(self) -> RhsSpec:
         """The right-hand side: a named one, or an inline section
         {"terms": [{"coeff", "y", "u", "p"}, ...], "box"} checked key by key."""
-        from .presets import named_rhs
-
         if isinstance(self.rhs, str):
             return named_rhs(self.rhs, self.n)
         section = _object(self.rhs, "section 'rhs'", _KEYS["rhs"])
@@ -136,30 +139,31 @@ class ProblemConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProblemConfig":
-        """Build and validate a configuration, right-hand side included.
-        Unknown keys, values of the wrong type (a bool or a float where an
-        integer is due) and non-finite floats are rejected with a DomainError
-        that names the key."""
+        """Build a configuration from its JSON document; a key left out
+        takes the dataclass's default.  Unknown keys, values of the wrong
+        type (a bool or a float where an integer is due) and non-finite
+        floats are rejected with a DomainError that names the key, before
+        the configuration's own checks."""
         _object(doc, "the configuration", _KEYS[""])
         for key in ("n", "k"):
             if key not in doc:
                 raise DomainError(f"{key} is required")
         grid, solver, output = (_section(doc, name) for name in ("grid", "solver", "output"))
-        default = cls(n=0, k=0)  # a key left out takes the dataclass's default
-        cfg = cls(
+        default = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                   for f in fields(cls)}
+        return cls(
             n=_typed("n", doc["n"], int),
             k=_typed("k", doc["k"], int),
-            alpha=_finite("alpha", doc.get("alpha", default.alpha)),
-            rhs=doc.get("rhs", default.rhs),
-            m=_typed("grid.m", grid.get("m", default.m), int),
-            tol_lin=_finite("solver.tol_lin", solver.get("tol_lin", default.tol_lin)),
-            tol_newton=_finite("solver.tol_newton", solver.get("tol_newton", default.tol_newton)),
-            max_iter=_typed("solver.max_iter", solver.get("max_iter", default.max_iter), int),
-            l=doc.get("l", default.l),
-            out_dir=_typed("output.directory", output.get("directory", default.out_dir), str),
+            alpha=_finite("alpha", doc.get("alpha", default["alpha"])),
+            rhs=doc.get("rhs", default["rhs"]),
+            m=_typed("grid.m", grid.get("m", default["m"]), int),
+            tol_lin=_finite("solver.tol_lin", solver.get("tol_lin", default["tol_lin"])),
+            tol_newton=_finite("solver.tol_newton",
+                               solver.get("tol_newton", default["tol_newton"])),
+            max_iter=_typed("solver.max_iter", solver.get("max_iter", default["max_iter"]), int),
+            l=doc.get("l", default["l"]),
+            out_dir=_typed("output.directory", output.get("directory", default["out_dir"]), str),
         )
-        cfg.validate()
-        return cfg
 
     def to_dict(self) -> dict:
         return {

@@ -1,4 +1,4 @@
-"""Built-in problem presets and named right-hand sides.
+"""Built-in problem presets, whose named right-hand sides ``rhs.named_rhs`` builds.
 
 The JSON files under ``presets/`` in the repository mirror these dictionaries;
 the in-code table is authoritative so the CLI works without repository files.
@@ -8,23 +8,6 @@ from __future__ import annotations
 
 from .config import ProblemConfig
 from .errors import DomainError
-from .rhs import RhsSpec, RhsTerm
-
-
-def named_rhs(name: str, n: int) -> RhsSpec:
-    if name == "zero":
-        return RhsSpec.constant(n, 0.0)
-    if name == "const-neg-one":
-        return RhsSpec.constant(n, -1.0)
-    if name == "const-three":
-        return RhsSpec.constant(n, 3.0)
-    if name == "linear-y1-plus-y2":
-        terms = [
-            RhsTerm(1.0, (1,) + (0,) * (n - 1)),
-            RhsTerm(1.0, (0, 1) + (0,) * (n - 2)),
-        ]
-        return RhsSpec(n=n, terms=terms)
-    raise DomainError(f"unknown rhs preset {name!r}")
 
 
 PRESETS: dict[str, dict] = {

@@ -1,10 +1,10 @@
 """Polynomial right-hand sides f(y, u, p) with exact derivatives.
 
 Total degree in y is capped at 4 and joint degree in (u, p) at 2, which keeps
-every first partial in (u, p) available in closed form.  A grid-tabulated
-variant is provided for manufactured-solution work, where f is a pure function
-of position known only at the grid points, together with the manufactured
-target field and the right-hand side it solves exactly.
+every first partial in (u, p) available in closed form; ``named_rhs`` builds
+the ones a configuration names.  A grid-tabulated variant serves
+manufactured-solution work, where f is a pure function of position known
+only at the grid points, with the manufactured target field and its f.
 """
 
 from __future__ import annotations
@@ -121,6 +121,16 @@ class RhsSpec:
     def value_at_origin(self) -> float:
         zero = np.zeros(self.n)
         return float(self.value(zero, np.asarray(0.0), zero))
+
+
+def named_rhs(name: str, n: int) -> RhsSpec:
+    constants = {"zero": 0.0, "const-neg-one": -1.0, "const-three": 3.0}
+    if name in constants:
+        return RhsSpec.constant(n, constants[name])
+    if name == "linear-y1-plus-y2":
+        return RhsSpec(n=n, terms=[RhsTerm(1.0, (1,) + (0,) * (n - 1)),
+                                   RhsTerm(1.0, (0, 1) + (0,) * (n - 2))])
+    raise DomainError(f"unknown rhs preset {name!r}")
 
 
 @dataclass

@@ -22,8 +22,8 @@ from khessian.cli import build_parser, main
 from khessian.config import ProblemConfig
 from khessian.errors import DomainError, TuningError
 from khessian.iterate import tune_epsilon
-from khessian.presets import PRESETS, named_rhs, preset_config
-from khessian.rhs import RhsSpec
+from khessian.presets import PRESETS, preset_config
+from khessian.rhs import RhsSpec, named_rhs
 from khessian.seeds import seed_for_zero
 
 
@@ -73,6 +73,18 @@ class TestConeCommand:
         assert f"expected a finite number, got '{tol}'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("entries, code", [(64, 0), (65, 2)])
+    def test_entry_cap(self, capsys, entries, code):
+        # at most _N_CAP eigenvalues; past it one stderr line and no JSON
+        lam = ",".join(["1"] * entries)
+        assert main(["cone", "classify", f"--lambda={lam}", "--k", "2"]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err == "--lambda may have at most 64 entries, got 65\n"
+            assert captured.out == ""
+        else:
+            assert json.loads(captured.out)["kind"] == "Interior"
+
     def test_negative_tol_exit_two(self, capsys):
         assert main(["cone", "classify", "--lambda=1,2,3", "--k", "2",
                      "--tol=-1e-9"]) == 2
@@ -94,6 +106,17 @@ class TestSeedCommand:
         assert main(["seed", "--k", "2", "--n", "3", "--c", "3", "--l", "full"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tau"] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("n, code", [(64, 0), (65, 2), (10**6, 2)])
+    def test_n_cap(self, capsys, n, code):
+        # at most _N_CAP variables; past it one stderr line and no JSON
+        assert main(["seed", "--k", "2", "--n", str(n), "--c", "0"]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err == f"--n must be at most 64, got {n}\n"
+            assert captured.out == ""
+        else:
+            assert len(json.loads(captured.out)["tau"]) == 64
 
     def test_empty_boundary_exit_three(self):
         assert main(["seed", "--k", "2", "--n", "2", "--c", "0"]) == 3
@@ -175,7 +198,7 @@ class TestConfig:
         doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
         doc["rhs"] = {"terms": [{"coeff": 2.0, "y": [0, 0, 1]}]}
         cfg = ProblemConfig.from_dict(doc)
-        f = cfg.build_rhs()
+        f = cfg.f
         assert isinstance(f, RhsSpec)
         assert f.value(np.array([0.0, 0.0, 0.5]), 0.0, np.zeros(3)) == 1.0
 
@@ -190,6 +213,32 @@ class TestConfig:
         for field in dataclasses.fields(ProblemConfig):
             a, b = getattr(got, field.name), getattr(expect, field.name)
             assert (type(a), a) == (type(b), b), field.name
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"k": 3}, "need 2 <= k <= n-1, got k=3, n=3"),
+        ({"alpha": 1.0}, "need 0 < alpha < 1, got 1.0"),
+        ({"tol_lin": 0.0}, "tolerances must be positive"),
+        ({"tol_newton": -1e-9}, "tolerances must be positive"),
+        ({"max_iter": 0}, "max_iter must be at least 1"),
+        ({"m": 8}, "points per axis must be odd and >= 9, got m=8"),
+        ({"n": 6, "m": 9}, "need 2 <= n <= 5, got n=6"),
+        ({"l": 3}, "invalid convexity level request l=3"),
+        ({"rhs": {"box": 0.0}}, "rhs.box must be positive, got 0.0"),
+        ({"rhs": "no-such-rhs"}, "unknown rhs preset 'no-such-rhs'"),
+        ({"l": 1}, "l applies only when c = f(0,0,0) > 0, got l=1 with c=0.0"),
+    ], ids=["k", "alpha", "tol-lin", "tol-newton", "max-iter", "m", "n", "l", "rhs-box",
+            "rhs-name", "l-c-zero"])
+    def test_invalid_config_cannot_be_built(self, fields, message):
+        # every rule is held when the dataclass is built, not only by from_dict
+        with pytest.raises(DomainError) as info:
+            ProblemConfig(**{"n": 3, "k": 2} | fields)
+        assert str(info.value) == message
+
+    def test_config_is_frozen(self):
+        cfg = ProblemConfig(n=3, k=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.k = 3
+        assert cfg.k == 2 and cfg.f is cfg.f
 
     def test_preset_files_match_builtins(self):
         # presets/*.json mirror PRESETS: the same names and equal documents
@@ -243,6 +292,34 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (
             "invalid configuration: the configuration is nested too deeply\n")
+
+    @pytest.mark.parametrize("key", ["alpha", "n", "grid.m"])
+    def test_huge_integer_literal_exit_two(self, tmp_path, capsys, key):
+        # a 5,000-digit integer: past Python's int-string limit the decoder
+        # raises ValueError; without the limit the value is out of range
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc["output"]["directory"] = str(tmp_path / "run")
+        section, _, name = key.rpartition(".")
+        (doc[section] if section else doc)[name] = "<huge>"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc).replace('"<huge>"', _HUGE))
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "run").exists()
+
+    def test_one_rhs_per_solve(self, tmp_path, monkeypatch, capsys):
+        # the configuration's check builds f, and the solve reads that f
+        built, post_init = [], RhsSpec.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(RhsSpec, "__post_init__", counted)
+        assert main(["solve", "--preset", "fzero-linear", "--output", str(tmp_path)]) == 0
+        assert len(built) == 1
 
     def test_unknown_preset_exit_two(self):
         assert main(["solve", "--preset", "nope"]) == 2
@@ -468,7 +545,7 @@ class TestSolveCommand:
         doc["grid"]["m"] = 9
         doc["output"]["directory"] = str(tmp_path / "run")
         config = ProblemConfig.from_dict(doc)
-        f = config.build_rhs()
+        f = config.f
         tuned, refused, start = tune_epsilon(seed_for_zero(2, 3, 0.5), f, 9)
         assert tuned.eps == 0.0625
         assert [a["eps"] for a in refused] == [0.5, 0.25, 0.125]
@@ -551,6 +628,7 @@ _PROBE_BASES = [dict(copy.deepcopy(doc), grid={"m": 9}) for doc in PRESETS.value
 _EXTREMES = [0, -1, 2**63, 10**400, -0.0, 5e-324, 1e-308, 1e308, -1e308,
              math.nan, math.inf, -math.inf]
 _TYPE_SWAPS = [None, True, "text", [], {}]
+_HUGE = "1" + "0" * 4999  # past Python's int-string limit, where it has one
 
 
 def _key_paths(doc, prefix=()):
@@ -564,17 +642,22 @@ def _key_paths(doc, prefix=()):
 
 @st.composite
 def _mutated_configs(draw):
-    """A base config with one key deleted, one value's type swapped (an
-    int to its float, a float to its int, anything to null, a bool, a
-    string, a list or an object) or one value set to an extreme or
-    non-finite number.  Deleting grid or grid.m would give the default
-    m = 17, outside the probe's m <= 9, so those two are not deleted."""
+    """The JSON text of a base config with one key deleted, one value's type
+    swapped (an int to its float, a float to its int, anything to null, a
+    bool, a string, a list or an object), one value set to an extreme or
+    non-finite number, or one number written as the 5,000-digit ``_HUGE``.
+    Deleting grid or grid.m would give the default m = 17, outside the
+    probe's m <= 9, so those two are not deleted; max_iter is never
+    ``_HUGE``, a valid value where Python has no int-string limit.  A
+    mutation that does not apply to the drawn key sets an extreme."""
     doc = copy.deepcopy(draw(st.sampled_from(_PROBE_BASES)))
     path = draw(st.sampled_from(list(_key_paths(doc))))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    value, kind = parent[path[-1]], draw(st.sampled_from(["delete", "type", "extreme"]))
+    value = parent[path[-1]]
+    kind = draw(st.sampled_from(["delete", "type", "extreme", "huge"]))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "delete" and path not in (("grid",), ("grid", "m")):
         del parent[path[-1]]
     elif kind == "type":
@@ -584,21 +667,23 @@ def _mutated_configs(draw):
         if isinstance(value, float) and math.isfinite(value):
             swaps.append(int(value))
         parent[path[-1]] = draw(st.sampled_from(swaps))
+    elif kind == "huge" and number and path[-1] != "max_iter":
+        parent[path[-1]] = "<huge>"
     else:
         parent[path[-1]] = draw(st.sampled_from(_EXTREMES))
-    return doc
+    return json.dumps(doc).replace('"<huge>"', _HUGE)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(doc=_mutated_configs())
-def test_mutated_configs_end_in_a_documented_exit(doc):
+@given(text=_mutated_configs())
+def test_mutated_configs_end_in_a_documented_exit(text):
     # every mutation of a config exits 0, 2, 3 or 4 with no traceback; a
     # run that exits 0 leaves a Converged report, and any other exit leaves
     # no w.csv or u.csv in its fresh output directory
     with tempfile.TemporaryDirectory() as root:
         path, out = os.path.join(root, "config.json"), os.path.join(root, "out")
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(["solve", "--config", path, "--output", out])

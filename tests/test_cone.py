@@ -1,6 +1,6 @@
-import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from khessian import cone, verify
+from khessian.cli import main
 from khessian.cone import (
     Region,
     classify_boundaries,
@@ -212,15 +213,18 @@ class TestBatchedClassifier:
     @pytest.mark.parametrize("lam, k", [([1e200, -1e200, 0.0, 1.0], 2),
                                         ([1.0, 1e300, -1e300, -1.0], 2),
                                         ([1e300, -1.0, -1e300, 1.0], 3)])
-    def test_nan_distance_kept_where_min_keeps_it(self, lam, k):
-        # a sigma overflows to NaN, and its distance comes after one of 0
-        # to a threshold: Python's min passes over the later NaN, so the
-        # verdict is ambiguous, where np.minimum would have propagated it
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = classify_boundary_per_point(lam, k, 1.0)
-            got = classify_boundaries(np.array([lam]), k, 1.0).verdict(0).to_dict()
-        assert want["ambiguous"] and any(map(math.isnan, want["sigmas"]))
-        assert json.dumps(got) == json.dumps(want)
+    def test_overflowing_minor_sums_refused(self, capsys, lam, k):
+        # a sigma overflows to an infinity or NaN: refused with one line and
+        # no RuntimeWarning, never classified from a NaN or printed as one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="minor sums sigma_0..sigma_n overflow"):
+                classify_boundaries(np.array([lam]), k, 1.0)
+            code = main(["cone", "classify", f"--lambda={','.join(map(repr, lam))}",
+                         "--k", str(k), "--tol", "1.0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "overflow" in captured.err
 
     def test_verdict_bits(self):
         rng = np.random.default_rng(13)

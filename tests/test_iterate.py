@@ -101,7 +101,7 @@ _TUNING_CASES = {
 def _tuning_problem(n: int, k: int, rhs):
     doc = copy.deepcopy(PRESETS["fzero-linear"])
     doc.update(n=n, k=k, rhs=rhs)
-    f = ProblemConfig.from_dict(doc).build_rhs()
+    f = ProblemConfig.from_dict(doc).f
     return seed_for_constant(k, n, f.value_at_origin()), f
 
 
@@ -269,7 +269,7 @@ class TestNewtonLoop:
 
         doc = copy.deepcopy(PRESETS["fzero-linear"])
         doc.update(n=4, k=3, grid={"m": 9})
-        f = ProblemConfig.from_dict(doc).build_rhs()
+        f = ProblemConfig.from_dict(doc).f
         seed, _, start = tune_epsilon(seed_for_constant(3, 4, f.value_at_origin()), f, 9)
         surrogate, measured = iterate.c2alpha_surrogate, []
 
@@ -444,7 +444,7 @@ class TestNewtonLoop:
 
         monkeypatch.undo()
         seed = seed_for_zero(2, 3, 0.5).with_eps(report.seed["eps"])
-        w, alone = newton_loop(seed, config.build_rhs(), 9)
+        w, alone = newton_loop(seed, config.f, 9)
         assert [r.to_dict() for r in alone.iterations] == [
             r.to_dict() for r in report.iterations]
         assert "g_holder" not in alone.iterations[0].to_dict()
@@ -514,14 +514,14 @@ class TestNewtonLoop:
         assert 10.0 * report.floor_estimate < first.g_inf <= config.tol_newton
         assert first.lin_steps is None and first.rho_c2alpha is None
 
-        _, alone = newton_loop(seed_for_zero(2, 3, 0.5), config.build_rhs(), 17)
+        _, alone = newton_loop(seed_for_zero(2, 3, 0.5), config.f, 17)
         assert calls == {"assemble": 0, "solve": 0}
         assert [r.to_dict() for r in alone.iterations] == [first.to_dict()]
         assert alone.stop_reason == "residual_tolerance"
         # tuning's step-free iteration 0 cannot start a loop that needs a step
-        seed, _, start = tune_epsilon(seed_for_zero(2, 3, 0.5), config.build_rhs(), 17)
+        seed, _, start = tune_epsilon(seed_for_zero(2, 3, 0.5), config.f, 17)
         with pytest.raises(DomainError, match="misses this tol_newton"):
-            newton_loop(seed, config.build_rhs(), 17, tol_newton=1e-12, start=start)
+            newton_loop(seed, config.f, 17, tol_newton=1e-12, start=start)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_linear_solve_contracts(self, tmp_path, name):
@@ -698,7 +698,7 @@ class TestLoopCertifies:
     @staticmethod
     def _tuned(n, k):
         """``fzero-linear`` at m = 9: its f, tuned seed and iteration 0."""
-        f = _fzero_config(n, 9, k).build_rhs()
+        f = _fzero_config(n, 9, k).f
         seed, _, start = tune_epsilon(seed_for_constant(k, n, f.value_at_origin()), f, 9)
         return f, seed, start
 
@@ -713,7 +713,7 @@ class TestLoopCertifies:
 
     def test_iteration_zero_stop_certifies_once_with_none(self, monkeypatch):
         config = ProblemConfig.from_dict(PRESETS["fconst-match"])
-        f = config.build_rhs()
+        f = config.f
         seed = seed_for_constant(config.k, config.n, f.value_at_origin(), l=config.l)
         given = self._counted(monkeypatch)
         _, report = newton_loop(seed, f, 9)
@@ -803,7 +803,7 @@ class TestUPDependentRhs:
         doc.update(n=n, k=k, rhs={"terms": terms})
         doc["grid"]["m"] = 9
         config = ProblemConfig.from_dict(doc)
-        f = config.build_rhs()
+        f = config.f
         assert f.reads_u and f.value_at_origin() == c
         runs = [tmp_path / "first", tmp_path / "second"]
         reports = [run_solve(config, out_dir=str(out)).report for out in runs]
@@ -834,7 +834,7 @@ class TestMemory:
 
     @staticmethod
     def _problem():
-        f = _fzero_config(4, 17, 3).build_rhs()
+        f = _fzero_config(4, 17, 3).f
         seed = seed_for_constant(3, 4, f.value_at_origin()).with_eps(1 / 16)
         return seed, f, ScalarGrid(4, 17, manufactured_field(4, 17, 1e-3)[0])
 
