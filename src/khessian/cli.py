@@ -6,10 +6,11 @@ classify returns 0 for any cone/boundary verdict, 1 for Outside, 2 for
 argument errors (more than ``_N_CAP`` eigenvalues, or minor sums that
 overflow among them); seed returns 2 for ``--n`` above ``_N_CAP``, an
 out-of-range ``--l`` or an ``--l`` with c <= 0, and 3 on construction
-failure; solve returns 0 only when the iteration converged (2 for config
-errors and for output files that cannot be written, which leave no file of
-the run, and a run that writes leaves no earlier run's output file beside
-its report; 4 when the loop stops unconverged or the solve raises one of
+failure, among them a c whose seed's minor sums leave the normal floats;
+solve returns 0 only when the iteration converged (2 for config errors and
+for output files that cannot be written, which leave no file of the run,
+and a run that writes leaves no earlier run's output file beside its
+report; 4 when the loop stops unconverged or the solve raises one of
 the errors ``run_solve`` names, with a report that keeps the error's type,
 tuning's refused candidates and the loop's records); verify returns 1 when
 any property fails and 2 for ``--samples`` above ``_SAMPLES_CAP``.  Every
@@ -55,8 +56,12 @@ def _note(message: str) -> None:
 SOLVE_PHASES = ("tuning", "loop", "assembly", "output")
 # every file a solve may leave in its output directory
 _OUTPUT_NAMES = ("w.csv", "w.json", "u.csv", "u.json", "report.json")
-# verify's largest --samples, a memory cap: garding-inequality holds its
-# samples x n eigenvalues whole and peaks at 77.6 MB at this count
+# verify's largest --samples, a time cap: every suite draws and checks a
+# block of rows at a time, so none grows in memory with the count.  At this
+# count `khessian verify --suite S --seed 3`, one BLAS thread on a shared
+# 2-core machine, takes (wall time, peak RSS): cone-equivalence 1.4 s,
+# 39.2 MB; garding-inequality 1.9 s, 40.5 MB; maclaurin 1.5 s, 39.4 MB;
+# identities 12.0 s, 40.8 MB; p2-ellipticity 0.6 s, 41.0 MB
 _SAMPLES_CAP = 1_000_000
 # seed's largest --n and cone classify's longest --lambda, a time cap: both
 # run O(n^2 k) Python-level recurrences (sigma_km1_row, one deleted
@@ -69,9 +74,10 @@ _N_CAP = 64
 def _reuse_freed_arrays() -> None:
     """Keep freed blocks of up to 16 MB in glibc's heap, and trim its top only
     past 32 MB.  A solve frees and reallocates grid-sized arrays at every
-    layer; by default glibc maps each block above 128 kB afresh, so an n = 3,
-    m = 33 solve page-faults 22,000 times instead of 5.  Where the C library
-    has no ``mallopt``, nothing is set."""
+    layer, and the verify sweeps block-sized ones; by default glibc maps each
+    block above 128 kB afresh, so an n = 3, m = 33 solve page-faults 22,000
+    times instead of 5.  Where the C library has no ``mallopt``, nothing is
+    set."""
     import ctypes
 
     try:
@@ -286,6 +292,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _reuse_freed_arrays()
     names = list(SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     results = {}

@@ -118,20 +118,32 @@ def p2_example(k: int, n: int) -> np.ndarray:
 
 
 def convexity_split(tau) -> tuple[int, int | None]:
-    """(largest m with sigma_1..sigma_m > SEED_TOL, smallest m with
-    sigma_m < -SEED_TOL)."""
+    """(largest m with sigma_1..sigma_m > SEED_TOL * sigma_j(|tau|), smallest
+    m with sigma_m < -SEED_TOL * sigma_m(|tau|)).  The slack scales with the
+    summed terms, so tau and its rescalings s * tau share their class.
+
+    Raises DomainError when a term sum sigma_j(|tau|) overflows, or when it
+    underflows below the normal floats for j up to tau's count of nonzero
+    entries.  Beyond that count it is exactly zero at any scale, as for the
+    c = 0 seed, and allowed."""
     arr = as_spectrum(tau)
     n = arr.shape[-1]
-    sig = sigma_all(arr, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig, terms = sigma_all(np.stack([arr, np.abs(arr)]), n)
+    if not np.all(np.isfinite(terms)):
+        raise DomainError("tau's minor sums overflow")
+    if np.any(terms[1:np.count_nonzero(arr) + 1] < np.finfo(float).tiny):
+        raise DomainError("tau's minor sums underflow below the normal floats")
+    tol = SEED_TOL * terms
     cls = 0
     for j in range(1, n + 1):
-        if sig[j] > SEED_TOL:
+        if sig[j] > tol[j]:
             cls = j
         else:
             break
     not_class = None
     for j in range(1, n + 1):
-        if sig[j] < -SEED_TOL:
+        if sig[j] < -tol[j]:
             not_class = j
             break
     return cls, not_class
@@ -150,13 +162,13 @@ def certify_seed(seed: SeedQuadratic) -> SeedCertificate:
 
 def _finalize(tau: np.ndarray, k: int, n: int, c: float, alpha: float) -> SeedQuadratic:
     tau = np.asarray(tau, dtype=float)
+    cls, _ = convexity_split(tau)  # first: it refuses a c that scales tau past the floats
     row = sigma_km1_row(tau, k)
     if np.min(row) <= 0.0:
         raise ConstructionError("seed lost its positive deleted-variable row")
     sk = elem_sym(tau, k)
     if abs(sk - c) > 1e-10 * max(1.0, abs(c)):
         raise ConstructionError(f"seed misses its target: sigma_k={sk}, c={c}")
-    cls, _ = convexity_split(tau)
     return SeedQuadratic(
         tau=tau, k=k, n=n, c=float(c), alpha=float(alpha),
         eps=START_EPS, eps_prime=eps_prime_for(START_EPS, alpha), convexity_class=cls,

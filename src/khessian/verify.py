@@ -12,16 +12,13 @@ counterexamples are those of drawing and checking each batch whole.  The
 sweeps that need points inside the cone draw them by rejection through
 ``_cone_blocks``, which yields them a block at a time and stops drawing once
 it has its samples: it then moves the generator past the rest of the chunk,
-so its state is that of drawing every row.  Memory does not grow with the
-sample count, except in the Garding sweep, which holds each configuration's
-first sample (lam) whole: the second (mu) is drawn from where lam's
-rejection sampling ends, so streaming lam too would need a second sampling
-pass.
+so its state is that of drawing every row.  The Garding sweep draws its two
+samples from two streams, so both are sampled a block at a time as well:
+no sweep's memory grows with the sample count.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -129,26 +126,24 @@ def cone_equivalence_sweep(samples: int = 10000, seed: int = 7) -> SweepResult:
     return result
 
 
-def _cone_blocks(n: int, k: int, count: int, rng: np.random.Generator,
-                 out: np.ndarray | None = None):
+def _cone_blocks(n: int, k: int, count: int, rng: np.random.Generator):
     """Yield the first ``count`` rows of uniform(-3, 3) draws that lie in the
     level-k cone, drawn in chunks of ``4 * count`` rows, as consecutive
     blocks of ``_BLOCK`` rows (the last may hold fewer).
 
-    A block is a view of one buffer that the next block reuses, or of the
-    ``(count, n)`` array ``out`` when one is given, which then holds every
-    row at the end.  Each chunk is drawn ``_BLOCK`` rows at a time, and
-    drawing stops once ``count`` rows are kept.  The generator is then
-    advanced past the rest of the chunk: the sweeps' generator is PCG64,
-    whose ``uniform`` takes one step per double, so the rows and the final
-    state are those of drawing the whole chunk.  The advance comes before
-    the last block is yielded, so a consumer that stops pulling after it
-    still leaves the generator there.  A row whose sigma_1, the sum of its
-    entries from the left as the recurrence forms it, is not positive is
-    outside the cone and is dropped before ``in_gamma_k`` is run.
+    A block is a view of one buffer that the next block reuses.  Each chunk
+    is drawn ``_BLOCK`` rows at a time, and drawing stops once ``count`` rows
+    are kept.  The generator is then advanced past the rest of the chunk:
+    the sweeps' generator is PCG64, whose ``uniform`` takes one step per
+    double, so the rows and the final state are those of drawing the whole
+    chunk.  The advance comes before the last block is yielded, so a
+    consumer that stops pulling after it still leaves the generator there.
+    A row whose sigma_1, the sum of its entries from the left as the
+    recurrence forms it, is not positive is outside the cone and is dropped
+    before ``in_gamma_k`` is run.
     """
-    block = np.empty((min(_BLOCK, count), n)) if out is None else out[:_BLOCK]
-    kept = fill = left = lo = 0  # lo: rows yielded; fill: rows in the block
+    block = np.empty((min(_BLOCK, count), n))
+    kept = fill = left = 0  # fill: rows in the block
     while kept < count:
         if not left:
             left = 4 * count
@@ -168,31 +163,28 @@ def _cone_blocks(n: int, k: int, count: int, rng: np.random.Generator,
             draw, fill = draw[take:], fill + take
             if fill == block.shape[0] or (kept == count and not draw.shape[0]):
                 yield block[:fill]
-                lo, fill = lo + fill, 0
-                if out is not None:
-                    block = out[lo:lo + _BLOCK]
+                fill = 0
 
 
 def garding_inequality_sweep(samples: int = 10000, seed: int = 11) -> SweepResult:
     """Cone inequality on random interior pairs, plus the equality case.
 
-    Per configuration, lam is sampled whole and mu is checked against it as
-    its blocks are drawn; mu's draws start where lam's end, so lam cannot be
-    streamed without a second sampling pass.  Every pair failure is recorded
-    before any equality failure."""
-    rng = np.random.default_rng(seed)
+    lam is drawn from the first and mu from the second child stream of
+    ``SeedSequence(seed)``, a block of each at a time; each lam block is
+    checked against its mu block and against itself.  A configuration's
+    pair failures are recorded before its equality failures."""
+    lam_rng, mu_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     result = SweepResult(name="garding-inequality", checked=0, failures=0)
     for n, k in GARDING_CONFIGS:
-        lam = np.empty((samples, n))
-        deque(_cone_blocks(n, k, samples, rng, out=lam), maxlen=0)  # fills lam
-        for mu, rows in zip(_cone_blocks(n, k, samples, rng), _blocks(samples)):
-            ok = garding_slack(lam[rows], mu, k) >= -GARDING_TOL
-            _record_failures(result, ok, lam[rows])
-        for rows in _blocks(samples):
-            eq = np.abs(garding_slack(lam[rows], lam[rows], k)) <= GARDING_TOL
-            _record_failures(result, eq, lam[rows])
+        equal = SweepResult(name=result.name, checked=0, failures=0)
+        for lam, mu in zip(_cone_blocks(n, k, samples, lam_rng),
+                           _cone_blocks(n, k, samples, mu_rng)):
+            _record_failures(result, garding_slack(lam, mu, k) >= -GARDING_TOL, lam)
+            _record_failures(equal, np.abs(garding_slack(lam, lam, k)) <= GARDING_TOL, lam)
+        result.failures += equal.failures
+        result.counterexamples += equal.counterexamples
+        del result.counterexamples[COUNTEREXAMPLES:]
         result.checked += 2 * samples
-        del lam  # freed before the next configuration is sampled
     return result
 
 

@@ -168,12 +168,13 @@ def cone_equivalence_sweep_whole_batch(samples: int, seed: int) -> verify.SweepR
 
 def garding_inequality_sweep_whole_batch(samples: int, seed: int) -> verify.SweepResult:
     """``verify.garding_inequality_sweep`` on whole batches, sampled by
-    ``sample_in_cone_every_row``."""
-    rng = np.random.default_rng(seed)
+    ``sample_in_cone_every_row``: lam from the first child stream of
+    ``SeedSequence(seed)``, mu from the second."""
+    lam_rng, mu_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     result = verify.SweepResult(name="garding-inequality", checked=0, failures=0)
     for n, k in verify.GARDING_CONFIGS:
-        lam = sample_in_cone_every_row(n, k, samples, rng)
-        mu = sample_in_cone_every_row(n, k, samples, rng)
+        lam = sample_in_cone_every_row(n, k, samples, lam_rng)
+        mu = sample_in_cone_every_row(n, k, samples, mu_rng)
         ok = verify.garding_slack(lam, mu, k) >= -verify.GARDING_TOL
         result.checked += samples
         verify._record_failures(result, ok, lam)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khessian import verify
+from khessian import cli, verify
 from khessian.cli import build_parser, main
 from khessian.config import ProblemConfig
 from khessian.errors import DomainError, TuningError
@@ -153,6 +153,24 @@ class TestSeedCommand:
         assert (f"l applies only when c = f(0,0,0) > 0, got l={shown} with c={float(c)}"
                 in captured.err)
         assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k, n, c, error", [
+        (2, 4, "1e300", "overflow"),
+        (3, 5, "1e-320", "underflow below the normal floats")])
+    def test_unrepresentable_constant_exit_three(self, capsys, k, n, c, error):
+        # used to exit 0 with two RuntimeWarnings and a wrong not_class
+        # (1e300), or to exit 3 with "positive seed has class 0" (1e-320)
+        assert main(["seed", "--k", str(k), "--n", str(n), "--c", c]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"seed construction failed: tau's minor sums {error}\n"
+        assert captured.out == ""
+
+    def test_tiny_constant_keeps_its_class(self, capsys):
+        # used to exit 3 with "positive seed has class 2, wanted 3"
+        assert main(["seed", "--k", "3", "--n", "5", "--c", "1e-12"]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert (cert["convexity_class"], cert["not_class"]) == (3, 4)
 
     def test_level_accepted(self, capsys):
         assert main(["seed", "--k", "2", "--n", "4", "--c", "1", "--l", "2"]) == 0
@@ -439,7 +457,7 @@ class TestSolveCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert main(["solve", "--config", str(cfg_path)]) == 4
-        assert "positive seed has class 0" in capsys.readouterr().err
+        assert "tau's minor sums underflow" in capsys.readouterr().err
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["status"] == "Failed"
         assert report["config"]["rhs"] == doc["rhs"]
@@ -535,6 +553,20 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report == {"status": "Failed", "error": str(err),
                           "config": preset_config("fzero-linear").to_dict()} | fields
+
+    @pytest.mark.filterwarnings("error")
+    def test_unrepresentable_constant_exit_four(self, tmp_path, capsys):
+        # the seed for f = 1e300 has minor sums past the floats: a failure
+        # report, as for any construction failure
+        doc = json.loads(json.dumps(PRESETS["fzero-linear"]))
+        doc.update(n=4, rhs={"terms": [{"coeff": 1e300, "y": [0, 0, 0, 0]}]})
+        doc["output"]["directory"] = str(tmp_path / "run")
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(tmp_path / "cfg.json")]) == 4
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["error_type"] == "DomainError"
+        assert report["error"] == "tau's minor sums overflow"
+        assert os.listdir(tmp_path / "run") == ["report.json"]
 
     def test_box_exit_after_tuning_exit_four(self, tmp_path, capsys):
         # tuning refuses eps 1/2, 1/4 and 1/8 by the box and accepts 1/16,
@@ -773,6 +805,14 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "cone-equivalence",
                      "--samples", "500", "--seed", "3"])
         assert code == 0
+
+    @pytest.mark.parametrize("suite", ["maclaurin", "all"])
+    def test_reuses_freed_arrays_once(self, monkeypatch, capsys, suite):
+        # the allocator policy of a solve, set once for the whole command
+        calls = []
+        monkeypatch.setattr(cli, "_reuse_freed_arrays", lambda: calls.append(1))
+        assert main(["verify", "--suite", suite, "--samples", "20", "--seed", "3"]) == 0
+        assert calls == [1]
 
 
 def test_cli_import_leaves_out_scipy_sparse():

@@ -142,6 +142,52 @@ class TestSeedMatrix:
         assert seed.eps_prime == pytest.approx(expected)
 
 
+def _levels(k, n, c):
+    return [None] if c < 0.0 else [None, "full", *range(1, n - k + 1)]
+
+
+class TestScaleOfC:
+    """The convexity classification's slack scales with the summed terms, so
+    a seed's class does not depend on the size of c; a c whose seed has
+    minor sums beyond the normal floats is refused."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_class_of_unit_c_at_every_scale(self, n, sign):
+        scales = np.geomspace(1e-100, 1e100, 81)  # 10^2.5 apart
+        for k in range(2, n):
+            for l in _levels(k, n, sign):
+                unit = certify_seed(seed_for_constant(k, n, sign, l=l))
+                for c in sign * scales:
+                    cert = certify_seed(seed_for_constant(k, n, float(c), l=l))
+                    assert ((cert.convexity_class, cert.not_class)
+                            == (unit.convexity_class, unit.not_class)), (k, l, c)
+
+    def test_small_c_keeps_its_sign_change(self):
+        # classified against an absolute 1e-9, these lost sigma_4 < 0 or
+        # sigma_3 > 0: c = 1e-9 read not_class None, c = 1e-12 failed
+        for c in (1e-9, 1e-12, 1e-100):
+            cert = certify_seed(seed_for_constant(3, 5, c))
+            assert (cert.convexity_class, cert.not_class) == (3, 4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c, word", [(1e300, "overflow"), (-1e300, "overflow"),
+                                         (1e200, "overflow"), (1e-320, "underflow"),
+                                         (-1e-300, "underflow")])
+    def test_unrepresentable_minor_sums_refused(self, c, word):
+        for k, n in ((2, 4), (3, 5)):
+            for l in _levels(k, n, c):
+                with pytest.raises(DomainError, match=f"tau's minor sums {word}"):
+                    seed_for_constant(k, n, c, l=l)
+
+    def test_zero_seed_keeps_its_exact_zeros(self):
+        # p2_example's padding zeros give sigma_j = 0 exactly for j > k + 1
+        for k, n in ((2, 5), (3, 6)):
+            cert = certify_seed(seed_for_constant(k, n, 0.0))
+            assert (cert.convexity_class, cert.not_class) == (k - 1, k + 1)
+
+
 class TestSampler:
     def test_samples_sit_on_the_sign_changing_boundary(self):
         rng = np.random.default_rng(8)
